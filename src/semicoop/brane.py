@@ -15,19 +15,27 @@ The action density per node is
 where ``Npull`` and ``Hpull`` are the pull-backs of the background
 metric and of the antisymmetric coupling, ``p*b`` the profit weighted by
 stubbornness, ``W`` the profit freedom exponent, and the residual term
-enforces the share dynamics through the multiplier field.  Integration
-is by tensor-product trapezoid weights, which makes the action exactly
-additive across a partition of the time axis at a grid plane.
+enforces the share dynamics through the multiplier field.  The 3-form
+enters only through ``eps^{abc} Hpull_{abc} / 3!``, so :func:`pullbacks`
+returns that single component, in closed form as a sum of 3x3 minors of
+the embedding Jacobian, instead of the full antisymmetric tensor.
+Integration is by tensor-product trapezoid weights, which makes the
+action exactly additive across a partition of the time axis at a grid
+plane.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import structural_rank
 
 from .errors import NumericalError, ValidationError
-from .geometry import MetricField, first_derivative
+from .geometry import MetricField, _interior_1d_operators, first_derivative
 from .grids import require_same_grid
 
 WORLD_DIM = 3
@@ -174,29 +182,36 @@ def pullbacks(config):
 
     Returns
     -------
-    (npull, hpull)
+    (npull, component)
         ``npull`` is the symmetric per-node 3x3 contraction of the
-        background block with the embedding Jacobian.  ``hpull`` is the
-        fully antisymmetric per-node 3-index tensor; it is reconstructed
-        from its single independent component so antisymmetry holds
-        exactly, sign flips included.
+        background block with the embedding Jacobian.  ``component`` is
+        the single independent per-node component ``Hpull_{012}`` of the
+        pulled-back 3-form, equal to ``eps^{abc} Hpull_{abc} / 3!``.
+        Because the coupling pattern ``P`` and ``eps`` are both
+        antisymmetric, it is the closed form
+
+            coupling_scalar * sum_{p<q<r} P_pqr det(J[..., :, [p, q, r]])
+
+        which for the default pattern is one 3x3 determinant per node.
     """
     jac = config.embedding_jacobian()
     ntrans = config.background_transverse()
     if ntrans.ndim == 2:
-        npull = np.einsum("...ap,...bq,pq->...ab", jac, jac, ntrans)
+        npull = np.einsum("...ap,...bq,pq->...ab", jac, jac, ntrans, optimize=True)
     else:
         require_same_grid(config.grid, config.world_metric.grid)
-        npull = np.einsum("...ap,...bq,...pq->...ab", jac, jac, ntrans)
+        npull = np.einsum("...ap,...bq,...pq->...ab", jac, jac, ntrans, optimize=True)
     npull = 0.5 * (npull + np.swapaxes(npull, -1, -2))
 
-    raw = np.einsum(
-        "...ap,...bq,...cr,pqr->...abc", jac, jac, jac, config.coupling_pattern
-    )
-    component = np.einsum("abc,...abc->...", LEVI_CIVITA, raw) / 6.0
+    pattern = config.coupling_pattern
+    triples = np.array(
+        [t for t in itertools.combinations(range(TRANSVERSE_DIM), 3) if pattern[t]],
+        dtype=int,
+    ).reshape(-1, 3)
+    minors = np.linalg.det(np.swapaxes(jac[..., triples], -3, -2))
+    component = minors @ pattern[tuple(triples.T)]
     component = component * config.coupling_scalar
-    hpull = component[..., None, None, None] * LEVI_CIVITA
-    return npull, hpull
+    return npull, component
 
 
 def _profit_weight(config, firm, profit):
@@ -226,20 +241,22 @@ def scalar_action_terms(config, firm, profit, ghost_epsilon=None):
 
     This is the scalar the effective-scale extraction consumes.
     """
-    npull, hpull = pullbacks(config)
+    npull, component = pullbacks(config)
     sqrt_h = np.sqrt(config.world_metric.determinant)
     pw = _profit_weight(config, firm, profit)
     pw_w, pw_1mw = _powers(pw, config.freedom_exponent)
 
     world_term = np.einsum("...ab,...ab->...", config.world_metric.inverse, npull)
-    trans_term = np.einsum("abc,...abc->...", LEVI_CIVITA, hpull) / (6.0 * sqrt_h)
+    trans_term = component / sqrt_h
     terms = 3.0 + world_term * pw_w - trans_term * pw_1mw
     if ghost_epsilon is not None and config.ghost_e is not None:
         terms = terms + ghost_density(config) / (np.pi * ghost_epsilon)
     return terms
 
 
-def evaluate_action(config, firm, profit, residuals=None, ghost_epsilon=None):
+def evaluate_action(
+    config, firm, profit, residuals=None, ghost_epsilon=None, terms=None
+):
     """Trapezoid value of the action over the world volume.
 
     Parameters
@@ -252,12 +269,17 @@ def evaluate_action(config, firm, profit, residuals=None, ghost_epsilon=None):
     ghost_epsilon : float, optional
         When given and ghost fields are present, the gauge-fixing
         density enters the bracket divided by ``pi * ghost_epsilon``.
+    terms : ndarray, optional
+        The bracket :func:`scalar_action_terms` returns for the same
+        ``config``, ``firm``, ``profit`` and ``ghost_epsilon``, for a
+        caller that already holds it; computed here when omitted.
 
     Returns the real action value; phase conventions are applied by the
     transition-kernel layer, not here.
     """
     grid = config.grid
-    terms = scalar_action_terms(config, firm, profit, ghost_epsilon)
+    if terms is None:
+        terms = scalar_action_terms(config, firm, profit, ghost_epsilon)
 
     potential = (
         config.stubbornness_measure
@@ -334,8 +356,6 @@ def ghost_density(config):
 # ---------------------------------------------------------------------------
 # gauge-fixing determinant
 
-_FP_DENSE_LIMIT = 20000
-
 
 @dataclass(frozen=True)
 class FPDeterminant:
@@ -353,25 +373,46 @@ class FPDeterminant:
         return not np.isfinite(self.log_abs_det)
 
 
+def _permutation_sign(perm):
+    """Sign of a permutation given as an index array: ``(-1)**(n - cycles)``."""
+    seen = np.zeros(perm.size, dtype=bool)
+    cycles = 0
+    for start in range(perm.size):
+        if not seen[start]:
+            cycles += 1
+            k = start
+            while not seen[k]:
+                seen[k] = True
+                k = perm[k]
+    return -1.0 if (perm.size - cycles) % 2 else 1.0
+
+
 def fp_log_determinant(matrix):
-    """Log-determinant of an explicit operator matrix (dense LU)."""
-    import scipy.sparse as sp
+    """Log-determinant of an explicit operator matrix by sparse LU.
 
-    if sp.issparse(matrix):
-        matrix = matrix.toarray()
-    sign, logdet = np.linalg.slogdet(np.asarray(matrix, dtype=float))
-    if sign == 0.0:
+    SuperLU factors ``Pr A Pc = L U`` with a unit-diagonal ``L``, so
+    ``log|det A| = sum log|diag U|`` and the sign is the product of the
+    two permutation signs and the signs of ``diag U``.  A singular
+    operator is reported as ``FPDeterminant(0.0, -inf)``.  Structurally
+    singular matrices (no perfect matching between rows and columns) are
+    recognized before factoring, because SuperLU can abort on them
+    instead of reporting the zero pivot.
+    """
+    matrix = sp.csc_matrix(matrix, dtype=float)
+    if structural_rank(matrix) < matrix.shape[0]:
         return FPDeterminant(0.0, -np.inf)
-    return FPDeterminant(float(sign), float(logdet))
-
-
-def _interior_first_difference(n, spacing):
-    import scipy.sparse as sp
-
-    m = n - 2
-    return sp.csr_matrix(
-        sp.diags([np.full(m - 1, -0.5 / spacing), np.full(m - 1, 0.5 / spacing)], [-1, 1])
-    )
+    try:
+        lu = spla.splu(matrix)
+    except RuntimeError as exc:
+        if "exactly singular" in str(exc):
+            return FPDeterminant(0.0, -np.inf)
+        raise NumericalError(
+            f"sparse LU of the gauge-fixing operator failed: {exc}"
+        ) from exc
+    diag = lu.U.diagonal()
+    sign = _permutation_sign(lu.perm_r) * _permutation_sign(lu.perm_c)
+    sign *= float(np.prod(np.sign(diag)))
+    return FPDeterminant(sign, float(np.sum(np.log(np.abs(diag)))))
 
 
 def fp_operator_matrix(config, chris):
@@ -388,8 +429,6 @@ def fp_operator_matrix(config, chris):
     differences.  Degrees of freedom are ordered node-major, component
     within node.
     """
-    import scipy.sparse as sp
-
     grid = require_same_grid(config.world_metric, chris)
     shape = grid.shape
     m = tuple(n - 2 for n in shape)
@@ -401,7 +440,7 @@ def fp_operator_matrix(config, chris):
     sqrt_h = np.sqrt(config.world_metric.determinant)[inner]
     gamma = chris.values[inner]
 
-    d1 = [_interior_first_difference(shape[k], grid.spacing(k)) for k in range(WORLD_DIM)]
+    d1 = [_interior_1d_operators(shape[k], grid.spacing(k))[0] for k in range(WORLD_DIM)]
     eyes = [sp.identity(mk, format="csr") for mk in m]
     node_ops = []
     for c in range(WORLD_DIM):
@@ -439,10 +478,4 @@ def fp_determinant(config, chris):
     Gaussian convention), as sign and log magnitude; a singular operator
     is flagged with ``-inf``.
     """
-    matrix = fp_operator_matrix(config, chris)
-    if matrix.shape[0] > _FP_DENSE_LIMIT:
-        raise ValidationError(
-            f"gauge-fixing operator has {matrix.shape[0]} degrees of freedom; "
-            f"dense determinant limited to {_FP_DENSE_LIMIT}"
-        )
-    return fp_log_determinant(matrix)
+    return fp_log_determinant(fp_operator_matrix(config, chris))

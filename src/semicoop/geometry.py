@@ -136,7 +136,6 @@ class MetricField:
     signature: str = RIEMANNIAN_SIGNATURE
     inverse: np.ndarray = field(init=False, repr=False)
     determinant: np.ndarray = field(init=False, repr=False)
-    max_condition: float = field(init=False, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -165,7 +164,6 @@ class MetricField:
             )
         self.determinant = det
         self.inverse = np.linalg.inv(values)
-        self.max_condition = float(np.linalg.cond(values).max())
 
     @property
     def dim(self):

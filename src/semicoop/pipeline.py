@@ -174,7 +174,10 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
         # simulated paths satisfy the discrete dynamics identically, so
         # the multiplier term carries a zero residual
         residual = np.zeros(grid.shape)
-        action_value = brane.evaluate_action(cfg_brane, firm, node_profit, residual)
+        terms = brane.scalar_action_terms(cfg_brane, firm, node_profit)
+        action_value = brane.evaluate_action(
+            cfg_brane, firm, node_profit, residual, terms=terms
+        )
         action_payload = {"action": action_value, "ghost": None, "logdet_fp": None}
         if config.data["action"].get("ghost"):
             e = np.zeros(grid.shape + (3, 3))
@@ -198,7 +201,6 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
         write_json("action.json", action_payload)
 
         stage = "kernel"
-        terms = brane.scalar_action_terms(cfg_brane, firm, node_profit)
         potential = evolution.potential_V(
             np.zeros(grid.shape),
             metric,
