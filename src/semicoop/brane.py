@@ -10,7 +10,7 @@ The action density per node is
 
     (1/2) sqrt(h) [ 3 + h^{ab} Npull_{ab} (p*b)^W
                     - (1/3!sqrt(h)) eps^{abc} Hpull_{abc} (p*b)^{1-W}
-                    + ghost/(pi*eps)  - Q*R*xbar - lambda * residual ]
+                    - Q*R*xbar - lambda * residual ]
 
 where ``Npull`` and ``Hpull`` are the pull-backs of the background
 metric and of the antisymmetric coupling, ``p*b`` the profit weighted by
@@ -18,10 +18,12 @@ stubbornness, ``W`` the profit freedom exponent, and the residual term
 enforces the share dynamics through the multiplier field.  The 3-form
 enters only through ``eps^{abc} Hpull_{abc} / 3!``, so :func:`pullbacks`
 returns that single component, in closed form as a sum of 3x3 minors of
-the embedding Jacobian, instead of the full antisymmetric tensor.
-Integration is by tensor-product trapezoid weights, which makes the
-action exactly additive across a partition of the time axis at a grid
-plane.
+the embedding Jacobian, instead of the full antisymmetric tensor.  The
+gauge-fixing ghost term is not part of the bracket: :func:`ghost_action`
+integrates it covariantly, and the pipeline reports it separately as
+``action.json["ghost"]``.  Integration is by tensor-product trapezoid
+weights, which makes the action exactly additive across a partition of
+the time axis at a grid plane.
 """
 
 from __future__ import annotations
@@ -155,6 +157,11 @@ class BraneConfiguration:
     def grid(self):
         return self.world_metric.grid
 
+    def potential(self):
+        """Per-node curvature potential ``Q * R * xbar``."""
+        ricci = np.broadcast_to(np.asarray(self.ricci_scalar, dtype=float), self.grid.shape)
+        return self.stubbornness_measure * ricci * self.mean_share
+
     def background_transverse(self):
         """The 8x8 background block the pull-back contracts against."""
         values = (
@@ -235,9 +242,9 @@ def _powers(weight, exponent):
     return weight**exponent, weight ** (1.0 - exponent)
 
 
-def scalar_action_terms(config, firm, profit, ghost_epsilon=None):
+def scalar_action_terms(config, firm, profit):
     """Per-node bracket of the action without multiplier or potential
-    terms: ``3 + kinetic(world) - kinetic(transverse) [+ ghost]``.
+    terms: ``3 + kinetic(world) - kinetic(transverse)``.
 
     This is the scalar the effective-scale extraction consumes.
     """
@@ -248,15 +255,10 @@ def scalar_action_terms(config, firm, profit, ghost_epsilon=None):
 
     world_term = np.einsum("...ab,...ab->...", config.world_metric.inverse, npull)
     trans_term = component / sqrt_h
-    terms = 3.0 + world_term * pw_w - trans_term * pw_1mw
-    if ghost_epsilon is not None and config.ghost_e is not None:
-        terms = terms + ghost_density(config) / (np.pi * ghost_epsilon)
-    return terms
+    return 3.0 + world_term * pw_w - trans_term * pw_1mw
 
 
-def evaluate_action(
-    config, firm, profit, residuals=None, ghost_epsilon=None, terms=None
-):
+def evaluate_action(config, firm, profit, residuals=None, terms=None):
     """Trapezoid value of the action over the world volume.
 
     Parameters
@@ -266,27 +268,18 @@ def evaluate_action(
         trailing component axis (summed).  Paths that satisfy the
         discrete share dynamics exactly contribute zero here for any
         multiplier.
-    ghost_epsilon : float, optional
-        When given and ghost fields are present, the gauge-fixing
-        density enters the bracket divided by ``pi * ghost_epsilon``.
     terms : ndarray, optional
         The bracket :func:`scalar_action_terms` returns for the same
-        ``config``, ``firm``, ``profit`` and ``ghost_epsilon``, for a
-        caller that already holds it; computed here when omitted.
+        ``config``, ``firm`` and ``profit``, for a caller that already
+        holds it; computed here when omitted.
 
     Returns the real action value; phase conventions are applied by the
     transition-kernel layer, not here.
     """
     grid = config.grid
     if terms is None:
-        terms = scalar_action_terms(config, firm, profit, ghost_epsilon)
-
-    potential = (
-        config.stubbornness_measure
-        * np.broadcast_to(np.asarray(config.ricci_scalar, dtype=float), grid.shape)
-        * config.mean_share
-    )
-    bracket = terms - potential
+        terms = scalar_action_terms(config, firm, profit)
+    bracket = terms - config.potential()
 
     if residuals is not None:
         res = np.asarray(residuals, dtype=float)
@@ -333,24 +326,6 @@ def ghost_action(config, chris, epsilon_step):
     weights = grid.trapezoid_weights()
     integral = float(np.sum(weights * sqrt_h * density))
     return integral / (2.0 * np.pi * epsilon_step)
-
-
-def ghost_density(config):
-    """Flat-connection ghost density ``e^{ab} h^{ac} d_c ghost^b``.
-
-    Used inside the action bracket; callers that need the curved
-    covariant version integrate :func:`ghost_action` instead.
-    """
-    grid = config.grid
-    dc = np.stack(
-        [
-            first_derivative(config.ghost_c, grid.spacing(t), axis=t)
-            for t in range(WORLD_DIM)
-        ],
-        axis=-2,
-    )
-    raised = np.einsum("...ac,...cb->...ab", config.world_metric.inverse, dc)
-    return np.einsum("...ab,...ab->...", config.ghost_e, raised)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 Subcommands map one-to-one onto the library layers; every command reads
 JSON scenarios, writes binary grids or ensembles plus JSON summaries,
-and prints a JSON result to stdout.  Exit codes: 0 on success, 2 on
-validation failures, 3 on numerical failures.
+and prints a JSON result to stdout.  The stage subcommands
+(``simulate-sde``, ``action``, ``kernel-check``, ``evolve``,
+``optimal-rho``) call the pipeline's stage functions, so for the same
+scenario and ``--seed`` they give the numbers ``pipeline`` records.
+Exit codes: 0 on success, 2 on validation failures, 3 on numerical
+failures.
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ import sys
 
 import numpy as np
 
-from . import __version__, brane, evolution, geometry, market, stubbornness
+from . import __version__, geometry, pipeline, stubbornness
 from .errors import NumericalError, ValidationError
 from .fieldio import read_grid, write_ensemble, write_grid
-from .pipeline import export_ensemble_csv, run_pipeline
 from .scenario import parse_scenario
 from .polygon import assemble_polygon
 from .profitops import CascadeParams, cascade_derivative, cascade_limit, cascade_sum
@@ -70,10 +73,7 @@ def build_parser():
 
     p = sub.add_parser("simulate-sde", parents=[common], help="share-dynamics ensemble")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--paths", type=int)
-    p.add_argument("--steps", type=int)
     p.add_argument("--out", required=True)
-    p.add_argument("--csv", action="store_true", help="also export CSV")
 
     p = sub.add_parser("cascade", parents=[common], help="resale cascade values")
     p.add_argument("--kappa", type=float, required=True)
@@ -82,20 +82,18 @@ def build_parser():
 
     p = sub.add_parser("action", parents=[common], help="world-volume action")
     p.add_argument("--config", required=True)
-    p.add_argument("--ghost", action="store_true")
-    p.add_argument("--fp-det", action="store_true")
+    p.add_argument("--ghost", action="store_true", help="also set by action.ghost")
+    p.add_argument("--fp-det", action="store_true", help="also set by action.fp_det")
 
     p = sub.add_parser("kernel-check", parents=[common], help="kernel diagnostics")
     p.add_argument("--config", required=True)
 
     p = sub.add_parser("evolve", parents=[common], help="strategy-field evolution")
     p.add_argument("--config", required=True)
-    p.add_argument("--steps", type=int)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("optimal-rho", parents=[common], help="cooperation-degree search")
     p.add_argument("--config", required=True)
-    p.add_argument("--grid", type=int, default=64)
 
     p = sub.add_parser("pipeline", parents=[common], help="full run with manifest")
     p.add_argument("--scenario", required=True)
@@ -170,24 +168,11 @@ def _cmd_gff(args):
 
 def _cmd_sde(args):
     config = parse_scenario(args.scenario)
-    grid = config.build_grid()
-    metric = config.build_metric(grid)
-    chris = geometry.christoffel(metric)
-    coeffs = market.derive_coefficients(metric, chris)
-    sde_cfg = config.data["sde"]
-    firm = config.build_firms()[0]
-    ensemble = market.simulate(
-        coeffs,
-        firm,
-        horizon=float(sde_cfg["horizon"]),
-        steps=args.steps or int(sde_cfg["steps"]),
-        paths=args.paths or int(sde_cfg["paths"]),
-        seed=args.seed,
-        threads=args.threads,
-    )
-    write_ensemble(args.out, ensemble.times, ensemble.values, seed=args.seed)
-    if args.csv or args.format == "csv":
-        export_ensemble_csv(args.out + ".csv", ensemble)
+    _, metric, chris, _ = pipeline.world(config)
+    ensemble = pipeline.simulate_paths(config, metric, chris, args.seed, args.threads)
+    write_ensemble(args.out, ensemble.times, ensemble.values, seed=ensemble.seed)
+    if args.format == "csv":
+        pipeline.export_ensemble_csv(args.out + ".csv", ensemble)
     _emit({"out": args.out, "summary": ensemble.summary()})
 
 
@@ -205,155 +190,57 @@ def _cmd_cascade(args):
     )
 
 
-def _brane_setup(config):
-    grid = config.build_grid()
-    metric = config.build_metric(grid)
-    chris = geometry.christoffel(metric)
-    curv = geometry.curvature(metric, chris)
-    kernel_cfg = config.data["kernel"]
-    mesh = grid.meshgrid()
-    emb = np.zeros(grid.shape + (brane.TRANSVERSE_DIM,))
-    for k in range(3):
-        emb[..., k] = mesh[k]
-    gamma = float(config.data["gff"]["gamma"])
-    cfg_brane = brane.BraneConfiguration(
-        embedding=emb,
-        world_metric=metric,
-        background=np.eye(brane.BACKGROUND_DIM),
-        freedom_exponent=float(kernel_cfg["freedom_exponent"]),
-        mean_share=float(kernel_cfg["mean_share"]),
-        stubbornness_measure=stubbornness.stubbornness_measure(gamma),
-        ricci_scalar=curv.scalar,
-        multiplier=float(kernel_cfg["multiplier"]),
-    )
-    return grid, metric, chris, curv, cfg_brane, mesh
-
-
 def _cmd_action(args):
     config = parse_scenario(args.config)
-    grid, metric, chris, curv, cfg_brane, mesh = _brane_setup(config)
-    firm = config.build_firms()[0]
-    profit, _ = config.build_profit()
-    payload = {
-        "action": brane.evaluate_action(
-            cfg_brane, firm, profit, residuals=np.zeros(grid.shape)
-        ),
-        "ghost": None,
-        "logdet_fp": None,
-    }
-    if args.ghost:
-        e = np.zeros(grid.shape + (3, 3))
-        e[...] = np.eye(3)
-        c = np.stack(mesh, axis=-1)
-        cfg_ghost = brane.BraneConfiguration(
-            embedding=cfg_brane.embedding,
-            world_metric=metric,
-            background=np.eye(brane.BACKGROUND_DIM),
-            ghost_e=e,
-            ghost_c=c,
+    _, metric, chris, curv = pipeline.world(config)
+    cfg_brane, terms = pipeline.action_terms(config, metric, curv)
+    action_cfg = config.data["action"]
+    _emit(
+        pipeline.action(
+            config,
+            chris,
+            cfg_brane,
+            terms,
+            ghost=args.ghost or action_cfg["ghost"],
+            fp_det=args.fp_det or action_cfg["fp_det"],
         )
-        payload["ghost"] = brane.ghost_action(
-            cfg_ghost, chris, float(config.data["kernel"]["step"])
-        )
-    if args.fp_det:
-        fp = brane.fp_determinant(cfg_brane, chris)
-        payload["logdet_fp"] = None if fp.singular else fp.log_abs_det
-        payload["fp_singular"] = fp.singular
-    _emit(payload)
-
-
-def _kernel_spec(config, effective_scale=1.0):
-    kernel_cfg = config.data["kernel"]
-    return evolution.KernelSpec(
-        mass=float(kernel_cfg["mass"]),
-        step=float(kernel_cfg["step"]),
-        effective_scale=effective_scale,
-        domain_halfwidth=float(kernel_cfg["domain_halfwidth"]),
     )
 
 
 def _cmd_kernel_check(args):
     config = parse_scenario(args.config)
-    spec = _kernel_spec(config)
-    kernel_cfg = config.data["kernel"]
-    deviation = evolution.kernel_normalization_check(
-        spec, int(kernel_cfg["normalization_samples"])
-    )
-    correlation = evolution.two_point_correlation(
-        spec, int(kernel_cfg["correlation_samples"]), seed=args.seed
-    )
-    target = spec.covariance()
+    _, metric, _, curv = pipeline.world(config)
+    _, spec = pipeline.kernel(config, *pipeline.action_terms(config, metric, curv))
+    deviation, correlation = pipeline.kernel_checks(config, spec, args.seed)
     _emit(
         {
             "normalization_deviation": deviation,
-            "correlation_max_error": float(np.abs(correlation - target).max()),
+            "correlation_max_error": float(np.abs(correlation - spec.covariance()).max()),
             "normalization_constant": spec.normalization,
         }
     )
 
 
-def _evolve_setup(config):
-    grid = config.build_grid()
-    metric = config.build_metric(grid)
-    from .pipeline import _strategy_slice_metric
-
-    slice_metric = _strategy_slice_metric(metric, grid)
-    slice_chris = geometry.christoffel(slice_metric)
-    evolve_cfg = config.data["evolve"]
-    width = evolve_cfg.get("packet_width")
-    if width is None:
-        width = 0.15 * min(
-            grid.extents[1][1] - grid.extents[1][0],
-            grid.extents[2][1] - grid.extents[2][0],
-        )
-    psi = evolution.gaussian_packet(slice_metric.grid, float(width))
-    return slice_metric, slice_chris, psi, evolve_cfg
-
-
 def _cmd_evolve(args):
     config = parse_scenario(args.config)
-    slice_metric, slice_chris, psi, evolve_cfg = _evolve_setup(config)
-    spec = _kernel_spec(config)
-    steps = args.steps or int(evolve_cfg["steps"])
-    out = evolution.evolve(psi, spec, slice_metric, slice_chris, steps)
-    write_grid(args.out, out.values, slice_metric.grid, extra={"time": out.time})
-    _emit({"out": args.out, "norm": out.norm(), "time": out.time})
+    _, metric, _, curv = pipeline.world(config)
+    _, spec = pipeline.kernel(config, *pipeline.action_terms(config, metric, curv))
+    slice_metric, _, _, psi = pipeline.evolve(config, metric, spec)
+    write_grid(args.out, psi.values, slice_metric.grid, extra={"time": psi.time})
+    _emit({"out": args.out, "norm": psi.norm(), "time": psi.time})
 
 
 def _cmd_optimal_rho(args):
     config = parse_scenario(args.config)
-    slice_metric, slice_chris, psi, _ = _evolve_setup(config)
-    profit, rho_to_scale = config.build_profit()
-    firm = config.build_firms()[0]
-    kernel_cfg = config.data["kernel"]
-    omega_exp = float(kernel_cfg["freedom_exponent"])
-    area = firm.polygon_area if firm.polygon_area is not None else 1.0
-
-    def spec_builder(rho):
-        if rho_to_scale is not None:
-            scale = rho_to_scale(rho)
-        else:
-            u_own = firm.alpha_own**rho * area
-            pw = float(np.asarray(profit(np.zeros(1), firm.share, u_own, 0.0)).reshape(-1)[0])
-            scale = (3.0 + 3.0 * (pw * firm.stubbornness) ** omega_exp) / brane.BACKGROUND_DIM
-        return _kernel_spec(config, effective_scale=scale)
-
-    search = evolution.optimal_rho(
-        spec_builder, psi, slice_metric, slice_chris, grid=args.grid
-    )
-    _emit(
-        {
-            "rho_star": search.rho_star,
-            "stationary_points": list(search.stationary_points),
-            "boundary_flag": search.boundary_flag,
-            "degenerate_flag": search.degenerate_flag,
-        }
-    )
+    _, metric, _, curv = pipeline.world(config)
+    _, spec = pipeline.kernel(config, *pipeline.action_terms(config, metric, curv))
+    slice_metric, slice_chris, _, psi = pipeline.evolve(config, metric, spec)
+    _emit(pipeline.cooperation(config, spec, psi, slice_metric, slice_chris))
 
 
 def _cmd_pipeline(args):
     config = parse_scenario(args.scenario)
-    manifest = run_pipeline(
+    manifest = pipeline.run_pipeline(
         config,
         out_dir=args.out_dir,
         seed=args.seed,

@@ -12,9 +12,10 @@ evolution runs instead through the limiting differential equation
 stepped with Crank-Nicolson on the two real strategy axes, which is
 unitary whenever the discrete generator is self-adjoint (flat metric).
 
-The effective scale ``F0`` is extracted from the per-node action bracket
-by contracting both sides of the defining relation with the background
-inverse metric, which divides the scalar by the background dimension.
+The effective scale ``F0`` is extracted from the per-node action bracket,
+less the curvature potential ``Q * R * xbar``, by contracting both sides
+of the defining relation with the background inverse metric, which
+divides the scalar by the background dimension.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import scipy.sparse.linalg as spla
 
 from .brane import BACKGROUND_DIM
 from .errors import NumericalError, ValidationError
-from .geometry import first_derivative, laplace_operator_matrix
+from .geometry import laplace_operator_matrix
 from .grids import GridSpec, require_same_grid
 
 WICK = "wick"
@@ -189,7 +190,7 @@ class KernelSpec:
 
 
 # ---------------------------------------------------------------------------
-# effective scale and potential
+# effective scale
 
 
 @dataclass(frozen=True)
@@ -214,67 +215,6 @@ def effective_scalar_F(action_terms):
         diffs = np.diff(values, axis=0)
         flag = bool(np.any(diffs <= 0.0))
     return EffectiveScale(values=values, not_strictly_increasing=flag)
-
-
-def potential_V(tensor_field, metric, chris, stubbornness_measure, ricci_scalar, mean_share):
-    """Scalar potential of the strategy field for one firm.
-
-    Combines the curvature potential ``Q * R * xbar`` with the
-    displacement terms of a parallel-transported tensor ``g`` of rank at
-    most 2: the bare value, its drift along the leading (time) axis, and
-    the connection couplings
-
-        (1/2) h^{ab} ( d_a gamma^k_{bd} + gamma^l_{bd} gamma^k_{al} )
-        (1/2) h^{ab} gamma^k_{ad} gamma^l_{be}
-
-    contracted into the tensor slots.  Free indices left over after slot
-    contraction are reduced to a scalar by component sum (rank 1) or
-    trace (rank 2); the pair coupling needs two slots and is skipped for
-    lower ranks.
-    """
-    grid = require_same_grid(metric, chris)
-    g = np.asarray(tensor_field, dtype=float)
-    rank = g.ndim - grid.n_axes
-    if rank < 0 or rank > 2:
-        raise ValidationError("tensor field rank must be at most 2")
-    if g.shape[: grid.n_axes] != grid.shape or g.shape[grid.n_axes :] != (3,) * rank:
-        raise ValidationError("tensor field shape does not match grid")
-
-    if rank == 0:
-        scalar = g
-    elif rank == 1:
-        scalar = g.sum(axis=-1)
-    else:
-        scalar = np.einsum("...kk->...", g)
-
-    drift = first_derivative(scalar, grid.spacing(0), axis=0)
-
-    base = (
-        float(stubbornness_measure)
-        * np.broadcast_to(np.asarray(ricci_scalar, dtype=float), grid.shape)
-        * float(mean_share)
-    )
-    out = base - scalar - drift
-
-    if rank >= 1:
-        hinv = metric.inverse
-        gam = chris.values
-        dgam = np.stack(
-            [first_derivative(gam, grid.spacing(a), axis=a) for a in range(grid.n_axes)],
-            axis=-4,
-        )
-        coupling = 0.5 * (
-            np.einsum("...ab,...akbd->...kd", hinv, dgam)
-            + np.einsum("...ab,...lbd,...kal->...kd", hinv, gam, gam)
-        )
-        if rank == 1:
-            out = out - np.einsum("...kd,...d->...", coupling, g)
-        else:
-            out = out - np.einsum("...kd,...dk->...", coupling, g)
-            out = out - np.einsum("...kd,...kd->...", coupling, g)
-            pair = 0.5 * np.einsum("...ab,...kad,...lbe->...klde", hinv, gam, gam)
-            out = out - np.einsum("...klde,...de,...kl->...", pair, g, np.eye(3))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -404,19 +344,6 @@ def evolve(psi, spec, metric, chris, steps):
     m1, m2 = grid.shape[0] - 2, grid.shape[1] - 2
     values[1:-1, 1:-1] = vec.reshape(m1, m2)
     return WaveFunction(values, grid, psi.time + steps * spec.step)
-
-
-def evolution_rhs_norm(psi, spec, metric, chris):
-    """L2 norm of the evolution right-hand side for the current field."""
-    lap = laplace_operator_matrix(metric, chris)
-    vec = psi.values[1:-1, 1:-1].reshape(-1).astype(complex)
-    f0 = spec.effective_scale
-    if np.ndim(f0) == 0:
-        rhs = (float(f0) / (2.0 * spec.mass)) * (lap @ vec)
-    else:
-        inner = np.asarray(f0, dtype=float)[1:-1, 1:-1].reshape(-1)
-        rhs = (inner / (2.0 * spec.mass)) * (lap @ vec)
-    return float(np.linalg.norm(rhs) * np.sqrt(psi.grid.cell_volume))
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,21 @@
-"""End-to-end pipeline: geometry, stubbornness, dynamics, action, evolution,
-cooperation search.
+"""End-to-end pipeline: geometry, stubbornness, dynamics, action, kernel,
+evolution, cooperation search.
 
-Every stage writes its artifacts into the output directory and the run
-closes with a manifest of content hashes.  The manifest is a pure
-function of (scenario, seed, package version): randomness flows from the
-master seed split per stage by fixed labels, worker threads only change
-scheduling, and no output embeds a timestamp.  A stage failure produces
-a partial manifest naming the failed stage.
+Each stage is a public function that takes the scenario plus the outputs
+of earlier stages and returns its numbers without writing files; the
+per-stage CLI subcommands call the same functions.  ``run_pipeline``
+chains them, writes every stage's artifacts into the output directory
+and closes the run with a manifest of content hashes.  The manifest is a
+pure function of (scenario, seed, package version): randomness flows
+from the master seed split per stage by fixed labels (:func:`stage_seed`),
+worker threads only change scheduling, and no output embeds a
+timestamp.  A stage failure produces a partial manifest naming the
+failed stage.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -20,13 +25,16 @@ import numpy as np
 from . import __version__, brane, evolution, geometry, market, stubbornness
 from .errors import SemicoopError
 from .fieldio import sha256_of, write_ensemble, write_grid
-from .grids import GridSpec
+from .grids import GridSpec, require_same_grid
 
 STAGE_LABELS = {"gff": 101, "sde": 202, "kernel": 303}
 
 
-def _stage_seed(master, stage):
-    return np.random.SeedSequence(int(master), spawn_key=(STAGE_LABELS[stage],))
+def stage_seed(master, stage):
+    """Seed of one stage's random stream, split from the master seed by
+    the stage's fixed label."""
+    sequence = np.random.SeedSequence(int(master), spawn_key=(STAGE_LABELS[stage],))
+    return int(sequence.generate_state(1)[0])
 
 
 def _config_digest(config, seed):
@@ -37,12 +45,184 @@ def _config_digest(config, seed):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _strategy_slice_metric(metric, grid):
-    """Two-axis metric on the strategy plane: the spatial block of the
-    world metric at the initial time node."""
+def world(config):
+    """Geometry stage: ``(grid, metric, christoffel, curvature)``.
+
+    A metric read from a file must live on the scenario's grid, which
+    every later stage takes from the metric.
+    """
+    grid = config.build_grid()
+    metric = config.build_metric(grid)
+    require_same_grid(grid, metric)
+    chris = geometry.christoffel(metric)
+    curv = geometry.curvature(metric, chris)
+    return grid, metric, chris, curv
+
+
+def stubbornness_field(config, grid, curv, seed):
+    """Stubbornness stage: one GFF draw on the strategy plane and, when
+    it matches the grid's strategy axes, the combined metric it induces
+    (None otherwise)."""
+    gff_cfg = config.data["gff"]
+    size = gff_cfg.get("grid_size") or grid.counts[1]
+    field2d = stubbornness.GFFSampler(size, seed=stage_seed(seed, "gff")).sample()
+    if field2d.shape != (grid.counts[1], grid.counts[2]):
+        return field2d, None
+    field3d = np.broadcast_to(field2d, grid.shape).copy()
+    combined = geometry.combined_metric(
+        curv, geometry.flat_metric(grid), field3d, float(gff_cfg["gamma"])
+    )
+    return field2d, combined
+
+
+def simulate_paths(config, metric, chris, seed, threads):
+    """SDE stage: the share ensemble of the scenario's first firm."""
+    sde_cfg = config.data["sde"]
+    return market.simulate(
+        market.derive_coefficients(metric, chris),
+        config.build_firms()[0],
+        horizon=float(sde_cfg["horizon"]),
+        steps=int(sde_cfg["steps"]),
+        paths=int(sde_cfg["paths"]),
+        seed=stage_seed(seed, "sde"),
+        threads=threads,
+    )
+
+
+def action_terms(config, metric, curv):
+    """Brane configuration of the world volume and its per-node action
+    bracket ``(cfg_brane, terms)``; the embedding is the identity on the
+    first three transverse slots."""
+    grid = metric.grid
+    kernel_cfg = config.data["kernel"]
+    emb = np.zeros(grid.shape + (brane.TRANSVERSE_DIM,))
+    emb[..., :3] = np.stack(grid.meshgrid(), axis=-1)
+    cfg_brane = brane.BraneConfiguration(
+        embedding=emb,
+        world_metric=metric,
+        background=np.eye(brane.BACKGROUND_DIM),
+        freedom_exponent=float(kernel_cfg["freedom_exponent"]),
+        mean_share=float(kernel_cfg["mean_share"]),
+        stubbornness_measure=stubbornness.stubbornness_measure(config.data["gff"]["gamma"]),
+        ricci_scalar=curv.scalar,
+        multiplier=float(kernel_cfg["multiplier"]),
+    )
+    profit, _ = config.build_profit()
+    return cfg_brane, brane.scalar_action_terms(cfg_brane, config.build_firms()[0], profit)
+
+
+def action(config, chris, cfg_brane, terms, ghost, fp_det):
+    """Action stage: the ``action.json`` payload, with the ghost action
+    and the FP log-determinant when asked for (None otherwise)."""
+    grid = cfg_brane.grid
+    profit, _ = config.build_profit()
+    # simulated paths satisfy the discrete dynamics identically, so the
+    # multiplier term carries a zero residual
+    payload = {
+        "action": brane.evaluate_action(
+            cfg_brane, config.build_firms()[0], profit, np.zeros(grid.shape), terms=terms
+        ),
+        "ghost": None,
+        "logdet_fp": None,
+    }
+    if ghost:
+        cfg_ghost = dataclasses.replace(
+            cfg_brane,
+            ghost_e=np.broadcast_to(np.eye(3), grid.shape + (3, 3)),
+            ghost_c=cfg_brane.embedding[..., :3],
+        )
+        payload["ghost"] = brane.ghost_action(
+            cfg_ghost, chris, float(config.data["kernel"]["step"])
+        )
+    if fp_det:
+        fp = brane.fp_determinant(cfg_brane, chris)
+        payload["logdet_fp"] = None if fp.singular else fp.log_abs_det
+        payload["fp_singular"] = fp.singular
+    return payload
+
+
+def kernel(config, cfg_brane, terms):
+    """Kernel stage: the effective scale field and the kernel spec, whose
+    ``F0`` is the mean scale on the initial time plane."""
+    scale = evolution.effective_scalar_F(terms - cfg_brane.potential())
+    f0 = float(scale.values[0].mean())
+    kernel_cfg = config.data["kernel"]
+    spec = evolution.KernelSpec(
+        mass=float(kernel_cfg["mass"]),
+        step=float(kernel_cfg["step"]),
+        effective_scale=abs(f0) if f0 != 0 else 1.0,
+        domain_halfwidth=float(kernel_cfg["domain_halfwidth"]),
+    )
+    return scale, spec
+
+
+def kernel_checks(config, spec, seed):
+    """Kernel mass deviation from one and the seeded two-point
+    correlation estimate."""
+    kernel_cfg = config.data["kernel"]
+    deviation = evolution.kernel_normalization_check(
+        spec, int(kernel_cfg["normalization_samples"])
+    )
+    correlation = evolution.two_point_correlation(
+        spec, int(kernel_cfg["correlation_samples"]), seed=stage_seed(seed, "kernel")
+    )
+    return deviation, correlation
+
+
+def evolve(config, metric, spec):
+    """Evolution stage on the strategy plane, whose metric is the spatial
+    block of the world metric at the initial time node.
+
+    Returns ``(slice_metric, slice_chris, psi0, psi)``: the initial
+    Gaussian packet and the evolved field.
+    """
+    grid = metric.grid
     slice_grid = GridSpec(extents=grid.extents[1:], counts=grid.counts[1:])
-    values = metric.values[0][..., 1:, 1:]
-    return geometry.MetricField(values, slice_grid, metric.signature)
+    slice_metric = geometry.MetricField(
+        metric.values[0][..., 1:, 1:], slice_grid, metric.signature
+    )
+    slice_chris = geometry.christoffel(slice_metric)
+    evolve_cfg = config.data["evolve"]
+    width = evolve_cfg.get("packet_width")
+    if width is None:
+        width = 0.15 * min(hi - lo for lo, hi in slice_grid.extents)
+    psi0 = evolution.gaussian_packet(slice_grid, float(width))
+    psi = evolution.evolve(psi0, spec, slice_metric, slice_chris, int(evolve_cfg["steps"]))
+    return slice_metric, slice_chris, psi0, psi
+
+
+def cooperation(config, spec, psi, slice_metric, slice_chris):
+    """Cooperation stage: the ``rho.json`` payload of the ρ search.
+
+    The kernel spec's scale at cooperation degree ``rho`` comes from the
+    profit preset's own map when it has one, and otherwise from the
+    bracket ``3 + 3 (p*b)^W`` of the firm at ``u_own = alpha_own**rho``
+    times its area, over the background dimension.
+    """
+    profit, rho_to_scale = config.build_profit()
+    if rho_to_scale is None:
+        firm = config.build_firms()[0]
+        area = firm.polygon_area if firm.polygon_area is not None else 1.0
+        omega_exp = float(config.data["kernel"]["freedom_exponent"])
+
+        def rho_to_scale(rho):
+            u_own = firm.alpha_own**rho * area
+            pw = profit(np.zeros(1), firm.share, u_own, 0.0)[0] * firm.stubbornness
+            return (3.0 + 3.0 * pw**omega_exp) / brane.BACKGROUND_DIM
+
+    search = evolution.optimal_rho(
+        lambda rho: dataclasses.replace(spec, effective_scale=rho_to_scale(rho)),
+        psi,
+        slice_metric,
+        slice_chris,
+        grid=int(config.data["rho_grid"]),
+    )
+    return {
+        "rho_star": search.rho_star,
+        "stationary_points": list(search.stationary_points),
+        "boundary_flag": search.boundary_flag,
+        "degenerate_flag": search.degenerate_flag,
+    }
 
 
 def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
@@ -62,252 +242,85 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
         Also export the path ensemble as CSV.
     """
     os.makedirs(out_dir, exist_ok=True)
+    results = {}
     manifest = {
         "version": __version__,
         "config_digest": _config_digest(config, seed),
         "seed": int(seed),
         "artifacts": {},
-        "results": {},
+        "results": results,
     }
 
-    def artifact(name, path):
+    def artifact(name, write, *args, **kwargs):
+        path = os.path.join(out_dir, name)
+        write(path, *args, **kwargs)
         manifest["artifacts"][name] = sha256_of(path)
 
-    def write_json(name, payload):
-        path = os.path.join(out_dir, name)
+    def write_json(path, payload):
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        artifact(name, path)
-        return path
 
     stage = "geometry"
     try:
-        grid = config.build_grid()
-        metric = config.build_metric(grid)
-        chris = geometry.christoffel(metric)
-        curv = geometry.curvature(metric, chris)
-        path = os.path.join(out_dir, "metric.bin")
-        write_grid(path, metric.values, grid)
-        artifact("metric.bin", path)
-        path = os.path.join(out_dir, "christoffel.bin")
-        write_grid(path, chris.values, grid)
-        artifact("christoffel.bin", path)
-        path = os.path.join(out_dir, "ricci_scalar.bin")
-        write_grid(path, curv.scalar, grid)
-        artifact("ricci_scalar.bin", path)
+        grid, metric, chris, curv = world(config)
+        artifact("metric.bin", write_grid, metric.values, grid)
+        artifact("christoffel.bin", write_grid, chris.values, grid)
+        artifact("ricci_scalar.bin", write_grid, curv.scalar, grid)
 
         stage = "stubbornness"
-        gff_cfg = config.data["gff"]
-        gamma = float(gff_cfg["gamma"])
-        size = gff_cfg.get("grid_size") or grid.counts[1]
-        sampler = stubbornness.GFFSampler(
-            size, seed=_stage_seed(seed, "gff").generate_state(1)[0]
-        )
-        field2d = sampler.sample()
-        path = os.path.join(out_dir, "gff.bin")
-        write_grid(path, field2d, extra={"gamma": gamma})
-        artifact("gff.bin", path)
-        q_value = stubbornness.stubbornness_measure(gamma)
-        manifest["results"]["stubbornness_measure"] = q_value
-        manifest["results"]["stubbornness_regime"] = stubbornness.regime_note(gamma)
-        combined = None
-        if field2d.shape == (grid.counts[1], grid.counts[2]):
-            field3d = np.broadcast_to(field2d, grid.shape).copy()
-            eta = geometry.flat_metric(grid)
-            combined = geometry.combined_metric(curv, eta, field3d, gamma)
-            path = os.path.join(out_dir, "combined_metric.bin")
-            write_grid(path, combined.values, grid)
-            artifact("combined_metric.bin", path)
+        gamma = float(config.data["gff"]["gamma"])
+        field2d, combined = stubbornness_field(config, grid, curv, seed)
+        artifact("gff.bin", write_grid, field2d, extra={"gamma": gamma})
+        results["stubbornness_measure"] = stubbornness.stubbornness_measure(gamma)
+        results["stubbornness_regime"] = stubbornness.regime_note(gamma)
+        if combined is not None:
+            artifact("combined_metric.bin", write_grid, combined.values, grid)
 
         stage = "sde"
-        firms = config.build_firms()
-        firm = firms[0]
-        coeffs = market.derive_coefficients(metric, chris)
-        sde_cfg = config.data["sde"]
-        ensemble = market.simulate(
-            coeffs,
-            firm,
-            horizon=float(sde_cfg["horizon"]),
-            steps=int(sde_cfg["steps"]),
-            paths=int(sde_cfg["paths"]),
-            seed=int(_stage_seed(seed, "sde").generate_state(1)[0]),
-            threads=threads,
+        ensemble = simulate_paths(config, metric, chris, seed, threads)
+        artifact(
+            "paths.bin", write_ensemble, ensemble.times, ensemble.values, seed=ensemble.seed
         )
-        path = os.path.join(out_dir, "paths.bin")
-        write_ensemble(path, ensemble.times, ensemble.values, seed=ensemble.seed)
-        artifact("paths.bin", path)
-        write_json("sde_summary.json", ensemble.summary())
+        artifact("sde_summary.json", write_json, ensemble.summary())
         if csv:
-            path = os.path.join(out_dir, "paths.csv")
-            export_ensemble_csv(path, ensemble)
-            artifact("paths.csv", path)
+            artifact("paths.csv", export_ensemble_csv, ensemble)
 
         stage = "action"
-        kernel_cfg = config.data["kernel"]
-        omega_exp = float(kernel_cfg["freedom_exponent"])
-        background = np.eye(brane.BACKGROUND_DIM)
-        background_field = None
-        if config.data["background"]["preset"] == "combined" and combined is not None:
-            background_field = np.zeros(grid.shape + (brane.BACKGROUND_DIM,) * 2)
-            background_field[...] = np.eye(brane.BACKGROUND_DIM)
-            background_field[..., :3, :3] = combined.values
-        mesh = grid.meshgrid()
-        emb = np.zeros(grid.shape + (brane.TRANSVERSE_DIM,))
-        for k in range(3):
-            emb[..., k] = mesh[k]
-        cfg_brane = brane.BraneConfiguration(
-            embedding=emb,
-            world_metric=metric,
-            background=background_field if background_field is not None else background,
-            freedom_exponent=omega_exp,
-            mean_share=float(kernel_cfg["mean_share"]),
-            stubbornness_measure=q_value,
-            ricci_scalar=curv.scalar,
-            multiplier=float(kernel_cfg["multiplier"]),
+        cfg_brane, terms = action_terms(config, metric, curv)
+        action_cfg = config.data["action"]
+        payload = action(
+            config, chris, cfg_brane, terms, action_cfg["ghost"], action_cfg["fp_det"]
         )
-        profit, rho_to_scale = config.build_profit()
-
-        def node_profit(s, share, u_own, u_other):
-            return profit(s, share, u_own, u_other)
-
-        # simulated paths satisfy the discrete dynamics identically, so
-        # the multiplier term carries a zero residual
-        residual = np.zeros(grid.shape)
-        terms = brane.scalar_action_terms(cfg_brane, firm, node_profit)
-        action_value = brane.evaluate_action(
-            cfg_brane, firm, node_profit, residual, terms=terms
-        )
-        action_payload = {"action": action_value, "ghost": None, "logdet_fp": None}
-        if config.data["action"].get("ghost"):
-            e = np.zeros(grid.shape + (3, 3))
-            e[...] = np.eye(3)
-            c = np.stack(mesh, axis=-1)
-            cfg_ghost = brane.BraneConfiguration(
-                embedding=emb,
-                world_metric=metric,
-                background=background,
-                ghost_e=e,
-                ghost_c=c,
-                freedom_exponent=omega_exp,
-            )
-            action_payload["ghost"] = brane.ghost_action(
-                cfg_ghost, chris, float(kernel_cfg["step"])
-            )
-        if config.data["action"].get("fp_det"):
-            fp = brane.fp_determinant(cfg_brane, chris)
-            action_payload["logdet_fp"] = None if fp.singular else fp.log_abs_det
-            action_payload["fp_singular"] = fp.singular
-        write_json("action.json", action_payload)
+        artifact("action.json", write_json, payload)
 
         stage = "kernel"
-        potential = evolution.potential_V(
-            np.zeros(grid.shape),
-            metric,
-            chris,
-            q_value,
-            curv.scalar,
-            float(kernel_cfg["mean_share"]),
-        )
-        scale = evolution.effective_scalar_F(terms - potential)
-        f0 = float(scale.values[0].mean())
-        path = os.path.join(out_dir, "effective_scale.bin")
-        write_grid(path, scale.values, grid)
-        artifact("effective_scale.bin", path)
-        spec = evolution.KernelSpec(
-            mass=float(kernel_cfg["mass"]),
-            step=float(kernel_cfg["step"]),
-            effective_scale=abs(f0) if f0 != 0 else 1.0,
-            domain_halfwidth=float(kernel_cfg["domain_halfwidth"]),
-        )
-        deviation = evolution.kernel_normalization_check(
-            spec, int(kernel_cfg["normalization_samples"])
-        )
-        correlation = evolution.two_point_correlation(
-            spec,
-            int(kernel_cfg["correlation_samples"]),
-            seed=int(_stage_seed(seed, "kernel").generate_state(1)[0]),
-        )
-        manifest["results"]["kernel_normalization_deviation"] = deviation
-        manifest["results"]["kernel_correlation"] = [
-            [float(v) for v in row] for row in correlation
-        ]
-        manifest["results"]["effective_scale_initial"] = f0
-        manifest["results"]["scale_not_strictly_increasing"] = bool(
-            scale.not_strictly_increasing
-        )
+        scale, spec = kernel(config, cfg_brane, terms)
+        artifact("effective_scale.bin", write_grid, scale.values, grid)
+        deviation, correlation = kernel_checks(config, spec, seed)
+        results["kernel_normalization_deviation"] = deviation
+        results["kernel_correlation"] = [[float(v) for v in row] for row in correlation]
+        results["effective_scale_initial"] = float(scale.values[0].mean())
+        results["scale_not_strictly_increasing"] = bool(scale.not_strictly_increasing)
 
         stage = "evolve"
-        slice_metric = _strategy_slice_metric(metric, grid)
-        slice_chris = geometry.christoffel(slice_metric)
-        evolve_cfg = config.data["evolve"]
-        width = evolve_cfg.get("packet_width")
-        if width is None:
-            width = 0.15 * min(
-                grid.extents[1][1] - grid.extents[1][0],
-                grid.extents[2][1] - grid.extents[2][0],
-            )
-        psi = evolution.gaussian_packet(slice_metric.grid, float(width))
-        norm_before = psi.norm()
-        psi_out = evolution.evolve(
-            psi, spec, slice_metric, slice_chris, int(evolve_cfg["steps"])
-        )
-        path = os.path.join(out_dir, "psi.bin")
-        write_grid(path, psi_out.values, slice_metric.grid)
-        artifact("psi.bin", path)
-        manifest["results"]["norm_drift"] = abs(psi_out.norm() - norm_before)
+        slice_metric, slice_chris, psi0, psi = evolve(config, metric, spec)
+        artifact("psi.bin", write_grid, psi.values, slice_metric.grid)
+        results["norm_drift"] = abs(psi.norm() - psi0.norm())
 
         stage = "cooperation"
-        if rho_to_scale is not None:
-            def spec_builder(rho):
-                return evolution.KernelSpec(
-                    mass=spec.mass,
-                    step=spec.step,
-                    effective_scale=rho_to_scale(rho),
-                    domain_halfwidth=spec.domain_halfwidth,
-                )
-        else:
-            area = firm.polygon_area if firm.polygon_area is not None else 1.0
-
-            def spec_builder(rho):
-                u_own = firm.alpha_own**rho * area
-                pw = profit(np.zeros(1), firm.share, u_own, 0.0)[0] * firm.stubbornness
-                kinetic = 3.0 + 3.0 * pw**omega_exp
-                return evolution.KernelSpec(
-                    mass=spec.mass,
-                    step=spec.step,
-                    effective_scale=kinetic / brane.BACKGROUND_DIM,
-                    domain_halfwidth=spec.domain_halfwidth,
-                )
-
-        search = evolution.optimal_rho(
-            spec_builder,
-            psi_out,
-            slice_metric,
-            slice_chris,
-            grid=int(config.data["rho_grid"]),
-        )
-        rho_payload = {
-            "rho_star": search.rho_star,
-            "stationary_points": list(search.stationary_points),
-            "boundary_flag": search.boundary_flag,
-            "degenerate_flag": search.degenerate_flag,
-        }
-        write_json("rho.json", rho_payload)
-        manifest["results"]["rho_star"] = search.rho_star
-        manifest["results"]["rho_boundary_flag"] = search.boundary_flag
+        payload = cooperation(config, spec, psi, slice_metric, slice_chris)
+        artifact("rho.json", write_json, payload)
+        results["rho_star"] = payload["rho_star"]
+        results["rho_boundary_flag"] = payload["boundary_flag"]
 
     except SemicoopError as exc:
         manifest["failed_stage"] = stage
         manifest["failure"] = str(exc)
-        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(out_dir, "manifest.json"), manifest)
         raise
 
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
 
 

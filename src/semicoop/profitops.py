@@ -35,9 +35,6 @@ class LadderAlgebra:
     lowering: np.ndarray
     raising: np.ndarray
 
-    def number_operator(self):
-        return self.raising @ self.lowering
-
     def profit_state(self, sign=+1):
         """Combination ``raise +/- i * lower`` driving circular motion."""
         if sign not in (+1, -1):

@@ -5,6 +5,13 @@ end-to-end pipeline.  Parsing is strict: unknown keys are rejected and
 every range violation found is reported, not just the first.  A parsed
 configuration normalizes to a plain dictionary that round-trips through
 ``to_dict`` unchanged.
+
+``background.preset`` (``identity`` or ``combined``) is still accepted
+and validated, but no computed artifact depends on it: the action
+contracts only the transverse block of the background, which is the
+identity either way, and the pipeline writes ``combined_metric.bin``
+whenever the stubbornness draw fits the strategy plane, whatever the
+preset.  It enters only the manifest's config digest.
 """
 
 from __future__ import annotations

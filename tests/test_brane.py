@@ -162,9 +162,7 @@ class TestEvaluateAction:
         grid = GridSpec.from_axes((t_lo, t_hi, count), (0.5, 2.5, 7), (0.0, 1.0, 6))
         firm = brane_firm()
         residuals = np.sin(grid.meshgrid()[1]) * grid.meshgrid()[2]
-        return brane.evaluate_action(
-            self.make_config(grid), firm, profit, residuals, ghost_epsilon=0.25
-        )
+        return brane.evaluate_action(self.make_config(grid), firm, profit, residuals)
 
     def test_identity_embedding_bracket(self):
         # N = 1 and Hpull_{012} = -1/det h, so the bracket is
