@@ -5,7 +5,9 @@ JSON scenarios, writes binary grids or ensembles plus JSON summaries,
 and prints a JSON result to stdout.  The stage subcommands
 (``simulate-sde``, ``action``, ``kernel-check``, ``evolve``,
 ``optimal-rho``) call the pipeline's stage functions, so for the same
-scenario and ``--seed`` they give the numbers ``pipeline`` records.
+scenario and ``--seed`` they give the numbers ``pipeline`` records;
+``gff-sample`` draws from the same per-stage seed as the pipeline's
+``gff.bin``.
 Exit codes: 0 on success, 2 on validation failures, 3 on numerical
 failures.
 """
@@ -154,9 +156,10 @@ def _cmd_bracket(args):
 
 
 def _cmd_gff(args):
-    field = stubbornness.sample_gff(args.size, args.seed)
+    seed = pipeline.stage_seed(args.seed, "gff")
+    field = stubbornness.sample_gff(args.size, seed)
     q = stubbornness.stubbornness_measure(args.gamma)
-    write_grid(args.out, field, extra={"gamma": args.gamma, "seed": args.seed})
+    write_grid(args.out, field, extra={"gamma": args.gamma, "seed": seed})
     _emit(
         {
             "out": args.out,

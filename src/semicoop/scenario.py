@@ -396,6 +396,10 @@ def parse_scenario(path_or_dict):
     )
     if not kernel.get("domain_halfwidth", 1.0) > 0:
         problems.append("kernel: domain halfwidth must be positive")
+    for key, least in (("normalization_samples", 1), ("correlation_samples", 2)):
+        count = kernel.get(key)
+        if isinstance(count, bool) or not isinstance(count, int) or count < least:
+            problems.append(f"kernel.{key} must be an integer >= {least}")
 
     profit = data["profit"]
     _check_keys("profit", profit, "profit", problems)

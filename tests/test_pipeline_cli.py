@@ -8,9 +8,10 @@ import json
 import numpy as np
 import pytest
 
-from semicoop import cli, geometry, market
+from semicoop import ValidationError, cli, geometry, market, pipeline
 from semicoop.fieldio import read_grid, write_grid
 from semicoop.grids import GridSpec
+from semicoop.scenario import parse_scenario
 
 SEED = 7
 
@@ -106,6 +107,17 @@ def test_optimal_rho_matches_rho_json(run):
     assert payload == json.loads((pipeline_dir / "rho.json").read_text())
 
 
+def test_gff_sample_draws_the_pipeline_field(run):
+    root, _, pipeline_dir, _ = run
+    out = root / "gff.bin"
+    code, _ = run_cli("gff-sample", "--size", 9, "--gamma", 1, "--out", out, "--seed", SEED)
+    assert code == cli.EXIT_OK
+    values, _, descriptor = read_grid(out)
+    expected, _, _ = read_grid(pipeline_dir / "gff.bin")
+    assert np.array_equal(values, expected)
+    assert descriptor["seed"] == pipeline.stage_seed(SEED, "gff")
+
+
 def test_manifest_independent_of_threads(tmp_path):
     scenario = dict(SCENARIO, sde={"steps": 3, "paths": market._CHUNK_SIZE + 500, "horizon": 1.0})
     path = write_scenario(tmp_path / "scenario.json", scenario)
@@ -167,3 +179,30 @@ def test_removed_flags_are_rejected(argv):
     with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
         cli.main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("normalization_samples", 0),
+        ("normalization_samples", -1),
+        ("normalization_samples", "x"),
+        ("normalization_samples", None),
+        ("normalization_samples", 2.5),
+        ("normalization_samples", True),
+        ("correlation_samples", 1),
+        ("correlation_samples", 0),
+        ("correlation_samples", "x"),
+        ("correlation_samples", None),
+        ("correlation_samples", 2.5),
+    ],
+)
+def test_kernel_sample_counts_are_validated(tmp_path, key, value):
+    bad = dict(SCENARIO, kernel=dict(SCENARIO["kernel"], **{key: value}))
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(bad)
+    assert any(key in problem for problem in exc.value.problems)
+    path = write_scenario(tmp_path / "bad.json", bad)
+    with contextlib.redirect_stderr(io.StringIO()):
+        code, _ = run_cli("kernel-check", "--config", path)
+    assert code == cli.EXIT_VALIDATION

@@ -122,12 +122,24 @@ class TestCascade:
     @given(st.integers(1, 200), st.integers(1, 200))
     @settings(max_examples=60, deadline=None)
     def test_sum_monotone_in_sales(self, t1, t2):
+        # the terms added between lo and hi fall below half an ulp of the
+        # total for large lo (200 e^-40 against 24.9), so equal float sums
+        # are correct there; the increment must match the closed form to
+        # a few ulps and be positive wherever it is resolvable
         lo, hi = sorted((t1, t2))
         if lo == hi:
             return
-        assert cascade_sum(CascadeParams(1, lo, 0.2)) < cascade_sum(
-            CascadeParams(1, hi, 0.2)
+        kappa = 0.2
+        increment = cascade_sum(CascadeParams(1, hi, kappa)) - cascade_sum(
+            CascadeParams(1, lo, kappa)
         )
+        expected = cascade_weighted_closed_form(hi, kappa) - cascade_weighted_closed_form(
+            lo, kappa
+        )
+        tolerance = 8 * np.spacing(cascade_weighted_closed_form(hi, kappa))
+        assert abs(increment - expected) <= tolerance
+        if expected > tolerance:
+            assert increment > 0.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValidationError):
