@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -44,6 +46,33 @@ _PATH_MAGIC = b"SCPATH01"
 
 def _descriptor_path(path):
     return str(path) + ".json"
+
+
+def _write_array(fh, array):
+    """Write the bytes of a C-contiguous array without copying it."""
+    fh.write(array.reshape(-1).view(np.uint8))
+
+
+def _check_remaining(fh, nbytes, path):
+    """Raise ValidationError unless ``nbytes`` remain after the position
+    of ``fh``, before anything that large is read or allocated."""
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if remaining < nbytes:
+        raise ValidationError(
+            f"{path}: file is truncated: {nbytes} more bytes expected, "
+            f"{max(remaining, 0)} remain"
+        )
+
+
+def _read_exact(fh, nbytes, path):
+    _check_remaining(fh, nbytes, path)
+    return fh.read(nbytes)
+
+
+def _read_floats(fh, count, path):
+    """Read ``count`` little-endian float64 values in one pass."""
+    _check_remaining(fh, 8 * count, path)
+    return np.fromfile(fh, dtype="<f8", count=count)
 
 
 def write_grid(path, values, grid=None, extra=None):
@@ -92,7 +121,7 @@ def write_grid(path, values, grid=None, extra=None):
 
     with open(path, "wb") as fh:
         fh.write(bytes(header))
-        fh.write(payload.tobytes())
+        _write_array(fh, payload)
 
     descriptor = {
         "format": "semicoop-grid",
@@ -118,22 +147,27 @@ def read_grid(path):
     (values, grid, descriptor)
         ``grid`` is a :class:`GridSpec` when the descriptor recorded
         extents, otherwise ``None``.
+
+    Raises
+    ------
+    ValidationError
+        When the file is not a grid field or is shorter than its header
+        says.
     """
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _GRID_MAGIC:
             raise ValidationError(f"{path}: not a grid field file")
-        flags, n_axes, rank, _ = struct.unpack("<IIII", fh.read(16))
-        grid_shape = struct.unpack(f"<{n_axes}Q", fh.read(8 * n_axes))
-        tensor_shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank)) if rank else ()
-        shape = tuple(grid_shape) + tuple(tensor_shape)
-        count = int(np.prod(shape)) if shape else 1
+        flags, n_axes, rank, _ = struct.unpack("<IIII", _read_exact(fh, 16, path))
+        grid_shape = struct.unpack(f"<{n_axes}Q", _read_exact(fh, 8 * n_axes, path))
+        tensor_shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, path))
+        shape = grid_shape + tensor_shape
+        count = math.prod(shape)
         if flags & 1:
-            raw = np.frombuffer(fh.read(16 * count), dtype="<f8").reshape(shape + (2,))
+            raw = _read_floats(fh, 2 * count, path).reshape(shape + (2,))
             values = raw[..., 0] + 1j * raw[..., 1]
         else:
-            values = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(shape)
-    values = np.array(values)
+            values = _read_floats(fh, count, path).reshape(shape)
 
     descriptor = {}
     grid = None
@@ -156,8 +190,8 @@ def write_ensemble(path, times, values, seed=None, extra=None):
     with open(path, "wb") as fh:
         fh.write(_PATH_MAGIC)
         fh.write(struct.pack("<QQI I", paths, nsteps, comps, 0))
-        fh.write(np.ascontiguousarray(times, dtype="<f8").tobytes())
-        fh.write(values.tobytes())
+        _write_array(fh, np.ascontiguousarray(times, dtype="<f8"))
+        _write_array(fh, values)
     descriptor = {
         "format": "semicoop-paths",
         "version": __version__,
@@ -175,15 +209,19 @@ def write_ensemble(path, times, values, seed=None, extra=None):
 
 
 def read_ensemble(path):
-    """Read a path ensemble written by :func:`write_ensemble`."""
+    """Read a path ensemble written by :func:`write_ensemble`.
+
+    Returns ``(times, values)``; raises ValidationError when the file is
+    not a path ensemble or is shorter than its header says.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _PATH_MAGIC:
             raise ValidationError(f"{path}: not a path ensemble file")
-        paths, nsteps, comps, _ = struct.unpack("<QQI I", fh.read(24))
-        times = np.frombuffer(fh.read(8 * nsteps), dtype="<f8")
-        values = np.frombuffer(fh.read(8 * paths * nsteps * comps), dtype="<f8")
-    return np.array(times), np.array(values).reshape(paths, nsteps, comps)
+        paths, nsteps, comps, _ = struct.unpack("<QQI I", _read_exact(fh, 24, path))
+        times = _read_floats(fh, nsteps, path)
+        values = _read_floats(fh, paths * nsteps * comps, path)
+    return times, values.reshape(paths, nsteps, comps)
 
 
 def sha256_of(path):

@@ -7,10 +7,14 @@ Cholesky factor of the inverse metric, so the reconstruction
 ``omega omega^T = h^{ab}`` holds at every node and share increments pick
 up the inverse-metric covariance.
 
-Simulation is Euler-Maruyama.  Randomness flows from a master seed split
-into fixed per-chunk streams keyed by chunk index, so ensembles are
-bit-identical for a given seed no matter how many worker threads run the
-chunks or in which order they finish.
+Simulation is Euler-Maruyama on chunks of 4096 paths, component-major:
+a chunk's states live in a ``(steps + 1, 3, n)`` buffer and its
+increments in ``(steps, 3, n)``, so every step works on contiguous rows.
+Each step looks up all twelve coefficients (three drift, nine diffusion)
+of every path in one gather through one nearest-node index.  Randomness
+flows from a master seed split into fixed per-chunk streams keyed by
+chunk index, so ensembles are bit-identical for a given seed no matter
+how many worker threads run the chunks or in which order they finish.
 """
 
 from __future__ import annotations
@@ -93,8 +97,11 @@ class SDECoefficients:
 
     ``drift(s, x)`` maps a float time and an ``(n, 3)`` state block to an
     ``(n, 3)`` array; ``diffusion(s, x)`` to ``(n, 3, 3)``.  Geometry
-    backed instances also carry the per-node tables they interpolate
-    (nearest node) together with the grid.
+    backed instances (``geometry_derived``) also carry the per-node
+    tables they look up (nearest node, clamped to the grid) together
+    with the grid; :func:`simulate` gathers from those tables directly,
+    one lookup per step for drift and diffusion together, and calls the
+    callables of every other instance.
     """
 
     drift: object
@@ -105,13 +112,29 @@ class SDECoefficients:
     diffusion_table: np.ndarray = field(default=None, repr=False)
 
 
-def _nearest_node_indices(grid, x):
-    idx = []
-    for k in range(grid.n_axes):
-        a, _ = grid.extents[k]
-        j = np.rint((x[:, k] - a) / grid.spacing(k)).astype(int)
-        idx.append(np.clip(j, 0, grid.counts[k] - 1))
-    return tuple(idx)
+def _node_indexer(grid):
+    """Nearest-node lookup on ``grid`` for component-major state blocks.
+
+    The returned function maps ``x`` of shape (components, n) to the
+    C-order index of the grid node nearest each column: row ``k`` is
+    rounded to the nearest node of grid axis ``k`` and clamped to the
+    grid, then the per-axis indices are flattened.
+    """
+    k = grid.n_axes
+    low = np.array([e[0] for e in grid.extents])[:, None]
+    spacing = np.array([grid.spacing(a) for a in range(k)])[:, None]
+    top = np.array(grid.counts)[:, None] - 1
+    strides = np.cumprod((1,) + grid.counts[:0:-1])[::-1, None]
+
+    def index(x):
+        t = x[:k] - low
+        t /= spacing
+        j = np.rint(t, out=t).astype(np.intp)
+        np.clip(j, 0, top, out=j)
+        j *= strides
+        return j.sum(axis=0)
+
+    return index
 
 
 def derive_coefficients(metric, chris):
@@ -131,11 +154,15 @@ def derive_coefficients(metric, chris):
         node = tuple(int(i) for i in bad[0]) if len(bad) else (0,) * grid.n_axes
         raise SingularMetricError(node, "inverse metric is not positive definite")
 
+    index = _node_indexer(grid)
+    mu_nodes = mu.reshape(grid.n_nodes, -1)
+    omega_nodes = omega.reshape(grid.n_nodes, *omega.shape[-2:])
+
     def drift(s, x):
-        return mu[_nearest_node_indices(grid, np.atleast_2d(x))]
+        return mu_nodes[index(np.atleast_2d(x).T)]
 
     def diffusion(s, x):
-        return omega[_nearest_node_indices(grid, np.atleast_2d(x))]
+        return omega_nodes[index(np.atleast_2d(x).T)]
 
     return SDECoefficients(
         drift=drift,
@@ -197,6 +224,45 @@ def _chunk_increments(seed, chunk_index, n_paths, steps, dt):
     return rng.standard_normal((n_paths, steps, STATE_DIM)) * math.sqrt(dt)
 
 
+def _coefficient_block(coeffs):
+    """Per-step coefficient lookup of :func:`simulate`.
+
+    Returns ``fill(s, x, block)``, which writes the coefficients at the
+    component-major states ``x`` (3, n) into ``block`` (12, n): rows 0-2
+    hold the drift ``mu^a``, rows ``3 + 3b + a`` the diffusion entry
+    ``omega^a_b``.  Table-backed coefficients are one ``take`` from a
+    (12, nodes) table through one nearest-node index; plain callables
+    see an ``(n, 3)`` state block, as their contract says.
+    """
+    if coeffs.geometry_derived:
+        grid = coeffs.grid
+        table = np.empty((1 + STATE_DIM, STATE_DIM, grid.n_nodes))
+        table[0] = coeffs.drift_table.reshape(grid.n_nodes, STATE_DIM).T
+        table[1:] = coeffs.diffusion_table.reshape(
+            grid.n_nodes, STATE_DIM, STATE_DIM
+        ).transpose(2, 1, 0)
+        table = table.reshape(-1, grid.n_nodes)
+        index = _node_indexer(grid)
+
+        def fill(s, x, block):
+            # indices are clamped to the grid, so "clip" never clips
+            np.take(table, index(x), axis=1, out=block, mode="clip")
+
+        return fill
+
+    def fill(s, x, block):
+        n = x.shape[1]
+        xs = np.ascontiguousarray(x.T)
+        mu = np.asarray(coeffs.drift(s, xs), dtype=float)
+        om = np.asarray(coeffs.diffusion(s, xs), dtype=float)
+        block[:STATE_DIM] = np.broadcast_to(mu, (n, STATE_DIM)).T
+        block[STATE_DIM:].reshape(STATE_DIM, STATE_DIM, n)[...] = np.broadcast_to(
+            om, (n, STATE_DIM, STATE_DIM)
+        ).transpose(2, 1, 0)
+
+    return fill
+
+
 def simulate(
     coeffs,
     initial,
@@ -209,6 +275,14 @@ def simulate(
     threads=1,
 ):
     """Euler-Maruyama ensemble of share paths.
+
+    Paths run in chunks of 4096.  A chunk keeps its states and increments
+    component-major, ``(steps + 1, 3, n)`` and ``(steps, 3, n)``; each
+    step computes one nearest-node index, gathers drift and diffusion
+    together, and applies ``x + mu dt + omega dW`` with the three
+    products of ``omega dW`` summed in the order numpy's ``einsum`` sums
+    them for C-ordered blocks, ``(w0 d0 + w2 d2) + w1 d1``.  The chunk is
+    copied into the ``(paths, steps + 1, 3)`` result once.
 
     Parameters
     ----------
@@ -235,6 +309,12 @@ def simulate(
     Returns
     -------
     PathEnsemble
+
+    Raises
+    ------
+    NumericalError
+        When coefficient evaluation fails or gives non-finite values;
+        the message names the step.
     """
     if steps < 2:
         raise ValidationError("step count must be at least 2")
@@ -257,6 +337,10 @@ def simulate(
             raise ValidationError("correlation matrix must be positive definite")
 
     out = np.empty((paths, steps + 1, STATE_DIM))
+    fill = _coefficient_block(coeffs)
+    # Step 0 adds to x0 + 0.0: a -0.0 start component becomes +0.0, so no
+    # state after step 0 is -0.0, as with einsum's zero-started sums.
+    start = x0[:, None] + 0.0
 
     def run_chunk(chunk_index, lo, hi):
         n = hi - lo
@@ -270,21 +354,32 @@ def simulate(
             dw = _chunk_increments(seed, chunk_index, n, steps, dt)
         if mix is not None:
             dw = dw @ mix.T
-        x = np.broadcast_to(x0, (n, STATE_DIM)).copy()
-        out[lo:hi, 0] = x
+        dw = np.ascontiguousarray(dw.transpose(1, 2, 0))
+        block = np.empty((4 * STATE_DIM, n))
+        drift = block[:STATE_DIM]
+        diffusion = block[STATE_DIM:].reshape(STATE_DIM, STATE_DIM, n)
+        products = np.empty((STATE_DIM, STATE_DIM, n))
+        noise = np.empty((STATE_DIM, n))
+        states = np.empty((steps + 1, STATE_DIM, n))
+        states[0] = x0[:, None]
         for k in range(steps):
-            s = times[k]
+            x = states[k]
             try:
-                mu = np.asarray(coeffs.drift(s, x), dtype=float)
-                om = np.asarray(coeffs.diffusion(s, x), dtype=float)
+                fill(times[k], x, block)
             except Exception as exc:
                 raise NumericalError(
                     f"coefficient evaluation failed at step {k}: {exc}"
                 ) from exc
-            if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(om))):
+            if not np.isfinite(block).all():
                 raise NumericalError(f"non-finite coefficients at step {k}")
-            x = x + mu * dt + np.einsum("nab,nb->na", om, dw[:, k])
-            out[lo:hi, k + 1] = x
+            np.multiply(diffusion, dw[k][:, None, :], out=products)
+            np.add(products[0], products[2], out=noise)
+            noise += products[1]
+            x_next = states[k + 1]
+            np.multiply(drift, dt, out=x_next)
+            np.add(x if k else start, x_next, out=x_next)
+            x_next += noise
+        out[lo:hi] = states.transpose(2, 0, 1)
 
     bounds = [
         (c, lo, min(lo + _CHUNK_SIZE, paths))

@@ -1,7 +1,11 @@
+import contextlib
+import io
+import struct
+
 import numpy as np
 import pytest
 
-from semicoop import GridSpec, ValidationError
+from semicoop import GridSpec, ValidationError, cli, geometry
 from semicoop.fieldio import read_ensemble, read_grid, write_ensemble, write_grid
 
 
@@ -58,3 +62,99 @@ def test_ensemble_roundtrip(tmp_path):
     t, v = read_ensemble(path)
     assert np.array_equal(t, times)
     assert np.array_equal(v, values)
+
+
+def grid_file_bytes(values, n_axes):
+    """The documented grid layout, built with ``tobytes``."""
+    is_complex = np.iscomplexobj(values)
+    rank = values.ndim - n_axes
+    header = b"SCGRID01" + struct.pack("<IIII", int(is_complex), n_axes, rank, 0)
+    header += struct.pack(f"<{values.ndim}Q", *values.shape)
+    if is_complex:
+        payload = np.stack([values.real, values.imag], axis=-1)
+    else:
+        payload = values
+    return header + np.ascontiguousarray(payload, dtype="<f8").tobytes()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_write_grid_bytes(tmp_path, dtype):
+    grid = GridSpec.from_axes((0.0, 1.0, 4), (0.0, 2.0, 5))
+    rng = np.random.default_rng(1)
+    values = rng.standard_normal((4, 5, 3)).astype(dtype)
+    if dtype is complex:
+        values += 1j * rng.standard_normal((4, 5, 3))
+    path = tmp_path / "f.bin"
+    write_grid(path, values, grid)
+    assert path.read_bytes() == grid_file_bytes(values, 2)
+
+
+def test_write_grid_bytes_non_contiguous(tmp_path):
+    values = np.random.default_rng(2).standard_normal((6, 5, 4)).transpose(2, 0, 1)
+    path = tmp_path / "f.bin"
+    write_grid(path, values[:, ::2])
+    assert path.read_bytes() == grid_file_bytes(values[:, ::2], 3)
+
+
+def test_write_ensemble_bytes(tmp_path):
+    times = np.linspace(0.0, 1.0, 6)
+    values = np.random.default_rng(3).standard_normal((9, 6, 3))
+    path = tmp_path / "p.bin"
+    write_ensemble(path, times, values)
+    expected = b"SCPATH01" + struct.pack("<QQI I", 9, 6, 3, 0)
+    expected += times.astype("<f8").tobytes() + values.astype("<f8").tobytes()
+    assert path.read_bytes() == expected
+
+
+def truncate(path, keep):
+    """Keep the first ``keep`` bytes, or drop the last ``-keep``."""
+    path.write_bytes(path.read_bytes()[:keep])
+
+
+# bytes kept: inside the fixed header, inside the shape, and short payloads
+GRID_CUTS = [12, 30, 48, -8, -1]
+
+
+@pytest.mark.parametrize("keep", GRID_CUTS)
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_truncated_grid_rejected(tmp_path, keep, dtype):
+    path = tmp_path / "f.bin"
+    write_grid(path, np.ones((4, 5, 3), dtype=dtype))
+    truncate(path, keep)
+    with pytest.raises(ValidationError, match="truncated"):
+        read_grid(path)
+
+
+@pytest.mark.parametrize("keep", [10, 31, 40, -8, -1])
+def test_truncated_ensemble_rejected(tmp_path, keep):
+    path = tmp_path / "p.bin"
+    write_ensemble(path, np.linspace(0.0, 1.0, 5), np.ones((7, 5, 3)))
+    truncate(path, keep)
+    with pytest.raises(ValidationError, match="truncated"):
+        read_ensemble(path)
+
+
+def test_header_promising_huge_payload_rejected(tmp_path):
+    path = tmp_path / "f.bin"
+    write_grid(path, np.ones((4, 5)))
+    data = bytearray(path.read_bytes())
+    data[24:32] = struct.pack("<Q", 2**60)  # first axis count
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValidationError, match="truncated"):
+        read_grid(path)
+
+
+@pytest.mark.parametrize("keep", [30, -8])
+def test_cli_exits_2_on_truncated_metric(tmp_path, keep):
+    grid = GridSpec.from_axes((0.0, 1.0, 3), (0.5, 2.5, 5), (0.0, 1.0, 5))
+    path = tmp_path / "metric.bin"
+    write_grid(path, geometry.sphere_metric(grid).values, grid)
+    truncate(path, keep)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(
+            ["geometry", "--metric", str(path), "--op", "curvature",
+             "--out", str(tmp_path / "c.bin")]
+        )
+    assert code == 2
+    assert "truncated" in err.getvalue()

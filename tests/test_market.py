@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,62 @@ from semicoop.market import (
 
 def zero_diffusion(s, x):
     return np.zeros((np.atleast_2d(x).shape[0], 3, 3))
+
+
+def nearest_node_coefficients(coeffs):
+    """Reference lookups of a derived instance's tables: per-axis
+    nearest node, clamped to the grid, one fancy index per table."""
+    grid = coeffs.grid
+
+    def nodes(x):
+        idx = []
+        for k in range(grid.n_axes):
+            a, _ = grid.extents[k]
+            j = np.rint((x[:, k] - a) / grid.spacing(k)).astype(int)
+            idx.append(np.clip(j, 0, grid.counts[k] - 1))
+        return tuple(idx)
+
+    def drift(s, x):
+        return coeffs.drift_table[nodes(np.atleast_2d(x))]
+
+    def diffusion(s, x):
+        return coeffs.diffusion_table[nodes(np.atleast_2d(x))]
+
+    return SDECoefficients(drift=drift, diffusion=diffusion)
+
+
+def reference_simulate(
+    coeffs, x0, horizon, steps, paths, seed, increments=None, correlation=None
+):
+    """Path-major Euler-Maruyama, one einsum per step over (n, 3) states,
+    on the chunk-keyed streams of ``simulate``."""
+    dt = horizon / steps
+    times = np.linspace(0.0, horizon, steps + 1)
+    out = np.empty((paths, steps + 1, 3))
+    for c, lo in enumerate(range(0, paths, 4096)):
+        hi = min(lo + 4096, paths)
+        if increments is not None:
+            dw = np.asarray(increments[lo:hi], dtype=float)
+        else:
+            ss = np.random.SeedSequence(seed, spawn_key=(0x5DE, c))
+            dw = np.random.default_rng(ss).standard_normal((hi - lo, steps, 3))
+            dw = dw * math.sqrt(dt)
+        if correlation is not None:
+            dw = dw @ np.linalg.cholesky(correlation).T
+        x = np.broadcast_to(x0, (hi - lo, 3)).copy()
+        out[lo:hi, 0] = x
+        for k in range(steps):
+            mu = np.asarray(coeffs.drift(times[k], x), dtype=float)
+            om = np.asarray(coeffs.diffusion(times[k], x), dtype=float)
+            x = x + mu * dt + np.einsum("nab,nb->na", om, dw[:, k])
+            out[lo:hi, k + 1] = x
+    return out
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()  # signed zeros too
 
 
 class TestFirmState:
@@ -202,6 +260,119 @@ class TestSimulate:
         coeffs = SDECoefficients(drift=drift, diffusion=zero_diffusion)
         with pytest.raises(NumericalError, match="step 3"):
             simulate(coeffs, np.zeros(3), 1.0, 8, 2, seed=0)
+
+
+def sheared_sphere_metric(grid):
+    """Sphere metric plus constant off-diagonal terms, so every entry of
+    the diffusion factor is nonzero."""
+    values = geo.sphere_metric(grid).values.copy()
+    shear = np.array([[0.0, 0.2, 0.1], [0.2, 0.0, 0.15], [0.1, 0.15, 0.0]])
+    return geo.MetricField(values + shear, grid)
+
+
+class TestComponentMajorKernel:
+    """``simulate`` against the path-major reference loop: equal bits."""
+
+    grid = GridSpec.from_axes((0.0, 1.0, 5), (0.5, 2.5, 9), (0.0, 1.0, 9))
+    x0 = np.array([0.9, 2.3, 0.1])
+    paths = 9000  # three chunks, the last one partial
+
+    @pytest.fixture(scope="class", params=["sphere", "sheared"])
+    def coeffs(self, request):
+        if request.param == "sphere":
+            metric = geo.sphere_metric(self.grid)
+        else:
+            metric = sheared_sphere_metric(self.grid)
+        return derive_coefficients(metric, geo.christoffel(metric))
+
+    def reference(self, coeffs, **kw):
+        return reference_simulate(
+            nearest_node_coefficients(coeffs), self.x0, 1.0, 16, self.paths, 5, **kw
+        )
+
+    def test_sheared_diffusion_is_full(self):
+        metric = sheared_sphere_metric(self.grid)
+        omega = derive_coefficients(metric, geo.christoffel(metric)).diffusion_table
+        assert np.all(np.abs(np.tril(omega[2, 4, 4])[np.tril_indices(3)]) > 1e-3)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_table_lookup_matches_reference(self, coeffs, threads):
+        ens = simulate(coeffs, self.x0, 1.0, 16, self.paths, 5, threads=threads)
+        assert_same_bits(ens.values, self.reference(coeffs))
+        # the clamp runs: many states lie outside the grid
+        low = np.array([e[0] for e in self.grid.extents])
+        high = np.array([e[1] for e in self.grid.extents])
+        outside = np.any((ens.values < low) | (ens.values > high), axis=-1)
+        assert outside.mean() > 0.2
+
+    def test_correlation_matches_reference(self, coeffs):
+        corr = np.array([[1.0, 0.6, 0.2], [0.6, 1.0, -0.3], [0.2, -0.3, 1.0]])
+        ens = simulate(
+            coeffs, self.x0, 1.0, 16, self.paths, 5, correlation=corr, threads=2
+        )
+        assert_same_bits(ens.values, self.reference(coeffs, correlation=corr))
+
+    def test_increments_match_reference(self, coeffs):
+        dw = np.random.default_rng(3).standard_normal((self.paths, 16, 3)) * 0.25
+        ens = simulate(coeffs, self.x0, 1.0, 16, self.paths, 0, increments=dw)
+        assert_same_bits(ens.values, self.reference(coeffs, increments=dw))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_callables_match_reference(self, threads):
+        def drift(s, x):
+            return -0.5 * x + s
+
+        def diffusion(s, x):
+            out = np.empty((x.shape[0], 3, 3))
+            for a in range(3):
+                for b in range(3):
+                    out[:, a, b] = np.sin(x[:, a] + 0.3 * b) * (0.2 + 0.1 * a * b)
+            return out
+
+        coeffs = SDECoefficients(drift=drift, diffusion=diffusion)
+        ens = simulate(coeffs, self.x0, 1.0, 16, self.paths, 9, threads=threads)
+        ref = reference_simulate(coeffs, self.x0, 1.0, 16, self.paths, 9)
+        assert_same_bits(ens.values, ref)
+
+    def test_broadcast_callables_match_reference(self):
+        coeffs = SDECoefficients(
+            drift=lambda s, x: np.array([0.1, -0.2, 0.3]),
+            diffusion=lambda s, x: np.array([[[0.5, 0.1, 0.0], [0.2, 0.4, 0.1], [0.0, 0.3, 0.6]]]),
+        )
+        ens = simulate(coeffs, self.x0, 1.0, 8, 50, 2)
+        assert_same_bits(ens.values, reference_simulate(coeffs, self.x0, 1.0, 8, 50, 2))
+
+    def test_negative_zero_start(self):
+        x0 = np.array([-0.0, 0.5, -0.0])
+        coeffs = constant_coefficients(np.full(3, -0.0), np.zeros((3, 3)))
+        dw = -np.ones((3, 4, 3))
+        ens = simulate(coeffs, x0, 1.0, 4, 3, 0, increments=dw)
+        ref = reference_simulate(coeffs, x0, 1.0, 4, 3, 0, increments=dw)
+        assert_same_bits(ens.values, ref)
+        assert np.signbit(ens.values[:, 0, 0]).all()
+        assert not np.signbit(ens.values[:, 1:, 0]).any()
+
+    def test_lipschitz_report_unchanged(self, coeffs):
+        region = (np.array([-0.5, 0.0, -0.5]), np.array([1.5, 3.0, 1.5]))
+        got = validate_lipschitz(coeffs, region, probes=3000, seed=4)
+        want = validate_lipschitz(nearest_node_coefficients(coeffs), region, 3000, 4)
+        assert got == want
+
+    def test_non_finite_table_names_step(self):
+        metric = geo.sphere_metric(self.grid)
+        coeffs = derive_coefficients(metric, geo.christoffel(metric))
+        coeffs.drift_table = coeffs.drift_table.copy()
+        coeffs.drift_table[4, 7, 1, 2] = np.nan  # the node nearest x0
+        with pytest.raises(NumericalError, match="non-finite coefficients at step 0"):
+            simulate(coeffs, self.x0, 1.0, 4, 10, 0)
+
+    def test_non_finite_callable_names_step(self):
+        def drift(s, x):
+            return np.full(x.shape, np.inf if s > 0.3 else 0.0)
+
+        coeffs = SDECoefficients(drift=drift, diffusion=zero_diffusion)
+        with pytest.raises(NumericalError, match="non-finite coefficients at step 3"):
+            simulate(coeffs, self.x0, 1.0, 8, 10, 0)
 
 
 class TestValidateLipschitz:
