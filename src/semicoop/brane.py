@@ -37,7 +37,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import structural_rank
 
 from .errors import NumericalError, ValidationError
-from .geometry import MetricField, _interior_1d_operators, first_derivative
+from .geometry import MetricField, _interior_first_difference, first_derivative
 from .grids import require_same_grid
 
 WORLD_DIM = 3
@@ -415,7 +415,7 @@ def fp_operator_matrix(config, chris):
     sqrt_h = np.sqrt(config.world_metric.determinant)[inner]
     gamma = chris.values[inner]
 
-    d1 = [_interior_1d_operators(shape[k], grid.spacing(k))[0] for k in range(WORLD_DIM)]
+    d1 = [_interior_first_difference(shape[k], grid.spacing(k)) for k in range(WORLD_DIM)]
     eyes = [sp.identity(mk, format="csr") for mk in m]
     node_ops = []
     for c in range(WORLD_DIM):

@@ -228,17 +228,18 @@ def _cmd_evolve(args):
     config = parse_scenario(args.config)
     _, metric, _, curv = pipeline.world(config)
     _, spec = pipeline.kernel(config, *pipeline.action_terms(config, metric, curv))
-    slice_metric, _, _, psi = pipeline.evolve(config, metric, spec)
+    slice_metric, _, psi = pipeline.evolve(config, metric, spec)
     write_grid(args.out, psi.values, slice_metric.grid, extra={"time": psi.time})
-    _emit({"out": args.out, "norm": psi.norm(), "time": psi.time})
+    norm = psi.norm(slice_metric.volume_density)
+    _emit({"out": args.out, "norm": norm, "time": psi.time})
 
 
 def _cmd_optimal_rho(args):
     config = parse_scenario(args.config)
     _, metric, _, curv = pipeline.world(config)
     _, spec = pipeline.kernel(config, *pipeline.action_terms(config, metric, curv))
-    slice_metric, slice_chris, _, psi = pipeline.evolve(config, metric, spec)
-    _emit(pipeline.cooperation(config, spec, psi, slice_metric, slice_chris))
+    slice_metric, _, psi = pipeline.evolve(config, metric, spec)
+    _emit(pipeline.cooperation(config, spec, psi, slice_metric))
 
 
 def _cmd_pipeline(args):

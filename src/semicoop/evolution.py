@@ -7,13 +7,14 @@ density that can be integrated and sampled, which is where the
 normalization and correlation facts are established.  Real-time
 evolution runs instead through the limiting differential equation
 
-    d_s psi = (i / 2M) * F0 * covariant_laplacian(psi)
+    d_s psi = (i / 2M) * F0 * Lap_h psi
 
-stepped with Crank-Nicolson on the two real strategy axes, which is
-unitary whenever the discrete generator is self-adjoint (flat metric).
-Each step is one sparse LU solve: with ``B = I - (h/2) G`` the
-Crank-Nicolson update ``B x' = (I + (h/2) G) x`` equals
-``x' = 2 B^-1 x - x``, because ``I + (h/2) G = 2I - B``.
+stepped with Crank-Nicolson on the two real strategy axes.  ``Lap_h`` is
+the divergence-form Laplace-Beltrami operator, self-adjoint in the
+``sqrt|det h|``-weighted inner product, so the evolution is unitary in
+that weighted norm on every metric.  A metric that is diagonal and
+equal along axis 1 is propagated in closed form, one sine mode at a
+time; any other metric takes one sparse LU solve per step.
 
 The effective scale ``F0`` is extracted from the per-node action bracket,
 less the curvature potential ``Q * R * xbar``, by contracting both sides
@@ -27,8 +28,10 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import ndtr
 
 from .brane import BACKGROUND_DIM
@@ -62,17 +65,18 @@ class WaveFunction:
             raise ValidationError("wave functions live on two-axis grids")
         if v.shape != self.grid.shape:
             raise ValidationError("wave function shape does not match grid")
-        if not np.all(np.isfinite(v.view(float))):
+        if not np.all(np.isfinite(v)):
             raise ValidationError("wave function entries must be finite")
         self.values = v
         if not self.norm() > 0.0:
             raise ValidationError("wave function must have positive norm")
 
-    def norm(self):
-        """Discrete L2 norm with the grid cell measure."""
-        return float(
-            np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume)
-        )
+    def norm(self, weight=1.0):
+        """Discrete L2 norm with the grid cell measure and a per-node
+        weight, such as the ``metric.volume_density`` of the norm
+        :func:`evolve` keeps."""
+        density = np.abs(self.values) ** 2 * weight
+        return float(np.sqrt(np.sum(density) * self.grid.cell_volume))
 
     def normalized(self):
         return WaveFunction(self.values / self.norm(), self.grid, self.time)
@@ -231,28 +235,31 @@ def kernel_normalization_check(spec, sample_count=64):
     mean ``u . S_uu^-1 S_u2`` and variance ``S_22 - S_2u S_uu^-1 S_u2``,
     so its box mass is a difference of two normal CDFs.  The remaining
     two axes use composite Gauss-Legendre quadrature, with panels split
-    at a few standard deviations so the concentrated peak is resolved.
-    The deviation is the mass that leaks outside the box; it shrinks to
-    zero as the mass constant grows.
+    at 7 and 9 marginal standard deviations of each axis: the inner
+    panel resolves the peak, the next ones the tail out to 9 sigma, and
+    the outer ones hold under 1e-18 of the mass, so a Gaussian the box
+    contains reads zero to rounding.  The deviation is the mass that
+    leaks outside the box; it shrinks to zero as the mass constant grows.
     """
     if spec.mode != WICK:
         raise ValidationError("normalization check runs in Wick mode")
     cov = spec.covariance()
-    a = spec.domain_halfwidth
-    sigma_max = float(np.sqrt(np.linalg.eigvalsh(cov).max()))
-    breaks = [-7.0 * sigma_max, 7.0 * sigma_max]
-    x, w = _panel_nodes(-a, a, breaks, int(sample_count))
+    a, n = spec.domain_halfwidth, int(sample_count)
+    (x0, w0), (x1, w1) = (
+        _panel_nodes(-a, a, np.sqrt(cov[k, k]) * np.array([-9.0, -7.0, 7.0, 9.0]), n)
+        for k in range(2)
+    )
 
     cov_uu = cov[:2, :2]
     prec_uu = np.linalg.inv(cov_uu)
     gain = prec_uu @ cov[:2, 2]
     cond_std = np.sqrt(cov[2, 2] - cov[2, :2] @ gain)
-    x0, x1 = x[:, None], x[None, :]
+    x0, x1 = x0[:, None], x1[None, :]
     quad = prec_uu[0, 0] * x0**2 + 2.0 * prec_uu[0, 1] * x0 * x1 + prec_uu[1, 1] * x1**2
     marginal = np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(np.linalg.det(cov_uu)))
     mean = gain[0] * x0 + gain[1] * x1
     axis2 = ndtr((a - mean) / cond_std) - ndtr((-a - mean) / cond_std)
-    integral = float(w @ (marginal * axis2) @ w)
+    integral = float(w0 @ (marginal * axis2) @ w1)
     return abs(integral - 1.0)
 
 
@@ -281,20 +288,24 @@ def two_point_correlation(spec, samples, seed):
 # evolution
 
 
-def evolve(psi, spec, metric, chris, steps):
+def evolve(psi, spec, metric, steps):
     """Crank-Nicolson evolution of the strategy field.
 
-    Solves ``d_s psi = (i F0 / 2M) Lap psi`` with the covariant Laplacian
-    of the supplied two-axis metric, zero boundary values and time step
-    ``spec.step``.  ``B = I - (h/2) G`` is factorized once, under a
-    minimum-degree ordering of ``B^T + B`` (the stencil pattern is
-    structurally symmetric, and this ordering leaves about half the LU
-    fill of the column ordering), and every step is one solve,
-    ``x' = 2 B^-1 x - x``.  Emits :class:`AccuracyWarning` when
+    Solves ``d_s psi = (i F0 / 2M) Lap psi`` with the divergence-form
+    Laplace-Beltrami operator of the two-axis metric, zero boundary
+    values and time step ``spec.step``, keeping
+    ``psi.norm(metric.volume_density)`` to rounding.  The metric values
+    alone choose between two paths that agree to rounding: if ``h_01`` is
+    zero everywhere and ``h[i, j] == h[i, 0]`` for every ``j``,
+    :func:`_propagate_modes` takes all steps at once.  Otherwise
+    ``B = I - (h/2) G`` is factorized once, under a minimum-degree
+    ordering of ``B^T + B`` (about half the LU fill of the column
+    ordering), and every step is one solve, ``x' = 2 B^-1 x - x``, as
+    ``I + (h/2) G = 2I - B``.  Emits :class:`AccuracyWarning` when
     ``step * F0 / (mass * spacing^2)`` exceeds one; Crank-Nicolson stays
     stable but local accuracy degrades.
     """
-    grid = require_same_grid(psi, metric, chris)
+    grid = require_same_grid(psi, metric)
     if int(steps) < 0:
         raise ValidationError("step count must be non-negative")
     steps = int(steps)
@@ -311,23 +322,65 @@ def evolve(psi, spec, metric, chris, steps):
             stacklevel=2,
         )
 
-    lap = laplace_operator_matrix(metric, chris)
-    generator = (1j * f0 / (2.0 * spec.mass)) * lap
-    eye = sp.identity(lap.shape[0], format="csc", dtype=complex)
-    backward = spla.splu(
-        (eye - (0.5 * spec.step) * generator).tocsc(), permc_spec="MMD_AT_PLUS_A"
-    )
-
-    vec = psi.values[1:-1, 1:-1].reshape(-1).astype(complex)
-    for _ in range(steps):
-        vec = 2.0 * backward.solve(vec) - vec
-    if not np.all(np.isfinite(vec.view(float))):
+    rate = f0 / (2.0 * spec.mass)
+    interior = psi.values[1:-1, 1:-1]
+    h = metric.values
+    separable = metric.dim == 2 and not np.any(h[..., 0, 1]) and np.all(h == h[:, :1])
+    if separable:
+        inner = _propagate_modes(interior, metric, spec.step * rate, steps)
+    else:
+        generator = (1j * rate) * laplace_operator_matrix(metric)
+        eye = sp.identity(generator.shape[0], format="csc", dtype=complex)
+        try:
+            backward = spla.splu(
+                (eye - (0.5 * spec.step) * generator).tocsc(), permc_spec="MMD_AT_PLUS_A"
+            )
+        except RuntimeError as exc:  # SuperLU reports a zero pivot this way
+            raise NumericalError(f"Crank-Nicolson matrix cannot be factorized: {exc}") from exc
+        vec = interior.reshape(-1).astype(complex)
+        for _ in range(steps):
+            vec = 2.0 * backward.solve(vec) - vec
+        inner = vec.reshape(interior.shape)
+    if not np.all(np.isfinite(inner)):
         raise NumericalError("evolution produced non-finite values")
 
     values = np.zeros(grid.shape, dtype=complex)
-    m1, m2 = grid.shape[0] - 2, grid.shape[1] - 2
-    values[1:-1, 1:-1] = vec.reshape(m1, m2)
+    values[1:-1, 1:-1] = inner
     return WaveFunction(values, grid, psi.time + steps * spec.step)
+
+
+def _propagate_modes(interior, metric, theta, steps):
+    """``steps`` Crank-Nicolson steps in closed form on a metric that is
+    diagonal and constant along axis 1 (fast Poisson solver idea: Buzbee,
+    Golub & Nielson, SIAM J. Numer. Anal. 1970).
+
+    The orthonormal DST-I along axis 1 diagonalizes the Dirichlet second
+    difference there, with eigenvalues ``-4 sin^2(pi k / (2 (m2 + 1)))``
+    over ``h1^2``.  Under the similarity ``diag(sqrt s)`` each sine mode is
+    then a symmetric tridiagonal matrix along axis 0, ``V diag(lam) V^T``,
+    and ``steps`` Crank-Nicolson steps with ``G = (i theta / step) Lap``
+    are ``V diag(R^steps) V^T``, ``R = (1 + i theta lam / 2) /
+    (1 - i theta lam / 2) = exp(2i arctan(theta lam / 2))``: unimodular
+    by construction.
+    """
+    h0, h1 = metric.grid.spacings
+    m2 = interior.shape[1]
+    s = metric.volume_density[:, 0]
+    hinv = metric.inverse[:, 0]
+    flux0 = s * hinv[:, 0, 0]
+    face = 0.5 * (flux0[1:] + flux0[:-1]) / h0**2
+    row1 = (s * hinv[:, 1, 1])[1:-1] / h1**2
+    root = np.sqrt(s[1:-1])
+    sine = -4.0 * np.sin(0.5 * np.pi * np.arange(1, m2 + 1) / (m2 + 1)) ** 2
+    off = face[1:-1] / (root[:-1] * root[1:])
+
+    modes = scipy.fft.dst(interior, type=1, norm="ortho", axis=1) * root[:, None]
+    for k in range(m2):
+        diag = (sine[k] * row1 - face[1:] - face[:-1]) / s[1:-1]
+        lam, vecs = eigh_tridiagonal(diag, off)
+        phase = np.exp((2j * steps) * np.arctan(0.5 * theta * lam))
+        modes[:, k] = vecs @ (phase * (vecs.T @ modes[:, k]))
+    return scipy.fft.dst(modes / root[:, None], type=1, norm="ortho", axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +409,6 @@ def optimal_rho(
     spec_builder,
     psi,
     metric,
-    chris,
     grid=64,
     rho_min=0.05,
     refine_iterations=60,
@@ -375,7 +427,7 @@ def optimal_rho(
     if not 0.0 < rho_min < 1.0:
         raise ValidationError("rho_min must lie in (0,1)")
 
-    lap = laplace_operator_matrix(metric, chris)
+    lap = laplace_operator_matrix(metric)
     vec = psi.values[1:-1, 1:-1].reshape(-1).astype(complex)
     base = lap @ vec
     base_norm = float(np.linalg.norm(base) * np.sqrt(psi.grid.cell_volume))

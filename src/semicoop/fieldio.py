@@ -64,6 +64,14 @@ def _check_remaining(fh, nbytes, path):
         )
 
 
+def _check_at_end(fh, path):
+    """Raise ValidationError when bytes follow the payload the header
+    describes."""
+    extra = os.fstat(fh.fileno()).st_size - fh.tell()
+    if extra:
+        raise ValidationError(f"{path}: {extra} bytes follow the payload its header describes")
+
+
 def _read_exact(fh, nbytes, path):
     _check_remaining(fh, nbytes, path)
     return fh.read(nbytes)
@@ -151,8 +159,8 @@ def read_grid(path):
     Raises
     ------
     ValidationError
-        When the file is not a grid field or is shorter than its header
-        says.
+        When the file is not a grid field, or is shorter or longer than
+        its header says.
     """
     with open(path, "rb") as fh:
         magic = fh.read(8)
@@ -168,6 +176,7 @@ def read_grid(path):
             values = raw[..., 0] + 1j * raw[..., 1]
         else:
             values = _read_floats(fh, count, path).reshape(shape)
+        _check_at_end(fh, path)
 
     descriptor = {}
     grid = None
@@ -212,7 +221,7 @@ def read_ensemble(path):
     """Read a path ensemble written by :func:`write_ensemble`.
 
     Returns ``(times, values)``; raises ValidationError when the file is
-    not a path ensemble or is shorter than its header says.
+    not a path ensemble, or is shorter or longer than its header says.
     """
     with open(path, "rb") as fh:
         magic = fh.read(8)
@@ -221,6 +230,7 @@ def read_ensemble(path):
         paths, nsteps, comps, _ = struct.unpack("<QQI I", _read_exact(fh, 24, path))
         times = _read_floats(fh, nsteps, path)
         values = _read_floats(fh, paths * nsteps * comps, path)
+        _check_at_end(fh, path)
     return times, values.reshape(paths, nsteps, comps)
 
 

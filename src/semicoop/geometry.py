@@ -169,6 +169,11 @@ class MetricField:
     def dim(self):
         return self.values.shape[-1]
 
+    @property
+    def volume_density(self):
+        """Per-node volume density ``sqrt|det h|``."""
+        return np.sqrt(np.abs(self.determinant))
+
     def rescaled(self, factor):
         return MetricField(self.values * factor, self.grid, self.signature)
 
@@ -352,68 +357,56 @@ def plain_laplacian(values, grid):
 # sparse interior operator (shared by the evolution solver)
 
 
-def _interior_1d_operators(n, spacing):
-    """Central first- and compact second-difference matrices on interior
-    nodes with zero boundary values."""
+def _interior_first_difference(n, spacing):
+    """Central first-difference matrix on the interior nodes of one axis
+    with zero boundary values; it is skew-symmetric."""
     m = n - 2
-    h = spacing
-    d1 = sp.diags([np.full(m - 1, -0.5 / h), np.full(m - 1, 0.5 / h)], [-1, 1])
-    d2 = sp.diags(
-        [
-            np.full(m - 1, 1.0 / h**2),
-            np.full(m, -2.0 / h**2),
-            np.full(m - 1, 1.0 / h**2),
-        ],
-        [-1, 0, 1],
+    return sp.csr_matrix(
+        sp.diags([np.full(m - 1, -0.5 / spacing), np.full(m - 1, 0.5 / spacing)], [-1, 1])
     )
-    return sp.csr_matrix(d1), sp.csr_matrix(d2)
 
 
-def laplace_operator_matrix(metric, chris):
-    """Sparse matrix of the covariant Laplacian on interior nodes.
+def _face_difference(n, spacing):
+    """Differences across the ``n - 1`` half-nodes of one axis, from its
+    interior nodes with zero boundary values."""
+    m = n - 2
+    return sp.diags([np.ones(m), -np.ones(m)], [0, -1], shape=(m + 1, m)) / spacing
 
-    Boundary values are treated as zero (Dirichlet).  Rows and columns
-    are ordered row-major over the interior nodes, with the stencils of
-    :func:`covariant_laplacian` in the interior.
 
-    Only implemented for two-axis grids, which is what the evolution
-    solver needs.
+def laplace_operator_matrix(metric):
+    """Sparse Laplace-Beltrami matrix ``(1/s) d_a (s h^{ab} d_b f)``,
+    ``s = sqrt|det h|``, on the interior nodes of a two-axis grid.
+
+    Boundary values are zero (Dirichlet); rows and columns run row-major
+    over the interior.  The diagonal terms are flux differences across
+    half-nodes, each face carrying the mean of ``s h^{aa}`` at its two
+    nodes; the mixed term is ``D0 diag(s h^{01}) D1 + D1 diag(s h^{01}) D0``
+    with central differences.  The matrix is ``diag(1/s) S`` with ``S``
+    symmetric, so it is self-adjoint in the ``s``-weighted inner product.
+    No connection coefficients enter; :func:`covariant_laplacian` stays
+    the pointwise form.
     """
-    grid = require_same_grid(metric, chris)
-    if grid.n_axes != 2:
-        raise ValidationError("operator assembly expects a two-axis grid")
+    grid = metric.grid
+    if grid.n_axes != 2 or metric.dim != 2:
+        raise ValidationError("operator assembly expects a two-axis grid and metric")
     n1, n2 = grid.shape
     m1, m2 = n1 - 2, n2 - 2
-    d1a, d2a = _interior_1d_operators(n1, grid.spacing(0))
-    d1b, d2b = _interior_1d_operators(n2, grid.spacing(1))
-    eye1 = sp.identity(m1, format="csr")
-    eye2 = sp.identity(m2, format="csr")
-
-    ops = {
-        (0, 0): sp.kron(d2a, eye2, format="csr"),
-        (1, 1): sp.kron(eye1, d2b, format="csr"),
-        (0, 1): sp.kron(d1a, d1b, format="csr"),
-    }
-    ops[(1, 0)] = ops[(0, 1)]
-    grads = {
-        0: sp.kron(d1a, eye2, format="csr"),
-        1: sp.kron(eye1, d1b, format="csr"),
-    }
-
-    hinv = metric.inverse[1:-1, 1:-1]
-    contr = contracted_christoffel(metric, chris)[1:-1, 1:-1]
-
-    size = m1 * m2
-    matrix = sp.csr_matrix((size, size))
-    for (a, b), op in ops.items():
-        coeff = hinv[..., a, b].reshape(-1)
-        if np.any(coeff):
-            matrix = matrix + sp.diags(coeff) @ op
-    for c, op in grads.items():
-        coeff = contr[..., c].reshape(-1)
-        if np.any(coeff):
-            matrix = matrix - sp.diags(coeff) @ op
-    return sp.csr_matrix(matrix)
+    h0, h1 = grid.spacings
+    s = metric.volume_density
+    flux = s[..., None, None] * metric.inverse
+    grad0 = sp.kron(_face_difference(n1, h0), sp.identity(m2), format="csr")
+    grad1 = sp.kron(sp.identity(m1), _face_difference(n2, h1), format="csr")
+    face0 = 0.5 * (flux[1:, 1:-1, 0, 0] + flux[:-1, 1:-1, 0, 0]).reshape(-1)
+    face1 = 0.5 * (flux[1:-1, 1:, 1, 1] + flux[1:-1, :-1, 1, 1]).reshape(-1)
+    sym = -(grad0.T @ sp.diags(face0) @ grad0 + grad1.T @ sp.diags(face1) @ grad1)
+    cross = flux[1:-1, 1:-1, 0, 1].reshape(-1)
+    if np.any(cross):
+        d0 = sp.kron(_interior_first_difference(n1, h0), sp.identity(m2), format="csr")
+        d1 = sp.kron(sp.identity(m1), _interior_first_difference(n2, h1), format="csr")
+        mixed = d0 @ sp.diags(cross) @ d1
+        # D0 and D1 are skew, so D1 diag D0 is the transpose of D0 diag D1
+        sym = sym + mixed + mixed.T
+    return sp.csr_matrix(sp.diags(1.0 / s[1:-1, 1:-1].reshape(-1)) @ sym)
 
 
 # ---------------------------------------------------------------------------

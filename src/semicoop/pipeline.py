@@ -173,25 +173,24 @@ def evolve(config, metric, spec):
     """Evolution stage on the strategy plane, whose metric is the spatial
     block of the world metric at the initial time node.
 
-    Returns ``(slice_metric, slice_chris, psi0, psi)``: the initial
-    Gaussian packet and the evolved field.
+    Returns ``(slice_metric, psi0, psi)``: the initial Gaussian packet
+    and the evolved field.
     """
     grid = metric.grid
     slice_grid = GridSpec(extents=grid.extents[1:], counts=grid.counts[1:])
     slice_metric = geometry.MetricField(
         metric.values[0][..., 1:, 1:], slice_grid, metric.signature
     )
-    slice_chris = geometry.christoffel(slice_metric)
     evolve_cfg = config.data["evolve"]
     width = evolve_cfg.get("packet_width")
     if width is None:
         width = 0.15 * min(hi - lo for lo, hi in slice_grid.extents)
     psi0 = evolution.gaussian_packet(slice_grid, float(width))
-    psi = evolution.evolve(psi0, spec, slice_metric, slice_chris, int(evolve_cfg["steps"]))
-    return slice_metric, slice_chris, psi0, psi
+    psi = evolution.evolve(psi0, spec, slice_metric, int(evolve_cfg["steps"]))
+    return slice_metric, psi0, psi
 
 
-def cooperation(config, spec, psi, slice_metric, slice_chris):
+def cooperation(config, spec, psi, slice_metric):
     """Cooperation stage: the ``rho.json`` payload of the ρ search.
 
     The kernel spec's scale at cooperation degree ``rho`` comes from the
@@ -214,7 +213,6 @@ def cooperation(config, spec, psi, slice_metric, slice_chris):
         lambda rho: dataclasses.replace(spec, effective_scale=rho_to_scale(rho)),
         psi,
         slice_metric,
-        slice_chris,
         grid=int(config.data["rho_grid"]),
     )
     return {
@@ -304,12 +302,13 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
         results["scale_not_strictly_increasing"] = bool(scale.not_strictly_increasing)
 
         stage = "evolve"
-        slice_metric, slice_chris, psi0, psi = evolve(config, metric, spec)
+        slice_metric, psi0, psi = evolve(config, metric, spec)
         artifact("psi.bin", write_grid, psi.values, slice_metric.grid)
-        results["norm_drift"] = abs(psi.norm() - psi0.norm())
+        weight = slice_metric.volume_density
+        results["norm_drift"] = abs(psi.norm(weight) - psi0.norm(weight))
 
         stage = "cooperation"
-        payload = cooperation(config, spec, psi, slice_metric, slice_chris)
+        payload = cooperation(config, spec, psi, slice_metric)
         artifact("rho.json", write_json, payload)
         results["rho_star"] = payload["rho_star"]
         results["rho_boundary_flag"] = payload["boundary_flag"]

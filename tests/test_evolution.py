@@ -1,6 +1,8 @@
 """Kernel mass check and Crank-Nicolson evolution against independent oracles."""
 
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy import special
 
-from semicoop import ValidationError, evolution, geometry
+from semicoop import NumericalError, ValidationError, evolution, fieldio, geometry, pipeline
 from semicoop.grids import GridSpec
+from semicoop.scenario import parse_scenario
 
 
 def tensor_quadrature_deviation(spec, sample_count):
@@ -19,11 +22,19 @@ def tensor_quadrature_deviation(spec, sample_count):
     prec = np.linalg.inv(cov)
     norm = 1.0 / np.sqrt((2.0 * np.pi) ** 3 * np.linalg.det(cov))
     a = spec.domain_halfwidth
-    sigma_max = float(np.sqrt(np.linalg.eigvalsh(cov).max()))
-    x, w = evolution._panel_nodes(-a, a, [-7.0 * sigma_max, 7.0 * sigma_max], sample_count)
-    xi = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1)
-    density = norm * np.exp(-0.5 * np.einsum("...a,ab,...b->...", xi, prec, xi))
-    return abs(float(np.einsum("i,j,k,ijk->", w, w, w, density)) - 1.0)
+    breaks = np.array([-9.0, -7.0, 7.0, 9.0])  # marginal standard deviations
+    (x0, w0), (x1, w1), (x2, w2) = (
+        evolution._panel_nodes(-a, a, np.sqrt(cov[k, k]) * breaks, sample_count)
+        for k in range(3)
+    )
+    plane = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1)
+    plane_quad = np.einsum("...a,ab,...b->...", plane, prec[1:, 1:], plane)
+    plane_cross = 2.0 * plane @ prec[0, 1:]
+    total = 0.0
+    for x, w in zip(x0, w0):  # one plane at a time keeps the memory small
+        density = norm * np.exp(-0.5 * (prec[0, 0] * x * x + x * plane_cross + plane_quad))
+        total += w * float(w1 @ density @ w2)
+    return abs(total - 1.0)
 
 
 def random_spd(rng):
@@ -58,6 +69,23 @@ class TestKernelNormalization:
         expected = tensor_quadrature_deviation(spec, 40)
         assert abs(evolution.kernel_normalization_check(spec, 40) - expected) <= 1e-13
 
+    @pytest.mark.parametrize(
+        "samples,covariance", [(48, "diagonal"), (64, "diagonal"), (96, "diagonal"),
+                               (64, "full"), (96, "full")]
+    )
+    @pytest.mark.parametrize("mass", [1e3, 1e4, 1e6])
+    def test_gaussian_inside_the_box_reports_no_leak(self, mass, samples, covariance):
+        # sigma is at most 0.02 against a unit half-width, so the true leak
+        # is below 1e-300; the tails beyond 7 sigma must not read as leak
+        background = (
+            np.diag([0.6, 1.0, 1.7]) if covariance == "diagonal"
+            else random_spd(np.random.default_rng(7))
+        )
+        spec = evolution.KernelSpec(
+            mass=mass, step=0.05, effective_scale=1.3, background_inverse=background
+        )
+        assert evolution.kernel_normalization_check(spec, samples) <= 1e-14
+
     def test_leak_vanishes_as_mass_grows(self):
         deviations = [
             evolution.kernel_normalization_check(
@@ -76,15 +104,31 @@ class TestKernelNormalization:
 
 
 def strategy_slice(metric_of, n):
-    """A two-axis ``n x n`` strategy grid, its metric and Christoffel field."""
+    """A two-axis ``n x n`` strategy grid and its metric."""
     grid = GridSpec.from_axes((0.5, 2.5, n), (0.0, 1.0, n))
-    metric = metric_of(grid)
-    return grid, metric, geometry.christoffel(metric)
+    return grid, metric_of(grid)
 
 
-def two_matrix_steps(psi, spec, metric, chris, steps):
+def sheared_sphere(grid):
+    """The unit-sphere slice plus an off-diagonal entry at every node."""
+    values = geometry.sphere_metric(grid).values.copy()
+    values[..., 0, 1] = values[..., 1, 0] = 0.2 * np.sin(grid.meshgrid()[0])
+    return geometry.MetricField(values, grid)
+
+
+def transposed_sphere_slice(n):
+    """The unit-sphere slice with its axes swapped: the colatitude runs
+    along axis 1, so the metric varies along axis 1."""
+    grid = GridSpec.from_axes((0.0, 1.0, n), (0.5, 2.5, n))
+    values = np.zeros(grid.shape + (2, 2))
+    values[..., 0, 0] = np.sin(grid.meshgrid()[1]) ** 2
+    values[..., 1, 1] = 1.0
+    return grid, geometry.MetricField(values, grid)
+
+
+def two_matrix_steps(psi, spec, metric, steps):
     """Crank-Nicolson as ``B x' = F x`` with both matrices built."""
-    lap = geometry.laplace_operator_matrix(metric, chris)
+    lap = geometry.laplace_operator_matrix(metric)
     generator = (1j * spec.effective_scale / (2.0 * spec.mass)) * lap
     eye = sp.identity(lap.shape[0], format="csc", dtype=complex)
     forward = (eye + 0.5 * spec.step * generator).tocsr()
@@ -97,51 +141,184 @@ def two_matrix_steps(psi, spec, metric, chris, steps):
     return values
 
 
+@pytest.fixture
+def mode_calls(monkeypatch):
+    """Counts calls of the closed-form mode propagator."""
+    calls = []
+    original = evolution._propagate_modes
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_propagate_modes", spy)
+    return calls
+
+
 SPEC = evolution.KernelSpec(mass=1e4, step=0.005, effective_scale=0.6)
+UNIT_SPEC = evolution.KernelSpec(mass=1.0, step=5e-4, effective_scale=1.0)
 
 
 class TestEvolve:
-    def test_one_solve_step_matches_two_matrix_form(self):
-        grid, metric, chris = strategy_slice(geometry.sphere_metric, 33)
+    def test_one_solve_step_matches_two_matrix_form(self, mode_calls):
+        grid, metric = strategy_slice(sheared_sphere, 33)
         psi0 = evolution.gaussian_packet(grid, 0.15)
-        psi = evolution.evolve(psi0, SPEC, metric, chris, 200)
-        expected = two_matrix_steps(psi0, SPEC, metric, chris, 200)
+        psi = evolution.evolve(psi0, SPEC, metric, 200)
+        expected = two_matrix_steps(psi0, SPEC, metric, 200)
+        assert not mode_calls
         assert np.abs(psi.values - expected).max() <= 1e-12
         assert psi.time == pytest.approx(200 * SPEC.step)
 
-    def test_norm_conserved_on_flat_metric(self):
-        grid, metric, chris = strategy_slice(geometry.flat_metric, 33)
+    def test_mode_path_matches_two_matrix_form(self, mode_calls):
+        grid, metric = strategy_slice(geometry.sphere_metric, 33)
+        psi0 = evolution.gaussian_packet(grid, 0.15)
+        psi = evolution.evolve(psi0, SPEC, metric, 200)
+        expected = two_matrix_steps(psi0, SPEC, metric, 200)
+        assert mode_calls == [1]
+        assert np.abs(psi.values - expected).max() <= 1e-12
+        assert psi.time == pytest.approx(200 * SPEC.step)
+
+    def test_mode_path_matches_lu_path_on_the_transposed_sphere(self, mode_calls):
+        # the same sphere with its axes swapped takes the LU path; the
+        # operator is the same up to the permutation of the axes
+        grid, metric = strategy_slice(geometry.sphere_metric, 33)
+        grid_t, metric_t = transposed_sphere_slice(33)
+        psi0 = evolution.gaussian_packet(grid, 0.15, wavevector=(2.0, -1.0))
+        psi = evolution.evolve(psi0, SPEC, metric, 200)
+        psi_t = evolution.evolve(evolution.WaveFunction(psi0.values.T, grid_t), SPEC, metric_t, 200)
+        assert mode_calls == [1]
+        assert np.abs(psi.values - psi_t.values.T).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "make_slice",
+        [
+            lambda n: strategy_slice(geometry.sphere_metric, n),
+            transposed_sphere_slice,
+            lambda n: strategy_slice(sheared_sphere, n),
+        ],
+        ids=["sphere-modes", "sphere-lu", "sheared-lu"],
+    )
+    def test_weighted_norm_conserved(self, make_slice):
+        grid, metric = make_slice(41)
         psi0 = evolution.gaussian_packet(grid, 0.15, wavevector=(3.0, -2.0))
-        spec = evolution.KernelSpec(mass=1.0, step=5e-4, effective_scale=1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", evolution.AccuracyWarning)
-            psi = evolution.evolve(psi0, spec, metric, chris, 200)
+            psi = evolution.evolve(psi0, UNIT_SPEC, metric, 400)
+        weight = metric.volume_density
+        assert abs(psi.norm(weight) - psi0.norm(weight)) <= 1e-12
+        # the plain L2 norm is not the conserved one on a curved slice
+        assert abs(psi.norm() - psi0.norm()) > 1e-9
+
+    @pytest.mark.parametrize("where", ["off-diagonal", "along-axis-1"])
+    def test_one_entry_off_the_mode_criterion_takes_the_lu_path(self, where, mode_calls):
+        # the test on the metric values is exact: a change of 1e-9 in one
+        # entry moves the field by far more than the 1e-12 compared here
+        grid, metric = strategy_slice(geometry.sphere_metric, 17)
+        values = metric.values.copy()
+        if where == "off-diagonal":
+            values[8, 5, 0, 1] = values[8, 5, 1, 0] = 1e-9
+        else:
+            values[8, 5, 1, 1] *= 1.0 + 1e-9
+        metric = geometry.MetricField(values, grid)
+        psi0 = evolution.gaussian_packet(grid, 0.15, wavevector=(3.0, -2.0))
+        psi = evolution.evolve(psi0, UNIT_SPEC, metric, 50)
+        assert not mode_calls
+        expected = two_matrix_steps(psi0, UNIT_SPEC, metric, 50)
+        assert np.abs(psi.values - expected).max() <= 1e-12
+
+    def test_norm_conserved_on_flat_metric(self):
+        grid, metric = strategy_slice(geometry.flat_metric, 33)
+        psi0 = evolution.gaussian_packet(grid, 0.15, wavevector=(3.0, -2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", evolution.AccuracyWarning)
+            psi = evolution.evolve(psi0, UNIT_SPEC, metric, 200)
         assert abs(psi.norm() - psi0.norm()) <= 1e-12
 
+    @pytest.mark.parametrize("metric_of", [geometry.flat_metric, sheared_sphere])
+    def test_non_finite_scale_is_a_numerical_error(self, metric_of):
+        grid, metric = strategy_slice(metric_of, 9)
+        psi0 = evolution.gaussian_packet(grid, 0.15)
+        spec = evolution.KernelSpec(
+            mass=1.0, step=1e-3, effective_scale=float("nan"), mode=evolution.LORENTZIAN
+        )
+        with pytest.raises(NumericalError):
+            evolution.evolve(psi0, spec, metric, 1)
+
     def test_large_quality_factor_warns(self):
-        grid, metric, chris = strategy_slice(geometry.flat_metric, 9)
+        grid, metric = strategy_slice(geometry.flat_metric, 9)
         psi0 = evolution.gaussian_packet(grid, 0.15)
         spec = evolution.KernelSpec(mass=1.0, step=1.0, effective_scale=1.0)
         with pytest.warns(evolution.AccuracyWarning):
-            evolution.evolve(psi0, spec, metric, chris, 1)
+            evolution.evolve(psi0, spec, metric, 1)
 
     def test_small_quality_factor_is_silent(self):
-        grid, metric, chris = strategy_slice(geometry.flat_metric, 9)
+        grid, metric = strategy_slice(geometry.flat_metric, 9)
         psi0 = evolution.gaussian_packet(grid, 0.15)
         with warnings.catch_warnings():
             warnings.simplefilter("error", evolution.AccuracyWarning)
-            evolution.evolve(psi0, SPEC, metric, chris, 1)
+            evolution.evolve(psi0, SPEC, metric, 1)
 
     def test_zero_steps_returns_a_copy(self):
-        grid, metric, chris = strategy_slice(geometry.flat_metric, 9)
+        grid, metric = strategy_slice(geometry.flat_metric, 9)
         psi0 = evolution.gaussian_packet(grid, 0.15)
-        psi = evolution.evolve(psi0, SPEC, metric, chris, 0)
+        psi = evolution.evolve(psi0, SPEC, metric, 0)
         assert np.array_equal(psi.values, psi0.values)
         assert psi.time == psi0.time
         assert not np.shares_memory(psi.values, psi0.values)
 
-    def test_negative_steps_are_rejected(self):
-        grid, metric, chris = strategy_slice(geometry.flat_metric, 9)
+    def test_metric_of_another_dimension_is_rejected(self):
+        grid, metric = strategy_slice(lambda g: geometry.flat_metric(g, dim=3), 9)
         psi0 = evolution.gaussian_packet(grid, 0.15)
         with pytest.raises(ValidationError):
-            evolution.evolve(psi0, SPEC, metric, chris, -1)
+            evolution.evolve(psi0, SPEC, metric, 1)
+
+    def test_negative_steps_are_rejected(self):
+        grid, metric = strategy_slice(geometry.flat_metric, 9)
+        psi0 = evolution.gaussian_packet(grid, 0.15)
+        with pytest.raises(ValidationError):
+            evolution.evolve(psi0, SPEC, metric, -1)
+
+
+DESIGN = Path(__file__).resolve().parents[1] / "perfbench" / "design.json"
+
+
+def benchmark_configs(tmp_path):
+    """The scenario of every benchmark workload, built as the benchmark
+    builds it, with its metric file written for seeds 1 and 2."""
+    design = json.loads(DESIGN.read_text())
+    for name, spec in design["workloads"].items():
+        axes = spec["grid"]
+        scenario = {"grid": axes, **spec["scenario"], "firms": [design["firm"]]}
+        if "metric_file" not in spec:
+            yield name, parse_scenario(scenario)
+            continue
+        grid = GridSpec.from_axes(tuple(axes["time"]), tuple(axes["sigma1"]), tuple(axes["sigma2"]))
+        lo, hi = spec["metric_file"]["radius_range"]
+        for seed in (1, 2):
+            radius = lo + (hi - lo) * float(np.random.default_rng(seed).random())
+            path = tmp_path / f"{name}-{seed}.bin"
+            fieldio.write_grid(path, geometry.sphere_metric(grid, radius=radius).values, grid)
+            yield f"{name}-{seed}", parse_scenario({**scenario, "metric": {"file": str(path)}})
+
+
+def test_every_benchmark_slice_takes_the_mode_path(tmp_path, mode_calls, monkeypatch):
+    # the benchmark's evolve cost rests on the closed form; a change that
+    # breaks the exact test on the metric values (say, rounding in a file
+    # round trip) must fail here rather than slow the benchmark silently
+    def no_lu(*args, **kwargs):
+        raise AssertionError("the LU path was taken")
+
+    monkeypatch.setattr(evolution, "laplace_operator_matrix", no_lu)
+    names = []
+    for name, config in benchmark_configs(tmp_path):
+        kernel = config.data["kernel"]
+        spec = evolution.KernelSpec(
+            mass=float(kernel["mass"]), step=float(kernel["step"]), effective_scale=1.0
+        )
+        _, psi0, psi = pipeline.evolve(config, config.build_metric(), spec)
+        assert psi.time > psi0.time
+        names.append(name)
+    assert len(mode_calls) == len(names) == 5
+    assert {n.split("-")[0] for n in names} == {
+        "world_grid", "path_ensemble", "strategy_plane", "stage_commands"
+    }

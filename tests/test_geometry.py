@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from semicoop import GridSpec, GridMismatchError, SingularMetricError, ValidationError
 from semicoop import geometry as geo
@@ -182,6 +183,61 @@ class TestCovariantLaplacian:
         lap = geo.covariant_laplacian(metric, chris, np.cos(theta))
         err = np.abs(lap + 2.0 * np.cos(theta))[2:-2, 2:-2].max()
         assert err < 1e-3
+
+    def test_divergence_form_operator_converges_at_second_order(self):
+        # f vanishes on the boundary of the patch; its Laplace-Beltrami on
+        # the sphere is f_tt + cot(t) f_t + f_pp / sin^2(t), over radius^2
+        radius = 1.7
+        errors = []
+        for n in (17, 33, 65):
+            grid = GridSpec.from_axes((0.4, np.pi - 0.4, n), (0.0, 1.0, n))
+            metric = geo.sphere_metric(grid, radius=radius)
+            theta, phi = grid.meshgrid()
+            k = np.pi / (np.pi - 0.8)
+            u, du = np.sin(k * (theta - 0.4)), k * np.cos(k * (theta - 0.4))
+            ddu = -(k**2) * u
+            v, ddv = np.sin(np.pi * phi), -(np.pi**2) * np.sin(np.pi * phi)
+            exact = (ddu * v + du * v / np.tan(theta) + u * ddv / np.sin(theta) ** 2) / radius**2
+            lap = geo.laplace_operator_matrix(metric) @ (u * v)[1:-1, 1:-1].reshape(-1)
+            errors.append(np.abs(lap - exact[1:-1, 1:-1].reshape(-1)).max())
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(orders > 1.9)
+
+    def test_divergence_form_operator_on_constant_sheared_metric(self):
+        # constant metric: the operator is h^{ab} d_a d_b, mixed term included
+        h = np.array([[1.3, 0.4], [0.4, 0.7]])
+        hinv = np.linalg.inv(h)
+        errors = []
+        for n in (17, 33, 65):
+            grid = GridSpec.from_axes((0.0, 1.0, n), (0.0, 2.0, n))
+            x, y = grid.meshgrid()
+            f = np.sin(np.pi * x) * np.sin(0.5 * np.pi * y)
+            exact = (
+                -(np.pi**2) * hinv[0, 0] * f
+                - 0.25 * np.pi**2 * hinv[1, 1] * f
+                + 2.0 * hinv[0, 1] * 0.5 * np.pi**2
+                * np.cos(np.pi * x) * np.cos(0.5 * np.pi * y)
+            )
+            lap = geo.laplace_operator_matrix(geo.constant_metric(grid, h))
+            got = lap @ f[1:-1, 1:-1].reshape(-1)
+            errors.append(np.abs(got - exact[1:-1, 1:-1].reshape(-1)).max())
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(orders > 1.9)
+
+    def test_weighted_operator_is_symmetric_on_sheared_metric(self):
+        grid = GridSpec.from_axes((0.5, 2.5, 13), (0.0, 1.0, 11))
+        theta, phi = grid.meshgrid()
+        values = np.zeros(grid.shape + (2, 2))
+        values[..., 0, 0] = 1.0 + 0.3 * phi**2
+        values[..., 1, 1] = np.sin(theta) ** 2 * (1.0 + 0.2 * np.cos(3.0 * phi))
+        values[..., 0, 1] = values[..., 1, 0] = 0.25 * np.sin(theta) * np.cos(phi)
+        metric = geo.MetricField(values, grid)
+        lap = geo.laplace_operator_matrix(metric)
+        weighted = (sp.diags(metric.volume_density[1:-1, 1:-1].reshape(-1)) @ lap).toarray()
+        scale = np.abs(weighted).max()
+        assert np.abs(weighted - weighted.T).max() <= 1e-14 * scale
+        # the mixed term is present: the stencil reaches the diagonal neighbours
+        assert weighted[0, grid.shape[1] - 2 + 1] != 0.0
 
     def test_flat_equals_plain_laplacian(self):
         grid = GridSpec.from_axes((0, 1, 13), (0, 1, 9))

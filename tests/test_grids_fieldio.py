@@ -158,3 +158,41 @@ def test_cli_exits_2_on_truncated_metric(tmp_path, keep):
         )
     assert code == 2
     assert "truncated" in err.getvalue()
+
+
+def append(path, extra):
+    path.write_bytes(path.read_bytes() + extra)
+
+
+@pytest.mark.parametrize("extra", [b"\0", b"\0" * 40, b"SCGRID01"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_trailing_bytes_after_grid_rejected(tmp_path, extra, dtype):
+    path = tmp_path / "f.bin"
+    write_grid(path, np.ones((4, 5), dtype=dtype))
+    append(path, extra)
+    with pytest.raises(ValidationError, match=f"{len(extra)} bytes follow the payload"):
+        read_grid(path)
+
+
+@pytest.mark.parametrize("extra", [b"\0", b"\0" * 40])
+def test_trailing_bytes_after_ensemble_rejected(tmp_path, extra):
+    path = tmp_path / "p.bin"
+    write_ensemble(path, np.linspace(0.0, 1.0, 5), np.ones((7, 5, 3)))
+    append(path, extra)
+    with pytest.raises(ValidationError, match=f"{len(extra)} bytes follow the payload"):
+        read_ensemble(path)
+
+
+def test_cli_exits_2_on_metric_with_trailing_bytes(tmp_path):
+    grid = GridSpec.from_axes((0.0, 1.0, 3), (0.5, 2.5, 5), (0.0, 1.0, 5))
+    path = tmp_path / "metric.bin"
+    write_grid(path, geometry.sphere_metric(grid).values, grid)
+    append(path, b"\0" * 40)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(
+            ["geometry", "--metric", str(path), "--op", "curvature",
+             "--out", str(tmp_path / "c.bin")]
+        )
+    assert code == 2
+    assert "bytes follow the payload" in err.getvalue()

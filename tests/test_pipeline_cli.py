@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from semicoop import ValidationError, cli, geometry, market, pipeline
+from semicoop import ValidationError, cli, evolution, geometry, market, pipeline
 from semicoop.fieldio import read_grid, write_grid
 from semicoop.grids import GridSpec
 from semicoop.scenario import parse_scenario
@@ -98,6 +98,18 @@ def test_evolve_matches_psi_bin(run):
     expected, expected_grid, _ = read_grid(pipeline_dir / "psi.bin")
     assert grid == expected_grid
     np.testing.assert_array_equal(values, expected)
+
+
+def test_norms_are_the_weighted_norm_evolve_keeps(run):
+    # the plain L2 drift of this run is about 4e-12; the sqrt|det h|
+    # weighted one, which Crank-Nicolson keeps, is rounding
+    root, scenario, pipeline_dir, manifest = run
+    code, payload = run_cli("evolve", "--config", scenario, "--out", root / "psi_norm.bin")
+    assert code == cli.EXIT_OK
+    values, grid, _ = read_grid(pipeline_dir / "psi.bin")
+    weight = geometry.sphere_metric(grid).volume_density
+    assert payload["norm"] == evolution.WaveFunction(values, grid).norm(weight)
+    assert manifest["results"]["norm_drift"] <= 1e-13
 
 
 def test_optimal_rho_matches_rho_json(run):
