@@ -7,7 +7,7 @@ and prints a JSON result to stdout.  The stage subcommands
 ``optimal-rho``) call the pipeline's stage functions, so for the same
 scenario and ``--seed`` they give the numbers ``pipeline`` records;
 ``gff-sample`` draws from the same per-stage seed as the pipeline's
-``gff.bin``.
+``gff.bin``.  A subcommand accepts only the flags its handler reads.
 Exit codes: 0 on success, 2 on validation failures, 3 on numerical
 failures.
 """
@@ -33,72 +33,70 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-def _common_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master seed")
-    common.add_argument("--threads", type=int, default=1, help="worker threads")
-    common.add_argument("--out-dir", default=".", help="artifact directory")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
-    return common
-
-
 def build_parser():
-    common = _common_parser()
     parser = argparse.ArgumentParser(
         prog="semicoop",
         description="curved-strategy differential game toolkit",
-        parents=[common],
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("geometry", parents=[common], help="metric-derived fields")
+    p = sub.add_parser("geometry", help="metric-derived fields")
     p.add_argument("--metric", required=True, help="metric grid file")
     p.add_argument("--op", required=True, choices=("christoffel", "curvature", "laplacian"))
     p.add_argument("--out", required=True)
     p.add_argument("--field", help="scalar field file (laplacian only)")
 
-    p = sub.add_parser("polygon-area", parents=[common], help="strategy polygon area")
+    p = sub.add_parser("polygon-area", help="strategy polygon area")
     p.add_argument("--scenario", required=True)
     p.add_argument("--time", type=float, default=0.0)
     p.add_argument("--nodes", type=int, default=32, help="quadrature nodes per axis")
 
-    p = sub.add_parser("lie-bracket", parents=[common], help="field commutator at a point")
+    p = sub.add_parser("lie-bracket", help="field commutator at a point")
     p.add_argument("--scenario", required=True)
     p.add_argument("--point", required=True, help="comma-separated 3 coordinates")
     p.add_argument("--spacing", type=float)
 
-    p = sub.add_parser("gff-sample", parents=[common], help="stubbornness field draw")
+    p = sub.add_parser("gff-sample", help="stubbornness field draw")
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=0, help="master seed")
 
-    p = sub.add_parser("simulate-sde", parents=[common], help="share-dynamics ensemble")
+    p = sub.add_parser("simulate-sde", help="share-dynamics ensemble")
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--threads", type=int, default=1, help="worker threads")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("cascade", parents=[common], help="resale cascade values")
+    p = sub.add_parser("cascade", help="resale cascade values")
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--theta", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
 
-    p = sub.add_parser("action", parents=[common], help="world-volume action")
+    p = sub.add_parser("action", help="world-volume action")
     p.add_argument("--config", required=True)
     p.add_argument("--ghost", action="store_true", help="also set by action.ghost")
     p.add_argument("--fp-det", action="store_true", help="also set by action.fp_det")
 
-    p = sub.add_parser("kernel-check", parents=[common], help="kernel diagnostics")
+    p = sub.add_parser("kernel-check", help="kernel diagnostics")
     p.add_argument("--config", required=True)
+    p.add_argument("--seed", type=int, default=0, help="master seed")
 
-    p = sub.add_parser("evolve", parents=[common], help="strategy-field evolution")
+    p = sub.add_parser("evolve", help="strategy-field evolution")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("optimal-rho", parents=[common], help="cooperation-degree search")
+    p = sub.add_parser("optimal-rho", help="cooperation-degree search")
     p.add_argument("--config", required=True)
 
-    p = sub.add_parser("pipeline", parents=[common], help="full run with manifest")
+    p = sub.add_parser("pipeline", help="full run with manifest")
     p.add_argument("--scenario", required=True)
+    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--threads", type=int, default=1, help="worker threads")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out-dir", default=".", help="artifact directory")
 
     return parser
 

@@ -17,10 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import SingularMetricError, ValidationError
+from .errors import RangeOverflowError, SingularMetricError, ValidationError
 from .grids import GridSpec, require_same_grid
 
 PIVOT_THRESHOLD = 1e-12
+
+# exp overflows double precision just above 709.78
+_EXP_LIMIT = 700.0
 
 LORENTZIAN_SIGNATURE = "(-,+,+)"
 RIEMANNIAN_SIGNATURE = "(+,+,+)"
@@ -174,9 +177,6 @@ class MetricField:
         """Per-node volume density ``sqrt|det h|``."""
         return np.sqrt(np.abs(self.determinant))
 
-    def rescaled(self, factor):
-        return MetricField(self.values * factor, self.grid, self.signature)
-
 
 @dataclass
 class ChristoffelField:
@@ -194,9 +194,6 @@ class ChristoffelField:
     @property
     def dim(self):
         return self.values.shape[-1]
-
-    def lower_symmetry_error(self):
-        return float(np.abs(self.values - np.swapaxes(self.values, -1, -2)).max())
 
 
 @dataclass
@@ -290,7 +287,9 @@ def combined_metric(einstein_bundle, flat, stubbornness_field, gamma):
     stubbornness field.  ``G`` is symmetrized first; finite differences
     leave it asymmetric at discretization level.
 
-    Raises on ``gamma`` outside ``(0, 2]``.
+    Raises :class:`ValidationError` on ``gamma`` outside ``(0, 2]`` and
+    :class:`RangeOverflowError` naming the first node where ``gamma * b``
+    would overflow the exponential.
     """
     gamma = float(gamma)
     if not 0.0 < gamma <= 2.0:
@@ -302,9 +301,17 @@ def combined_metric(einstein_bundle, flat, stubbornness_field, gamma):
             "stubbornness field shape does not match grid",
             [f"grid {grid.shape}, field {b.shape}"],
         )
+    exponent = gamma * b
+    over = exponent > _EXP_LIMIT
+    if np.any(over):
+        node = _first_bad_node(over)
+        raise RangeOverflowError(
+            f"conformal exponent {exponent[node]:.3g} exceeds {_EXP_LIMIT} at node {node}",
+            node=node,
+        )
     g = einstein_bundle.einstein
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
-    factor = np.exp(gamma * b)[..., None, None]
+    factor = np.exp(exponent)[..., None, None]
     return MetricField(factor * g + flat.values, grid, flat.signature)
 
 
@@ -341,15 +348,6 @@ def covariant_laplacian(metric, chris, values):
     contr = contracted_christoffel(metric, chris)
     for c in range(d):
         out -= contr[..., c] * first_derivative(f, grid.spacing(c), c)
-    return out
-
-
-def plain_laplacian(values, grid):
-    """Sum of pure second derivatives, same stencils as the curved path."""
-    f = np.asarray(values)
-    out = np.zeros(grid.shape, dtype=np.result_type(f.dtype, np.float64))
-    for a in range(grid.n_axes):
-        out += 1.0 * second_derivative(f, grid.spacing(a), a)
     return out
 
 

@@ -106,16 +106,6 @@ class GridSpec:
     def cell_volume(self):
         return float(np.prod(self.spacings))
 
-    def subgrid(self, axis, start, stop):
-        """Restrict one axis to node index range ``[start, stop]`` inclusive."""
-        lo = self.coordinates(axis)[start]
-        hi = self.coordinates(axis)[stop]
-        extents = list(self.extents)
-        counts = list(self.counts)
-        extents[axis] = (lo, hi)
-        counts[axis] = stop - start + 1
-        return GridSpec(tuple(extents), tuple(counts))
-
     def to_dict(self):
         return {"extents": [list(e) for e in self.extents], "counts": list(self.counts)}
 

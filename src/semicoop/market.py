@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import NumericalError, SingularMetricError, ValidationError
 from .grids import GridSpec
@@ -81,32 +80,24 @@ class FirmState:
                     f"region [0, {region:.6g}]"
                 )
 
-    @property
-    def scalar_share(self):
-        return float(self.share[0])
-
-    def committed_region(self):
-        if self.polygon_area is None:
-            raise ValidationError("firm has no polygon area attached")
-        return effective_region(self.polygon_area, self.alpha_own, self.coop_own)
-
 
 @dataclass
 class SDECoefficients:
-    """Drift and diffusion callables, batched over states.
+    """Drift and diffusion of the share SDE: per-node tables or callables.
 
-    ``drift(s, x)`` maps a float time and an ``(n, 3)`` state block to an
-    ``(n, 3)`` array; ``diffusion(s, x)`` to ``(n, 3, 3)``.  Geometry
-    backed instances (``geometry_derived``) also carry the per-node
-    tables they look up (nearest node, clamped to the grid) together
-    with the grid; :func:`simulate` gathers from those tables directly,
-    one lookup per step for drift and diffusion together, and calls the
-    callables of every other instance.
+    Geometry-derived instances (:func:`derive_coefficients`) carry the
+    tables ``drift_table`` (``grid.shape + (3,)``) and
+    ``diffusion_table`` (``grid.shape + (3, 3)``) with their grid;
+    :func:`simulate` reads them at the nearest node, clamped to the grid,
+    drift and diffusion together in one gather per step.  Instances
+    without tables give callables instead: ``drift(s, x)`` maps a float
+    time and an ``(n, 3)`` state block to an ``(n, 3)`` array,
+    ``diffusion(s, x)`` to ``(n, 3, 3)``.  They let the integrator be
+    checked on smooth coefficients (strong order one half, linear decay).
     """
 
-    drift: object
-    diffusion: object
-    geometry_derived: bool = False
+    drift: object = None
+    diffusion: object = None
     grid: GridSpec = None
     drift_table: np.ndarray = field(default=None, repr=False)
     diffusion_table: np.ndarray = field(default=None, repr=False)
@@ -154,40 +145,7 @@ def derive_coefficients(metric, chris):
         node = tuple(int(i) for i in bad[0]) if len(bad) else (0,) * grid.n_axes
         raise SingularMetricError(node, "inverse metric is not positive definite")
 
-    index = _node_indexer(grid)
-    mu_nodes = mu.reshape(grid.n_nodes, -1)
-    omega_nodes = omega.reshape(grid.n_nodes, *omega.shape[-2:])
-
-    def drift(s, x):
-        return mu_nodes[index(np.atleast_2d(x).T)]
-
-    def diffusion(s, x):
-        return omega_nodes[index(np.atleast_2d(x).T)]
-
-    return SDECoefficients(
-        drift=drift,
-        diffusion=diffusion,
-        geometry_derived=True,
-        grid=grid,
-        drift_table=mu,
-        diffusion_table=omega,
-    )
-
-
-def constant_coefficients(mu, omega):
-    """Fixed drift vector and diffusion matrix as batched callables."""
-    mu = np.asarray(mu, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-
-    def drift(s, x):
-        x = np.atleast_2d(x)
-        return np.broadcast_to(mu, x.shape).copy()
-
-    def diffusion(s, x):
-        x = np.atleast_2d(x)
-        return np.broadcast_to(omega, (x.shape[0],) + omega.shape).copy()
-
-    return SDECoefficients(drift=drift, diffusion=diffusion)
+    return SDECoefficients(grid=grid, drift_table=mu, diffusion_table=omega)
 
 
 @dataclass
@@ -231,10 +189,10 @@ def _coefficient_block(coeffs):
     component-major states ``x`` (3, n) into ``block`` (12, n): rows 0-2
     hold the drift ``mu^a``, rows ``3 + 3b + a`` the diffusion entry
     ``omega^a_b``.  Table-backed coefficients are one ``take`` from a
-    (12, nodes) table through one nearest-node index; plain callables
-    see an ``(n, 3)`` state block, as their contract says.
+    (12, nodes) table through one nearest-node index; callables see an
+    ``(n, 3)`` state block, as their contract says.
     """
-    if coeffs.geometry_derived:
+    if coeffs.drift_table is not None:
         grid = coeffs.grid
         table = np.empty((1 + STATE_DIM, STATE_DIM, grid.n_nodes))
         table[0] = coeffs.drift_table.reshape(grid.n_nodes, STATE_DIM).T
@@ -271,22 +229,23 @@ def simulate(
     paths,
     seed,
     increments=None,
-    correlation=None,
     threads=1,
 ):
     """Euler-Maruyama ensemble of share paths.
 
     Paths run in chunks of 4096.  A chunk keeps its states and increments
     component-major, ``(steps + 1, 3, n)`` and ``(steps, 3, n)``; each
-    step computes one nearest-node index, gathers drift and diffusion
-    together, and applies ``x + mu dt + omega dW`` with the three
-    products of ``omega dW`` summed in the order numpy's ``einsum`` sums
-    them for C-ordered blocks, ``(w0 d0 + w2 d2) + w1 d1``.  The chunk is
+    step looks up drift and diffusion together (one nearest-node gather
+    from the tables, or one call of each callable) and applies
+    ``x + mu dt + omega dW`` with the three products of ``omega dW``
+    summed in the order numpy's ``einsum`` sums them for C-ordered
+    blocks, ``(w0 d0 + w2 d2) + w1 d1``.  The chunk is
     copied into the ``(paths, steps + 1, 3)`` result once.
 
     Parameters
     ----------
     coeffs : SDECoefficients
+        Its tables when ``drift_table`` is set, its callables otherwise.
     initial : FirmState or 3-vector
         Starting share; applied exactly at time zero.
     horizon : float
@@ -300,8 +259,6 @@ def simulate(
     increments : ndarray (paths, steps, 3), optional
         Explicit Brownian increments, overriding the seeded streams
         (used for convergence studies against a common noise).
-    correlation : ndarray (3, 3), optional
-        Correlation of the driving components; default independent.
     threads : int
         Worker threads over path chunks; affects speed only, never the
         numbers.
@@ -328,13 +285,6 @@ def simulate(
 
     dt = float(horizon) / steps
     times = np.linspace(0.0, float(horizon), steps + 1)
-    mix = None
-    if correlation is not None:
-        correlation = np.asarray(correlation, dtype=float)
-        try:
-            mix = np.linalg.cholesky(correlation)
-        except np.linalg.LinAlgError:
-            raise ValidationError("correlation matrix must be positive definite")
 
     out = np.empty((paths, steps + 1, STATE_DIM))
     fill = _coefficient_block(coeffs)
@@ -352,8 +302,6 @@ def simulate(
                 )
         else:
             dw = _chunk_increments(seed, chunk_index, n, steps, dt)
-        if mix is not None:
-            dw = dw @ mix.T
         dw = np.ascontiguousarray(dw.transpose(1, 2, 0))
         block = np.empty((4 * STATE_DIM, n))
         drift = block[:STATE_DIM]
@@ -395,128 +343,3 @@ def simulate(
             run_chunk(*b)
 
     return PathEnsemble(times=times, values=out, seed=int(seed))
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    """Probe-based coefficient regularity estimates.
-
-    ``lipschitz_*`` are the largest observed ratios
-    ``|f(x) - f(y)| / |x - y|``; ``bound_*`` the largest observed norms.
-    The squared-form constants of the local regularity assumption are the
-    squares of these.  ``passed`` is None when no ceilings were given.
-    """
-
-    lipschitz_drift: float
-    lipschitz_diffusion: float
-    bound_drift: float
-    bound_diffusion: float
-    passed: bool = None
-    ceilings: dict = None
-
-
-def validate_lipschitz(coeffs, region, probes, seed=0, ceilings=None, time=0.0):
-    """Estimate coefficient Lipschitz constants and sup bounds by probing.
-
-    Parameters
-    ----------
-    region : GridSpec or (low, high) pair of 3-vectors
-        Box to draw probe points from.
-    probes : int
-        Random probe pairs, at least 2.
-    ceilings : dict, optional
-        Any of ``lipschitz_drift``, ``lipschitz_diffusion``,
-        ``bound_drift``, ``bound_diffusion``; estimates are checked
-        against these and the report carries an overall pass flag.
-
-    This is a report, not a proof: constants are best observed values.
-    """
-    if probes < 2:
-        raise ValidationError("need at least 2 probe pairs")
-    if isinstance(region, GridSpec):
-        low = np.array([e[0] for e in region.extents], dtype=float)
-        high = np.array([e[1] for e in region.extents], dtype=float)
-    else:
-        low = np.asarray(region[0], dtype=float)
-        high = np.asarray(region[1], dtype=float)
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
-    xs = rng.uniform(low, high, size=(probes, STATE_DIM))
-    ys = rng.uniform(low, high, size=(probes, STATE_DIM))
-
-    mu_x = np.asarray(coeffs.drift(time, xs), dtype=float)
-    mu_y = np.asarray(coeffs.drift(time, ys), dtype=float)
-    om_x = np.asarray(coeffs.diffusion(time, xs), dtype=float)
-    om_y = np.asarray(coeffs.diffusion(time, ys), dtype=float)
-
-    gap = np.linalg.norm(xs - ys, axis=1)
-    ok = gap > 1e-12
-    lip_mu = float(
-        np.max(np.linalg.norm(mu_x - mu_y, axis=1)[ok] / gap[ok], initial=0.0)
-    )
-    diff_om = np.sqrt(np.sum((om_x - om_y) ** 2, axis=(1, 2)))
-    lip_om = float(np.max(diff_om[ok] / gap[ok], initial=0.0))
-    bound_mu = float(np.linalg.norm(mu_x, axis=1).max())
-    bound_om = float(np.sqrt(np.sum(om_x**2, axis=(1, 2))).max())
-
-    passed = None
-    if ceilings:
-        estimates = {
-            "lipschitz_drift": lip_mu,
-            "lipschitz_diffusion": lip_om,
-            "bound_drift": bound_mu,
-            "bound_diffusion": bound_om,
-        }
-        passed = all(estimates[k] <= v for k, v in ceilings.items())
-    return LipschitzReport(lip_mu, lip_om, bound_mu, bound_om, passed, ceilings)
-
-
-def path_payoffs(ensemble, profit, stubbornness=1.0, region_weight=1.0):
-    """Per-path payoff: time integral of ``profit(s, x) * stubbornness``.
-
-    ``profit`` maps ``(s, x_block)`` with ``x_block`` of shape ``(n, 3)``
-    to ``n`` values.  The trapezoid rule discretizes the time integral;
-    ``region_weight`` carries the measure of the strategy cross-section.
-    """
-    times = ensemble.times
-    vals = np.empty((ensemble.n_paths, len(times)))
-    for k, s in enumerate(times):
-        vals[:, k] = np.asarray(profit(s, ensemble.values[:, k, :]), dtype=float)
-    integral = np.trapezoid(vals, times, axis=1)
-    return integral * float(stubbornness) * float(region_weight)
-
-
-@dataclass(frozen=True)
-class NashCheck:
-    holds: bool
-    confidence: float
-    mean_star: float
-    mean_deviation: float
-
-
-def nash_check(payoff_star, payoff_deviation, horizon_star=None, horizon_deviation=None):
-    """Test the equilibrium payoff inequality between two strategy profiles.
-
-    ``holds`` reports whether the candidate-optimal ensemble mean is at
-    least the deviation ensemble mean; ``confidence`` is the normal
-    approximation of the probability that the ordering is real given the
-    sampling noise (0.5 exactly at equality).
-    """
-    a = np.asarray(payoff_star, dtype=float).reshape(-1)
-    b = np.asarray(payoff_deviation, dtype=float).reshape(-1)
-    if a.size < 2 or b.size < 2:
-        raise ValidationError("payoff ensembles need at least 2 paths each")
-    if horizon_star is not None and horizon_deviation is not None:
-        if not np.isclose(horizon_star, horizon_deviation):
-            raise ValidationError("payoff ensembles have mismatched horizons")
-    delta = a.mean() - b.mean()
-    se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
-    if se == 0.0:
-        confidence = 0.5 if delta == 0.0 else (1.0 if delta > 0 else 0.0)
-    else:
-        confidence = float(ndtr(delta / se))
-    return NashCheck(
-        holds=bool(delta >= 0.0),
-        confidence=confidence,
-        mean_star=float(a.mean()),
-        mean_deviation=float(b.mean()),
-    )

@@ -17,6 +17,8 @@ preset.  It enters only the manifest's config digest.
 from __future__ import annotations
 
 import json
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,6 +91,8 @@ _SECTION_KEYS = {
     "side": {"area", "radius", "curvature", "theta", "rho", "tau"},
     "fields": {"v", "u", "spacing"},
     "field": {"drift", "noise"},
+    "noise": {"fourier_seed", "modes"},
+    "timed": {"base", "rate"},
 }
 
 METRIC_PRESETS = ("flat", "sphere", "constant")
@@ -256,55 +260,219 @@ def _build_field(spec):
 # ---------------------------------------------------------------------------
 # validation
 
+_SEQUENCE = (list, tuple)
 
-def _validate_axis(axis, name, problems):
-    if (
-        not isinstance(axis, (list, tuple))
-        or len(axis) != 3
-        or not all(isinstance(v, (int, float)) for v in axis)
-    ):
-        problems.append(f"{name}: expected [start, stop, count]")
-        return
-    start, stop, count = axis
-    if stop <= start:
-        problems.append(f"{name}: start must be below stop")
-    if int(count) != count or count < 3:
-        problems.append(f"{name}: node count must be an integer >= 3")
+_POSITIVE = dict(lo=0, lo_open=True)
+
+# limits of every numeric field, per section; a key is checked when present
+# (the defaults make the required ones present), ``optional`` lets it be null
+_NUMBER_FIELDS = {
+    "metric": {"radius": _POSITIVE},
+    "gff": {
+        "gamma": dict(lo=0, hi=2, lo_open=True),
+        "grid_size": dict(lo=4, integer=True, optional=True),
+    },
+    "sde": {
+        "steps": dict(lo=2, integer=True),
+        "paths": dict(lo=1, integer=True),
+        "horizon": _POSITIVE,
+    },
+    "kernel": {
+        "mass": _POSITIVE,
+        "step": _POSITIVE,
+        "freedom_exponent": dict(lo=0, hi=1, lo_open=True, hi_open=True),
+        "mean_share": {},
+        "multiplier": {},
+        "domain_halfwidth": _POSITIVE,
+        "normalization_samples": dict(lo=1, integer=True),
+        "correlation_samples": dict(lo=2, integer=True),
+    },
+    "profit": {
+        "value": {},
+        "base": {},
+        "exponent": {},
+        "peak": {},
+        "curvature": {},
+        "vertex": dict(lo=0, hi=1, lo_open=True),
+    },
+    "evolve": {
+        "packet_width": dict(_POSITIVE, optional=True),
+        "steps": dict(lo=0, integer=True),
+    },
+    "firm": {
+        "strategy": {},
+        "alpha_own": dict(lo=0, hi=1),
+        "alpha_other": dict(lo=0, hi=1),
+        "coop_own": dict(lo=0, hi=1, lo_open=True),
+        "coop_other": dict(lo=0, hi=1, lo_open=True),
+        "stubbornness": {},
+        "area": dict(lo=0, optional=True),
+    },
+    "polygon": {
+        "indicator": dict(lo=0, hi=1, integer=True),
+        "positive_count": dict(lo=1, integer=True, optional=True),
+    },
+    "fields": {"spacing": dict(_POSITIVE, optional=True)},
+    "noise": {"fourier_seed": dict(lo=0, integer=True), "modes": dict(lo=1, integer=True)},
+}
 
 
-def _validate_range(value, lo, hi, name, problems, lo_open=False, hi_open=False):
-    if not isinstance(value, (int, float)):
-        problems.append(f"{name}: expected a number")
-        return
-    above = value > lo if lo_open else value >= lo
-    below = value < hi if hi_open else value <= hi
-    if not (above and below):
+def _validate_range(
+    value, name, problems, lo=None, hi=None, lo_open=False, hi_open=False,
+    integer=False, optional=False,
+):
+    """The one type and range check of every numeric scenario field.
+
+    Appends a problem and returns False unless ``value`` is a finite
+    number (an integer when ``integer``; never a boolean) between ``lo``
+    and ``hi``, each end closed unless ``lo_open``/``hi_open``.  ``None``
+    passes when ``optional``.
+    """
+    if value is None and optional:
+        return True
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        problems.append(f"{name}: expected {'an integer' if integer else 'a number'}")
+        return False
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        problems.append(f"{name}: expected a finite number")
+        return False
+    above = lo is None or (value > lo if lo_open else value >= lo)
+    below = hi is None or (value < hi if hi_open else value <= hi)
+    if above and below:
+        return True
+    if hi is None:
+        problems.append(f"{name} must be {'>' if lo_open else '>='} {lo}")
+    else:
         lo_b = "(" if lo_open else "["
         hi_b = ")" if hi_open else "]"
         problems.append(f"{name} must lie in {lo_b}{lo},{hi}{hi_b}")
+    return False
+
+
+def _validate_numbers(section, values, name, problems):
+    for key, limits in _NUMBER_FIELDS[section].items():
+        if key in values:
+            _validate_range(values[key], f"{name}.{key}", problems, **limits)
+
+
+def _validate_axis(axis, name, problems):
+    if not isinstance(axis, _SEQUENCE) or len(axis) != 3:
+        problems.append(f"{name}: expected [start, stop, count]")
+        return
+    start, stop, count = axis
+    ends = _validate_range(start, f"{name}.start", problems)
+    ends &= _validate_range(stop, f"{name}.stop", problems)
+    if ends and stop <= start:
+        problems.append(f"{name}: start must be below stop")
+    _validate_range(count, f"{name}.count", problems, lo=3, integer=True)
+
+
+def _validate_list(value, name, problems, length=None, item=_validate_range, **limits):
+    """A list of ``length`` entries (any number when None), each checked
+    by ``item`` with ``limits``."""
+    if not isinstance(value, _SEQUENCE) or length not in (None, len(value)):
+        problems.append(f"{name}: expected a list" + (f" of {length}" if length else ""))
+        return
+    for k, v in enumerate(value):
+        item(v, f"{name}[{k}]", problems, **limits)
+
+
+def _validate_timed(value, name, problems):
+    """A number, or ``{"base": b, "rate": r}`` for ``b + r * time``."""
+    if not isinstance(value, dict):
+        _validate_range(value, name, problems)
+        return
+    _check_keys("timed", value, name, problems)
+    _validate_range(value.get("base"), f"{name}.base", problems)
+    _validate_range(value.get("rate", 0.0), f"{name}.rate", problems)
+
+
+def _validate_side(side, name, problems):
+    if not isinstance(side, dict):
+        problems.append(f"{name}: expected an object")
+        return
+    _check_keys("side", side, name, problems)
+    if "area" in side:
+        _validate_range(side["area"], f"{name}.area", problems)
+        return
+    for key in ("radius", "curvature", "theta", "rho", "tau"):
+        if key not in side:
+            problems.append(f"{name}: missing '{key}' (or give a precomputed area)")
+    if "radius" in side:
+        _validate_timed(side["radius"], f"{name}.radius", problems)
+    curv = side.get("curvature")
+    if isinstance(curv, dict) and curv.get("kind") == "sphere":
+        pass
+    elif isinstance(curv, dict) and "value" in curv:
+        _validate_timed(curv["value"], f"{name}.curvature.value", problems)
+    elif "curvature" in side:
+        _validate_timed(curv, f"{name}.curvature", problems)
+    for key in ("theta", "rho", "tau"):
+        if key in side:
+            _validate_list(side[key], f"{name}.{key}", problems, 2, _validate_timed)
+
+
+def _validate_term(term, name, problems):
+    """``[coefficient, [e0, e1, e2]]``, one term of a polynomial."""
+    if not isinstance(term, _SEQUENCE) or len(term) != 2:
+        problems.append(f"{name}: expected [coefficient, exponents]")
+        return
+    _validate_range(term[0], name, problems)
+    _validate_list(term[1], f"{name} exponents", problems, 3, lo=0, integer=True)
+
+
+def _validate_terms(components, name, problems):
+    """Three polynomial components, each a list of terms."""
+    _validate_list(
+        components, name, problems, 3,
+        lambda terms, where, p: _validate_list(terms, where, p, item=_validate_term),
+    )
+
+
+def _validate_field(spec, name, problems):
+    if not isinstance(spec, dict):
+        problems.append(f"{name}: expected an object")
+        return
+    _check_keys("field", spec, name, problems)
+    _validate_terms(spec.get("drift"), f"{name}.drift", problems)
+    noise = spec.get("noise")
+    if isinstance(noise, dict):
+        _check_keys("noise", noise, f"{name}.noise", problems)
+        if "fourier_seed" not in noise:
+            problems.append(f"{name}.noise: missing 'fourier_seed'")
+        _validate_numbers("noise", noise, f"{name}.noise", problems)
+    elif noise is not None:
+        _validate_terms(noise, f"{name}.noise", problems)
 
 
 def parse_scenario(path_or_dict):
     """Parse and fully validate a scenario document.
 
     Every violated precondition is collected; the raised
-    :class:`ValidationError` lists all of them.
+    :class:`ValidationError` lists all of them.  Malformed input of any
+    shape ends in that error, never in another exception.
     """
-    if isinstance(path_or_dict, dict):
-        raw = path_or_dict
-    else:
+    raw = path_or_dict
+    if isinstance(raw, (str, os.PathLike)):
         try:
-            with open(path_or_dict) as fh:
+            with open(raw) as fh:
                 raw = json.load(fh)
-        except FileNotFoundError:
-            raise ValidationError(f"scenario file not found: {path_or_dict}")
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise ValidationError(f"cannot read scenario file {path_or_dict}: {exc}")
+        except ValueError as exc:
             raise ValidationError(f"scenario is not well-formed JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise ValidationError("scenario must be a JSON object")
 
     problems = []
     unknown = set(raw) - _TOP_KEYS
     if unknown:
-        problems.append(f"unknown top-level keys {sorted(unknown)}")
+        problems.append(f"unknown top-level keys {sorted(map(str, unknown))}")
     for key in ("grid", "metric", "firms"):
         if key not in raw:
             problems.append(f"missing required section '{key}'")
@@ -321,8 +489,27 @@ def parse_scenario(path_or_dict):
     if problems:
         raise ValidationError("invalid scenario", problems)
 
+    sections = ["grid", "metric", *(k for k, v in _DEFAULTS.items() if isinstance(v, dict))]
+    sections += [k for k in ("polygon", "fields") if data.get(k) is not None]
+    for key in sections:
+        if not isinstance(data[key], dict):
+            problems.append(f"{key}: expected an object")
+    firms = data["firms"]
+    if not isinstance(firms, list) or not firms:
+        problems.append("firms: need at least one firm")
+    else:
+        for i, firm in enumerate(firms):
+            if not isinstance(firm, dict):
+                problems.append(f"firms[{i}]: expected an object")
+    if problems:
+        raise ValidationError("invalid scenario", problems)
+
+    for section in sections:
+        _check_keys(section, data[section], section, problems)
+        if section in _NUMBER_FIELDS:
+            _validate_numbers(section, data[section], section, problems)
+
     grid = data["grid"]
-    _check_keys("grid", grid, "grid", problems)
     for axis in ("time", "sigma1", "sigma2"):
         if axis not in grid:
             problems.append(f"grid: missing axis '{axis}'")
@@ -330,124 +517,61 @@ def parse_scenario(path_or_dict):
             _validate_axis(grid[axis], f"grid.{axis}", problems)
 
     metric = data["metric"]
-    _check_keys("metric", metric, "metric", problems)
     if "file" in metric:
-        import os
-
-        if not os.path.exists(metric["file"]):
+        if not isinstance(metric["file"], str):
+            problems.append("metric.file: expected a path")
+        elif not os.path.exists(metric["file"]):
             problems.append(f"metric: file not found: {metric['file']}")
     elif "preset" not in metric:
         problems.append("metric: needs either a preset or a file")
     elif metric["preset"] not in METRIC_PRESETS:
         problems.append(f"metric: unknown preset '{metric['preset']}'")
-    elif metric["preset"] == "constant" and "matrix" not in metric:
-        problems.append("metric: constant preset needs a matrix")
+    elif metric["preset"] == "constant":
+        rows = metric.get("matrix")
+        if not isinstance(rows, _SEQUENCE) or not rows:
+            problems.append("metric: constant preset needs a square matrix")
+        else:
+            for i, row in enumerate(rows):
+                _validate_list(row, f"metric.matrix[{i}]", problems, len(rows))
 
-    background = data["background"]
-    _check_keys("background", background, "background", problems)
-    if background.get("preset") not in BACKGROUND_PRESETS:
-        problems.append(f"background: unknown preset '{background.get('preset')}'")
+    if data["background"].get("preset") not in BACKGROUND_PRESETS:
+        problems.append(f"background: unknown preset '{data['background'].get('preset')}'")
 
-    gff = data["gff"]
-    _check_keys("gff", gff, "gff", problems)
-    gamma = gff.get("gamma", 1.0)
-    if not (isinstance(gamma, (int, float)) and 0.0 < gamma <= 2.0):
-        problems.append("gff: gamma must lie in (0,2]")
-    if gff.get("grid_size") is not None and gff["grid_size"] < 4:
-        problems.append("gff: grid size must be at least 4")
+    for i, firm in enumerate(firms):
+        name = f"firms[{i}]"
+        _check_keys("firm", firm, name, problems)
+        for key in ("share", "strategy", "alpha_own", "alpha_other", "coop_own", "coop_other"):
+            if key not in firm:
+                problems.append(f"{name}: missing '{key}'")
+        if "share" in firm:
+            _validate_list(firm["share"], f"{name}.share", problems, 3)
+        _validate_numbers("firm", firm, name, problems)
 
-    firms = data.get("firms", [])
-    if not isinstance(firms, list) or not firms:
-        problems.append("firms: need at least one firm")
-    else:
-        for i, firm in enumerate(firms):
-            name = f"firms[{i}]"
-            _check_keys("firm", firm, name, problems)
-            for key in ("share", "strategy", "alpha_own", "alpha_other", "coop_own", "coop_other"):
-                if key not in firm:
-                    problems.append(f"{name}: missing '{key}'")
-            if "share" in firm and len(firm.get("share", [])) != 3:
-                problems.append(f"{name}: share must be a 3-vector")
-            for key in ("alpha_own", "alpha_other"):
-                if key in firm:
-                    _validate_range(firm[key], 0, 1, f"{name}.{key}", problems)
-            for key in ("coop_own", "coop_other"):
-                if key in firm:
-                    _validate_range(firm[key], 0, 1, f"{name}.{key}", problems, lo_open=True)
+    if data["profit"].get("preset") not in PROFIT_PRESETS:
+        problems.append(f"profit: unknown preset '{data['profit'].get('preset')}'")
 
-    sde = data["sde"]
-    _check_keys("sde", sde, "sde", problems)
-    if sde.get("steps", 16) < 2:
-        problems.append("sde: step count must be at least 2")
-    if sde.get("paths", 1) < 1:
-        problems.append("sde: path count must be positive")
-    if not sde.get("horizon", 1.0) > 0:
-        problems.append("sde: horizon must be positive")
+    for key in ("ghost", "fp_det"):
+        if not isinstance(data["action"][key], bool):
+            problems.append(f"action.{key}: expected true or false")
 
-    kernel = data["kernel"]
-    _check_keys("kernel", kernel, "kernel", problems)
-    if not kernel.get("mass", 1.0) > 0:
-        problems.append("kernel: mass must be positive")
-    if not kernel.get("step", 1.0) > 0:
-        problems.append("kernel: step must be positive")
-    _validate_range(
-        kernel.get("freedom_exponent", 0.5), 0, 1, "kernel.freedom_exponent",
-        problems, lo_open=True, hi_open=True,
-    )
-    if not kernel.get("domain_halfwidth", 1.0) > 0:
-        problems.append("kernel: domain halfwidth must be positive")
-    for key, least in (("normalization_samples", 1), ("correlation_samples", 2)):
-        count = kernel.get(key)
-        if isinstance(count, bool) or not isinstance(count, int) or count < least:
-            problems.append(f"kernel.{key} must be an integer >= {least}")
+    _validate_range(data["rho_grid"], "rho_grid", problems, lo=16, integer=True)
 
-    profit = data["profit"]
-    _check_keys("profit", profit, "profit", problems)
-    if profit.get("preset") not in PROFIT_PRESETS:
-        problems.append(f"profit: unknown preset '{profit.get('preset')}'")
-    if profit.get("preset") == "rho_quadratic":
-        _validate_range(
-            profit.get("vertex", 0.6), 0, 1, "profit.vertex", problems,
-            lo_open=True,
-        )
-
-    evolve = data["evolve"]
-    _check_keys("evolve", evolve, "evolve", problems)
-    if evolve.get("steps", 1) < 0:
-        problems.append("evolve: step count must be non-negative")
-
-    action = data["action"]
-    _check_keys("action", action, "action", problems)
-
-    if not isinstance(data["rho_grid"], int) or data["rho_grid"] < 16:
-        problems.append("rho_grid must be an integer >= 16")
-
-    if "polygon" in data and data["polygon"] is not None:
-        poly = data["polygon"]
-        _check_keys("polygon", poly, "polygon", problems)
+    poly = data.get("polygon")
+    if poly is not None:
         sides = poly.get("sides")
         if not isinstance(sides, list) or not sides:
             problems.append("polygon: needs a non-empty side list")
         else:
             for i, side in enumerate(sides):
-                _check_keys("side", side, f"polygon.sides[{i}]", problems)
-                if "area" not in side:
-                    for key in ("radius", "curvature", "theta", "rho", "tau"):
-                        if key not in side:
-                            problems.append(
-                                f"polygon.sides[{i}]: missing '{key}' (or give a precomputed area)"
-                            )
+                _validate_side(side, f"polygon.sides[{i}]", problems)
 
-    if "fields" in data and data["fields"] is not None:
-        fields = data["fields"]
-        _check_keys("fields", fields, "fields", problems)
+    fields = data.get("fields")
+    if fields is not None:
         for name in ("v", "u"):
             if name not in fields:
                 problems.append(f"fields: missing '{name}'")
             else:
-                _check_keys("field", fields[name], f"fields.{name}", problems)
-                if "drift" not in fields[name] or len(fields[name]["drift"]) != 3:
-                    problems.append(f"fields.{name}: drift needs 3 component term lists")
+                _validate_field(fields[name], f"fields.{name}", problems)
 
     if problems:
         raise ValidationError("invalid scenario", problems)

@@ -16,17 +16,13 @@ measure ``Q = 2/gamma + gamma/2``; rigid bodies sit at the minimum
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.fft import dstn
 
-from .errors import RangeOverflowError, ValidationError
+from .errors import ValidationError
 
 GFF_ENERGY_SCALE = 2.0 * np.pi
 
 BROWNIAN_SURFACE_GAMMA = np.sqrt(8.0 / 3.0)
-
-_EXP_LIMIT = 700.0
 
 
 class GFFSampler:
@@ -88,48 +84,6 @@ def sample_gff(grid_size, seed):
     return GFFSampler(grid_size, seed).sample()
 
 
-def dirichlet_laplacian(grid_size, domain_length=1.0):
-    """Sparse five-point (negative) Laplacian on interior nodes."""
-    n = int(grid_size)
-    if n < 4:
-        raise ValidationError("grid size must be at least 4")
-    m = n - 2
-    h = float(domain_length) / (n - 1)
-    one = sp.diags(
-        [np.full(m - 1, -1.0), np.full(m, 2.0), np.full(m - 1, -1.0)], [-1, 0, 1]
-    )
-    eye = sp.identity(m)
-    return (sp.kron(one, eye) + sp.kron(eye, one)).tocsc() / h**2
-
-
-def green_function_column(grid_size, node, domain_length=1.0):
-    """Green's function of the discrete Laplacian for one source node.
-
-    Solves the discrete Poisson problem with a unit right-hand side at
-    ``node`` (interior multi-index on the full grid) by sparse LU, i.e.
-    the matrix-inverse column.  Returned embedded in the full grid with
-    zeros on the boundary.
-    """
-    n = int(grid_size)
-    m = n - 2
-    i, j = (int(node[0]), int(node[1]))
-    if not (1 <= i <= m and 1 <= j <= m):
-        raise ValidationError("source node must be interior")
-    lap = dirichlet_laplacian(n, domain_length)
-    rhs = np.zeros(m * m)
-    rhs[(i - 1) * m + (j - 1)] = 1.0
-    col = spla.spsolve(lap, rhs)
-    full = np.zeros((n, n))
-    full[1:-1, 1:-1] = col.reshape(m, m)
-    return full
-
-
-def covariance_between(grid_size, node_a, node_b, domain_length=1.0):
-    """Model covariance ``2*pi * G(a, b)`` of the sampled field."""
-    g = green_function_column(grid_size, node_a, domain_length)
-    return GFF_ENERGY_SCALE * g[node_b[0], node_b[1]]
-
-
 def stubbornness_measure(gamma):
     """Measure ``Q = 2/gamma + gamma/2`` for ``gamma`` in ``(0, 2]``.
 
@@ -157,25 +111,3 @@ def regime_note(gamma, tolerance=1e-9):
     if gamma <= 0.25:
         return "flexible"
     return "intermediate"
-
-
-def conformal_factor(b, gamma):
-    """Elementwise ``exp(gamma * b)``, positive everywhere.
-
-    Raises :class:`RangeOverflowError` naming the first node where the
-    exponent would overflow double precision.
-    """
-    gamma = float(gamma)
-    if not 0.0 < gamma <= 2.0:
-        raise ValidationError("gamma must lie in (0,2]")
-    b = np.asarray(b, dtype=float)
-    exponent = gamma * b
-    over = exponent > _EXP_LIMIT
-    if np.any(over):
-        node = tuple(int(i) for i in np.argwhere(over)[0])
-        raise RangeOverflowError(
-            f"conformal exponent {exponent[node]:.3g} exceeds {_EXP_LIMIT} "
-            f"at node {node}",
-            node=node,
-        )
-    return np.exp(exponent)

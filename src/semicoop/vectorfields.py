@@ -7,8 +7,8 @@ and the four-term expansion of the commutator
     [V, U] = [v, u] + [v, w] + [b, u] + [b, w]
 
 is evaluated with central differences term by term.  A nonzero
-commutator over a region is the operational test for curvature induced
-by a firm's strategy.
+commutator at a point is the operational test for curvature induced by
+a firm's strategy there.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .grids import GridSpec
 
 DIM = 3
 DEFAULT_RELATIVE_SPACING = 1e-4
@@ -95,12 +94,6 @@ class VectorField:
         object.__setattr__(self, "noise", noise)
 
     @classmethod
-    def constant(cls, drift_values, noise_values=None):
-        make = lambda v: (lambda y, v=float(v): v)
-        noise = None if noise_values is None else tuple(make(v) for v in noise_values)
-        return cls(tuple(make(v) for v in drift_values), noise)
-
-    @classmethod
     def from_polynomials(cls, drift_terms, noise_terms=None):
         drift = tuple(PolynomialComponent(t) for t in drift_terms)
         noise = (
@@ -121,14 +114,6 @@ class VectorField:
 
     def noise_at(self, y):
         return np.array([float(f(y)) for f in self.noise])
-
-    def probe_bounded(self, points, limit=1e12):
-        """Check all components evaluate finite and below ``limit``."""
-        for y in points:
-            vals = np.concatenate([self.drift_at(y), self.noise_at(y)])
-            if np.any(~np.isfinite(vals)) or np.any(np.abs(vals) > limit):
-                return False
-        return True
 
 
 def _component_values(field, y):
@@ -186,39 +171,3 @@ def lie_bracket(field_v, field_u, point, spacing=None):
             raise NumericalError(f"non-finite commutator term '{name}' at {point.tolist()}")
         total = total + term
     return total
-
-
-def curvature_present(field_v, field_u, region, tolerance, spacing=None):
-    """Scan a region for a non-vanishing commutator.
-
-    Parameters
-    ----------
-    region : GridSpec or array of points
-        A grid is scanned at every node; an ``(n, 3)`` array is scanned
-        point by point.
-    tolerance : float
-        Curvature is reported present when the maximum Euclidean norm of
-        the commutator exceeds this.
-
-    Returns
-    -------
-    (present, max_norm, location)
-    """
-    if isinstance(region, GridSpec):
-        if region.n_axes != DIM:
-            raise ValidationError("region grid must have 3 axes")
-        mesh = region.meshgrid()
-        points = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    else:
-        points = np.asarray(region, dtype=float).reshape(-1, DIM)
-    if points.shape[0] == 0:
-        raise ValidationError("region must contain at least one point")
-
-    best = -1.0
-    where = None
-    for y in points:
-        norm = float(np.linalg.norm(lie_bracket(field_v, field_u, y, spacing)))
-        if norm > best:
-            best = norm
-            where = y.copy()
-    return bool(best > tolerance), best, where

@@ -21,12 +21,6 @@ def test_trapezoid_weights_integrate_volume():
     assert np.isclose(grid.trapezoid_weights().sum(), 2.0 * 3.0 * 0.5)
 
 
-def test_subgrid_preserves_coordinates():
-    grid = GridSpec.from_axes((0.0, 1.0, 9), (0.0, 1.0, 5))
-    sub = grid.subgrid(0, 2, 6)
-    assert np.allclose(sub.coordinates(0), grid.coordinates(0)[2:7])
-
-
 def test_grid_roundtrip_real(tmp_path):
     grid = GridSpec.from_axes((0.0, 1.0, 4), (0.0, 2.0, 5))
     values = np.arange(4 * 5 * 3 * 3, dtype=float).reshape(4, 5, 3, 3)

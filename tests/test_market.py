@@ -5,16 +5,21 @@ import pytest
 
 from semicoop import GridSpec, NumericalError, SingularMetricError, ValidationError
 from semicoop import geometry as geo
-from semicoop.market import (
-    FirmState,
-    SDECoefficients,
-    constant_coefficients,
-    derive_coefficients,
-    nash_check,
-    path_payoffs,
-    simulate,
-    validate_lipschitz,
-)
+from semicoop.market import FirmState, SDECoefficients, derive_coefficients, simulate
+
+
+def constant_coefficients(mu, omega):
+    """Fixed drift vector and diffusion matrix as batched callables."""
+    mu = np.asarray(mu, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+
+    def drift(s, x):
+        return np.broadcast_to(mu, np.atleast_2d(x).shape).copy()
+
+    def diffusion(s, x):
+        return np.broadcast_to(omega, (np.atleast_2d(x).shape[0],) + omega.shape).copy()
+
+    return SDECoefficients(drift=drift, diffusion=diffusion)
 
 
 def zero_diffusion(s, x):
@@ -43,9 +48,7 @@ def nearest_node_coefficients(coeffs):
     return SDECoefficients(drift=drift, diffusion=diffusion)
 
 
-def reference_simulate(
-    coeffs, x0, horizon, steps, paths, seed, increments=None, correlation=None
-):
+def reference_simulate(coeffs, x0, horizon, steps, paths, seed, increments=None):
     """Path-major Euler-Maruyama, one einsum per step over (n, 3) states,
     on the chunk-keyed streams of ``simulate``."""
     dt = horizon / steps
@@ -59,8 +62,6 @@ def reference_simulate(
             ss = np.random.SeedSequence(seed, spawn_key=(0x5DE, c))
             dw = np.random.default_rng(ss).standard_normal((hi - lo, steps, 3))
             dw = dw * math.sqrt(dt)
-        if correlation is not None:
-            dw = dw @ np.linalg.cholesky(correlation).T
         x = np.broadcast_to(x0, (hi - lo, 3)).copy()
         out[lo:hi, 0] = x
         for k in range(steps):
@@ -92,7 +93,7 @@ class TestFirmState:
 
     def test_valid_state(self):
         firm = self.make()
-        assert firm.scalar_share == 0.4
+        assert np.array_equal(firm.share, [0.4, 0.1, 0.2])
 
     def test_alpha_range(self):
         with pytest.raises(ValidationError):
@@ -233,16 +234,6 @@ class TestSimulate:
         for lo, hi in zip(errors[1:], errors[:-1]):
             assert 1.2 < hi / lo < 1.7
 
-    def test_correlated_increments(self):
-        corr = np.array([[1.0, 0.9, 0.0], [0.9, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        coeffs = constant_coefficients(np.zeros(3), np.eye(3))
-        ens = simulate(
-            coeffs, np.zeros(3), 1.0, 4, 20000, seed=3, correlation=corr
-        )
-        final = ens.values[:, -1, :]
-        sample = np.corrcoef(final[:, 0], final[:, 1])[0, 1]
-        assert abs(sample - 0.9) < 0.02
-
     def test_step_floor(self):
         coeffs = constant_coefficients(np.zeros(3), np.eye(3))
         with pytest.raises(ValidationError):
@@ -305,13 +296,6 @@ class TestComponentMajorKernel:
         outside = np.any((ens.values < low) | (ens.values > high), axis=-1)
         assert outside.mean() > 0.2
 
-    def test_correlation_matches_reference(self, coeffs):
-        corr = np.array([[1.0, 0.6, 0.2], [0.6, 1.0, -0.3], [0.2, -0.3, 1.0]])
-        ens = simulate(
-            coeffs, self.x0, 1.0, 16, self.paths, 5, correlation=corr, threads=2
-        )
-        assert_same_bits(ens.values, self.reference(coeffs, correlation=corr))
-
     def test_increments_match_reference(self, coeffs):
         dw = np.random.default_rng(3).standard_normal((self.paths, 16, 3)) * 0.25
         ens = simulate(coeffs, self.x0, 1.0, 16, self.paths, 0, increments=dw)
@@ -352,12 +336,6 @@ class TestComponentMajorKernel:
         assert np.signbit(ens.values[:, 0, 0]).all()
         assert not np.signbit(ens.values[:, 1:, 0]).any()
 
-    def test_lipschitz_report_unchanged(self, coeffs):
-        region = (np.array([-0.5, 0.0, -0.5]), np.array([1.5, 3.0, 1.5]))
-        got = validate_lipschitz(coeffs, region, probes=3000, seed=4)
-        want = validate_lipschitz(nearest_node_coefficients(coeffs), region, 3000, 4)
-        assert got == want
-
     def test_non_finite_table_names_step(self):
         metric = geo.sphere_metric(self.grid)
         coeffs = derive_coefficients(metric, geo.christoffel(metric))
@@ -373,78 +351,3 @@ class TestComponentMajorKernel:
         coeffs = SDECoefficients(drift=drift, diffusion=zero_diffusion)
         with pytest.raises(NumericalError, match="non-finite coefficients at step 3"):
             simulate(coeffs, self.x0, 1.0, 8, 10, 0)
-
-
-class TestValidateLipschitz:
-    region = (np.array([-10.0, -1.0, -1.0]), np.array([10.0, 1.0, 1.0]))
-
-    def test_constant_coefficients(self):
-        coeffs = constant_coefficients(np.ones(3), np.eye(3))
-        report = validate_lipschitz(coeffs, self.region, probes=500)
-        assert report.lipschitz_drift == 0.0
-        assert report.lipschitz_diffusion == 0.0
-        assert report.bound_drift == pytest.approx(np.sqrt(3.0))
-
-    def test_quadratic_drift_fails_unit_ceiling(self):
-        def drift(s, x):
-            x = np.atleast_2d(x)
-            out = np.zeros_like(x)
-            out[:, 0] = x[:, 0] ** 2
-            return out
-
-        coeffs = SDECoefficients(drift=drift, diffusion=zero_diffusion)
-        report = validate_lipschitz(
-            coeffs, self.region, probes=4000, ceilings={"lipschitz_drift": 1.0}
-        )
-        assert report.lipschitz_drift > 15.0
-        assert report.passed is False
-
-    def test_sine_drift_passes(self):
-        def drift(s, x):
-            x = np.atleast_2d(x)
-            out = np.zeros_like(x)
-            out[:, 0] = np.sin(x[:, 0])
-            return out
-
-        coeffs = SDECoefficients(drift=drift, diffusion=zero_diffusion)
-        report = validate_lipschitz(
-            coeffs, self.region, probes=4000, ceilings={"lipschitz_drift": 1.1}
-        )
-        assert report.lipschitz_drift <= 1.0 + 1e-9
-        assert report.passed is True
-
-    def test_probe_floor(self):
-        coeffs = constant_coefficients(np.zeros(3), np.eye(3))
-        with pytest.raises(ValidationError):
-            validate_lipschitz(coeffs, self.region, probes=1)
-
-
-class TestNashCheck:
-    def test_identical_ensembles(self):
-        result = nash_check(np.ones(64), np.ones(64))
-        assert result.holds
-        assert result.confidence == 0.5
-
-    def test_clear_dominance(self):
-        result = nash_check(np.ones(64), np.zeros(64))
-        assert result.holds
-        assert result.confidence == 1.0
-
-    def test_reversed_ordering(self):
-        payoff = np.random.default_rng(0).standard_normal(64)
-        result = nash_check(payoff - 1.0, payoff)
-        assert not result.holds
-        assert result.confidence < 0.5
-
-    def test_horizon_mismatch(self):
-        with pytest.raises(ValidationError):
-            nash_check(np.ones(4), np.ones(4), 1.0, 2.0)
-
-    def test_payoffs_from_paths(self):
-        coeffs = constant_coefficients(np.zeros(3), np.zeros((3, 3)))
-        ens = simulate(coeffs, np.full(3, 2.0), horizon=1.0, steps=4, paths=6, seed=0)
-        payoffs = path_payoffs(
-            ens, lambda s, x: x[:, 0], stubbornness=3.0, region_weight=2.0
-        )
-        # constant integrand 2.0 over unit horizon, weighted by 3 * 2
-        assert np.allclose(payoffs, 12.0)

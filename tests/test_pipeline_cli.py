@@ -4,6 +4,7 @@ per stage, so for one scenario and seed they must give the same numbers."""
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,8 +185,17 @@ def test_metric_file_off_the_scenario_grid_is_rejected(tmp_path):
         ["simulate-sde", "--scenario", "s.json", "--out", "p.bin", "--csv"],
         ["evolve", "--config", "s.json", "--out", "psi.bin", "--steps", "3"],
         ["optimal-rho", "--config", "s.json", "--grid", "32"],
+        ["--seed", "5", "pipeline", "--scenario", "s.json"],
+        ["cascade", "--kappa", "1", "--theta", "2", "--threads", "2"],
+        ["evolve", "--config", "s.json", "--out", "psi.bin", "--seed", "5"],
+        ["action", "--config", "s.json", "--out-dir", "out"],
+        ["kernel-check", "--config", "s.json", "--format", "csv"],
     ],
-    ids=["sde-paths", "sde-steps", "sde-csv", "evolve-steps", "rho-grid"],
+    ids=[
+        "sde-paths", "sde-steps", "sde-csv", "evolve-steps", "rho-grid",
+        "top-level-seed", "cascade-threads", "evolve-seed", "action-out-dir",
+        "kernel-format",
+    ],
 )
 def test_removed_flags_are_rejected(argv):
     with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
@@ -218,3 +228,22 @@ def test_kernel_sample_counts_are_validated(tmp_path, key, value):
     with contextlib.redirect_stderr(io.StringIO()):
         code, _ = run_cli("kernel-check", "--config", path)
     assert code == cli.EXIT_VALIDATION
+
+
+def test_benchmark_commands_parse():
+    """Every command of the benchmark design parses, with its shared flags
+    reaching the subcommand, so a flag change cannot fail samples."""
+    with open(Path(__file__).resolve().parents[1] / "perfbench" / "design.json") as fh:
+        design = json.load(fh)
+    fields = {"scenario": "s.json", "metric": "m.bin", "out": "out", "seed": "5"}
+    parser = cli.build_parser()
+    commands = [cmd for w in design["workloads"].values() for cmd in w["commands"]]
+    assert commands
+    for cmd in commands:
+        argv = [arg.format(**fields) for arg in cmd]
+        args = parser.parse_args(argv)
+        assert args.command in cli._COMMANDS
+        if "--seed" in argv:
+            assert args.seed == 5
+        if "--threads" in argv:
+            assert args.threads == int(argv[argv.index("--threads") + 1])

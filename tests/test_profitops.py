@@ -6,75 +6,35 @@ from hypothesis import strategies as st
 from semicoop import ValidationError
 from semicoop.profitops import (
     CascadeParams,
-    build_ladder,
     cascade_derivative,
     cascade_limit,
     cascade_sum,
-    cascade_weighted_closed_form,
-    commutator,
-    geometric_sum_from_one,
-    geometric_sum_from_zero,
 )
 
 
-class TestLadder:
-    def test_two_level_commutator(self):
-        ladder = build_ladder(2)
-        assert np.array_equal(
-            commutator(ladder.lowering, ladder.raising), np.diag([1.0, -1.0])
-        )
+def cascade_weighted_closed_form(theta, kappa, unit_effect=1.0):
+    """Closed form of ``sum_{r=1..theta} r exp(-r k)`` for one consumer.
 
-    @pytest.mark.parametrize("d", [2, 3, 5, 9])
-    def test_raising_commutes_with_itself(self, d):
-        ladder = build_ladder(d)
-        assert np.abs(commutator(ladder.raising, ladder.raising)).max() == 0.0
-        assert np.abs(commutator(ladder.lowering, ladder.lowering)).max() == 0.0
+    Differentiating the finite geometric series gives
+    ``exp(-k) * [ (1 - exp(-(theta+1) k)) / (1 - exp(-k))^2
+                 - (theta+1) exp(-theta k) / (1 - exp(-k)) ]``.
+    """
+    q = np.exp(-kappa)
+    denom = -np.expm1(-kappa)
+    first = -np.expm1(-(theta + 1) * kappa) / denom**2
+    second = (theta + 1) * np.exp(-theta * kappa) / denom
+    return unit_effect * q * (first - second)
 
-    def test_identity_below_truncation(self):
-        # root-valued matrix elements square back to integers within one ulp
-        ladder = build_ladder(5)
-        comm = commutator(ladder.lowering, ladder.raising)
-        assert np.allclose(np.diag(comm)[:4], np.ones(4), rtol=0, atol=1e-14)
 
-    def test_two_level_relation_exact(self):
-        ladder = build_ladder(2)
-        deviation = commutator(ladder.lowering, ladder.raising) - np.eye(2)
-        expected = np.zeros((2, 2))
-        expected[-1, -1] = -2.0
-        assert np.array_equal(deviation, expected)
+def geometric_sum_from_one(theta, kappa):
+    """``sum_{r=1..theta} exp(-r k)``, the sum actually starting at one."""
+    return np.exp(-kappa) * (-np.expm1(-theta * kappa)) / (-np.expm1(-kappa))
 
-    @pytest.mark.parametrize("d", [2, 4, 7])
-    def test_truncated_canonical_relation(self, d):
-        ladder = build_ladder(d)
-        deviation = commutator(ladder.lowering, ladder.raising) - np.eye(d)
-        expected = np.zeros((d, d))
-        expected[-1, -1] = -float(d)
-        assert np.allclose(deviation, expected, rtol=0, atol=1e-14)
 
-    def test_shutdown_state_annihilated(self):
-        ladder = build_ladder(6)
-        assert np.abs(ladder.lowering[:, 0]).max() == 0.0
-        top = np.zeros(6)
-        top[-1] = 1.0
-        assert np.abs(ladder.raising @ top).max() == 0.0
-
-    def test_cross_firm_commutators_vanish(self):
-        ladder = build_ladder(3)
-        low_0 = ladder.embed(ladder.lowering, 0, 2)
-        raise_1 = ladder.embed(ladder.raising, 1, 2)
-        assert np.abs(commutator(low_0, raise_1)).max() == 0.0
-
-    def test_profit_state_signs(self):
-        ladder = build_ladder(3)
-        plus = ladder.profit_state(+1)
-        minus = ladder.profit_state(-1)
-        assert np.array_equal(plus + minus, 2.0 * ladder.raising)
-        with pytest.raises(ValidationError):
-            ladder.profit_state(0)
-
-    def test_dimension_floor(self):
-        with pytest.raises(ValidationError):
-            build_ladder(1)
+def geometric_sum_from_zero(theta, kappa):
+    """``(1 - exp(-theta k)) / (1 - exp(-k))``, i.e. the sum starting at
+    zero; kept alongside because the two are easy to confuse."""
+    return (-np.expm1(-theta * kappa)) / (-np.expm1(-kappa))
 
 
 class TestCascade:

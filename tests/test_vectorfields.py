@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 import sympy
 
-from semicoop import GridSpec, NumericalError, ValidationError
+from semicoop import NumericalError, ValidationError
 from semicoop.vectorfields import (
     FourierComponent,
     PolynomialComponent,
     VectorField,
-    curvature_present,
     lie_bracket,
 )
 
@@ -36,6 +35,11 @@ def sympy_bracket(v_terms, u_terms, point):
     return np.array(out)
 
 
+def constant_field(drift_values):
+    """Field whose drift components are the given constants, noise zero."""
+    return VectorField(tuple(lambda y, v=float(v): v for v in drift_values))
+
+
 def random_poly_terms(rng, degree=3, terms=4):
     out = []
     for _ in range(terms):
@@ -48,8 +52,8 @@ def random_poly_terms(rng, degree=3, terms=4):
 
 class TestLieBracket:
     def test_constant_fields_commute(self):
-        v = VectorField.constant((1.0, -2.0, 0.5))
-        u = VectorField.constant((0.3, 0.4, -0.7))
+        v = constant_field((1.0, -2.0, 0.5))
+        u = constant_field((0.3, 0.4, -0.7))
         assert np.array_equal(lie_bracket(v, u, (0.1, 0.2, 0.3)), np.zeros(3))
 
     def test_rotation_against_translation_oracle(self):
@@ -129,51 +133,14 @@ class TestLieBracket:
 
     def test_nonfinite_term_reported(self):
         v = VectorField((lambda y: 1.0 / y[0], lambda y: 0.0, lambda y: 0.0))
-        u = VectorField.constant((1.0, 0.0, 0.0))
+        u = constant_field((1.0, 0.0, 0.0))
         with pytest.raises(NumericalError):
             lie_bracket(v, u, (0.0, 0.0, 0.0))
 
     def test_spacing_validation(self):
-        v = VectorField.constant((1.0, 0.0, 0.0))
+        v = constant_field((1.0, 0.0, 0.0))
         with pytest.raises(ValidationError):
             lie_bracket(v, v, (0, 0, 0), spacing=-1.0)
-
-
-class TestCurvaturePresent:
-    def test_coordinate_fields_flat(self):
-        v = VectorField.constant((1.0, 0.0, 0.0))
-        u = VectorField.constant((0.0, 1.0, 0.0))
-        grid = GridSpec.from_axes((0, 1, 3), (0, 1, 3), (0, 1, 3))
-        present, biggest, _ = curvature_present(v, u, grid, tolerance=1e-6)
-        assert not present
-        assert biggest == 0.0
-
-    def test_rotation_field_curves(self):
-        rotation = VectorField.from_polynomials(
-            [[(-1.0, (0, 1, 0))], [(1.0, (1, 0, 0))], []]
-        )
-        translation = VectorField.from_polynomials([[(1.0, (0, 0, 0))], [], []])
-        grid = GridSpec.from_axes((0, 1, 3), (0, 1, 3), (0, 1, 3))
-        present, biggest, where = curvature_present(
-            rotation, translation, grid, tolerance=1e-6
-        )
-        assert present
-        assert biggest > 0.1
-        assert where is not None
-
-    def test_field_against_itself(self):
-        rng = np.random.default_rng(9)
-        v = VectorField.from_polynomials([random_poly_terms(rng) for _ in range(3)])
-        present, biggest, _ = curvature_present(
-            v, v, np.array([[0.1, 0.2, 0.3]]), tolerance=1e-10
-        )
-        assert not present
-        assert biggest == 0.0
-
-    def test_empty_region_rejected(self):
-        v = VectorField.constant((1.0, 0.0, 0.0))
-        with pytest.raises(ValidationError):
-            curvature_present(v, v, np.zeros((0, 3)), tolerance=1.0)
 
 
 def test_fourier_noise_reproducible_and_smooth():
@@ -181,9 +148,10 @@ def test_fourier_noise_reproducible_and_smooth():
     again = FourierComponent(seed=7)
     y = np.array([0.3, -0.1, 0.8])
     assert comp(y) == again(y)
-    # derivative probe stays bounded
+    # every component stays finite and bounded
     field = VectorField.from_fourier_noise([[], [], []], seed=7)
-    assert field.probe_bounded([y, y + 0.1], limit=1e6)
+    values = np.concatenate([field.noise_at(p) for p in (y, y + 0.1)])
+    assert np.isfinite(values).all() and np.abs(values).max() <= 1e6
 
 
 def test_polynomial_component_validation():
