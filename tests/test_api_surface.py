@@ -12,8 +12,11 @@ package.  Imports do not count as use.
 """
 
 import ast
+import shutil
 from collections import defaultdict
 from pathlib import Path
+
+import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "semicoop"
 
@@ -24,12 +27,12 @@ ALLOWED_UNREACHED = {
 }
 
 
-def definitions():
+def definitions(package=PACKAGE):
     """``(nodes, by_name, top_level)``: every module-level function and
     class and every method by qualified name, the qualified names per bare
     name, and each module's other top-level statements."""
     nodes, by_name, top_level = {}, defaultdict(list), []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(Path(package).glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 top_level.append(node)
@@ -64,8 +67,8 @@ def identifiers(node):
                 yield n.attr
 
 
-def unreached_public():
-    nodes, by_name, top_level = definitions()
+def unreached_public(package=PACKAGE):
+    nodes, by_name, top_level = definitions(package)
     reached = {"cli.main"}
     pending = [nodes["cli.main"], *top_level]
     while pending:
@@ -81,3 +84,49 @@ def unreached_public():
 def test_every_public_callable_is_reached_or_allowed():
     assert unreached_public() == set(ALLOWED_UNREACHED)
 
+
+
+# deleted callables, written back as (module, anchor, source): the source
+# goes in front of the anchor line, or at the end of the module without one
+RESTORED = {
+    "market.path_payoffs": (
+        "market",
+        None,
+        "def path_payoffs(ensemble):\n    return ensemble.values[:, -1].sum(axis=-1)\n",
+    ),
+    "profitops.commutator": (
+        "profitops",
+        None,
+        "def commutator(a, b):\n    return a @ b - b @ a\n",
+    ),
+    "vectorfields.curvature_present": (
+        "vectorfields",
+        None,
+        "def curvature_present(field_v, field_u, points):\n"
+        "    return any(lie_bracket(field_v, field_u, p).any() for p in points)\n",
+    ),
+    "grids.GridSpec.subgrid": (
+        "grids",
+        "    @classmethod\n    def from_axes(",
+        "    def subgrid(self, axis):\n"
+        "        return GridSpec(self.extents[:axis], self.counts[:axis])\n\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("qualified", sorted(RESTORED))
+def test_restored_callable_is_reported(tmp_path, qualified):
+    """Writing a deleted callable back into a copy of the package, with
+    nothing calling it, makes the surface check fail on exactly that name."""
+    module, anchor, source = RESTORED[qualified]
+    package = tmp_path / "semicoop"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    path = package / f"{module}.py"
+    text = path.read_text()
+    if anchor is None:
+        text += "\n\n" + source
+    else:
+        assert text.count(anchor) == 1
+        text = text.replace(anchor, source + anchor)
+    path.write_text(text)
+    assert unreached_public(package) == set(ALLOWED_UNREACHED) | {qualified}

@@ -204,6 +204,33 @@ def test_removed_flags_are_rejected(argv):
 
 
 @pytest.mark.parametrize(
+    "command, flag, value, expected",
+    [
+        ("gff-sample", "--seed", "5", 5),
+        ("simulate-sde", "--seed", "5", 5),
+        ("simulate-sde", "--threads", "3", 3),
+        ("simulate-sde", "--format", "csv", "csv"),
+        ("kernel-check", "--seed", "5", 5),
+        ("pipeline", "--seed", "5", 5),
+        ("pipeline", "--threads", "3", 3),
+        ("pipeline", "--format", "csv", "csv"),
+        ("pipeline", "--out-dir", "out", "out"),
+    ],
+)
+def test_shared_flags_reach_their_subcommand(command, flag, value, expected):
+    """Each of the settable shared flags is declared on the subcommand
+    whose handler reads it, after the subcommand name."""
+    required = {
+        "gff-sample": ["--size", "16", "--gamma", "1", "--out", "f.bin"],
+        "simulate-sde": ["--scenario", "s.json", "--out", "p.bin"],
+        "kernel-check": ["--config", "s.json"],
+        "pipeline": ["--scenario", "s.json"],
+    }[command]
+    args = cli.build_parser().parse_args([command, *required, flag, value])
+    assert getattr(args, flag[2:].replace("-", "_")) == expected
+
+
+@pytest.mark.parametrize(
     "key, value",
     [
         ("normalization_samples", 0),

@@ -3,7 +3,9 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from semicoop import ValidationError
+from semicoop import RangeOverflowError, ValidationError
+from semicoop.geometry import christoffel, combined_metric, curvature, flat_metric
+from semicoop.grids import GridSpec
 from semicoop.stubbornness import (
     BROWNIAN_SURFACE_GAMMA,
     GFF_ENERGY_SCALE,
@@ -88,6 +90,53 @@ class TestSampler:
         ga = green_function_column(16, a)[b[0], b[1]]
         gb = green_function_column(16, b)[a[0], a[1]]
         assert np.isclose(ga, gb, rtol=1e-10)
+
+
+def conformal_factor(field, gamma):
+    """The per-node weight ``exp(gamma * b)`` that ``combined_metric``
+    puts on the Einstein tensor, read off an off-diagonal entry: with an
+    all-ones tensor on a diagonal flat background that entry is exactly
+    the weight."""
+    field = np.asarray(field, dtype=float)
+    grid = GridSpec.from_axes(*[(0.0, 1.0, n) for n in field.shape])
+    flat = flat_metric(grid)
+    bundle = curvature(flat, christoffel(flat))
+    bundle.einstein[...] = 1.0
+    return combined_metric(bundle, flat, field, gamma).values[..., 0, 1]
+
+
+class TestConformalFactor:
+    def test_zero_field_gives_unit(self):
+        assert np.array_equal(conformal_factor(np.zeros((4, 4)), 1.0), np.ones((4, 4)))
+
+    def test_small_gamma_uniform_limit(self):
+        field = np.random.default_rng(0).uniform(-5, 5, (6, 6))
+        factor = conformal_factor(field, 1e-12)
+        assert np.abs(factor - 1.0).max() < 1e-10
+
+    def test_single_node_value(self):
+        field = np.zeros((3, 3))
+        field[1, 1] = 1.0
+        factor = conformal_factor(field, 1.0)
+        assert np.isclose(factor[1, 1], np.e)
+        assert np.count_nonzero(factor != 1.0) == 1
+
+    def test_positive_everywhere(self):
+        field = np.random.default_rng(1).standard_normal((8, 8)) * 10
+        assert (conformal_factor(field, 1.5) > 0).all()
+
+    def test_overflow_reports_node(self):
+        field = np.zeros((4, 4))
+        field[2, 1] = 800.0
+        with pytest.raises(RangeOverflowError) as err:
+            conformal_factor(field, 1.0)
+        assert err.value.node == (2, 1)
+
+    def test_gamma_domain(self):
+        for gamma in (0.0, float("nan"), np.nextafter(2.0, 3.0)):
+            with pytest.raises(ValidationError):
+                conformal_factor(np.zeros((3, 3)), gamma)
+        assert np.allclose(conformal_factor(np.ones((3, 3)), 2.0), np.exp(2.0), rtol=1e-15)
 
 
 class TestStubbornnessMeasure:
