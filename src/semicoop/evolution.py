@@ -442,8 +442,8 @@ def optimal_rho(
     rhos = np.linspace(rho_min, 1.0, grid_n)
     j = np.array([objective(r) for r in rhos])
 
-    scale = max(abs(j).max(), 1.0)
-    if j.max() - j.min() <= 1e-12 * scale:
+    # relative flatness test: the objective's overall scale (1/mass) is arbitrary
+    if j.max() - j.min() <= 1e-12 * abs(j).max():
         return RhoSearchResult(None, (), False, True, rhos, j)
 
     dj = np.gradient(j, rhos)

@@ -42,6 +42,8 @@ from .grids import GridSpec
 
 _GRID_MAGIC = b"SCGRID01"
 _PATH_MAGIC = b"SCPATH01"
+# numpy arrays have at most 64 axes; no field of this package has more than 5
+_MAX_AXES = 32
 
 
 def _descriptor_path(path):
@@ -167,9 +169,16 @@ def read_grid(path):
         if magic != _GRID_MAGIC:
             raise ValidationError(f"{path}: not a grid field file")
         flags, n_axes, rank, _ = struct.unpack("<IIII", _read_exact(fh, 16, path))
+        if n_axes + rank > _MAX_AXES:
+            raise ValidationError(
+                f"{path}: header declares {n_axes} grid axes and tensor rank {rank}; "
+                f"at most {_MAX_AXES} axes in all"
+            )
         grid_shape = struct.unpack(f"<{n_axes}Q", _read_exact(fh, 8 * n_axes, path))
         tensor_shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, path))
         shape = grid_shape + tensor_shape
+        if 0 in shape:
+            raise ValidationError(f"{path}: header declares an empty axis in shape {shape}")
         count = math.prod(shape)
         if flags & 1:
             raw = _read_floats(fh, 2 * count, path).reshape(shape + (2,))

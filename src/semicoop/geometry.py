@@ -12,6 +12,7 @@ independent of any evaluation order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,6 +74,9 @@ def mixed_derivative(values, spacing_a, axis_a, spacing_b, axis_b):
 def lu_determinants(matrices):
     """Batched determinant and smallest absolute pivot via partial-pivot LU.
 
+    It runs on a component-major ``(d, d, nodes)`` copy, so each row
+    operation is one contiguous vector operation over the nodes.
+
     Parameters
     ----------
     matrices : ndarray (..., d, d)
@@ -81,29 +85,27 @@ def lu_determinants(matrices):
     -------
     (det, min_pivot) : ndarrays of shape ``matrices.shape[:-2]``
     """
-    a = np.array(matrices, dtype=float, copy=True)
-    batch_shape = a.shape[:-2]
-    d = a.shape[-1]
-    a = a.reshape(-1, d, d)
-    m = a.shape[0]
-    det = np.ones(m)
-    min_pivot = np.full(m, np.inf)
-    rows = np.arange(m)
+    matrices = np.asarray(matrices)
+    batch_shape = matrices.shape[:-2]
+    d = matrices.shape[-1]
+    a = np.array(np.moveaxis(matrices, (-2, -1), (0, 1)), dtype=float, order="C")
+    a = a.reshape(d, d, -1)
+    det = np.ones(a.shape[-1])
+    min_pivot = np.full(a.shape[-1], np.inf)
     for k in range(d):
-        piv = np.argmax(np.abs(a[:, k:, k]), axis=1) + k
-        swapped = piv != k
-        det[swapped] = -det[swapped]
-        tmp = a[rows, piv].copy()
-        a[rows, piv] = a[:, k]
-        a[:, k] = tmp
-        pk = a[:, k, k]
+        piv = np.argmax(np.abs(a[k:, k]), axis=0) + k
+        det = np.where(piv != k, -det, det)
+        for r in range(k + 1, d):
+            swap = piv == r
+            a[k], a[r] = np.where(swap, a[r], a[k]), np.where(swap, a[k], a[r])
+        pk = a[k, k]
         min_pivot = np.minimum(min_pivot, np.abs(pk))
         det = det * pk
         if k + 1 < d:
             with np.errstate(divide="ignore", invalid="ignore"):
-                mult = a[:, k + 1 :, k] / pk[:, None]
+                mult = a[k + 1 :, k] / pk
             mult[~np.isfinite(mult)] = 0.0
-            a[:, k + 1 :, k:] -= mult[:, :, None] * a[:, None, k, k:]
+            a[k + 1 :, k:] -= mult[:, None] * a[k, k:]
     return det.reshape(batch_shape), min_pivot.reshape(batch_shape)
 
 
@@ -118,7 +120,7 @@ def _first_bad_node(mask):
 
 @dataclass
 class MetricField:
-    """Symmetric matrix field with inverse and determinant carried alongside.
+    """Symmetric matrix field with its determinant, and its inverse on first use.
 
     Parameters
     ----------
@@ -137,7 +139,6 @@ class MetricField:
     values: np.ndarray
     grid: GridSpec
     signature: str = RIEMANNIAN_SIGNATURE
-    inverse: np.ndarray = field(init=False, repr=False)
     determinant: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -166,7 +167,12 @@ class MetricField:
                 node, f"smallest LU pivot {min_pivot[node]:.3e} <= {PIVOT_THRESHOLD}"
             )
         self.determinant = det
-        self.inverse = np.linalg.inv(values)
+
+    @functools.cached_property
+    def inverse(self):
+        """Per-node inverse matrices, computed when first read; fields such
+        as the flat background and the combined metric never need it."""
+        return np.linalg.inv(self.values)
 
     @property
     def dim(self):
@@ -198,9 +204,9 @@ class ChristoffelField:
 
 @dataclass
 class CurvatureBundle:
-    """Riemann, Ricci, scalar and Einstein tensors of one metric."""
+    """Ricci, scalar and Einstein tensors of one metric; no caller reads
+    Riemann, whose ``d**4`` components per node are never formed."""
 
-    riemann: np.ndarray
     ricci: np.ndarray
     scalar: np.ndarray
     einstein: np.ndarray
@@ -235,48 +241,40 @@ def christoffel(metric, grid=None):
         raise ValidationError(
             f"metric dimension {d} does not match grid with {grid.n_axes} axes"
         )
-    h = metric.values
-    dh = [first_derivative(h, grid.spacing(k), axis=k) for k in range(d)]
-
-    t = np.empty(grid.shape + (d, d, d))
-    for dd in range(d):
-        for b in range(d):
-            for c in range(d):
-                t[..., dd, b, c] = (
-                    dh[b][..., dd, c] + dh[c][..., dd, b] - dh[dd][..., b, c]
-                )
-    gamma = 0.5 * np.einsum("...ad,...dbc->...abc", metric.inverse, t)
+    # dh[..., k, i, j] = d_k h_{ij}; the bracket is indexed [d, b, c]
+    dh = np.stack(
+        [first_derivative(metric.values, grid.spacing(k), axis=k) for k in range(d)],
+        axis=-3,
+    )
+    t = (np.swapaxes(dh, -3, -2) + np.moveaxis(dh, -3, -1)) - dh
+    gamma = 0.5 * np.einsum("...ad,...dbc->...abc", metric.inverse, t, optimize=True)
     return ChristoffelField(gamma, grid)
 
 
 def curvature(metric, chris):
-    """Riemann tensor from the connection, with contractions.
+    """Ricci, scalar and Einstein tensors from the connection.
 
-    Riemann ``R^a_{bcd} = d_c gamma^a_{db} - d_d gamma^a_{cb}
-    + gamma^a_{ce} gamma^e_{db} - gamma^a_{de} gamma^e_{cb}``, Ricci by
-    contraction on the first and third slots, scalar by inverse-metric
-    contraction, and the Einstein combination assembled from those.
+    Ricci ``R_{bd} = d_a gamma^a_{db} - d_d gamma^a_{ab} + gamma^a_{ae}
+    gamma^e_{db} - gamma^a_{de} gamma^e_{ab}`` is Riemann ``R^a_{bcd}``
+    contracted on its first and third slots, formed directly: Riemann's
+    ``d**4`` components per node cost most of the layer's time and memory,
+    and no caller reads them.  The scalar is the inverse-metric contraction
+    of Ricci, and the Einstein combination is assembled from those.
     """
     grid = require_same_grid(metric, chris)
     d = metric.dim
     g = chris.values
-    dg = [first_derivative(g, grid.spacing(k), axis=k) for k in range(d)]
-
-    riemann = np.empty(grid.shape + (d, d, d, d))
-    gg = np.einsum("...ace,...edb->...abcd", g, g)
-    for a in range(d):
-        for b in range(d):
-            for c in range(d):
-                for e in range(d):
-                    riemann[..., a, b, c, e] = (
-                        dg[c][..., a, e, b] - dg[e][..., a, c, b]
-                    )
-    riemann += gg - np.swapaxes(gg, -1, -2)
-
-    ricci = np.einsum("...abad->...bd", riemann)
+    trace = np.einsum("...aab->...b", g)
+    # d_a gamma^a_{db} comes out indexed [d, b]; gamma is symmetric in (d, b)
+    ricci = sum(first_derivative(g[..., a, :, :], grid.spacing(a), axis=a) for a in range(d))
+    ricci -= np.stack(
+        [first_derivative(trace, grid.spacing(k), axis=k) for k in range(d)], axis=-1
+    )
+    ricci += np.einsum("...e,...edb->...bd", trace, g, optimize=True)
+    ricci -= np.einsum("...ade,...eab->...bd", g, g, optimize=True)
     scalar = np.einsum("...bd,...bd->...", metric.inverse, ricci)
     einstein = ricci - 0.5 * scalar[..., None, None] * metric.values
-    return CurvatureBundle(riemann, ricci, scalar, einstein, grid)
+    return CurvatureBundle(ricci, scalar, einstein, grid)
 
 
 def combined_metric(einstein_bundle, flat, stubbornness_field, gamma):

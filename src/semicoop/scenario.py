@@ -197,11 +197,11 @@ class ScenarioConfig:
         if section is None:
             raise ValidationError("scenario has no polygon section")
         areas = []
-        for side in section["sides"]:
+        for index, side in enumerate(section["sides"]):
             if "area" in side:
                 areas.append(float(side["area"]))
                 continue
-            patch = _build_patch(side, time)
+            patch = _build_patch(side, time, f"polygon.sides[{index}]")
             areas.append(patch_area(patch, quadrature_nodes))
         assembly = PolygonAssembly(
             tuple(areas),
@@ -227,18 +227,21 @@ def _timed(value, s):
     return float(value)
 
 
-def _build_patch(side, s):
+def _build_patch(side, s, where):
+    # checked here, not at parse time: a timed radius is known only at time s
+    radius = _timed(side["radius"], s)
+    if not radius > 0:
+        raise ValidationError(f"{where}.radius is {radius:g} at time {s:g}; it must be positive")
     curv = side["curvature"]
     if isinstance(curv, dict):
         if curv.get("kind") == "sphere":
-            r = _timed(side["radius"], s)
-            curvature = 1.0 / r**2
+            curvature = 1.0 / radius**2
         else:
             curvature = _timed(curv.get("value", curv), s)
     else:
         curvature = float(curv)
     return EllipsoidPatch(
-        radius=_timed(side["radius"], s),
+        radius=radius,
         curvature=curvature,
         theta=tuple(_timed(v, s) for v in side["theta"]),
         rho=tuple(_timed(v, s) for v in side["rho"]),

@@ -1,5 +1,6 @@
 """Kernel mass check and Crank-Nicolson evolution against independent oracles."""
 
+import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -322,3 +323,33 @@ def test_every_benchmark_slice_takes_the_mode_path(tmp_path, mode_calls, monkeyp
     assert {n.split("-")[0] for n in names} == {
         "world_grid", "path_ensemble", "strategy_plane", "stage_commands"
     }
+
+
+class TestOptimalRho:
+    def search(self, mass, effective_scale):
+        grid, metric = strategy_slice(geometry.flat_metric, 9)
+        psi = evolution.gaussian_packet(grid, 0.15)
+        spec = evolution.KernelSpec(mass=mass, step=0.01, effective_scale=1.0)
+        return evolution.optimal_rho(
+            lambda rho: dataclasses.replace(spec, effective_scale=effective_scale(rho)),
+            psi,
+            metric,
+            grid=32,
+        )
+
+    def test_rho_star_does_not_depend_on_the_mass(self):
+        # the objective is |F0(rho)| / (2 mass) times a constant: mass sets
+        # only its overall scale, which must not decide flatness
+        peaked = lambda rho: 1.0 - (rho - 0.6) ** 2  # noqa: E731
+        reference = self.search(1.0, peaked)
+        assert reference.rho_star == pytest.approx(0.6, abs=1e-9)
+        for mass in 10.0 ** np.arange(-6, 17):
+            result = self.search(float(mass), peaked)
+            assert not result.degenerate_flag
+            assert result.rho_star == reference.rho_star
+            assert result.stationary_points == reference.stationary_points
+
+    @pytest.mark.parametrize("mass", [1e-6, 1.0, 1e16])
+    def test_constant_scale_is_degenerate_at_any_mass(self, mass):
+        result = self.search(mass, lambda rho: 0.7)
+        assert result.degenerate_flag and result.rho_star is None

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -16,6 +18,101 @@ def sphere_setup(n_theta, theta_lo=0.5, n_phi=9):
     grid = GridSpec.from_axes((theta_lo, np.pi - theta_lo, n_theta), (0.0, 1.0, n_phi))
     metric = geo.sphere_metric(grid)
     return grid, metric
+
+
+def sheared_sphere_metric():
+    grid = GridSpec.from_axes((0.5, 2.5, 21), (0.0, 1.0, 17))
+    theta, phi = grid.meshgrid()
+    values = np.zeros(grid.shape + (2, 2))
+    values[..., 0, 0] = 1.0 + 0.3 * phi**2
+    values[..., 1, 1] = np.sin(theta) ** 2 * (1.0 + 0.2 * np.cos(3.0 * phi))
+    values[..., 0, 1] = values[..., 1, 0] = 0.25 * np.sin(theta) * np.cos(phi)
+    return geo.MetricField(values, grid)
+
+
+def random_smooth_metric(seed=3):
+    """Smooth positive-definite 3x3 field: identity plus small random
+    sinusoids in every component, symmetric by construction."""
+    grid = GridSpec.from_axes((0.0, 1.0, 9), (0.5, 2.5, 13), (0.0, 1.0, 11))
+    x = grid.meshgrid()
+    rng = np.random.default_rng(seed)
+    values = np.zeros(grid.shape + (3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            amp, freq, phase = rng.uniform(0.05, 0.2), rng.uniform(0.5, 2.0, 3), rng.uniform(0, 6, 3)
+            entry = amp * np.prod([np.sin(f * xk + p) for f, xk, p in zip(freq, x, phase)], axis=0)
+            values[..., i, j] = values[..., j, i] = entry + (1.0 if i == j else 0.0)
+    return geo.MetricField(values, grid)
+
+
+CURVED_METRICS = {
+    "sphere": lambda: sphere_setup(41)[1],
+    "sheared": sheared_sphere_metric,
+    "random3d": random_smooth_metric,
+}
+
+
+def rank4_curvature(metric, chris):
+    """Oracle: the full Riemann tensor ``R^a_{bcd} = d_c gamma^a_{db}
+    - d_d gamma^a_{cb} + gamma^a_{ce} gamma^e_{db} - gamma^a_{de}
+    gamma^e_{cb}`` per node, and Ricci, scalar and Einstein contracted
+    from it."""
+    grid = metric.grid
+    d = metric.dim
+    g = chris.values
+    dg = [geo.first_derivative(g, grid.spacing(k), axis=k) for k in range(d)]
+    riemann = np.empty(grid.shape + (d, d, d, d))
+    gg = np.einsum("...ace,...edb->...abcd", g, g)
+    for a in range(d):
+        for b in range(d):
+            for c in range(d):
+                for e in range(d):
+                    riemann[..., a, b, c, e] = dg[c][..., a, e, b] - dg[e][..., a, c, b]
+    riemann += gg - np.swapaxes(gg, -1, -2)
+    ricci = np.einsum("...abad->...bd", riemann)
+    scalar = np.einsum("...bd,...bd->...", metric.inverse, ricci)
+    einstein = ricci - 0.5 * scalar[..., None, None] * metric.values
+    return riemann, ricci, scalar, einstein
+
+
+def loop_christoffel(metric):
+    """Oracle: the bracket written one component at a time."""
+    grid, d = metric.grid, metric.dim
+    dh = [geo.first_derivative(metric.values, grid.spacing(k), axis=k) for k in range(d)]
+    t = np.empty(grid.shape + (d, d, d))
+    for dd in range(d):
+        for b in range(d):
+            for c in range(d):
+                t[..., dd, b, c] = dh[b][..., dd, c] + dh[c][..., dd, b] - dh[dd][..., b, c]
+    return 0.5 * np.einsum("...ad,...dbc->...abc", metric.inverse, t)
+
+
+def loop_lu_determinants(matrices):
+    """Oracle: node-major partial-pivot LU with fancy-indexed row swaps."""
+    a = np.array(matrices, dtype=float, copy=True)
+    batch_shape = a.shape[:-2]
+    d = a.shape[-1]
+    a = a.reshape(-1, d, d)
+    m = a.shape[0]
+    det = np.ones(m)
+    min_pivot = np.full(m, np.inf)
+    rows = np.arange(m)
+    for k in range(d):
+        piv = np.argmax(np.abs(a[:, k:, k]), axis=1) + k
+        swapped = piv != k
+        det[swapped] = -det[swapped]
+        tmp = a[rows, piv].copy()
+        a[rows, piv] = a[:, k]
+        a[:, k] = tmp
+        pk = a[:, k, k]
+        min_pivot = np.minimum(min_pivot, np.abs(pk))
+        det = det * pk
+        if k + 1 < d:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                mult = a[:, k + 1 :, k] / pk[:, None]
+            mult[~np.isfinite(mult)] = 0.0
+            a[:, k + 1 :, k:] -= mult[:, :, None] * a[:, None, k, k:]
+    return det.reshape(batch_shape), min_pivot.reshape(batch_shape)
 
 
 def sphere_exact_gamma(grid):
@@ -60,6 +157,16 @@ class TestChristoffel:
         gamma = geo.christoffel(metric).values
         assert np.array_equal(gamma, np.swapaxes(gamma, -1, -2))
 
+    @pytest.mark.parametrize("name", sorted(CURVED_METRICS))
+    def test_matches_component_loop(self, name):
+        metric = CURVED_METRICS[name]()
+        got = geo.christoffel(metric).values
+        expected = loop_christoffel(metric)
+        if name == "sphere":
+            # a diagonal inverse adds exact zeros in any order
+            assert np.array_equal(got, expected)
+        assert np.abs(got - expected).max() <= 1e-14 * np.abs(expected).max()
+
     def test_rejects_asymmetric_metric(self):
         grid = GridSpec.from_axes((0, 1, 4), (0, 1, 4))
         values = np.zeros(grid.shape + (2, 2))
@@ -89,9 +196,26 @@ class TestCurvature:
     def test_flat_zero(self):
         grid = GridSpec.from_axes((0, 1, 6), (0, 1, 6), (0, 1, 6))
         metric = geo.flat_metric(grid)
-        bundle = geo.curvature(metric, geo.christoffel(metric))
-        assert np.abs(bundle.riemann).max() < 1e-12
+        chris = geo.christoffel(metric)
+        bundle = geo.curvature(metric, chris)
+        assert np.abs(rank4_curvature(metric, chris)[0]).max() < 1e-12
+        assert np.abs(bundle.ricci).max() < 1e-12
         assert np.abs(bundle.scalar).max() < 1e-12
+
+    @pytest.mark.parametrize("name", sorted(CURVED_METRICS))
+    def test_direct_ricci_matches_rank4_contraction(self, name):
+        metric = CURVED_METRICS[name]()
+        chris = geo.christoffel(metric)
+        bundle = geo.curvature(metric, chris)
+        _, ricci, scalar, einstein = rank4_curvature(metric, chris)
+        for got, expected in ((bundle.ricci, ricci), (bundle.scalar, scalar), (bundle.einstein, einstein)):
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_bundle_keeps_no_riemann(self):
+        assert [f.name for f in dataclasses.fields(geo.CurvatureBundle)] == [
+            "ricci", "scalar", "einstein", "grid"
+        ]
 
     def test_sphere_scalar(self):
         grid, metric = sphere_setup(81)
@@ -263,6 +387,40 @@ class TestCovariantLaplacian:
         curved = geo.covariant_laplacian(metric, chris, field)
         plain = sum(geo.second_derivative(field, grid.spacing(a), a) for a in range(2))
         assert np.array_equal(curved, plain)
+
+
+def lu_batches():
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 3, 4):
+        yield rng.standard_normal((200, d, d))
+        yield np.zeros((5, d, d))
+        # tied pivot candidates: equal magnitudes, either sign, in every column
+        yield rng.choice([-1.0, 1.0], size=(64, d, d)) * rng.choice([1.0, 2.0], size=(64, 1, d))
+        yield rng.standard_normal((3, 4, d, d))
+
+
+@pytest.mark.parametrize("matrices", list(lu_batches()), ids=lambda m: f"{m.shape}")
+def test_lu_matches_node_major_loop_bitwise(matrices):
+    det, pivot = geo.lu_determinants(matrices)
+    expected_det, expected_pivot = loop_lu_determinants(matrices)
+    assert det.shape == expected_det.shape == matrices.shape[:-2]
+    assert np.array_equal(det, expected_det)
+    assert np.array_equal(pivot, expected_pivot)
+
+
+def test_lu_leaves_input_untouched():
+    matrices = np.array([[[2.0, 1.0], [4.0, 3.0]]])
+    kept = matrices.copy()
+    geo.lu_determinants(matrices)
+    assert np.array_equal(matrices, kept)
+
+
+@pytest.mark.parametrize("name", sorted(CURVED_METRICS))
+def test_inverse_is_batched_inv_bitwise(name):
+    metric = CURVED_METRICS[name]()
+    assert "inverse" not in vars(metric)
+    assert np.array_equal(metric.inverse, np.linalg.inv(metric.values))
+    assert metric.inverse is metric.inverse
 
 
 def test_lu_pivot_detects_near_singularity():

@@ -138,6 +138,26 @@ def test_header_promising_huge_payload_rejected(tmp_path):
         read_grid(path)
 
 
+@pytest.mark.parametrize(
+    "offset, field, match",
+    [
+        (12, struct.pack("<I", 254), "at most 32 axes"),  # axis count
+        (16, struct.pack("<I", 40), "at most 32 axes"),  # tensor rank
+        (32, struct.pack("<Q", 0), "empty axis"),  # second axis count
+    ],
+    ids=["axes", "rank", "empty"],
+)
+def test_header_shape_beyond_an_array_rejected(tmp_path, offset, field, match):
+    # numpy cannot build these shapes; reading must not get as far as trying
+    path = tmp_path / "f.bin"
+    write_grid(path, np.ones((4, 5)))
+    data = bytearray(path.read_bytes() + bytes(8 * 300))
+    data[offset : offset + len(field)] = field
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValidationError, match=match):
+        read_grid(path)
+
+
 @pytest.mark.parametrize("keep", [30, -8])
 def test_cli_exits_2_on_truncated_metric(tmp_path, keep):
     grid = GridSpec.from_axes((0.0, 1.0, 3), (0.5, 2.5, 5), (0.0, 1.0, 5))

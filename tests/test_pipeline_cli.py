@@ -4,10 +4,13 @@ per stage, so for one scenario and seed they must give the same numbers."""
 import contextlib
 import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicoop import ValidationError, cli, evolution, geometry, market, pipeline
 from semicoop.fieldio import read_grid, write_grid
@@ -274,3 +277,59 @@ def test_benchmark_commands_parse():
             assert args.seed == 5
         if "--threads" in argv:
             assert args.threads == int(argv[argv.index("--threads") + 1])
+
+
+def _corrupt(data, mutation):
+    kind, where, payload = mutation
+    where %= len(data)
+    if kind == "truncate":
+        return data[:where]
+    if kind == "extend":
+        return data + payload
+    flipped = bytearray(data)
+    flipped[where] ^= payload[0] or 0xFF
+    return bytes(flipped)
+
+
+# header bytes (magic, flags, counts, shape) are 0:64 of a 3-axis rank-2 file
+_positions = st.one_of(st.integers(0, 63), st.integers(0, 2**20))
+_mutations = st.tuples(
+    st.sampled_from(["truncate", "extend", "flip", "flip"]),
+    _positions,
+    st.binary(min_size=1, max_size=16),
+)
+
+
+@pytest.fixture(scope="module")
+def metric_file(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    grid = GridSpec.from_axes(*(tuple(SCENARIO["grid"][k]) for k in ("time", "sigma1", "sigma2")))
+    path = root / "metric.bin"
+    write_grid(path, geometry.sphere_metric(grid).values, grid)
+    scenario = write_scenario(root / "scenario.json", dict(SCENARIO, metric={"file": str(path)}))
+    return root, path, scenario
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_mutations, min_size=1, max_size=3))
+def test_corrupted_metric_file_ends_in_an_exit_code(metric_file, mutations):
+    """``geometry`` and ``action`` on a truncated, extended or byte-flipped
+    metric file end in exit 0, 2 or 3, never in a traceback."""
+    root, path, scenario = metric_file
+    pristine = path.read_bytes()
+    data = pristine
+    for mutation in mutations:
+        data = _corrupt(data, mutation) or data[:1]
+    path.write_bytes(data)
+    commands = [
+        ["geometry", "--metric", path, "--op", "curvature", "--out", root / "curvature.bin"],
+        ["action", "--config", scenario],
+    ]
+    try:
+        for argv in commands:
+            with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code, _ = run_cli(*argv)
+            assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL)
+    finally:
+        path.write_bytes(pristine)

@@ -1,6 +1,8 @@
 """Scenario parsing: any malformed document ends in ValidationError."""
 
+import contextlib
 import copy
+import io
 import json
 import math
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semicoop import ValidationError
+from semicoop import ValidationError, cli
 from semicoop.scenario import parse_scenario
 
 SCENARIO = {
@@ -191,3 +193,21 @@ def test_mutated_scenarios_raise_only_validation_errors(mutation_list):
         parse_scenario(doc)
     except ValidationError:
         pass
+
+
+@pytest.mark.parametrize(
+    "radius, time",
+    [(0.0, 0.0), ({"base": 1.0, "rate": -0.5}, 2.0)],
+    ids=["zero", "timed-to-zero"],
+)
+def test_sphere_side_of_zero_radius_is_a_validation_error(tmp_path, radius, time):
+    # the radius is known only at the requested time, so parsing accepts it
+    doc = replaced(("polygon", "sides", 1, "radius"), radius)
+    config = parse_scenario(doc)
+    with pytest.raises(ValidationError, match=r"polygon\.sides\[1\]\.radius"):
+        config.build_polygon(time=time, quadrature_nodes=4)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    argv = ["polygon-area", "--scenario", str(path), "--time", str(time), "--nodes", "4"]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == cli.EXIT_VALIDATION
