@@ -78,8 +78,9 @@ class WaveFunction:
         density = np.abs(self.values) ** 2 * weight
         return float(np.sqrt(np.sum(density) * self.grid.cell_volume))
 
-    def normalized(self):
-        return WaveFunction(self.values / self.norm(), self.grid, self.time)
+    def normalized(self, weight=1.0):
+        """The field scaled to unit :meth:`norm` with the same weight."""
+        return WaveFunction(self.values / self.norm(weight), self.grid, self.time)
 
 
 def gaussian_packet(grid, width, center=None, wavevector=None):

@@ -173,8 +173,9 @@ def evolve(config, metric, spec):
     """Evolution stage on the strategy plane, whose metric is the spatial
     block of the world metric at the initial time node.
 
-    Returns ``(slice_metric, psi0, psi)``: the initial Gaussian packet
-    and the evolved field.
+    Returns ``(slice_metric, psi0, psi)``: the initial Gaussian packet,
+    of unit norm in the ``sqrt|det h|``-weighted norm the evolution
+    keeps, and the evolved field.
     """
     grid = metric.grid
     slice_grid = GridSpec(extents=grid.extents[1:], counts=grid.counts[1:])
@@ -185,7 +186,9 @@ def evolve(config, metric, spec):
     width = evolve_cfg.get("packet_width")
     if width is None:
         width = 0.15 * min(hi - lo for lo, hi in slice_grid.extents)
-    psi0 = evolution.gaussian_packet(slice_grid, float(width))
+    psi0 = evolution.gaussian_packet(slice_grid, float(width)).normalized(
+        slice_metric.volume_density
+    )
     psi = evolution.evolve(psi0, spec, slice_metric, int(evolve_cfg["steps"]))
     return slice_metric, psi0, psi
 

@@ -113,7 +113,20 @@ def test_norms_are_the_weighted_norm_evolve_keeps(run):
     values, grid, _ = read_grid(pipeline_dir / "psi.bin")
     weight = geometry.sphere_metric(grid).volume_density
     assert payload["norm"] == evolution.WaveFunction(values, grid).norm(weight)
+    assert abs(payload["norm"] - 1.0) <= 1e-13
     assert manifest["results"]["norm_drift"] <= 1e-13
+
+
+@pytest.mark.parametrize("radius", [0.93, 1.0, 1.1])
+def test_initial_packet_has_unit_weighted_norm(radius):
+    # sqrt|det h| = r^2 sin(theta) on the sphere slice, far from 1
+    config = parse_scenario(dict(SCENARIO, metric={"preset": "sphere", "radius": radius}))
+    spec = evolution.KernelSpec(mass=100.0, step=1e-3, effective_scale=1.0)
+    slice_metric, psi0, psi = pipeline.evolve(config, config.build_metric(), spec)
+    weight = slice_metric.volume_density
+    assert abs(psi0.norm() - 1.0) > 1e-3
+    assert abs(psi0.norm(weight) - 1.0) <= 1e-14
+    assert abs(psi.norm(weight) - 1.0) <= 1e-13
 
 
 def test_optimal_rho_matches_rho_json(run):
