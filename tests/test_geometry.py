@@ -20,8 +20,9 @@ def sphere_setup(n_theta, theta_lo=0.5, n_phi=9):
     return grid, metric
 
 
-def sheared_sphere_metric():
-    grid = GridSpec.from_axes((0.5, 2.5, 21), (0.0, 1.0, 17))
+def sheared_sphere_metric(n_theta=21, n_phi=17):
+    """Varying metric with an off-diagonal entry at every node."""
+    grid = GridSpec.from_axes((0.5, 2.5, n_theta), (0.0, 1.0, n_phi))
     theta, phi = grid.meshgrid()
     values = np.zeros(grid.shape + (2, 2))
     values[..., 0, 0] = 1.0 + 0.3 * phi**2
@@ -365,13 +366,8 @@ class TestCovariantLaplacian:
         assert np.all(orders > 1.9)
 
     def test_weighted_operator_is_symmetric_on_sheared_metric(self):
-        grid = GridSpec.from_axes((0.5, 2.5, 13), (0.0, 1.0, 11))
-        theta, phi = grid.meshgrid()
-        values = np.zeros(grid.shape + (2, 2))
-        values[..., 0, 0] = 1.0 + 0.3 * phi**2
-        values[..., 1, 1] = np.sin(theta) ** 2 * (1.0 + 0.2 * np.cos(3.0 * phi))
-        values[..., 0, 1] = values[..., 1, 0] = 0.25 * np.sin(theta) * np.cos(phi)
-        metric = geo.MetricField(values, grid)
+        metric = sheared_sphere_metric(13, 11)
+        grid = metric.grid
         lap = geo.laplace_operator_matrix(metric)
         weighted = (sp.diags(metric.volume_density[1:-1, 1:-1].reshape(-1)) @ lap).toarray()
         scale = np.abs(weighted).max()
