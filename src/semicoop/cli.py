@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, geometry, pipeline, stubbornness
 from .errors import NumericalError, ValidationError
-from .fieldio import read_grid, write_ensemble, write_grid
+from .fieldio import read_grid, write_grid
 from .scenario import parse_scenario
 from .polygon import assemble_polygon
 from .profitops import CascadeParams, cascade_derivative, cascade_limit, cascade_sum
@@ -170,8 +170,9 @@ def _cmd_gff(args):
 def _cmd_sde(args):
     config = parse_scenario(args.scenario)
     _, metric, chris, _ = pipeline.world(config)
-    ensemble = pipeline.simulate_paths(config, metric, chris, args.seed, args.threads)
-    write_ensemble(args.out, ensemble.times, ensemble.values, seed=ensemble.seed)
+    ensemble, _ = pipeline.simulate_paths(
+        config, metric, chris, args.seed, args.threads, args.out
+    )
     if args.format == "csv":
         pipeline.export_ensemble_csv(args.out + ".csv", ensemble)
     _emit({"out": args.out, "summary": ensemble.summary()})

@@ -23,7 +23,16 @@ rerun with identical inputs produces byte-identical files.
 
 Path ensembles use a similar header (magic ``b"SCPATH01"``) followed by
 ``paths * (steps + 1) * components`` float64 values, one path after
-another.
+another.  :class:`EnsembleWriter` is the one writer of that layout: it
+writes the header and times, sizes the file and hands out the payload as
+a writable memory map, so the simulation fills the file in place.  It
+hashes rows as the caller declares them finished, in path order, so no
+file is read back for its digest; the file appears under its name only
+when every row is in.
+
+The writers digest the bytes they write: :func:`write_grid` returns
+``(sha256, nbytes)`` of its file, and an :class:`EnsembleWriter` holds
+both once its file is in place.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import mmap
 import os
 import struct
 
@@ -100,6 +110,11 @@ def write_grid(path, values, grid=None, extra=None):
         field can be rebuilt with correct spacings.
     extra : dict, optional
         Additional descriptor entries (must be JSON serializable).
+
+    Returns
+    -------
+    (sha256, nbytes)
+        Hex digest and size of the binary file.
     """
     values = np.asarray(values)
     if grid is not None:
@@ -129,8 +144,11 @@ def write_grid(path, values, grid=None, extra=None):
     else:
         payload = np.ascontiguousarray(values, dtype="<f8")
 
+    header = bytes(header)
+    digest = hashlib.sha256(header)
+    digest.update(payload)
     with open(path, "wb") as fh:
-        fh.write(bytes(header))
+        fh.write(header)
         _write_array(fh, payload)
 
     descriptor = {
@@ -144,6 +162,11 @@ def write_grid(path, values, grid=None, extra=None):
         descriptor["grid"] = grid.to_dict()
     if extra:
         descriptor.update(extra)
+    _write_descriptor(path, descriptor)
+    return digest.hexdigest(), len(header) + payload.nbytes
+
+
+def _write_descriptor(path, descriptor):
     with open(_descriptor_path(path), "w") as fh:
         json.dump(descriptor, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -199,44 +222,98 @@ def read_grid(path):
     return values, grid, descriptor
 
 
-def write_ensemble(path, times, values, seed=None, extra=None):
-    """Write a path ensemble: per-path float64 blocks after a small header."""
-    values = np.ascontiguousarray(values, dtype="<f8")
-    if values.ndim != 3:
-        raise ValidationError("ensemble values must have shape (paths, steps+1, components)")
-    paths, nsteps, comps = values.shape
-    with open(path, "wb") as fh:
-        fh.write(_PATH_MAGIC)
-        fh.write(struct.pack("<QQI I", paths, nsteps, comps, 0))
-        _write_array(fh, np.ascontiguousarray(times, dtype="<f8"))
-        _write_array(fh, values)
-    descriptor = {
-        "format": "semicoop-paths",
-        "version": __version__,
-        "paths": paths,
-        "steps": nsteps - 1,
-        "components": comps,
-    }
-    if seed is not None:
-        descriptor["seed"] = int(seed)
-    if extra:
-        descriptor.update(extra)
-    with open(_descriptor_path(path), "w") as fh:
-        json.dump(descriptor, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+class EnsembleWriter:
+    """Write a path ensemble in place and hash it as its rows are finished.
+
+    ``values`` is the payload, a writable ``(paths, steps + 1,
+    components)`` float64 memory map of the file; whoever fills it calls
+    :meth:`rows` for each finished block of paths, in path order, and
+    those rows are fed to a SHA-256 seeded with the header and times.
+    Use the writer as a context manager::
+
+        with EnsembleWriter(path, times, paths, 3, seed=seed) as writer:
+            ...  # fill writer.values, calling writer.rows(lo, hi)
+        writer.sha256, writer.nbytes
+
+    The file is built under ``path + ".partial"`` and moved to ``path``,
+    next to its descriptor, when the block ends without an exception and
+    every row is in; otherwise it is removed, so a failed simulation
+    leaves no ensemble behind.  Nothing is synced to disk, as with
+    ``write``.
+    """
+
+    def __init__(self, path, times, paths, components, seed=None):
+        times = np.ascontiguousarray(times, dtype="<f8")
+        shape = (int(paths), times.size, int(components))
+        if times.ndim != 1 or 0 in shape:
+            raise ValidationError(f"ensemble shape {shape} has an empty axis")
+        self._path = str(path)
+        self._descriptor = {
+            "format": "semicoop-paths",
+            "version": __version__,
+            "paths": shape[0],
+            "steps": shape[1] - 1,
+            "components": shape[2],
+        }
+        if seed is not None:
+            self._descriptor["seed"] = int(seed)
+        head = _PATH_MAGIC + struct.pack("<QQI I", *shape, 0) + times.tobytes()
+        self.nbytes = len(head) + 8 * math.prod(shape)
+        self.sha256 = None
+        self._hash = hashlib.sha256(head)
+        self._next = 0
+        self._partial = self._path + ".partial"
+        with open(self._partial, "wb+") as fh:
+            fh.write(head)
+            fh.truncate(self.nbytes)
+            # the map keeps its own descriptor of the file; the array keeps the map
+            self.values = np.ndarray(
+                shape, dtype="<f8", buffer=mmap.mmap(fh.fileno(), self.nbytes), offset=len(head)
+            )
+
+    def rows(self, lo, hi):
+        """Hash rows ``[lo, hi)`` of ``values``, which must follow the
+        rows hashed so far."""
+        if lo != self._next or not lo < hi <= len(self.values):
+            raise ValidationError(
+                f"ensemble rows [{lo}, {hi}) out of order: row {self._next} comes next"
+            )
+        self._hash.update(self.values[lo:hi])
+        self._next = hi
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None and self._next == len(self.values):
+            os.replace(self._partial, self._path)
+            _write_descriptor(self._path, self._descriptor)
+            self.sha256 = self._hash.hexdigest()
+            return False
+        os.unlink(self._partial)
+        if exc_type is None:
+            raise ValidationError(
+                f"ensemble rows from {self._next} of {len(self.values)} were never finished"
+            )
+        return False
 
 
 def read_ensemble(path):
-    """Read a path ensemble written by :func:`write_ensemble`.
+    """Read a path ensemble written by :class:`EnsembleWriter`.
 
     Returns ``(times, values)``; raises ValidationError when the file is
-    not a path ensemble, or is shorter or longer than its header says.
+    not a path ensemble, declares an empty axis, or is shorter or longer
+    than its header says.
     """
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _PATH_MAGIC:
             raise ValidationError(f"{path}: not a path ensemble file")
         paths, nsteps, comps, _ = struct.unpack("<QQI I", _read_exact(fh, 24, path))
+        if 0 in (paths, nsteps, comps):
+            raise ValidationError(
+                f"{path}: header declares an empty axis in shape {(paths, nsteps, comps)}"
+            )
         times = _read_floats(fh, nsteps, path)
         values = _read_floats(fh, paths * nsteps * comps, path)
         _check_at_end(fh, path)
@@ -244,6 +321,8 @@ def read_ensemble(path):
 
 
 def sha256_of(path):
+    """Hex SHA-256 of a file read back in full, for checking a digest a
+    writer returned."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

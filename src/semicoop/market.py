@@ -15,6 +15,14 @@ of every path in one gather through one nearest-node index.  Randomness
 flows from a master seed split into fixed per-chunk streams keyed by
 chunk index, so ensembles are bit-identical for a given seed no matter
 how many worker threads run the chunks or in which order they finish.
+A chunk's normals are drawn 64 paths at a time into a small slab and
+scaled into its increment buffer; each worker allocates its buffers once
+and reuses them for every chunk it runs.
+
+``simulate(out=...)`` fills a caller's array, such as the memory map of
+:class:`fieldio.EnsembleWriter`, and ``on_rows`` hears on the calling
+thread, in path order, which rows are final, so the ensemble file is
+written once and hashed while later chunks are still running.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ STATE_DIM = 3
 
 _SDE_STREAM_TAG = 0x5DE
 _CHUNK_SIZE = 4096
+_SLAB_PATHS = 64
 
 
 @dataclass
@@ -176,10 +185,25 @@ class PathEnsemble:
         }
 
 
-def _chunk_increments(seed, chunk_index, n_paths, steps, dt):
+def _draw_increments(seed, chunk_index, dw, slab, dt):
+    """Fill ``dw`` (steps, 3, n) with chunk ``chunk_index``'s Brownian
+    increments.
+
+    The chunk's stream is the path-major ``(n, steps, 3)`` normal draw,
+    taken ``len(slab)`` paths at a time into ``slab``; each slab is
+    scaled by ``sqrt(dt)`` and transposed into ``dw`` in one multiply.
+    Consecutive draws continue one stream, so the numbers are those of a
+    single ``(n, steps, 3)`` draw.
+    """
     ss = np.random.SeedSequence(int(seed), spawn_key=(_SDE_STREAM_TAG, int(chunk_index)))
     rng = np.random.default_rng(ss)
-    return rng.standard_normal((n_paths, steps, STATE_DIM)) * math.sqrt(dt)
+    scale = math.sqrt(dt)
+    n = dw.shape[2]
+    for lo in range(0, n, len(slab)):
+        hi = min(lo + len(slab), n)
+        normals = slab[: hi - lo]
+        rng.standard_normal(out=normals)
+        np.multiply(normals.transpose(1, 2, 0), scale, out=dw[:, :, lo:hi])
 
 
 def _coefficient_block(coeffs):
@@ -221,6 +245,34 @@ def _coefficient_block(coeffs):
     return fill
 
 
+class _ChunkBuffers:
+    """One worker's chunk arrays, allocated once for chunks of up to
+    ``width`` paths: one flat block viewed, for a chunk of ``n`` paths,
+    as contiguous increments, states and per-step arrays, plus the slab
+    the normals are drawn into."""
+
+    def __init__(self, steps, width):
+        self.shapes = [
+            (steps, STATE_DIM),  # dw
+            (steps + 1, STATE_DIM),  # states
+            (4 * STATE_DIM,),  # coefficient block
+            (STATE_DIM, STATE_DIM),  # products omega dW
+            (STATE_DIM,),  # noise
+        ]
+        self.flat = np.empty(sum(math.prod(s) for s in self.shapes) * width)
+        self.slab = np.empty((min(_SLAB_PATHS, width), steps, STATE_DIM))
+
+    def views(self, n):
+        """``(dw, states, block, products, noise)``, each with a last
+        axis of ``n`` paths."""
+        views, at = [], 0
+        for shape in self.shapes:
+            size = math.prod(shape) * n
+            views.append(self.flat[at : at + size].reshape(shape + (n,)))
+            at += size
+        return views
+
+
 def simulate(
     coeffs,
     initial,
@@ -230,6 +282,8 @@ def simulate(
     seed,
     increments=None,
     threads=1,
+    out=None,
+    on_rows=None,
 ):
     """Euler-Maruyama ensemble of share paths.
 
@@ -241,6 +295,11 @@ def simulate(
     summed in the order numpy's ``einsum`` sums them for C-ordered
     blocks, ``(w0 d0 + w2 d2) + w1 d1``.  The chunk is
     copied into the ``(paths, steps + 1, 3)`` result once.
+
+    Each worker allocates its chunk buffers once and reuses them for
+    every chunk it runs, and draws a chunk's normals in slabs of 64
+    paths, so the memory a call allocates besides ``out`` does not grow
+    with the path count.
 
     Parameters
     ----------
@@ -262,6 +321,13 @@ def simulate(
     threads : int
         Worker threads over path chunks; affects speed only, never the
         numbers.
+    out : ndarray (paths, steps + 1, 3) of float64, optional
+        Array to fill, such as :class:`fieldio.EnsembleWriter`'s memory
+        map; it becomes the ensemble's ``values``.
+    on_rows : callable, optional
+        Called as ``on_rows(lo, hi)`` on the calling thread once rows
+        ``[lo, hi)`` of ``out`` are final, chunk by chunk in path order,
+        while the workers go on with later chunks.
 
     Returns
     -------
@@ -282,33 +348,40 @@ def simulate(
     x0 = initial.share if isinstance(initial, FirmState) else np.asarray(initial, float)
     if x0.shape != (STATE_DIM,):
         raise ValidationError("initial share must be a 3-vector")
+    shape = (paths, steps + 1, STATE_DIM)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValidationError(f"out must be a float64 array of shape {shape}")
 
     dt = float(horizon) / steps
     times = np.linspace(0.0, float(horizon), steps + 1)
 
-    out = np.empty((paths, steps + 1, STATE_DIM))
     fill = _coefficient_block(coeffs)
     # Step 0 adds to x0 + 0.0: a -0.0 start component becomes +0.0, so no
     # state after step 0 is -0.0, as with einsum's zero-started sums.
     start = x0[:, None] + 0.0
+    width = min(paths, _CHUNK_SIZE)
+    spare = []  # buffer sets that no running chunk holds
 
     def run_chunk(chunk_index, lo, hi):
         n = hi - lo
+        try:
+            own = spare.pop()  # atomic, unlike a test for emptiness then a pop
+        except IndexError:
+            own = _ChunkBuffers(steps, width)
+        dw, states, block, products, noise = own.views(n)
         if increments is not None:
-            dw = np.asarray(increments[lo:hi], dtype=float)
-            if dw.shape != (n, steps, STATE_DIM):
+            given = np.asarray(increments[lo:hi], dtype=float)
+            if given.shape != (n, steps, STATE_DIM):
                 raise ValidationError(
                     "increments must have shape (paths, steps, 3)"
                 )
+            dw[...] = given.transpose(1, 2, 0)
         else:
-            dw = _chunk_increments(seed, chunk_index, n, steps, dt)
-        dw = np.ascontiguousarray(dw.transpose(1, 2, 0))
-        block = np.empty((4 * STATE_DIM, n))
+            _draw_increments(seed, chunk_index, dw, own.slab, dt)
         drift = block[:STATE_DIM]
         diffusion = block[STATE_DIM:].reshape(STATE_DIM, STATE_DIM, n)
-        products = np.empty((STATE_DIM, STATE_DIM, n))
-        noise = np.empty((STATE_DIM, n))
-        states = np.empty((steps + 1, STATE_DIM, n))
         states[0] = x0[:, None]
         for k in range(steps):
             x = states[k]
@@ -328,6 +401,7 @@ def simulate(
             np.add(x if k else start, x_next, out=x_next)
             x_next += noise
         out[lo:hi] = states.transpose(2, 0, 1)
+        spare.append(own)
 
     bounds = [
         (c, lo, min(lo + _CHUNK_SIZE, paths))
@@ -336,10 +410,14 @@ def simulate(
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
             futures = [pool.submit(run_chunk, *b) for b in bounds]
-            for f in futures:
+            for (_, lo, hi), f in zip(bounds, futures):
                 f.result()
+                if on_rows is not None:
+                    on_rows(lo, hi)
     else:
-        for b in bounds:
-            run_chunk(*b)
+        for c, lo, hi in bounds:
+            run_chunk(c, lo, hi)
+            if on_rows is not None:
+                on_rows(lo, hi)
 
     return PathEnsemble(times=times, values=out, seed=int(seed))

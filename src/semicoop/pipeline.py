@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, brane, evolution, geometry, market, stubbornness
 from .errors import SemicoopError
-from .fieldio import sha256_of, write_ensemble, write_grid
+from .fieldio import EnsembleWriter, write_grid
 from .grids import GridSpec, require_same_grid
 
 STAGE_LABELS = {"gff": 101, "sde": 202, "kernel": 303}
@@ -75,18 +75,33 @@ def stubbornness_field(config, grid, curv, seed):
     return field2d, combined
 
 
-def simulate_paths(config, metric, chris, seed, threads):
-    """SDE stage: the share ensemble of the scenario's first firm."""
+def simulate_paths(config, metric, chris, seed, threads, path):
+    """SDE stage: the share ensemble of the scenario's first firm,
+    simulated straight into the ensemble file at ``path``.
+
+    Returns ``(ensemble, (sha256, nbytes))`` of that file; when the
+    simulation fails no file is left at ``path``.
+    """
     sde_cfg = config.data["sde"]
-    return market.simulate(
-        market.derive_coefficients(metric, chris),
-        config.build_firms()[0],
-        horizon=float(sde_cfg["horizon"]),
-        steps=int(sde_cfg["steps"]),
-        paths=int(sde_cfg["paths"]),
-        seed=stage_seed(seed, "sde"),
-        threads=threads,
-    )
+    horizon = float(sde_cfg["horizon"])
+    steps = int(sde_cfg["steps"])
+    paths = int(sde_cfg["paths"])
+    sde_seed = stage_seed(seed, "sde")
+    # simulate's time grid, which the file header holds ahead of the first row
+    times = np.linspace(0.0, horizon, steps + 1)
+    with EnsembleWriter(path, times, paths, market.STATE_DIM, seed=sde_seed) as writer:
+        ensemble = market.simulate(
+            market.derive_coefficients(metric, chris),
+            config.build_firms()[0],
+            horizon=horizon,
+            steps=steps,
+            paths=paths,
+            seed=sde_seed,
+            threads=threads,
+            out=writer.values,
+            on_rows=writer.rows,
+        )
+    return ensemble, (writer.sha256, writer.nbytes)
 
 
 def action_terms(config, metric, curv):
@@ -226,6 +241,15 @@ def cooperation(config, spec, psi, slice_metric):
     }
 
 
+def _write_json(path, payload):
+    """Write ``payload`` as indented, key-sorted JSON; returns ``(sha256,
+    nbytes)`` of the file."""
+    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest(), len(data)
+
+
 def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
     """Run all stages; returns the manifest dictionary.
 
@@ -253,14 +277,8 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
     }
 
     def artifact(name, write, *args, **kwargs):
-        path = os.path.join(out_dir, name)
-        write(path, *args, **kwargs)
-        manifest["artifacts"][name] = sha256_of(path)
-
-    def write_json(path, payload):
-        with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        digest, _ = write(os.path.join(out_dir, name), *args, **kwargs)
+        manifest["artifacts"][name] = digest
 
     stage = "geometry"
     try:
@@ -279,11 +297,11 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
             artifact("combined_metric.bin", write_grid, combined.values, grid)
 
         stage = "sde"
-        ensemble = simulate_paths(config, metric, chris, seed, threads)
-        artifact(
-            "paths.bin", write_ensemble, ensemble.times, ensemble.values, seed=ensemble.seed
+        ensemble, (digest, _) = simulate_paths(
+            config, metric, chris, seed, threads, os.path.join(out_dir, "paths.bin")
         )
-        artifact("sde_summary.json", write_json, ensemble.summary())
+        manifest["artifacts"]["paths.bin"] = digest
+        artifact("sde_summary.json", _write_json, ensemble.summary())
         if csv:
             artifact("paths.csv", export_ensemble_csv, ensemble)
 
@@ -293,7 +311,7 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
         payload = action(
             config, chris, cfg_brane, terms, action_cfg["ghost"], action_cfg["fp_det"]
         )
-        artifact("action.json", write_json, payload)
+        artifact("action.json", _write_json, payload)
 
         stage = "kernel"
         scale, spec = kernel(config, cfg_brane, terms)
@@ -312,26 +330,38 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
 
         stage = "cooperation"
         payload = cooperation(config, spec, psi, slice_metric)
-        artifact("rho.json", write_json, payload)
+        artifact("rho.json", _write_json, payload)
         results["rho_star"] = payload["rho_star"]
         results["rho_boundary_flag"] = payload["boundary_flag"]
 
     except SemicoopError as exc:
         manifest["failed_stage"] = stage
         manifest["failure"] = str(exc)
-        write_json(os.path.join(out_dir, "manifest.json"), manifest)
+        _write_json(os.path.join(out_dir, "manifest.json"), manifest)
         raise
 
-    write_json(os.path.join(out_dir, "manifest.json"), manifest)
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
     return manifest
 
 
 def export_ensemble_csv(path, ensemble):
-    """Long-format CSV: one row per (path, step)."""
-    with open(path, "w") as fh:
-        fh.write("path,step,time,x0,x1,x2\n")
-        times = ensemble.times
-        for p in range(ensemble.n_paths):
-            for k, s in enumerate(times):
-                x = ensemble.values[p, k]
-                fh.write(f"{p},{k},{s:.17g},{x[0]:.17g},{x[1]:.17g},{x[2]:.17g}\n")
+    """Long-format CSV: one row per (path, step).  Returns ``(sha256,
+    nbytes)`` of the file."""
+
+    def blocks():
+        yield "path,step,time,x0,x1,x2\n"
+        for p, rows in enumerate(ensemble.values):
+            yield "".join(
+                f"{p},{k},{s:.17g},{x[0]:.17g},{x[1]:.17g},{x[2]:.17g}\n"
+                for k, (s, x) in enumerate(zip(ensemble.times, rows))
+            )
+
+    digest = hashlib.sha256()
+    nbytes = 0
+    with open(path, "wb") as fh:
+        for text in blocks():
+            data = text.encode()
+            fh.write(data)
+            digest.update(data)
+            nbytes += len(data)
+    return digest.hexdigest(), nbytes

@@ -277,7 +277,7 @@ _NUMBER_FIELDS = {
     },
     "sde": {
         "steps": dict(lo=2, integer=True),
-        "paths": dict(lo=1, integer=True),
+        "paths": dict(lo=2, integer=True),  # final_variance uses ddof=1
         "horizon": _POSITIVE,
     },
     "kernel": {

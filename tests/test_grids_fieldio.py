@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import struct
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from semicoop import GridSpec, ValidationError, cli, geometry
-from semicoop.fieldio import read_ensemble, read_grid, write_ensemble, write_grid
+from semicoop.fieldio import EnsembleWriter, read_ensemble, read_grid, sha256_of, write_grid
 
 
 def test_gridspec_rejects_tiny_axes():
@@ -46,6 +47,18 @@ def test_grid_shape_mismatch_rejected(tmp_path):
     grid = GridSpec.from_axes((0.0, 1.0, 4), (0.0, 2.0, 5))
     with pytest.raises(ValidationError):
         write_grid(tmp_path / "x.bin", np.zeros((3, 5)), grid)
+
+
+def write_ensemble(path, times, values, seed=None, chunk=None):
+    """Write ``values`` through an EnsembleWriter, declaring rows
+    finished ``chunk`` paths at a time."""
+    chunk = chunk or len(values)
+    with EnsembleWriter(path, times, len(values), 3, seed=seed) as writer:
+        for lo in range(0, len(values), chunk):
+            hi = min(lo + chunk, len(values))
+            writer.values[lo:hi] = values[lo:hi]
+            writer.rows(lo, hi)
+    return writer
 
 
 def test_ensemble_roundtrip(tmp_path):
@@ -90,14 +103,79 @@ def test_write_grid_bytes_non_contiguous(tmp_path):
     assert path.read_bytes() == grid_file_bytes(values[:, ::2], 3)
 
 
-def test_write_ensemble_bytes(tmp_path):
+def ensemble_file_bytes(times, values):
+    """The documented path-ensemble layout, built with ``tobytes``."""
+    header = b"SCPATH01" + struct.pack("<QQI I", *values.shape, 0)
+    return header + times.astype("<f8").tobytes() + values.astype("<f8").tobytes()
+
+
+@pytest.mark.parametrize("paths", [1, 4097, 9000])
+def test_writer_bytes_and_digest(tmp_path, paths):
     times = np.linspace(0.0, 1.0, 6)
-    values = np.random.default_rng(3).standard_normal((9, 6, 3))
+    values = np.random.default_rng(3).standard_normal((paths, 6, 3))
     path = tmp_path / "p.bin"
-    write_ensemble(path, times, values)
-    expected = b"SCPATH01" + struct.pack("<QQI I", 9, 6, 3, 0)
-    expected += times.astype("<f8").tobytes() + values.astype("<f8").tobytes()
-    assert path.read_bytes() == expected
+    writer = write_ensemble(path, times, values, chunk=4096)
+    data = path.read_bytes()
+    assert data == ensemble_file_bytes(times, values)
+    assert writer.sha256 == hashlib.sha256(data).hexdigest() == sha256_of(path)
+    assert writer.nbytes == len(data)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["p.bin", "p.bin.json"]
+
+
+def test_write_grid_returns_digest_and_size(tmp_path):
+    path = tmp_path / "f.bin"
+    for values in (np.ones((4, 5, 3)), np.exp(1j * np.arange(20.0)).reshape(4, 5)):
+        digest, nbytes = write_grid(path, values)
+        assert digest == sha256_of(path)
+        assert nbytes == path.stat().st_size
+
+
+@pytest.mark.parametrize("rows", [[(10, 20)], [(0, 10), (0, 10)], [(0, 10), (11, 20)], [(0, 21)]])
+def test_writer_rejects_rows_out_of_order(tmp_path, rows):
+    path = tmp_path / "p.bin"
+    with pytest.raises(ValidationError, match="out of order"):
+        with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3) as writer:
+            for lo, hi in rows:
+                writer.rows(lo, hi)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writer_leaves_no_file_on_error_or_missing_rows(tmp_path):
+    path = tmp_path / "p.bin"
+    with pytest.raises(RuntimeError):
+        with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3) as writer:
+            writer.rows(0, 10)
+            raise RuntimeError("simulation failed")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ValidationError, match="never finished"):
+        with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3) as writer:
+            writer.rows(0, 10)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_writer_rejects_empty_axis(tmp_path):
+    for times, paths, components in (
+        (np.linspace(0.0, 1.0, 5), 0, 3),
+        (np.empty(0), 4, 3),
+        (np.linspace(0.0, 1.0, 5), 4, 0),
+    ):
+        with pytest.raises(ValidationError, match="empty axis"):
+            EnsembleWriter(tmp_path / "p.bin", times, paths, components)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2**62, 5, 0), (0, 5, 3), (4, 0, 3)],
+    ids=["huge-paths-no-components", "no-paths", "no-steps"],
+)
+def test_ensemble_header_with_empty_axis_rejected(tmp_path, shape):
+    # a header and its times, and no payload: the payload of an empty shape
+    path = tmp_path / "p.bin"
+    times = np.linspace(0.0, 1.0, shape[1])
+    path.write_bytes(b"SCPATH01" + struct.pack("<QQI I", *shape, 0) + times.tobytes())
+    with pytest.raises(ValidationError, match="empty axis"):
+        read_ensemble(path)
 
 
 def truncate(path, keep):

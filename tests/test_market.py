@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +338,54 @@ class TestComponentMajorKernel:
         assert_same_bits(ens.values, ref)
         assert np.signbit(ens.values[:, 0, 0]).all()
         assert not np.signbit(ens.values[:, 1:, 0]).any()
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_out_filled_and_rows_reported_in_order(self, coeffs, threads):
+        ref = self.reference(coeffs)
+        out = np.full((self.paths, 17, 3), np.nan)
+        calls = []
+
+        def on_rows(lo, hi):
+            assert_same_bits(out[lo:hi], ref[lo:hi])  # final when reported
+            calls.append((lo, hi, threading.get_ident()))
+
+        ens = simulate(
+            coeffs, self.x0, 1.0, 16, self.paths, 5, threads=threads, out=out, on_rows=on_rows
+        )
+        assert ens.values is out
+        assert_same_bits(out, ref)
+        assert [(lo, hi) for lo, hi, _ in calls] == [(0, 4096), (4096, 8192), (8192, 9000)]
+        assert {t for _, _, t in calls} == {threading.get_ident()}
+
+    def test_buffer_reuse_across_threads(self, coeffs):
+        # many more chunks than workers, so buffer sets pass between
+        # threads, which are made to switch often
+        paths = 12 * 4096 + 7
+        serial = simulate(coeffs, self.x0, 1.0, 6, paths, 8, threads=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = simulate(coeffs, self.x0, 1.0, 6, paths, 8, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_same_bits(pooled.values, serial.values)
+
+    def test_out_of_wrong_shape_rejected(self, coeffs):
+        for out in (np.empty((self.paths, 16, 3)), np.empty((self.paths, 17, 3), np.float32)):
+            with pytest.raises(ValidationError, match="out must be"):
+                simulate(coeffs, self.x0, 1.0, 16, self.paths, 5, out=out)
+
+    def test_allocations_do_not_grow_with_paths(self, coeffs):
+        peaks = []
+        for paths in (9000, 40000):
+            out = np.empty((paths, 17, 3))
+            tracemalloc.start()
+            try:
+                simulate(coeffs, self.x0, 1.0, 16, paths, 5, out=out)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
     def test_non_finite_table_names_step(self):
         metric = geo.sphere_metric(self.grid)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semicoop import ValidationError, cli, evolution, geometry, market, pipeline
-from semicoop.fieldio import read_grid, write_grid
+from semicoop.fieldio import read_ensemble, read_grid, sha256_of, write_grid
 from semicoop.grids import GridSpec
 from semicoop.scenario import parse_scenario
 
@@ -160,6 +160,73 @@ def test_manifest_independent_of_threads(tmp_path):
         assert code == cli.EXIT_OK
         manifests.append((out / "manifest.json").read_bytes())
     assert manifests[0] == manifests[1]
+
+
+def test_manifest_digests_are_the_files_digests(tmp_path):
+    path = write_scenario(tmp_path / "scenario.json", SCENARIO)
+    out = tmp_path / "out"
+    code, manifest = run_cli(
+        "pipeline", "--scenario", path, "--out-dir", out, "--seed", SEED, "--format", "csv"
+    )
+    assert code == cli.EXIT_OK
+    assert {"paths.bin", "paths.csv", "sde_summary.json", "rho.json"} <= set(manifest["artifacts"])
+    for name, digest in manifest["artifacts"].items():
+        assert sha256_of(out / name) == digest, name
+    # the CSV holds every (path, step) of the ensemble, exactly
+    times, values = read_ensemble(out / "paths.bin")
+    rows = np.loadtxt(out / "paths.csv", delimiter=",", skiprows=1)
+    paths, points, _ = values.shape
+    assert np.array_equal(rows[:, 0], np.repeat(np.arange(paths), points))
+    assert np.array_equal(rows[:, 1], np.tile(np.arange(points), paths))
+    assert np.array_equal(rows[:, 2], np.tile(times, paths))
+    assert np.array_equal(rows[:, 3:], values.reshape(-1, 3))
+
+
+@pytest.fixture
+def poisoned_drift(monkeypatch):
+    """Drift tables that are NaN at every node but the one nearest the
+    firm's start, so every path fails at step 1, after the ensemble file
+    was created."""
+    derive = market.derive_coefficients
+
+    def poisoned(metric, chris):
+        coeffs = derive(metric, chris)
+        grid = coeffs.grid
+        share = SCENARIO["firms"][0]["share"]
+        start = tuple(
+            int(round((x - lo) / grid.spacing(k)))
+            for k, (x, (lo, _)) in enumerate(zip(share, grid.extents))
+        )
+        kept = coeffs.drift_table[start].copy()
+        coeffs.drift_table = np.full_like(coeffs.drift_table, np.nan)
+        coeffs.drift_table[start] = kept
+        return coeffs
+
+    monkeypatch.setattr(market, "derive_coefficients", poisoned)
+
+
+def test_failed_simulation_leaves_no_ensemble(tmp_path, poisoned_drift):
+    scenario = dict(SCENARIO, sde={"steps": 3, "paths": market._CHUNK_SIZE + 500, "horizon": 1.0})
+    path = write_scenario(tmp_path / "scenario.json", scenario)
+    out = tmp_path / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli(
+            "pipeline", "--scenario", path, "--out-dir", out, "--seed", SEED, "--threads", 2
+        )
+    assert code == cli.EXIT_NUMERICAL
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed_stage"] == "sde"
+    assert "non-finite coefficients at step 1" in manifest["failure"]
+    assert "paths.bin" not in manifest["artifacts"]
+    assert not [p.name for p in out.iterdir() if p.name.startswith("paths")]
+
+    sde_out = tmp_path / "sde" / "p.bin"
+    sde_out.parent.mkdir()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli("simulate-sde", "--scenario", path, "--out", sde_out, "--seed", SEED)
+    assert code == cli.EXIT_NUMERICAL
+    assert list(sde_out.parent.iterdir()) == []
 
 
 @pytest.mark.parametrize(

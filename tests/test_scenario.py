@@ -106,6 +106,24 @@ def test_wrong_types_are_validation_errors(path, value, field):
     assert any(field in problem for problem in exc.value.problems), exc.value.problems
 
 
+def test_single_path_ensemble_rejected(tmp_path):
+    """One path has no sample variance (ddof=1), so sde_summary.json
+    would hold NaN; the scenario floor is two paths."""
+    document = replaced(("sde", "paths"), 1)
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(document)
+    assert any("sde.paths" in problem for problem in exc.value.problems), exc.value.problems
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(document))
+    for argv in (
+        ["pipeline", "--scenario", str(path), "--out-dir", str(tmp_path / "out")],
+        ["simulate-sde", "--scenario", str(path), "--out", str(tmp_path / "p.bin")],
+    ):
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
 @pytest.mark.parametrize("document", [[SCENARIO], "scenario", 3, None])
 def test_non_object_document_is_a_validation_error(document, tmp_path):
     path = tmp_path / "scenario.json"
