@@ -234,11 +234,7 @@ def _cmd_evolve(args):
 
 
 def _cmd_optimal_rho(args):
-    config = parse_scenario(args.config)
-    _, metric, _, curv = pipeline.world(config)
-    _, spec = pipeline.kernel(config, *pipeline.action_terms(config, metric, curv))
-    slice_metric, _, psi = pipeline.evolve(config, metric, spec)
-    _emit(pipeline.cooperation(config, spec, psi, slice_metric))
+    _emit(pipeline.cooperation(parse_scenario(args.config)))
 
 
 def _cmd_pipeline(args):

@@ -152,6 +152,8 @@ class KernelSpec:
             problems.append("mass must be positive")
         if not self.step > 0:
             problems.append("step must be positive")
+        if not np.isfinite(self.effective_scale):
+            problems.append("effective scale must be finite")
         if self.mode not in (WICK, LORENTZIAN):
             problems.append("mode must be 'wick' or 'lorentzian'")
         if not self.domain_halfwidth > 0:
@@ -163,11 +165,10 @@ class KernelSpec:
             raise ValidationError("invalid kernel specification", problems)
         if self.mode == WICK:
             cov = self.covariance()
-            eig = np.linalg.eigvalsh(cov)
-            if eig.min() <= 0:
-                raise ValidationError(
-                    "kernel covariance must be positive definite in Wick mode"
-                )
+            if not np.all(np.isfinite(cov)):
+                raise NumericalError("kernel covariance (step / mass) F0 hinv overflows")
+            if np.linalg.eigvalsh(cov).min() <= 0:
+                raise ValidationError("kernel covariance must be positive definite in Wick mode")
 
     @property
     def normalization(self):
@@ -392,9 +393,9 @@ def _propagate_modes(interior, metric, theta, steps):
 class RhoSearchResult:
     """Outcome of the cooperation-degree scan.
 
-    ``rho_star`` is the stationary point with the largest objective, or
+    ``rho_star`` is the stationary point with the largest ``|F0|``, or
     the boundary argmax when no interior stationary point exists
-    (``boundary_flag`` set), or None when the objective is flat
+    (``boundary_flag`` set), or None when ``|F0|`` is flat
     (``degenerate_flag`` set).
     """
 
@@ -402,25 +403,22 @@ class RhoSearchResult:
     stationary_points: tuple
     boundary_flag: bool
     degenerate_flag: bool
-    rho_grid: np.ndarray
-    objective: np.ndarray
 
 
-def optimal_rho(
-    spec_builder,
-    psi,
-    metric,
-    grid=64,
-    rho_min=0.05,
-    refine_iterations=60,
-):
-    """Stationary cooperation degree of the evolution-rate objective.
+def optimal_rho(rho_to_scale, grid=64, rho_min=0.05):
+    """Stationary cooperation degree of the evolution rate.
 
-    ``spec_builder`` maps a cooperation degree in ``(0, 1]`` to a
-    :class:`KernelSpec`; the objective is the norm of the evolution
-    right-hand side.  The scan evaluates the objective on a uniform
-    grid, locates sign changes of the centered derivative, refines each
-    by bisection on the derivative, and reports every stationary point.
+    The rate ``|F0(rho)| / (2M) * ||Lap psi||`` depends on ``rho`` only
+    through ``F0 = rho_to_scale(rho)``, so ``rho*`` is a property of
+    ``|F0|`` alone and depends on neither the metric, the field nor the
+    mass.  A negative ``F0`` is scanned by its magnitude, as the kernel
+    stage uses it; a non-finite one is a :class:`NumericalError` naming
+    ``rho``.  ``|F0|`` is flat when its range on the uniform grid is
+    within ``1e-12`` of its maximum.  Each sign change of its
+    ``np.gradient`` brackets a stationary point, bisected to ``1e-15`` on
+    the signs of the centered difference (step ``1e-6``, clipped to the
+    interval), so rescaling ``F0`` moves ``rho*`` only where rounding
+    zeroes that difference, by under ``1e-9``.
     """
     grid_n = int(grid)
     if grid_n < 16:
@@ -428,60 +426,48 @@ def optimal_rho(
     if not 0.0 < rho_min < 1.0:
         raise ValidationError("rho_min must lie in (0,1)")
 
-    lap = laplace_operator_matrix(metric)
-    vec = psi.values[1:-1, 1:-1].reshape(-1).astype(complex)
-    base = lap @ vec
-    base_norm = float(np.linalg.norm(base) * np.sqrt(psi.grid.cell_volume))
-
     def objective(rho):
-        spec = spec_builder(float(rho))
-        f0 = spec.effective_scale
+        f0 = rho_to_scale(float(rho))
         if np.ndim(f0) != 0:
             raise ValidationError("cooperation scan needs a scalar effective scale")
-        return abs(float(f0)) / (2.0 * spec.mass) * base_norm
+        if not np.isfinite(f0):
+            raise NumericalError(f"effective scale is {float(f0)} at rho = {float(rho)!r}")
+        return abs(float(f0))
+
+    def derivative(rho):
+        lo, hi = max(rho_min, rho - 1e-6), min(1.0, rho + 1e-6)
+        return (objective(hi) - objective(lo)) / (hi - lo)
 
     rhos = np.linspace(rho_min, 1.0, grid_n)
     j = np.array([objective(r) for r in rhos])
+    # relative flatness test: the overall scale of F0 is arbitrary
+    if j.max() - j.min() <= 1e-12 * j.max():
+        return RhoSearchResult(None, (), False, True)
 
-    # relative flatness test: the objective's overall scale (1/mass) is arbitrary
-    if j.max() - j.min() <= 1e-12 * abs(j).max():
-        return RhoSearchResult(None, (), False, True, rhos, j)
-
-    dj = np.gradient(j, rhos)
-
-    def derivative(rho):
-        h = 1e-6
-        lo = max(rho_min, rho - h)
-        hi = min(1.0, rho + h)
-        return (objective(hi) - objective(lo)) / (hi - lo)
-
+    # signs, not products, so that no scale of F0 underflows a comparison
+    sign = np.sign(np.gradient(j, rhos))
     stationary = []
-    interior = dj[1:-1]
-    for i in range(len(interior) - 1):
-        a, b = rhos[i + 1], rhos[i + 2]
-        da, db = interior[i], interior[i + 1]
-        if da == 0.0:
-            stationary.append(float(a))
-            continue
-        if da * db < 0.0:
-            lo, hi, dlo = a, b, da
-            for _ in range(refine_iterations):
+    for k in range(1, grid_n - 1):
+        if sign[k] == 0.0:
+            stationary.append(float(rhos[k]))
+        elif k < grid_n - 2 and sign[k] * sign[k + 1] < 0.0:
+            lo, hi = rhos[k], rhos[k + 1]
+            dlo, dhi = derivative(lo), derivative(hi)
+            if np.sign(dlo) == np.sign(dhi) != 0.0:  # turns just outside: nearer node
+                lo = hi = lo if abs(dlo) <= abs(dhi) else hi
+            while hi - lo > 1e-15:
                 mid = 0.5 * (lo + hi)
-                dm = derivative(mid)
-                if dm == 0.0:
+                side = np.sign(derivative(mid))
+                if side == 0.0:  # flat to rounding: stop at the first such point
                     lo = hi = mid
-                    break
-                if dlo * dm < 0.0:
+                elif side == np.sign(dhi):
                     hi = mid
                 else:
-                    lo, dlo = mid, dm
-            stationary.append(0.5 * (lo + hi))
-    if interior[-1] == 0.0:
-        stationary.append(float(rhos[-2]))
+                    lo = mid
+            stationary.append(float(0.5 * (lo + hi)))
 
     stationary = tuple(dict.fromkeys(round(s, 12) for s in stationary))
     if not stationary:
-        best = float(rhos[np.argmax(j)])
-        return RhoSearchResult(best, (), True, False, rhos, j)
+        return RhoSearchResult(float(rhos[np.argmax(j)]), (), True, False)
     best = max(stationary, key=objective)
-    return RhoSearchResult(float(best), stationary, False, False, rhos, j)
+    return RhoSearchResult(float(best), stationary, False, False)

@@ -165,23 +165,15 @@ class PathEnsemble:
     values: np.ndarray
     seed: int = None
 
-    @property
-    def n_paths(self):
-        return self.values.shape[0]
-
-    def component_variance(self, step=-1):
-        return self.values[:, step, :].var(axis=0, ddof=1)
-
-    def component_mean(self, step=-1):
-        return self.values[:, step, :].mean(axis=0)
-
     def summary(self):
+        """Counts, horizon, and the final mean and ``ddof=1`` variance."""
+        final = np.ascontiguousarray(self.values[:, -1, :])  # one strided read
         return {
-            "paths": int(self.n_paths),
+            "paths": len(final),
             "steps": int(len(self.times) - 1),
             "horizon": float(self.times[-1]),
-            "final_mean": [float(v) for v in self.component_mean()],
-            "final_variance": [float(v) for v in self.component_variance()],
+            "final_mean": [float(v) for v in final.mean(axis=0)],
+            "final_variance": [float(v) for v in final.var(axis=0, ddof=1)],
         }
 
 

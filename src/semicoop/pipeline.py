@@ -23,7 +23,7 @@ import os
 import numpy as np
 
 from . import __version__, brane, evolution, geometry, market, stubbornness
-from .errors import SemicoopError
+from .errors import NumericalError, SemicoopError
 from .fieldio import EnsembleWriter, write_grid
 from .grids import GridSpec, require_same_grid
 
@@ -158,9 +158,12 @@ def action(config, chris, cfg_brane, terms, ghost, fp_det):
 
 def kernel(config, cfg_brane, terms):
     """Kernel stage: the effective scale field and the kernel spec, whose
-    ``F0`` is the mean scale on the initial time plane."""
+    ``F0`` is ``|mean|`` of the scale on the initial time plane (one when
+    zero); a non-finite mean is a :class:`NumericalError`."""
     scale = evolution.effective_scalar_F(terms - cfg_brane.potential())
     f0 = float(scale.values[0].mean())
+    if not np.isfinite(f0):
+        raise NumericalError(f"effective scale on the initial time plane is {f0}")
     kernel_cfg = config.data["kernel"]
     spec = evolution.KernelSpec(
         mass=float(kernel_cfg["mass"]),
@@ -208,13 +211,14 @@ def evolve(config, metric, spec):
     return slice_metric, psi0, psi
 
 
-def cooperation(config, spec, psi, slice_metric):
+def cooperation(config):
     """Cooperation stage: the ``rho.json`` payload of the ρ search.
 
-    The kernel spec's scale at cooperation degree ``rho`` comes from the
+    The effective scale at cooperation degree ``rho`` comes from the
     profit preset's own map when it has one, and otherwise from the
     bracket ``3 + 3 (p*b)^W`` of the firm at ``u_own = alpha_own**rho``
-    times its area, over the background dimension.
+    times its area, over the background dimension.  ρ* depends on that
+    map alone, not on the metric, the evolved field or the mass.
     """
     profit, rho_to_scale = config.build_profit()
     if rho_to_scale is None:
@@ -227,18 +231,8 @@ def cooperation(config, spec, psi, slice_metric):
             pw = profit(np.zeros(1), firm.share, u_own, 0.0)[0] * firm.stubbornness
             return (3.0 + 3.0 * pw**omega_exp) / brane.BACKGROUND_DIM
 
-    search = evolution.optimal_rho(
-        lambda rho: dataclasses.replace(spec, effective_scale=rho_to_scale(rho)),
-        psi,
-        slice_metric,
-        grid=int(config.data["rho_grid"]),
-    )
-    return {
-        "rho_star": search.rho_star,
-        "stationary_points": list(search.stationary_points),
-        "boundary_flag": search.boundary_flag,
-        "degenerate_flag": search.degenerate_flag,
-    }
+    search = evolution.optimal_rho(rho_to_scale, grid=int(config.data["rho_grid"]))
+    return dataclasses.asdict(search)
 
 
 def _write_json(path, payload):
@@ -329,7 +323,7 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
         results["norm_drift"] = abs(psi.norm(weight) - psi0.norm(weight))
 
         stage = "cooperation"
-        payload = cooperation(config, spec, psi, slice_metric)
+        payload = cooperation(config)
         artifact("rho.json", _write_json, payload)
         results["rho_star"] = payload["rho_star"]
         results["rho_boundary_flag"] = payload["boundary_flag"]

@@ -1,6 +1,5 @@
 """Kernel mass check and Crank-Nicolson evolution against independent oracles."""
 
-import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -95,6 +94,22 @@ class TestKernelNormalization:
             for m in (1.0, 3.0, 10.0)
         ]
         assert deviations[0] > deviations[1] > deviations[2]
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("mode", [evolution.WICK, evolution.LORENTZIAN])
+    def test_non_finite_scale_is_listed_with_the_other_problems(self, scale, mode):
+        with pytest.raises(ValidationError) as info:
+            evolution.KernelSpec(mass=0.0, step=0.05, effective_scale=scale, mode=mode)
+        assert info.value.problems == ["mass must be positive", "effective scale must be finite"]
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_overflowing_covariance_is_a_numerical_error(self):
+        # each factor is valid; their product (step / mass) F0 is not finite
+        with pytest.raises(NumericalError, match="overflows"):
+            evolution.KernelSpec(mass=1e-300, step=1e300, effective_scale=1.0)
+        evolution.KernelSpec(
+            mass=1e-300, step=1e300, effective_scale=1.0, mode=evolution.LORENTZIAN
+        )
 
     def test_lorentzian_mode_is_rejected(self):
         spec = evolution.KernelSpec(
@@ -240,8 +255,10 @@ class TestEvolve:
         grid, metric = strategy_slice(metric_of, 9)
         psi0 = evolution.gaussian_packet(grid, 0.15)
         spec = evolution.KernelSpec(
-            mass=1.0, step=1e-3, effective_scale=float("nan"), mode=evolution.LORENTZIAN
+            mass=1.0, step=1e-3, effective_scale=1.0, mode=evolution.LORENTZIAN
         )
+        # the spec rejects a non-finite scale; set after it, evolve still must
+        spec.effective_scale = float("nan")
         with pytest.raises(NumericalError):
             evolution.evolve(psi0, spec, metric, 1)
 
@@ -326,30 +343,90 @@ def test_every_benchmark_slice_takes_the_mode_path(tmp_path, mode_calls, monkeyp
 
 
 class TestOptimalRho:
-    def search(self, mass, effective_scale):
-        grid, metric = strategy_slice(geometry.flat_metric, 9)
-        psi = evolution.gaussian_packet(grid, 0.15)
-        spec = evolution.KernelSpec(mass=mass, step=0.01, effective_scale=1.0)
-        return evolution.optimal_rho(
-            lambda rho: dataclasses.replace(spec, effective_scale=effective_scale(rho)),
-            psi,
-            metric,
-            grid=32,
-        )
+    def search(self, effective_scale, factor=1.0, grid=32):
+        return evolution.optimal_rho(lambda rho: factor * effective_scale(rho), grid=grid)
 
     def test_rho_star_does_not_depend_on_the_mass(self):
-        # the objective is |F0(rho)| / (2 mass) times a constant: mass sets
-        # only its overall scale, which must not decide flatness
+        # the evolution rate is |F0(rho)| / (2 mass) times ||Lap psi||: the
+        # mass, psi and the metric only multiply F0 by a positive constant,
+        # which must decide neither flatness nor rho*
         peaked = lambda rho: 1.0 - (rho - 0.6) ** 2  # noqa: E731
-        reference = self.search(1.0, peaked)
-        assert reference.rho_star == pytest.approx(0.6, abs=1e-9)
-        for mass in 10.0 ** np.arange(-6, 17):
-            result = self.search(float(mass), peaked)
+        reference = self.search(peaked)
+        assert reference.rho_star == pytest.approx(0.6, abs=1e-10)
+        assert not reference.boundary_flag
+        for factor in 10.0 ** np.arange(-6, 17):
+            result = self.search(peaked, float(factor))
             assert not result.degenerate_flag
             assert result.rho_star == reference.rho_star
             assert result.stationary_points == reference.stationary_points
 
+    @pytest.mark.parametrize("vertex, curvature", [(0.23, 0.4), (0.71, 3.7), (0.88, 0.15)])
+    def test_rescaling_moves_rho_star_by_rounding_only(self, vertex, curvature):
+        # bisection reads signs only; a scale can widen the band around the
+        # vertex where the 1e-6 difference rounds to zero, and no more
+        peaked = lambda rho: 2.0 - curvature * (rho - vertex) ** 2  # noqa: E731
+        reference = self.search(peaked, grid=64)
+        assert abs(reference.rho_star - vertex) <= 1e-9
+        for factor in [1e-200, 1e-6, 3.7e-3, 0.9, 41.0, 1e9, 1e16, 1e200]:
+            result = self.search(peaked, factor, grid=64)
+            assert abs(result.rho_star - reference.rho_star) <= 1e-9
+            assert len(result.stationary_points) == 1
+
     @pytest.mark.parametrize("mass", [1e-6, 1.0, 1e16])
     def test_constant_scale_is_degenerate_at_any_mass(self, mass):
-        result = self.search(mass, lambda rho: 0.7)
+        result = self.search(lambda rho: 0.7, 0.5 / mass)
         assert result.degenerate_flag and result.rho_star is None
+
+    def test_negative_scale_is_scanned_by_its_magnitude(self):
+        # F0 = rho^3 - rho < 0 on (0, 1]; |F0| peaks at 1/sqrt(3)
+        result = self.search(lambda rho: rho**3 - rho)
+        assert result.rho_star == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-10)
+        assert result.stationary_points == (round(result.rho_star, 12),)
+        assert not (result.boundary_flag or result.degenerate_flag)
+        # F0 = rho - 2 rises while |F0| falls: the magnitude puts rho* at rho_min
+        result = self.search(lambda rho: rho - 2.0)
+        assert result.boundary_flag and result.rho_star == 0.05
+        assert result.stationary_points == ()
+
+    @pytest.mark.parametrize("vertex", [0.37, 0.6, 0.81])
+    @pytest.mark.parametrize("rho_grid", [16, 64, 256])
+    def test_quadratic_preset_finds_its_vertex(self, vertex, rho_grid):
+        config = parse_scenario(
+            {
+                "grid": {"time": [0, 1, 3], "sigma1": [0.5, 2.5, 9], "sigma2": [0, 1, 9]},
+                "metric": {"preset": "flat"},
+                "firms": [
+                    {"share": [0.3, 1.0, 0.5], "strategy": 0.2, "alpha_own": 0.5,
+                     "alpha_other": 0.5, "coop_own": 0.5, "coop_other": 0.5}
+                ],
+                "profit": {"preset": "rho_quadratic", "vertex": vertex, "peak": 2.0},
+                "rho_grid": rho_grid,
+            }
+        )
+        payload = pipeline.cooperation(config)
+        assert abs(payload["rho_star"] - vertex) <= 1e-10
+        assert payload["stationary_points"] == (payload["rho_star"],)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_scale_names_rho(self, bad):
+        with pytest.raises(NumericalError, match=r"at rho = 0\.7"):
+            self.search(lambda rho: bad if rho > 0.7 else 1.0)
+
+    def test_bracket_whose_finer_difference_keeps_its_sign(self):
+        # |F0| = 10 - (x - v)^2 - (x - v)^3 peaks a quarter squared grid
+        # step right of node a; the centered np.gradient (error -s^2 from
+        # the cubic) turns negative at a already, so it brackets [a - s, a],
+        # where the 1e-6 difference stays positive and bisection has no
+        # sign change to work on: the node nearer the peak stands in
+        rhos = np.linspace(0.05, 1.0, 32)
+        s, a = rhos[1] - rhos[0], rhos[12]
+        v = a + s**2 / 4.0
+        result = self.search(lambda x: 10.0 - (x - v) ** 2 - (x - v) ** 3)
+        assert result.stationary_points == (round(a, 12),)
+        assert abs(result.rho_star - v) <= s**2
+
+    def test_small_grid_and_rho_min_are_rejected(self):
+        with pytest.raises(ValidationError):
+            evolution.optimal_rho(lambda rho: rho, grid=15)
+        with pytest.raises(ValidationError):
+            evolution.optimal_rho(lambda rho: rho, rho_min=1.0)

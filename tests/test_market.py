@@ -183,7 +183,18 @@ class TestSimulate:
         n = 20000
         ens = simulate(coeffs, np.zeros(3), horizon=1.0, steps=8, paths=n, seed=5)
         se = 1.0 * np.sqrt(2.0 / (n - 1))
-        assert np.abs(ens.component_variance() - 1.0).max() < 3.0 * se
+        assert np.abs(np.array(ens.summary()["final_variance"]) - 1.0).max() < 3.0 * se
+
+    def test_summary_equals_the_strided_final_slice_statistics(self):
+        # the summary copies the final slice once; sde_summary.json must
+        # keep the numbers of the strided reads it replaced, bit for bit
+        coeffs = constant_coefficients(np.full(3, 0.1), np.eye(3))
+        ens = simulate(coeffs, np.zeros(3), horizon=1.0, steps=8, paths=9000, seed=3)
+        final = ens.values[:, -1, :]
+        summary = ens.summary()
+        assert summary["final_mean"] == [float(v) for v in final.mean(axis=0)]
+        assert summary["final_variance"] == [float(v) for v in final.var(axis=0, ddof=1)]
+        assert (summary["paths"], summary["steps"], summary["horizon"]) == (9000, 8, 1.0)
 
     def test_linear_drift_decay(self):
         def drift(s, x):

@@ -136,6 +136,83 @@ def test_optimal_rho_matches_rho_json(run):
     assert payload == json.loads((pipeline_dir / "rho.json").read_text())
 
 
+def test_optimal_rho_reads_only_the_scenario(run, monkeypatch):
+    # rho* is a property of F0(rho) alone: the world volume, the kernel,
+    # the evolution and the Laplacian must stay out of the search
+    def refuse(*args, **kwargs):
+        raise AssertionError("the rho search built a stage it does not need")
+
+    for owner, name in [
+        (pipeline, "world"),
+        (pipeline, "action_terms"),
+        (pipeline, "kernel"),
+        (pipeline, "evolve"),
+        (geometry, "laplace_operator_matrix"),
+        (evolution, "laplace_operator_matrix"),
+    ]:
+        monkeypatch.setattr(owner, name, refuse)
+    _, scenario, pipeline_dir, _ = run
+    code, payload = run_cli("optimal-rho", "--config", scenario)
+    assert code == cli.EXIT_OK
+    assert payload == json.loads((pipeline_dir / "rho.json").read_text())
+
+
+def _exit_and_stderr(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, _ = run_cli(*argv)
+    return code, err.getvalue()
+
+
+def test_non_finite_scale_in_the_rho_scan_is_a_numerical_error(tmp_path):
+    # base + 0.5**rho < 0 near rho = 1, where (p*b)^W is NaN
+    firm = dict(SCENARIO["firms"][0], strategy=0.9)
+    scenario = dict(
+        SCENARIO, firms=[firm], profit={"preset": "region_power", "base": -0.6, "exponent": 1}
+    )
+    path = write_scenario(tmp_path / "scenario.json", scenario)
+    code, err = _exit_and_stderr("optimal-rho", "--config", path)
+    assert code == cli.EXIT_NUMERICAL
+    assert "effective scale is nan at rho = " in err
+
+    out = tmp_path / "out"
+    code, _ = _exit_and_stderr("pipeline", "--scenario", path, "--out-dir", out)
+    assert code == cli.EXIT_NUMERICAL
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed_stage"] == "cooperation"
+    assert manifest["failure"].startswith("effective scale is nan at rho = ")
+    assert "rho.json" not in manifest["artifacts"]
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        # F0 = inf: the constant profit times a stubbornness of 10 overflows
+        (
+            {
+                "firms": [dict(SCENARIO["firms"][0], stubbornness=10)],
+                "profit": {"preset": "constant", "value": 1e308},
+            },
+            "effective scale on the initial time plane is inf",
+        ),
+        # F0 is finite, the covariance (step / mass) F0 hinv is not
+        ({"kernel": dict(SCENARIO["kernel"], mass=1e-300, step=1e300)}, "overflows"),
+    ],
+    ids=["scale", "covariance"],
+)
+def test_non_finite_kernel_is_a_numerical_error(tmp_path, changes, message):
+    path = write_scenario(tmp_path / "scenario.json", dict(SCENARIO, **changes))
+    code, err = _exit_and_stderr("kernel-check", "--config", path, "--seed", SEED)
+    assert code == cli.EXIT_NUMERICAL
+    assert message in err
+
+    out = tmp_path / "out"
+    code, _ = _exit_and_stderr("pipeline", "--scenario", path, "--out-dir", out)
+    assert code == cli.EXIT_NUMERICAL
+    assert json.loads((out / "manifest.json").read_text())["failed_stage"] == "kernel"
+
+
 def test_gff_sample_draws_the_pipeline_field(run):
     root, _, pipeline_dir, _ = run
     out = root / "gff.bin"
@@ -236,6 +313,7 @@ def test_failed_simulation_leaves_no_ensemble(tmp_path, poisoned_drift):
         ["simulate-sde", "--scenario", "{scenario}", "--out", "{dir}/p.bin"],
         ["action", "--config", "{scenario}"],
         ["evolve", "--config", "{scenario}", "--out", "{dir}/psi.bin"],
+        ["optimal-rho", "--config", "{scenario}"],
     ],
     ids=lambda argv: argv[0],
 )
