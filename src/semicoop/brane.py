@@ -21,7 +21,11 @@ returns that single component, in closed form as a sum of 3x3 minors of
 the embedding Jacobian, instead of the full antisymmetric tensor.  The
 gauge-fixing ghost term is not part of the bracket: :func:`ghost_action`
 integrates it covariantly, and the pipeline reports it separately as
-``action.json["ghost"]``.  Integration is by tensor-product trapezoid
+``action.json["ghost"]``.  :func:`fp_determinant` discretizes the ghost
+operator with first-order forward differences, which makes it block upper
+triangular: its determinant is local by construction, a product of one
+3x3 determinant per interior node, and a singular result names the node
+whose block is singular.  Integration is by tensor-product trapezoid
 weights, which makes the action exactly additive across a partition of
 the time axis at a grid plane.
 """
@@ -32,12 +36,9 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import structural_rank
 
 from .errors import NumericalError, ValidationError
-from .geometry import MetricField, _interior_first_difference, first_derivative
+from .geometry import MetricField, _first_bad_node, first_derivative, lu_determinants
 from .grids import require_same_grid
 
 WORLD_DIM = 3
@@ -336,121 +337,55 @@ def ghost_action(config, chris, epsilon_step):
 class FPDeterminant:
     """Sign and log magnitude of the gauge-fixing operator determinant.
 
-    ``singular`` marks a vanishing determinant; ``log_abs_det`` is then
-    ``-inf``.
+    The operator is block upper triangular with one 3x3 block per
+    interior node (see :func:`fp_determinant`), so it is singular exactly
+    when one block is.  ``singular_node`` is then the world-grid index of
+    the first such node, ``sign`` is 0 and ``log_abs_det`` is ``-inf``;
+    it is None for a regular operator.
     """
 
     sign: float
     log_abs_det: float
+    singular_node: tuple = None
 
     @property
     def singular(self):
-        return not np.isfinite(self.log_abs_det)
-
-
-def _permutation_sign(perm):
-    """Sign of a permutation given as an index array: ``(-1)**(n - cycles)``."""
-    seen = np.zeros(perm.size, dtype=bool)
-    cycles = 0
-    for start in range(perm.size):
-        if not seen[start]:
-            cycles += 1
-            k = start
-            while not seen[k]:
-                seen[k] = True
-                k = perm[k]
-    return -1.0 if (perm.size - cycles) % 2 else 1.0
-
-
-def fp_log_determinant(matrix):
-    """Log-determinant of an explicit operator matrix by sparse LU.
-
-    SuperLU factors ``Pr A Pc = L U`` with a unit-diagonal ``L``, so
-    ``log|det A| = sum log|diag U|`` and the sign is the product of the
-    two permutation signs and the signs of ``diag U``.  A singular
-    operator is reported as ``FPDeterminant(0.0, -inf)``.  Structurally
-    singular matrices (no perfect matching between rows and columns) are
-    recognized before factoring, because SuperLU can abort on them
-    instead of reporting the zero pivot.
-    """
-    matrix = sp.csc_matrix(matrix, dtype=float)
-    if structural_rank(matrix) < matrix.shape[0]:
-        return FPDeterminant(0.0, -np.inf)
-    try:
-        lu = spla.splu(matrix)
-    except RuntimeError as exc:
-        if "exactly singular" in str(exc):
-            return FPDeterminant(0.0, -np.inf)
-        raise NumericalError(
-            f"sparse LU of the gauge-fixing operator failed: {exc}"
-        ) from exc
-    diag = lu.U.diagonal()
-    sign = _permutation_sign(lu.perm_r) * _permutation_sign(lu.perm_c)
-    sign *= float(np.prod(np.sign(diag)))
-    return FPDeterminant(sign, float(np.sum(np.log(np.abs(diag)))))
-
-
-def fp_operator_matrix(config, chris):
-    """Square pairing matrix between ghost fields on interior nodes.
-
-    The ghost bilinear pairs a rank-2 antighost with the covariant
-    derivative of the ghost vector.  Restricted to the diagonal antighost
-    pattern (the identity pattern used throughout), the pairing becomes a
-    square operator on the ghost vector alone:
-
-        (F c)^b(n) = sqrt(h) h^{bc} ( d_c c^b + gamma^b_{cd} c^d )
-
-    assembled on interior nodes with zero boundary values and central
-    differences.  Degrees of freedom are ordered node-major, component
-    within node.
-    """
-    grid = require_same_grid(config.world_metric, chris)
-    shape = grid.shape
-    m = tuple(n - 2 for n in shape)
-    n_nodes = int(np.prod(m))
-    size = WORLD_DIM * n_nodes
-
-    inner = tuple(slice(1, -1) for _ in range(WORLD_DIM))
-    hinv = config.world_metric.inverse[inner]
-    sqrt_h = np.sqrt(config.world_metric.determinant)[inner]
-    gamma = chris.values[inner]
-
-    d1 = [_interior_first_difference(shape[k], grid.spacing(k)) for k in range(WORLD_DIM)]
-    eyes = [sp.identity(mk, format="csr") for mk in m]
-    node_ops = []
-    for c in range(WORLD_DIM):
-        op = None
-        for k in range(WORLD_DIM):
-            block = d1[k] if k == c else eyes[k]
-            op = block if op is None else sp.kron(op, block, format="csr")
-        node_ops.append(op)
-
-    eye3 = sp.identity(WORLD_DIM, format="csr")
-    matrix = sp.csr_matrix((size, size))
-    for c in range(WORLD_DIM):
-        weights = (sqrt_h[..., None] * hinv[..., :, c]).reshape(-1)
-        matrix = matrix + sp.diags(weights) @ sp.kron(node_ops[c], eye3, format="csr")
-
-    local = sqrt_h[..., None, None] * np.einsum("...bc,...bcd->...bd", hinv, gamma)
-    local = local.reshape(n_nodes, WORLD_DIM, WORLD_DIM)
-    if np.any(local):
-        rows = np.repeat(
-            np.arange(n_nodes) * WORLD_DIM, WORLD_DIM * WORLD_DIM
-        ) + np.tile(np.repeat(np.arange(WORLD_DIM), WORLD_DIM), n_nodes)
-        cols = np.repeat(np.arange(n_nodes) * WORLD_DIM, WORLD_DIM * WORLD_DIM) + np.tile(
-            np.tile(np.arange(WORLD_DIM), WORLD_DIM), n_nodes
-        )
-        matrix = matrix + sp.csr_matrix(
-            (local.reshape(-1), (rows, cols)), shape=(size, size)
-        )
-    return matrix
+        return self.singular_node is not None
 
 
 def fp_determinant(config, chris):
     """Determinant of the gauge-fixing operator on interior nodes.
 
-    Returns the determinant of the operator itself (the anticommuting
-    Gaussian convention), as sign and log magnitude; a singular operator
-    is flagged with ``-inf``.
+    The ghost bilinear, restricted to the identity antighost pattern, is
+    the square operator ``(F c)^b = sqrt(h) h^{bc} (d_c c^b +
+    gamma^b_{cd} c^d)`` on the ghost vector, with zero boundary values.
+    ``d_c`` is the first-order forward difference, so in node-major order
+    F couples node ``n`` only to itself and to the later nodes
+    ``n + e_c``: F is block upper triangular with the diagonal blocks
+
+        D_n[b, d] = sqrt(h) (sum_c h^{bc} gamma^b_{cd}
+                             - delta_bd sum_c h^{bc} / spacing_c)
+
+    and ``det F`` is the product of the ``det D_n``, local by
+    construction.  (Central differences would leave an odd-even null
+    mode on every axis with an odd interior count.)  Returns the
+    determinant of the operator itself (the anticommuting Gaussian
+    convention) as sign and log magnitude; a zero ``det D_n`` makes the
+    result singular and names that node, and a non-finite one is a
+    :class:`NumericalError`.
     """
-    return fp_log_determinant(fp_operator_matrix(config, chris))
+    grid = require_same_grid(config.world_metric, chris)
+    inner = (slice(1, -1),) * WORLD_DIM
+    hinv = config.world_metric.inverse[inner]
+    sqrt_h = np.sqrt(config.world_metric.determinant[inner])
+    blocks = np.einsum("...bc,...bcd->...bd", hinv, chris.values[inner])
+    diagonal = np.einsum("...bc,c->...b", hinv, 1.0 / np.array(grid.spacings))
+    blocks = sqrt_h[..., None, None] * (blocks - diagonal[..., None] * np.eye(WORLD_DIM))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det, _ = lu_determinants(blocks)
+    if not np.all(np.isfinite(det)):
+        node = tuple(i + 1 for i in _first_bad_node(~np.isfinite(det)))
+        raise NumericalError(f"gauge-fixing block determinant is not finite at node {node}")
+    if np.any(det == 0.0):
+        return FPDeterminant(0.0, -np.inf, tuple(i + 1 for i in _first_bad_node(det == 0.0)))
+    return FPDeterminant(float(np.prod(np.sign(det))), float(np.sum(np.log(np.abs(det)))))

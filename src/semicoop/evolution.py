@@ -391,13 +391,10 @@ def _propagate_modes(interior, metric, theta, steps):
 
 @dataclass(frozen=True)
 class RhoSearchResult:
-    """Outcome of the cooperation-degree scan.
-
-    ``rho_star`` is the stationary point with the largest ``|F0|``, or
-    the boundary argmax when no interior stationary point exists
-    (``boundary_flag`` set), or None when ``|F0|`` is flat
-    (``degenerate_flag`` set).
-    """
+    """Outcome of the cooperation-degree scan: ``rho_star`` is the largest
+    of the interior maxima of ``|F0|`` (``stationary_points``) and the two
+    ends of the range (``boundary_flag`` set when an end wins), or None
+    when ``|F0|`` is flat (``degenerate_flag`` set)."""
 
     rho_star: float
     stationary_points: tuple
@@ -414,11 +411,12 @@ def optimal_rho(rho_to_scale, grid=64, rho_min=0.05):
     mass.  A negative ``F0`` is scanned by its magnitude, as the kernel
     stage uses it; a non-finite one is a :class:`NumericalError` naming
     ``rho``.  ``|F0|`` is flat when its range on the uniform grid is
-    within ``1e-12`` of its maximum.  Each sign change of its
-    ``np.gradient`` brackets a stationary point, bisected to ``1e-15`` on
-    the signs of the centered difference (step ``1e-6``, clipped to the
-    interval), so rescaling ``F0`` moves ``rho*`` only where rounding
-    zeroes that difference, by under ``1e-9``.
+    within ``1e-12`` of its maximum.  Each + to - sign change of its
+    ``np.gradient``, taken at the two end nodes by the difference below so
+    that the end intervals count, brackets a maximum, bisected to
+    ``1e-15`` on the signs of the centered difference (step ``1e-6``,
+    clipped to the interval), so rescaling ``F0`` moves ``rho*`` only where
+    rounding zeroes that difference, by under ``1e-9``.
     """
     grid_n = int(grid)
     if grid_n < 16:
@@ -446,28 +444,28 @@ def optimal_rho(rho_to_scale, grid=64, rho_min=0.05):
 
     # signs, not products, so that no scale of F0 underflows a comparison
     sign = np.sign(np.gradient(j, rhos))
-    stationary = []
-    for k in range(1, grid_n - 1):
-        if sign[k] == 0.0:
-            stationary.append(float(rhos[k]))
-        elif k < grid_n - 2 and sign[k] * sign[k + 1] < 0.0:
-            lo, hi = rhos[k], rhos[k + 1]
-            dlo, dhi = derivative(lo), derivative(hi)
-            if np.sign(dlo) == np.sign(dhi) != 0.0:  # turns just outside: nearer node
-                lo = hi = lo if abs(dlo) <= abs(dhi) else hi
-            while hi - lo > 1e-15:
-                mid = 0.5 * (lo + hi)
-                side = np.sign(derivative(mid))
-                if side == 0.0:  # flat to rounding: stop at the first such point
-                    lo = hi = mid
-                elif side == np.sign(dhi):
-                    hi = mid
-                else:
-                    lo = mid
-            stationary.append(float(0.5 * (lo + hi)))
+    sign[[0, -1]] = np.sign([derivative(rhos[0]), derivative(rhos[-1])])
+    maxima = []
+    for k in np.flatnonzero((sign[:-1] > 0.0) & (sign[1:] <= 0.0)):
+        dlo, dhi = derivative(rhos[k]), derivative(rhos[k + 1])
+        if np.sign(dlo) == np.sign(dhi) != 0.0:  # turns just outside: next interval
+            k += 1 if dlo > 0.0 else -1
+            dlo, dhi = derivative(rhos[k]), derivative(rhos[k + 1])
+        lo, hi = rhos[k], rhos[k + 1]
+        if np.sign(dlo) == np.sign(dhi) != 0.0:  # still one sign: nearer node
+            lo = hi = lo if abs(dlo) <= abs(dhi) else hi
+        while hi - lo > 1e-15:
+            mid = 0.5 * (lo + hi)
+            side = np.sign(derivative(mid))
+            if side == 0.0:  # flat to rounding: stop at the first such point
+                lo = hi = mid
+            elif side == np.sign(dhi):
+                hi = mid
+            else:
+                lo = mid
+        maxima.append(float(0.5 * (lo + hi)))
 
-    stationary = tuple(dict.fromkeys(round(s, 12) for s in stationary))
-    if not stationary:
-        return RhoSearchResult(float(rhos[np.argmax(j)]), (), True, False)
-    best = max(stationary, key=objective)
-    return RhoSearchResult(float(best), stationary, False, False)
+    maxima = tuple(dict.fromkeys(round(s, 12) for s in maxima))
+    candidates = maxima + (float(rhos[0]), float(rhos[-1]))
+    best = int(np.argmax([objective(c) for c in candidates]))
+    return RhoSearchResult(candidates[best], maxima, best >= len(maxima), False)

@@ -128,7 +128,9 @@ def action_terms(config, metric, curv):
 
 def action(config, chris, cfg_brane, terms, ghost, fp_det):
     """Action stage: the ``action.json`` payload, with the ghost action
-    and the FP log-determinant when asked for (None otherwise)."""
+    and the FP log-determinant when asked for (None otherwise); with the
+    latter, ``fp_singular_node`` is the node whose block makes the
+    operator singular, or None."""
     grid = cfg_brane.grid
     profit, _ = config.build_profit()
     # simulated paths satisfy the discrete dynamics identically, so the
@@ -153,6 +155,7 @@ def action(config, chris, cfg_brane, terms, ghost, fp_det):
         fp = brane.fp_determinant(cfg_brane, chris)
         payload["logdet_fp"] = None if fp.singular else fp.log_abs_det
         payload["fp_singular"] = fp.singular
+        payload["fp_singular_node"] = fp.singular_node
     return payload
 
 

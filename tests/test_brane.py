@@ -1,12 +1,17 @@
+import ast
+import functools
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from semicoop import GridSpec
 from semicoop import brane
 from semicoop import geometry as geo
+from semicoop.errors import NumericalError
 from semicoop.market import FirmState
 
 
@@ -193,62 +198,171 @@ class TestEvaluateAction:
         )
 
 
-def sphere_fp_matrix(counts):
-    grid = GridSpec.from_axes((0, 1, counts[0]), (0.5, 2.5, counts[1]), (0, 1, counts[2]))
-    metric = geo.sphere_metric(grid, radius=1.05)
-    config = brane.BraneConfiguration(
-        embedding=np.zeros(grid.shape + (brane.TRANSVERSE_DIM,)),
+def forward_difference(n, spacing):
+    """First-order forward difference on the ``n - 2`` interior nodes of
+    one axis, with zero boundary values."""
+    m = n - 2
+    return sp.diags([np.full(m, -1.0 / spacing), np.full(m - 1, 1.0 / spacing)], [0, 1])
+
+
+def fp_operator_matrix(config, chris):
+    """The assembled gauge-fixing operator, the oracle of
+    ``brane.fp_determinant``:
+
+        (F c)^b(n) = sqrt(h) h^{bc} (d_c c^b + gamma^b_{cd} c^d)
+
+    on interior nodes with zero boundary values and forward differences;
+    degrees of freedom run node-major, component within node."""
+    grid = config.grid
+    inner = (slice(1, -1),) * 3
+    hinv = config.world_metric.inverse[inner].reshape(-1, 3, 3)
+    sqrt_h = np.sqrt(config.world_metric.determinant[inner]).reshape(-1)
+    gamma = chris.values[inner].reshape(-1, 3, 3, 3)
+    local = sqrt_h[:, None, None] * np.einsum("nbc,nbcd->nbd", hinv, gamma)
+    matrix = sp.block_diag(list(local))
+    eyes = [sp.identity(n - 2) for n in grid.shape]
+    for c in range(3):
+        factors = eyes[:c] + [forward_difference(grid.shape[c], grid.spacing(c))] + eyes[c + 1 :]
+        diff = functools.reduce(sp.kron, factors + [sp.identity(3)])
+        matrix = matrix + sp.diags((sqrt_h[:, None] * hinv[:, :, c]).reshape(-1)) @ diff
+    return sp.csc_matrix(matrix)
+
+
+def permutation_sign(perm):
+    """``(-1)**(n - cycles)`` of a permutation given as an index array."""
+    seen = np.zeros(perm.size, dtype=bool)
+    cycles = 0
+    for start in range(perm.size):
+        if not seen[start]:
+            cycles += 1
+            k = start
+            while not seen[k]:
+                seen[k] = True
+                k = perm[k]
+    return -1.0 if (perm.size - cycles) % 2 else 1.0
+
+
+def oracle_slogdet(matrix):
+    """Dense ``slogdet`` of a small operator, sparse LU of a large one."""
+    if matrix.shape[0] <= 1000:
+        return np.linalg.slogdet(matrix.toarray())
+    lu = spla.splu(matrix)
+    diag = lu.U.diagonal()
+    sign = permutation_sign(lu.perm_r) * permutation_sign(lu.perm_c) * np.prod(np.sign(diag))
+    return sign, np.sum(np.log(np.abs(diag)))
+
+
+def fp_config(metric):
+    return brane.BraneConfiguration(
+        embedding=np.zeros(metric.grid.shape + (brane.TRANSVERSE_DIM,)),
         world_metric=metric,
         background=np.eye(brane.BACKGROUND_DIM),
     )
-    return brane.fp_operator_matrix(config, geo.christoffel(metric))
+
+
+def stage_grid(counts):
+    """The benchmark's world-volume axes at the given node counts."""
+    return GridSpec.from_axes((0, 1, counts[0]), (0.5, 2.5, counts[1]), (0, 1, counts[2]))
+
+
+def random_spd_metric(grid, seed):
+    rng = np.random.default_rng(seed)
+    a = 0.4 * rng.normal(size=grid.shape + (3, 3))
+    return geo.MetricField(a @ np.swapaxes(a, -1, -2) + np.eye(3), grid)
+
+
+BENCHMARK_COUNTS = [(4, 8, 8), (5, 9, 9), (3, 9, 9), (5, 25, 25)]
 
 
 class TestFPDeterminant:
-    @pytest.mark.parametrize("counts", [(4, 4, 4), (4, 6, 8), (6, 4, 6)])
-    def test_sparse_matches_dense_nonsingular(self, counts):
-        matrix = sphere_fp_matrix(counts)
-        sign, logdet = np.linalg.slogdet(matrix.toarray())
-        assert sign != 0.0
-        fp = brane.fp_log_determinant(matrix)
+    @pytest.mark.parametrize("counts", BENCHMARK_COUNTS)
+    def test_flat_metric_closed_form(self, counts):
+        # every block is -diag(1/spacing_b): log|det F| = N sum_b log(1/spacing_b)
+        metric = geo.flat_metric(stage_grid(counts))
+        fp = brane.fp_determinant(fp_config(metric), geo.christoffel(metric))
+        n_nodes = int(np.prod([n - 2 for n in counts]))
+        expected = n_nodes * sum(np.log(1.0 / h) for h in metric.grid.spacings)
+        assert fp.log_abs_det == pytest.approx(expected, rel=1e-13)
+        assert fp.sign == (-1.0) ** n_nodes
+        assert fp.singular_node is None
+
+    @pytest.mark.parametrize("counts", BENCHMARK_COUNTS)
+    @pytest.mark.parametrize("preset", ["flat", "sphere"])
+    def test_regular_on_benchmark_grids(self, counts, preset):
+        # central differences left these operators singular on every axis
+        # with an odd interior count (5x9x9, 3x9x9 and 5x25x25 here)
+        grid = stage_grid(counts)
+        metric = geo.flat_metric(grid) if preset == "flat" else geo.sphere_metric(grid, radius=0.97)
+        fp = brane.fp_determinant(fp_config(metric), geo.christoffel(metric))
         assert not fp.singular
+        assert fp.singular_node is None
+        assert np.isfinite(fp.log_abs_det) and fp.sign in (-1.0, 1.0)
+
+    @pytest.mark.parametrize("seed, counts", [(0, (4, 5, 6)), (1, (5, 4, 5)), (2, (4, 4, 4))])
+    def test_block_product_matches_assembled_operator(self, seed, counts):
+        metric = random_spd_metric(stage_grid(counts), seed)
+        chris = geo.christoffel(metric)
+        assert np.abs(chris.values[1:-1, 1:-1, 1:-1]).max() > 0.1
+        matrix = fp_operator_matrix(fp_config(metric), chris)
+        # block upper triangular: no node couples to an earlier node
+        coo = matrix.tocoo()
+        assert np.all(coo.col // 3 >= coo.row // 3)
+        sign, logdet = oracle_slogdet(matrix)
+        fp = brane.fp_determinant(fp_config(metric), chris)
+        assert sign != 0.0 and fp.sign == sign
+        assert fp.log_abs_det == pytest.approx(logdet, rel=1e-12)
+
+    # the ends of the benchmark's radius range and its draws for seeds 1 and 2
+    @pytest.mark.parametrize(
+        "radius", [0.9, 1.1] + [0.9 + 0.2 * np.random.default_rng(s).random() for s in (1, 2)]
+    )
+    def test_matches_assembled_operator_on_stage_grid(self, radius):
+        metric = geo.sphere_metric(stage_grid((5, 25, 25)), radius=radius)
+        chris = geo.christoffel(metric)
+        matrix = fp_operator_matrix(fp_config(metric), chris)
+        assert matrix.shape == (4761, 4761)
+        sign, logdet = oracle_slogdet(matrix)
+        fp = brane.fp_determinant(fp_config(metric), chris)
         assert fp.sign == sign
-        assert fp.log_abs_det == pytest.approx(logdet, rel=1e-12, abs=1e-12)
+        assert fp.log_abs_det == pytest.approx(logdet, rel=1e-12)
 
-    # odd interior counts leave the central difference without full rank;
-    # (4, 5, 6) and (3, 5, 7) are structurally singular matrices on which
-    # SuperLU aborts instead of reporting a zero pivot
-    @pytest.mark.parametrize("counts", [(3, 3, 3), (4, 5, 6), (3, 5, 7), (5, 6, 8)])
-    def test_singular_operator_flagged(self, counts):
-        matrix = sphere_fp_matrix(counts)
-        assert np.linalg.slogdet(matrix.toarray())[0] == 0.0
-        fp = brane.fp_log_determinant(matrix)
-        assert fp.singular
-        assert fp.sign == 0.0
+    def test_singular_block_names_its_node(self):
+        # h = diag(a(x0) + b(x1, x2), 1, 1) with b = 0 and symmetric about
+        # (x1, x2) = (0.75, 0.75): at node (2, 3, 3) gamma^0_00 is exactly
+        # 1/spacing_0 and gamma^0_01 = gamma^0_02 = 0, so row 0 of D_n vanishes
+        grid = GridSpec.from_axes((0, 1.25, 6), (0, 1.25, 6), (0, 1.25, 6))
+        x0, x1, x2 = grid.meshgrid()
+        a = np.array([1.0, 0.5, 1.0, 4.5, 5.0, 6.0])[np.rint(x0 / 0.25).astype(int)]
+        values = np.zeros(grid.shape + (3, 3))
+        values[...] = np.eye(3)
+        values[..., 0, 0] = a + (x1 - 0.75) ** 2 + (x2 - 0.75) ** 2
+        metric = geo.MetricField(values, grid)
+        chris = geo.christoffel(metric)
+        fp = brane.fp_determinant(fp_config(metric), chris)
+        assert fp.singular and fp.singular_node == (2, 3, 3)
+        assert fp.sign == 0.0 and fp.log_abs_det == -np.inf
+        assert oracle_slogdet(fp_operator_matrix(fp_config(metric), chris))[0] == 0.0
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_random_sparse_sign_and_magnitude(self, seed):
-        rng = np.random.default_rng(seed)
-        n = 60
-        matrix = sp.random(n, n, density=0.05, random_state=rng, format="csr")
-        matrix = matrix + sp.diags(rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 2.0, n))
-        matrix = matrix[rng.permutation(n)]
-        sign, logdet = np.linalg.slogdet(matrix.toarray())
-        fp = brane.fp_log_determinant(matrix)
-        assert fp.sign == sign
-        assert fp.log_abs_det == pytest.approx(logdet, rel=1e-12, abs=1e-12)
+    def test_overflowing_block_is_a_numerical_error(self):
+        # spacing 1e-200 makes each flat block -diag(1/spacing), whose
+        # determinant overflows double precision
+        metric = geo.flat_metric(GridSpec.from_axes(*[(0.0, 1e-200, 4)] * 3))
+        with pytest.raises(NumericalError, match=r"not finite at node \(1, 1, 1\)"):
+            brane.fp_determinant(fp_config(metric), geo.christoffel(metric))
 
-    def test_numerically_singular_matrix(self):
-        # full structural rank, but row 1 is twice row 2
-        dense = np.array(
-            [[3.0, 1.0, 0.0, 0.0], [1.0, 4.0, 2.0, 0.0], [0.5, 2.0, 1.0, 0.0], [0.0, 0.0, 1.0, 5.0]]
+
+def test_brane_imports_no_scipy():
+    # the FP determinant is a product of per-node blocks; a scipy import
+    # in brane.py is how a general sparse factorization would come back
+    tree = ast.parse(Path(brane.__file__).read_text())
+    imported = [
+        name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in (
+            [alias.name for alias in node.names]
+            if isinstance(node, ast.Import)
+            else [node.module or ""]
         )
-        assert np.linalg.slogdet(dense)[0] == 0.0
-        fp = brane.fp_log_determinant(sp.csr_matrix(dense))
-        assert fp.singular
-
-    def test_large_operator_factored(self):
-        matrix = sphere_fp_matrix((4, 60, 60))
-        assert matrix.shape[0] > 20000
-        fp = brane.fp_log_determinant(matrix)
-        assert not fp.singular
+    ]
+    assert imported and not [n for n in imported if n.split(".")[0] == "scipy"]

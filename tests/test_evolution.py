@@ -342,6 +342,28 @@ def test_every_benchmark_slice_takes_the_mode_path(tmp_path, mode_calls, monkeyp
     }
 
 
+RANDOM_SCALE_KINDS = ["quadratic", "cubic", "sign_change", "gaussians"]
+
+
+def random_scale(rng, kind):
+    """A random smooth ``F0`` on [0.05, 1] of one kind, for scalars and arrays."""
+    if kind == "quadratic":
+        a, v, p = rng.uniform(0.1, 5.0), rng.uniform(-0.2, 1.2), rng.uniform(-2.0, 2.0)
+        return lambda rho: p - a * (rho - v) ** 2
+    if kind == "cubic":
+        coefficients = rng.normal(size=4)
+        return lambda rho: np.polyval(coefficients, rho)
+    if kind == "sign_change":
+        z, s, b = rng.uniform(0.1, 0.9), rng.uniform(0.5, 3.0), rng.normal()
+        return lambda rho: s * (rho - z) * (1.0 + b * rho)
+    n = rng.integers(1, 5)
+    centre, width = rng.uniform(0.05, 1.0, n), rng.uniform(0.05, 0.4, n)
+    amplitude = rng.normal(size=n)
+    return lambda rho: np.sum(
+        amplitude * np.exp(-(((np.asarray(rho)[..., None] - centre) / width) ** 2)), axis=-1
+    )
+
+
 class TestOptimalRho:
     def search(self, effective_scale, factor=1.0, grid=32):
         return evolution.optimal_rho(lambda rho: factor * effective_scale(rho), grid=grid)
@@ -416,14 +438,62 @@ class TestOptimalRho:
         # |F0| = 10 - (x - v)^2 - (x - v)^3 peaks a quarter squared grid
         # step right of node a; the centered np.gradient (error -s^2 from
         # the cubic) turns negative at a already, so it brackets [a - s, a],
-        # where the 1e-6 difference stays positive and bisection has no
-        # sign change to work on: the node nearer the peak stands in
+        # where the 1e-6 difference stays positive: the peak lies in the
+        # next interval, [a, a + s], which is bisected instead
         rhos = np.linspace(0.05, 1.0, 32)
         s, a = rhos[1] - rhos[0], rhos[12]
         v = a + s**2 / 4.0
         result = self.search(lambda x: 10.0 - (x - v) ** 2 - (x - v) ** 3)
-        assert result.stationary_points == (round(a, 12),)
-        assert abs(result.rho_star - v) <= s**2
+        # within the band where rounding zeroes the 1e-6 difference
+        assert abs(result.rho_star - v) <= 1e-9
+        assert result.stationary_points == (result.rho_star,)
+
+    def test_unresolved_turn_falls_back_to_the_nearer_node(self):
+        # a ripple that vanishes at every node adds 4s to each 1e-6
+        # difference there, unseen by np.gradient: the bracket [a, a + s]
+        # around the peak at a + s/2 and the next one keep a positive
+        # difference, so the node nearer the turn stands in, unbisected
+        rhos = np.linspace(0.05, 1.0, 32)
+        s, a = rhos[1] - rhos[0], rhos[12]
+        ripple = 2.0 * s**2 / np.pi
+        result = self.search(
+            lambda x: 10.0 - (x - a - s / 2) ** 2 + ripple * np.sin(2 * np.pi * (x - a) / s)
+        )
+        assert result.stationary_points == (round(rhos[14], 12),)
+        assert result.rho_star == result.stationary_points[0]
+        assert not result.boundary_flag
+
+    def test_zero_of_f0_is_not_a_maximum(self):
+        # |F0| = |rho - 0.5| vanishes at 0.5 and is largest at the end 1
+        result = self.search(lambda rho: rho - 0.5)
+        assert result.rho_star == 1.0 and result.boundary_flag
+        assert result.stationary_points == ()
+
+    def test_end_beats_a_lower_interior_maximum(self):
+        # |0.1 - 10 (rho - 0.6)^2| has its interior maximum 0.1 at 0.6 and
+        # minima at the zeros 0.5 and 0.7, but is 2.925 at rho_min
+        result = self.search(lambda rho: 0.1 - 10.0 * (rho - 0.6) ** 2)
+        assert result.rho_star == 0.05 and result.boundary_flag
+        assert len(result.stationary_points) == 1
+        assert abs(result.stationary_points[0] - 0.6) <= 1e-10
+
+    @pytest.mark.parametrize("vertex", [0.108461, 0.947])
+    def test_peak_in_an_end_interval_is_bisected(self, vertex):
+        # at grid 16 the nodes nearest the ends are 0.1133 and 0.9367
+        result = self.search(lambda rho: 2.0 - (rho - vertex) ** 2, grid=16)
+        assert abs(result.rho_star - vertex) <= 1e-9
+        assert result.stationary_points == (result.rho_star,)
+        assert not result.boundary_flag
+
+    @pytest.mark.parametrize("kind", RANDOM_SCALE_KINDS)
+    def test_rho_star_is_the_largest_value_of_abs_f0(self, kind):
+        # against a 10^6-point scan of |F0|, rho* may fall short by rounding only
+        rng = np.random.default_rng(RANDOM_SCALE_KINDS.index(kind))
+        fine = np.linspace(0.05, 1.0, 10**6)
+        for _ in range(25):
+            scale = random_scale(rng, kind)
+            result = self.search(scale, grid=64)
+            assert abs(scale(result.rho_star)) >= np.abs(scale(fine)).max() * (1.0 - 1e-14)
 
     def test_small_grid_and_rho_min_are_rejected(self):
         with pytest.raises(ValidationError):

@@ -82,7 +82,29 @@ def test_action_honours_scenario_section(run):
     assert code == cli.EXIT_OK
     assert payload == json.loads((pipeline_dir / "action.json").read_text())
     assert payload["ghost"] is not None
-    assert "fp_singular" in payload
+    assert payload["fp_singular"] is False
+    assert np.isfinite(payload["logdet_fp"])
+    assert payload["fp_singular_node"] is None
+
+
+@pytest.mark.parametrize("radius", [0.9, 1.1])
+def test_fp_det_is_regular_on_the_stage_commands_grid(tmp_path, radius):
+    # the benchmark's stage_commands grid and sphere metric file, at the ends
+    # of its radius range; central differences made this operator singular
+    axes = {"time": [0, 1, 5], "sigma1": [0.5, 2.5, 25], "sigma2": [0, 1, 25]}
+    grid = GridSpec.from_axes(*(tuple(axes[k]) for k in ("time", "sigma1", "sigma2")))
+    metric_path = tmp_path / "metric.bin"
+    write_grid(metric_path, geometry.sphere_metric(grid, radius=radius).values, grid)
+    scenario = dict(
+        SCENARIO, grid=axes, metric={"file": str(metric_path)}, action={"ghost": True}
+    )
+    code, payload = run_cli(
+        "action", "--config", write_scenario(tmp_path / "scenario.json", scenario), "--fp-det"
+    )
+    assert code == cli.EXIT_OK
+    assert payload["fp_singular"] is False
+    assert np.isfinite(payload["logdet_fp"])
+    assert payload["fp_singular_node"] is None
 
 
 def test_kernel_check_matches_manifest(run):
