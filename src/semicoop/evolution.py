@@ -14,7 +14,10 @@ the divergence-form Laplace-Beltrami operator, self-adjoint in the
 ``sqrt|det h|``-weighted inner product, so the evolution is unitary in
 that weighted norm on every metric.  A metric that is diagonal and
 equal along axis 1 is propagated in closed form, one sine mode at a
-time; any other metric takes one sparse LU solve per step.
+time, with numpy alone: a DST-I and one dense symmetric eigenproblem
+per mode, ``O(m1^3)`` for each of the ``m2`` modes of an ``m1 x m2``
+interior.  Any other metric takes one sparse LU solve per step; that
+fallback is the only place this module imports scipy.
 
 The effective scale ``F0`` is extracted from the per-node action bracket,
 less the curvature potential ``Q * R * xbar``, by contracting both sides
@@ -24,20 +27,18 @@ divides the scalar by the background dimension.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import ndtr
+from numpy.polynomial.legendre import leggauss
+from numpy.random import SeedSequence, default_rng
 
 from .brane import BACKGROUND_DIM
 from .errors import NumericalError, ValidationError
 from .geometry import laplace_operator_matrix
-from .grids import GridSpec, require_same_grid
+from .grids import GridSpec, dst1, require_same_grid
 
 WICK = "wick"
 LORENTZIAN = "lorentzian"
@@ -218,7 +219,7 @@ def effective_scalar_F(action_terms):
 
 def _panel_nodes(lo, hi, breaks, n):
     """Composite Gauss-Legendre nodes/weights over panel subdivisions."""
-    base_x, base_w = np.polynomial.legendre.leggauss(n)
+    base_x, base_w = leggauss(n)
     edges = [lo] + [b for b in breaks if lo < b < hi] + [hi]
     xs, ws = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -226,6 +227,18 @@ def _panel_nodes(lo, hi, breaks, n):
         xs.append(a + half * (base_x + 1.0))
         ws.append(half * base_w)
     return np.concatenate(xs), np.concatenate(ws)
+
+
+def _ndtr(x):
+    """Standard normal CDF ``0.5 erfc(-x / sqrt 2)``, through ``math.erfc``
+    node by node where ``|x| < 40``; beyond, it is exactly 1 or 0 in double
+    precision (it already is from ``x >= 8.3`` and ``x <= -38.5`` on).  NaN
+    stays NaN."""
+    x = np.asarray(x, dtype=float)
+    out = np.heaviside(x, 0.5)
+    near = np.abs(x) < 40.0
+    out[near] = [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x[near].tolist()]
+    return out
 
 
 def kernel_normalization_check(spec, sample_count=64):
@@ -255,12 +268,17 @@ def kernel_normalization_check(spec, sample_count=64):
     cov_uu = cov[:2, :2]
     prec_uu = np.linalg.inv(cov_uu)
     gain = prec_uu @ cov[:2, 2]
-    cond_std = np.sqrt(cov[2, 2] - cov[2, :2] @ gain)
+    cond_var = cov[2, 2] - cov[2, :2] @ gain
+    if not cond_var > 0.0:
+        raise NumericalError(
+            f"conditional variance of the third kernel axis is {float(cond_var)!r}, not positive"
+        )
+    cond_std = np.sqrt(cond_var)
     x0, x1 = x0[:, None], x1[None, :]
     quad = prec_uu[0, 0] * x0**2 + 2.0 * prec_uu[0, 1] * x0 * x1 + prec_uu[1, 1] * x1**2
     marginal = np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(np.linalg.det(cov_uu)))
     mean = gain[0] * x0 + gain[1] * x1
-    axis2 = ndtr((a - mean) / cond_std) - ndtr((-a - mean) / cond_std)
+    axis2 = _ndtr((a - mean) / cond_std) - _ndtr((-a - mean) / cond_std)
     integral = float(w0 @ (marginal * axis2) @ w1)
     return abs(integral - 1.0)
 
@@ -281,7 +299,7 @@ def two_point_correlation(spec, samples, seed):
         factor = np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
         raise ValidationError("kernel covariance must be positive definite")
-    rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+    rng = default_rng(SeedSequence(int(seed)))
     draws = rng.standard_normal((samples, 3)) @ factor.T
     return np.cov(draws, rowvar=False)
 
@@ -331,6 +349,9 @@ def evolve(psi, spec, metric, steps):
     if separable:
         inner = _propagate_modes(interior, metric, spec.step * rate, steps)
     else:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         generator = (1j * rate) * laplace_operator_matrix(metric)
         eye = sp.identity(generator.shape[0], format="csc", dtype=complex)
         try:
@@ -363,7 +384,11 @@ def _propagate_modes(interior, metric, theta, steps):
     and ``steps`` Crank-Nicolson steps with ``G = (i theta / step) Lap``
     are ``V diag(R^steps) V^T``, ``R = (1 + i theta lam / 2) /
     (1 - i theta lam / 2) = exp(2i arctan(theta lam / 2))``: unimodular
-    by construction.
+    by construction.  The DST-I is :func:`semicoop.grids.dst1` and each
+    mode's tridiagonal goes to the dense ``numpy.linalg.eigh``: numpy
+    alone, at ``O(m1^3)`` time and ``O(m1^2)`` memory per mode for an
+    ``m1 x m2`` interior.  scipy is imported only by the LU fallback of
+    :func:`evolve`.
     """
     h0, h1 = metric.grid.spacings
     m2 = interior.shape[1]
@@ -376,13 +401,15 @@ def _propagate_modes(interior, metric, theta, steps):
     sine = -4.0 * np.sin(0.5 * np.pi * np.arange(1, m2 + 1) / (m2 + 1)) ** 2
     off = face[1:-1] / (root[:-1] * root[1:])
 
-    modes = scipy.fft.dst(interior, type=1, norm="ortho", axis=1) * root[:, None]
+    ortho = np.sqrt(0.5 / (m2 + 1))  # rounds as scipy's norm="ortho" factor does
+    tri = np.diag(off, -1)  # eigh reads the lower triangle
+    modes = dst1(interior, 1) * ortho * root[:, None]
     for k in range(m2):
-        diag = (sine[k] * row1 - face[1:] - face[:-1]) / s[1:-1]
-        lam, vecs = eigh_tridiagonal(diag, off)
+        np.fill_diagonal(tri, (sine[k] * row1 - face[1:] - face[:-1]) / s[1:-1])
+        lam, vecs = np.linalg.eigh(tri)
         phase = np.exp((2j * steps) * np.arctan(0.5 * theta * lam))
         modes[:, k] = vecs @ (phase * (vecs.T @ modes[:, k]))
-    return scipy.fft.dst(modes / root[:, None], type=1, norm="ortho", axis=1)
+    return dst1(modes / root[:, None], 1) * ortho
 
 
 # ---------------------------------------------------------------------------

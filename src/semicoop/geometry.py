@@ -16,7 +16,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import RangeOverflowError, SingularMetricError, ValidationError
 from .grids import GridSpec, require_same_grid
@@ -356,6 +355,8 @@ def covariant_laplacian(metric, chris, values):
 def _interior_first_difference(n, spacing):
     """Central first-difference matrix on the interior nodes of one axis
     with zero boundary values; it is skew-symmetric."""
+    import scipy.sparse as sp
+
     m = n - 2
     return sp.csr_matrix(
         sp.diags([np.full(m - 1, -0.5 / spacing), np.full(m - 1, 0.5 / spacing)], [-1, 1])
@@ -365,6 +366,8 @@ def _interior_first_difference(n, spacing):
 def _face_difference(n, spacing):
     """Differences across the ``n - 1`` half-nodes of one axis, from its
     interior nodes with zero boundary values."""
+    import scipy.sparse as sp
+
     m = n - 2
     return sp.diags([np.ones(m), -np.ones(m)], [0, -1], shape=(m + 1, m)) / spacing
 
@@ -382,6 +385,8 @@ def laplace_operator_matrix(metric):
     No connection coefficients enter; :func:`covariant_laplacian` stays
     the pointwise form.
     """
+    import scipy.sparse as sp
+
     grid = metric.grid
     if grid.n_axes != 2 or metric.dim != 2:
         raise ValidationError("operator assembly expects a two-axis grid and metric")

@@ -3,7 +3,8 @@
 A grid covers a box ``[a_0,b_0] x ... x [a_{d-1},b_{d-1}]`` with a fixed
 node count per axis.  By convention the first axis is the evolution (time)
 axis when a computation distinguishes one; purely spatial grids simply use
-all axes symmetrically.
+all axes symmetrically.  :func:`dst1` is the sine transform that
+diagonalizes the Dirichlet second difference along one axis.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.fft import rfft
 
 from .errors import GridMismatchError, ValidationError
 
@@ -115,6 +117,28 @@ class GridSpec:
             extents=tuple(tuple(e) for e in data["extents"]),
             counts=tuple(data["counts"]),
         )
+
+
+def dst1(x, axis):
+    """Unnormalized DST-I along ``axis``, ``y_k = 2 sum_n x_n sin(pi (k+1)
+    (n+1) / (n_x+1))``, as ``-Im rfft`` of the odd extension ``[0, x, 0,
+    -x[::-1]]`` of length ``2 (n_x + 1)`` (the fast sine transform of
+    Press et al., *Numerical Recipes*).  Complex input is transformed as
+    real part and imaginary part.  The results equal scipy's
+    ``dst(type=1)`` bit for bit.
+    """
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        out = np.empty(x.shape, dtype=complex)
+        out.real = dst1(x.real, axis)
+        out.imag = dst1(x.imag, axis)
+        return out
+    n = x.shape[axis]
+    x = np.moveaxis(x, axis, -1)
+    odd = np.zeros(x.shape[:-1] + (2 * (n + 1),))
+    odd[..., 1 : n + 1] = x
+    odd[..., n + 2 :] = -x[..., ::-1]
+    return np.moveaxis(-rfft(odd)[..., 1 : n + 1].imag, -1, axis)
 
 
 def require_same_grid(*objects):

@@ -32,6 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .errors import NumericalError, SingularMetricError, ValidationError
 from .grids import GridSpec
@@ -187,8 +188,8 @@ def _draw_increments(seed, chunk_index, dw, slab, dt):
     Consecutive draws continue one stream, so the numbers are those of a
     single ``(n, steps, 3)`` draw.
     """
-    ss = np.random.SeedSequence(int(seed), spawn_key=(_SDE_STREAM_TAG, int(chunk_index)))
-    rng = np.random.default_rng(ss)
+    ss = SeedSequence(int(seed), spawn_key=(_SDE_STREAM_TAG, int(chunk_index)))
+    rng = default_rng(ss)
     scale = math.sqrt(dt)
     n = dw.shape[2]
     for lo in range(0, n, len(slab)):

@@ -21,6 +21,7 @@ import json
 import os
 
 import numpy as np
+from numpy.random import SeedSequence
 
 from . import __version__, brane, evolution, geometry, market, stubbornness
 from .errors import NumericalError, SemicoopError
@@ -33,7 +34,7 @@ STAGE_LABELS = {"gff": 101, "sde": 202, "kernel": 303}
 def stage_seed(master, stage):
     """Seed of one stage's random stream, split from the master seed by
     the stage's fixed label."""
-    sequence = np.random.SeedSequence(int(master), spawn_key=(STAGE_LABELS[stage],))
+    sequence = SeedSequence(int(master), spawn_key=(STAGE_LABELS[stage],))
     return int(sequence.generate_state(1)[0])
 
 

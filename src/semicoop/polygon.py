@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .errors import DegeneratePolygonError, NumericalError, ValidationError
 
@@ -31,7 +32,7 @@ _HALF_PI = 0.5 * np.pi
 
 @lru_cache(maxsize=64)
 def _gauss_legendre(n):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes, weights = leggauss(n)
     return nodes, weights
 
 

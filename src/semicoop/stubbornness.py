@@ -5,8 +5,10 @@ free field on a square grid with zero (Dirichlet) boundary.  Its
 covariance is ``2 * pi`` times the Green's function of the five-point
 discrete Laplacian, matching a Dirichlet energy carrying a ``1/(2*pi)``
 prefactor.  Sampling goes through the exact eigenbasis of the discrete
-operator (a two-dimensional sine transform), so there is no burn-in and
-every sample is an exact finite-dimensional Gaussian.
+operator (a two-dimensional sine transform, computed one axis at a time
+as ``-Im rfft`` of the odd extension by :func:`semicoop.grids.dst1`), so
+there is no burn-in and every sample is an exact finite-dimensional
+Gaussian.
 
 The coupling strength ``gamma`` of the governing body maps to the
 measure ``Q = 2/gamma + gamma/2``; rigid bodies sit at the minimum
@@ -16,9 +18,10 @@ measure ``Q = 2/gamma + gamma/2``; rigid bodies sit at the minimum
 from __future__ import annotations
 
 import numpy as np
-from scipy.fft import dstn
+from numpy.random import SeedSequence, default_rng
 
 from .errors import ValidationError
+from .grids import dst1
 
 GFF_ENERGY_SCALE = 2.0 * np.pi
 
@@ -52,7 +55,7 @@ class GFFSampler:
         lam_1d = (4.0 / self.spacing**2) * np.sin(j * np.pi / (2.0 * (m + 1))) ** 2
         self._eigenvalues = lam_1d[:, None] + lam_1d[None, :]
         self._mode_std = np.sqrt(GFF_ENERGY_SCALE / self._eigenvalues)
-        self._rng = np.random.default_rng(np.random.SeedSequence(self.seed))
+        self._rng = default_rng(SeedSequence(self.seed))
 
     @property
     def interior(self):
@@ -73,7 +76,7 @@ class GFFSampler:
         count = int(count)
         m = self.interior
         coeffs = self._rng.standard_normal((count, m, m)) * self._mode_std
-        interior = dstn(coeffs, type=1, axes=(1, 2)) / (2.0 * (m + 1))
+        interior = dst1(dst1(coeffs, 1), 2) / (2.0 * (m + 1))
         fields = np.zeros((count, self.grid_size, self.grid_size))
         fields[:, 1:-1, 1:-1] = interior
         return fields

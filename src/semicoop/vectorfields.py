@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .errors import NumericalError, ValidationError
 
@@ -57,7 +58,7 @@ class FourierComponent:
     """
 
     def __init__(self, seed, modes=6, amplitude=1.0, max_wavenumber=2.0):
-        rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
+        rng = default_rng(SeedSequence(int(seed)))
         self.seed = int(seed)
         self.modes = int(modes)
         self.amplitudes = amplitude * rng.standard_normal(self.modes) / np.sqrt(self.modes)

@@ -1,6 +1,7 @@
 """Kernel mass check and Crank-Nicolson evolution against independent oracles."""
 
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -111,12 +112,40 @@ class TestKernelNormalization:
             mass=1e-300, step=1e300, effective_scale=1.0, mode=evolution.LORENTZIAN
         )
 
+    def test_non_positive_conditional_variance_is_a_numerical_error(self):
+        # positive definite to eigvalsh (smallest eigenvalue 1.4e-15), yet the
+        # variance of axis 2 given axes 0 and 1 rounds to -8.9e-16
+        a = np.array([[1.0, 1.0], [1.0, 3.0], [1.0, 2.0]])
+        spec = evolution.KernelSpec(
+            mass=1.0, step=1.0, effective_scale=1.0, background_inverse=a @ a.T + 1e-15 * np.eye(3)
+        )
+        with pytest.raises(NumericalError, match=r"conditional variance .* is -8\.88\d*e-16"):
+            evolution.kernel_normalization_check(spec, 16)
+
     def test_lorentzian_mode_is_rejected(self):
         spec = evolution.KernelSpec(
             mass=1.0, step=0.05, effective_scale=1.0, mode=evolution.LORENTZIAN
         )
         with pytest.raises(ValidationError):
             evolution.kernel_normalization_check(spec)
+
+
+class TestNormalCdf:
+    POINTS = np.concatenate(
+        [np.linspace(-60.0, 60.0, 24002), [-40.0, -38.5, -8.3, 8.3, 38.5, 40.0]]
+    )
+
+    def test_equals_erfc_node_by_node(self):
+        expected = [0.5 * math.erfc(-x / math.sqrt(2.0)) for x in self.POINTS]
+        assert np.array_equal(evolution._ndtr(self.POINTS), expected)
+
+    def test_close_to_scipy(self):
+        got = evolution._ndtr(self.POINTS.reshape(8, -1))
+        assert np.abs(got - special.ndtr(self.POINTS.reshape(8, -1))).max() <= 2.3e-16
+
+    def test_infinities_and_nan(self):
+        got = evolution._ndtr(np.array([np.inf, -np.inf, np.nan]))
+        assert got[0] == 1.0 and got[1] == 0.0 and np.isnan(got[2])
 
 
 def strategy_slice(metric_of, n):
@@ -185,8 +214,9 @@ class TestEvolve:
         assert np.abs(psi.values - expected).max() <= 1e-12
         assert psi.time == pytest.approx(200 * SPEC.step)
 
-    def test_mode_path_matches_two_matrix_form(self, mode_calls):
-        grid, metric = strategy_slice(geometry.sphere_metric, 33)
+    @pytest.mark.parametrize("n", [33, 129])
+    def test_mode_path_matches_two_matrix_form(self, mode_calls, n):
+        grid, metric = strategy_slice(geometry.sphere_metric, n)
         psi0 = evolution.gaussian_packet(grid, 0.15)
         psi = evolution.evolve(psi0, SPEC, metric, 200)
         expected = two_matrix_steps(psi0, SPEC, metric, 200)

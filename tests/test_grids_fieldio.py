@@ -5,9 +5,21 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from semicoop import GridSpec, ValidationError, cli, geometry
 from semicoop.fieldio import EnsembleWriter, read_ensemble, read_grid, sha256_of, write_grid
+from semicoop.grids import dst1
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 23, 63])
+def test_dst1_equals_scipy_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    coeffs = rng.standard_normal((3, m, m))
+    assert np.array_equal(dst1(dst1(coeffs, 1), 2), scipy.fft.dstn(coeffs, type=1, axes=(1, 2)))
+    field = rng.standard_normal((5, m)) + 1j * rng.standard_normal((5, m))
+    ortho = scipy.fft.dst(field, type=1, norm="ortho", axis=1)
+    assert np.array_equal(dst1(field, 1) * np.sqrt(0.5 / (m + 1)), ortho)
 
 
 def test_gridspec_rejects_tiny_axes():

@@ -4,6 +4,9 @@ per stage, so for one scenario and seed they must give the same numbers."""
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -457,6 +460,50 @@ def test_benchmark_commands_parse():
             assert args.seed == 5
         if "--threads" in argv:
             assert args.threads == int(argv[argv.index("--threads") + 1])
+
+
+# imports the CLI, runs the commands given as JSON, then prints every loaded
+# module and the ones first loaded by the commands
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import semicoop.cli as cli
+before = set(sys.modules)
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited with {code}")
+print(json.dumps({"loaded": sorted(sys.modules), "new": sorted(set(sys.modules) - before)}))
+"""
+
+
+def test_benchmark_stage_commands_load_no_scipy(tmp_path):
+    """Every command of the ``stage_commands`` benchmark runs on numpy alone
+    (scipy pulls in ``numpy.f2py`` and ``numpy.testing``), and the numpy
+    submodules numpy loads on first attribute access (``random``,
+    ``polynomial``, ``fft``) are imported with the package, not first inside
+    a command, where their import time would count as run time."""
+    with open(Path(__file__).resolve().parents[1] / "perfbench" / "design.json") as fh:
+        commands = json.load(fh)["workloads"]["stage_commands"]["commands"]
+    grid = GridSpec.from_axes(*(tuple(SCENARIO["grid"][k]) for k in ("time", "sigma1", "sigma2")))
+    metric = tmp_path / "metric.bin"
+    write_grid(metric, geometry.sphere_metric(grid).values, grid)
+    scenario = dict(SCENARIO, metric={"file": str(metric)})
+    scenario = write_scenario(tmp_path / "scenario.json", scenario)
+    fields = {"scenario": scenario, "metric": metric, "out": tmp_path, "seed": SEED}
+    argvs = [[arg.format(**fields) for arg in cmd] for cmd in commands]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout)
+    heavy = ("scipy", "numpy.f2py", "numpy.testing")
+    assert [m for m in modules["loaded"] if m.startswith(heavy)] == []
+    assert [m for m in modules["new"] if m.split(".")[0] == "numpy"] == []
 
 
 def _corrupt(data, mutation):
