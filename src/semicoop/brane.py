@@ -10,15 +10,18 @@ The action density per node is
 
     (1/2) sqrt(h) [ 3 + h^{ab} Npull_{ab} (p*b)^W
                     - (1/3!sqrt(h)) eps^{abc} Hpull_{abc} (p*b)^{1-W}
-                    - Q*R*xbar - lambda * residual ]
+                    - Q*R*xbar ]
 
 where ``Npull`` and ``Hpull`` are the pull-backs of the background
 metric and of the antisymmetric coupling, ``p*b`` the profit weighted by
-stubbornness, ``W`` the profit freedom exponent, and the residual term
-enforces the share dynamics through the multiplier field.  The 3-form
-enters only through ``eps^{abc} Hpull_{abc} / 3!``, so :func:`pullbacks`
-returns that single component, in closed form as a sum of 3x3 minors of
-the embedding Jacobian, instead of the full antisymmetric tensor.  The
+stubbornness and ``W`` the profit freedom exponent.  The multiplier term
+that enforces the share dynamics is absent: simulated paths satisfy the
+discrete dynamics exactly, so its residual is zero.  The background is
+the identity, so ``Npull = J J^T`` for the embedding Jacobian ``J``.  The
+coupling is the alternating symbol on the first three transverse slots
+times ``-1/det h``, and it enters only through ``eps^{abc} Hpull_{abc} /
+3!``, so :func:`pullbacks` returns that single component, ``det
+J[..., :3] * (-1/det h)``, instead of the full antisymmetric tensor.  The
 gauge-fixing ghost term is not part of the bracket: :func:`ghost_action`
 integrates it covariantly, and the pipeline reports it separately as
 ``action.json["ghost"]``.  :func:`fp_determinant` discretizes the ghost
@@ -32,7 +35,6 @@ the time axis at a grid plane.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,38 +47,10 @@ WORLD_DIM = 3
 TRANSVERSE_DIM = 8
 BACKGROUND_DIM = 11
 
-#: Exact alternating symbol on three indices.
-LEVI_CIVITA = np.zeros((3, 3, 3))
-LEVI_CIVITA[0, 1, 2] = LEVI_CIVITA[1, 2, 0] = LEVI_CIVITA[2, 0, 1] = 1.0
-LEVI_CIVITA[0, 2, 1] = LEVI_CIVITA[2, 1, 0] = LEVI_CIVITA[1, 0, 2] = -1.0
-
-
-def transverse_pattern_from_world_det(world_metric):
-    """Default antisymmetric coupling: the alternating symbol on the
-    first three transverse slots scaled by ``-1/det`` of the world
-    metric per node.
-
-    Returns ``(scalar_grid, pattern)`` where the full coupling is their
-    product; storing the factorization keeps the memory footprint flat.
-    """
-    scalar = -1.0 / world_metric.determinant
-    pattern = np.zeros((TRANSVERSE_DIM,) * 3)
-    pattern[:3, :3, :3] = LEVI_CIVITA
-    return scalar, pattern
-
-
-def _check_antisymmetric(pattern):
-    for axes in ((0, 1), (0, 2), (1, 2)):
-        swapped = np.swapaxes(pattern, *axes)
-        if not np.array_equal(swapped, -pattern):
-            raise ValidationError(
-                "coupling pattern must be antisymmetric in every index pair"
-            )
-
 
 @dataclass
 class BraneConfiguration:
-    """Embedding, metrics, coupling, ghosts and scalar data of one brane.
+    """Embedding, world metric, ghosts and scalar data of one brane.
 
     Parameters
     ----------
@@ -84,17 +58,9 @@ class BraneConfiguration:
         Transverse coordinates per node (background slots 4..11).
     world_metric : MetricField
         3x3 field on the same grid.
-    background : MetricField or ndarray
-        11x11 background metric, either one constant matrix or a field;
-        it is only ever contracted, never differentiated.
-    coupling_scalar, coupling_pattern :
-        Factorized antisymmetric coupling; defaults derive from the
-        world-metric determinant.
     ghost_e : ndarray (*grid.shape, 3, 3), optional
     ghost_c : ndarray (*grid.shape, 3), optional
         Gauge-fixing fields; evaluated as ordinary real fields.
-    multiplier : ndarray (*grid.shape), optional
-        Constraint multiplier field.
     freedom_exponent : float in (0, 1), strictly interior.
     mean_share, stubbornness_measure : floats.
     ricci_scalar : float or ndarray
@@ -103,12 +69,8 @@ class BraneConfiguration:
 
     embedding: np.ndarray
     world_metric: MetricField
-    background: object
-    coupling_scalar: np.ndarray = None
-    coupling_pattern: np.ndarray = None
     ghost_e: np.ndarray = None
     ghost_c: np.ndarray = None
-    multiplier: np.ndarray = None
     freedom_exponent: float = 0.5
     mean_share: float = 0.0
     stubbornness_measure: float = 2.0
@@ -127,19 +89,6 @@ class BraneConfiguration:
         if not 0.0 < self.freedom_exponent < 1.0:
             raise ValidationError("freedom exponent must lie strictly inside (0,1)")
 
-        if self.coupling_scalar is None or self.coupling_pattern is None:
-            scalar, pattern = transverse_pattern_from_world_det(self.world_metric)
-            self.coupling_scalar = scalar
-            self.coupling_pattern = pattern
-        else:
-            self.coupling_scalar = np.broadcast_to(
-                np.asarray(self.coupling_scalar, dtype=float), grid.shape
-            ).copy()
-            self.coupling_pattern = np.asarray(self.coupling_pattern, dtype=float)
-        if self.coupling_pattern.shape != (TRANSVERSE_DIM,) * 3:
-            raise ValidationError("coupling pattern must be 8x8x8")
-        _check_antisymmetric(self.coupling_pattern)
-
         if (self.ghost_e is None) != (self.ghost_c is None):
             raise ValidationError("ghost fields come in pairs (e together with c)")
         if self.ghost_e is not None:
@@ -149,10 +98,6 @@ class BraneConfiguration:
                 raise ValidationError("ghost e field must have shape (*grid, 3, 3)")
             if self.ghost_c.shape != grid.shape + (3,):
                 raise ValidationError("ghost c field must have shape (*grid, 3)")
-        if self.multiplier is not None:
-            self.multiplier = np.broadcast_to(
-                np.asarray(self.multiplier, dtype=float), grid.shape
-            ).copy()
 
     @property
     def grid(self):
@@ -162,17 +107,6 @@ class BraneConfiguration:
         """Per-node curvature potential ``Q * R * xbar``."""
         ricci = np.broadcast_to(np.asarray(self.ricci_scalar, dtype=float), self.grid.shape)
         return self.stubbornness_measure * ricci * self.mean_share
-
-    def background_transverse(self):
-        """The 8x8 background block the pull-back contracts against."""
-        values = (
-            self.background.values
-            if isinstance(self.background, MetricField)
-            else np.asarray(self.background, dtype=float)
-        )
-        if values.shape[-2:] != (BACKGROUND_DIM, BACKGROUND_DIM):
-            raise ValidationError("background metric must be 11x11")
-        return values[..., WORLD_DIM:, WORLD_DIM:]
 
     def embedding_jacobian(self):
         """``J[..., a, p] = d embedding_p / d sigma_a`` by the module
@@ -191,34 +125,17 @@ def pullbacks(config):
     Returns
     -------
     (npull, component)
-        ``npull`` is the symmetric per-node 3x3 contraction of the
-        background block with the embedding Jacobian.  ``component`` is
-        the single independent per-node component ``Hpull_{012}`` of the
-        pulled-back 3-form, equal to ``eps^{abc} Hpull_{abc} / 3!``.
-        Because the coupling pattern ``P`` and ``eps`` are both
-        antisymmetric, it is the closed form
-
-            coupling_scalar * sum_{p<q<r} P_pqr det(J[..., :, [p, q, r]])
-
-        which for the default pattern is one 3x3 determinant per node.
+        ``npull = J J^T`` is the per-node 3x3 pull-back of the identity
+        background block through the embedding Jacobian ``J``.
+        ``component`` is the single independent per-node component
+        ``Hpull_{012}`` of the pulled-back 3-form, equal to ``eps^{abc}
+        Hpull_{abc} / 3!``; for the alternating symbol on the first three
+        transverse slots it is the leading 3x3 minor ``det J[..., :3]``,
+        times the coupling's ``-1/det h``.
     """
     jac = config.embedding_jacobian()
-    ntrans = config.background_transverse()
-    if ntrans.ndim == 2:
-        npull = np.einsum("...ap,...bq,pq->...ab", jac, jac, ntrans, optimize=True)
-    else:
-        require_same_grid(config.grid, config.world_metric.grid)
-        npull = np.einsum("...ap,...bq,...pq->...ab", jac, jac, ntrans, optimize=True)
-    npull = 0.5 * (npull + np.swapaxes(npull, -1, -2))
-
-    pattern = config.coupling_pattern
-    triples = np.array(
-        [t for t in itertools.combinations(range(TRANSVERSE_DIM), 3) if pattern[t]],
-        dtype=int,
-    ).reshape(-1, 3)
-    minors = np.linalg.det(np.swapaxes(jac[..., triples], -3, -2))
-    component = minors @ pattern[tuple(triples.T)]
-    component = component * config.coupling_scalar
+    npull = jac @ np.swapaxes(jac, -1, -2)
+    component = np.linalg.det(jac[..., :3]) * (-1.0 / config.world_metric.determinant)
     return npull, component
 
 
@@ -244,8 +161,8 @@ def _powers(weight, exponent):
 
 
 def scalar_action_terms(config, firm, profit):
-    """Per-node bracket of the action without multiplier or potential
-    terms: ``3 + kinetic(world) - kinetic(transverse)``.
+    """Per-node bracket of the action without the potential term:
+    ``3 + kinetic(world) - kinetic(transverse)``.
 
     This is the scalar the effective-scale extraction consumes.
     """
@@ -259,16 +176,11 @@ def scalar_action_terms(config, firm, profit):
     return 3.0 + world_term * pw_w - trans_term * pw_1mw
 
 
-def evaluate_action(config, firm, profit, residuals=None, terms=None):
+def evaluate_action(config, firm, profit, terms=None):
     """Trapezoid value of the action over the world volume.
 
     Parameters
     ----------
-    residuals : ndarray, optional
-        Discrete dynamics residual per node, either scalar or with a
-        trailing component axis (summed).  Paths that satisfy the
-        discrete share dynamics exactly contribute zero here for any
-        multiplier.
     terms : ndarray, optional
         The bracket :func:`scalar_action_terms` returns for the same
         ``config``, ``firm`` and ``profit``, for a caller that already
@@ -281,16 +193,6 @@ def evaluate_action(config, firm, profit, residuals=None, terms=None):
     if terms is None:
         terms = scalar_action_terms(config, firm, profit)
     bracket = terms - config.potential()
-
-    if residuals is not None:
-        res = np.asarray(residuals, dtype=float)
-        if res.shape == grid.shape + (3,):
-            res = res.sum(axis=-1)
-        elif res.shape != grid.shape:
-            raise ValidationError("residual grid shape does not match world volume")
-        lam = config.multiplier if config.multiplier is not None else 0.0
-        bracket = bracket - lam * res
-
     sqrt_h = np.sqrt(config.world_metric.determinant)
     density = 0.5 * sqrt_h * bracket
     weights = grid.trapezoid_weights()

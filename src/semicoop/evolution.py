@@ -2,10 +2,11 @@
 
 The short-time transition kernel is Gaussian in the step displacement
 with covariance ``(eps/M) * F0 * hinv`` on the three world-volume
-directions; in imaginary-time (Wick) mode it is a genuine probability
-density that can be integrated and sampled, which is where the
-normalization and correlation facts are established.  Real-time
-evolution runs instead through the limiting differential equation
+directions.  The background is the identity there, so the kernel is
+isotropic with per-axis variance ``(eps/M) F0``: its mass in the
+displacement box is a product of three ``erf`` factors, and its draws are
+scaled standard normals.  Real-time evolution runs instead through the
+limiting differential equation
 
     d_s psi = (i / 2M) * F0 * Lap_h psi
 
@@ -29,10 +30,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from numpy.random import SeedSequence, default_rng
 
 from .brane import BACKGROUND_DIM
@@ -40,8 +40,8 @@ from .errors import NumericalError, ValidationError
 from .geometry import laplace_operator_matrix
 from .grids import GridSpec, dst1, require_same_grid
 
-WICK = "wick"
-LORENTZIAN = "lorentzian"
+#: Smallest cooperation degree the search scans.
+RHO_MIN = 0.05
 
 
 class AccuracyWarning(UserWarning):
@@ -84,25 +84,18 @@ class WaveFunction:
         return WaveFunction(self.values / self.norm(weight), self.grid, self.time)
 
 
-def gaussian_packet(grid, width, center=None, wavevector=None):
-    """Normalized Gaussian packet ``exp(-|x - c|^2 / (4 width^2))``.
+def gaussian_packet(grid, width):
+    """Normalized Gaussian packet ``exp(-|x - c|^2 / (4 width^2))`` about
+    the centre ``c`` of the grid.
 
     ``width`` is the standard deviation of the probability density.  The
     boundary ring is set to zero to match the zero-boundary convention
     of the evolution operator.
     """
     xs, ys = grid.meshgrid()
-    if center is None:
-        center = (
-            0.5 * (grid.extents[0][0] + grid.extents[0][1]),
-            0.5 * (grid.extents[1][0] + grid.extents[1][1]),
-        )
-    r2 = (xs - center[0]) ** 2 + (ys - center[1]) ** 2
+    (a0, b0), (a1, b1) = grid.extents
+    r2 = (xs - 0.5 * (a0 + b0)) ** 2 + (ys - 0.5 * (a1 + b1)) ** 2
     values = np.exp(-r2 / (4.0 * width**2)).astype(complex)
-    if wavevector is not None:
-        values = values * np.exp(
-            1j * (wavevector[0] * (xs - center[0]) + wavevector[1] * (ys - center[1]))
-        )
     values[0, :] = values[-1, :] = 0.0
     values[:, 0] = values[:, -1] = 0.0
     return WaveFunction(values, grid).normalized()
@@ -124,11 +117,6 @@ class KernelSpec:
         Time step of one kernel application.
     effective_scale : float
         Scalar ``F0`` extracted from the action bracket.
-    background_inverse : ndarray (3, 3)
-        Inverse-metric block of the background on the world directions.
-    world_det, background_det : float
-        Determinants entering the normalization bookkeeping constant.
-    mode : "wick" or "lorentzian"
     domain_halfwidth : float
         Half-width of the bounded displacement box the kernel is
         integrated over; the strategy domain is finite, so a fraction of
@@ -139,12 +127,6 @@ class KernelSpec:
     mass: float
     step: float
     effective_scale: float
-    background_inverse: np.ndarray = field(
-        default_factory=lambda: np.eye(3)
-    )
-    world_det: float = 1.0
-    background_det: float = 1.0
-    mode: str = WICK
     domain_halfwidth: float = 1.0
 
     def __post_init__(self):
@@ -155,34 +137,20 @@ class KernelSpec:
             problems.append("step must be positive")
         if not np.isfinite(self.effective_scale):
             problems.append("effective scale must be finite")
-        if self.mode not in (WICK, LORENTZIAN):
-            problems.append("mode must be 'wick' or 'lorentzian'")
         if not self.domain_halfwidth > 0:
             problems.append("domain halfwidth must be positive")
-        self.background_inverse = np.asarray(self.background_inverse, dtype=float)
-        if self.background_inverse.shape != (3, 3):
-            problems.append("background inverse block must be 3x3")
         if problems:
             raise ValidationError("invalid kernel specification", problems)
-        if self.mode == WICK:
-            cov = self.covariance()
-            if not np.all(np.isfinite(cov)):
-                raise NumericalError("kernel covariance (step / mass) F0 hinv overflows")
-            if np.linalg.eigvalsh(cov).min() <= 0:
-                raise ValidationError("kernel covariance must be positive definite in Wick mode")
+        if not np.isfinite(self.variance):
+            raise NumericalError("kernel variance (step / mass) F0 overflows")
+        if not self.variance > 0:
+            raise ValidationError("kernel variance (step / mass) F0 must be positive")
 
     @property
-    def normalization(self):
-        """Bookkeeping constant ``sqrt(world_det * background_det) / 2``."""
-        return float(np.sqrt(self.world_det * self.background_det) / 2.0)
-
-    def covariance(self):
-        """Step-displacement covariance ``(step/mass) F0 hinv``."""
-        return (
-            (self.step / self.mass)
-            * float(self.effective_scale)
-            * self.background_inverse
-        )
+    def variance(self):
+        """Per-axis variance ``(step/mass) F0`` of the step displacement,
+        whose covariance is this times the 3x3 identity."""
+        return (self.step / self.mass) * float(self.effective_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +172,8 @@ def effective_scalar_F(action_terms):
     result fails to increase strictly along the leading (time) axis
     anywhere, since the derivation assumes a strictly increasing scale.
     """
-    terms = np.asarray(action_terms, dtype=float)
-    values = terms / float(BACKGROUND_DIM)
-    flag = False
-    if values.ndim >= 1 and values.shape[0] >= 2:
-        diffs = np.diff(values, axis=0)
-        flag = bool(np.any(diffs <= 0.0))
+    values = np.asarray(action_terms, dtype=float) / float(BACKGROUND_DIM)
+    flag = bool(np.any(np.diff(values, axis=0) <= 0.0))
     return EffectiveScale(values=values, not_strictly_increasing=flag)
 
 
@@ -217,90 +181,30 @@ def effective_scalar_F(action_terms):
 # kernel checks
 
 
-def _panel_nodes(lo, hi, breaks, n):
-    """Composite Gauss-Legendre nodes/weights over panel subdivisions."""
-    base_x, base_w = leggauss(n)
-    edges = [lo] + [b for b in breaks if lo < b < hi] + [hi]
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        xs.append(a + half * (base_x + 1.0))
-        ws.append(half * base_w)
-    return np.concatenate(xs), np.concatenate(ws)
-
-
-def _ndtr(x):
-    """Standard normal CDF ``0.5 erfc(-x / sqrt 2)``, through ``math.erfc``
-    node by node where ``|x| < 40``; beyond, it is exactly 1 or 0 in double
-    precision (it already is from ``x >= 8.3`` and ``x <= -38.5`` on).  NaN
-    stays NaN."""
-    x = np.asarray(x, dtype=float)
-    out = np.heaviside(x, 0.5)
-    near = np.abs(x) < 40.0
-    out[near] = [0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x[near].tolist()]
-    return out
-
-
-def kernel_normalization_check(spec, sample_count=64):
+def kernel_normalization_check(spec):
     """Deviation of the kernel mass inside the strategy box from one.
 
-    Integrates the Wick-mode kernel over the bounded displacement box
-    and returns ``|integral - 1|``.  The third axis is done in closed
-    form: given ``u = (x0, x1)`` the displacement ``x2`` is Gaussian with
-    mean ``u . S_uu^-1 S_u2`` and variance ``S_22 - S_2u S_uu^-1 S_u2``,
-    so its box mass is a difference of two normal CDFs.  The remaining
-    two axes use composite Gauss-Legendre quadrature, with panels split
-    at 7 and 9 marginal standard deviations of each axis: the inner
-    panel resolves the peak, the next ones the tail out to 9 sigma, and
-    the outer ones hold under 1e-18 of the mass, so a Gaussian the box
-    contains reads zero to rounding.  The deviation is the mass that
-    leaks outside the box; it shrinks to zero as the mass constant grows.
+    Each axis of the isotropic kernel leaves the mass ``t = erfc(a /
+    sqrt(2 sigma^2))`` outside ``[-a, a]``, so the box holds ``(1 - t)^3``
+    and the deviation is ``t (3 - 3t + t^2)``, free of the cancellation
+    in ``1 - (1 - t)^3``.  It is the mass that leaks outside the box and
+    shrinks to zero as the mass constant grows.
     """
-    if spec.mode != WICK:
-        raise ValidationError("normalization check runs in Wick mode")
-    cov = spec.covariance()
-    a, n = spec.domain_halfwidth, int(sample_count)
-    (x0, w0), (x1, w1) = (
-        _panel_nodes(-a, a, np.sqrt(cov[k, k]) * np.array([-9.0, -7.0, 7.0, 9.0]), n)
-        for k in range(2)
-    )
-
-    cov_uu = cov[:2, :2]
-    prec_uu = np.linalg.inv(cov_uu)
-    gain = prec_uu @ cov[:2, 2]
-    cond_var = cov[2, 2] - cov[2, :2] @ gain
-    if not cond_var > 0.0:
-        raise NumericalError(
-            f"conditional variance of the third kernel axis is {float(cond_var)!r}, not positive"
-        )
-    cond_std = np.sqrt(cond_var)
-    x0, x1 = x0[:, None], x1[None, :]
-    quad = prec_uu[0, 0] * x0**2 + 2.0 * prec_uu[0, 1] * x0 * x1 + prec_uu[1, 1] * x1**2
-    marginal = np.exp(-0.5 * quad) / (2.0 * np.pi * np.sqrt(np.linalg.det(cov_uu)))
-    mean = gain[0] * x0 + gain[1] * x1
-    axis2 = _ndtr((a - mean) / cond_std) - _ndtr((-a - mean) / cond_std)
-    integral = float(w0 @ (marginal * axis2) @ w1)
-    return abs(integral - 1.0)
+    t = math.erfc(spec.domain_halfwidth / math.sqrt(2.0 * spec.variance))
+    return t * (3.0 - 3.0 * t + t * t)
 
 
 def two_point_correlation(spec, samples, seed):
     """Sample covariance of seeded kernel draws (3x3 matrix estimate).
 
-    Draws in Wick mode, where the kernel is a true Gaussian; the
-    estimate converges to ``(step/mass) * F0 * hinv``.
+    The draws are standard normals scaled by ``sigma``; the estimate
+    converges to ``(step/mass) * F0`` times the identity.
     """
-    if spec.mode != WICK:
-        raise ValidationError("sampling runs in Wick mode")
     samples = int(samples)
     if samples < 2:
         raise ValidationError("need at least 2 samples")
-    cov = spec.covariance()
-    try:
-        factor = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        raise ValidationError("kernel covariance must be positive definite")
     rng = default_rng(SeedSequence(int(seed)))
-    draws = rng.standard_normal((samples, 3)) @ factor.T
+    draws = rng.standard_normal((samples, 3)) * math.sqrt(spec.variance)
     return np.cov(draws, rowvar=False)
 
 
@@ -429,7 +333,7 @@ class RhoSearchResult:
     degenerate_flag: bool
 
 
-def optimal_rho(rho_to_scale, grid=64, rho_min=0.05):
+def optimal_rho(rho_to_scale, grid=64):
     """Stationary cooperation degree of the evolution rate.
 
     The rate ``|F0(rho)| / (2M) * ||Lap psi||`` depends on ``rho`` only
@@ -437,8 +341,9 @@ def optimal_rho(rho_to_scale, grid=64, rho_min=0.05):
     ``|F0|`` alone and depends on neither the metric, the field nor the
     mass.  A negative ``F0`` is scanned by its magnitude, as the kernel
     stage uses it; a non-finite one is a :class:`NumericalError` naming
-    ``rho``.  ``|F0|`` is flat when its range on the uniform grid is
-    within ``1e-12`` of its maximum.  Each + to - sign change of its
+    ``rho``.  The scan covers ``[RHO_MIN, 1]`` with ``grid`` uniform
+    nodes; ``|F0|`` is flat when its range on them is within ``1e-12`` of
+    its maximum.  Each + to - sign change of its
     ``np.gradient``, taken at the two end nodes by the difference below so
     that the end intervals count, brackets a maximum, bisected to
     ``1e-15`` on the signs of the centered difference (step ``1e-6``,
@@ -448,8 +353,6 @@ def optimal_rho(rho_to_scale, grid=64, rho_min=0.05):
     grid_n = int(grid)
     if grid_n < 16:
         raise ValidationError("cooperation-degree grid needs at least 16 points")
-    if not 0.0 < rho_min < 1.0:
-        raise ValidationError("rho_min must lie in (0,1)")
 
     def objective(rho):
         f0 = rho_to_scale(float(rho))
@@ -460,10 +363,10 @@ def optimal_rho(rho_to_scale, grid=64, rho_min=0.05):
         return abs(float(f0))
 
     def derivative(rho):
-        lo, hi = max(rho_min, rho - 1e-6), min(1.0, rho + 1e-6)
+        lo, hi = max(RHO_MIN, rho - 1e-6), min(1.0, rho + 1e-6)
         return (objective(hi) - objective(lo)) / (hi - lo)
 
-    rhos = np.linspace(rho_min, 1.0, grid_n)
+    rhos = np.linspace(RHO_MIN, 1.0, grid_n)
     j = np.array([objective(r) for r in rhos])
     # relative flatness test: the overall scale of F0 is arbitrary
     if j.max() - j.min() <= 1e-12 * j.max():

@@ -184,10 +184,15 @@ def read_grid(path):
     Raises
     ------
     ValidationError
-        When the file is not a grid field, or is shorter or longer than
-        its header says.
+        When the file or its descriptor cannot be opened (a missing
+        descriptor is allowed), or the file is not a grid field, or is
+        shorter or longer than its header says.
     """
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise ValidationError(f"cannot read grid file {path}: {exc}") from exc
+    with fh:
         magic = fh.read(8)
         if magic != _GRID_MAGIC:
             raise ValidationError(f"{path}: not a grid field file")
@@ -211,14 +216,14 @@ def read_grid(path):
         _check_at_end(fh, path)
 
     descriptor = {}
-    grid = None
     try:
         with open(_descriptor_path(path)) as fh:
             descriptor = json.load(fh)
-        if "grid" in descriptor:
-            grid = GridSpec.from_dict(descriptor["grid"])
     except FileNotFoundError:
         pass
+    except OSError as exc:
+        raise ValidationError(f"cannot read grid descriptor of {path}: {exc}") from exc
+    grid = GridSpec.from_dict(descriptor["grid"]) if "grid" in descriptor else None
     return values, grid, descriptor
 
 
@@ -321,8 +326,8 @@ def read_ensemble(path):
 
 
 def sha256_of(path):
-    """Hex SHA-256 of a file read back in full, for checking a digest a
-    writer returned."""
+    """Hex SHA-256 of a file read in full, such as a metric file a
+    scenario names or a file whose writer returned a digest."""
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):

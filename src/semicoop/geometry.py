@@ -25,10 +25,6 @@ PIVOT_THRESHOLD = 1e-12
 # exp overflows double precision just above 709.78
 _EXP_LIMIT = 700.0
 
-LORENTZIAN_SIGNATURE = "(-,+,+)"
-RIEMANNIAN_SIGNATURE = "(+,+,+)"
-
-
 # ---------------------------------------------------------------------------
 # difference stencils
 
@@ -129,15 +125,10 @@ class MetricField:
         removed by explicit symmetrization so index-symmetry of derived
         quantities holds bit for bit.
     grid : GridSpec
-    signature : str
-        Bookkeeping tag only; all numerics run on whatever matrices are
-        supplied.  The Lorentzian tag marks fields whose time-time
-        component would flip sign under the physical signature.
     """
 
     values: np.ndarray
     grid: GridSpec
-    signature: str = RIEMANNIAN_SIGNATURE
     determinant: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -216,7 +207,7 @@ class CurvatureBundle:
 # operations
 
 
-def christoffel(metric, grid=None):
+def christoffel(metric):
     """Connection coefficients of a metric field.
 
     Computes ``gamma^a_{bc} = (1/2) h^{ad} (d_b h_{dc} + d_c h_{db}
@@ -229,11 +220,7 @@ def christoffel(metric, grid=None):
     ----------
     metric : MetricField
         Matrix dimension must equal the number of grid axes.
-    grid : GridSpec, optional
-        Must equal ``metric.grid`` when given.
     """
-    if grid is not None:
-        require_same_grid(metric.grid, grid)
     grid = metric.grid
     d = metric.dim
     if d != grid.n_axes:
@@ -309,7 +296,7 @@ def combined_metric(einstein_bundle, flat, stubbornness_field, gamma):
     g = einstein_bundle.einstein
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
     factor = np.exp(exponent)[..., None, None]
-    return MetricField(factor * g + flat.values, grid, flat.signature)
+    return MetricField(factor * g + flat.values, grid)
 
 
 def contracted_christoffel(metric, chris):
@@ -414,23 +401,23 @@ def laplace_operator_matrix(metric):
 # metric presets
 
 
-def flat_metric(grid, dim=None, signature=RIEMANNIAN_SIGNATURE):
+def flat_metric(grid):
     """Identity metric on every node."""
-    d = grid.n_axes if dim is None else int(dim)
+    d = grid.n_axes
     values = np.zeros(grid.shape + (d, d))
     values[...] = np.eye(d)
-    return MetricField(values, grid, signature)
+    return MetricField(values, grid)
 
 
-def constant_metric(grid, matrix, signature=RIEMANNIAN_SIGNATURE):
+def constant_metric(grid, matrix):
     """One fixed symmetric matrix replicated over the grid."""
     m = np.asarray(matrix, dtype=float)
     values = np.zeros(grid.shape + m.shape)
     values[...] = m
-    return MetricField(values, grid, signature)
+    return MetricField(values, grid)
 
 
-def sphere_metric(grid, radius=1.0, theta_axis=None):
+def sphere_metric(grid, radius=1.0):
     """Round-sphere line element ``r^2 (dtheta^2 + sin^2 theta dphi^2)``.
 
     On a two-axis grid the first axis is the colatitude ``theta``; on a
@@ -439,15 +426,10 @@ def sphere_metric(grid, radius=1.0, theta_axis=None):
     away from zero, otherwise the metric is singular at the poles.
     """
     d = grid.n_axes
-    if theta_axis is None:
-        theta_axis = 0 if d == 2 else 1
+    theta_axis = 0 if d == 2 else 1
     theta = grid.meshgrid()[theta_axis]
     values = np.zeros(grid.shape + (d, d))
-    for k in range(d):
-        values[..., k, k] = 1.0
-    phi_axis = theta_axis + 1
-    if phi_axis >= d:
-        raise ValidationError("sphere preset needs an axis after the colatitude")
+    values[...] = np.eye(d)
     values[..., theta_axis, theta_axis] = radius**2
-    values[..., phi_axis, phi_axis] = (radius * np.sin(theta)) ** 2
+    values[..., theta_axis + 1, theta_axis + 1] = (radius * np.sin(theta)) ** 2
     return MetricField(values, grid)

@@ -24,8 +24,8 @@ import numpy as np
 from numpy.random import SeedSequence
 
 from . import __version__, brane, evolution, geometry, market, stubbornness
-from .errors import NumericalError, SemicoopError
-from .fieldio import EnsembleWriter, write_grid
+from .errors import NumericalError, SemicoopError, ValidationError
+from .fieldio import EnsembleWriter, sha256_of, write_grid
 from .grids import GridSpec, require_same_grid
 
 STAGE_LABELS = {"gff": 101, "sde": 202, "kernel": 303}
@@ -39,9 +39,22 @@ def stage_seed(master, stage):
 
 
 def _config_digest(config, seed):
+    """SHA-256 of the scenario, seed and package version; a metric file
+    enters by the SHA-256 of its contents and of its ``.json`` descriptor
+    (None without one), not by its path."""
+    scenario = config.to_dict()
+    metric = scenario["metric"]
+    if "file" in metric:
+        path, descriptor = metric["file"], metric["file"] + ".json"
+        try:
+            metric["file"] = [
+                sha256_of(path),
+                sha256_of(descriptor) if os.path.exists(descriptor) else None,
+            ]
+        except OSError as exc:
+            raise ValidationError(f"cannot read metric file {path}: {exc}") from exc
     payload = json.dumps(
-        {"scenario": config.to_dict(), "seed": int(seed), "version": __version__},
-        sort_keys=True,
+        {"scenario": scenario, "seed": int(seed), "version": __version__}, sort_keys=True
     )
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -116,12 +129,10 @@ def action_terms(config, metric, curv):
     cfg_brane = brane.BraneConfiguration(
         embedding=emb,
         world_metric=metric,
-        background=np.eye(brane.BACKGROUND_DIM),
         freedom_exponent=float(kernel_cfg["freedom_exponent"]),
         mean_share=float(kernel_cfg["mean_share"]),
         stubbornness_measure=stubbornness.stubbornness_measure(config.data["gff"]["gamma"]),
         ricci_scalar=curv.scalar,
-        multiplier=float(kernel_cfg["multiplier"]),
     )
     profit, _ = config.build_profit()
     return cfg_brane, brane.scalar_action_terms(cfg_brane, config.build_firms()[0], profit)
@@ -134,12 +145,8 @@ def action(config, chris, cfg_brane, terms, ghost, fp_det):
     operator singular, or None."""
     grid = cfg_brane.grid
     profit, _ = config.build_profit()
-    # simulated paths satisfy the discrete dynamics identically, so the
-    # multiplier term carries a zero residual
     payload = {
-        "action": brane.evaluate_action(
-            cfg_brane, config.build_firms()[0], profit, np.zeros(grid.shape), terms=terms
-        ),
+        "action": brane.evaluate_action(cfg_brane, config.build_firms()[0], profit, terms=terms),
         "ghost": None,
         "logdet_fp": None,
     }
@@ -182,9 +189,7 @@ def kernel_checks(config, spec, seed):
     """Kernel mass deviation from one and the seeded two-point
     correlation estimate."""
     kernel_cfg = config.data["kernel"]
-    deviation = evolution.kernel_normalization_check(
-        spec, int(kernel_cfg["normalization_samples"])
-    )
+    deviation = evolution.kernel_normalization_check(spec)
     correlation = evolution.two_point_correlation(
         spec, int(kernel_cfg["correlation_samples"]), seed=stage_seed(seed, "kernel")
     )
@@ -201,9 +206,7 @@ def evolve(config, metric, spec):
     """
     grid = metric.grid
     slice_grid = GridSpec(extents=grid.extents[1:], counts=grid.counts[1:])
-    slice_metric = geometry.MetricField(
-        metric.values[0][..., 1:, 1:], slice_grid, metric.signature
-    )
+    slice_metric = geometry.MetricField(metric.values[0][..., 1:, 1:], slice_grid)
     evolve_cfg = config.data["evolve"]
     width = evolve_cfg.get("packet_width")
     if width is None:
@@ -268,7 +271,7 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
     results = {}
     manifest = {
         "version": __version__,
-        "config_digest": _config_digest(config, seed),
+        "config_digest": None,
         "seed": int(seed),
         "artifacts": {},
         "results": results,
@@ -280,6 +283,8 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
 
     stage = "geometry"
     try:
+        # reads the metric file, if any, so a failure is the geometry stage's
+        manifest["config_digest"] = _config_digest(config, seed)
         grid, metric, chris, curv = world(config)
         artifact("metric.bin", write_grid, metric.values, grid)
         artifact("christoffel.bin", write_grid, chris.values, grid)

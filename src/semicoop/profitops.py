@@ -20,13 +20,12 @@ DIVERGENCE_MAGNITUDE = 1e12
 
 @dataclass(frozen=True)
 class CascadeParams:
-    """Resale cascade inputs: consumer count, per-consumer sale counts,
-    asymmetry ``kappa`` and the unit reduction effect."""
+    """Resale cascade inputs: consumer count, per-consumer sale counts and
+    asymmetry ``kappa``; the effects are per unit reduction effect."""
 
     consumers: int
     sales: object
     kappa: float
-    unit_effect: float = 1.0
 
     def __post_init__(self):
         problems = []
@@ -51,7 +50,7 @@ class CascadeParams:
 def cascade_sum(params):
     """Exact brute-force weighted sum over all consumers and sales.
 
-    ``sum_j sum_{r=1..theta_j} r * exp(-r*kappa) * unit_effect``.  This
+    ``sum_j sum_{r=1..theta_j} r * exp(-r*kappa)`` per unit effect.  This
     is the oracle the closed forms are checked against.
     """
     total = 0.0
@@ -60,10 +59,9 @@ def cascade_sum(params):
         r = np.arange(1, theta + 1, dtype=float)
         term = float(np.sum(r * np.exp(-r * k)))
         total += term
-    result = total * params.unit_effect
-    if not np.isfinite(result):
+    if not np.isfinite(total):
         raise RangeOverflowError("cascade sum left the floating-point range")
-    return result
+    return total
 
 
 def cascade_limit(kappa):

@@ -6,12 +6,14 @@ every range violation found is reported, not just the first.  A parsed
 configuration normalizes to a plain dictionary that round-trips through
 ``to_dict`` unchanged.
 
-``background.preset`` (``identity`` or ``combined``) is still accepted
-and validated, but no computed artifact depends on it: the action
-contracts only the transverse block of the background, which is the
-identity either way, and the pipeline writes ``combined_metric.bin``
-whenever the stubbornness draw fits the strategy plane, whatever the
-preset.  It enters only the manifest's config digest.
+Three keys are still accepted and validated, but no computed artifact
+depends on them; they enter only the manifest's config digest.
+``background.preset`` (``identity`` or ``combined``): the action
+contracts only the transverse block of the background, the identity
+either way, and ``combined_metric.bin`` is written whenever the
+stubbornness draw fits the strategy plane.  ``kernel.multiplier``: it
+multiplies the share-dynamics residual, zero on simulated paths.
+``kernel.normalization_samples``: the kernel mass check is a closed form.
 """
 
 from __future__ import annotations

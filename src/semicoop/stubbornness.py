@@ -37,19 +37,18 @@ class GFFSampler:
     Parameters
     ----------
     grid_size : int
-        Nodes per side including the boundary ring, at least 4.
+        Nodes per side including the boundary ring, at least 4, on the
+        unit square.
     seed : int
-    domain_length : float
-        Side length of the square domain (default 1).
     """
 
-    def __init__(self, grid_size, seed, domain_length=1.0):
+    def __init__(self, grid_size, seed):
         n = int(grid_size)
         if n < 4:
             raise ValidationError("grid size must be at least 4")
         self.grid_size = n
         self.seed = int(seed)
-        self.spacing = float(domain_length) / (n - 1)
+        self.spacing = 1.0 / (n - 1)
         m = n - 2
         j = np.arange(1, m + 1)
         lam_1d = (4.0 / self.spacing**2) * np.sin(j * np.pi / (2.0 * (m + 1))) ** 2
@@ -99,17 +98,18 @@ def stubbornness_measure(gamma):
     return 2.0 / gamma + gamma / 2.0
 
 
-def regime_note(gamma, tolerance=1e-9):
+def regime_note(gamma):
     """Qualitative regime of the coupling strength.
 
     Near ``sqrt(8/3)`` the random surface behaves like a Brownian
     surface; at the top of the range the surface is rigid apart from
-    isolated peaks; small values give a flexible surface.
+    isolated peaks; small values give a flexible surface.  The two marked
+    values match within ``1e-9``.
     """
     gamma = float(gamma)
-    if abs(gamma - BROWNIAN_SURFACE_GAMMA) <= tolerance:
+    if abs(gamma - BROWNIAN_SURFACE_GAMMA) <= 1e-9:
         return "brownian-surface"
-    if gamma >= 2.0 - tolerance:
+    if gamma >= 2.0 - 1e-9:
         return "rigid-with-peaks"
     if gamma <= 0.25:
         return "flexible"

@@ -53,16 +53,16 @@ class FourierComponent:
     """Truncated random Fourier series, a fixed smooth noise realization.
 
     Draws ``modes`` terms ``a_m sin(k_m . y + phi_m)`` with seeded
-    amplitudes, wavevectors and phases, so the field is reproducible and
-    infinitely differentiable.
+    amplitudes, wavevectors (in ``[-2, 2]`` per axis) and phases, so the
+    field is reproducible and infinitely differentiable.
     """
 
-    def __init__(self, seed, modes=6, amplitude=1.0, max_wavenumber=2.0):
+    def __init__(self, seed, modes=6):
         rng = default_rng(SeedSequence(int(seed)))
         self.seed = int(seed)
         self.modes = int(modes)
-        self.amplitudes = amplitude * rng.standard_normal(self.modes) / np.sqrt(self.modes)
-        self.wavevectors = rng.uniform(-max_wavenumber, max_wavenumber, (self.modes, DIM))
+        self.amplitudes = rng.standard_normal(self.modes) / np.sqrt(self.modes)
+        self.wavevectors = rng.uniform(-2.0, 2.0, (self.modes, DIM))
         self.phases = rng.uniform(0.0, 2.0 * np.pi, self.modes)
 
     def __call__(self, y):
@@ -105,9 +105,9 @@ class VectorField:
         return cls(drift, noise)
 
     @classmethod
-    def from_fourier_noise(cls, drift_terms, seed, modes=6, amplitude=1.0):
+    def from_fourier_noise(cls, drift_terms, seed, modes=6):
         drift = tuple(PolynomialComponent(t) for t in drift_terms)
-        noise = tuple(FourierComponent(seed + i, modes, amplitude) for i in range(DIM))
+        noise = tuple(FourierComponent(seed + i, modes) for i in range(DIM))
         return cls(drift, noise)
 
     def drift_at(self, y):
@@ -147,11 +147,11 @@ def lie_bracket(field_v, field_u, point, spacing=None):
     times the coordinate scale).
     """
     point = np.asarray(point, dtype=float)
-    if point.shape != (DIM,):
-        raise ValidationError("point must be a 3-vector")
+    if point.shape != (DIM,) or not np.all(np.isfinite(point)):
+        raise ValidationError("point must be a finite 3-vector")
     h = default_spacing(point) if spacing is None else float(spacing)
-    if h <= 0:
-        raise ValidationError("spacing must be positive")
+    if not 0.0 < h < np.inf:
+        raise ValidationError("spacing must be positive and finite")
 
     v, b = _component_values(field_v, point)
     u, w = _component_values(field_u, point)

@@ -1,4 +1,5 @@
-"""Every public callable of the package serves a stage or a subcommand.
+"""Every public callable of the package serves a stage or a subcommand,
+and every optional parameter of one is set by some call in the package.
 
 The walk starts at ``semicoop.cli.main`` and at the top-level statements
 of every module, and follows identifiers through the package's source:
@@ -9,6 +10,15 @@ dunders run without being named); its public methods are reached by name
 like everything else.  Matching by name alone can only over-count what is
 reached, so a callable reported unreached is called by nothing in the
 package.  Imports do not count as use.
+
+The parameter check takes every defaulted parameter of a public function,
+method or class constructor (an ``__init__`` or the ``dataclass`` fields)
+and looks for a call in the package that passes it, by keyword or by
+position.  Calls are matched by the callable's bare name, and a call that
+unpacks ``*args`` or ``**kwargs`` counts as passing every parameter; a
+``replace(obj, name=...)`` call passes ``name`` to every dataclass with
+that field.  So the check can only over-count what is passed, and a
+parameter reported unpassed always takes its default in the package.
 """
 
 import ast
@@ -24,9 +34,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "semicoop"
 ALLOWED_UNREACHED = {
     "fieldio.read_ensemble": "the reader of the paths.bin format; the benchmark "
     "reads ensembles back with it",
-    "fieldio.sha256_of": "the writers hash what they write, so the package no "
-    "longer reads files back; perfbench/run.py imports it to check every "
-    "artifact's manifest digest",
 }
 
 
@@ -133,3 +140,149 @@ def test_restored_callable_is_reported(tmp_path, qualified):
         text = text.replace(anchor, source + anchor)
     path.write_text(text)
     assert unreached_public(package) == set(ALLOWED_UNREACHED) | {qualified}
+
+
+# defaulted parameters no package call passes that stay, each with the reason
+ALLOWED_UNPASSED = {
+    "market.simulate.increments": "explicit Brownian increments: the common-noise "
+    "oracle of the strong-order and thread-independence tests",
+    "market.SDECoefficients.drift": "callable coefficients check the integrator on "
+    "smooth fields with a known solution; the package passes tables",
+    "market.SDECoefficients.diffusion": "the callable diffusion that goes with drift",
+    "cli.main.argv": "None reads sys.argv, the console entry point's call",
+}
+
+
+def _is_dataclass(node):
+    targets = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(getattr(t, "id", getattr(t, "attr", None)) == "dataclass" for t in targets)
+
+
+def _dataclass_fields(node):
+    """``(names, defaulted)`` of the constructor fields of a dataclass."""
+    names, defaulted = [], set()
+    for item in node.body:
+        if not (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)):
+            continue
+        value = item.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            keywords = {k.arg: k.value for k in value.keywords}
+            if getattr(keywords.get("init"), "value", True) is False:
+                continue
+            if keywords.keys() & {"default", "default_factory"}:
+                defaulted.add(item.target.id)
+        elif value is not None:
+            defaulted.add(item.target.id)
+        names.append(item.target.id)
+    return names, defaulted
+
+
+def _function_params(node, bound):
+    """``(positional names, defaulted names)`` of a function, without the
+    ``self`` or ``cls`` of a method."""
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = set(positional[len(positional) - len(args.defaults) :] if args.defaults else ())
+    defaulted |= {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None}
+    if bound and not any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list):
+        positional = positional[1:]
+    return positional, defaulted
+
+
+def optional_parameters(package=PACKAGE):
+    """``(qualified, positional names, defaulted names, is_class)`` of every
+    public callable with a defaulted parameter; a class stands for its
+    constructor."""
+    found = []
+    for qualified, node in definitions(package)[0].items():
+        parts = qualified.split(".")
+        if any(p.startswith("_") for p in parts[1:]):
+            continue
+        is_class = isinstance(node, ast.ClassDef)
+        if not is_class:
+            params = _function_params(node, bound=len(parts) == 3)
+        else:
+            init = [i for i in node.body if getattr(i, "name", None) == "__init__"]
+            if init:
+                params = _function_params(init[0], bound=True)
+            elif _is_dataclass(node):
+                params = _dataclass_fields(node)
+            else:
+                continue
+        if params[1]:
+            found.append((qualified, *params, is_class))
+    return found
+
+
+def unpassed_parameters(package=PACKAGE):
+    """Qualified names of defaulted parameters that no call in the package
+    passes."""
+    found = optional_parameters(package)
+    by_name = defaultdict(list)
+    for qualified, positional, defaulted, _ in found:
+        by_name[qualified.rsplit(".", 1)[1]].append((qualified, positional, defaulted))
+    fields = {(q, f) for q, _, defaulted, is_class in found if is_class for f in defaulted}
+    passed = set()
+    for path in sorted(Path(package).glob("*.py")):
+        tree = ast.parse(path.read_text())
+        # ``cls(...)`` in a class body constructs that class
+        own_class = {
+            id(call): node.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "cls"
+        }
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            name = own_class.get(id(call), getattr(call.func, "id", getattr(call.func, "attr", None)))
+            keywords = {k.arg for k in call.keywords}
+            if name == "replace":
+                passed |= {(q, f) for q, f in fields if f in keywords}
+            unpack = None in keywords or any(isinstance(a, ast.Starred) for a in call.args)
+            for qualified, positional, defaulted in by_name.get(name, ()):
+                given = keywords | set(positional[: len(call.args)])
+                passed |= {(qualified, p) for p in defaulted if unpack or p in given}
+    return {
+        f"{q}.{p}" for q, _, defaulted, _ in found for p in defaulted if (q, p) not in passed
+    }
+
+
+def test_every_optional_parameter_is_passed_or_allowed():
+    assert unpassed_parameters() == set(ALLOWED_UNPASSED)
+
+
+# deleted parameters, written back as (module, old text, new text)
+RESTORED_PARAMETERS = {
+    "evolution.optimal_rho.rho_min": (
+        "evolution",
+        "def optimal_rho(rho_to_scale, grid=64):",
+        "def optimal_rho(rho_to_scale, grid=64, rho_min=0.05):",
+    ),
+    "evolution.KernelSpec.mode": (
+        "evolution",
+        "    domain_halfwidth: float = 1.0\n",
+        "    domain_halfwidth: float = 1.0\n    mode: str = \"wick\"\n",
+    ),
+    "stubbornness.GFFSampler.domain_length": (
+        "stubbornness",
+        "def __init__(self, grid_size, seed):",
+        "def __init__(self, grid_size, seed, domain_length=1.0):",
+    ),
+}
+
+
+@pytest.mark.parametrize("qualified", sorted(RESTORED_PARAMETERS))
+def test_restored_parameter_is_reported(tmp_path, qualified):
+    """Writing a deleted optional parameter back into a copy of the
+    package, with no call passing it, makes the parameter check fail on
+    exactly that name."""
+    module, old, new = RESTORED_PARAMETERS[qualified]
+    package = tmp_path / "semicoop"
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    path = package / f"{module}.py"
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    assert unpassed_parameters(package) == set(ALLOWED_UNPASSED) | {qualified}

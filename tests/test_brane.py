@@ -16,26 +16,18 @@ from semicoop.market import FirmState
 
 
 def einsum_component(config):
-    """Reference 3-form component: the full pulled-back tensor contracted
-    back with the alternating symbol."""
-    jac = config.embedding_jacobian()
-    raw = np.einsum(
-        "...ap,...bq,...cr,pqr->...abc", jac, jac, jac, config.coupling_pattern
-    )
-    component = np.einsum("abc,...abc->...", brane.LEVI_CIVITA, raw) / 6.0
-    return component * config.coupling_scalar
-
-
-def antisymmetric_pattern(rng, density):
+    """Reference 3-form component: the full pulled-back tensor of the
+    coupling ``-eps_{pqr} / det h`` on the first three transverse slots,
+    contracted back with the alternating symbol."""
+    levi_civita = np.zeros((3, 3, 3))
+    for perm in itertools.permutations(range(3)):
+        levi_civita[perm] = np.linalg.det(np.eye(3)[list(perm)])
     pattern = np.zeros((brane.TRANSVERSE_DIM,) * 3)
-    for p, q, r in itertools.combinations(range(brane.TRANSVERSE_DIM), 3):
-        if rng.random() < density:
-            value = float(rng.integers(-5, 6))
-            for perm in itertools.permutations((0, 1, 2)):
-                idx = tuple((p, q, r)[i] for i in perm)
-                sign = np.linalg.det(np.eye(3)[list(perm)])
-                pattern[idx] = sign * value
-    return pattern
+    pattern[:3, :3, :3] = levi_civita
+    jac = config.embedding_jacobian()
+    raw = np.einsum("...ap,...bq,...cr,pqr->...abc", jac, jac, jac, pattern)
+    component = np.einsum("abc,...abc->...", levi_civita, raw) / 6.0
+    return component * (-1.0 / config.world_metric.determinant)
 
 
 def curved_metric(grid):
@@ -62,37 +54,34 @@ def identity_embedding_config(**kwargs):
     return brane.BraneConfiguration(
         embedding=emb,
         world_metric=geo.constant_metric(grid, FLAT_MATRIX),
-        background=np.eye(brane.BACKGROUND_DIM),
         **kwargs,
     )
 
 
 class TestPullbacks:
-    @pytest.mark.parametrize("seed, density", [(0, 0.3), (1, 1.0), (2, 0.05), (3, 0.0)])
-    def test_closed_form_matches_einsum(self, seed, density):
+    @pytest.mark.parametrize("seed", range(4))
+    def test_closed_form_matches_einsum(self, seed):
         rng = np.random.default_rng(seed)
         grid = GridSpec.from_axes((0, 1, 4), (0, 2, 5), (-1, 1, 6))
         config = brane.BraneConfiguration(
             embedding=rng.normal(size=grid.shape + (brane.TRANSVERSE_DIM,)),
             world_metric=curved_metric(grid),
-            background=np.eye(brane.BACKGROUND_DIM),
-            coupling_scalar=rng.normal(size=grid.shape),
-            coupling_pattern=antisymmetric_pattern(rng, density),
         )
-        _, component = brane.pullbacks(config)
+        npull, component = brane.pullbacks(config)
+        jac = config.embedding_jacobian()
+        expected = np.einsum("...ap,...bq,pq->...ab", jac, jac, np.eye(brane.TRANSVERSE_DIM))
+        np.testing.assert_allclose(npull, expected, rtol=1e-13, atol=1e-13)
         expected = einsum_component(config)
         assert component.shape == grid.shape
-        scale = max(np.abs(expected).max(), np.finfo(float).tiny)
-        assert np.abs(component - expected).max() <= 1e-12 * scale
+        assert np.abs(component - expected).max() <= 1e-12 * np.abs(expected).max()
 
-    def test_default_pattern_is_leading_minor(self):
+    def test_component_is_the_leading_minor(self):
         rng = np.random.default_rng(4)
         grid = GridSpec.from_axes((0, 1, 4), (0, 2, 5), (-1, 1, 6))
         metric = curved_metric(grid)
         config = brane.BraneConfiguration(
             embedding=rng.normal(size=grid.shape + (brane.TRANSVERSE_DIM,)),
             world_metric=metric,
-            background=np.eye(brane.BACKGROUND_DIM),
         )
         _, component = brane.pullbacks(config)
         minor = np.linalg.det(config.embedding_jacobian()[..., :3])
@@ -106,23 +95,6 @@ class TestPullbacks:
             component, -1.0 / np.linalg.det(FLAT_MATRIX), rtol=1e-14
         )
         np.testing.assert_allclose(npull, np.broadcast_to(np.eye(3), npull.shape), atol=1e-14)
-
-    def test_field_background_matches_plain_einsum(self):
-        rng = np.random.default_rng(5)
-        grid = GridSpec.from_axes((0, 1, 3), (0, 1, 4), (0, 1, 5))
-        block = rng.normal(size=grid.shape + (brane.BACKGROUND_DIM,) * 2)
-        background = block + np.swapaxes(block, -1, -2)
-        config = brane.BraneConfiguration(
-            embedding=rng.normal(size=grid.shape + (brane.TRANSVERSE_DIM,)),
-            world_metric=curved_metric(grid),
-            background=background,
-        )
-        npull, _ = brane.pullbacks(config)
-        jac = config.embedding_jacobian()
-        expected = np.einsum(
-            "...ap,...bq,...pq->...ab", jac, jac, background[..., 3:, 3:]
-        )
-        np.testing.assert_allclose(npull, expected, rtol=1e-12, atol=1e-12)
 
 
 def brane_firm():
@@ -155,19 +127,15 @@ class TestEvaluateAction:
         return brane.BraneConfiguration(
             embedding=emb,
             world_metric=geo.sphere_metric(grid),
-            background=np.eye(brane.BACKGROUND_DIM),
             ghost_e=ghost_e,
             ghost_c=ghost_c,
-            multiplier=0.7,
             mean_share=0.4,
             ricci_scalar=2.0,
         )
 
     def action(self, t_lo, t_hi, count):
         grid = GridSpec.from_axes((t_lo, t_hi, count), (0.5, 2.5, 7), (0.0, 1.0, 6))
-        firm = brane_firm()
-        residuals = np.sin(grid.meshgrid()[1]) * grid.meshgrid()[2]
-        return brane.evaluate_action(self.make_config(grid), firm, profit, residuals)
+        return brane.evaluate_action(self.make_config(grid), brane_firm(), profit)
 
     def test_identity_embedding_bracket(self):
         # N = 1 and Hpull_{012} = -1/det h, so the bracket is
@@ -256,7 +224,6 @@ def fp_config(metric):
     return brane.BraneConfiguration(
         embedding=np.zeros(metric.grid.shape + (brane.TRANSVERSE_DIM,)),
         world_metric=metric,
-        background=np.eye(brane.BACKGROUND_DIM),
     )
 
 

@@ -1,7 +1,6 @@
 """Kernel mass check and Crank-Nicolson evolution against independent oracles."""
 
 import json
-import math
 import warnings
 from pathlib import Path
 
@@ -16,17 +15,29 @@ from semicoop.grids import GridSpec
 from semicoop.scenario import parse_scenario
 
 
+def panel_nodes(lo, hi, breaks, n):
+    """Composite Gauss-Legendre nodes/weights over panel subdivisions."""
+    base_x, base_w = np.polynomial.legendre.leggauss(n)
+    edges = [lo] + [b for b in breaks if lo < b < hi] + [hi]
+    xs, ws = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        half = 0.5 * (b - a)
+        xs.append(a + half * (base_x + 1.0))
+        ws.append(half * base_w)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
 def tensor_quadrature_deviation(spec, sample_count):
     """The kernel check done as a full 3-D Gauss-Legendre tensor product of
-    the normalized Gaussian density, on the same panels."""
-    cov = spec.covariance()
+    the normalized Gaussian density, with panels split at 7 and 9 standard
+    deviations: the inner panel resolves the peak, the next ones the tail."""
+    cov = spec.variance * np.eye(3)
     prec = np.linalg.inv(cov)
     norm = 1.0 / np.sqrt((2.0 * np.pi) ** 3 * np.linalg.det(cov))
     a = spec.domain_halfwidth
-    breaks = np.array([-9.0, -7.0, 7.0, 9.0])  # marginal standard deviations
+    breaks = np.array([-9.0, -7.0, 7.0, 9.0])  # standard deviations
     (x0, w0), (x1, w1), (x2, w2) = (
-        evolution._panel_nodes(-a, a, np.sqrt(cov[k, k]) * breaks, sample_count)
-        for k in range(3)
+        panel_nodes(-a, a, np.sqrt(cov[k, k]) * breaks, sample_count) for k in range(3)
     )
     plane = np.stack(np.meshgrid(x1, x2, indexing="ij"), axis=-1)
     plane_quad = np.einsum("...a,ab,...b->...", plane, prec[1:, 1:], plane)
@@ -38,114 +49,83 @@ def tensor_quadrature_deviation(spec, sample_count):
     return abs(total - 1.0)
 
 
-def random_spd(rng):
-    """Full 3x3 SPD matrix with eigenvalues in [0.5, 2]."""
-    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-    return q @ np.diag(rng.uniform(0.5, 2.0, 3)) @ q.T
-
-
 class TestKernelNormalization:
-    @pytest.mark.parametrize("scales", [(0.6, 1.0, 1.7), (1.7, 1.0, 0.6)])
-    @pytest.mark.parametrize("mass", [3.0, 30.0, 300.0, 1e4])
-    def test_diagonal_covariance_matches_erf_product(self, mass, scales):
+    @pytest.mark.parametrize("halfwidth", [0.3, 1.0])
+    @pytest.mark.parametrize("mass", [0.3, 3.0, 30.0, 300.0, 1e4])
+    def test_closed_form_matches_erf_product(self, mass, halfwidth):
         spec = evolution.KernelSpec(
-            mass=mass, step=0.05, effective_scale=1.3, background_inverse=np.diag(scales)
+            mass=mass, step=0.05, effective_scale=1.3, domain_halfwidth=halfwidth
         )
-        # 96 nodes per panel resolve the narrowest axis to rounding
-        sigma = np.sqrt(np.diag(spec.covariance()))
-        inside = np.prod(special.erf(spec.domain_halfwidth / (np.sqrt(2.0) * sigma)))
-        assert evolution.kernel_normalization_check(spec, 96) == pytest.approx(
+        inside = special.erf(halfwidth / np.sqrt(2.0 * spec.variance)) ** 3
+        assert evolution.kernel_normalization_check(spec) == pytest.approx(
             1.0 - inside, rel=0, abs=1e-14
         )
 
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("mass", [3.0, 30.0])
-    def test_full_covariance_matches_tensor_quadrature(self, mass, seed):
-        spec = evolution.KernelSpec(
-            mass=mass,
-            step=0.05,
-            effective_scale=1.3,
-            background_inverse=random_spd(np.random.default_rng(seed)),
-        )
+    @pytest.mark.parametrize("mass", [0.3, 3.0, 30.0])
+    def test_closed_form_matches_tensor_quadrature(self, mass):
+        spec = evolution.KernelSpec(mass=mass, step=0.05, effective_scale=1.3)
         expected = tensor_quadrature_deviation(spec, 40)
-        assert abs(evolution.kernel_normalization_check(spec, 40) - expected) <= 1e-13
+        assert abs(evolution.kernel_normalization_check(spec) - expected) <= 1e-13
 
-    @pytest.mark.parametrize(
-        "samples,covariance", [(48, "diagonal"), (64, "diagonal"), (96, "diagonal"),
-                               (64, "full"), (96, "full")]
-    )
+    def test_small_leak_keeps_its_relative_accuracy(self):
+        # 1 - erf^3 cancels to rounding here; t (3 - 3t + t^2) keeps the
+        # leak, three times the mass erfc leaves outside one axis
+        spec = evolution.KernelSpec(mass=60.0, step=0.05, effective_scale=1.3)
+        t = special.erfc(spec.domain_halfwidth / np.sqrt(2.0 * spec.variance))
+        assert 0.0 < t < 1e-20
+        assert evolution.kernel_normalization_check(spec) == pytest.approx(3.0 * t, rel=1e-14)
+
     @pytest.mark.parametrize("mass", [1e3, 1e4, 1e6])
-    def test_gaussian_inside_the_box_reports_no_leak(self, mass, samples, covariance):
-        # sigma is at most 0.02 against a unit half-width, so the true leak
-        # is below 1e-300; the tails beyond 7 sigma must not read as leak
-        background = (
-            np.diag([0.6, 1.0, 1.7]) if covariance == "diagonal"
-            else random_spd(np.random.default_rng(7))
-        )
-        spec = evolution.KernelSpec(
-            mass=mass, step=0.05, effective_scale=1.3, background_inverse=background
-        )
-        assert evolution.kernel_normalization_check(spec, samples) <= 1e-14
+    def test_gaussian_inside_the_box_reports_no_leak(self, mass):
+        # sigma is at most 0.0081 against a unit half-width, so the true leak
+        # is below 1e-300
+        spec = evolution.KernelSpec(mass=mass, step=0.05, effective_scale=1.3)
+        assert evolution.kernel_normalization_check(spec) == 0.0
 
     def test_leak_vanishes_as_mass_grows(self):
         deviations = [
             evolution.kernel_normalization_check(
-                evolution.KernelSpec(mass=m, step=0.05, effective_scale=1.0), 48
+                evolution.KernelSpec(mass=m, step=0.05, effective_scale=1.0)
             )
             for m in (1.0, 3.0, 10.0)
         ]
         assert deviations[0] > deviations[1] > deviations[2]
 
     @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
-    @pytest.mark.parametrize("mode", [evolution.WICK, evolution.LORENTZIAN])
-    def test_non_finite_scale_is_listed_with_the_other_problems(self, scale, mode):
+    def test_non_finite_scale_is_listed_with_the_other_problems(self, scale):
         with pytest.raises(ValidationError) as info:
-            evolution.KernelSpec(mass=0.0, step=0.05, effective_scale=scale, mode=mode)
+            evolution.KernelSpec(mass=0.0, step=0.05, effective_scale=scale)
         assert info.value.problems == ["mass must be positive", "effective scale must be finite"]
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    def test_overflowing_covariance_is_a_numerical_error(self):
+    @pytest.mark.parametrize("scale", [0.0, -1.0])
+    def test_non_positive_variance_is_rejected(self, scale):
+        with pytest.raises(ValidationError, match="must be positive"):
+            evolution.KernelSpec(mass=1.0, step=0.05, effective_scale=scale)
+
+    def test_overflowing_variance_is_a_numerical_error(self):
         # each factor is valid; their product (step / mass) F0 is not finite
         with pytest.raises(NumericalError, match="overflows"):
             evolution.KernelSpec(mass=1e-300, step=1e300, effective_scale=1.0)
-        evolution.KernelSpec(
-            mass=1e-300, step=1e300, effective_scale=1.0, mode=evolution.LORENTZIAN
-        )
 
-    def test_non_positive_conditional_variance_is_a_numerical_error(self):
-        # positive definite to eigvalsh (smallest eigenvalue 1.4e-15), yet the
-        # variance of axis 2 given axes 0 and 1 rounds to -8.9e-16
-        a = np.array([[1.0, 1.0], [1.0, 3.0], [1.0, 2.0]])
-        spec = evolution.KernelSpec(
-            mass=1.0, step=1.0, effective_scale=1.0, background_inverse=a @ a.T + 1e-15 * np.eye(3)
-        )
-        with pytest.raises(NumericalError, match=r"conditional variance .* is -8\.88\d*e-16"):
-            evolution.kernel_normalization_check(spec, 16)
 
-    def test_lorentzian_mode_is_rejected(self):
-        spec = evolution.KernelSpec(
-            mass=1.0, step=0.05, effective_scale=1.0, mode=evolution.LORENTZIAN
-        )
+class TestTwoPointCorrelation:
+    def test_draws_are_scaled_standard_normals(self):
+        spec = evolution.KernelSpec(mass=100.0, step=0.05, effective_scale=1.3)
+        normals = np.random.default_rng(np.random.SeedSequence(11)).standard_normal((500, 3))
+        expected = np.cov(normals * np.sqrt(spec.variance), rowvar=False)
+        got = evolution.two_point_correlation(spec, 500, seed=11)
+        assert np.array_equal(got, expected)
+
+    def test_estimate_converges_to_the_covariance(self):
+        spec = evolution.KernelSpec(mass=100.0, step=0.05, effective_scale=1.3)
+        got = evolution.two_point_correlation(spec, 200000, seed=3)
+        # the standard error of each entry is about sqrt(2 / n) sigma^2
+        assert np.abs(got - spec.variance * np.eye(3)).max() <= 0.02 * spec.variance
+
+    def test_one_sample_is_rejected(self):
+        spec = evolution.KernelSpec(mass=100.0, step=0.05, effective_scale=1.3)
         with pytest.raises(ValidationError):
-            evolution.kernel_normalization_check(spec)
-
-
-class TestNormalCdf:
-    POINTS = np.concatenate(
-        [np.linspace(-60.0, 60.0, 24002), [-40.0, -38.5, -8.3, 8.3, 38.5, 40.0]]
-    )
-
-    def test_equals_erfc_node_by_node(self):
-        expected = [0.5 * math.erfc(-x / math.sqrt(2.0)) for x in self.POINTS]
-        assert np.array_equal(evolution._ndtr(self.POINTS), expected)
-
-    def test_close_to_scipy(self):
-        got = evolution._ndtr(self.POINTS.reshape(8, -1))
-        assert np.abs(got - special.ndtr(self.POINTS.reshape(8, -1))).max() <= 2.3e-16
-
-    def test_infinities_and_nan(self):
-        got = evolution._ndtr(np.array([np.inf, -np.inf, np.nan]))
-        assert got[0] == 1.0 and got[1] == 0.0 and np.isnan(got[2])
+            evolution.two_point_correlation(spec, 1, seed=0)
 
 
 def strategy_slice(metric_of, n):
@@ -169,6 +149,16 @@ def transposed_sphere_slice(n):
     values[..., 0, 0] = np.sin(grid.meshgrid()[1]) ** 2
     values[..., 1, 1] = 1.0
     return grid, geometry.MetricField(values, grid)
+
+
+def moving_packet(grid, wavevector):
+    """The pipeline's packet times the plane wave ``exp(i k . (x - c))``
+    about the grid centre ``c``, normalized again."""
+    xs, ys = grid.meshgrid()
+    (a0, b0), (a1, b1) = grid.extents
+    phase = wavevector[0] * (xs - 0.5 * (a0 + b0)) + wavevector[1] * (ys - 0.5 * (a1 + b1))
+    values = evolution.gaussian_packet(grid, 0.15).values * np.exp(1j * phase)
+    return evolution.WaveFunction(values, grid).normalized()
 
 
 def two_matrix_steps(psi, spec, metric, steps):
@@ -229,7 +219,7 @@ class TestEvolve:
         # operator is the same up to the permutation of the axes
         grid, metric = strategy_slice(geometry.sphere_metric, 33)
         grid_t, metric_t = transposed_sphere_slice(33)
-        psi0 = evolution.gaussian_packet(grid, 0.15, wavevector=(2.0, -1.0))
+        psi0 = moving_packet(grid, (2.0, -1.0))
         psi = evolution.evolve(psi0, SPEC, metric, 200)
         psi_t = evolution.evolve(evolution.WaveFunction(psi0.values.T, grid_t), SPEC, metric_t, 200)
         assert mode_calls == [1]
@@ -246,7 +236,7 @@ class TestEvolve:
     )
     def test_weighted_norm_conserved(self, make_slice):
         grid, metric = make_slice(41)
-        psi0 = evolution.gaussian_packet(grid, 0.15, wavevector=(3.0, -2.0))
+        psi0 = moving_packet(grid, (3.0, -2.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error", evolution.AccuracyWarning)
             psi = evolution.evolve(psi0, UNIT_SPEC, metric, 400)
@@ -266,7 +256,7 @@ class TestEvolve:
         else:
             values[8, 5, 1, 1] *= 1.0 + 1e-9
         metric = geometry.MetricField(values, grid)
-        psi0 = evolution.gaussian_packet(grid, 0.15, wavevector=(3.0, -2.0))
+        psi0 = moving_packet(grid, (3.0, -2.0))
         psi = evolution.evolve(psi0, UNIT_SPEC, metric, 50)
         assert not mode_calls
         expected = two_matrix_steps(psi0, UNIT_SPEC, metric, 50)
@@ -274,7 +264,7 @@ class TestEvolve:
 
     def test_norm_conserved_on_flat_metric(self):
         grid, metric = strategy_slice(geometry.flat_metric, 33)
-        psi0 = evolution.gaussian_packet(grid, 0.15, wavevector=(3.0, -2.0))
+        psi0 = moving_packet(grid, (3.0, -2.0))
         with warnings.catch_warnings():
             warnings.simplefilter("error", evolution.AccuracyWarning)
             psi = evolution.evolve(psi0, UNIT_SPEC, metric, 200)
@@ -284,9 +274,7 @@ class TestEvolve:
     def test_non_finite_scale_is_a_numerical_error(self, metric_of):
         grid, metric = strategy_slice(metric_of, 9)
         psi0 = evolution.gaussian_packet(grid, 0.15)
-        spec = evolution.KernelSpec(
-            mass=1.0, step=1e-3, effective_scale=1.0, mode=evolution.LORENTZIAN
-        )
+        spec = evolution.KernelSpec(mass=1.0, step=1e-3, effective_scale=1.0)
         # the spec rejects a non-finite scale; set after it, evolve still must
         spec.effective_scale = float("nan")
         with pytest.raises(NumericalError):
@@ -315,7 +303,7 @@ class TestEvolve:
         assert not np.shares_memory(psi.values, psi0.values)
 
     def test_metric_of_another_dimension_is_rejected(self):
-        grid, metric = strategy_slice(lambda g: geometry.flat_metric(g, dim=3), 9)
+        grid, metric = strategy_slice(lambda g: geometry.constant_metric(g, np.eye(3)), 9)
         psi0 = evolution.gaussian_packet(grid, 0.15)
         with pytest.raises(ValidationError):
             evolution.evolve(psi0, SPEC, metric, 1)
@@ -435,7 +423,7 @@ class TestOptimalRho:
         assert result.rho_star == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-10)
         assert result.stationary_points == (round(result.rho_star, 12),)
         assert not (result.boundary_flag or result.degenerate_flag)
-        # F0 = rho - 2 rises while |F0| falls: the magnitude puts rho* at rho_min
+        # F0 = rho - 2 rises while |F0| falls: the magnitude puts rho* at RHO_MIN
         result = self.search(lambda rho: rho - 2.0)
         assert result.boundary_flag and result.rho_star == 0.05
         assert result.stationary_points == ()
@@ -501,7 +489,7 @@ class TestOptimalRho:
 
     def test_end_beats_a_lower_interior_maximum(self):
         # |0.1 - 10 (rho - 0.6)^2| has its interior maximum 0.1 at 0.6 and
-        # minima at the zeros 0.5 and 0.7, but is 2.925 at rho_min
+        # minima at the zeros 0.5 and 0.7, but is 2.925 at RHO_MIN
         result = self.search(lambda rho: 0.1 - 10.0 * (rho - 0.6) ** 2)
         assert result.rho_star == 0.05 and result.boundary_flag
         assert len(result.stationary_points) == 1
@@ -525,8 +513,6 @@ class TestOptimalRho:
             result = self.search(scale, grid=64)
             assert abs(scale(result.rho_star)) >= np.abs(scale(fine)).max() * (1.0 - 1e-14)
 
-    def test_small_grid_and_rho_min_are_rejected(self):
+    def test_small_grid_is_rejected(self):
         with pytest.raises(ValidationError):
             evolution.optimal_rho(lambda rho: rho, grid=15)
-        with pytest.raises(ValidationError):
-            evolution.optimal_rho(lambda rho: rho, rho_min=1.0)

@@ -188,9 +188,9 @@ class TestChristoffel:
     def test_grid_mismatch_rejected(self):
         grid_a = GridSpec.from_axes((0, 1, 4), (0, 1, 4))
         grid_b = GridSpec.from_axes((0, 2, 4), (0, 1, 4))
-        metric = geo.flat_metric(grid_a)
+        chris_b = geo.christoffel(geo.flat_metric(grid_b))
         with pytest.raises(GridMismatchError):
-            geo.christoffel(metric, grid_b)
+            geo.curvature(geo.flat_metric(grid_a), chris_b)
 
 
 class TestCurvature:

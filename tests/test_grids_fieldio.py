@@ -300,3 +300,39 @@ def test_cli_exits_2_on_metric_with_trailing_bytes(tmp_path):
         )
     assert code == 2
     assert "bytes follow the payload" in err.getvalue()
+
+
+@pytest.mark.parametrize("where", ["missing", "directory", "descriptor-directory"])
+def test_unreadable_grid_file_rejected(tmp_path, where):
+    path = tmp_path / "metric.bin"
+    if where == "directory":
+        path.mkdir()
+    elif where == "descriptor-directory":
+        write_grid(path, np.ones((4, 5)))
+        (tmp_path / "metric.bin.json").unlink()
+        (tmp_path / "metric.bin.json").mkdir()
+    with pytest.raises(ValidationError, match="cannot read grid"):
+        read_grid(path)
+
+
+def test_grid_file_without_descriptor_reads(tmp_path):
+    path = tmp_path / "f.bin"
+    write_grid(path, np.ones((4, 5)))
+    (tmp_path / "f.bin.json").unlink()
+    values, grid, descriptor = read_grid(path)
+    assert np.array_equal(values, np.ones((4, 5))) and grid is None and descriptor == {}
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_cli_exits_2_on_unreadable_metric(tmp_path, where):
+    path = tmp_path / "metric.bin"
+    if where == "directory":
+        path = tmp_path
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(
+            ["geometry", "--metric", str(path), "--op", "curvature",
+             "--out", str(tmp_path / "c.bin")]
+        )
+    assert code == 2
+    assert "cannot read grid file" in err.getvalue()

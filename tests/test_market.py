@@ -113,6 +113,15 @@ class TestFirmState:
             self.make(polygon_area=1.0, strategy=0.9)
 
 
+def axis0_sphere(grid):
+    """Unit round sphere on axes 0 (colatitude) and 1 of a three-axis
+    grid, times a flat axis 2."""
+    values = np.zeros(grid.shape + (3, 3))
+    values[...] = np.eye(3)
+    values[..., 1, 1] = np.sin(grid.meshgrid()[0]) ** 2
+    return geo.MetricField(values, grid)
+
+
 class TestDeriveCoefficients:
     def test_flat_metric(self):
         grid = GridSpec.from_axes((0, 1, 5), (0, 1, 5), (0, 1, 5))
@@ -140,7 +149,7 @@ class TestDeriveCoefficients:
 
     def test_diffusion_identity_random_nodes(self):
         grid = GridSpec.from_axes((0.5, np.pi - 0.5, 17), (0.0, 1.0, 9), (0.0, 1.0, 5))
-        metric = geo.sphere_metric(grid, theta_axis=0)
+        metric = axis0_sphere(grid)
         coeffs = derive_coefficients(metric, geo.christoffel(metric))
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -150,7 +159,7 @@ class TestDeriveCoefficients:
 
     def test_drift_identity_residual(self):
         grid = GridSpec.from_axes((0.5, np.pi - 0.5, 17), (0.0, 1.0, 9), (0.0, 1.0, 5))
-        metric = geo.sphere_metric(grid, theta_axis=0)
+        metric = axis0_sphere(grid)
         chris = geo.christoffel(metric)
         coeffs = derive_coefficients(metric, chris)
         contraction = 0.5 * np.einsum("...bc,...abc->...a", metric.inverse, chris.values)
@@ -158,9 +167,7 @@ class TestDeriveCoefficients:
 
     def test_indefinite_metric_rejected(self):
         grid = GridSpec.from_axes((0, 1, 4), (0, 1, 4), (0, 1, 4))
-        metric = geo.constant_metric(
-            grid, np.diag([-1.0, 1.0, 1.0]), signature=geo.LORENTZIAN_SIGNATURE
-        )
+        metric = geo.constant_metric(grid, np.diag([-1.0, 1.0, 1.0]))
         with pytest.raises(SingularMetricError):
             derive_coefficients(metric, geo.christoffel(metric))
 

@@ -363,6 +363,75 @@ def test_metric_file_off_the_scenario_grid_is_rejected(tmp_path):
     assert code == cli.EXIT_VALIDATION
 
 
+def test_metric_file_that_is_a_directory_fails_the_geometry_stage(tmp_path):
+    metric_dir = tmp_path / "metric.bin"
+    metric_dir.mkdir()
+    path = write_scenario(
+        tmp_path / "scenario.json", dict(SCENARIO, metric={"file": str(metric_dir)})
+    )
+    out_dir = tmp_path / "out"
+    code, err = _exit_and_stderr("pipeline", "--scenario", path, "--out-dir", out_dir)
+    assert code == cli.EXIT_VALIDATION
+    assert "cannot read metric file" in err
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["failed_stage"] == "geometry"
+    assert manifest["config_digest"] is None and manifest["artifacts"] == {}
+    code, err = _exit_and_stderr("action", "--config", path)
+    assert code == cli.EXIT_VALIDATION
+    assert "cannot read grid file" in err
+
+
+def test_config_digest_follows_the_metric_file_contents(tmp_path):
+    grid = GridSpec.from_axes(*(tuple(SCENARIO["grid"][k]) for k in ("time", "sigma1", "sigma2")))
+
+    def digest(path):
+        config = parse_scenario(dict(SCENARIO, metric={"file": str(path)}))
+        return pipeline._config_digest(config, SEED)
+
+    paths = [tmp_path / "a" / "metric.bin", tmp_path / "b" / "metric.bin"]
+    for path in paths:
+        path.parent.mkdir()
+        write_grid(path, geometry.sphere_metric(grid).values, grid)
+    reference = digest(paths[0])
+    assert digest(paths[1]) == reference
+    write_grid(paths[1], geometry.sphere_metric(grid, radius=1.1).values, grid)
+    assert digest(paths[1]) != reference
+    # the descriptor counts too: without one the grid comes from the scenario
+    write_grid(paths[1], geometry.sphere_metric(grid).values, grid)
+    assert digest(paths[1]) == reference
+    Path(str(paths[1]) + ".json").unlink()
+    assert digest(paths[1]) != reference
+
+
+LIE_FIELDS = {
+    "v": {"drift": [[[1.0, [0, 1, 0]]], [], []]},
+    "u": {"drift": [[], [[1.0, [1, 0, 0]]], []]},
+}
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--point", "a,b,c"],
+        ["--point", "0.1,0.2"],
+        ["--point", "nan,0.2,0.3"],
+        ["--point", "0.1,0.2,0.3", "--spacing", "nan"],
+        ["--point", "0.1,0.2,0.3", "--spacing", "inf"],
+        ["--point", "0.1,0.2,0.3", "--spacing", "0"],
+    ],
+    ids=["not-numbers", "two-coordinates", "nan-point", "nan-spacing", "inf-spacing",
+         "zero-spacing"],
+)
+def test_malformed_lie_bracket_input_exits_with_validation_code(tmp_path, flags):
+    path = write_scenario(tmp_path / "scenario.json", dict(SCENARIO, fields=LIE_FIELDS))
+    code, err = _exit_and_stderr("lie-bracket", "--scenario", path, *flags)
+    assert code == cli.EXIT_VALIDATION, err
+    code, payload = run_cli("lie-bracket", "--scenario", path, "--point", "0.1,0.2,0.3")
+    assert code == cli.EXIT_OK
+    # [V, U] = J_U v - J_V u = (0, y1, 0) - (y0, 0, 0) for V = (y1, 0, 0), U = (0, y0, 0)
+    assert payload["bracket"] == pytest.approx([-0.1, 0.2, 0.0], abs=1e-9)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
