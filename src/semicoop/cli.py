@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__, geometry, pipeline, stubbornness
 from .errors import NumericalError, ValidationError
 from .fieldio import read_grid, write_grid
+from .grids import require_same_grid
 from .scenario import parse_scenario
 from .polygon import assemble_polygon
 from .profitops import CascadeParams, cascade_derivative, cascade_limit, cascade_sum
@@ -130,6 +131,8 @@ def _cmd_geometry(args):
     if not args.field:
         raise ValidationError("laplacian needs --field")
     field, fgrid, _ = read_grid(args.field)
+    if fgrid is not None:
+        require_same_grid(grid, fgrid)
     lap = geometry.covariant_laplacian(metric, chris, field)
     write_grid(args.out, lap, grid)
     _emit({"out": args.out})

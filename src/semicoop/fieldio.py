@@ -37,6 +37,7 @@ both once its file is in place.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -95,6 +96,17 @@ def _read_floats(fh, count, path):
     return np.fromfile(fh, dtype="<f8", count=count)
 
 
+@contextlib.contextmanager
+def open_output(path):
+    """Open ``path`` for binary writing; an OSError while opening or
+    writing it is a ValidationError that names the path."""
+    try:
+        with open(path, "wb") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
 def write_grid(path, values, grid=None, extra=None):
     """Write a grid field and its JSON descriptor.
 
@@ -147,7 +159,7 @@ def write_grid(path, values, grid=None, extra=None):
     header = bytes(header)
     digest = hashlib.sha256(header)
     digest.update(payload)
-    with open(path, "wb") as fh:
+    with open_output(path) as fh:
         fh.write(header)
         _write_array(fh, payload)
 
@@ -167,9 +179,8 @@ def write_grid(path, values, grid=None, extra=None):
 
 
 def _write_descriptor(path, descriptor):
-    with open(_descriptor_path(path), "w") as fh:
-        json.dump(descriptor, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open_output(_descriptor_path(path)) as fh:
+        fh.write((json.dumps(descriptor, indent=2, sort_keys=True) + "\n").encode())
 
 
 def read_grid(path):
@@ -185,8 +196,9 @@ def read_grid(path):
     ------
     ValidationError
         When the file or its descriptor cannot be opened (a missing
-        descriptor is allowed), or the file is not a grid field, or is
-        shorter or longer than its header says.
+        descriptor is allowed), the descriptor is not JSON or holds a
+        malformed grid, or the file is not a grid field, or is shorter or
+        longer than its header says.
     """
     try:
         fh = open(path, "rb")
@@ -215,15 +227,16 @@ def read_grid(path):
             values = _read_floats(fh, count, path).reshape(shape)
         _check_at_end(fh, path)
 
-    descriptor = {}
+    descriptor, grid = {}, None
     try:
-        with open(_descriptor_path(path)) as fh:
+        with open(_descriptor_path(path), "rb") as fh:
             descriptor = json.load(fh)
+        if "grid" in descriptor:
+            grid = GridSpec.from_dict(descriptor["grid"])
     except FileNotFoundError:
         pass
-    except OSError as exc:
-        raise ValidationError(f"cannot read grid descriptor of {path}: {exc}") from exc
-    grid = GridSpec.from_dict(descriptor["grid"]) if "grid" in descriptor else None
+    except (OSError, ValueError, TypeError, KeyError, OverflowError) as exc:
+        raise ValidationError(f"cannot read grid descriptor of {path}: {exc!r}") from exc
     return values, grid, descriptor
 
 
@@ -243,8 +256,9 @@ class EnsembleWriter:
     The file is built under ``path + ".partial"`` and moved to ``path``,
     next to its descriptor, when the block ends without an exception and
     every row is in; otherwise it is removed, so a failed simulation
-    leaves no ensemble behind.  Nothing is synced to disk, as with
-    ``write``.
+    leaves no ensemble behind.  An OSError while writing or moving it is
+    a ValidationError naming ``path``.  Nothing is synced to disk, as
+    with ``write``.
     """
 
     def __init__(self, path, times, paths, components, seed=None):
@@ -268,13 +282,23 @@ class EnsembleWriter:
         self._hash = hashlib.sha256(head)
         self._next = 0
         self._partial = self._path + ".partial"
-        with open(self._partial, "wb+") as fh:
-            fh.write(head)
-            fh.truncate(self.nbytes)
-            # the map keeps its own descriptor of the file; the array keeps the map
-            self.values = np.ndarray(
-                shape, dtype="<f8", buffer=mmap.mmap(fh.fileno(), self.nbytes), offset=len(head)
-            )
+        try:
+            with open(self._partial, "wb+") as fh:
+                fh.write(head)
+                fh.truncate(self.nbytes)
+                # the map keeps its own descriptor of the file; the array keeps the map
+                self.values = np.ndarray(
+                    shape, dtype="<f8", buffer=mmap.mmap(fh.fileno(), self.nbytes), offset=len(head)
+                )
+        except OSError as exc:
+            self._discard(exc)
+
+    def _discard(self, exc=None):
+        """Remove the partial file; raise ``exc`` again as a ValidationError."""
+        with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+            os.unlink(self._partial)
+        if exc is not None:
+            raise ValidationError(f"cannot write ensemble {self._path}: {exc}") from exc
 
     def rows(self, lo, hi):
         """Hash rows ``[lo, hi)`` of ``values``, which must follow the
@@ -291,11 +315,14 @@ class EnsembleWriter:
 
     def __exit__(self, exc_type, exc, tb):
         if exc_type is None and self._next == len(self.values):
-            os.replace(self._partial, self._path)
+            try:
+                os.replace(self._partial, self._path)
+            except OSError as err:
+                self._discard(err)
             _write_descriptor(self._path, self._descriptor)
             self.sha256 = self._hash.hexdigest()
             return False
-        os.unlink(self._partial)
+        self._discard()
         if exc_type is None:
             raise ValidationError(
                 f"ensemble rows from {self._next} of {len(self.values)} were never finished"

@@ -161,7 +161,7 @@ class MetricField:
     @functools.cached_property
     def inverse(self):
         """Per-node inverse matrices, computed when first read; fields such
-        as the flat background and the combined metric never need it."""
+        as the combined metric never need it."""
         return np.linalg.inv(self.values)
 
     @property
@@ -263,11 +263,11 @@ def curvature(metric, chris):
     return CurvatureBundle(ricci, scalar, einstein, grid)
 
 
-def combined_metric(einstein_bundle, flat, stubbornness_field, gamma):
-    """Blend a curvature-derived metric into a flat background.
+def combined_metric(einstein_bundle, stubbornness_field, gamma):
+    """Blend a curvature-derived metric into the identity background.
 
     Per node: ``N = exp(gamma * b) * G + eta`` where ``G`` is the Einstein
-    tensor of the curved field, ``eta`` the flat metric and ``b`` the
+    tensor of the curved field, ``eta`` the identity and ``b`` the
     stubbornness field.  ``G`` is symmetrized first; finite differences
     leave it asymmetric at discretization level.
 
@@ -278,7 +278,7 @@ def combined_metric(einstein_bundle, flat, stubbornness_field, gamma):
     gamma = float(gamma)
     if not 0.0 < gamma <= 2.0:
         raise ValidationError("gamma must lie in (0,2]")
-    grid = require_same_grid(einstein_bundle, flat)
+    grid = einstein_bundle.grid
     b = np.asarray(stubbornness_field, dtype=float)
     if b.shape != grid.shape:
         raise ValidationError(
@@ -296,7 +296,7 @@ def combined_metric(einstein_bundle, flat, stubbornness_field, gamma):
     g = einstein_bundle.einstein
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
     factor = np.exp(exponent)[..., None, None]
-    return MetricField(factor * g + flat.values, grid)
+    return MetricField(factor * g + np.eye(g.shape[-1]), grid)
 
 
 def contracted_christoffel(metric, chris):

@@ -25,7 +25,7 @@ from numpy.random import SeedSequence
 
 from . import __version__, brane, evolution, geometry, market, stubbornness
 from .errors import NumericalError, SemicoopError, ValidationError
-from .fieldio import EnsembleWriter, sha256_of, write_grid
+from .fieldio import EnsembleWriter, open_output, sha256_of, write_grid
 from .grids import GridSpec, require_same_grid
 
 STAGE_LABELS = {"gff": 101, "sde": 202, "kernel": 303}
@@ -83,9 +83,7 @@ def stubbornness_field(config, grid, curv, seed):
     if field2d.shape != (grid.counts[1], grid.counts[2]):
         return field2d, None
     field3d = np.broadcast_to(field2d, grid.shape).copy()
-    combined = geometry.combined_metric(
-        curv, geometry.flat_metric(grid), field3d, float(gff_cfg["gamma"])
-    )
+    combined = geometry.combined_metric(curv, field3d, float(gff_cfg["gamma"]))
     return field2d, combined
 
 
@@ -120,14 +118,15 @@ def simulate_paths(config, metric, chris, seed, threads, path):
 
 def action_terms(config, metric, curv):
     """Brane configuration of the world volume and its per-node action
-    bracket ``(cfg_brane, terms)``; the embedding is the identity on the
-    first three transverse slots."""
-    grid = metric.grid
+    bracket ``(cfg_brane, terms)``.
+
+    The brane is in static gauge: its embedding is the world coordinates
+    on the first three transverse slots, so the bracket is the closed
+    form ``3 + tr(h^{-1}) (p*b)^W + (det h)^(-3/2) (p*b)^{1-W}`` of
+    :func:`brane.scalar_action_terms`.
+    """
     kernel_cfg = config.data["kernel"]
-    emb = np.zeros(grid.shape + (brane.TRANSVERSE_DIM,))
-    emb[..., :3] = np.stack(grid.meshgrid(), axis=-1)
     cfg_brane = brane.BraneConfiguration(
-        embedding=emb,
         world_metric=metric,
         freedom_exponent=float(kernel_cfg["freedom_exponent"]),
         mean_share=float(kernel_cfg["mean_share"]),
@@ -143,24 +142,12 @@ def action(config, chris, cfg_brane, terms, ghost, fp_det):
     and the FP log-determinant when asked for (None otherwise); with the
     latter, ``fp_singular_node`` is the node whose block makes the
     operator singular, or None."""
-    grid = cfg_brane.grid
-    profit, _ = config.build_profit()
-    payload = {
-        "action": brane.evaluate_action(cfg_brane, config.build_firms()[0], profit, terms=terms),
-        "ghost": None,
-        "logdet_fp": None,
-    }
+    metric = cfg_brane.world_metric
+    payload = {"action": brane.evaluate_action(cfg_brane, terms), "ghost": None, "logdet_fp": None}
     if ghost:
-        cfg_ghost = dataclasses.replace(
-            cfg_brane,
-            ghost_e=np.broadcast_to(np.eye(3), grid.shape + (3, 3)),
-            ghost_c=cfg_brane.embedding[..., :3],
-        )
-        payload["ghost"] = brane.ghost_action(
-            cfg_ghost, chris, float(config.data["kernel"]["step"])
-        )
+        payload["ghost"] = brane.ghost_action(metric, chris, float(config.data["kernel"]["step"]))
     if fp_det:
-        fp = brane.fp_determinant(cfg_brane, chris)
+        fp = brane.fp_determinant(metric, chris)
         payload["logdet_fp"] = None if fp.singular else fp.log_abs_det
         payload["fp_singular"] = fp.singular
         payload["fp_singular_node"] = fp.singular_node
@@ -246,7 +233,7 @@ def _write_json(path, payload):
     """Write ``payload`` as indented, key-sorted JSON; returns ``(sha256,
     nbytes)`` of the file."""
     data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
-    with open(path, "wb") as fh:
+    with open_output(path) as fh:
         fh.write(data)
     return hashlib.sha256(data).hexdigest(), len(data)
 
@@ -267,7 +254,10 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
     csv : bool
         Also export the path ensemble as CSV.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {out_dir}: {exc}") from exc
     results = {}
     manifest = {
         "version": __version__,
@@ -361,7 +351,7 @@ def export_ensemble_csv(path, ensemble):
 
     digest = hashlib.sha256()
     nbytes = 0
-    with open(path, "wb") as fh:
+    with open_output(path) as fh:
         for text in blocks():
             data = text.encode()
             fh.write(data)

@@ -99,6 +99,12 @@ def test_every_public_callable_is_reached_or_allowed():
 # deleted callables, written back as (module, anchor, source): the source
 # goes in front of the anchor line, or at the end of the module without one
 RESTORED = {
+    "brane.pullbacks": (
+        "brane",
+        None,
+        "def pullbacks(config):\n    jac = config.embedding_jacobian()\n"
+        "    return jac @ np.swapaxes(jac, -1, -2)\n",
+    ),
     "market.path_payoffs": (
         "market",
         None,
@@ -255,6 +261,11 @@ def test_every_optional_parameter_is_passed_or_allowed():
 
 # deleted parameters, written back as (module, old text, new text)
 RESTORED_PARAMETERS = {
+    "brane.BraneConfiguration.ghost_c": (
+        "brane",
+        "    ricci_scalar: object = 0.0\n",
+        "    ricci_scalar: object = 0.0\n    ghost_c: np.ndarray = None\n",
+    ),
     "evolution.optimal_rho.rho_min": (
         "evolution",
         "def optimal_rho(rho_to_scale, grid=64):",

@@ -15,19 +15,77 @@ from semicoop.errors import NumericalError
 from semicoop.market import FirmState
 
 
-def einsum_component(config):
+TRANSVERSE_DIM = 8
+
+
+def embedding_jacobian(embedding, grid):
+    """``J[..., a, p] = d embedding_p / d sigma_a`` by the module
+    difference stencils."""
+    cols = [geo.first_derivative(embedding, grid.spacing(a), axis=a) for a in range(3)]
+    return np.stack(cols, axis=-2)
+
+
+def pullbacks(embedding, metric):
+    """The general pull-back, the oracle of the static-gauge closed forms:
+    ``npull = J J^T`` of the identity background and the one 3-form
+    component ``det J[..., :3] * (-1/det h)``."""
+    jac = embedding_jacobian(embedding, metric.grid)
+    npull = jac @ np.swapaxes(jac, -1, -2)
+    component = np.linalg.det(jac[..., :3]) * (-1.0 / metric.determinant)
+    return npull, component
+
+
+def ghost_covariant_derivative(ghost_c, metric, chris):
+    """``out[..., a, b] = h^{ac} (d_c ghost^b + gamma^b_{cd} ghost^d)``."""
+    grid = metric.grid
+    dc = np.stack(
+        [geo.first_derivative(ghost_c, grid.spacing(t), axis=t) for t in range(3)], axis=-2
+    )
+    cov = dc + np.einsum("...btd,...d->...tb", chris.values, ghost_c)
+    return np.einsum("...ac,...cb->...ab", metric.inverse, cov)
+
+
+def static_embedding(grid):
+    """The world-volume coordinates on the first three transverse slots."""
+    emb = np.zeros(grid.shape + (TRANSVERSE_DIM,))
+    emb[..., :3] = np.stack(grid.meshgrid(), axis=-1)
+    return emb
+
+
+def oracle_bracket(metric, firm, exponent):
+    """The bracket through the general pull-back of the static embedding."""
+    npull, component = pullbacks(static_embedding(metric.grid), metric)
+    config = brane.BraneConfiguration(world_metric=metric, freedom_exponent=exponent)
+    pw_w, pw_1mw = brane._powers(brane._profit_weight(config, firm, profit), exponent)
+    world_term = np.einsum("...ab,...ab->...", metric.inverse, npull)
+    trans_term = component / np.sqrt(metric.determinant)
+    return 3.0 + world_term * pw_w - trans_term * pw_1mw
+
+
+def oracle_ghost_action(metric, chris, step):
+    """The ghost action of the general pair ``e = I``, ``c = sigma``."""
+    grid = metric.grid
+    ghost_e = np.broadcast_to(np.eye(3), grid.shape + (3, 3))
+    raised = ghost_covariant_derivative(static_embedding(grid)[..., :3], metric, chris)
+    density = np.einsum("...ab,...ab->...", ghost_e, raised)
+    sqrt_h = np.sqrt(metric.determinant)
+    integral = float(np.sum(grid.trapezoid_weights() * sqrt_h * density))
+    return integral / (2.0 * np.pi * step)
+
+
+def einsum_component(embedding, metric):
     """Reference 3-form component: the full pulled-back tensor of the
     coupling ``-eps_{pqr} / det h`` on the first three transverse slots,
     contracted back with the alternating symbol."""
     levi_civita = np.zeros((3, 3, 3))
     for perm in itertools.permutations(range(3)):
         levi_civita[perm] = np.linalg.det(np.eye(3)[list(perm)])
-    pattern = np.zeros((brane.TRANSVERSE_DIM,) * 3)
+    pattern = np.zeros((TRANSVERSE_DIM,) * 3)
     pattern[:3, :3, :3] = levi_civita
-    jac = config.embedding_jacobian()
+    jac = embedding_jacobian(embedding, metric.grid)
     raw = np.einsum("...ap,...bq,...cr,pqr->...abc", jac, jac, jac, pattern)
     component = np.einsum("abc,...abc->...", levi_civita, raw) / 6.0
-    return component * (-1.0 / config.world_metric.determinant)
+    return component * (-1.0 / metric.determinant)
 
 
 def curved_metric(grid):
@@ -43,35 +101,27 @@ def curved_metric(grid):
 FLAT_MATRIX = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, -0.2], [0.0, -0.2, 0.8]])
 
 
-def identity_embedding_config(**kwargs):
-    """Constant world metric with the embedding equal to the world-volume
-    coordinates on the first three transverse slots."""
+def constant_config(**kwargs):
+    """Brane on a constant world metric."""
     grid = GridSpec.from_axes((0, 1, 5), (0, 2, 9), (-1, 1, 9))
-    mesh = grid.meshgrid()
-    emb = np.zeros(grid.shape + (brane.TRANSVERSE_DIM,))
-    for k in range(3):
-        emb[..., k] = mesh[k]
-    return brane.BraneConfiguration(
-        embedding=emb,
-        world_metric=geo.constant_metric(grid, FLAT_MATRIX),
-        **kwargs,
-    )
+    return brane.BraneConfiguration(world_metric=geo.constant_metric(grid, FLAT_MATRIX), **kwargs)
 
 
 class TestPullbacks:
+    """The general pull-back oracle: its closed form against the full
+    contraction on random embeddings, and its static-gauge values."""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_closed_form_matches_einsum(self, seed):
         rng = np.random.default_rng(seed)
         grid = GridSpec.from_axes((0, 1, 4), (0, 2, 5), (-1, 1, 6))
-        config = brane.BraneConfiguration(
-            embedding=rng.normal(size=grid.shape + (brane.TRANSVERSE_DIM,)),
-            world_metric=curved_metric(grid),
-        )
-        npull, component = brane.pullbacks(config)
-        jac = config.embedding_jacobian()
-        expected = np.einsum("...ap,...bq,pq->...ab", jac, jac, np.eye(brane.TRANSVERSE_DIM))
+        metric = curved_metric(grid)
+        embedding = rng.normal(size=grid.shape + (TRANSVERSE_DIM,))
+        npull, component = pullbacks(embedding, metric)
+        jac = embedding_jacobian(embedding, grid)
+        expected = np.einsum("...ap,...bq,pq->...ab", jac, jac, np.eye(TRANSVERSE_DIM))
         np.testing.assert_allclose(npull, expected, rtol=1e-13, atol=1e-13)
-        expected = einsum_component(config)
+        expected = einsum_component(embedding, metric)
         assert component.shape == grid.shape
         assert np.abs(component - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -79,18 +129,15 @@ class TestPullbacks:
         rng = np.random.default_rng(4)
         grid = GridSpec.from_axes((0, 1, 4), (0, 2, 5), (-1, 1, 6))
         metric = curved_metric(grid)
-        config = brane.BraneConfiguration(
-            embedding=rng.normal(size=grid.shape + (brane.TRANSVERSE_DIM,)),
-            world_metric=metric,
-        )
-        _, component = brane.pullbacks(config)
-        minor = np.linalg.det(config.embedding_jacobian()[..., :3])
+        embedding = rng.normal(size=grid.shape + (TRANSVERSE_DIM,))
+        _, component = pullbacks(embedding, metric)
+        minor = np.linalg.det(embedding_jacobian(embedding, grid)[..., :3])
         np.testing.assert_allclose(component, -minor / metric.determinant, rtol=1e-12)
-        np.testing.assert_allclose(component, einsum_component(config), rtol=1e-12)
+        np.testing.assert_allclose(component, einsum_component(embedding, metric), rtol=1e-12)
 
     def test_identity_embedding_flat_grid(self):
-        config = identity_embedding_config()
-        npull, component = brane.pullbacks(config)
+        metric = constant_config().world_metric
+        npull, component = pullbacks(static_embedding(metric.grid), metric)
         np.testing.assert_allclose(
             component, -1.0 / np.linalg.det(FLAT_MATRIX), rtol=1e-14
         )
@@ -114,33 +161,19 @@ def profit(s, share, u_own, u_other):
 
 class TestEvaluateAction:
     def make_config(self, grid):
-        mesh = grid.meshgrid()
-        t = mesh[0]
-        emb = np.zeros(grid.shape + (brane.TRANSVERSE_DIM,))
-        for p in range(brane.TRANSVERSE_DIM):
-            emb[..., p] = (0.3 + 0.1 * p) * t + np.sin((p + 1) * mesh[1]) * np.cos(
-                mesh[2] + p
-            )
-        ghost_e = np.zeros(grid.shape + (3, 3))
-        ghost_e[...] = np.eye(3)
-        ghost_c = np.stack([2.0 * t + mesh[1], t - mesh[2] ** 2, mesh[1] * mesh[2]], axis=-1)
         return brane.BraneConfiguration(
-            embedding=emb,
-            world_metric=geo.sphere_metric(grid),
-            ghost_e=ghost_e,
-            ghost_c=ghost_c,
-            mean_share=0.4,
-            ricci_scalar=2.0,
+            world_metric=geo.sphere_metric(grid), mean_share=0.4, ricci_scalar=2.0
         )
 
     def action(self, t_lo, t_hi, count):
         grid = GridSpec.from_axes((t_lo, t_hi, count), (0.5, 2.5, 7), (0.0, 1.0, 6))
-        return brane.evaluate_action(self.make_config(grid), brane_firm(), profit)
+        config = self.make_config(grid)
+        return brane.evaluate_action(config, brane.scalar_action_terms(config, brane_firm(), profit))
 
     def test_identity_embedding_bracket(self):
         # N = 1 and Hpull_{012} = -1/det h, so the bracket is
         # 3 + tr(h^-1) w^W + det(h)^(-3/2) w^(1-W)
-        config = identity_embedding_config(freedom_exponent=0.3)
+        config = constant_config(freedom_exponent=0.3)
         firm = brane_firm()
         weight = profit(config.grid.meshgrid()[0], firm.share, firm.strategy, 0.0)
         expected = (
@@ -157,13 +190,50 @@ class TestEvaluateAction:
         assert abs(whole - split) <= 1e-12 * abs(whole)
 
     def test_precomputed_terms_give_same_value(self):
-        grid = GridSpec.from_axes((0.0, 1.0, 5), (0.5, 2.5, 7), (0.0, 1.0, 6))
+        # the action of the precomputed bracket is the trapezoid action of
+        # the oracle bracket, to the bit on a grid of dyadic spacings
+        grid = GridSpec.from_axes((0.0, 1.0, 5), (0.5, 2.5, 9), (0.0, 1.0, 5))
         config = self.make_config(grid)
-        firm = brane_firm()
-        terms = brane.scalar_action_terms(config, firm, profit)
-        assert brane.evaluate_action(config, firm, profit, terms=terms) == (
-            brane.evaluate_action(config, firm, profit)
+        terms = brane.scalar_action_terms(config, brane_firm(), profit)
+        bracket = oracle_bracket(config.world_metric, brane_firm(), 0.5) - config.potential()
+        density = 0.5 * np.sqrt(config.world_metric.determinant) * bracket
+        assert brane.evaluate_action(config, terms) == float(
+            np.sum(grid.trapezoid_weights() * density)
         )
+
+
+def stage_grid(counts):
+    """The benchmark's world-volume axes at the given node counts."""
+    return GridSpec.from_axes((0, 1, counts[0]), (0.5, 2.5, counts[1]), (0, 1, counts[2]))
+
+
+# the benchmark's world-volume grids: world_grid, path_ensemble and
+# strategy_plane have dyadic spacings, stage_commands' 5x25x25 has 1/12
+DYADIC_COUNTS = [(17, 65, 65), (5, 17, 17), (3, 65, 65)]
+
+
+class TestStaticGauge:
+    @pytest.mark.parametrize("counts", DYADIC_COUNTS)
+    def test_bracket_and_ghost_equal_the_oracle_bitwise(self, counts):
+        # on dyadic spacings the difference stencils give J = I exactly
+        metric = geo.sphere_metric(stage_grid(counts))
+        config = brane.BraneConfiguration(world_metric=metric, freedom_exponent=0.5)
+        terms = brane.scalar_action_terms(config, brane_firm(), profit)
+        assert np.array_equal(terms, oracle_bracket(metric, brane_firm(), 0.5))
+        chris = geo.christoffel(metric)
+        assert brane.ghost_action(metric, chris, 0.01) == oracle_ghost_action(metric, chris, 0.01)
+
+    @pytest.mark.parametrize("radius", [0.9, 1.1])
+    def test_bracket_and_ghost_match_the_oracle_on_the_stage_grid(self, radius):
+        # spacing 1/12: the stencils leave J off the identity by rounding
+        metric = geo.sphere_metric(stage_grid((5, 25, 25)), radius=radius)
+        config = brane.BraneConfiguration(world_metric=metric, freedom_exponent=0.5)
+        terms = brane.scalar_action_terms(config, brane_firm(), profit)
+        expected = oracle_bracket(metric, brane_firm(), 0.5)
+        assert np.abs(terms - expected).max() <= 1e-14 * np.abs(expected).max()
+        chris = geo.christoffel(metric)
+        expected = oracle_ghost_action(metric, chris, 0.01)
+        assert abs(brane.ghost_action(metric, chris, 0.01) - expected) <= 1e-14 * abs(expected)
 
 
 def forward_difference(n, spacing):
@@ -173,7 +243,7 @@ def forward_difference(n, spacing):
     return sp.diags([np.full(m, -1.0 / spacing), np.full(m - 1, 1.0 / spacing)], [0, 1])
 
 
-def fp_operator_matrix(config, chris):
+def fp_operator_matrix(metric, chris):
     """The assembled gauge-fixing operator, the oracle of
     ``brane.fp_determinant``:
 
@@ -181,10 +251,10 @@ def fp_operator_matrix(config, chris):
 
     on interior nodes with zero boundary values and forward differences;
     degrees of freedom run node-major, component within node."""
-    grid = config.grid
+    grid = metric.grid
     inner = (slice(1, -1),) * 3
-    hinv = config.world_metric.inverse[inner].reshape(-1, 3, 3)
-    sqrt_h = np.sqrt(config.world_metric.determinant[inner]).reshape(-1)
+    hinv = metric.inverse[inner].reshape(-1, 3, 3)
+    sqrt_h = np.sqrt(metric.determinant[inner]).reshape(-1)
     gamma = chris.values[inner].reshape(-1, 3, 3, 3)
     local = sqrt_h[:, None, None] * np.einsum("nbc,nbcd->nbd", hinv, gamma)
     matrix = sp.block_diag(list(local))
@@ -220,18 +290,6 @@ def oracle_slogdet(matrix):
     return sign, np.sum(np.log(np.abs(diag)))
 
 
-def fp_config(metric):
-    return brane.BraneConfiguration(
-        embedding=np.zeros(metric.grid.shape + (brane.TRANSVERSE_DIM,)),
-        world_metric=metric,
-    )
-
-
-def stage_grid(counts):
-    """The benchmark's world-volume axes at the given node counts."""
-    return GridSpec.from_axes((0, 1, counts[0]), (0.5, 2.5, counts[1]), (0, 1, counts[2]))
-
-
 def random_spd_metric(grid, seed):
     rng = np.random.default_rng(seed)
     a = 0.4 * rng.normal(size=grid.shape + (3, 3))
@@ -246,7 +304,7 @@ class TestFPDeterminant:
     def test_flat_metric_closed_form(self, counts):
         # every block is -diag(1/spacing_b): log|det F| = N sum_b log(1/spacing_b)
         metric = geo.flat_metric(stage_grid(counts))
-        fp = brane.fp_determinant(fp_config(metric), geo.christoffel(metric))
+        fp = brane.fp_determinant(metric, geo.christoffel(metric))
         n_nodes = int(np.prod([n - 2 for n in counts]))
         expected = n_nodes * sum(np.log(1.0 / h) for h in metric.grid.spacings)
         assert fp.log_abs_det == pytest.approx(expected, rel=1e-13)
@@ -260,7 +318,7 @@ class TestFPDeterminant:
         # with an odd interior count (5x9x9, 3x9x9 and 5x25x25 here)
         grid = stage_grid(counts)
         metric = geo.flat_metric(grid) if preset == "flat" else geo.sphere_metric(grid, radius=0.97)
-        fp = brane.fp_determinant(fp_config(metric), geo.christoffel(metric))
+        fp = brane.fp_determinant(metric, geo.christoffel(metric))
         assert not fp.singular
         assert fp.singular_node is None
         assert np.isfinite(fp.log_abs_det) and fp.sign in (-1.0, 1.0)
@@ -270,12 +328,12 @@ class TestFPDeterminant:
         metric = random_spd_metric(stage_grid(counts), seed)
         chris = geo.christoffel(metric)
         assert np.abs(chris.values[1:-1, 1:-1, 1:-1]).max() > 0.1
-        matrix = fp_operator_matrix(fp_config(metric), chris)
+        matrix = fp_operator_matrix(metric, chris)
         # block upper triangular: no node couples to an earlier node
         coo = matrix.tocoo()
         assert np.all(coo.col // 3 >= coo.row // 3)
         sign, logdet = oracle_slogdet(matrix)
-        fp = brane.fp_determinant(fp_config(metric), chris)
+        fp = brane.fp_determinant(metric, chris)
         assert sign != 0.0 and fp.sign == sign
         assert fp.log_abs_det == pytest.approx(logdet, rel=1e-12)
 
@@ -286,10 +344,10 @@ class TestFPDeterminant:
     def test_matches_assembled_operator_on_stage_grid(self, radius):
         metric = geo.sphere_metric(stage_grid((5, 25, 25)), radius=radius)
         chris = geo.christoffel(metric)
-        matrix = fp_operator_matrix(fp_config(metric), chris)
+        matrix = fp_operator_matrix(metric, chris)
         assert matrix.shape == (4761, 4761)
         sign, logdet = oracle_slogdet(matrix)
-        fp = brane.fp_determinant(fp_config(metric), chris)
+        fp = brane.fp_determinant(metric, chris)
         assert fp.sign == sign
         assert fp.log_abs_det == pytest.approx(logdet, rel=1e-12)
 
@@ -305,17 +363,17 @@ class TestFPDeterminant:
         values[..., 0, 0] = a + (x1 - 0.75) ** 2 + (x2 - 0.75) ** 2
         metric = geo.MetricField(values, grid)
         chris = geo.christoffel(metric)
-        fp = brane.fp_determinant(fp_config(metric), chris)
+        fp = brane.fp_determinant(metric, chris)
         assert fp.singular and fp.singular_node == (2, 3, 3)
         assert fp.sign == 0.0 and fp.log_abs_det == -np.inf
-        assert oracle_slogdet(fp_operator_matrix(fp_config(metric), chris))[0] == 0.0
+        assert oracle_slogdet(fp_operator_matrix(metric, chris))[0] == 0.0
 
     def test_overflowing_block_is_a_numerical_error(self):
         # spacing 1e-200 makes each flat block -diag(1/spacing), whose
         # determinant overflows double precision
         metric = geo.flat_metric(GridSpec.from_axes(*[(0.0, 1e-200, 4)] * 3))
         with pytest.raises(NumericalError, match=r"not finite at node \(1, 1, 1\)"):
-            brane.fp_determinant(fp_config(metric), geo.christoffel(metric))
+            brane.fp_determinant(metric, geo.christoffel(metric))
 
 
 def test_brane_imports_no_scipy():

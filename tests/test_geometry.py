@@ -256,7 +256,7 @@ class TestCombinedMetric:
         grid, flat = self.grid_and_flat()
         bundle = geo.curvature(flat, geo.christoffel(flat))
         field = np.random.default_rng(0).standard_normal(grid.shape)
-        combined = geo.combined_metric(bundle, flat, field, gamma=1.3)
+        combined = geo.combined_metric(bundle, field, gamma=1.3)
         assert np.array_equal(combined.values, flat.values)
 
     def test_zero_field_adds_plainly(self):
@@ -266,7 +266,7 @@ class TestCombinedMetric:
         # constant metric: einstein tensor is exactly zero, so force a
         # synthetic bundle to exercise the blend
         bundle.einstein[...] = np.diag([0.5, 0.0, 0.0])
-        combined = geo.combined_metric(bundle, flat, np.zeros(grid.shape), gamma=1.0)
+        combined = geo.combined_metric(bundle, np.zeros(grid.shape), gamma=1.0)
         expected = flat.values + np.diag([0.5, 0.0, 0.0])
         assert np.allclose(combined.values, expected)
 
@@ -276,7 +276,7 @@ class TestCombinedMetric:
         bundle = geo.curvature(curved, geo.christoffel(curved))
         bundle.einstein[...] = np.diag([0.25, 0.25, 0.25])
         field = np.ones(grid.shape)
-        combined = geo.combined_metric(bundle, flat, field, gamma=1.0)
+        combined = geo.combined_metric(bundle, field, gamma=1.0)
         expected = np.e * np.diag([0.25, 0.25, 0.25]) + np.eye(3)
         assert np.allclose(combined.values[0, 0, 0], expected)
 
@@ -285,7 +285,7 @@ class TestCombinedMetric:
         bundle = geo.curvature(flat, geo.christoffel(flat))
         for gamma in (0.0, -1.0, 2.5):
             with pytest.raises(ValidationError):
-                geo.combined_metric(bundle, flat, np.zeros(grid.shape), gamma)
+                geo.combined_metric(bundle, np.zeros(grid.shape), gamma)
 
     def test_overflow_reports_node(self):
         grid, flat = self.grid_and_flat()
@@ -293,7 +293,7 @@ class TestCombinedMetric:
         field = np.zeros(grid.shape)
         field[2, 1, 3] = 800.0
         with pytest.raises(RangeOverflowError, match=r"node \(2, 1, 3\)") as err:
-            geo.combined_metric(bundle, flat, field, gamma=1.0)
+            geo.combined_metric(bundle, field, gamma=1.0)
         assert err.value.node == (2, 1, 3)
 
 

@@ -629,3 +629,72 @@ def test_corrupted_metric_file_ends_in_an_exit_code(metric_file, mutations):
             assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_NUMERICAL)
     finally:
         path.write_bytes(pristine)
+
+
+def write_sphere_metric(path):
+    """A sphere metric file on the scenario's grid."""
+    grid = GridSpec.from_axes(*(tuple(SCENARIO["grid"][k]) for k in ("time", "sigma1", "sigma2")))
+    write_grid(path, geometry.sphere_metric(grid).values, grid)
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gff-sample", "--size", "9", "--gamma", "1", "--out", "{dir}"],
+        ["evolve", "--config", "{scenario}", "--out", "{dir}"],
+        ["geometry", "--metric", "{metric}", "--op", "curvature", "--out", "{dir}"],
+        ["simulate-sde", "--scenario", "{scenario}", "--out", "{dir}"],
+        ["simulate-sde", "--scenario", "{scenario}", "--out", "{root}/missing/p.bin"],
+        ["pipeline", "--scenario", "{scenario}", "--out-dir", "{file}"],
+    ],
+    ids=["gff-sample", "evolve", "geometry", "simulate-sde", "simulate-sde-missing", "pipeline"],
+)
+def test_unwritable_output_path_exits_with_validation_code(tmp_path, argv):
+    metric = write_sphere_metric(tmp_path / "metric.bin")
+    scenario = write_scenario(tmp_path / "scenario.json", SCENARIO)
+    (tmp_path / "out").mkdir()
+    fields = {"dir": tmp_path / "out", "file": scenario, "metric": metric, "root": tmp_path}
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, err = _exit_and_stderr(*[a.format(scenario=scenario, **fields) for a in argv])
+    assert code == cli.EXIT_VALIDATION
+    assert "cannot " in err and str(tmp_path) in err
+    # no partial ensemble or other file is left next to the outputs
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "descriptor", ["{not json", '{"grid": {"extents": 5}}', '{"grid": 5}', "5"]
+)
+def test_malformed_grid_descriptor_exits_with_validation_code(tmp_path, descriptor):
+    metric = write_sphere_metric(tmp_path / "metric.bin")
+    Path(str(metric) + ".json").write_text(descriptor)
+    code, err = _exit_and_stderr(
+        "geometry", "--metric", metric, "--op", "curvature", "--out", tmp_path / "c.bin"
+    )
+    assert code == cli.EXIT_VALIDATION
+    assert "cannot read grid descriptor" in err
+    scenario = write_scenario(
+        tmp_path / "scenario.json", dict(SCENARIO, metric={"file": str(metric)})
+    )
+    out = tmp_path / "out"
+    code, err = _exit_and_stderr("pipeline", "--scenario", scenario, "--out-dir", out)
+    assert code == cli.EXIT_VALIDATION
+    assert json.loads((out / "manifest.json").read_text())["failed_stage"] == "geometry"
+
+
+def test_laplacian_field_off_the_metric_grid_is_rejected(tmp_path):
+    metric = write_sphere_metric(tmp_path / "metric.bin")
+    grid = read_grid(metric)[1]
+    argv = ["geometry", "--metric", metric, "--op", "laplacian", "--out", tmp_path / "lap.bin"]
+    field = tmp_path / "field.bin"
+    write_grid(field, np.ones(grid.shape), grid)
+    code, _ = _exit_and_stderr(*argv, "--field", field)
+    assert code == cli.EXIT_OK
+    # the same counts on a time axis [0, 9] instead of [0, 1]
+    off_grid = GridSpec(((0.0, 9.0),) + grid.extents[1:], grid.counts)
+    write_grid(field, np.ones(grid.shape), off_grid)
+    code, err = _exit_and_stderr(*argv, "--field", field)
+    assert code == cli.EXIT_VALIDATION
+    assert "different grids" in err

@@ -102,7 +102,7 @@ def conformal_factor(field, gamma):
     flat = flat_metric(grid)
     bundle = curvature(flat, christoffel(flat))
     bundle.einstein[...] = 1.0
-    return combined_metric(bundle, flat, field, gamma).values[..., 0, 1]
+    return combined_metric(bundle, field, gamma).values[..., 0, 1]
 
 
 class TestConformalFactor:
