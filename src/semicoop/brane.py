@@ -15,8 +15,9 @@ The action density per node is
                     - Q*R*xbar ]
 
 where ``Npull`` and ``Hpull`` are the pull-backs of the background
-metric and of the antisymmetric coupling, ``p*b`` the profit weighted by
-stubbornness and ``W`` the profit freedom exponent.  The multiplier term
+metric and of the antisymmetric coupling, ``p*b`` the firm's profit at
+its strategy times its stubbornness, one number over the whole world
+volume, and ``W`` the profit freedom exponent.  The multiplier term
 that enforces the share dynamics is absent: simulated paths satisfy the
 discrete dynamics exactly, so its residual is zero.  In static gauge the
 embedding Jacobian is the identity on the first three transverse slots,
@@ -87,38 +88,26 @@ class BraneConfiguration:
         return self.stubbornness_measure * ricci * self.mean_share
 
 
-def _profit_weight(config, firm, profit):
-    """Per-node profit weighted by the firm's stubbornness value."""
-    grid = config.grid
-    s = grid.meshgrid()[0]
-    u_own = firm.strategy
-    u_other = firm.alpha_other**firm.coop_other
-    values = np.asarray(profit(s, firm.share, u_own, u_other), dtype=float)
-    return np.broadcast_to(values, grid.shape) * firm.stubbornness
-
-
-def _powers(weight, exponent):
-    if np.any(weight <= 0.0):
-        node = tuple(int(i) for i in np.argwhere(weight <= 0.0)[0])
-        raise NumericalError(
-            f"profit weight must be positive for fractional exponents; "
-            f"value {weight[node]:.6g} at node {node}"
-        )
-    return weight**exponent, weight ** (1.0 - exponent)
-
-
-def scalar_action_terms(config, firm, profit):
+def scalar_action_terms(config, weight):
     """Per-node bracket of the action without the potential term,
-    ``3 + tr(h^{-1}) (p*b)^W + (det h)^(-3/2) (p*b)^{1-W}``.
+    ``3 + tr(h^{-1}) w^W + (det h)^(-3/2) w^{1-W}`` at the firm's weight
+    ``w = p*b``, one positive number.
 
     This is the scalar the effective-scale extraction consumes.
     """
+    if not weight > 0.0:
+        raise NumericalError(
+            f"profit weight must be positive for fractional exponents; value {weight:.6g}"
+        )
     metric = config.world_metric
     sqrt_h = np.sqrt(metric.determinant)
-    pw_w, pw_1mw = _powers(_profit_weight(config, firm, profit), config.freedom_exponent)
+    # as a 0-d array the weight takes numpy's array power, as a per-node
+    # weight would; scalar pow can differ from it by an ulp
+    weight = np.asarray(weight, dtype=float)
     world_term = np.einsum("...aa->...", metric.inverse)
     trans_term = (-1.0 / metric.determinant) / sqrt_h
-    return 3.0 + world_term * pw_w - trans_term * pw_1mw
+    exponent = config.freedom_exponent
+    return 3.0 + world_term * weight**exponent - trans_term * weight ** (1.0 - exponent)
 
 
 def evaluate_action(config, terms):

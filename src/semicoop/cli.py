@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -51,7 +52,6 @@ def build_parser():
     p = sub.add_parser("polygon-area", help="strategy polygon area")
     p.add_argument("--scenario", required=True)
     p.add_argument("--time", type=float, default=0.0)
-    p.add_argument("--nodes", type=int, default=32, help="quadrature nodes per axis")
 
     p = sub.add_parser("lie-bracket", help="field commutator at a point")
     p.add_argument("--scenario", required=True)
@@ -140,7 +140,7 @@ def _cmd_geometry(args):
 
 def _cmd_polygon(args):
     config = parse_scenario(args.scenario)
-    areas, assembly = config.build_polygon(time=args.time, quadrature_nodes=args.nodes)
+    areas, assembly = config.build_polygon(time=args.time)
     _emit({"area": assemble_polygon(assembly), "per_side": areas})
 
 
@@ -265,10 +265,21 @@ _COMMANDS = {
 }
 
 
+def _check_out(path):
+    """Reject an ``--out`` that cannot be written before any work is done."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise ValidationError(f"cannot write {path}: it is a directory")
+    if not os.path.isdir(parent):
+        raise ValidationError(f"cannot write {path}: {parent} is not a directory")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if hasattr(args, "out"):
+            _check_out(args.out)
         _COMMANDS[args.command](args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -133,8 +133,9 @@ def action_terms(config, metric, curv):
         stubbornness_measure=stubbornness.stubbornness_measure(config.data["gff"]["gamma"]),
         ricci_scalar=curv.scalar,
     )
-    profit, _ = config.build_profit()
-    return cfg_brane, brane.scalar_action_terms(cfg_brane, config.build_firms()[0], profit)
+    firm = config.build_firms()[0]
+    weight = config.profit(firm.strategy) * firm.stubbornness
+    return cfg_brane, brane.scalar_action_terms(cfg_brane, weight)
 
 
 def action(config, chris, cfg_brane, terms, ghost, fp_det):
@@ -214,15 +215,15 @@ def cooperation(config):
     times its area, over the background dimension.  ρ* depends on that
     map alone, not on the metric, the evolved field or the mass.
     """
-    profit, rho_to_scale = config.build_profit()
+    rho_to_scale = config.rho_to_scale()
     if rho_to_scale is None:
         firm = config.build_firms()[0]
         area = firm.polygon_area if firm.polygon_area is not None else 1.0
         omega_exp = float(config.data["kernel"]["freedom_exponent"])
 
         def rho_to_scale(rho):
-            u_own = firm.alpha_own**rho * area
-            pw = profit(np.zeros(1), firm.share, u_own, 0.0)[0] * firm.stubbornness
+            # a float64, not a float: a negative weight gives nan, not complex
+            pw = np.float64(config.profit(firm.alpha_own**rho * area)) * firm.stubbornness
             return (3.0 + 3.0 * pw**omega_exp) / brane.BACKGROUND_DIM
 
     search = evolution.optimal_rho(rho_to_scale, grid=int(config.data["rho_grid"]))

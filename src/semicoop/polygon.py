@@ -6,8 +6,9 @@ integral over a latitude/longitude rectangle:
     area = r^2 (tau2 - tau1)
            + int_rho int_theta (1/k - r^2) cos(theta) dtheta drho
 
-evaluated with tensor-product Gauss-Legendre quadrature.  On a round
-sphere ``k = 1/r^2`` the integrand vanishes identically and the area
+Every patch has a constant Gaussian curvature ``k``, so the integral is
+the closed form ``(1/k - r^2) (sin theta2 - sin theta1) (rho2 - rho1)``.
+On a round sphere ``k = 1/r^2`` the correction vanishes and the area
 reduces to the azimuth term alone.
 
 Per-side areas are assembled into a polygon area either as a plain sum
@@ -17,28 +18,14 @@ two groups of sides (all on one side).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import DegeneratePolygonError, NumericalError, ValidationError
 
-DEFAULT_QUADRATURE_NODES = 32
-
 _HALF_PI = 0.5 * np.pi
-
-
-@lru_cache(maxsize=64)
-def _gauss_legendre(n):
-    nodes, weights = leggauss(n)
-    return nodes, weights
-
-
-def _map_to(nodes, weights, lo, hi):
-    half = 0.5 * (hi - lo)
-    return lo + half * (nodes + 1.0), half * weights
 
 
 @dataclass(frozen=True)
@@ -49,9 +36,8 @@ class EllipsoidPatch:
     ----------
     radius : float
         Authalic radius, positive.
-    curvature : callable or float
-        Gaussian curvature ``k(theta, rho)``; a bare number means a
-        constant field.  Must be positive over the patch.
+    curvature : float
+        Constant Gaussian curvature ``k``, positive.
     theta : (float, float)
         Latitude bounds, increasing, inside ``(-pi/2, pi/2)``.
     rho : (float, float)
@@ -61,7 +47,7 @@ class EllipsoidPatch:
     """
 
     radius: float
-    curvature: object
+    curvature: float
     theta: tuple
     rho: tuple
     tau: tuple
@@ -79,38 +65,16 @@ class EllipsoidPatch:
         if problems:
             raise ValidationError("invalid ellipsoid patch", problems)
 
-    def curvature_at(self, theta, rho):
-        if callable(self.curvature):
-            return np.broadcast_to(
-                np.asarray(self.curvature(theta, rho), dtype=float), np.shape(theta)
-            )
-        return np.full(np.shape(theta), float(self.curvature))
 
-
-def patch_area(patch, quadrature_nodes=DEFAULT_QUADRATURE_NODES):
-    """Area contribution of one patch.
-
-    Gauss-Legendre is spectrally accurate here, so for smooth curvature
-    fields the default node count is converged far beyond the tolerances
-    used downstream.  Deterministic for a fixed node count.
-    """
-    n = int(quadrature_nodes)
-    if n < 1:
-        raise ValidationError("quadrature node count must be positive")
-    base_nodes, base_weights = _gauss_legendre(n)
-    theta, wt = _map_to(base_nodes, base_weights, *patch.theta)
-    rho, wr = _map_to(base_nodes, base_weights, *patch.rho)
-    tt, rr = np.meshgrid(theta, rho, indexing="ij")
-    k = patch.curvature_at(tt, rr)
-    if np.any(~np.isfinite(k)) or np.any(k <= 0.0):
-        raise NumericalError(
-            "curvature must be positive and finite on all quadrature nodes"
-        )
+def patch_area(patch):
+    """Area contribution of one patch, in closed form; a curvature that
+    is not positive and finite is a :class:`NumericalError`."""
+    k = patch.curvature
+    if not (math.isfinite(k) and k > 0.0):
+        raise NumericalError(f"curvature must be positive and finite; it is {k:g}")
     r2 = patch.radius**2
-    integrand = (1.0 / k - r2) * np.cos(tt)
-    correction = float(np.einsum("i,j,ij->", wt, wr, integrand))
-    tau1, tau2 = patch.tau
-    return r2 * (tau2 - tau1) + correction
+    (t1, t2), (rho1, rho2), (tau1, tau2) = patch.theta, patch.rho, patch.tau
+    return r2 * (tau2 - tau1) + (1.0 / k - r2) * (math.sin(t2) - math.sin(t1)) * (rho2 - rho1)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ every range violation found is reported, not just the first.  A parsed
 configuration normalizes to a plain dictionary that round-trips through
 ``to_dict`` unchanged.
 
-Three keys are still accepted and validated, but no computed artifact
+Some keys are still accepted and validated, but no computed artifact
 depends on them; they enter only the manifest's config digest.
 ``background.preset`` (``identity`` or ``combined``): the action
 contracts only the transverse block of the background, the identity
@@ -14,6 +14,9 @@ either way, and ``combined_metric.bin`` is written whenever the
 stubbornness draw fits the strategy plane.  ``kernel.multiplier``: it
 multiplies the share-dynamics residual, zero on simulated paths.
 ``kernel.normalization_samples``: the kernel mass check is a closed form.
+``firms[i].alpha_other`` and ``firms[i].coop_other``: no profit preset
+reads the other firm's region.  Every firm after the first: each stage
+reads the first firm only.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .fieldio import read_grid
 from .grids import GridSpec
 from .market import FirmState
@@ -153,45 +156,37 @@ class ScenarioConfig:
             )
         return firms
 
-    def build_profit(self):
-        """Profit callable ``(s, share, u_own, u_other) -> value``.
-
-        Returns ``(callable, rho_to_scale)`` where the second entry maps
-        a cooperation degree directly to an effective scale for the
-        synthetic quadratic preset and is None otherwise.
-        """
+    def profit(self, u_own):
+        """Profit of the firm whose committed region is ``u_own``: the
+        ``constant`` preset's ``value``, ``region_power``'s ``base +
+        u_own**exponent`` or ``rho_quadratic``'s ``peak``.  A value that
+        is complex or not finite, or whose arithmetic fails, is a
+        :class:`NumericalError` naming ``u_own``."""
         p = self.data["profit"]
-        preset = p["preset"]
-        if preset == "constant":
-            value = float(p.get("value", 1.0))
+        if p["preset"] == "constant":
+            return float(p.get("value", 1.0))
+        if p["preset"] == "rho_quadratic":
+            return float(p.get("peak", 1.0))
+        try:
+            value = float(p.get("base", 1.0)) + float(u_own) ** float(p.get("exponent", 1.0))
+        except ArithmeticError as exc:
+            raise NumericalError(f"profit at u_own = {u_own:.6g} fails: {exc}") from exc
+        if isinstance(value, complex) or not math.isfinite(value):
+            raise NumericalError(f"profit at u_own = {u_own:.6g} is {value}")
+        return value
 
-            def profit(s, share, u_own, u_other, value=value):
-                return value * np.ones_like(np.asarray(s, dtype=float))
-
-            return profit, None
-        if preset == "region_power":
-            base = float(p.get("base", 1.0))
-            exponent = float(p.get("exponent", 1.0))
-
-            def profit(s, share, u_own, u_other, base=base, exponent=exponent):
-                return (base + float(u_own) ** exponent) * np.ones_like(
-                    np.asarray(s, dtype=float)
-                )
-
-            return profit, None
+    def rho_to_scale(self):
+        """The ``rho_quadratic`` preset's map from a cooperation degree
+        straight to an effective scale; None for the other presets."""
+        p = self.data["profit"]
+        if p["preset"] != "rho_quadratic":
+            return None
         peak = float(p.get("peak", 1.0))
         curvature = float(p.get("curvature", 1.0))
         vertex = float(p.get("vertex", 0.6))
+        return lambda rho: peak - curvature * (rho - vertex) ** 2
 
-        def profit(s, share, u_own, u_other, peak=peak):
-            return peak * np.ones_like(np.asarray(s, dtype=float))
-
-        def rho_to_scale(rho):
-            return peak - curvature * (rho - vertex) ** 2
-
-        return profit, rho_to_scale
-
-    def build_polygon(self, time=0.0, quadrature_nodes=32):
+    def build_polygon(self, time=0.0):
         """Per-side areas and the assembly for the polygon section."""
         from .polygon import patch_area
 
@@ -204,7 +199,7 @@ class ScenarioConfig:
                 areas.append(float(side["area"]))
                 continue
             patch = _build_patch(side, time, f"polygon.sides[{index}]")
-            areas.append(patch_area(patch, quadrature_nodes))
+            areas.append(patch_area(patch))
         assembly = PolygonAssembly(
             tuple(areas),
             indicator=section.get("indicator", 0),

@@ -45,9 +45,6 @@ class PolynomialComponent:
             total = total + c * y[0] ** e0 * y[1] ** e1 * y[2] ** e2
         return total
 
-    def to_dict(self):
-        return [[c, list(e)] for c, e in self.terms]
-
 
 class FourierComponent:
     """Truncated random Fourier series, a fixed smooth noise realization.

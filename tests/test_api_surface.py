@@ -121,6 +121,12 @@ RESTORED = {
         "def curvature_present(field_v, field_u, points):\n"
         "    return any(lie_bracket(field_v, field_u, p).any() for p in points)\n",
     ),
+    "polygon.EllipsoidPatch.curvature_at": (
+        "polygon",
+        "def patch_area(",
+        "    def curvature_at(self, theta, rho):\n"
+        "        return np.full(np.shape(theta), self.curvature)\n\n\n",
+    ),
     "grids.GridSpec.subgrid": (
         "grids",
         "    @classmethod\n    def from_axes(",
@@ -275,6 +281,11 @@ RESTORED_PARAMETERS = {
         "evolution",
         "    domain_halfwidth: float = 1.0\n",
         "    domain_halfwidth: float = 1.0\n    mode: str = \"wick\"\n",
+    ),
+    "scenario.ScenarioConfig.build_polygon.quadrature_nodes": (
+        "scenario",
+        "def build_polygon(self, time=0.0):",
+        "def build_polygon(self, time=0.0, quadrature_nodes=32):",
     ),
     "stubbornness.GFFSampler.domain_length": (
         "stubbornness",

@@ -12,7 +12,6 @@ from semicoop import GridSpec
 from semicoop import brane
 from semicoop import geometry as geo
 from semicoop.errors import NumericalError
-from semicoop.market import FirmState
 
 
 TRANSVERSE_DIM = 8
@@ -52,11 +51,12 @@ def static_embedding(grid):
     return emb
 
 
-def oracle_bracket(metric, firm, exponent):
-    """The bracket through the general pull-back of the static embedding."""
+def oracle_bracket(metric, weight, exponent):
+    """The bracket through the general pull-back of the static embedding,
+    with the weight's powers taken node by node."""
     npull, component = pullbacks(static_embedding(metric.grid), metric)
-    config = brane.BraneConfiguration(world_metric=metric, freedom_exponent=exponent)
-    pw_w, pw_1mw = brane._powers(brane._profit_weight(config, firm, profit), exponent)
+    weight = np.full(metric.grid.shape, weight)
+    pw_w, pw_1mw = weight**exponent, weight ** (1.0 - exponent)
     world_term = np.einsum("...ab,...ab->...", metric.inverse, npull)
     trans_term = component / np.sqrt(metric.determinant)
     return 3.0 + world_term * pw_w - trans_term * pw_1mw
@@ -144,19 +144,8 @@ class TestPullbacks:
         np.testing.assert_allclose(npull, np.broadcast_to(np.eye(3), npull.shape), atol=1e-14)
 
 
-def brane_firm():
-    return FirmState(
-        share=[0.3, 1.0, 0.5],
-        strategy=0.2,
-        alpha_own=0.5,
-        alpha_other=0.5,
-        coop_own=0.5,
-        coop_other=0.5,
-    )
-
-
-def profit(s, share, u_own, u_other):
-    return 1.0 + s**2 + 0.1 * u_own
+# the firm's profit times its stubbornness, one number per world volume
+WEIGHT = 1.37
 
 
 class TestEvaluateAction:
@@ -168,20 +157,18 @@ class TestEvaluateAction:
     def action(self, t_lo, t_hi, count):
         grid = GridSpec.from_axes((t_lo, t_hi, count), (0.5, 2.5, 7), (0.0, 1.0, 6))
         config = self.make_config(grid)
-        return brane.evaluate_action(config, brane.scalar_action_terms(config, brane_firm(), profit))
+        return brane.evaluate_action(config, brane.scalar_action_terms(config, WEIGHT))
 
     def test_identity_embedding_bracket(self):
         # N = 1 and Hpull_{012} = -1/det h, so the bracket is
         # 3 + tr(h^-1) w^W + det(h)^(-3/2) w^(1-W)
         config = constant_config(freedom_exponent=0.3)
-        firm = brane_firm()
-        weight = profit(config.grid.meshgrid()[0], firm.share, firm.strategy, 0.0)
         expected = (
             3.0
-            + np.trace(np.linalg.inv(FLAT_MATRIX)) * weight**0.3
-            + np.linalg.det(FLAT_MATRIX) ** -1.5 * weight**0.7
+            + np.trace(np.linalg.inv(FLAT_MATRIX)) * WEIGHT**0.3
+            + np.linalg.det(FLAT_MATRIX) ** -1.5 * WEIGHT**0.7
         )
-        terms = brane.scalar_action_terms(config, firm, profit)
+        terms = brane.scalar_action_terms(config, WEIGHT)
         np.testing.assert_allclose(terms, expected, rtol=1e-13)
 
     def test_additive_across_time_split(self):
@@ -194,8 +181,8 @@ class TestEvaluateAction:
         # the oracle bracket, to the bit on a grid of dyadic spacings
         grid = GridSpec.from_axes((0.0, 1.0, 5), (0.5, 2.5, 9), (0.0, 1.0, 5))
         config = self.make_config(grid)
-        terms = brane.scalar_action_terms(config, brane_firm(), profit)
-        bracket = oracle_bracket(config.world_metric, brane_firm(), 0.5) - config.potential()
+        terms = brane.scalar_action_terms(config, WEIGHT)
+        bracket = oracle_bracket(config.world_metric, WEIGHT, 0.5) - config.potential()
         density = 0.5 * np.sqrt(config.world_metric.determinant) * bracket
         assert brane.evaluate_action(config, terms) == float(
             np.sum(grid.trapezoid_weights() * density)
@@ -218,18 +205,33 @@ class TestStaticGauge:
         # on dyadic spacings the difference stencils give J = I exactly
         metric = geo.sphere_metric(stage_grid(counts))
         config = brane.BraneConfiguration(world_metric=metric, freedom_exponent=0.5)
-        terms = brane.scalar_action_terms(config, brane_firm(), profit)
-        assert np.array_equal(terms, oracle_bracket(metric, brane_firm(), 0.5))
+        terms = brane.scalar_action_terms(config, WEIGHT)
+        assert np.array_equal(terms, oracle_bracket(metric, WEIGHT, 0.5))
         chris = geo.christoffel(metric)
         assert brane.ghost_action(metric, chris, 0.01) == oracle_ghost_action(metric, chris, 0.01)
+
+    def test_weight_powers_equal_the_per_node_powers_bitwise(self):
+        # the 0-d weight takes numpy's array power, as a per-node weight did
+        metric = geo.sphere_metric(stage_grid((3, 5, 5)))
+        rng = np.random.default_rng(5)
+        for weight, exponent in zip(rng.lognormal(0.0, 3.0, 200), rng.uniform(0.01, 0.99, 200)):
+            config = brane.BraneConfiguration(world_metric=metric, freedom_exponent=exponent)
+            terms = brane.scalar_action_terms(config, weight)
+            assert np.array_equal(terms, oracle_bracket(metric, weight, exponent))
+
+    @pytest.mark.parametrize("weight", [0.0, -1.2, np.nan])
+    def test_weight_that_is_not_positive_is_a_numerical_error(self, weight):
+        config = brane.BraneConfiguration(world_metric=geo.sphere_metric(stage_grid((3, 5, 5))))
+        with pytest.raises(NumericalError, match="profit weight must be positive"):
+            brane.scalar_action_terms(config, weight)
 
     @pytest.mark.parametrize("radius", [0.9, 1.1])
     def test_bracket_and_ghost_match_the_oracle_on_the_stage_grid(self, radius):
         # spacing 1/12: the stencils leave J off the identity by rounding
         metric = geo.sphere_metric(stage_grid((5, 25, 25)), radius=radius)
         config = brane.BraneConfiguration(world_metric=metric, freedom_exponent=0.5)
-        terms = brane.scalar_action_terms(config, brane_firm(), profit)
-        expected = oracle_bracket(metric, brane_firm(), 0.5)
+        terms = brane.scalar_action_terms(config, WEIGHT)
+        expected = oracle_bracket(metric, WEIGHT, 0.5)
         assert np.abs(terms - expected).max() <= 1e-14 * np.abs(expected).max()
         chris = geo.christoffel(metric)
         expected = oracle_ghost_action(metric, chris, 0.01)

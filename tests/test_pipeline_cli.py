@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semicoop import ValidationError, cli, evolution, geometry, market, pipeline
+from semicoop import ValidationError, cli, evolution, geometry, market, pipeline, stubbornness
 from semicoop.fieldio import read_ensemble, read_grid, sha256_of, write_grid
 from semicoop.grids import GridSpec
 from semicoop.scenario import parse_scenario
@@ -208,6 +208,38 @@ def test_non_finite_scale_in_the_rho_scan_is_a_numerical_error(tmp_path):
     assert manifest["failed_stage"] == "cooperation"
     assert manifest["failure"].startswith("effective scale is nan at rho = ")
     assert "rho.json" not in manifest["artifacts"]
+
+
+@pytest.mark.parametrize(
+    "firm, exponent, command, stage, message",
+    [
+        # a fractional power of a negative region is complex
+        ({"strategy": -0.5}, 0.5, "action", "action", "profit at u_own = -0.5 is "),
+        ({"strategy": 0.0}, -1, "action", "action", "profit at u_own = 0 fails: "),
+        ({"strategy": 1e200}, 2, "action", "action", "profit at u_own = 1e+200 fails: "),
+        # alpha_own 0 commits no region at any cooperation degree
+        ({"alpha_own": 0.0}, -1, "optimal-rho", "cooperation", "profit at u_own = 0 fails: "),
+    ],
+    ids=["complex", "zero-division", "overflow", "no-region"],
+)
+def test_failed_profit_arithmetic_is_a_numerical_error(tmp_path, firm, exponent, command, stage,
+                                                       message):
+    scenario = dict(
+        SCENARIO,
+        firms=[dict(SCENARIO["firms"][0], **firm)],
+        profit={"preset": "region_power", "exponent": exponent},
+    )
+    path = write_scenario(tmp_path / "scenario.json", scenario)
+    code, err = _exit_and_stderr(command, "--config", path)
+    assert code == cli.EXIT_NUMERICAL
+    assert message in err
+
+    out = tmp_path / "out"
+    code, _ = _exit_and_stderr("pipeline", "--scenario", path, "--out-dir", out)
+    assert code == cli.EXIT_NUMERICAL
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed_stage"] == stage
+    assert message in manifest["failure"]
 
 
 @pytest.mark.parametrize(
@@ -548,10 +580,12 @@ print(json.dumps({"loaded": sorted(sys.modules), "new": sorted(set(sys.modules) 
 
 def test_benchmark_stage_commands_load_no_scipy(tmp_path):
     """Every command of the ``stage_commands`` benchmark runs on numpy alone
-    (scipy pulls in ``numpy.f2py`` and ``numpy.testing``), and the numpy
-    submodules numpy loads on first attribute access (``random``,
-    ``polynomial``, ``fft``) are imported with the package, not first inside
-    a command, where their import time would count as run time."""
+    (scipy pulls in ``numpy.f2py`` and ``numpy.testing``) and without
+    ``numpy.polynomial``, which the closed-form patch area does not need.
+    The numpy submodules numpy loads on first attribute access that the
+    package uses (``random``, ``fft``) are imported with the package, not
+    first inside a command, where their import time would count as run
+    time."""
     with open(Path(__file__).resolve().parents[1] / "perfbench" / "design.json") as fh:
         commands = json.load(fh)["workloads"]["stage_commands"]["commands"]
     grid = GridSpec.from_axes(*(tuple(SCENARIO["grid"][k]) for k in ("time", "sigma1", "sigma2")))
@@ -570,7 +604,7 @@ def test_benchmark_stage_commands_load_no_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     modules = json.loads(proc.stdout)
-    heavy = ("scipy", "numpy.f2py", "numpy.testing")
+    heavy = ("scipy", "numpy.f2py", "numpy.testing", "numpy.polynomial")
     assert [m for m in modules["loaded"] if m.startswith(heavy)] == []
     assert [m for m in modules["new"] if m.split(".")[0] == "numpy"] == []
 
@@ -646,11 +680,20 @@ def write_sphere_metric(path):
         ["geometry", "--metric", "{metric}", "--op", "curvature", "--out", "{dir}"],
         ["simulate-sde", "--scenario", "{scenario}", "--out", "{dir}"],
         ["simulate-sde", "--scenario", "{scenario}", "--out", "{root}/missing/p.bin"],
+        ["evolve", "--config", "{scenario}", "--out", "{file}/psi.bin"],
         ["pipeline", "--scenario", "{scenario}", "--out-dir", "{file}"],
     ],
-    ids=["gff-sample", "evolve", "geometry", "simulate-sde", "simulate-sde-missing", "pipeline"],
+    ids=["gff-sample", "evolve", "geometry", "simulate-sde", "simulate-sde-missing",
+         "evolve-file-parent", "pipeline"],
 )
-def test_unwritable_output_path_exits_with_validation_code(tmp_path, argv):
+def test_unwritable_output_path_exits_with_validation_code(tmp_path, monkeypatch, argv):
+    # an unusable --out is rejected before the command does any work
+    def work(*args, **kwargs):
+        raise AssertionError("the command computed before checking its output path")
+
+    for module, name in [(market, "simulate"), (evolution, "evolve"),
+                         (stubbornness, "sample_gff"), (geometry, "christoffel")]:
+        monkeypatch.setattr(module, name, work)
     metric = write_sphere_metric(tmp_path / "metric.bin")
     scenario = write_scenario(tmp_path / "scenario.json", SCENARIO)
     (tmp_path / "out").mkdir()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.legendre import leggauss
 
 from semicoop import DegeneratePolygonError, NumericalError, ValidationError
 from semicoop.polygon import (
@@ -11,6 +12,24 @@ from semicoop.polygon import (
     effective_region,
     patch_area,
 )
+
+
+def quadrature_area(patch, nodes=32):
+    """The patch area by tensor-product Gauss-Legendre quadrature of the
+    curvature correction, the oracle of the closed form."""
+    base_nodes, base_weights = leggauss(nodes)
+
+    def mapped(lo, hi):
+        half = 0.5 * (hi - lo)
+        return lo + half * (base_nodes + 1.0), half * base_weights
+
+    theta, wt = mapped(*patch.theta)
+    rho, wr = mapped(*patch.rho)
+    tt, _ = np.meshgrid(theta, rho, indexing="ij")
+    r2 = patch.radius**2
+    integrand = (1.0 / np.full(tt.shape, patch.curvature) - r2) * np.cos(tt)
+    correction = float(np.einsum("i,j,ij->", wt, wr, integrand))
+    return r2 * (patch.tau[1] - patch.tau[0]) + correction
 
 
 def unit_patch(curvature, radius=1.0, dtau=1.0):
@@ -27,9 +46,11 @@ class TestPatchArea:
     @pytest.mark.parametrize("radius", [1.0, 2.0])
     @pytest.mark.parametrize("nodes", [8, 32, 64])
     def test_sphere_degeneracy(self, radius, nodes):
-        # on the round sphere the curvature correction vanishes identically
+        # on the round sphere the curvature correction vanishes identically,
+        # in the closed form and in the quadrature oracle at any node count
         patch = unit_patch(curvature=1.0 / radius**2, radius=radius)
-        assert patch_area(patch, nodes) == radius**2 * 1.0
+        assert patch_area(patch) == radius**2 * 1.0
+        assert quadrature_area(patch, nodes) == radius**2 * 1.0
 
     def test_zero_azimuth_span(self):
         patch = unit_patch(curvature=1.0, dtau=0.0)
@@ -41,15 +62,23 @@ class TestPatchArea:
         expected = 1.0 + np.pi / 8.0
         assert abs(patch_area(patch) - expected) < 1e-12
 
-    def test_quadrature_converged(self):
-        patch = EllipsoidPatch(
-            radius=1.0,
-            curvature=lambda t, r: 1.0 + 0.3 * np.sin(t) * np.cos(r),
-            theta=(-0.4, 0.9),
-            rho=(0.0, 1.3),
-            tau=(0.2, 1.7),
-        )
-        assert abs(patch_area(patch, 32) - patch_area(patch, 64)) < 1e-10
+    def test_closed_form_matches_quadrature(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            theta = np.sort(rng.uniform(-1.5, 1.5, 2))
+            rho = np.sort(rng.uniform(-3.0, 3.0, 2))
+            patch = EllipsoidPatch(
+                radius=rng.uniform(0.2, 3.0),
+                curvature=rng.lognormal(0.0, 1.0),
+                theta=tuple(theta),
+                rho=tuple(rho),
+                tau=tuple(rng.uniform(-3.0, 3.0, 2)),
+            )
+            expected = quadrature_area(patch)
+            # relative to the two terms, which may cancel in the sum
+            azimuth = patch.radius**2 * (patch.tau[1] - patch.tau[0])
+            scale = abs(azimuth) + abs(expected - azimuth)
+            assert abs(patch_area(patch) - expected) <= 1e-14 * scale
 
     def test_latitude_additivity(self):
         kwargs = dict(radius=1.2, curvature=0.7, rho=(0.0, 1.0), tau=(0.0, 0.5))
@@ -61,9 +90,9 @@ class TestPatchArea:
         assert abs((lower + upper - overlap) - whole) < 1e-12
 
     def test_negative_curvature_rejected(self):
-        patch = unit_patch(curvature=lambda t, r: np.where(t > 0.2, -1.0, 1.0))
-        with pytest.raises(NumericalError):
-            patch_area(patch)
+        for curvature in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(NumericalError, match="curvature must be positive and finite"):
+                patch_area(unit_patch(curvature=curvature))
 
     def test_invalid_patch_rejected(self):
         with pytest.raises(ValidationError):

@@ -67,9 +67,10 @@ SCENARIO = {
 
 def test_base_scenario_is_valid():
     config = parse_scenario(SCENARIO)
-    config.build_polygon(quadrature_nodes=4)
+    config.build_polygon()
     config.build_fields()
-    config.build_profit()
+    assert config.profit(0.2) == 1.0
+    assert config.rho_to_scale()(0.5) == 1.0
 
 
 def replaced(path, value, doc=SCENARIO):
@@ -223,9 +224,9 @@ def test_sphere_side_of_zero_radius_is_a_validation_error(tmp_path, radius, time
     doc = replaced(("polygon", "sides", 1, "radius"), radius)
     config = parse_scenario(doc)
     with pytest.raises(ValidationError, match=r"polygon\.sides\[1\]\.radius"):
-        config.build_polygon(time=time, quadrature_nodes=4)
+        config.build_polygon(time=time)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
-    argv = ["polygon-area", "--scenario", str(path), "--time", str(time), "--nodes", "4"]
+    argv = ["polygon-area", "--scenario", str(path), "--time", str(time)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == cli.EXIT_VALIDATION
