@@ -45,7 +45,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .geometry import MetricField, _first_bad_node, lu_determinants
+from .geometry import (
+    MetricField,
+    _broadcast,
+    _first_bad_node,
+    _joint_support,
+    _on_support,
+    _support,
+    lu_determinants,
+)
 from .grids import require_same_grid
 
 WORLD_DIM = 3
@@ -83,9 +91,11 @@ class BraneConfiguration:
         return self.world_metric.grid
 
     def potential(self):
-        """Per-node curvature potential ``Q * R * xbar``."""
+        """Per-node curvature potential ``Q * R * xbar``, formed on the
+        support of ``R`` and broadcast to the grid."""
         ricci = np.broadcast_to(np.asarray(self.ricci_scalar, dtype=float), self.grid.shape)
-        return self.stubbornness_measure * ricci * self.mean_share
+        ricci = _on_support(ricci, _support(ricci, WORLD_DIM), WORLD_DIM)
+        return _broadcast(self.stubbornness_measure * ricci * self.mean_share, self.grid)
 
 
 def scalar_action_terms(config, weight):
@@ -100,14 +110,16 @@ def scalar_action_terms(config, weight):
             f"profit weight must be positive for fractional exponents; value {weight:.6g}"
         )
     metric = config.world_metric
-    sqrt_h = np.sqrt(metric.determinant)
+    det = _on_support(metric.determinant, metric.support, WORLD_DIM)
+    sqrt_h = np.sqrt(det)
     # as a 0-d array the weight takes numpy's array power, as a per-node
     # weight would; scalar pow can differ from it by an ulp
     weight = np.asarray(weight, dtype=float)
-    world_term = np.einsum("...aa->...", metric.inverse)
-    trans_term = (-1.0 / metric.determinant) / sqrt_h
+    world_term = np.einsum("...aa->...", _on_support(metric.inverse, metric.support, WORLD_DIM))
+    trans_term = (-1.0 / det) / sqrt_h
     exponent = config.freedom_exponent
-    return 3.0 + world_term * weight**exponent - trans_term * weight ** (1.0 - exponent)
+    terms = 3.0 + world_term * weight**exponent - trans_term * weight ** (1.0 - exponent)
+    return _broadcast(terms, config.grid)
 
 
 def evaluate_action(config, terms):
@@ -118,8 +130,10 @@ def evaluate_action(config, terms):
     Returns the real action value; phase conventions are applied by the
     transition-kernel layer, not here.
     """
-    bracket = terms - config.potential()
-    density = 0.5 * np.sqrt(config.world_metric.determinant) * bracket
+    det, potential = config.world_metric.determinant, config.potential()
+    axes = _joint_support(WORLD_DIM, terms, potential, det)
+    bracket = _on_support(terms, axes, WORLD_DIM) - _on_support(potential, axes, WORLD_DIM)
+    density = 0.5 * np.sqrt(_on_support(det, axes, WORLD_DIM)) * bracket
     return float(np.sum(config.grid.trapezoid_weights() * density))
 
 
@@ -127,16 +141,21 @@ def ghost_action(metric, chris, epsilon_step):
     """Gauge-fixing action ``(1/(2*pi*eps)) int sqrt(h) e : grad(c)``.
 
     With ``e = I`` and ``c = sigma`` the density ``h^{ac} (d_c c^a +
-    gamma^a_{cd} c^d)`` is ``tr h^{-1} + h^{ac} gamma^a_{cd} sigma^d``.
+    gamma^a_{cd} c^d)`` is ``tr h^{-1} + A_d sigma^d`` with ``A_d =
+    h^{ac} gamma^a_{cd}``.  The trace, ``A`` and ``sqrt(h)`` are taken on
+    the joint support of the metric and the connection; only the sum
+    with the coordinates runs over the whole grid.
     """
     if not epsilon_step > 0:
         raise ValidationError("epsilon step must be positive")
     grid = require_same_grid(metric, chris)
-    sigma = np.stack(grid.meshgrid(), axis=-1)
-    density = np.einsum("...aa->...", metric.inverse) + np.einsum(
-        "...at,...atd,...d->...", metric.inverse, chris.values, sigma
-    )
-    sqrt_h = np.sqrt(metric.determinant)
+    axes = _joint_support(WORLD_DIM, metric.values, chris.values)
+    hinv = _on_support(metric.inverse, axes, WORLD_DIM)
+    pull = np.einsum("...at,...atd->...d", hinv, _on_support(chris.values, axes, WORLD_DIM))
+    # sigma^d as an open mesh: axis d of the grid holds coordinate d
+    sigma = np.ix_(*(grid.coordinates(k) for k in range(WORLD_DIM)))
+    density = sum((pull[..., d] * x for d, x in enumerate(sigma)), np.einsum("...aa->...", hinv))
+    sqrt_h = np.sqrt(_on_support(metric.determinant, axes, WORLD_DIM))
     integral = float(np.sum(grid.trapezoid_weights() * sqrt_h * density))
     return integral / (2.0 * np.pi * epsilon_step)
 

@@ -27,7 +27,6 @@ from .fieldio import read_grid, write_grid
 from .grids import require_same_grid
 from .scenario import parse_scenario
 from .polygon import assemble_polygon
-from .profitops import CascadeParams, cascade_derivative, cascade_limit, cascade_sum
 from .vectorfields import lie_bracket
 
 EXIT_OK = 0
@@ -185,6 +184,8 @@ def _cmd_sde(args):
 
 
 def _cmd_cascade(args):
+    from .profitops import CascadeParams, cascade_derivative, cascade_limit, cascade_sum
+
     params = CascadeParams(consumers=args.m, sales=args.theta, kappa=args.kappa)
     derivative = cascade_derivative(args.kappa)
     _emit(

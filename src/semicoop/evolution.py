@@ -248,8 +248,7 @@ def evolve(psi, spec, metric, steps):
 
     rate = f0 / (2.0 * spec.mass)
     interior = psi.values[1:-1, 1:-1]
-    h = metric.values
-    separable = metric.dim == 2 and not np.any(h[..., 0, 1]) and np.all(h == h[:, :1])
+    separable = metric.dim == 2 and not np.any(metric.values[..., 0, 1]) and 1 not in metric.support
     if separable:
         inner = _propagate_modes(interior, metric, spec.step * rate, steps)
     else:

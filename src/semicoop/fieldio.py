@@ -154,14 +154,22 @@ def write_grid(path, values, grid=None, extra=None):
         payload[..., 0] = values.real
         payload[..., 1] = values.imag
     else:
-        payload = np.ascontiguousarray(values, dtype="<f8")
+        payload = np.asarray(values, dtype="<f8")
+    # a view that is not contiguous, such as a field broadcast from its
+    # profile, is written one leading slab at a time, never copied whole
+    if payload.ndim > 1 and not payload.flags.c_contiguous:
+        slabs = payload
+    else:
+        slabs = (np.ascontiguousarray(payload),)
 
     header = bytes(header)
     digest = hashlib.sha256(header)
-    digest.update(payload)
     with open_output(path) as fh:
         fh.write(header)
-        _write_array(fh, payload)
+        for slab in slabs:
+            slab = np.ascontiguousarray(slab)
+            digest.update(slab)
+            _write_array(fh, slab)
 
     descriptor = {
         "format": "semicoop-grid",

@@ -2,8 +2,22 @@
 
 Metrics are stored as one symmetric matrix per grid node.  Connection
 coefficients use second-order central differences in the interior and
-second-order one-sided stencils at grid edges, so boundary rows are less
-accurate than interior ones by a constant factor but keep the same order.
+second-order one-sided stencils at grid edges, so the connection's edge
+rows are less accurate than interior ones by a constant factor but keep
+the same order.  The curvature differentiates the connection once more,
+and at the edges that second difference is only first order: on the unit
+sphere the Ricci scalar's error at the colatitude edge row halves with
+the spacing (about 1.14, 0.61, 0.32 and 0.17 at 17, 33, 65 and 129
+nodes), while interior rows converge at second order.
+
+Every node-local quantity is computed on the metric's *support*: the grid
+axes along which its values vary, found by exact comparison of the
+values (:func:`_support`).  Derivatives are taken along those axes only,
+so a connection or curvature entry that involves a derivative along a
+constant axis is an exact zero, and the other axes are cut to length 1
+(:func:`_on_support`) and broadcast back to the grid (:func:`_broadcast`)
+as read-only views.  A metric that varies along every axis selects every
+axis, and the computation is then the plain full-grid one.
 
 All operations are pure functions of immutable inputs.  Each node's
 output depends only on its own difference stencil, so results are
@@ -110,6 +124,50 @@ def _first_bad_node(mask):
 
 
 # ---------------------------------------------------------------------------
+# support of a field
+
+
+def _support(values, n_axes):
+    """Axes among the leading ``n_axes`` of ``values`` along which it varies.
+
+    An axis is constant when every slice along it equals the first one
+    under ``==`` (so an axis holding a NaN varies, and ``-0.0`` equals
+    ``0.0``); a stride-0 axis, such as a broadcast one, repeats one slice
+    and needs no comparison.  The second slice is compared first, so a
+    varying axis is usually found without a full pass, and each constant
+    axis is cut away before the next axis is tested.
+    """
+    cut = np.asarray(values)
+    axes = []
+    for k in range(n_axes):
+        first = cut[(slice(None),) * k + (slice(0, 1),)]
+        second = cut[(slice(None),) * k + (slice(1, 2),)]
+        if cut.shape[k] == 1 or cut.strides[k] == 0 or (
+            np.array_equal(second, first) and np.all(cut == first)
+        ):
+            cut = first
+        else:
+            axes.append(k)
+    return tuple(axes)
+
+
+def _joint_support(n_axes, *fields):
+    """Union of the supports of ``fields``, as sorted axes."""
+    return tuple(sorted(set().union(*(_support(f, n_axes) for f in fields))))
+
+
+def _on_support(values, axes, n_axes):
+    """View of ``values`` with each leading axis outside ``axes`` cut to
+    length 1: the profile a node-local quantity is computed on."""
+    return values[tuple(slice(None) if k in axes else slice(0, 1) for k in range(n_axes))]
+
+
+def _broadcast(profile, grid):
+    """Read-only view of a profile's values at every node of ``grid``."""
+    return np.broadcast_to(profile, grid.shape + profile.shape[grid.n_axes :])
+
+
+# ---------------------------------------------------------------------------
 # field containers
 
 
@@ -125,11 +183,17 @@ class MetricField:
         removed by explicit symmetrization so index-symmetry of derived
         quantities holds bit for bit.
     grid : GridSpec
+
+    ``support`` holds the grid axes along which the values vary.  The
+    symmetrization, the LU determinant and the inverse run on the
+    profile over those axes, and ``values``, ``determinant`` and
+    ``inverse`` are read-only views of it at every node.
     """
 
     values: np.ndarray
     grid: GridSpec
     determinant: np.ndarray = field(init=False, repr=False)
+    support: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -140,29 +204,36 @@ class MetricField:
                 "metric shape does not match grid",
                 [f"grid {self.grid.shape}, field {values.shape}"],
             )
-        scale = np.maximum(np.abs(values).max(), 1.0)
-        asym = np.abs(values - np.swapaxes(values, -1, -2)).max()
+        self.support = _support(values, self.grid.n_axes)
+        h = self._profile(values)
+        scale = np.maximum(np.abs(h).max(), 1.0)
+        asym = np.abs(h - np.swapaxes(h, -1, -2)).max()
         if asym > 1e-12 * scale:
             raise ValidationError(
                 f"metric is not symmetric: max |h - h^T| = {asym:.3e}"
             )
-        values = 0.5 * (values + np.swapaxes(values, -1, -2))
-        self.values = values
+        h = 0.5 * (h + np.swapaxes(h, -1, -2))
+        self.values = _broadcast(h, self.grid)
 
-        det, min_pivot = lu_determinants(values)
+        det, min_pivot = lu_determinants(h)
         bad = ~(min_pivot > PIVOT_THRESHOLD)
         if np.any(bad):
-            node = _first_bad_node(bad)
+            # the first singular node of the whole grid, in C order
+            node = _first_bad_node(_broadcast(bad, self.grid))
+            pivot = _broadcast(min_pivot, self.grid)[node]
             raise SingularMetricError(
-                node, f"smallest LU pivot {min_pivot[node]:.3e} <= {PIVOT_THRESHOLD}"
+                node, f"smallest LU pivot {pivot:.3e} <= {PIVOT_THRESHOLD}"
             )
-        self.determinant = det
+        self.determinant = _broadcast(det, self.grid)
+
+    def _profile(self, values):
+        return _on_support(values, self.support, self.grid.n_axes)
 
     @functools.cached_property
     def inverse(self):
         """Per-node inverse matrices, computed when first read; fields such
         as the combined metric never need it."""
-        return np.linalg.inv(self.values)
+        return _broadcast(np.linalg.inv(self._profile(self.values)), self.grid)
 
     @property
     def dim(self):
@@ -171,7 +242,7 @@ class MetricField:
     @property
     def volume_density(self):
         """Per-node volume density ``sqrt|det h|``."""
-        return np.sqrt(np.abs(self.determinant))
+        return _broadcast(np.sqrt(np.abs(self._profile(self.determinant))), self.grid)
 
 
 @dataclass
@@ -195,7 +266,8 @@ class ChristoffelField:
 @dataclass
 class CurvatureBundle:
     """Ricci, scalar and Einstein tensors of one metric; no caller reads
-    Riemann, whose ``d**4`` components per node are never formed."""
+    Riemann, whose ``d**4`` components per node are never formed.
+    :func:`curvature` returns them as read-only views of their profile."""
 
     ricci: np.ndarray
     scalar: np.ndarray
@@ -211,10 +283,11 @@ def christoffel(metric):
     """Connection coefficients of a metric field.
 
     Computes ``gamma^a_{bc} = (1/2) h^{ad} (d_b h_{dc} + d_c h_{db}
-    - d_d h_{bc})`` with the difference stencils of this module.  The
-    lower-index symmetry is exact because the two symmetric derivative
-    terms are accumulated commutatively and the metric is stored exactly
-    symmetric.
+    - d_d h_{bc})`` with the difference stencils of this module, on the
+    metric's profile: derivatives along axes outside ``metric.support``
+    are exact zeros.  The lower-index symmetry is exact because the two
+    symmetric derivative terms are accumulated commutatively and the
+    metric is stored exactly symmetric.
 
     Parameters
     ----------
@@ -227,14 +300,15 @@ def christoffel(metric):
         raise ValidationError(
             f"metric dimension {d} does not match grid with {grid.n_axes} axes"
         )
+    h = metric._profile(metric.values)
     # dh[..., k, i, j] = d_k h_{ij}; the bracket is indexed [d, b, c]
-    dh = np.stack(
-        [first_derivative(metric.values, grid.spacing(k), axis=k) for k in range(d)],
-        axis=-3,
-    )
+    dh = np.zeros(h.shape[:-2] + (d, d, d))
+    for k in metric.support:
+        dh[..., k, :, :] = first_derivative(h, grid.spacing(k), axis=k)
     t = (np.swapaxes(dh, -3, -2) + np.moveaxis(dh, -3, -1)) - dh
-    gamma = 0.5 * np.einsum("...ad,...dbc->...abc", metric.inverse, t, optimize=True)
-    return ChristoffelField(gamma, grid)
+    hinv = metric._profile(metric.inverse)
+    gamma = 0.5 * np.einsum("...ad,...dbc->...abc", hinv, t, optimize=True)
+    return ChristoffelField(_broadcast(gamma, grid), grid)
 
 
 def curvature(metric, chris):
@@ -245,22 +319,30 @@ def curvature(metric, chris):
     contracted on its first and third slots, formed directly: Riemann's
     ``d**4`` components per node cost most of the layer's time and memory,
     and no caller reads them.  The scalar is the inverse-metric contraction
-    of Ricci, and the Einstein combination is assembled from those.
+    of Ricci, and the Einstein combination is assembled from those.  All
+    of it runs on the joint support of the metric and the connection.
     """
     grid = require_same_grid(metric, chris)
     d = metric.dim
-    g = chris.values
+    axes = _joint_support(grid.n_axes, metric.values, chris.values)
+    g = _on_support(chris.values, axes, grid.n_axes)
     trace = np.einsum("...aab->...b", g)
     # d_a gamma^a_{db} comes out indexed [d, b]; gamma is symmetric in (d, b)
-    ricci = sum(first_derivative(g[..., a, :, :], grid.spacing(a), axis=a) for a in range(d))
-    ricci -= np.stack(
-        [first_derivative(trace, grid.spacing(k), axis=k) for k in range(d)], axis=-1
-    )
+    ricci = np.zeros(g.shape[:-1])
+    dtrace = np.zeros(trace.shape + (d,))
+    for a in axes:
+        ricci += first_derivative(g[..., a, :, :], grid.spacing(a), axis=a)
+        dtrace[..., a] = first_derivative(trace, grid.spacing(a), axis=a)
+    ricci -= dtrace
     ricci += np.einsum("...e,...edb->...bd", trace, g, optimize=True)
     ricci -= np.einsum("...ade,...eab->...bd", g, g, optimize=True)
-    scalar = np.einsum("...bd,...bd->...", metric.inverse, ricci)
-    einstein = ricci - 0.5 * scalar[..., None, None] * metric.values
-    return CurvatureBundle(ricci, scalar, einstein, grid)
+    hinv = _on_support(metric.inverse, axes, grid.n_axes)
+    scalar = np.einsum("...bd,...bd->...", hinv, ricci)
+    h = _on_support(metric.values, axes, grid.n_axes)
+    einstein = ricci - 0.5 * scalar[..., None, None] * h
+    return CurvatureBundle(
+        _broadcast(ricci, grid), _broadcast(scalar, grid), _broadcast(einstein, grid), grid
+    )
 
 
 def combined_metric(einstein_bundle, stubbornness_field, gamma):
@@ -285,18 +367,20 @@ def combined_metric(einstein_bundle, stubbornness_field, gamma):
             "stubbornness field shape does not match grid",
             [f"grid {grid.shape}, field {b.shape}"],
         )
-    exponent = gamma * b
+    axes = _joint_support(grid.n_axes, b, einstein_bundle.einstein)
+    exponent = gamma * _on_support(b, axes, grid.n_axes)
     over = exponent > _EXP_LIMIT
     if np.any(over):
-        node = _first_bad_node(over)
+        node = _first_bad_node(_broadcast(over, grid))
         raise RangeOverflowError(
-            f"conformal exponent {exponent[node]:.3g} exceeds {_EXP_LIMIT} at node {node}",
+            f"conformal exponent {_broadcast(exponent, grid)[node]:.3g} exceeds "
+            f"{_EXP_LIMIT} at node {node}",
             node=node,
         )
-    g = einstein_bundle.einstein
+    g = _on_support(einstein_bundle.einstein, axes, grid.n_axes)
     g = 0.5 * (g + np.swapaxes(g, -1, -2))
     factor = np.exp(exponent)[..., None, None]
-    return MetricField(factor * g + np.eye(g.shape[-1]), grid)
+    return MetricField(_broadcast(factor * g + np.eye(g.shape[-1]), grid), grid)
 
 
 def contracted_christoffel(metric, chris):
@@ -404,17 +488,13 @@ def laplace_operator_matrix(metric):
 def flat_metric(grid):
     """Identity metric on every node."""
     d = grid.n_axes
-    values = np.zeros(grid.shape + (d, d))
-    values[...] = np.eye(d)
-    return MetricField(values, grid)
+    return MetricField(np.broadcast_to(np.eye(d), grid.shape + (d, d)), grid)
 
 
 def constant_metric(grid, matrix):
     """One fixed symmetric matrix replicated over the grid."""
     m = np.asarray(matrix, dtype=float)
-    values = np.zeros(grid.shape + m.shape)
-    values[...] = m
-    return MetricField(values, grid)
+    return MetricField(np.broadcast_to(m, grid.shape + m.shape), grid)
 
 
 def sphere_metric(grid, radius=1.0):
@@ -427,9 +507,11 @@ def sphere_metric(grid, radius=1.0):
     """
     d = grid.n_axes
     theta_axis = 0 if d == 2 else 1
-    theta = grid.meshgrid()[theta_axis]
-    values = np.zeros(grid.shape + (d, d))
+    shape = [1] * d
+    shape[theta_axis] = grid.counts[theta_axis]
+    theta = grid.coordinates(theta_axis).reshape(shape)
+    values = np.zeros(tuple(shape) + (d, d))
     values[...] = np.eye(d)
     values[..., theta_axis, theta_axis] = radius**2
     values[..., theta_axis + 1, theta_axis + 1] = (radius * np.sin(theta)) ** 2
-    return MetricField(values, grid)
+    return MetricField(_broadcast(values, grid), grid)

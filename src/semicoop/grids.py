@@ -70,10 +70,6 @@ class GridSpec:
     def shape(self):
         return self.counts
 
-    @property
-    def n_nodes(self):
-        return int(np.prod(self.counts))
-
     def spacing(self, axis):
         a, b = self.extents[axis]
         return (b - a) / (self.counts[axis] - 1)

@@ -10,8 +10,12 @@ up the inverse-metric covariance.
 Simulation is Euler-Maruyama on chunks of 4096 paths, component-major:
 a chunk's states live in a ``(steps + 1, 3, n)`` buffer and its
 increments in ``(steps, 3, n)``, so every step works on contiguous rows.
-Each step looks up all twelve coefficients (three drift, nine diffusion)
-of every path in one gather through one nearest-node index.  Randomness
+The coefficient tables are built on the metric's profile, the grid axes
+along which the metric and its connection vary.  Each step looks up all
+twelve coefficients (three drift, nine diffusion) of every path in one
+gather from a ``(12, profile nodes)`` table, through the nearest-node
+index on those axes alone; the tables are constant along the others, so
+the gather equals a lookup on the whole grid.  Randomness
 flows from a master seed split into fixed per-chunk streams keyed by
 chunk index, so ensembles are bit-identical for a given seed no matter
 how many worker threads run the chunks or in which order they finish.
@@ -28,13 +32,13 @@ written once and hashed while later chunks are still running.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .errors import NumericalError, SingularMetricError, ValidationError
+from .geometry import _broadcast, _joint_support, _on_support
 from .grids import GridSpec
 from .polygon import effective_region
 
@@ -97,9 +101,12 @@ class SDECoefficients:
 
     Geometry-derived instances (:func:`derive_coefficients`) carry the
     tables ``drift_table`` (``grid.shape + (3,)``) and
-    ``diffusion_table`` (``grid.shape + (3, 3)``) with their grid;
-    :func:`simulate` reads them at the nearest node, clamped to the grid,
-    drift and diffusion together in one gather per step.  Instances
+    ``diffusion_table`` (``grid.shape + (3, 3)``) with their grid, as
+    read-only views of their profile.  :func:`simulate` reads them at the
+    nearest node, clamped to the grid, drift and diffusion together in
+    one gather per step; the index runs over the axes along which the
+    tables vary (any table works, and one that varies along every axis
+    is looked up on all of them).  Instances
     without tables give callables instead: ``drift(s, x)`` maps a float
     time and an ``(n, 3)`` state block to an ``(n, 3)`` array,
     ``diffusion(s, x)`` to ``(n, 3, 3)``.  They let the integrator be
@@ -113,22 +120,26 @@ class SDECoefficients:
     diffusion_table: np.ndarray = field(default=None, repr=False)
 
 
-def _node_indexer(grid):
-    """Nearest-node lookup on ``grid`` for component-major state blocks.
+def _node_indexer(grid, axes):
+    """Nearest-node lookup on the grid axes ``axes`` for component-major
+    state blocks.
 
     The returned function maps ``x`` of shape (components, n) to the
-    C-order index of the grid node nearest each column: row ``k`` is
-    rounded to the nearest node of grid axis ``k`` and clamped to the
-    grid, then the per-axis indices are flattened.
+    C-order index, in the profile over ``axes``, of the node nearest each
+    column: row ``k`` of ``x``, for ``k`` in ``axes``, is rounded to the
+    nearest node of grid axis ``k`` and clamped to the grid, then the
+    per-axis indices are flattened.  Rows off ``axes`` are not read.
     """
-    k = grid.n_axes
-    low = np.array([e[0] for e in grid.extents])[:, None]
-    spacing = np.array([grid.spacing(a) for a in range(k)])[:, None]
-    top = np.array(grid.counts)[:, None] - 1
-    strides = np.cumprod((1,) + grid.counts[:0:-1])[::-1, None]
+    axes = list(axes)
+    low = np.array([grid.extents[a][0] for a in axes])[:, None]
+    spacing = np.array([grid.spacing(a) for a in axes])[:, None]
+    counts = [grid.counts[a] for a in axes]
+    top = np.array(counts, dtype=np.intp)[:, None] - 1
+    strides = np.cumprod([1] + counts[:0:-1])[::-1, None]
 
     def index(x):
-        t = x[:k] - low
+        t = x[axes]
+        t -= low
         t /= spacing
         j = np.rint(t, out=t).astype(np.intp)
         np.clip(j, 0, top, out=j)
@@ -141,21 +152,27 @@ def _node_indexer(grid):
 def derive_coefficients(metric, chris):
     """Geometry-consistent drift and diffusion tables.
 
-    The metric must be positive definite on its grid (the simulation
-    slice is Riemannian); a node where the Cholesky factorization fails
-    is reported by index.
+    They are computed on the joint support of the metric and the
+    connection and broadcast to the grid.  The metric must be positive
+    definite on its grid (the simulation slice is Riemannian); the first
+    node, in C order, where the Cholesky factorization fails is reported
+    by index.
     """
     grid = metric.grid
-    mu = -0.5 * np.einsum("...bc,...abc->...a", metric.inverse, chris.values)
+    axes = _joint_support(grid.n_axes, metric.values, chris.values)
+    hinv = _on_support(metric.inverse, axes, grid.n_axes)
+    mu = -0.5 * np.einsum("...bc,...abc->...a", hinv, _on_support(chris.values, axes, grid.n_axes))
     try:
-        omega = np.linalg.cholesky(metric.inverse)
+        omega = np.linalg.cholesky(hinv)
     except np.linalg.LinAlgError:
-        eig = np.linalg.eigvalsh(metric.inverse)
-        bad = np.argwhere(eig.min(axis=-1) <= 0.0)
+        eig = np.linalg.eigvalsh(hinv)
+        bad = np.argwhere(_broadcast(eig.min(axis=-1) <= 0.0, grid))
         node = tuple(int(i) for i in bad[0]) if len(bad) else (0,) * grid.n_axes
         raise SingularMetricError(node, "inverse metric is not positive definite")
 
-    return SDECoefficients(grid=grid, drift_table=mu, diffusion_table=omega)
+    return SDECoefficients(
+        grid=grid, drift_table=_broadcast(mu, grid), diffusion_table=_broadcast(omega, grid)
+    )
 
 
 @dataclass
@@ -206,18 +223,21 @@ def _coefficient_block(coeffs):
     component-major states ``x`` (3, n) into ``block`` (12, n): rows 0-2
     hold the drift ``mu^a``, rows ``3 + 3b + a`` the diffusion entry
     ``omega^a_b``.  Table-backed coefficients are one ``take`` from a
-    (12, nodes) table through one nearest-node index; callables see an
+    (12, profile nodes) table, over the axes along which the tables vary,
+    through one nearest-node index on those axes; callables see an
     ``(n, 3)`` state block, as their contract says.
     """
     if coeffs.drift_table is not None:
         grid = coeffs.grid
-        table = np.empty((1 + STATE_DIM, STATE_DIM, grid.n_nodes))
-        table[0] = coeffs.drift_table.reshape(grid.n_nodes, STATE_DIM).T
-        table[1:] = coeffs.diffusion_table.reshape(
-            grid.n_nodes, STATE_DIM, STATE_DIM
-        ).transpose(2, 1, 0)
-        table = table.reshape(-1, grid.n_nodes)
-        index = _node_indexer(grid)
+        axes = _joint_support(grid.n_axes, coeffs.drift_table, coeffs.diffusion_table)
+        drift = _on_support(coeffs.drift_table, axes, grid.n_axes)
+        diffusion = _on_support(coeffs.diffusion_table, axes, grid.n_axes)
+        nodes = math.prod(drift.shape[: grid.n_axes])
+        table = np.empty((1 + STATE_DIM, STATE_DIM, nodes))
+        table[0] = drift.reshape(nodes, STATE_DIM).T
+        table[1:] = diffusion.reshape(nodes, STATE_DIM, STATE_DIM).transpose(2, 1, 0)
+        table = table.reshape(-1, nodes)
+        index = _node_indexer(grid, axes)
 
         def fill(s, x, block):
             # indices are clamped to the grid, so "clip" never clips
@@ -401,6 +421,8 @@ def simulate(
         for c, lo in enumerate(range(0, paths, _CHUNK_SIZE))
     ]
     if threads and threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
             futures = [pool.submit(run_chunk, *b) for b in bounds]
             for (_, lo, hi), f in zip(bounds, futures):

@@ -82,7 +82,7 @@ def stubbornness_field(config, grid, curv, seed):
     field2d = stubbornness.GFFSampler(size, seed=stage_seed(seed, "gff")).sample()
     if field2d.shape != (grid.counts[1], grid.counts[2]):
         return field2d, None
-    field3d = np.broadcast_to(field2d, grid.shape).copy()
+    field3d = np.broadcast_to(field2d, grid.shape)
     combined = geometry.combined_metric(curv, field3d, float(gff_cfg["gamma"]))
     return field2d, combined
 

@@ -68,11 +68,15 @@ class EllipsoidPatch:
 
 def patch_area(patch):
     """Area contribution of one patch, in closed form; a curvature that
-    is not positive and finite is a :class:`NumericalError`."""
+    is not positive and finite, or a radius whose square overflows, is a
+    :class:`NumericalError`."""
     k = patch.curvature
     if not (math.isfinite(k) and k > 0.0):
         raise NumericalError(f"curvature must be positive and finite; it is {k:g}")
-    r2 = patch.radius**2
+    try:
+        r2 = patch.radius**2
+    except OverflowError:
+        raise NumericalError(f"radius {patch.radius:g} squared overflows") from None
     (t1, t2), (rho1, rho2), (tau1, tau2) = patch.theta, patch.rho, patch.tau
     return r2 * (tau2 - tau1) + (1.0 / k - r2) * (math.sin(t2) - math.sin(t1)) * (rho2 - rho1)
 

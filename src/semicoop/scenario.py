@@ -229,10 +229,16 @@ def _build_patch(side, s, where):
     radius = _timed(side["radius"], s)
     if not radius > 0:
         raise ValidationError(f"{where}.radius is {radius:g} at time {s:g}; it must be positive")
+    try:
+        square = radius**2
+    except OverflowError:
+        raise ValidationError(
+            f"{where}.radius is {radius:g} at time {s:g}; its square overflows"
+        ) from None
     curv = side["curvature"]
     if isinstance(curv, dict):
         if curv.get("kind") == "sphere":
-            curvature = 1.0 / radius**2
+            curvature = 1.0 / square
         else:
             curvature = _timed(curv.get("value", curv), s)
     else:

@@ -77,9 +77,15 @@ def rank4_curvature(metric, chris):
 
 
 def loop_christoffel(metric):
-    """Oracle: the bracket written one component at a time."""
+    """Oracle: the bracket written one component at a time, with the
+    derivative along an axis where the metric is constant set to zero."""
     grid, d = metric.grid, metric.dim
-    dh = [geo.first_derivative(metric.values, grid.spacing(k), axis=k) for k in range(d)]
+    h = metric.values
+    dh = [
+        np.zeros_like(h) if np.all(h == h.take([0], axis=k))
+        else geo.first_derivative(h, grid.spacing(k), axis=k)
+        for k in range(d)
+    ]
     t = np.empty(grid.shape + (d, d, d))
     for dd in range(d):
         for b in range(d):
@@ -264,8 +270,10 @@ class TestCombinedMetric:
         curved = geo.constant_metric(grid, np.diag([2.0, 1.0, 1.0]))
         bundle = geo.curvature(curved, geo.christoffel(curved))
         # constant metric: einstein tensor is exactly zero, so force a
-        # synthetic bundle to exercise the blend
-        bundle.einstein[...] = np.diag([0.5, 0.0, 0.0])
+        # synthetic bundle to exercise the blend (its arrays are read-only)
+        bundle = dataclasses.replace(
+            bundle, einstein=np.broadcast_to(np.diag([0.5, 0.0, 0.0]), bundle.einstein.shape)
+        )
         combined = geo.combined_metric(bundle, np.zeros(grid.shape), gamma=1.0)
         expected = flat.values + np.diag([0.5, 0.0, 0.0])
         assert np.allclose(combined.values, expected)
@@ -274,7 +282,9 @@ class TestCombinedMetric:
         grid, flat = self.grid_and_flat()
         curved = geo.flat_metric(grid)
         bundle = geo.curvature(curved, geo.christoffel(curved))
-        bundle.einstein[...] = np.diag([0.25, 0.25, 0.25])
+        bundle = dataclasses.replace(
+            bundle, einstein=np.broadcast_to(np.diag([0.25, 0.25, 0.25]), bundle.einstein.shape)
+        )
         field = np.ones(grid.shape)
         combined = geo.combined_metric(bundle, field, gamma=1.0)
         expected = np.e * np.diag([0.25, 0.25, 0.25]) + np.eye(3)
@@ -425,3 +435,137 @@ def test_lu_pivot_detects_near_singularity():
     assert pivot[0] == 1.0
     assert pivot[1] < 1e-12
     assert np.isclose(det[0], 1.0)
+
+
+def support_metric(axes, grid=GridSpec.from_axes((0.0, 1.0, 5), (0.5, 2.5, 13), (0.0, 1.0, 11))):
+    """Smooth positive-definite 3x3 field with an off-diagonal entry at
+    every node, varying along the grid axes ``axes`` and exactly
+    constant along the others."""
+    x = grid.meshgrid()
+    rng = np.random.default_rng(5)
+    values = np.zeros(grid.shape + (3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            entry = np.full(grid.shape, rng.uniform(0.05, 0.2))
+            for k in axes:
+                entry = entry * np.sin(rng.uniform(0.5, 2.0) * x[k] + rng.uniform(0.0, 6.0))
+            values[..., i, j] = values[..., j, i] = entry + (1.0 if i == j else 0.0)
+    return geo.MetricField(values, grid)
+
+
+def full_grid_geometry(metric):
+    """Oracle: determinant, inverse, connection, Ricci and scalar at every
+    node of the grid, on contiguous copies and with no profile, taking
+    each derivative along the axes where the metric values vary (found
+    by this oracle's own comparison) and none along the others."""
+    grid, d = metric.grid, metric.dim
+    h = np.array(metric.values)
+    varying = [k for k in range(d) if not np.all(h == h.take([0], axis=k))]
+    det, _ = loop_lu_determinants(h)
+    hinv = np.linalg.inv(h)
+    dh = np.zeros(grid.shape + (d, d, d))
+    for k in varying:
+        dh[..., k, :, :] = geo.first_derivative(h, grid.spacing(k), axis=k)
+    t = (np.swapaxes(dh, -3, -2) + np.moveaxis(dh, -3, -1)) - dh
+    g = 0.5 * np.einsum("...ad,...dbc->...abc", hinv, t, optimize=True)
+    trace = np.einsum("...aab->...b", g)
+    ricci = np.zeros(grid.shape + (d, d))
+    dtrace = np.zeros(grid.shape + (d, d))
+    for a in varying:
+        ricci += geo.first_derivative(g[..., a, :, :], grid.spacing(a), axis=a)
+        dtrace[..., a] = geo.first_derivative(trace, grid.spacing(a), axis=a)
+    ricci -= dtrace
+    ricci += np.einsum("...e,...edb->...bd", trace, g, optimize=True)
+    ricci -= np.einsum("...ade,...eab->...bd", g, g, optimize=True)
+    scalar = np.einsum("...bd,...bd->...", hinv, ricci)
+    return varying, det, hinv, g, ricci, scalar
+
+
+def all_axes_geometry(metric):
+    """The connection, Ricci and scalar with derivatives along every axis,
+    as before fields were computed on their support."""
+    grid, d = metric.grid, metric.dim
+    h = np.array(metric.values)
+    hinv = np.linalg.inv(h)
+    dh = np.stack([geo.first_derivative(h, grid.spacing(k), axis=k) for k in range(d)], axis=-3)
+    t = (np.swapaxes(dh, -3, -2) + np.moveaxis(dh, -3, -1)) - dh
+    g = 0.5 * np.einsum("...ad,...dbc->...abc", hinv, t)
+    trace = np.einsum("...aab->...b", g)
+    ricci = sum(geo.first_derivative(g[..., a, :, :], grid.spacing(a), axis=a) for a in range(d))
+    ricci -= np.stack([geo.first_derivative(trace, grid.spacing(k), axis=k) for k in range(d)], -1)
+    ricci += np.einsum("...e,...edb->...bd", trace, g)
+    ricci -= np.einsum("...ade,...eab->...bd", g, g)
+    return g, ricci, np.einsum("...bd,...bd->...", hinv, ricci)
+
+
+def constant_along(values, axes):
+    return all(np.all(values == np.take(values, [0], axis=k)) for k in axes)
+
+
+class TestSupport:
+    @pytest.mark.parametrize("axes", [(1,), (1, 2), (0, 1, 2)], ids=str)
+    def test_profile_matches_full_grid(self, axes):
+        metric = support_metric(axes)
+        chris = geo.christoffel(metric)
+        bundle = geo.curvature(metric, chris)
+        varying, det, hinv, g, ricci, scalar = full_grid_geometry(metric)
+        assert metric.support == axes == tuple(varying)
+        # the per-node LU and inverse give the same bits on the profile
+        assert np.array_equal(metric.determinant, det)
+        assert np.array_equal(metric.inverse, hinv)
+        for got, expected in ((chris.values, g), (bundle.ricci, ricci), (bundle.scalar, scalar)):
+            assert got.shape == expected.shape
+            assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
+        off = [k for k in range(3) if k not in axes]
+        for got in (metric.inverse, chris.values, bundle.ricci, bundle.scalar, bundle.einstein):
+            assert constant_along(got, off)
+
+    @pytest.mark.parametrize("axes", [(1,), (1, 2)], ids=str)
+    def test_all_axes_derivatives_differ_only_by_rounding(self, axes):
+        metric = support_metric(axes)
+        chris = geo.christoffel(metric)
+        bundle = geo.curvature(metric, chris)
+        g, ricci, scalar = all_axes_geometry(metric)
+        # the one-sided edge stencil along a constant axis leaves rounding
+        # noise, which the profile replaces by exact zeros
+        assert not constant_along(g, [k for k in range(3) if k not in axes])
+        assert np.abs(chris.values - g).max() <= 1e-14 * np.abs(g).max()
+        assert np.abs(bundle.ricci - ricci).max() <= 1e-12 * np.abs(ricci).max()
+        assert np.abs(bundle.scalar - scalar).max() <= 1e-12 * np.abs(scalar).max()
+
+    def test_world_sphere_connection_is_exactly_zero_off_its_axis(self):
+        grid = GridSpec.from_axes((0.0, 1.0, 17), (0.5, 2.5, 65), (0.0, 1.0, 65))
+        metric = geo.sphere_metric(grid)
+        assert metric.support == (1,)
+        chris = geo.christoffel(metric)
+        bundle = geo.curvature(metric, chris)
+        # nothing varies along the time axis: every entry with a time index is 0
+        assert not np.any(chris.values[..., 0, :, :])
+        assert not np.any(chris.values[..., :, 0, :])
+        assert not np.any(bundle.ricci[..., 0, :])
+        # the profile is one theta column, broadcast as a read-only view
+        assert chris.values.strides[0] == chris.values.strides[2] == 0
+        assert not chris.values.flags.writeable
+
+    def test_support_of_broadcast_and_nan_fields(self):
+        grid = GridSpec.from_axes((0, 1, 4), (0, 1, 5), (0, 1, 6))
+        column = np.linspace(1.0, 2.0, 5)[None, :, None]
+        assert geo._support(np.broadcast_to(column, grid.shape), 3) == (1,)
+        values = np.ones(grid.shape)
+        values[3, 0, 5] = np.nan  # nan equals nothing, so every axis varies
+        assert geo._support(values, 3) == (0, 1, 2)
+        values[3, 0, 5] = 1.0
+        values[:, 2, :] = 2.0
+        assert geo._support(values, 3) == (1,)
+        assert geo._support(np.ones(grid.shape), 3) == ()
+
+    def test_singular_row_names_first_node_in_c_order(self):
+        grid = GridSpec.from_axes((0.0, 1.0, 4), (0.5, 2.5, 9), (0.0, 1.0, 5))
+        values = np.array(support_metric((1,), grid).values)
+        values[:, 6] = 0.0
+        values[:, 6, :, 2, 2] = 1.0  # rank one on theta row 6 only
+        with pytest.raises(SingularMetricError) as err:
+            geo.MetricField(values, grid)
+        _, pivots = loop_lu_determinants(values)
+        first = tuple(np.argwhere(~(pivots > geo.PIVOT_THRESHOLD))[0])
+        assert err.value.node == first == (0, 6, 0)

@@ -115,6 +115,16 @@ def test_write_grid_bytes_non_contiguous(tmp_path):
     assert path.read_bytes() == grid_file_bytes(values[:, ::2], 3)
 
 
+def test_write_grid_streams_a_broadcast_view(tmp_path):
+    grid = GridSpec.from_axes((0.0, 1.0, 7), (0.0, 2.0, 5), (0.0, 1.0, 6))
+    profile = np.random.default_rng(3).standard_normal((1, 5, 1, 3, 3))
+    values = np.broadcast_to(profile, grid.shape + (3, 3))
+    path = tmp_path / "f.bin"
+    digest, nbytes = write_grid(path, values, grid)
+    assert path.read_bytes() == grid_file_bytes(values, 3)
+    assert (digest, nbytes) == (sha256_of(path), path.stat().st_size)
+
+
 def ensemble_file_bytes(times, values):
     """The documented path-ensemble layout, built with ``tobytes``."""
     header = b"SCPATH01" + struct.pack("<QQI I", *values.shape, 0)

@@ -420,3 +420,96 @@ class TestComponentMajorKernel:
         coeffs = SDECoefficients(drift=drift, diffusion=zero_diffusion)
         with pytest.raises(NumericalError, match="non-finite coefficients at step 3"):
             simulate(coeffs, self.x0, 1.0, 8, 10, 0)
+
+
+def three_axis_gather(coeffs):
+    """Oracle: the lookup ``simulate`` made before tables were cut to
+    their support, one (12, grid nodes) table and a nearest-node index
+    over all three grid axes, served as callables."""
+    grid = coeffs.grid
+    nodes = math.prod(grid.counts)
+    table = np.empty((4, 3, nodes))
+    table[0] = np.reshape(coeffs.drift_table, (nodes, 3)).T
+    table[1:] = np.reshape(coeffs.diffusion_table, (nodes, 3, 3)).transpose(2, 1, 0)
+    table = table.reshape(-1, nodes)
+    low = np.array([e[0] for e in grid.extents])[:, None]
+    spacing = np.array(grid.spacings)[:, None]
+    top = np.array(grid.counts)[:, None] - 1
+    strides = np.cumprod((1,) + grid.counts[:0:-1])[::-1, None]
+
+    def gather(x):
+        t = x.T - low
+        t /= spacing
+        j = np.rint(t, out=t).astype(np.intp)
+        np.clip(j, 0, top, out=j)
+        j *= strides
+        return np.take(table, j.sum(axis=0), axis=1)
+
+    def drift(s, x):
+        return gather(x)[:3].T
+
+    def diffusion(s, x):
+        return gather(x)[3:].reshape(3, 3, -1).transpose(2, 1, 0)
+
+    return SDECoefficients(drift=drift, diffusion=diffusion)
+
+
+def support_metric(axes, grid):
+    """Positive-definite 3x3 field with an off-diagonal entry at every
+    node, varying along the grid axes ``axes`` and exactly constant
+    along the others."""
+    x = grid.meshgrid()
+    rng = np.random.default_rng(7)
+    values = np.zeros(grid.shape + (3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            entry = np.full(grid.shape, rng.uniform(0.05, 0.2))
+            for k in axes:
+                entry = entry * np.sin(rng.uniform(1.0, 3.0) * x[k] + rng.uniform(0.0, 6.0))
+            values[..., i, j] = values[..., j, i] = entry + (1.0 if i == j else 0.0)
+    return geo.MetricField(values, grid)
+
+
+class TestSupportLookup:
+    """Tables cut to their support, against the full-grid tables and the
+    three-axis gather."""
+
+    grid = GridSpec.from_axes((0.0, 1.0, 5), (0.5, 2.5, 9), (0.0, 1.0, 9))
+    x0 = np.array([0.9, 2.3, 0.1])
+
+    def coeffs(self, axes):
+        metric = support_metric(axes, self.grid)
+        return metric, derive_coefficients(metric, geo.christoffel(metric))
+
+    @pytest.mark.parametrize("axes", [(1,), (1, 2), (0, 1, 2)], ids=str)
+    def test_tables_match_full_grid(self, axes):
+        metric, coeffs = self.coeffs(axes)
+        hinv = np.linalg.inv(np.array(metric.values))
+        gamma = np.array(geo.christoffel(metric).values)
+        mu = -0.5 * np.einsum("...bc,...abc->...a", hinv, gamma)
+        assert np.abs(coeffs.drift_table - mu).max() <= 1e-15 * np.abs(mu).max()
+        assert np.array_equal(coeffs.diffusion_table, np.linalg.cholesky(hinv))
+        for table in (coeffs.drift_table, coeffs.diffusion_table):
+            assert geo._support(table, 3) == axes
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("axes", [(1,), (1, 2), (0, 1, 2)], ids=str)
+    def test_lookup_matches_three_axis_gather(self, axes, threads):
+        _, coeffs = self.coeffs(axes)
+        ens = simulate(coeffs, self.x0, 1.0, 16, 9000, 5, threads=threads)
+        ref = simulate(three_axis_gather(coeffs), self.x0, 1.0, 16, 9000, 5, threads=threads)
+        assert_same_bits(ens.values, ref.values)
+        # states outside the grid are clamped to its edge nodes
+        low = np.array([e[0] for e in self.grid.extents])
+        high = np.array([e[1] for e in self.grid.extents])
+        assert np.any((ens.values < low) | (ens.values > high), axis=-1).mean() > 0.2
+
+    def test_full_copies_of_profile_tables_give_the_same_paths(self):
+        _, coeffs = self.coeffs((1,))
+        full = SDECoefficients(
+            grid=self.grid,
+            drift_table=np.array(coeffs.drift_table),
+            diffusion_table=np.array(coeffs.diffusion_table),
+        )
+        ens = simulate(coeffs, self.x0, 1.0, 8, 5000, 2)
+        assert_same_bits(ens.values, simulate(full, self.x0, 1.0, 8, 5000, 2).values)

@@ -609,6 +609,22 @@ def test_benchmark_stage_commands_load_no_scipy(tmp_path):
     assert [m for m in modules["new"] if m.split(".")[0] == "numpy"] == []
 
 
+def test_cli_import_leaves_thread_pool_and_cascade_unloaded():
+    """Only a threaded ``simulate`` needs ``concurrent.futures`` (which
+    loads ``logging``, ``threading`` and ``queue``) and only ``cascade``
+    needs ``profitops``; neither loads with the CLI."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, "[]"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)["loaded"]
+    assert "concurrent.futures" not in loaded
+    assert "semicoop.profitops" not in loaded
+
+
 def _corrupt(data, mutation):
     kind, where, payload = mutation
     where %= len(data)

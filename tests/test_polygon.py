@@ -52,6 +52,10 @@ class TestPatchArea:
         assert patch_area(patch) == radius**2 * 1.0
         assert quadrature_area(patch, nodes) == radius**2 * 1.0
 
+    def test_radius_whose_square_overflows_is_a_numerical_error(self):
+        with pytest.raises(NumericalError, match="radius 1e\\+200 squared overflows"):
+            patch_area(unit_patch(curvature=1.0, radius=1e200))
+
     def test_zero_azimuth_span(self):
         patch = unit_patch(curvature=1.0, dtau=0.0)
         assert patch_area(patch) == 0.0

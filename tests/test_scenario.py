@@ -230,3 +230,18 @@ def test_sphere_side_of_zero_radius_is_a_validation_error(tmp_path, radius, time
     argv = ["polygon-area", "--scenario", str(path), "--time", str(time)]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("side", [1, 2], ids=["sphere-curvature", "given-curvature"])
+def test_side_radius_whose_square_overflows_is_a_validation_error(tmp_path, side):
+    # a float's ** raises OverflowError above about 1.3e154
+    doc = replaced(("polygon", "sides", side, "radius"), 1e200)
+    config = parse_scenario(doc)
+    with pytest.raises(ValidationError, match=rf"polygon\.sides\[{side}\]\.radius .* overflows"):
+        config.build_polygon()
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(["polygon-area", "--scenario", str(path)]) == cli.EXIT_VALIDATION
+    assert f"polygon.sides[{side}].radius" in err.getvalue()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -101,7 +103,7 @@ def conformal_factor(field, gamma):
     grid = GridSpec.from_axes(*[(0.0, 1.0, n) for n in field.shape])
     flat = flat_metric(grid)
     bundle = curvature(flat, christoffel(flat))
-    bundle.einstein[...] = 1.0
+    bundle = dataclasses.replace(bundle, einstein=np.ones(bundle.einstein.shape))
     return combined_metric(bundle, field, gamma).values[..., 0, 1]
 
 
