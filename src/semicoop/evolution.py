@@ -3,10 +3,10 @@
 The short-time transition kernel is Gaussian in the step displacement
 with covariance ``(eps/M) * F0 * hinv`` on the three world-volume
 directions.  The background is the identity there, so the kernel is
-isotropic with per-axis variance ``(eps/M) F0``: its mass in the
-displacement box is a product of three ``erf`` factors, and its draws are
-scaled standard normals.  Real-time evolution runs instead through the
-limiting differential equation
+isotropic with per-axis variance ``(eps/M) F0``, the
+:attr:`KernelSpec.variance` a run reports, and its mass in the
+displacement box is a product of three ``erf`` factors.  Real-time
+evolution runs instead through the limiting differential equation
 
     d_s psi = (i / 2M) * F0 * Lap_h psi
 
@@ -33,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
 
 from .brane import BACKGROUND_DIM
 from .errors import NumericalError, ValidationError
@@ -171,6 +170,9 @@ def effective_scalar_F(action_terms):
     identity, so ``F = bracket / 11``.  The flag reports whether the
     result fails to increase strictly along the leading (time) axis
     anywhere, since the derivation assumes a strictly increasing scale.
+    A metric that does not depend on time gives a bracket that does not
+    either, so it sets the flag by construction; every metric preset
+    (flat, matrix, sphere) is such a metric.
     """
     values = np.asarray(action_terms, dtype=float) / float(BACKGROUND_DIM)
     flag = bool(np.any(np.diff(values, axis=0) <= 0.0))
@@ -192,20 +194,6 @@ def kernel_normalization_check(spec):
     """
     t = math.erfc(spec.domain_halfwidth / math.sqrt(2.0 * spec.variance))
     return t * (3.0 - 3.0 * t + t * t)
-
-
-def two_point_correlation(spec, samples, seed):
-    """Sample covariance of seeded kernel draws (3x3 matrix estimate).
-
-    The draws are standard normals scaled by ``sigma``; the estimate
-    converges to ``(step/mass) * F0`` times the identity.
-    """
-    samples = int(samples)
-    if samples < 2:
-        raise ValidationError("need at least 2 samples")
-    rng = default_rng(SeedSequence(int(seed)))
-    draws = rng.standard_normal((samples, 3)) * math.sqrt(spec.variance)
-    return np.cov(draws, rowvar=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Bond-resale cascades: the cumulative negative effect of selling
 product rights repeatedly to the same consumers.
 
-The effect is a brute-force double sum over consumers and sales, with
-the infinite-resale limit ``exp(-k)/(1-exp(-k))`` per unit effect and
-the small-asymmetry derivative ``-1/k^2 + 1/12`` of that limit, which
-diverges as the asymmetry parameter vanishes.
+The effect is ``sum_{r=1..theta} r exp(-r k)`` per consumer in closed
+form, with the infinite-resale limit ``exp(-k)/(1-exp(-k))`` per unit
+effect and the small-asymmetry derivative ``-1/k^2 + 1/12`` of that
+limit, which diverges as the asymmetry parameter vanishes.  A value
+that leaves the floating-point range is a :class:`RangeOverflowError`.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +20,15 @@ from .errors import RangeOverflowError, ValidationError
 
 DIVERGENCE_MAGNITUDE = 1e12
 
+# k! of the series terms k = 2..19; below 1 the first left out is under 1e-17 of the sum
+_FACTORIALS = [float(math.factorial(k)) for k in range(2, 20)]
+
 
 @dataclass(frozen=True)
 class CascadeParams:
-    """Resale cascade inputs: consumer count, per-consumer sale counts and
-    asymmetry ``kappa``; the effects are per unit reduction effect."""
+    """Resale cascade inputs: consumer count, sale counts (one int shared
+    by every consumer, or one per consumer) and asymmetry ``kappa``; the
+    effects are per unit reduction effect."""
 
     consumers: int
     sales: object
@@ -31,14 +38,11 @@ class CascadeParams:
         problems = []
         if self.consumers < 1:
             problems.append("consumer count must be at least 1")
-        sales = self.sales
-        if np.isscalar(sales):
-            sales = (int(sales),) * self.consumers
-        else:
-            sales = tuple(int(t) for t in sales)
-            if len(sales) != self.consumers:
-                problems.append("need one sale count per consumer")
-        if any(t < 1 for t in sales):
+        scalar = np.isscalar(self.sales)
+        sales = int(self.sales) if scalar else tuple(int(t) for t in self.sales)
+        if not scalar and len(sales) != self.consumers:
+            problems.append("need one sale count per consumer")
+        if (sales if scalar else min(sales, default=1)) < 1:
             problems.append("sale counts must be at least 1")
         if not self.kappa > 0:
             problems.append("kappa must be positive")
@@ -47,21 +51,47 @@ class CascadeParams:
         object.__setattr__(self, "sales", sales)
 
 
-def cascade_sum(params):
-    """Exact brute-force weighted sum over all consumers and sales.
+def _finite(value, what, kappa):
+    if not math.isfinite(value):
+        raise RangeOverflowError(f"{what} left the floating-point range at kappa = {kappa!r}")
+    return value
 
-    ``sum_j sum_{r=1..theta_j} r * exp(-r*kappa)`` per unit effect.  This
-    is the oracle the closed forms are checked against.
-    """
-    total = 0.0
-    k = params.kappa
-    for theta in params.sales:
-        r = np.arange(1, theta + 1, dtype=float)
-        term = float(np.sum(r * np.exp(-r * k)))
-        total += term
-    if not np.isfinite(total):
-        raise RangeOverflowError("cascade sum left the floating-point range")
-    return total
+
+def _resale_sum(n, kappa):
+    """``sum_{r=1..n} r x^r``, ``x = e^-kappa``, as ``x (kappa/a)^2 (n^2
+    G(u) + n H(kappa) e^-u)`` with ``a = 1 - x``, ``u = n kappa``, ``G(u) =
+    (1 - (1+u) e^-u) / u^2`` and ``H(kappa) = (kappa - a) / kappa^2``: the
+    textbook ``x (1 - (n+1) x^n + n x^(n+1)) / a^2`` without its
+    cancellation at small ``n kappa`` or the underflow of ``a^2`` below
+    ``kappa ~ 1e-154``.  Below 1, G and H are the positive series ``e^-u
+    sum_{k>=2} u^(k-2)/k!`` and ``e^-kappa sum_{k>=2} (k-1) kappa^(k-2)/k!``;
+    from 1 up, ``n^2 G(u)`` is ``(1 - (1+u) e^-u) / kappa^2``."""
+    u = n * kappa
+    if u < 1.0:
+        head = n * n * math.exp(-u) * sum(u**j / f for j, f in enumerate(_FACTORIALS))
+    else:
+        head = (-math.expm1(-u) - u * math.exp(-u)) / kappa / kappa
+    if kappa < 1.0:
+        h = math.exp(-kappa) * sum((j + 1) * kappa**j / f for j, f in enumerate(_FACTORIALS))
+    else:
+        h = (kappa + math.expm1(-kappa)) / kappa / kappa
+    ratio = kappa / -math.expm1(-kappa)
+    return math.exp(-kappa) * ratio * ratio * (head + n * h * math.exp(-u))
+
+
+def cascade_sum(params):
+    """``sum_j sum_{r=1..theta_j} r exp(-r kappa)`` per unit effect: the
+    closed form :func:`_resale_sum` once per distinct sale count, times
+    its consumer count, so the work grows with neither the sale counts
+    nor, for a shared count, the consumer count."""
+    kappa = float(params.kappa)
+    sales = params.sales
+    counts = {sales: params.consumers} if isinstance(sales, int) else Counter(sales)
+    try:
+        total = sum(c * _resale_sum(float(t), kappa) for t, c in counts.items())
+    except OverflowError:  # a count beyond the float range
+        total = math.inf
+    return _finite(total, "cascade sum", kappa)
 
 
 def cascade_limit(kappa):
@@ -72,7 +102,8 @@ def cascade_limit(kappa):
     kappa = float(kappa)
     if not kappa > 0:
         raise ValidationError("kappa must be positive")
-    return 1.0 / np.expm1(kappa)
+    with np.errstate(over="ignore"):  # an infinite expm1 leaves the limit 0
+        return _finite(1.0 / float(np.expm1(kappa)), "cascade limit", kappa)
 
 
 @dataclass(frozen=True)
@@ -93,9 +124,13 @@ def cascade_derivative(kappa):
     kappa = float(kappa)
     if not kappa > 0:
         raise ValidationError("kappa must be positive")
-    value = -1.0 / kappa**2 + 1.0 / 12.0
+    try:
+        value = -1.0 / kappa**2 + 1.0 / 12.0
+    except ZeroDivisionError:  # kappa**2 underflows to 0
+        value = -math.inf
+    except OverflowError:  # kappa**2 overflows, so -1/kappa^2 is -0
+        value = 1.0 / 12.0
+    _finite(value, "cascade derivative", kappa)
     return CascadeDerivative(
-        value=value,
-        expansion_regime=0.0 < kappa < 1.0,
-        divergent=abs(value) > DIVERGENCE_MAGNITUDE,
+        value, expansion_regime=0.0 < kappa < 1.0, divergent=abs(value) > DIVERGENCE_MAGNITUDE
     )

@@ -13,7 +13,8 @@ contracts only the transverse block of the background, the identity
 either way, and ``combined_metric.bin`` is written whenever the
 stubbornness draw fits the strategy plane.  ``kernel.multiplier``: it
 multiplies the share-dynamics residual, zero on simulated paths.
-``kernel.normalization_samples``: the kernel mass check is a closed form.
+``kernel.normalization_samples`` and ``kernel.correlation_samples``: the
+kernel reports its mass leak and variance in closed form.
 ``firms[i].alpha_other`` and ``firms[i].coop_other``: no profit preset
 reads the other firm's region.  Every firm after the first: each stage
 reads the first firm only.
@@ -34,7 +35,6 @@ from .fieldio import read_grid
 from .grids import GridSpec
 from .market import FirmState
 from .polygon import EllipsoidPatch, PolygonAssembly
-from .vectorfields import VectorField
 
 _TOP_KEYS = {
     "grid",
@@ -253,6 +253,8 @@ def _build_patch(side, s, where):
 
 
 def _build_field(spec):
+    from .vectorfields import VectorField  # only lie-bracket builds fields
+
     noise = spec.get("noise")
     if isinstance(noise, dict):
         return VectorField.from_fourier_noise(

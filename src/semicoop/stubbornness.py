@@ -56,10 +56,6 @@ class GFFSampler:
         self._mode_std = np.sqrt(GFF_ENERGY_SCALE / self._eigenvalues)
         self._rng = default_rng(SeedSequence(self.seed))
 
-    @property
-    def interior(self):
-        return self.grid_size - 2
-
     def sample(self):
         """One field realization of shape ``(grid_size, grid_size)``."""
         return self.sample_batch(1)[0]
@@ -73,7 +69,7 @@ class GFFSampler:
         ``2*pi * inverse(discrete Laplacian)`` on interior nodes.
         """
         count = int(count)
-        m = self.interior
+        m = self.grid_size - 2
         coeffs = self._rng.standard_normal((count, m, m)) * self._mode_std
         interior = dst1(dst1(coeffs, 1), 2) / (2.0 * (m + 1))
         fields = np.zeros((count, self.grid_size, self.grid_size))

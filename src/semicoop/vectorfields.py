@@ -94,11 +94,7 @@ class VectorField:
     @classmethod
     def from_polynomials(cls, drift_terms, noise_terms=None):
         drift = tuple(PolynomialComponent(t) for t in drift_terms)
-        noise = (
-            None
-            if noise_terms is None
-            else tuple(PolynomialComponent(t) for t in noise_terms)
-        )
+        noise = None if noise_terms is None else tuple(map(PolynomialComponent, noise_terms))
         return cls(drift, noise)
 
     @classmethod
@@ -114,10 +110,6 @@ class VectorField:
         return np.array([float(f(y)) for f in self.noise])
 
 
-def _component_values(field, y):
-    return field.drift_at(y), field.noise_at(y)
-
-
 def _jacobian(component_fns, point, spacing):
     """Central-difference Jacobian ``J[nu, mu] = d f_nu / d y_mu``."""
     jac = np.empty((DIM, DIM))
@@ -131,11 +123,6 @@ def _jacobian(component_fns, point, spacing):
     return jac
 
 
-def default_spacing(point):
-    scale = max(1.0, float(np.max(np.abs(point))))
-    return DEFAULT_RELATIVE_SPACING * scale
-
-
 def lie_bracket(field_v, field_u, point, spacing=None):
     """Commutator of two drift-plus-noise fields at one point.
 
@@ -146,12 +133,13 @@ def lie_bracket(field_v, field_u, point, spacing=None):
     point = np.asarray(point, dtype=float)
     if point.shape != (DIM,) or not np.all(np.isfinite(point)):
         raise ValidationError("point must be a finite 3-vector")
-    h = default_spacing(point) if spacing is None else float(spacing)
+    scale = max(1.0, float(np.max(np.abs(point))))
+    h = DEFAULT_RELATIVE_SPACING * scale if spacing is None else float(spacing)
     if not 0.0 < h < np.inf:
         raise ValidationError("spacing must be positive and finite")
 
-    v, b = _component_values(field_v, point)
-    u, w = _component_values(field_u, point)
+    v, b = field_v.drift_at(point), field_v.noise_at(point)
+    u, w = field_u.drift_at(point), field_u.noise_at(point)
     jac_v = _jacobian(field_v.drift, point, h)
     jac_b = _jacobian(field_v.noise, point, h)
     jac_u = _jacobian(field_u.drift, point, h)

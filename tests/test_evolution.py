@@ -109,23 +109,48 @@ class TestKernelNormalization:
 
 
 class TestTwoPointCorrelation:
-    def test_draws_are_scaled_standard_normals(self):
-        spec = evolution.KernelSpec(mass=100.0, step=0.05, effective_scale=1.3)
-        normals = np.random.default_rng(np.random.SeedSequence(11)).standard_normal((500, 3))
-        expected = np.cov(normals * np.sqrt(spec.variance), rowvar=False)
-        got = evolution.two_point_correlation(spec, 500, seed=11)
-        assert np.array_equal(got, expected)
+    """The kernel's covariance is ``spec.variance`` times the identity in
+    closed form, and a run reports ``spec.variance``; this oracle draws the
+    kernel's step displacements itself, so the package samples nothing."""
 
     def test_estimate_converges_to_the_covariance(self):
         spec = evolution.KernelSpec(mass=100.0, step=0.05, effective_scale=1.3)
-        got = evolution.two_point_correlation(spec, 200000, seed=3)
+        normals = np.random.default_rng(np.random.SeedSequence(3)).standard_normal((200000, 3))
+        got = np.cov(normals * np.sqrt(spec.variance), rowvar=False)
         # the standard error of each entry is about sqrt(2 / n) sigma^2
         assert np.abs(got - spec.variance * np.eye(3)).max() <= 0.02 * spec.variance
 
-    def test_one_sample_is_rejected(self):
-        spec = evolution.KernelSpec(mass=100.0, step=0.05, effective_scale=1.3)
-        with pytest.raises(ValidationError):
-            evolution.two_point_correlation(spec, 1, seed=0)
+
+class TestEffectiveScale:
+    SCENARIO = {
+        "grid": {"time": [0, 1, 5], "sigma1": [0.5, 2.5, 9], "sigma2": [0, 1, 9]},
+        "metric": {"preset": "sphere"},
+        "firms": [{"share": [0.3, 1.0, 0.5], "strategy": 0.2, "alpha_own": 0.5,
+                   "alpha_other": 0.5, "coop_own": 0.5, "coop_other": 0.5}],
+    }
+
+    def scale(self, metric):
+        config = parse_scenario(self.SCENARIO)
+        curv = geometry.curvature(metric, geometry.christoffel(metric))
+        return pipeline.kernel(config, *pipeline.action_terms(config, metric, curv))[0]
+
+    def test_static_metric_sets_the_flag(self):
+        config = parse_scenario(self.SCENARIO)
+        scale = self.scale(config.build_metric())
+        assert np.array_equal(scale.values, np.broadcast_to(scale.values[0], scale.values.shape))
+        assert scale.not_strictly_increasing
+
+    def test_bracket_increasing_in_time_clears_the_flag(self):
+        # h = diag(1 / (1 + t), 1, 1) is flat, and both tr(h^-1) = 3 + t and
+        # (det h)^(-3/2) = (1 + t)^(3/2) grow with t
+        grid = parse_scenario(self.SCENARIO).build_grid()
+        t = grid.meshgrid()[0]
+        values = np.zeros(grid.shape + (3, 3))
+        values[..., 0, 0] = 1.0 / (1.0 + t)
+        values[..., 1, 1] = values[..., 2, 2] = 1.0
+        scale = self.scale(geometry.MetricField(values, grid))
+        assert np.all(np.diff(scale.values, axis=0) > 0.0)
+        assert not scale.not_strictly_increasing
 
 
 def strategy_slice(metric_of, n):

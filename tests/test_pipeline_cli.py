@@ -116,6 +116,25 @@ def test_kernel_check_matches_manifest(run):
     assert code == cli.EXIT_OK
     expected = manifest["results"]["kernel_normalization_deviation"]
     assert payload["normalization_deviation"] == expected
+    assert payload["variance"] == manifest["results"]["kernel_variance"]
+
+
+def test_kernel_check_does_not_depend_on_the_seed(run):
+    # the checks are closed forms of the kernel spec; --seed is accepted only
+    _, scenario, _, _ = run
+    outputs = []
+    for seed in (1, 2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["kernel-check", "--config", str(scenario), "--seed", str(seed)]) == 0
+        outputs.append(out.getvalue())
+    assert outputs[0] == outputs[1]
+
+
+def test_manifest_reports_the_kernel_variance_not_a_sample_estimate(run):
+    results = run[3]["results"]
+    assert "kernel_correlation" not in results
+    assert results["kernel_variance"] > 0.0
 
 
 def test_evolve_matches_psi_bin(run):
@@ -611,8 +630,9 @@ def test_benchmark_stage_commands_load_no_scipy(tmp_path):
 
 def test_cli_import_leaves_thread_pool_and_cascade_unloaded():
     """Only a threaded ``simulate`` needs ``concurrent.futures`` (which
-    loads ``logging``, ``threading`` and ``queue``) and only ``cascade``
-    needs ``profitops``; neither loads with the CLI."""
+    loads ``logging``, ``threading`` and ``queue``), only ``cascade``
+    needs ``profitops`` and only ``lie-bracket`` needs ``vectorfields``;
+    none loads with the CLI."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -623,6 +643,33 @@ def test_cli_import_leaves_thread_pool_and_cascade_unloaded():
     loaded = json.loads(proc.stdout)["loaded"]
     assert "concurrent.futures" not in loaded
     assert "semicoop.profitops" not in loaded
+    assert "semicoop.vectorfields" not in loaded
+
+
+@pytest.mark.parametrize("kappa", ["1e-160", "1e-200", "1e-310"])
+def test_cascade_overflow_at_tiny_kappa_is_a_numerical_error(kappa):
+    code, err = _exit_and_stderr("cascade", "--kappa", kappa, "--theta", "3")
+    assert code == cli.EXIT_NUMERICAL
+    assert f"kappa = {kappa}" in err
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(-323.0, 308.0),
+    st.integers(1, 10**400),
+    st.integers(1, 10**6),
+)
+def test_cascade_output_is_finite_or_a_numerical_error(log_kappa, theta, m):
+    kappa = 10.0**log_kappa
+    if not kappa > 0.0:
+        return
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["cascade", "--kappa", repr(kappa), "--theta", str(theta), "--m", str(m)])
+    assert code in (cli.EXIT_OK, cli.EXIT_NUMERICAL)
+    if code == cli.EXIT_OK:
+        payload = json.loads(out.getvalue())
+        assert all(np.isfinite(payload[k]) for k in ("sum", "limit", "derivative"))
 
 
 def _corrupt(data, mutation):

@@ -1,15 +1,36 @@
+import math
+import time
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semicoop import ValidationError
+from semicoop import RangeOverflowError, ValidationError
 from semicoop.profitops import (
     CascadeParams,
     cascade_derivative,
     cascade_limit,
     cascade_sum,
 )
+
+
+def cascade_bruteforce(theta, kappa):
+    """``sum_{r=1..theta} r exp(-r k)`` term by term; memory grows with theta."""
+    r = np.arange(1, theta + 1, dtype=float)
+    return float(np.sum(r * np.exp(-r * kappa)))
+
+
+def cascade_mpmath(theta, kappa):
+    """``sum_{r=1..theta} r exp(-r k)`` from the textbook closed form
+    ``x (1 - (n+1) x^n + n x^(n+1)) / (1 - x)^2``, ``x = exp(-k)``, at a
+    working precision that outlasts its cancellation: ``1 - x`` loses
+    ``log10(1/k)`` digits and the numerator up to twice that."""
+    with mpmath.workdps(int(2 * max(0.0, math.log10(1.0 / kappa))) + 40):
+        x = mpmath.exp(-mpmath.mpf(kappa))
+        return x * (1 - (theta + 1) * x**theta + theta * x ** (theta + 1)) / (1 - x) ** 2
 
 
 def cascade_weighted_closed_form(theta, kappa, unit_effect=1.0):
@@ -54,9 +75,66 @@ class TestCascade:
     @pytest.mark.parametrize("kappa", [0.1, 0.7, 2.0, 5.0])
     @pytest.mark.parametrize("theta", [1, 13, 500, 10000])
     def test_closed_form_matches_bruteforce(self, kappa, theta):
-        brute = cascade_sum(CascadeParams(1, theta, kappa))
+        got = cascade_sum(CascadeParams(1, theta, kappa))
         closed = cascade_weighted_closed_form(theta, kappa)
-        assert abs(brute - closed) <= 1e-12 * abs(closed)
+        assert abs(got - closed) <= 1e-12 * abs(closed)
+
+    @pytest.mark.parametrize("kappa", [1e-9, 1e-3, 0.1, 0.7, 2.0, 30.0])
+    @pytest.mark.parametrize("theta", [1, 2, 13, 500, 10000, 200000])
+    def test_matches_bruteforce(self, kappa, theta):
+        brute = cascade_bruteforce(theta, kappa)
+        assert cascade_sum(CascadeParams(1, theta, kappa)) == pytest.approx(brute, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "kappa",
+        [1e-300, 1e-200, 1e-160, 1e-154, 1e-100, 1e-20, 1e-8, 1e-3, 0.5, 0.999999, 1.0, 1.000001,
+         3.0, 30.0, 700.0],
+    )
+    @pytest.mark.parametrize("theta", [1, 2, 3, 10, 999, 1000, 1001, 10**6, 10**9, 10**12])
+    def test_matches_mpmath(self, kappa, theta):
+        # every branch of the closed form: kappa and n kappa on both sides of 1
+        # (theta 999, 1000 and 1001 at kappa 1e-3)
+        expected = cascade_mpmath(theta, kappa)
+        got = cascade_sum(CascadeParams(1, theta, kappa))
+        assert abs(mpmath.mpf(got) - expected) <= 1e-14 * expected
+
+    def test_work_depends_on_neither_theta_nor_consumers(self):
+        params = CascadeParams(consumers=10**6, sales=10**12, kappa=1e-3)
+        assert params.sales == 10**12
+        tracemalloc.start()
+        start = time.perf_counter()
+        total = cascade_sum(params)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert elapsed < 0.5
+        assert peak < 100_000
+        assert total == pytest.approx(10**6 * float(cascade_mpmath(10**12, 1e-3)), rel=1e-14)
+
+    def test_distinct_sale_counts_are_weighted_by_their_consumers(self):
+        kappa = 0.3
+        mixed = cascade_sum(CascadeParams(5, (4, 9, 4, 4, 9), kappa))
+        expected = 3 * cascade_bruteforce(4, kappa) + 2 * cascade_bruteforce(9, kappa)
+        assert mixed == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "consumers, theta, kappa",
+        [(1, 10**200, 1e-300), (10**305, 10**10, 1e-3), (1, 10**400, 1.0)],
+        ids=["theta-squared", "consumers", "theta-beyond-float"],
+    )
+    def test_sum_beyond_the_float_range_names_kappa(self, consumers, theta, kappa):
+        with pytest.raises(RangeOverflowError, match=f"kappa = {kappa!r}"):
+            cascade_sum(CascadeParams(consumers, theta, kappa))
+
+    @pytest.mark.parametrize("theta", [10**200, 10**300])
+    def test_huge_theta_with_a_finite_sum_is_finite(self, theta):
+        # the sum converges to x / (1 - x)^2 long before theta is reached
+        kappa = 1.0
+        expected = np.exp(-kappa) / np.expm1(-kappa) ** 2
+        assert cascade_sum(CascadeParams(1, theta, kappa)) == pytest.approx(expected, rel=1e-14)
+
+    def test_huge_kappa_sums_to_zero(self):
+        assert cascade_sum(CascadeParams(2, 3, 1e200)) == 0.0
 
     def test_geometric_sums_are_offset_by_one_term(self):
         # the version starting at zero carries one extra leading "1"
@@ -137,6 +215,14 @@ class TestCascadeLimit:
         with pytest.raises(ValidationError):
             cascade_limit(0.0)
 
+    def test_overflow_names_kappa(self):
+        with pytest.raises(RangeOverflowError, match="kappa = 1e-310"):
+            cascade_limit(1e-310)
+
+    def test_huge_kappa_vanishes_without_warning(self, recwarn):
+        assert cascade_limit(1e200) == 0.0
+        assert not recwarn.list
+
 
 class TestCascadeDerivative:
     def test_small_kappa_value(self):
@@ -162,3 +248,11 @@ class TestCascadeDerivative:
     def test_domain(self):
         with pytest.raises(ValidationError):
             cascade_derivative(-0.1)
+
+    @pytest.mark.parametrize("kappa", [1e-160, 1e-200, 1e-310])
+    def test_overflow_names_kappa(self, kappa):
+        with pytest.raises(RangeOverflowError, match=f"kappa = {kappa!r}"):
+            cascade_derivative(kappa)
+
+    def test_huge_kappa_leaves_one_twelfth(self):
+        assert cascade_derivative(1e200).value == 1.0 / 12.0
