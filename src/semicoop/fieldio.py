@@ -24,11 +24,11 @@ rerun with identical inputs produces byte-identical files.
 Path ensembles use a similar header (magic ``b"SCPATH01"``) followed by
 ``paths * (steps + 1) * components`` float64 values, one path after
 another.  :class:`EnsembleWriter` is the one writer of that layout: it
-writes the header and times, sizes the file and hands out the payload as
-a writable memory map, so the simulation fills the file in place.  It
-hashes rows as the caller declares them finished, in path order, so no
-file is read back for its digest; the file appears under its name only
-when every row is in.
+writes the header and times, then takes the payload as blocks of whole
+paths, in path order, and writes each block once, sequentially, hashing
+it on the way, so no file is read back for its digest and no page of the
+file is mapped while it is written.  The file appears under its name
+only when every row is in.
 
 The writers digest the bytes they write: :func:`write_grid` returns
 ``(sha256, nbytes)`` of its file, and an :class:`EnsembleWriter` holds
@@ -249,16 +249,19 @@ def read_grid(path):
 
 
 class EnsembleWriter:
-    """Write a path ensemble in place and hash it as its rows are finished.
+    """Write a path ensemble block by block and hash it on the way.
 
-    ``values`` is the payload, a writable ``(paths, steps + 1,
-    components)`` float64 memory map of the file; whoever fills it calls
-    :meth:`rows` for each finished block of paths, in path order, and
-    those rows are fed to a SHA-256 seeded with the header and times.
-    Use the writer as a context manager::
+    The writer is a sink for :func:`market.simulate`: :meth:`rows` takes
+    each block of whole paths, in path order, writes it after the rows
+    before it and feeds it to a SHA-256 seeded with the header and
+    times, and keeps each path's last state in ``final``.  Once every row
+    is in, ``values`` (None until then) is the payload as a read-only
+    ``(paths, steps + 1, components)`` memory map of the file, which
+    nothing reads unless asked to, such as a CSV export.  Use the writer
+    as a context manager::
 
         with EnsembleWriter(path, times, paths, 3, seed=seed) as writer:
-            ...  # fill writer.values, calling writer.rows(lo, hi)
+            ...  # writer.rows(lo, block) for each block, in path order
         writer.sha256, writer.nbytes
 
     The file is built under ``path + ".partial"`` and moved to ``path``,
@@ -275,6 +278,7 @@ class EnsembleWriter:
         if times.ndim != 1 or 0 in shape:
             raise ValidationError(f"ensemble shape {shape} has an empty axis")
         self._path = str(path)
+        self._shape = shape
         self._descriptor = {
             "format": "semicoop-paths",
             "version": __version__,
@@ -285,45 +289,67 @@ class EnsembleWriter:
         if seed is not None:
             self._descriptor["seed"] = int(seed)
         head = _PATH_MAGIC + struct.pack("<QQI I", *shape, 0) + times.tobytes()
+        self._offset = len(head)
         self.nbytes = len(head) + 8 * math.prod(shape)
         self.sha256 = None
+        self.final = np.empty((shape[0], shape[2]))
+        self.values = None
         self._hash = hashlib.sha256(head)
         self._next = 0
         self._partial = self._path + ".partial"
+        self._fh = None
         try:
-            with open(self._partial, "wb+") as fh:
-                fh.write(head)
-                fh.truncate(self.nbytes)
-                # the map keeps its own descriptor of the file; the array keeps the map
-                self.values = np.ndarray(
-                    shape, dtype="<f8", buffer=mmap.mmap(fh.fileno(), self.nbytes), offset=len(head)
-                )
+            # read as well as write, so the finished file can be mapped
+            self._fh = open(self._partial, "wb+")
+            self._fh.write(head)
         except OSError as exc:
             self._discard(exc)
 
     def _discard(self, exc=None):
-        """Remove the partial file; raise ``exc`` again as a ValidationError."""
+        """Close and remove the partial file; raise ``exc`` again as a
+        ValidationError."""
+        if self._fh is not None:
+            with contextlib.suppress(OSError):
+                self._fh.close()
         with contextlib.suppress(FileNotFoundError, IsADirectoryError):
             os.unlink(self._partial)
         if exc is not None:
             raise ValidationError(f"cannot write ensemble {self._path}: {exc}") from exc
 
-    def rows(self, lo, hi):
-        """Hash rows ``[lo, hi)`` of ``values``, which must follow the
-        rows hashed so far."""
-        if lo != self._next or not lo < hi <= len(self.values):
+    def rows(self, lo, block):
+        """Write and hash ``block``, rows ``[lo, lo + len(block))`` of the
+        ensemble, which must follow the rows written so far."""
+        hi = lo + len(block)
+        if lo != self._next or not lo < hi <= self._shape[0]:
             raise ValidationError(
                 f"ensemble rows [{lo}, {hi}) out of order: row {self._next} comes next"
             )
-        self._hash.update(self.values[lo:hi])
+        if block.shape[1:] != self._shape[1:]:
+            raise ValidationError(
+                f"ensemble block of shape {block.shape} does not hold rows of shape "
+                f"{self._shape[1:]}"
+            )
+        block = np.ascontiguousarray(block, dtype="<f8")
+        try:
+            _write_array(self._fh, block)
+            if hi == self._shape[0]:
+                self._fh.flush()
+                # the map keeps its own descriptor of the file; the array keeps the map
+                view = mmap.mmap(self._fh.fileno(), self.nbytes, access=mmap.ACCESS_READ)
+                self.values = np.ndarray(self._shape, dtype="<f8", buffer=view, offset=self._offset)
+        except OSError as exc:
+            self._discard(exc)
+        self._hash.update(block)
+        self.final[lo:hi] = block[:, -1]
         self._next = hi
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is None and self._next == len(self.values):
+        if exc_type is None and self._next == self._shape[0]:
             try:
+                self._fh.close()
                 os.replace(self._partial, self._path)
             except OSError as err:
                 self._discard(err)
@@ -333,7 +359,7 @@ class EnsembleWriter:
         self._discard()
         if exc_type is None:
             raise ValidationError(
-                f"ensemble rows from {self._next} of {len(self.values)} were never finished"
+                f"ensemble rows from {self._next} of {self._shape[0]} were never finished"
             )
         return False
 

@@ -11,7 +11,8 @@ Simulation is Euler-Maruyama on chunks of 4096 paths, component-major:
 a chunk's states live in a ``(steps + 1, 3, n)`` buffer and its
 increments in ``(steps, 3, n)``, so every step works on contiguous rows.
 The coefficient tables are built on the metric's profile, the grid axes
-along which the metric and its connection vary.  Each step looks up all
+along which the metric and its connection vary, and checked for finite
+values once, before the first step.  Each step looks up all
 twelve coefficients (three drift, nine diffusion) of every path in one
 gather from a ``(12, profile nodes)`` table, through the nearest-node
 index on those axes alone; the tables are constant along the others, so
@@ -20,18 +21,22 @@ flows from a master seed split into fixed per-chunk streams keyed by
 chunk index, so ensembles are bit-identical for a given seed no matter
 how many worker threads run the chunks or in which order they finish.
 A chunk's normals are drawn 64 paths at a time into a small slab and
-scaled into its increment buffer; each worker allocates its buffers once
-and reuses them for every chunk it runs.
+scaled into its increment buffer.
 
-``simulate(out=...)`` fills a caller's array, such as the memory map of
-:class:`fieldio.EnsembleWriter`, and ``on_rows`` hears on the calling
-thread, in path order, which rows are final, so the ensemble file is
-written once and hashed while later chunks are still running.
+A finished chunk transposes its states once into a path-major
+``(n, steps + 1, 3)`` rows block, held in its increment buffer, and the
+calling thread hands the blocks, in path order, to a sink: an
+:class:`fieldio.EnsembleWriter`, which hashes each block and appends it
+to the ensemble file, or an in-memory array.  At most ``threads + 1``
+chunks are in flight, submitted and not yet handed over, so at most that
+many buffer sets ever exist and the memory of a run does not grow with
+the path count.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,22 +182,39 @@ def derive_coefficients(metric, chris):
 
 @dataclass
 class PathEnsemble:
-    """Simulated share paths: ``values[path, step, component]``."""
+    """Simulated share paths: ``values[path, step, component]``, and
+    ``final``, the contiguous ``(paths, 3)`` array of each path's last
+    state."""
 
     times: np.ndarray
     values: np.ndarray
+    final: np.ndarray
     seed: int = None
 
     def summary(self):
-        """Counts, horizon, and the final mean and ``ddof=1`` variance."""
-        final = np.ascontiguousarray(self.values[:, -1, :])  # one strided read
+        """Counts, horizon, and the final mean and ``ddof=1`` variance,
+        from ``final`` alone, so ``values`` is never read."""
         return {
-            "paths": len(final),
+            "paths": len(self.final),
             "steps": int(len(self.times) - 1),
             "horizon": float(self.times[-1]),
-            "final_mean": [float(v) for v in final.mean(axis=0)],
-            "final_variance": [float(v) for v in final.var(axis=0, ddof=1)],
+            "final_mean": [float(v) for v in self.final.mean(axis=0)],
+            "final_variance": [float(v) for v in self.final.var(axis=0, ddof=1)],
         }
+
+
+class _ArraySink:
+    """In-memory sink of :func:`simulate`: the rows blocks are copied into
+    ``values`` and their last states into ``final``."""
+
+    def __init__(self, shape):
+        self.values = np.empty(shape)
+        self.final = np.empty((shape[0], shape[2]))
+
+    def rows(self, lo, block):
+        hi = lo + len(block)
+        self.values[lo:hi] = block
+        self.final[lo:hi] = block[:, -1]
 
 
 def _draw_increments(seed, chunk_index, dw, slab, dt):
@@ -219,31 +241,48 @@ def _draw_increments(seed, chunk_index, dw, slab, dt):
 def _coefficient_block(coeffs):
     """Per-step coefficient lookup of :func:`simulate`.
 
-    Returns ``fill(s, x, block)``, which writes the coefficients at the
-    component-major states ``x`` (3, n) into ``block`` (12, n): rows 0-2
-    hold the drift ``mu^a``, rows ``3 + 3b + a`` the diffusion entry
-    ``omega^a_b``.  Table-backed coefficients are one ``take`` from a
-    (12, profile nodes) table, over the axes along which the tables vary,
-    through one nearest-node index on those axes; callables see an
-    ``(n, 3)`` state block, as their contract says.
+    Returns ``(fill, checked)``.  ``fill(s, x, block)`` writes the
+    coefficients at the component-major states ``x`` (3, n) into
+    ``block`` (12, n): rows 0-2 hold the drift ``mu^a``, rows
+    ``3 + 3b + a`` the diffusion entry ``omega^a_b``.  Table-backed
+    coefficients are one ``take`` from a (12, profile nodes) table, over
+    the axes along which the tables vary, through one nearest-node index
+    on those axes; the table is checked for finite values here, once, so
+    ``checked`` is true.  Callables see an ``(n, 3)`` state block, as
+    their contract says, and their values are left to the caller to
+    check at every step.
+
+    Raises
+    ------
+    NumericalError
+        When a table entry is not finite; the message names the first
+        such grid node in C order.
     """
     if coeffs.drift_table is not None:
         grid = coeffs.grid
         axes = _joint_support(grid.n_axes, coeffs.drift_table, coeffs.diffusion_table)
         drift = _on_support(coeffs.drift_table, axes, grid.n_axes)
         diffusion = _on_support(coeffs.diffusion_table, axes, grid.n_axes)
-        nodes = math.prod(drift.shape[: grid.n_axes])
+        profile = drift.shape[: grid.n_axes]
+        nodes = math.prod(profile)
         table = np.empty((1 + STATE_DIM, STATE_DIM, nodes))
         table[0] = drift.reshape(nodes, STATE_DIM).T
         table[1:] = diffusion.reshape(nodes, STATE_DIM, STATE_DIM).transpose(2, 1, 0)
         table = table.reshape(-1, nodes)
+        finite = np.isfinite(table).all(axis=0)
+        if not finite.all():
+            # the profile has length 1 along the other axes, so its first
+            # bad node is the grid's first, with index 0 along them
+            first = np.unravel_index(np.argmin(finite), profile)
+            node = tuple(int(i) for i in first)
+            raise NumericalError(f"non-finite coefficients at node {node}")
         index = _node_indexer(grid, axes)
 
         def fill(s, x, block):
             # indices are clamped to the grid, so "clip" never clips
             np.take(table, index(x), axis=1, out=block, mode="clip")
 
-        return fill
+        return fill, True
 
     def fill(s, x, block):
         n = x.shape[1]
@@ -255,18 +294,20 @@ def _coefficient_block(coeffs):
             om, (n, STATE_DIM, STATE_DIM)
         ).transpose(2, 1, 0)
 
-    return fill
+    return fill, False
 
 
 class _ChunkBuffers:
-    """One worker's chunk arrays, allocated once for chunks of up to
-    ``width`` paths: one flat block viewed, for a chunk of ``n`` paths,
-    as contiguous increments, states and per-step arrays, plus the slab
-    the normals are drawn into."""
+    """One chunk's arrays, allocated once for chunks of up to ``width``
+    paths: one flat block viewed, for a chunk of ``n`` paths, as
+    contiguous increments, states and per-step arrays, plus the slab the
+    normals are drawn into.  The increments' region holds one step more
+    than the increments need: once a chunk's states are final, that
+    region holds them path-major as the chunk's rows block."""
 
     def __init__(self, steps, width):
         self.shapes = [
-            (steps, STATE_DIM),  # dw
+            (steps + 1, STATE_DIM),  # dw, then the rows block
             (steps + 1, STATE_DIM),  # states
             (4 * STATE_DIM,),  # coefficient block
             (STATE_DIM, STATE_DIM),  # products omega dW
@@ -277,7 +318,8 @@ class _ChunkBuffers:
 
     def views(self, n):
         """``(dw, states, block, products, noise)``, each with a last
-        axis of ``n`` paths."""
+        axis of ``n`` paths; ``dw`` has one step more than a chunk
+        draws."""
         views, at = [], 0
         for shape in self.shapes:
             size = math.prod(shape) * n
@@ -286,18 +328,7 @@ class _ChunkBuffers:
         return views
 
 
-def simulate(
-    coeffs,
-    initial,
-    horizon,
-    steps,
-    paths,
-    seed,
-    increments=None,
-    threads=1,
-    out=None,
-    on_rows=None,
-):
+def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, threads=1, sink=None):
     """Euler-Maruyama ensemble of share paths.
 
     Paths run in chunks of 4096.  A chunk keeps its states and increments
@@ -306,13 +337,20 @@ def simulate(
     from the tables, or one call of each callable) and applies
     ``x + mu dt + omega dW`` with the three products of ``omega dW``
     summed in the order numpy's ``einsum`` sums them for C-ordered
-    blocks, ``(w0 d0 + w2 d2) + w1 d1``.  The chunk is
-    copied into the ``(paths, steps + 1, 3)`` result once.
+    blocks, ``(w0 d0 + w2 d2) + w1 d1``.  The finished chunk transposes
+    its states once into a path-major ``(n, steps + 1, 3)`` rows block in
+    its increment buffer, and the calling thread passes the blocks to
+    ``sink.rows(lo, block)`` in path order, while the workers go on with
+    later chunks.
 
-    Each worker allocates its chunk buffers once and reuses them for
-    every chunk it runs, and draws a chunk's normals in slabs of 64
-    paths, so the memory a call allocates besides ``out`` does not grow
-    with the path count.
+    At most ``threads + 1`` chunks are in flight, submitted and not yet
+    passed to the sink.  A chunk's buffer set returns to a shared pool
+    once its block is passed on, and a chunk takes one from that pool
+    when it starts, so at most ``threads + 1`` sets ever exist; normals
+    are drawn in slabs of 64 paths.  So the memory a call allocates
+    besides its sink does not grow with the path count.  When a chunk or
+    the sink raises, no further chunk is submitted, and the chunks in
+    flight finish before the exception propagates.
 
     Parameters
     ----------
@@ -334,13 +372,14 @@ def simulate(
     threads : int
         Worker threads over path chunks; affects speed only, never the
         numbers.
-    out : ndarray (paths, steps + 1, 3) of float64, optional
-        Array to fill, such as :class:`fieldio.EnsembleWriter`'s memory
-        map; it becomes the ensemble's ``values``.
-    on_rows : callable, optional
-        Called as ``on_rows(lo, hi)`` on the calling thread once rows
-        ``[lo, hi)`` of ``out`` are final, chunk by chunk in path order,
-        while the workers go on with later chunks.
+    sink : object, optional
+        Receives the ensemble: ``sink.rows(lo, block)`` takes rows
+        ``[lo, lo + len(block))`` as a C-contiguous float64 block that is
+        reused once the call returns, and after the last block
+        ``sink.values`` (``(paths, steps + 1, 3)``) and ``sink.final``
+        (``(paths, 3)``, each path's last state) become the ensemble's.
+        An :class:`fieldio.EnsembleWriter` writes the ensemble file; the
+        default keeps it in memory.
 
     Returns
     -------
@@ -349,8 +388,9 @@ def simulate(
     Raises
     ------
     NumericalError
-        When coefficient evaluation fails or gives non-finite values;
-        the message names the step.
+        When a coefficient table holds a non-finite value (the message
+        names the node), or when coefficient evaluation fails or a
+        callable gives non-finite values (the message names the step).
     """
     if steps < 2:
         raise ValidationError("step count must be at least 2")
@@ -361,29 +401,28 @@ def simulate(
     x0 = initial.share if isinstance(initial, FirmState) else np.asarray(initial, float)
     if x0.shape != (STATE_DIM,):
         raise ValidationError("initial share must be a 3-vector")
-    shape = (paths, steps + 1, STATE_DIM)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape or out.dtype != np.float64:
-        raise ValidationError(f"out must be a float64 array of shape {shape}")
+    if sink is None:
+        sink = _ArraySink((paths, steps + 1, STATE_DIM))
 
     dt = float(horizon) / steps
     times = np.linspace(0.0, float(horizon), steps + 1)
 
-    fill = _coefficient_block(coeffs)
+    fill, checked = _coefficient_block(coeffs)
     # Step 0 adds to x0 + 0.0: a -0.0 start component becomes +0.0, so no
     # state after step 0 is -0.0, as with einsum's zero-started sums.
     start = x0[:, None] + 0.0
     width = min(paths, _CHUNK_SIZE)
-    spare = []  # buffer sets that no running chunk holds
+    spare = []  # buffer sets that no chunk in flight holds
 
     def run_chunk(chunk_index, lo, hi):
+        """Run one chunk; returns its buffer set and rows block."""
         n = hi - lo
         try:
             own = spare.pop()  # atomic, unlike a test for emptiness then a pop
         except IndexError:
             own = _ChunkBuffers(steps, width)
-        dw, states, block, products, noise = own.views(n)
+        region, states, block, products, noise = own.views(n)
+        dw = region[:steps]
         if increments is not None:
             given = np.asarray(increments[lo:hi], dtype=float)
             if given.shape != (n, steps, STATE_DIM):
@@ -404,7 +443,7 @@ def simulate(
                 raise NumericalError(
                     f"coefficient evaluation failed at step {k}: {exc}"
                 ) from exc
-            if not np.isfinite(block).all():
+            if not checked and not np.isfinite(block).all():
                 raise NumericalError(f"non-finite coefficients at step {k}")
             np.multiply(diffusion, dw[k][:, None, :], out=products)
             np.add(products[0], products[2], out=noise)
@@ -413,7 +452,13 @@ def simulate(
             np.multiply(drift, dt, out=x_next)
             np.add(x if k else start, x_next, out=x_next)
             x_next += noise
-        out[lo:hi] = states.transpose(2, 0, 1)
+        rows = region.reshape(n, steps + 1, STATE_DIM)
+        rows[...] = states.transpose(2, 0, 1)
+        return own, rows
+
+    def deliver(lo, own, rows):
+        """Pass a finished chunk's rows to the sink and free its buffers."""
+        sink.rows(lo, rows)
         spare.append(own)
 
     bounds = [
@@ -423,16 +468,18 @@ def simulate(
     if threads and threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
+        window = deque()  # (lo, future) of the chunks in flight, in path order
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            futures = [pool.submit(run_chunk, *b) for b in bounds]
-            for (_, lo, hi), f in zip(bounds, futures):
-                f.result()
-                if on_rows is not None:
-                    on_rows(lo, hi)
+            for c, lo, hi in bounds:
+                if len(window) > threads:
+                    first, future = window.popleft()
+                    deliver(first, *future.result())
+                window.append((lo, pool.submit(run_chunk, c, lo, hi)))
+            while window:
+                first, future = window.popleft()
+                deliver(first, *future.result())
     else:
         for c, lo, hi in bounds:
-            run_chunk(c, lo, hi)
-            if on_rows is not None:
-                on_rows(lo, hi)
+            deliver(lo, *run_chunk(c, lo, hi))
 
-    return PathEnsemble(times=times, values=out, seed=int(seed))
+    return PathEnsemble(times=times, values=sink.values, final=sink.final, seed=int(seed))

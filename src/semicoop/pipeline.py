@@ -89,10 +89,13 @@ def stubbornness_field(config, grid, curv, seed):
 
 def simulate_paths(config, metric, chris, seed, threads, path):
     """SDE stage: the share ensemble of the scenario's first firm,
-    simulated straight into the ensemble file at ``path``.
+    streamed into the ensemble file at ``path`` block by block as the
+    simulation finishes them.
 
-    Returns ``(ensemble, (sha256, nbytes))`` of that file; when the
-    simulation fails no file is left at ``path``.
+    Returns ``(ensemble, (sha256, nbytes))`` of that file; the
+    ensemble's ``values`` is a read-only map of the file and its summary
+    reads none of it.  When the simulation fails no file is left at
+    ``path``.
     """
     sde_cfg = config.data["sde"]
     horizon = float(sde_cfg["horizon"])
@@ -110,8 +113,7 @@ def simulate_paths(config, metric, chris, seed, threads, path):
             paths=paths,
             seed=sde_seed,
             threads=threads,
-            out=writer.values,
-            on_rows=writer.rows,
+            sink=writer,
         )
     return ensemble, (writer.sha256, writer.nbytes)
 

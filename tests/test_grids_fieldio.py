@@ -62,14 +62,12 @@ def test_grid_shape_mismatch_rejected(tmp_path):
 
 
 def write_ensemble(path, times, values, seed=None, chunk=None):
-    """Write ``values`` through an EnsembleWriter, declaring rows
-    finished ``chunk`` paths at a time."""
+    """Write ``values`` through an EnsembleWriter, ``chunk`` paths at a
+    time."""
     chunk = chunk or len(values)
     with EnsembleWriter(path, times, len(values), 3, seed=seed) as writer:
         for lo in range(0, len(values), chunk):
-            hi = min(lo + chunk, len(values))
-            writer.values[lo:hi] = values[lo:hi]
-            writer.rows(lo, hi)
+            writer.rows(lo, values[lo : lo + chunk])
     return writer
 
 
@@ -142,6 +140,12 @@ def test_writer_bytes_and_digest(tmp_path, paths):
     assert writer.sha256 == hashlib.sha256(data).hexdigest() == sha256_of(path)
     assert writer.nbytes == len(data)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.bin", "p.bin.json"]
+    # values maps the file read-only; final holds the last states
+    assert np.array_equal(writer.values, values)
+    with pytest.raises(ValueError, match="read-only"):
+        writer.values[0, 0, 0] = 1.0
+    assert writer.final.flags.c_contiguous
+    assert np.array_equal(writer.final, values[:, -1])
 
 
 def test_write_grid_returns_digest_and_size(tmp_path):
@@ -152,13 +156,24 @@ def test_write_grid_returns_digest_and_size(tmp_path):
         assert nbytes == path.stat().st_size
 
 
-@pytest.mark.parametrize("rows", [[(10, 20)], [(0, 10), (0, 10)], [(0, 10), (11, 20)], [(0, 21)]])
+@pytest.mark.parametrize(
+    "rows", [[(10, 20)], [(0, 10), (0, 10)], [(0, 10), (11, 20)], [(0, 21)], [(0, 10), (10, 10)]]
+)
 def test_writer_rejects_rows_out_of_order(tmp_path, rows):
     path = tmp_path / "p.bin"
     with pytest.raises(ValidationError, match="out of order"):
         with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3) as writer:
             for lo, hi in rows:
-                writer.rows(lo, hi)
+                writer.rows(lo, np.zeros((hi - lo, 5, 3)))
+    assert writer.values is None
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("shape", [(10, 4, 3), (10, 5, 2), (10, 15)])
+def test_writer_rejects_a_block_of_other_rows(tmp_path, shape):
+    with pytest.raises(ValidationError, match="does not hold rows of shape"):
+        with EnsembleWriter(tmp_path / "p.bin", np.linspace(0.0, 1.0, 5), 20, 3) as writer:
+            writer.rows(0, np.zeros(shape))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -166,12 +181,13 @@ def test_writer_leaves_no_file_on_error_or_missing_rows(tmp_path):
     path = tmp_path / "p.bin"
     with pytest.raises(RuntimeError):
         with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3) as writer:
-            writer.rows(0, 10)
+            writer.rows(0, np.zeros((10, 5, 3)))
             raise RuntimeError("simulation failed")
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(ValidationError, match="never finished"):
         with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3) as writer:
-            writer.rows(0, 10)
+            writer.rows(0, np.zeros((10, 5, 3)))
+    assert writer.values is None
     assert list(tmp_path.iterdir()) == []
 
 

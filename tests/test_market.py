@@ -8,6 +8,8 @@ import pytest
 
 from semicoop import GridSpec, NumericalError, SingularMetricError, ValidationError
 from semicoop import geometry as geo
+from semicoop import market
+from semicoop.fieldio import EnsembleWriter, read_ensemble, sha256_of
 from semicoop.market import FirmState, SDECoefficients, derive_coefficients, simulate
 
 
@@ -73,6 +75,21 @@ def reference_simulate(coeffs, x0, horizon, steps, paths, seed, increments=None)
             x = x + mu * dt + np.einsum("nab,nb->na", om, dw[:, k])
             out[lo:hi, k + 1] = x
     return out
+
+
+class RecordingSink(market._ArraySink):
+    """The in-memory sink, recording the rows blocks it is given and the
+    thread that gives them."""
+
+    def __init__(self, shape):
+        super().__init__(shape)
+        self.blocks = []
+        self.threads = set()
+
+    def rows(self, lo, block):
+        self.blocks.append((lo, lo + len(block)))
+        self.threads.add(threading.get_ident())
+        super().rows(lo, block)
 
 
 def assert_same_bits(a, b):
@@ -359,21 +376,16 @@ class TestComponentMajorKernel:
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_out_filled_and_rows_reported_in_order(self, coeffs, threads):
+        # the sink gets each rows block on the calling thread, in path
+        # order, final when it arrives
         ref = self.reference(coeffs)
-        out = np.full((self.paths, 17, 3), np.nan)
-        calls = []
-
-        def on_rows(lo, hi):
-            assert_same_bits(out[lo:hi], ref[lo:hi])  # final when reported
-            calls.append((lo, hi, threading.get_ident()))
-
-        ens = simulate(
-            coeffs, self.x0, 1.0, 16, self.paths, 5, threads=threads, out=out, on_rows=on_rows
-        )
-        assert ens.values is out
-        assert_same_bits(out, ref)
-        assert [(lo, hi) for lo, hi, _ in calls] == [(0, 4096), (4096, 8192), (8192, 9000)]
-        assert {t for _, _, t in calls} == {threading.get_ident()}
+        sink = RecordingSink((self.paths, 17, 3))
+        ens = simulate(coeffs, self.x0, 1.0, 16, self.paths, 5, threads=threads, sink=sink)
+        assert sink.blocks == [(0, 4096), (4096, 8192), (8192, 9000)]
+        assert sink.threads == {threading.get_ident()}
+        assert ens.values is sink.values and ens.final is sink.final
+        assert_same_bits(sink.values, ref)
+        assert_same_bits(ens.final, np.ascontiguousarray(ref[:, -1]))
 
     def test_buffer_reuse_across_threads(self, coeffs):
         # many more chunks than workers, so buffer sets pass between
@@ -388,29 +400,110 @@ class TestComponentMajorKernel:
             sys.setswitchinterval(interval)
         assert_same_bits(pooled.values, serial.values)
 
-    def test_out_of_wrong_shape_rejected(self, coeffs):
-        for out in (np.empty((self.paths, 16, 3)), np.empty((self.paths, 17, 3), np.float32)):
-            with pytest.raises(ValidationError, match="out must be"):
-                simulate(coeffs, self.x0, 1.0, 16, self.paths, 5, out=out)
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_at_most_threads_plus_one_buffer_sets(self, coeffs, threads, monkeypatch):
+        created = []
+
+        class Counted(market._ChunkBuffers):
+            def __init__(self, *args):
+                super().__init__(*args)
+                created.append(self)
+
+        monkeypatch.setattr(market, "_ChunkBuffers", Counted)
+        paths = 12 * 4096 + 7  # 13 chunks
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ens = simulate(coeffs, self.x0, 1.0, 6, paths, 8, threads=threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert 1 <= len(created) <= threads + 1
+        assert ens.values.shape == (paths, 7, 3)
+
+    def test_out_of_wrong_shape_rejected(self, coeffs, tmp_path):
+        # a writer whose rows do not match the simulation's is rejected,
+        # and leaves no file
+        times = np.linspace(0.0, 1.0, 17)
+        for paths, points, match in [
+            (self.paths, 16, "does not hold rows"),
+            (self.paths - 1, 17, "out of order"),
+            (self.paths + 1, 17, "never finished"),
+        ]:
+            with pytest.raises(ValidationError, match=match):
+                with EnsembleWriter(tmp_path / "p.bin", times[:points], paths, 3) as writer:
+                    simulate(coeffs, self.x0, 1.0, 16, self.paths, 5, sink=writer)
+            assert list(tmp_path.iterdir()) == []
 
     def test_allocations_do_not_grow_with_paths(self, coeffs):
         peaks = []
         for paths in (9000, 40000):
-            out = np.empty((paths, 17, 3))
+            sink = RecordingSink((paths, 17, 3))
             tracemalloc.start()
             try:
-                simulate(coeffs, self.x0, 1.0, 16, paths, 5, out=out)
+                simulate(coeffs, self.x0, 1.0, 16, paths, 5, sink=sink)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
 
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_written_ensemble_equals_the_reference(self, coeffs, tmp_path, threads):
+        path = tmp_path / "p.bin"
+        times = np.linspace(0.0, 1.0, 17)
+        with EnsembleWriter(path, times, self.paths, 3, seed=5) as writer:
+            ens = simulate(coeffs, self.x0, 1.0, 16, self.paths, 5, threads=threads, sink=writer)
+        ref = self.reference(coeffs)
+        assert_same_bits(ens.values, ref)
+        assert_same_bits(read_ensemble(path)[1], ref)
+        assert writer.sha256 == sha256_of(path)
+        assert ens.summary() == simulate(coeffs, self.x0, 1.0, 16, self.paths, 5).summary()
+        # the map of the file is read-only
+        with pytest.raises(ValueError, match="read-only"):
+            ens.values[0, 0, 0] = 1.0
+        assert not ens.values.flags.writeable
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failure_mid_run_stops_submitting_and_leaves_no_file(self, tmp_path, threads):
+        # a NaN increment in chunk 5 makes its drift non-finite at step 1
+        paths, steps, failing = 12 * 4096 + 7, 4, 5
+        dw = np.full((paths, steps, 3), 0.01)
+        dw[failing * 4096 + 7, 0, 0] = np.nan
+        started = []
+        lock = threading.Lock()
+
+        def drift(s, x):
+            if s == 0.0:
+                with lock:
+                    started.append(s)
+            return -0.5 * x
+
+        coeffs = SDECoefficients(drift=drift, diffusion=lambda s, x: np.eye(3))
+        path = tmp_path / "p.bin"
+        with pytest.raises(NumericalError, match="non-finite coefficients at step 1"):
+            with EnsembleWriter(path, np.linspace(0.0, 1.0, steps + 1), paths, 3) as writer:
+                simulate(coeffs, self.x0, 1.0, steps, paths, 0, increments=dw,
+                         threads=threads, sink=writer)
+        assert list(tmp_path.iterdir()) == []
+        assert writer._next == failing * 4096  # the chunks before it were written
+        # chunks 0-5 and at most the threads chunks after it
+        assert failing + 1 <= len(started) <= failing + 1 + threads
+
     def test_non_finite_table_names_step(self):
         metric = geo.sphere_metric(self.grid)
         coeffs = derive_coefficients(metric, geo.christoffel(metric))
         coeffs.drift_table = coeffs.drift_table.copy()
-        coeffs.drift_table[4, 7, 1, 2] = np.nan  # the node nearest x0
-        with pytest.raises(NumericalError, match="non-finite coefficients at step 0"):
+        coeffs.drift_table[4, 7, 1, 2] = np.nan
+        coeffs.drift_table[4, 8, 0, 1] = np.inf
+        # the table is checked once, before step 0, and the first
+        # non-finite node in C order is named
+        with pytest.raises(NumericalError, match=r"non-finite coefficients at node \(4, 7, 1\)"):
+            simulate(coeffs, self.x0, 1.0, 4, 10, 0)
+        # a node along the constant axes is named with index 0 there
+        coeffs = derive_coefficients(metric, geo.christoffel(metric))
+        table = coeffs.diffusion_table[:1, :, :1].copy()
+        table[0, 6, 0, 2, 1] = np.nan
+        coeffs.diffusion_table = np.broadcast_to(table, coeffs.diffusion_table.shape)
+        with pytest.raises(NumericalError, match=r"non-finite coefficients at node \(0, 6, 0\)"):
             simulate(coeffs, self.x0, 1.0, 4, 10, 0)
 
     def test_non_finite_callable_names_step(self):

@@ -52,6 +52,14 @@ def run_cli(*argv):
     return code, json.loads(out.getvalue()) if out.getvalue() else None
 
 
+def child_env():
+    """The environment of a child Python process that imports this
+    checkout's ``semicoop``."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def write_scenario(path, scenario):
     path.write_text(json.dumps(scenario))
     return path
@@ -338,8 +346,8 @@ def test_manifest_digests_are_the_files_digests(tmp_path):
 @pytest.fixture
 def poisoned_drift(monkeypatch):
     """Drift tables that are NaN at every node but the one nearest the
-    firm's start, so every path fails at step 1, after the ensemble file
-    was created."""
+    firm's start, so the simulation fails its table check before step 0,
+    after the ensemble file was created."""
     derive = market.derive_coefficients
 
     def poisoned(metric, chris):
@@ -370,7 +378,7 @@ def test_failed_simulation_leaves_no_ensemble(tmp_path, poisoned_drift):
     assert code == cli.EXIT_NUMERICAL
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["failed_stage"] == "sde"
-    assert "non-finite coefficients at step 1" in manifest["failure"]
+    assert manifest["failure"] == "non-finite coefficients at node (0, 0, 0)"
     assert "paths.bin" not in manifest["artifacts"]
     assert not [p.name for p in out.iterdir() if p.name.startswith("paths")]
 
@@ -582,6 +590,74 @@ def test_benchmark_commands_parse():
             assert args.threads == int(argv[argv.index("--threads") + 1])
 
 
+def test_main_calls_in_one_process_match_fresh_processes(tmp_path):
+    """The parser is built once per process, and a second ``main`` call
+    in the process prints and exits as a fresh process does."""
+    assert cli.build_parser() is cli.build_parser()
+    scenario = write_scenario(tmp_path / "scenario.json", SCENARIO)
+    bad = write_scenario(tmp_path / "bad.json", dict(SCENARIO, rho_grid=1))
+    argvs = [
+        ["optimal-rho", "--config", str(scenario)],
+        ["cascade", "--kappa", "0.5", "--theta", "3"],
+        ["optimal-rho", "--config", str(bad)],
+        ["kernel-check", "--config", str(scenario)],
+        ["optimal-rho", "--config", str(scenario)],
+    ]
+    in_process = []
+    for argv in argvs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        in_process.append((code, out.getvalue()))
+    env = child_env()
+    fresh = []
+    for argv in argvs:
+        proc = subprocess.run(
+            [sys.executable, "-m", "semicoop.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        fresh.append((proc.returncode, proc.stdout))
+    assert in_process == fresh
+    assert [code for code, _ in fresh] == [0, 0, cli.EXIT_VALIDATION, 0, 0]
+
+
+# runs one CLI command given as arguments, then prints its exit code and
+# the process's peak resident memory in KiB
+_PEAK_PROBE = """
+import contextlib, io, sys
+import semicoop.cli as cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    peak = next(line for line in fh if line.startswith("VmHWM:"))
+print(code, peak.split()[1])
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_simulate_sde_peak_memory_does_not_grow_with_paths(tmp_path):
+    """The ensemble is streamed into its file, not mapped, so eight times
+    the paths (a 90 MiB larger file) leave the peak resident memory of a
+    ``simulate-sde`` process within 16 MiB."""
+    env = child_env()
+    peaks = []
+    for paths in (8192, 65536):
+        sde = {"steps": 64, "paths": paths, "horizon": 1.0}
+        scenario = write_scenario(tmp_path / "scenario.json", dict(SCENARIO, sde=sde))
+        out = tmp_path / "p.bin"
+        argv = ["simulate-sde", "--scenario", scenario, "--out", out, "--seed", SEED]
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_PROBE, *map(str, argv)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, kib = proc.stdout.split()
+        assert code == "0" and out.stat().st_size > 8 * paths * 65 * 3
+        peaks.append(int(kib) / 1024)
+        out.unlink()
+    assert peaks[1] - peaks[0] < 16, peaks
+
+
 # imports the CLI, runs the commands given as JSON, then prints every loaded
 # module and the ones first loaded by the commands
 _IMPORT_PROBE = """
@@ -614,12 +690,9 @@ def test_benchmark_stage_commands_load_no_scipy(tmp_path):
     scenario = write_scenario(tmp_path / "scenario.json", scenario)
     fields = {"scenario": scenario, "metric": metric, "out": tmp_path, "seed": SEED}
     argvs = [[arg.format(**fields) for arg in cmd] for cmd in commands]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=child_env(), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     modules = json.loads(proc.stdout)
@@ -633,11 +706,9 @@ def test_cli_import_leaves_thread_pool_and_cascade_unloaded():
     loads ``logging``, ``threading`` and ``queue``), only ``cascade``
     needs ``profitops`` and only ``lie-bracket`` needs ``vectorfields``;
     none loads with the CLI."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, "[]"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=300,
+        capture_output=True, text=True, env=child_env(), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout)["loaded"]
