@@ -11,23 +11,28 @@ Simulation is Euler-Maruyama on chunks of 4096 paths, component-major:
 a chunk's states live in a ``(steps + 1, 3, n)`` buffer and its
 increments in ``(steps, 3, n)``, so every step works on contiguous rows.
 The coefficient tables are built on the metric's profile, the grid axes
-along which the metric and its connection vary, and checked for finite
-values once, before the first step.  Each step looks up all
-twelve coefficients (three drift, nine diffusion) of every path in one
-gather from a ``(12, profile nodes)`` table, through the nearest-node
-index on those axes alone; the tables are constant along the others, so
-the gather equals a lookup on the whole grid.  Randomness
+along which the metric and its connection vary.  Before the first step
+they are checked for finite values and each of the twelve coefficient
+rows (three drift, nine diffusion) is classified once as zero, constant
+or varying.  Each step gathers only the varying rows of every path, in
+one ``take`` from a ``(varying rows, profile nodes)`` table through the
+nearest-node index on those axes alone (the tables are constant along
+the others, so the gather equals a lookup on the whole grid), multiplies
+constant rows as numbers and leaves zero rows out; no state is ``-0.0``
+and every increment is finite, so the paths keep the bits of a step that
+uses all twelve.  On a sphere metric two rows vary (``mu^1`` and
+``omega^2_2``), two are constant and eight are zero.  Randomness
 flows from a master seed split into fixed per-chunk streams keyed by
 chunk index, so ensembles are bit-identical for a given seed no matter
 how many worker threads run the chunks or in which order they finish.
 A chunk's normals are drawn 64 paths at a time into a small slab and
 scaled into its increment buffer.
 
-A finished chunk transposes its states once into a path-major
-``(n, steps + 1, 3)`` rows block, held in its increment buffer, and the
-calling thread hands the blocks, in path order, to a sink: an
-:class:`fieldio.EnsembleWriter`, which hashes each block and appends it
-to the ensemble file, or an in-memory array.  At most ``threads + 1``
+A finished chunk transposes its states, 16 steps at a time, into a
+path-major ``(n, steps + 1, 3)`` rows block held in its increment
+buffer, and the calling thread hands the blocks, in path order, to a
+sink: an :class:`fieldio.EnsembleWriter`, which hashes each block and
+appends it to the ensemble file, or an in-memory array.  At most ``threads + 1``
 chunks are in flight, submitted and not yet handed over, so at most that
 many buffer sets ever exist and the memory of a run does not grow with
 the path count.
@@ -52,6 +57,7 @@ STATE_DIM = 3
 _SDE_STREAM_TAG = 0x5DE
 _CHUNK_SIZE = 4096
 _SLAB_PATHS = 64
+_TRANSPOSE_ROWS = 48  # 16 steps of 3 components
 
 
 @dataclass
@@ -108,11 +114,11 @@ class SDECoefficients:
     tables ``drift_table`` (``grid.shape + (3,)``) and
     ``diffusion_table`` (``grid.shape + (3, 3)``) with their grid, as
     read-only views of their profile.  :func:`simulate` reads them at the
-    nearest node, clamped to the grid, drift and diffusion together in
-    one gather per step; the index runs over the axes along which the
-    tables vary (any table works, and one that varies along every axis
-    is looked up on all of them).  Instances
-    without tables give callables instead: ``drift(s, x)`` maps a float
+    nearest node, clamped to the grid, in one gather per step of the
+    entries that vary from node to node; the index runs over the axes
+    along which the tables vary (any table works, and one that varies
+    along every axis is looked up on all of them).  Instances without
+    tables give callables instead: ``drift(s, x)`` maps a float
     time and an ``(n, 3)`` state block to an ``(n, 3)`` array,
     ``diffusion(s, x)`` to ``(n, 3, 3)``.  They let the integrator be
     checked on smooth coefficients (strong order one half, linear decay).
@@ -135,21 +141,24 @@ def _node_indexer(grid, axes):
     nearest node of grid axis ``k`` and clamped to the grid, then the
     per-axis indices are flattened.  Rows off ``axes`` are not read.
     """
-    axes = list(axes)
-    low = np.array([grid.extents[a][0] for a in axes])[:, None]
-    spacing = np.array([grid.spacing(a) for a in axes])[:, None]
     counts = [grid.counts[a] for a in axes]
-    top = np.array(counts, dtype=np.intp)[:, None] - 1
-    strides = np.cumprod([1] + counts[:0:-1])[::-1, None]
+    strides = np.cumprod([1] + counts[:0:-1])[::-1]
+    plan = [
+        (a, float(grid.extents[a][0]), grid.spacing(a), grid.counts[a] - 1, int(stride))
+        for a, stride in zip(axes, strides)
+    ]
 
     def index(x):
-        t = x[axes]
-        t -= low
-        t /= spacing
-        j = np.rint(t, out=t).astype(np.intp)
-        np.clip(j, 0, top, out=j)
-        j *= strides
-        return j.sum(axis=0)
+        flat = None
+        for a, low, spacing, top, stride in plan:
+            t = x[a] - low
+            t /= spacing
+            j = np.rint(t, out=t).astype(np.intp)
+            np.clip(j, 0, top, out=j)
+            if stride > 1:
+                j *= stride
+            flat = j if flat is None else np.add(flat, j, out=flat)
+        return flat
 
     return index
 
@@ -241,16 +250,21 @@ def _draw_increments(seed, chunk_index, dw, slab, dt):
 def _coefficient_block(coeffs):
     """Per-step coefficient lookup of :func:`simulate`.
 
-    Returns ``(fill, checked)``.  ``fill(s, x, block)`` writes the
-    coefficients at the component-major states ``x`` (3, n) into
-    ``block`` (12, n): rows 0-2 hold the drift ``mu^a``, rows
-    ``3 + 3b + a`` the diffusion entry ``omega^a_b``.  Table-backed
-    coefficients are one ``take`` from a (12, profile nodes) table, over
-    the axes along which the tables vary, through one nearest-node index
-    on those axes; the table is checked for finite values here, once, so
-    ``checked`` is true.  Callables see an ``(n, 3)`` state block, as
-    their contract says, and their values are left to the caller to
-    check at every step.
+    Returns ``(fill, plan, checked)``.  The twelve coefficient rows are
+    the drift ``mu^a`` (rows 0-2) and the diffusion entries
+    ``omega^a_b`` (row ``3 + 3b + a``); ``plan[r]`` is ``None`` when row
+    ``r`` is zero, its value when it is one number everywhere, and
+    otherwise its index in the block that ``fill(s, x, block)`` writes
+    at the component-major states ``x`` (3, n).  Table-backed
+    coefficients are checked for finite values and classified here,
+    once: every entry ``0.0`` or ``-0.0`` makes a zero row, one value
+    everywhere a constant row, and the rows that vary are gathered in
+    one ``take`` from a (varying rows, profile nodes) table, over the
+    axes along which the tables vary, through one nearest-node index on
+    those axes; ``checked`` is true.  Callables see an ``(n, 3)`` state
+    block, as their contract says, and fill all twelve rows, every row
+    counting as varying; their values are left to the caller to check
+    at every step.
 
     Raises
     ------
@@ -276,13 +290,23 @@ def _coefficient_block(coeffs):
             first = np.unravel_index(np.argmin(finite), profile)
             node = tuple(int(i) for i in first)
             raise NumericalError(f"non-finite coefficients at node {node}")
+        plan, varying = [], []
+        for row in table:
+            if not row.any():
+                plan.append(None)
+            elif (row == row[0]).all():
+                plan.append(float(row[0]))
+            else:
+                plan.append(len(varying))
+                varying.append(row)
+        gathered = np.array(varying).reshape(len(varying), nodes)
         index = _node_indexer(grid, axes)
 
         def fill(s, x, block):
             # indices are clamped to the grid, so "clip" never clips
-            np.take(table, index(x), axis=1, out=block, mode="clip")
+            np.take(gathered, index(x), axis=1, out=block, mode="clip")
 
-        return fill, True
+        return fill, plan, True
 
     def fill(s, x, block):
         n = x.shape[1]
@@ -294,32 +318,81 @@ def _coefficient_block(coeffs):
             om, (n, STATE_DIM, STATE_DIM)
         ).transpose(2, 1, 0)
 
-    return fill, False
+    return fill, list(range(4 * STATE_DIM)), False
+
+
+def _step_terms(plan, block):
+    """Each component's operands of an Euler-Maruyama step: its drift
+    and the diffusion entries ``(omega^a_b, b)`` for ``b`` in the order
+    0, 2, 1 of the sum, each a row of ``block`` or a number, with zero
+    rows left out (a zero drift is ``None``)."""
+
+    def operand(r):
+        return block[r] if isinstance(r, int) else r
+
+    return [
+        (
+            operand(plan[a]),
+            [
+                (operand(plan[3 + 3 * b + a]), b)
+                for b in (0, 2, 1)
+                if plan[3 + 3 * b + a] is not None
+            ],
+        )
+        for a in range(STATE_DIM)
+    ]
+
+
+def _euler_step(x, x_next, dwk, dt, terms, noise, product):
+    """``x_next = (x + mu dt) + ((w0 d0 + w2 d2) + w1 d1)``, component by
+    component, with the terms of zero rows left out.
+
+    No state is ``-0.0`` and every increment is finite, so a left-out
+    term, a product with ``+-0``, would leave the bits of the sum as
+    they are.
+    """
+    for a, (mu, diffusion) in enumerate(terms):
+        out = x_next[a]
+        total = noise if mu is not None else out
+        for i, (w, b) in enumerate(diffusion):
+            if i == 0:
+                np.multiply(w, dwk[b], out=total)
+            else:
+                np.multiply(w, dwk[b], out=product)
+                total += product
+        if mu is not None:
+            np.multiply(mu, dt, out=out)
+            np.add(x[a], out, out=out)
+            if diffusion:
+                out += noise
+        elif diffusion:
+            out += x[a]
+        else:
+            out[...] = x[a]
 
 
 class _ChunkBuffers:
     """One chunk's arrays, allocated once for chunks of up to ``width``
     paths: one flat block viewed, for a chunk of ``n`` paths, as
-    contiguous increments, states and per-step arrays, plus the slab the
-    normals are drawn into.  The increments' region holds one step more
-    than the increments need: once a chunk's states are final, that
-    region holds them path-major as the chunk's rows block."""
+    contiguous increments, states, the gathered coefficient rows and two
+    rows for the noise sum and a product, plus the slab the normals are
+    drawn into.  The increments' region holds one step more than the
+    increments need: once a chunk's states are final, that region holds
+    them path-major as the chunk's rows block."""
 
-    def __init__(self, steps, width):
+    def __init__(self, steps, width, varying):
         self.shapes = [
             (steps + 1, STATE_DIM),  # dw, then the rows block
             (steps + 1, STATE_DIM),  # states
-            (4 * STATE_DIM,),  # coefficient block
-            (STATE_DIM, STATE_DIM),  # products omega dW
-            (STATE_DIM,),  # noise
+            (varying,),  # gathered coefficient rows
+            (2,),  # noise sum, product
         ]
         self.flat = np.empty(sum(math.prod(s) for s in self.shapes) * width)
         self.slab = np.empty((min(_SLAB_PATHS, width), steps, STATE_DIM))
 
     def views(self, n):
-        """``(dw, states, block, products, noise)``, each with a last
-        axis of ``n`` paths; ``dw`` has one step more than a chunk
-        draws."""
+        """``(dw, states, block, scratch)``, each with a last axis of
+        ``n`` paths; ``dw`` has one step more than a chunk draws."""
         views, at = [], 0
         for shape in self.shapes:
             size = math.prod(shape) * n
@@ -328,20 +401,36 @@ class _ChunkBuffers:
         return views
 
 
+def _transpose_into(states, region):
+    """Copy ``states`` (steps + 1, 3, n) path-major into ``region``, as
+    ``(n, steps + 1, 3)``, ``_TRANSPOSE_ROWS`` state rows at a time so
+    that each slice's reads and writes stay in cache; returns the rows
+    block."""
+    n = states.shape[2]
+    source = states.reshape(-1, n)
+    target = region.reshape(n, -1)
+    for lo in range(0, len(source), _TRANSPOSE_ROWS):
+        target[:, lo : lo + _TRANSPOSE_ROWS] = source[lo : lo + _TRANSPOSE_ROWS].T
+    return region.reshape(n, -1, STATE_DIM)
+
+
 def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, threads=1, sink=None):
     """Euler-Maruyama ensemble of share paths.
 
     Paths run in chunks of 4096.  A chunk keeps its states and increments
-    component-major, ``(steps + 1, 3, n)`` and ``(steps, 3, n)``; each
-    step looks up drift and diffusion together (one nearest-node gather
-    from the tables, or one call of each callable) and applies
-    ``x + mu dt + omega dW`` with the three products of ``omega dW``
-    summed in the order numpy's ``einsum`` sums them for C-ordered
-    blocks, ``(w0 d0 + w2 d2) + w1 d1``.  The finished chunk transposes
-    its states once into a path-major ``(n, steps + 1, 3)`` rows block in
-    its increment buffer, and the calling thread passes the blocks to
-    ``sink.rows(lo, block)`` in path order, while the workers go on with
-    later chunks.
+    component-major, ``(steps + 1, 3, n)`` and ``(steps, 3, n)``.  Each
+    step applies ``x + mu dt + omega dW`` component by component, with
+    each component's products of ``omega dW`` summed in the order
+    ``(w0 d0 + w2 d2) + w1 d1`` (the order numpy's ``einsum`` sums them
+    for C-ordered blocks).  Only the coefficient rows that vary are
+    looked up at each step (one nearest-node gather from the tables, or
+    one call of each callable, whose twelve rows all count as varying);
+    a constant row enters as a number, and the terms of a zero row are
+    left out, which leaves every bit of the sum as it is.  The finished
+    chunk transposes its states, 16 steps at a time, into a path-major
+    ``(n, steps + 1, 3)`` rows block in its increment buffer, and the
+    calling thread passes the blocks to ``sink.rows(lo, block)`` in path
+    order, while the workers go on with later chunks.
 
     At most ``threads + 1`` chunks are in flight, submitted and not yet
     passed to the sink.  A chunk's buffer set returns to a shared pool
@@ -368,10 +457,11 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
         stream ``(seed, c)`` regardless of thread count.
     increments : ndarray (paths, steps, 3), optional
         Explicit Brownian increments, overriding the seeded streams
-        (used for convergence studies against a common noise).
+        (used for convergence studies against a common noise); checked
+        for their shape and for finite values before any chunk runs.
     threads : int
-        Worker threads over path chunks; affects speed only, never the
-        numbers.
+        Worker threads over path chunks, at least 1; affects speed only,
+        never the numbers.
     sink : object, optional
         Receives the ensemble: ``sink.rows(lo, block)`` takes rows
         ``[lo, lo + len(block))`` as a C-contiguous float64 block that is
@@ -387,6 +477,9 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
 
     Raises
     ------
+    ValidationError
+        When a count is out of range, or ``increments`` has another shape
+        or a non-finite value.
     NumericalError
         When a coefficient table holds a non-finite value (the message
         names the node), or when coefficient evaluation fails or a
@@ -398,16 +491,29 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
         raise ValidationError("path count must be positive")
     if not horizon > 0:
         raise ValidationError("horizon must be positive")
+    if threads < 1:
+        raise ValidationError("thread count must be at least 1")
     x0 = initial.share if isinstance(initial, FirmState) else np.asarray(initial, float)
     if x0.shape != (STATE_DIM,):
         raise ValidationError("initial share must be a 3-vector")
+    if increments is not None:
+        increments = np.asarray(increments, dtype=float)
+        if increments.shape != (paths, steps, STATE_DIM):
+            raise ValidationError(
+                f"increments must have shape {(paths, steps, STATE_DIM)}, "
+                f"not {increments.shape}"
+            )
+        # a left-out zero term stands for 0 * dW, which is nan at dW = inf
+        if not np.isfinite(increments).all():
+            raise ValidationError("increments must be finite")
     if sink is None:
         sink = _ArraySink((paths, steps + 1, STATE_DIM))
 
     dt = float(horizon) / steps
     times = np.linspace(0.0, float(horizon), steps + 1)
 
-    fill, checked = _coefficient_block(coeffs)
+    fill, plan, checked = _coefficient_block(coeffs)
+    varying = sum(isinstance(r, int) for r in plan)
     # Step 0 adds to x0 + 0.0: a -0.0 start component becomes +0.0, so no
     # state after step 0 is -0.0, as with einsum's zero-started sums.
     start = x0[:, None] + 0.0
@@ -420,41 +526,28 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
         try:
             own = spare.pop()  # atomic, unlike a test for emptiness then a pop
         except IndexError:
-            own = _ChunkBuffers(steps, width)
-        region, states, block, products, noise = own.views(n)
+            own = _ChunkBuffers(steps, width, varying)
+        region, states, block, (noise, product) = own.views(n)
         dw = region[:steps]
         if increments is not None:
-            given = np.asarray(increments[lo:hi], dtype=float)
-            if given.shape != (n, steps, STATE_DIM):
-                raise ValidationError(
-                    "increments must have shape (paths, steps, 3)"
-                )
-            dw[...] = given.transpose(1, 2, 0)
+            dw[...] = increments[lo:hi].transpose(1, 2, 0)
         else:
             _draw_increments(seed, chunk_index, dw, own.slab, dt)
-        drift = block[:STATE_DIM]
-        diffusion = block[STATE_DIM:].reshape(STATE_DIM, STATE_DIM, n)
+        terms = _step_terms(plan, block)
         states[0] = x0[:, None]
         for k in range(steps):
             x = states[k]
-            try:
-                fill(times[k], x, block)
-            except Exception as exc:
-                raise NumericalError(
-                    f"coefficient evaluation failed at step {k}: {exc}"
-                ) from exc
+            if varying:
+                try:
+                    fill(times[k], x, block)
+                except Exception as exc:
+                    raise NumericalError(
+                        f"coefficient evaluation failed at step {k}: {exc}"
+                    ) from exc
             if not checked and not np.isfinite(block).all():
                 raise NumericalError(f"non-finite coefficients at step {k}")
-            np.multiply(diffusion, dw[k][:, None, :], out=products)
-            np.add(products[0], products[2], out=noise)
-            noise += products[1]
-            x_next = states[k + 1]
-            np.multiply(drift, dt, out=x_next)
-            np.add(x if k else start, x_next, out=x_next)
-            x_next += noise
-        rows = region.reshape(n, steps + 1, STATE_DIM)
-        rows[...] = states.transpose(2, 0, 1)
-        return own, rows
+            _euler_step(x if k else start, states[k + 1], dw[k], dt, terms, noise, product)
+        return own, _transpose_into(states, region)
 
     def deliver(lo, own, rows):
         """Pass a finished chunk's rows to the sink and free its buffers."""
@@ -465,7 +558,7 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
         (c, lo, min(lo + _CHUNK_SIZE, paths))
         for c, lo in enumerate(range(0, paths, _CHUNK_SIZE))
     ]
-    if threads and threads > 1:
+    if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         window = deque()  # (lo, future) of the chunks in flight, in path order

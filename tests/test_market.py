@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicoop import GridSpec, NumericalError, SingularMetricError, ValidationError
 from semicoop import geometry as geo
@@ -464,10 +466,10 @@ class TestComponentMajorKernel:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failure_mid_run_stops_submitting_and_leaves_no_file(self, tmp_path, threads):
-        # a NaN increment in chunk 5 makes its drift non-finite at step 1
+        # a large increment in chunk 5 makes its drift non-finite at step 1
         paths, steps, failing = 12 * 4096 + 7, 4, 5
         dw = np.full((paths, steps, 3), 0.01)
-        dw[failing * 4096 + 7, 0, 0] = np.nan
+        dw[failing * 4096 + 7, 0, 0] = 1e6
         started = []
         lock = threading.Lock()
 
@@ -475,7 +477,7 @@ class TestComponentMajorKernel:
             if s == 0.0:
                 with lock:
                     started.append(s)
-            return -0.5 * x
+            return np.where(x > 1e5, np.inf, -0.5 * x)
 
         coeffs = SDECoefficients(drift=drift, diffusion=lambda s, x: np.eye(3))
         path = tmp_path / "p.bin"
@@ -606,3 +608,185 @@ class TestSupportLookup:
         )
         ens = simulate(coeffs, self.x0, 1.0, 8, 5000, 2)
         assert_same_bits(ens.values, simulate(full, self.x0, 1.0, 8, 5000, 2).values)
+
+
+def mixed_tables(axes, grid):
+    """Tables whose twelve rows are +0.0, -0.0, one number, or varying
+    along the grid axes ``axes`` (one number when ``axes`` is empty)."""
+    x = grid.meshgrid()
+    rng = np.random.default_rng(11)
+
+    def varying():
+        entry = np.full(grid.shape, rng.uniform(0.2, 0.6))
+        for k in axes:
+            entry = entry + 0.3 * np.sin(rng.uniform(1.0, 3.0) * x[k] + rng.uniform(0.0, 6.0))
+        return entry
+
+    drift = np.empty(grid.shape + (3,))
+    drift[..., 0] = 0.0
+    drift[..., 1] = varying()
+    drift[..., 2] = -0.0
+    diffusion = np.empty(grid.shape + (3, 3))
+    entries = {
+        (0, 0): 1.0, (0, 1): -0.0, (0, 2): varying,
+        (1, 0): 0.0, (1, 1): 0.7, (1, 2): -0.0,
+        (2, 0): varying, (2, 1): -0.35, (2, 2): varying,
+    }
+    for (a, b), value in entries.items():
+        diffusion[..., a, b] = value() if callable(value) else value
+    return SDECoefficients(grid=grid, drift_table=drift, diffusion_table=diffusion)
+
+
+def gathered_rows(monkeypatch):
+    """Record the row count of every block ``simulate``'s lookup fills."""
+    shapes = []
+    classify = market._coefficient_block
+
+    def recording(coeffs):
+        fill, plan, checked = classify(coeffs)
+
+        def spy(s, x, block):
+            shapes.append(block.shape[0])
+            fill(s, x, block)
+
+        return spy, plan, checked
+
+    monkeypatch.setattr(market, "_coefficient_block", recording)
+    return shapes
+
+
+class TestVaryingRowKernel:
+    """Steps that gather only the rows that vary, multiply constant rows
+    as numbers and leave zero rows out, against the reference loop that
+    gathers all twelve: equal bits."""
+
+    grid = GridSpec.from_axes((0.0, 1.0, 5), (0.5, 2.5, 9), (0.0, 1.0, 9))
+    x0 = np.array([0.9, 2.3, 0.1])
+
+    def reference(self, coeffs, x0, steps, paths, seed, **kw):
+        return reference_simulate(
+            nearest_node_coefficients(coeffs), x0, 1.0, steps, paths, seed, **kw
+        )
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("axes", [(), (1,), (1, 2), (0, 1, 2)], ids=str)
+    def test_mixed_rows_match_reference(self, axes, threads, monkeypatch):
+        coeffs = mixed_tables(axes, self.grid)
+        _, plan, _ = market._coefficient_block(coeffs)
+        # row 3 + 3b + a is omega^a_b
+        assert [r for r in range(12) if plan[r] is None] == [0, 2, 4, 6, 10]
+        assert (plan[3], plan[7], plan[8]) == (1.0, 0.7, -0.35)
+        # the varying entries are single numbers on an empty support
+        kinds = [type(plan[r]) for r in (1, 5, 9, 11)]
+        assert kinds == [int if axes else float] * 4
+        shapes = gathered_rows(monkeypatch)
+        ens = simulate(coeffs, self.x0, 1.0, 16, 9000, 5, threads=threads)
+        assert_same_bits(ens.values, self.reference(coeffs, self.x0, 16, 9000, 5))
+        # one fill per step and chunk, of the varying rows only
+        assert shapes == ([4] * 16 * 3 if axes else [])
+
+    def test_negative_zero_start(self):
+        # the table-backed twin of the callable test: -0.0 start
+        # components stay -0.0 at time zero and become +0.0 after
+        x0 = np.array([-0.0, 0.5, -0.0])
+        coeffs = mixed_tables((1,), self.grid)
+        coeffs.diffusion_table[..., 0, :] = 0.0
+        coeffs.diffusion_table[..., 2, :] = -0.0
+        _, plan, _ = market._coefficient_block(coeffs)
+        assert plan[0] is plan[2] is None
+        assert [plan[3 + 3 * b] for b in range(3)] == [None] * 3
+        assert [plan[5 + 3 * b] for b in range(3)] == [None] * 3
+        dw = -np.ones((3, 4, 3))
+        ens = simulate(coeffs, x0, 1.0, 4, 3, 0, increments=dw)
+        assert_same_bits(ens.values, self.reference(coeffs, x0, 4, 3, 0, increments=dw))
+        assert np.signbit(ens.values[:, 0, [0, 2]]).all()
+        assert not np.signbit(ens.values[:, 1:, [0, 2]]).any()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_flat_metric_paths_are_sums_of_increments(self, threads):
+        # oracle: zero drift and unit diffusion, so each state is the
+        # running sum of the start and the increments before it
+        metric = geo.flat_metric(self.grid)
+        coeffs = derive_coefficients(metric, geo.christoffel(metric))
+        assert not coeffs.drift_table.any()
+        assert np.array_equal(coeffs.diffusion_table, np.broadcast_to(np.eye(3), (5, 9, 9, 3, 3)))
+        x0 = np.array([-0.0, 2.3, 0.1])
+        dw = np.random.default_rng(4).standard_normal((9000, 16, 3)) * 0.25
+        ens = simulate(coeffs, x0, 1.0, 16, 9000, 0, increments=dw, threads=threads)
+        start = np.broadcast_to(x0 + 0.0, (9000, 1, 3))
+        expected = np.add.accumulate(np.concatenate([start, dw], axis=1), axis=1)
+        assert_same_bits(ens.values[:, 1:], expected[:, 1:])
+        assert_same_bits(ens.values[:, 0], np.broadcast_to(x0, (9000, 3)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(radius=st.floats(0.05, 50.0))
+    def test_sphere_tables_gather_two_rows(self, radius):
+        metric = geo.sphere_metric(self.grid, radius=radius)
+        coeffs = derive_coefficients(metric, geo.christoffel(metric))
+        fill, plan, checked = market._coefficient_block(coeffs)
+        # mu^1 and omega^2_2 vary along axis 1; omega^0_0 = 1 and
+        # omega^1_1 = 1/r are constant; every other row is zero
+        assert checked
+        assert plan[1] == 0 and plan[3 + 3 * 2 + 2] == 1
+        assert plan[3] == 1.0
+        assert plan[3 + 3 * 1 + 1] == coeffs.diffusion_table[0, 0, 0, 1, 1]
+        assert plan[3 + 3 * 1 + 1] == pytest.approx(1.0 / radius, rel=1e-15)
+        assert sum(r is None for r in plan) == 8
+        x = np.array([[0.2, 3.0], [0.7, 2.0], [0.5, -1.0]])
+        block = np.empty((2, 2))
+        fill(0.0, x, block)
+        nodes = nearest_node_coefficients(coeffs)
+        assert_same_bits(block[0], nodes.drift(0.0, x.T)[:, 1])
+        assert_same_bits(block[1], nodes.diffusion(0.0, x.T)[:, 2, 2])
+
+    def test_sphere_step_gathers_only_the_varying_rows(self, monkeypatch):
+        metric = geo.sphere_metric(self.grid, radius=1.7)
+        coeffs = derive_coefficients(metric, geo.christoffel(metric))
+        shapes = gathered_rows(monkeypatch)
+        ens = simulate(coeffs, self.x0, 1.0, 8, 5000, 3)
+        assert shapes == [2] * 8 * 2
+        assert_same_bits(ens.values, self.reference(coeffs, self.x0, 8, 5000, 3))
+
+    def test_callables_fill_all_twelve_rows(self, monkeypatch):
+        coeffs = constant_coefficients(np.zeros(3), np.eye(3))
+        shapes = gathered_rows(monkeypatch)
+        simulate(coeffs, self.x0, 1.0, 4, 10, 0)
+        assert shapes == [12] * 4
+
+
+class TestSimulateValidation:
+    """Arguments are checked before any chunk reaches the sink."""
+
+    coeffs = constant_coefficients(np.zeros(3), np.eye(3))
+
+    @pytest.mark.parametrize("paths", [4095, 4097, 5001, 9000])
+    def test_increments_of_another_shape_rejected_before_any_rows(self, paths):
+        sink = RecordingSink((5000, 5, 3))
+        dw = np.zeros((paths, 4, 3))
+        with pytest.raises(ValidationError, match=r"increments must have shape \(5000, 4, 3\)"):
+            simulate(self.coeffs, np.zeros(3), 1.0, 4, 5000, 0, increments=dw, sink=sink)
+        assert sink.blocks == []
+
+    @pytest.mark.parametrize("shape", [(5000, 5, 3), (5000, 4, 2), (5000, 12)])
+    def test_increments_with_other_steps_or_components_rejected(self, shape):
+        with pytest.raises(ValidationError, match="increments must have shape"):
+            simulate(self.coeffs, np.zeros(3), 1.0, 4, 5000, 0, increments=np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_non_finite_increments_rejected_before_any_rows(self, bad, threads):
+        # the last chunk's increment is bad; no chunk runs
+        sink = RecordingSink((9000, 5, 3))
+        dw = np.zeros((9000, 4, 3))
+        dw[8999, 3, 2] = bad
+        with pytest.raises(ValidationError, match="increments must be finite"):
+            simulate(self.coeffs, np.zeros(3), 1.0, 4, 9000, 0, increments=dw,
+                     threads=threads, sink=sink)
+        assert sink.blocks == []
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_thread_count_below_one_rejected(self, threads):
+        sink = RecordingSink((10, 5, 3))
+        with pytest.raises(ValidationError, match="thread count must be at least 1"):
+            simulate(self.coeffs, np.zeros(3), 1.0, 4, 10, 0, threads=threads, sink=sink)
+        assert sink.blocks == []

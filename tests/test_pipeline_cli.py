@@ -410,6 +410,25 @@ def test_malformed_scenario_exits_with_validation_code(tmp_path, argv):
     assert code == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-sde", "--scenario", "{scenario}", "--out", "{dir}/p.bin", "--threads", "0"],
+        ["pipeline", "--scenario", "{scenario}", "--out-dir", "{dir}/run", "--threads", "-1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_thread_count_below_one_exits_with_validation_code(tmp_path, argv):
+    path = write_scenario(tmp_path / "scenario.json", SCENARIO)
+    argv = [a.format(scenario=path, dir=tmp_path) for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code, _ = run_cli(*argv)
+    assert code == cli.EXIT_VALIDATION
+    assert "thread count must be at least 1" in err.getvalue()
+    assert not list(tmp_path.glob("**/p*.bin"))
+
+
 def test_metric_file_off_the_scenario_grid_is_rejected(tmp_path):
     grid = GridSpec.from_axes((0, 1, 3), (0.5, 3.0, 9), (0, 1, 9))
     metric_path = tmp_path / "metric.bin"
