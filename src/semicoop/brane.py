@@ -25,7 +25,10 @@ so ``Npull = I`` and ``h^{ab} Npull_{ab} = tr h^{-1}``.  The coupling is
 the alternating symbol on the first three transverse slots times ``-1/det
 h``, so ``eps^{abc} Hpull_{abc} / 3! = -1/det h`` and the bracket is
 
-    3 + tr(h^{-1}) (p*b)^W + (det h)^(-3/2) (p*b)^{1-W}.
+    3 + tr(h^{-1}) (p*b)^W + (det h)^(-3/2) (p*b)^{1-W} - Q*R*xbar.
+
+:func:`scalar_action_terms` forms it once per node; the action and the
+kernel's effective scale both read that one array.
 
 The gauge-fixing ghost term is not part of the bracket:
 :func:`ghost_action` integrates it covariantly, and the pipeline reports
@@ -46,12 +49,10 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .geometry import (
-    MetricField,
     _broadcast,
     _first_bad_node,
     _joint_support,
     _on_support,
-    _support,
     lu_determinants,
 )
 from .grids import require_same_grid
@@ -60,81 +61,53 @@ WORLD_DIM = 3
 BACKGROUND_DIM = 11
 
 
-@dataclass
-class BraneConfiguration:
-    """World metric and scalar data of one brane in static gauge.
+def scalar_action_terms(metric, ricci_scalar, weight, exponent, measure, mean_share):
+    """Per-node action bracket, curvature potential included,
 
-    Parameters
-    ----------
-    world_metric : MetricField
-        3x3 field on the world-volume grid.
-    freedom_exponent : float in (0, 1), strictly interior.
-    mean_share, stubbornness_measure : floats.
-    ricci_scalar : float or ndarray
-        Curvature scalar entering the background potential term.
+        3 + tr(h^{-1}) w^W + (det h)^(-3/2) w^{1-W} - Q R xbar,
+
+    at the firm's weight ``w = p*b`` (one positive number), the freedom
+    exponent ``W`` in ``(0, 1)``, the stubbornness measure ``Q``, the
+    curvature scalar ``R`` (a number or a per-node field) and the mean
+    share ``xbar``.  It is formed once, on the joint support of the
+    metric and ``R``, and broadcast to the grid: :func:`evaluate_action`
+    and the effective-scale extraction both consume it.
     """
-
-    world_metric: MetricField
-    freedom_exponent: float = 0.5
-    mean_share: float = 0.0
-    stubbornness_measure: float = 2.0
-    ricci_scalar: object = 0.0
-
-    def __post_init__(self):
-        if self.grid.n_axes != WORLD_DIM:
-            raise ValidationError("world volume must have 3 axes")
-        if not 0.0 < self.freedom_exponent < 1.0:
-            raise ValidationError("freedom exponent must lie strictly inside (0,1)")
-
-    @property
-    def grid(self):
-        return self.world_metric.grid
-
-    def potential(self):
-        """Per-node curvature potential ``Q * R * xbar``, formed on the
-        support of ``R`` and broadcast to the grid."""
-        ricci = np.broadcast_to(np.asarray(self.ricci_scalar, dtype=float), self.grid.shape)
-        ricci = _on_support(ricci, _support(ricci, WORLD_DIM), WORLD_DIM)
-        return _broadcast(self.stubbornness_measure * ricci * self.mean_share, self.grid)
-
-
-def scalar_action_terms(config, weight):
-    """Per-node bracket of the action without the potential term,
-    ``3 + tr(h^{-1}) w^W + (det h)^(-3/2) w^{1-W}`` at the firm's weight
-    ``w = p*b``, one positive number.
-
-    This is the scalar the effective-scale extraction consumes.
-    """
+    grid = metric.grid
+    if grid.n_axes != WORLD_DIM:
+        raise ValidationError("world volume must have 3 axes")
+    if not 0.0 < exponent < 1.0:
+        raise ValidationError("freedom exponent must lie strictly inside (0,1)")
     if not weight > 0.0:
         raise NumericalError(
             f"profit weight must be positive for fractional exponents; value {weight:.6g}"
         )
-    metric = config.world_metric
-    det = _on_support(metric.determinant, metric.support, WORLD_DIM)
+    ricci = np.broadcast_to(np.asarray(ricci_scalar, dtype=float), grid.shape)
+    axes = _joint_support(WORLD_DIM, metric.values, ricci)
+    det = _on_support(metric.determinant, axes, WORLD_DIM)
     sqrt_h = np.sqrt(det)
     # as a 0-d array the weight takes numpy's array power, as a per-node
     # weight would; scalar pow can differ from it by an ulp
     weight = np.asarray(weight, dtype=float)
-    world_term = np.einsum("...aa->...", _on_support(metric.inverse, metric.support, WORLD_DIM))
+    world_term = np.einsum("...aa->...", _on_support(metric.inverse, axes, WORLD_DIM))
     trans_term = (-1.0 / det) / sqrt_h
-    exponent = config.freedom_exponent
     terms = 3.0 + world_term * weight**exponent - trans_term * weight ** (1.0 - exponent)
-    return _broadcast(terms, config.grid)
+    potential = measure * _on_support(ricci, axes, WORLD_DIM) * mean_share
+    return _broadcast(terms - potential, grid)
 
 
-def evaluate_action(config, terms):
-    """Trapezoid value of the action over the world volume, from the
-    bracket ``terms`` that :func:`scalar_action_terms` returns for
-    ``config``.
+def evaluate_action(metric, bracket):
+    """Trapezoid value of the action ``(1/2) sqrt(h) * bracket`` over the
+    world volume, from the bracket that :func:`scalar_action_terms`
+    returns for ``metric``.
 
     Returns the real action value; phase conventions are applied by the
     transition-kernel layer, not here.
     """
-    det, potential = config.world_metric.determinant, config.potential()
-    axes = _joint_support(WORLD_DIM, terms, potential, det)
-    bracket = _on_support(terms, axes, WORLD_DIM) - _on_support(potential, axes, WORLD_DIM)
-    density = 0.5 * np.sqrt(_on_support(det, axes, WORLD_DIM)) * bracket
-    return float(np.sum(config.grid.trapezoid_weights() * density))
+    axes = _joint_support(WORLD_DIM, bracket, metric.determinant)
+    sqrt_h = np.sqrt(_on_support(metric.determinant, axes, WORLD_DIM))
+    density = 0.5 * sqrt_h * _on_support(bracket, axes, WORLD_DIM)
+    return float(np.sum(metric.grid.trapezoid_weights() * density))
 
 
 def ghost_action(metric, chris, epsilon_step):

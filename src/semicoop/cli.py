@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -108,7 +107,7 @@ def build_parser():
 
 
 def _emit(payload):
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(pipeline.json_text(payload, "the printed result"))
 
 
 def _cmd_geometry(args):
@@ -210,14 +209,14 @@ def _cmd_cascade(args):
 def _cmd_action(args):
     config = parse_scenario(args.config)
     _, metric, chris, curv = pipeline.world(config)
-    cfg_brane, terms = pipeline.action_terms(config, metric, curv)
+    bracket = pipeline.action_terms(config, metric, curv)
     action_cfg = config.data["action"]
     _emit(
         pipeline.action(
             config,
+            metric,
             chris,
-            cfg_brane,
-            terms,
+            bracket,
             ghost=args.ghost or action_cfg["ghost"],
             fp_det=args.fp_det or action_cfg["fp_det"],
         )
@@ -227,7 +226,7 @@ def _cmd_action(args):
 def _cmd_kernel_check(args):
     config = parse_scenario(args.config)
     _, metric, _, curv = pipeline.world(config)
-    _, spec = pipeline.kernel(config, *pipeline.action_terms(config, metric, curv))
+    _, spec = pipeline.kernel(config, pipeline.action_terms(config, metric, curv))
     deviation = evolution.kernel_normalization_check(spec)
     _emit({"normalization_deviation": deviation, "variance": spec.variance})
 
@@ -235,7 +234,7 @@ def _cmd_kernel_check(args):
 def _cmd_evolve(args):
     config = parse_scenario(args.config)
     _, metric, _, curv = pipeline.world(config)
-    _, spec = pipeline.kernel(config, *pipeline.action_terms(config, metric, curv))
+    _, spec = pipeline.kernel(config, pipeline.action_terms(config, metric, curv))
     slice_metric, _, psi = pipeline.evolve(config, metric, spec)
     write_grid(args.out, psi.values, slice_metric.grid, extra={"time": psi.time})
     norm = psi.norm(slice_metric.volume_density)

@@ -23,10 +23,10 @@ class ValidationError(SemicoopError):
         self.problems = list(problems) if problems else [message]
 
     def __str__(self):
-        if len(self.problems) <= 1:
-            return super().__str__()
-        lines = [super().__str__()] + ["  - " + p for p in self.problems]
-        return "\n".join(lines)
+        message = super().__str__()
+        if self.problems == [message]:
+            return message
+        return "\n".join([message] + ["  - " + p for p in self.problems])
 
 
 class NumericalError(SemicoopError):

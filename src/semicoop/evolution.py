@@ -21,7 +21,7 @@ interior.  Any other metric takes one sparse LU solve per step; that
 fallback is the only place this module imports scipy.
 
 The effective scale ``F0`` is extracted from the per-node action bracket,
-less the curvature potential ``Q * R * xbar``, by contracting both sides
+potential ``Q * R * xbar`` already subtracted, by contracting both sides
 of the defining relation with the background inverse metric, which
 divides the scalar by the background dimension.
 """
@@ -162,8 +162,9 @@ class EffectiveScale:
     not_strictly_increasing: bool
 
 
-def effective_scalar_F(action_terms):
-    """Scalar effective scale from the per-node action bracket.
+def effective_scalar_F(bracket):
+    """Scalar effective scale from the per-node action bracket, potential
+    included, of :func:`semicoop.brane.scalar_action_terms`.
 
     Contracting the defining relation with the background inverse metric
     turns the bracket into ``F`` times the trace of the background
@@ -174,7 +175,7 @@ def effective_scalar_F(action_terms):
     either, so it sets the flag by construction; every metric preset
     (flat, matrix, sphere) is such a metric.
     """
-    values = np.asarray(action_terms, dtype=float) / float(BACKGROUND_DIM)
+    values = np.asarray(bracket, dtype=float) / float(BACKGROUND_DIM)
     flag = bool(np.any(np.diff(values, axis=0) <= 0.0))
     return EffectiveScale(values=values, not_strictly_increasing=flag)
 

@@ -198,7 +198,6 @@ class PathEnsemble:
     times: np.ndarray
     values: np.ndarray
     final: np.ndarray
-    seed: int = None
 
     def summary(self):
         """Counts, horizon, and the final mean and ``ddof=1`` variance,
@@ -478,8 +477,8 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
     Raises
     ------
     ValidationError
-        When a count is out of range, or ``increments`` has another shape
-        or a non-finite value.
+        When a count is out of range, the seed is negative, or
+        ``increments`` has another shape or a non-finite value.
     NumericalError
         When a coefficient table holds a non-finite value (the message
         names the node), or when coefficient evaluation fails or a
@@ -493,6 +492,8 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
         raise ValidationError("horizon must be positive")
     if threads < 1:
         raise ValidationError("thread count must be at least 1")
+    if seed < 0:
+        raise ValidationError(f"seed {seed} is negative; it must be a non-negative integer")
     x0 = initial.share if isinstance(initial, FirmState) else np.asarray(initial, float)
     if x0.shape != (STATE_DIM,):
         raise ValidationError("initial share must be a 3-vector")
@@ -575,4 +576,4 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
         for c, lo, hi in bounds:
             deliver(lo, *run_chunk(c, lo, hi))
 
-    return PathEnsemble(times=times, values=sink.values, final=sink.final, seed=int(seed))
+    return PathEnsemble(times=times, values=sink.values, final=sink.final)

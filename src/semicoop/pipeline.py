@@ -33,7 +33,10 @@ STAGE_LABELS = {"gff": 101, "sde": 202}
 
 def stage_seed(master, stage):
     """Seed of one stage's random stream, split from the master seed by
-    the stage's fixed label."""
+    the stage's fixed label; a negative master seed is a
+    :class:`ValidationError`."""
+    if int(master) < 0:
+        raise ValidationError(f"seed {int(master)} is negative; it must be a non-negative integer")
     sequence = SeedSequence(int(master), spawn_key=(STAGE_LABELS[stage],))
     return int(sequence.generate_state(1)[0])
 
@@ -119,34 +122,29 @@ def simulate_paths(config, metric, chris, seed, threads, path):
 
 
 def action_terms(config, metric, curv):
-    """Brane configuration of the world volume and its per-node action
-    bracket ``(cfg_brane, terms)``.
+    """Per-node action bracket of the world volume, curvature potential
+    included.
 
     The brane is in static gauge: its embedding is the world coordinates
     on the first three transverse slots, so the bracket is the closed
-    form ``3 + tr(h^{-1}) (p*b)^W + (det h)^(-3/2) (p*b)^{1-W}`` of
-    :func:`brane.scalar_action_terms`.
+    form ``3 + tr(h^{-1}) (p*b)^W + (det h)^(-3/2) (p*b)^{1-W} - Q R xbar``
+    of :func:`brane.scalar_action_terms`.
     """
     kernel_cfg = config.data["kernel"]
-    cfg_brane = brane.BraneConfiguration(
-        world_metric=metric,
-        freedom_exponent=float(kernel_cfg["freedom_exponent"]),
-        mean_share=float(kernel_cfg["mean_share"]),
-        stubbornness_measure=stubbornness.stubbornness_measure(config.data["gff"]["gamma"]),
-        ricci_scalar=curv.scalar,
-    )
+    exponent = float(kernel_cfg["freedom_exponent"])
+    mean_share = float(kernel_cfg["mean_share"])
+    measure = stubbornness.stubbornness_measure(config.data["gff"]["gamma"])
     firm = config.build_firms()[0]
     weight = config.profit(firm.strategy) * firm.stubbornness
-    return cfg_brane, brane.scalar_action_terms(cfg_brane, weight)
+    return brane.scalar_action_terms(metric, curv.scalar, weight, exponent, measure, mean_share)
 
 
-def action(config, chris, cfg_brane, terms, ghost, fp_det):
+def action(config, metric, chris, bracket, ghost, fp_det):
     """Action stage: the ``action.json`` payload, with the ghost action
     and the FP log-determinant when asked for (None otherwise); with the
     latter, ``fp_singular_node`` is the node whose block makes the
     operator singular, or None."""
-    metric = cfg_brane.world_metric
-    payload = {"action": brane.evaluate_action(cfg_brane, terms), "ghost": None, "logdet_fp": None}
+    payload = {"action": brane.evaluate_action(metric, bracket), "ghost": None, "logdet_fp": None}
     if ghost:
         payload["ghost"] = brane.ghost_action(metric, chris, float(config.data["kernel"]["step"]))
     if fp_det:
@@ -157,11 +155,11 @@ def action(config, chris, cfg_brane, terms, ghost, fp_det):
     return payload
 
 
-def kernel(config, cfg_brane, terms):
+def kernel(config, bracket):
     """Kernel stage: the effective scale field and the kernel spec, whose
     ``F0`` is ``|mean|`` of the scale on the initial time plane (one when
     zero); a non-finite mean is a :class:`NumericalError`."""
-    scale = evolution.effective_scalar_F(terms - cfg_brane.potential())
+    scale = evolution.effective_scalar_F(bracket)
     f0 = float(scale.values[0].mean())
     if not np.isfinite(f0):
         raise NumericalError(f"effective scale on the initial time plane is {f0}")
@@ -221,10 +219,20 @@ def cooperation(config):
     return dataclasses.asdict(search)
 
 
+def json_text(payload, name):
+    """``payload`` as indented, key-sorted JSON.  JSON has no NaN or
+    infinity, so a payload holding one is a :class:`NumericalError`
+    naming the output ``name``."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NumericalError(f"{name} would hold a non-finite number, which JSON lacks") from exc
+
+
 def _write_json(path, payload):
-    """Write ``payload`` as indented, key-sorted JSON; returns ``(sha256,
+    """Write ``payload`` as :func:`json_text`; returns ``(sha256,
     nbytes)`` of the file."""
-    data = (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    data = (json_text(payload, os.path.basename(path)) + "\n").encode()
     with open_output(path) as fh:
         fh.write(data)
     return hashlib.sha256(data).hexdigest(), len(data)
@@ -246,6 +254,7 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
     csv : bool
         Also export the path ensemble as CSV.
     """
+    stage_seed(seed, "gff")  # rejects a negative seed before any file is written
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
@@ -291,15 +300,15 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
             artifact("paths.csv", export_ensemble_csv, ensemble)
 
         stage = "action"
-        cfg_brane, terms = action_terms(config, metric, curv)
+        bracket = action_terms(config, metric, curv)
         action_cfg = config.data["action"]
         payload = action(
-            config, chris, cfg_brane, terms, action_cfg["ghost"], action_cfg["fp_det"]
+            config, metric, chris, bracket, action_cfg["ghost"], action_cfg["fp_det"]
         )
         artifact("action.json", _write_json, payload)
 
         stage = "kernel"
-        scale, spec = kernel(config, cfg_brane, terms)
+        scale, spec = kernel(config, bracket)
         artifact("effective_scale.bin", write_grid, scale.values, grid)
         results["kernel_normalization_deviation"] = evolution.kernel_normalization_check(spec)
         results["kernel_variance"] = spec.variance

@@ -275,7 +275,7 @@ _POSITIVE = dict(lo=0, lo_open=True)
 # limits of every numeric field, per section; a key is checked when present
 # (the defaults make the required ones present), ``optional`` lets it be null
 _NUMBER_FIELDS = {
-    "metric": {"radius": _POSITIVE},
+    "metric": {"radius": dict(_POSITIVE, square=True)},
     "gff": {
         "gamma": dict(lo=0, hi=2, lo_open=True),
         "grid_size": dict(lo=4, integer=True, optional=True),
@@ -304,7 +304,7 @@ _NUMBER_FIELDS = {
         "vertex": dict(lo=0, hi=1, lo_open=True),
     },
     "evolve": {
-        "packet_width": dict(_POSITIVE, optional=True),
+        "packet_width": dict(_POSITIVE, optional=True, square=True),
         "steps": dict(lo=0, integer=True),
     },
     "firm": {
@@ -325,16 +325,26 @@ _NUMBER_FIELDS = {
 }
 
 
+def _square_overflows(value):
+    """Whether the float square of ``value`` overflows (Python's
+    ``value**2`` then raises :class:`OverflowError`)."""
+    try:
+        return not math.isfinite(float(value) ** 2)
+    except OverflowError:
+        return True
+
+
 def _validate_range(
     value, name, problems, lo=None, hi=None, lo_open=False, hi_open=False,
-    integer=False, optional=False,
+    integer=False, optional=False, square=False,
 ):
     """The one type and range check of every numeric scenario field.
 
     Appends a problem and returns False unless ``value`` is a finite
     number (an integer when ``integer``; never a boolean) between ``lo``
-    and ``hi``, each end closed unless ``lo_open``/``hi_open``.  ``None``
-    passes when ``optional``.
+    and ``hi``, each end closed unless ``lo_open``/``hi_open``, whose
+    square is finite too when ``square``.  ``None`` passes when
+    ``optional``.
     """
     if value is None and optional:
         return True
@@ -351,6 +361,9 @@ def _validate_range(
         return False
     above = lo is None or (value > lo if lo_open else value >= lo)
     below = hi is None or (value < hi if hi_open else value <= hi)
+    if above and below and square and _square_overflows(value):
+        problems.append(f"{name}: its square overflows")
+        return False
     if above and below:
         return True
     if hi is None:
@@ -368,7 +381,8 @@ def _validate_numbers(section, values, name, problems):
             _validate_range(values[key], f"{name}.{key}", problems, **limits)
 
 
-def _validate_axis(axis, name, problems):
+def _validate_axis(axis, name, problems, square_spacing):
+    """``[start, stop, count]``; with ``square_spacing``, a spacing whose square is finite."""
     if not isinstance(axis, _SEQUENCE) or len(axis) != 3:
         problems.append(f"{name}: expected [start, stop, count]")
         return
@@ -377,7 +391,9 @@ def _validate_axis(axis, name, problems):
     ends &= _validate_range(stop, f"{name}.stop", problems)
     if ends and stop <= start:
         problems.append(f"{name}: start must be below stop")
-    _validate_range(count, f"{name}.count", problems, lo=3, integer=True)
+    counted = _validate_range(count, f"{name}.count", problems, lo=3, integer=True)
+    if square_spacing and ends and counted and _square_overflows((stop - start) / (count - 1)):
+        problems.append(f"{name}: the square of its spacing overflows")
 
 
 def _validate_list(value, name, problems, length=None, item=_validate_range, **limits):
@@ -522,7 +538,7 @@ def parse_scenario(path_or_dict):
         if axis not in grid:
             problems.append(f"grid: missing axis '{axis}'")
         else:
-            _validate_axis(grid[axis], f"grid.{axis}", problems)
+            _validate_axis(grid[axis], f"grid.{axis}", problems, axis != "time")
 
     metric = data["metric"]
     if "file" in metric:

@@ -47,14 +47,13 @@ class GFFSampler:
         if n < 4:
             raise ValidationError("grid size must be at least 4")
         self.grid_size = n
-        self.seed = int(seed)
-        self.spacing = 1.0 / (n - 1)
+        spacing = 1.0 / (n - 1)
         m = n - 2
         j = np.arange(1, m + 1)
-        lam_1d = (4.0 / self.spacing**2) * np.sin(j * np.pi / (2.0 * (m + 1))) ** 2
-        self._eigenvalues = lam_1d[:, None] + lam_1d[None, :]
-        self._mode_std = np.sqrt(GFF_ENERGY_SCALE / self._eigenvalues)
-        self._rng = default_rng(SeedSequence(self.seed))
+        lam_1d = (4.0 / spacing**2) * np.sin(j * np.pi / (2.0 * (m + 1))) ** 2
+        eigenvalues = lam_1d[:, None] + lam_1d[None, :]
+        self._mode_std = np.sqrt(GFF_ENERGY_SCALE / eigenvalues)
+        self._rng = default_rng(SeedSequence(int(seed)))
 
     def sample(self):
         """One field realization of shape ``(grid_size, grid_size)``."""

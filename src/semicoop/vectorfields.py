@@ -56,7 +56,6 @@ class FourierComponent:
 
     def __init__(self, seed, modes=6):
         rng = default_rng(SeedSequence(int(seed)))
-        self.seed = int(seed)
         self.modes = int(modes)
         self.amplitudes = rng.standard_normal(self.modes) / np.sqrt(self.modes)
         self.wavevectors = rng.uniform(-2.0, 2.0, (self.modes, DIM))

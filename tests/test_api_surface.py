@@ -267,10 +267,10 @@ def test_every_optional_parameter_is_passed_or_allowed():
 
 # deleted parameters, written back as (module, old text, new text)
 RESTORED_PARAMETERS = {
-    "brane.BraneConfiguration.ghost_c": (
+    "brane.ghost_action.ghost_c": (
         "brane",
-        "    ricci_scalar: object = 0.0\n",
-        "    ricci_scalar: object = 0.0\n    ghost_c: np.ndarray = None\n",
+        "def ghost_action(metric, chris, epsilon_step):",
+        "def ghost_action(metric, chris, epsilon_step, ghost_c=None):",
     ),
     "evolution.optimal_rho.rho_min": (
         "evolution",

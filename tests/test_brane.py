@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from semicoop import GridSpec
 from semicoop import brane
 from semicoop import geometry as geo
-from semicoop.errors import NumericalError
+from semicoop.errors import NumericalError, ValidationError
 
 
 TRANSVERSE_DIM = 8
@@ -101,10 +101,15 @@ def curved_metric(grid):
 FLAT_MATRIX = np.array([[2.0, 0.3, 0.0], [0.3, 1.5, -0.2], [0.0, -0.2, 0.8]])
 
 
-def constant_config(**kwargs):
-    """Brane on a constant world metric."""
+def constant_world_metric():
+    """A constant world metric."""
     grid = GridSpec.from_axes((0, 1, 5), (0, 2, 9), (-1, 1, 9))
-    return brane.BraneConfiguration(world_metric=geo.constant_metric(grid, FLAT_MATRIX), **kwargs)
+    return geo.constant_metric(grid, FLAT_MATRIX)
+
+
+def bracket_without_potential(metric, weight, exponent):
+    """The package bracket at ``R = 0``: the terms before the potential."""
+    return brane.scalar_action_terms(metric, 0.0, weight, exponent, 2.0, 0.0)
 
 
 class TestPullbacks:
@@ -136,7 +141,7 @@ class TestPullbacks:
         np.testing.assert_allclose(component, einsum_component(embedding, metric), rtol=1e-12)
 
     def test_identity_embedding_flat_grid(self):
-        metric = constant_config().world_metric
+        metric = constant_world_metric()
         npull, component = pullbacks(static_embedding(metric.grid), metric)
         np.testing.assert_allclose(
             component, -1.0 / np.linalg.det(FLAT_MATRIX), rtol=1e-14
@@ -148,28 +153,32 @@ class TestPullbacks:
 WEIGHT = 1.37
 
 
+# the potential Q R xbar of the action tests: Q = 2, R = 2, xbar = 0.4
+MEASURE, RICCI, MEAN_SHARE = 2.0, 2.0, 0.4
+
+
 class TestEvaluateAction:
-    def make_config(self, grid):
-        return brane.BraneConfiguration(
-            world_metric=geo.sphere_metric(grid), mean_share=0.4, ricci_scalar=2.0
-        )
+    def bracket(self, metric):
+        return brane.scalar_action_terms(metric, RICCI, WEIGHT, 0.5, MEASURE, MEAN_SHARE)
 
     def action(self, t_lo, t_hi, count):
         grid = GridSpec.from_axes((t_lo, t_hi, count), (0.5, 2.5, 7), (0.0, 1.0, 6))
-        config = self.make_config(grid)
-        return brane.evaluate_action(config, brane.scalar_action_terms(config, WEIGHT))
+        metric = geo.sphere_metric(grid)
+        return brane.evaluate_action(metric, self.bracket(metric))
 
     def test_identity_embedding_bracket(self):
         # N = 1 and Hpull_{012} = -1/det h, so the bracket is
-        # 3 + tr(h^-1) w^W + det(h)^(-3/2) w^(1-W)
-        config = constant_config(freedom_exponent=0.3)
+        # 3 + tr(h^-1) w^W + det(h)^(-3/2) w^(1-W) - Q R xbar
+        metric = constant_world_metric()
         expected = (
             3.0
             + np.trace(np.linalg.inv(FLAT_MATRIX)) * WEIGHT**0.3
             + np.linalg.det(FLAT_MATRIX) ** -1.5 * WEIGHT**0.7
         )
-        terms = brane.scalar_action_terms(config, WEIGHT)
+        terms = bracket_without_potential(metric, WEIGHT, 0.3)
         np.testing.assert_allclose(terms, expected, rtol=1e-13)
+        bracket = brane.scalar_action_terms(metric, RICCI, WEIGHT, 0.3, MEASURE, MEAN_SHARE)
+        np.testing.assert_allclose(bracket, expected - MEASURE * RICCI * MEAN_SHARE, rtol=1e-13)
 
     def test_additive_across_time_split(self):
         whole = self.action(0.0, 1.0, 9)
@@ -180,13 +189,35 @@ class TestEvaluateAction:
         # the action of the precomputed bracket is the trapezoid action of
         # the oracle bracket, to the bit on a grid of dyadic spacings
         grid = GridSpec.from_axes((0.0, 1.0, 5), (0.5, 2.5, 9), (0.0, 1.0, 5))
-        config = self.make_config(grid)
-        terms = brane.scalar_action_terms(config, WEIGHT)
-        bracket = oracle_bracket(config.world_metric, WEIGHT, 0.5) - config.potential()
-        density = 0.5 * np.sqrt(config.world_metric.determinant) * bracket
-        assert brane.evaluate_action(config, terms) == float(
+        metric = geo.sphere_metric(grid)
+        potential = MEASURE * np.full(grid.shape, RICCI) * MEAN_SHARE
+        bracket = oracle_bracket(metric, WEIGHT, 0.5) - potential
+        density = 0.5 * np.sqrt(metric.determinant) * bracket
+        assert brane.evaluate_action(metric, self.bracket(metric)) == float(
             np.sum(grid.trapezoid_weights() * density)
         )
+
+    @pytest.mark.parametrize("ricci_axes", [(), (0,), (1,), (0, 2), (0, 1, 2)])
+    def test_potential_is_subtracted_node_by_node(self, ricci_axes):
+        # the bracket is formed on the joint support of the metric ({1} for
+        # the sphere) and R; each node holds (terms - (Q R) xbar) bitwise
+        grid = stage_grid((4, 7, 6))
+        metric = geo.sphere_metric(grid)
+        shape = [n if k in ricci_axes else 1 for k, n in enumerate(grid.shape)]
+        ricci = np.broadcast_to(np.random.default_rng(7).normal(size=shape), grid.shape)
+        bracket = brane.scalar_action_terms(metric, ricci, WEIGHT, 0.5, MEASURE, MEAN_SHARE)
+        terms = bracket_without_potential(metric, WEIGHT, 0.5)
+        assert bracket.shape == grid.shape
+        assert np.array_equal(bracket, terms - MEASURE * ricci * MEAN_SHARE)
+
+    def test_checks_of_the_world_volume_and_exponent(self):
+        metric = geo.sphere_metric(stage_grid((3, 5, 5)))
+        for exponent in (0.0, 1.0, -0.5, np.nan):
+            with pytest.raises(ValidationError, match="strictly inside"):
+                bracket_without_potential(metric, WEIGHT, exponent)
+        plane = geo.sphere_metric(GridSpec.from_axes((0.5, 2.5, 5), (0.0, 1.0, 5)))
+        with pytest.raises(ValidationError, match="must have 3 axes"):
+            bracket_without_potential(plane, WEIGHT, 0.5)
 
 
 def stage_grid(counts):
@@ -204,8 +235,7 @@ class TestStaticGauge:
     def test_bracket_and_ghost_equal_the_oracle_bitwise(self, counts):
         # on dyadic spacings the difference stencils give J = I exactly
         metric = geo.sphere_metric(stage_grid(counts))
-        config = brane.BraneConfiguration(world_metric=metric, freedom_exponent=0.5)
-        terms = brane.scalar_action_terms(config, WEIGHT)
+        terms = bracket_without_potential(metric, WEIGHT, 0.5)
         assert np.array_equal(terms, oracle_bracket(metric, WEIGHT, 0.5))
         chris = geo.christoffel(metric)
         assert brane.ghost_action(metric, chris, 0.01) == oracle_ghost_action(metric, chris, 0.01)
@@ -215,22 +245,20 @@ class TestStaticGauge:
         metric = geo.sphere_metric(stage_grid((3, 5, 5)))
         rng = np.random.default_rng(5)
         for weight, exponent in zip(rng.lognormal(0.0, 3.0, 200), rng.uniform(0.01, 0.99, 200)):
-            config = brane.BraneConfiguration(world_metric=metric, freedom_exponent=exponent)
-            terms = brane.scalar_action_terms(config, weight)
+            terms = bracket_without_potential(metric, weight, exponent)
             assert np.array_equal(terms, oracle_bracket(metric, weight, exponent))
 
     @pytest.mark.parametrize("weight", [0.0, -1.2, np.nan])
     def test_weight_that_is_not_positive_is_a_numerical_error(self, weight):
-        config = brane.BraneConfiguration(world_metric=geo.sphere_metric(stage_grid((3, 5, 5))))
+        metric = geo.sphere_metric(stage_grid((3, 5, 5)))
         with pytest.raises(NumericalError, match="profit weight must be positive"):
-            brane.scalar_action_terms(config, weight)
+            bracket_without_potential(metric, weight, 0.5)
 
     @pytest.mark.parametrize("radius", [0.9, 1.1])
     def test_bracket_and_ghost_match_the_oracle_on_the_stage_grid(self, radius):
         # spacing 1/12: the stencils leave J off the identity by rounding
         metric = geo.sphere_metric(stage_grid((5, 25, 25)), radius=radius)
-        config = brane.BraneConfiguration(world_metric=metric, freedom_exponent=0.5)
-        terms = brane.scalar_action_terms(config, WEIGHT)
+        terms = bracket_without_potential(metric, WEIGHT, 0.5)
         expected = oracle_bracket(metric, WEIGHT, 0.5)
         assert np.abs(terms - expected).max() <= 1e-14 * np.abs(expected).max()
         chris = geo.christoffel(metric)

@@ -132,7 +132,7 @@ class TestEffectiveScale:
     def scale(self, metric):
         config = parse_scenario(self.SCENARIO)
         curv = geometry.curvature(metric, geometry.christoffel(metric))
-        return pipeline.kernel(config, *pipeline.action_terms(config, metric, curv))[0]
+        return pipeline.kernel(config, pipeline.action_terms(config, metric, curv))[0]
 
     def test_static_metric_sets_the_flag(self):
         config = parse_scenario(self.SCENARIO)

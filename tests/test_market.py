@@ -279,6 +279,14 @@ class TestSimulate:
         with pytest.raises(ValidationError):
             simulate(coeffs, np.zeros(3), 1.0, 1, 4, seed=0)
 
+    @pytest.mark.parametrize("increments", [False, True])
+    def test_negative_seed_is_a_validation_error(self, increments):
+        # numpy's SeedSequence raises a bare ValueError on it
+        coeffs = constant_coefficients(np.zeros(3), np.eye(3))
+        dw = np.zeros((4, 8, 3)) if increments else None
+        with pytest.raises(ValidationError, match="seed -1 is negative"):
+            simulate(coeffs, np.zeros(3), 1.0, 8, 4, seed=-1, increments=dw)
+
     def test_coefficient_failure_names_step(self):
         calls = {"n": 0}
 

@@ -270,22 +270,25 @@ def test_failed_profit_arithmetic_is_a_numerical_error(tmp_path, firm, exponent,
 
 
 @pytest.mark.parametrize(
-    "changes, message",
+    "changes, message, stage",
     [
-        # F0 = inf: the constant profit times a stubbornness of 10 overflows
+        # F0 = inf: the constant profit times a stubbornness of 10 overflows;
+        # the pipeline's action of that bracket is inf as well, which
+        # action.json cannot hold, so its action stage fails first
         (
             {
                 "firms": [dict(SCENARIO["firms"][0], stubbornness=10)],
                 "profit": {"preset": "constant", "value": 1e308},
             },
             "effective scale on the initial time plane is inf",
+            "action",
         ),
         # F0 is finite, the covariance (step / mass) F0 hinv is not
-        ({"kernel": dict(SCENARIO["kernel"], mass=1e-300, step=1e300)}, "overflows"),
+        ({"kernel": dict(SCENARIO["kernel"], mass=1e-300, step=1e300)}, "overflows", "kernel"),
     ],
     ids=["scale", "covariance"],
 )
-def test_non_finite_kernel_is_a_numerical_error(tmp_path, changes, message):
+def test_non_finite_kernel_is_a_numerical_error(tmp_path, changes, message, stage):
     path = write_scenario(tmp_path / "scenario.json", dict(SCENARIO, **changes))
     code, err = _exit_and_stderr("kernel-check", "--config", path, "--seed", SEED)
     assert code == cli.EXIT_NUMERICAL
@@ -294,7 +297,7 @@ def test_non_finite_kernel_is_a_numerical_error(tmp_path, changes, message):
     out = tmp_path / "out"
     code, _ = _exit_and_stderr("pipeline", "--scenario", path, "--out-dir", out)
     assert code == cli.EXIT_NUMERICAL
-    assert json.loads((out / "manifest.json").read_text())["failed_stage"] == "kernel"
+    assert json.loads((out / "manifest.json").read_text())["failed_stage"] == stage
 
 
 def test_gff_sample_draws_the_pipeline_field(run):
@@ -894,3 +897,97 @@ def test_laplacian_field_off_the_metric_grid_is_rejected(tmp_path):
     code, err = _exit_and_stderr(*argv, "--field", field)
     assert code == cli.EXIT_VALIDATION
     assert "different grids" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pipeline", "--scenario", "{scenario}", "--out-dir", "{dir}/run"],
+        ["simulate-sde", "--scenario", "{scenario}", "--out", "{dir}/p.bin"],
+        ["gff-sample", "--size", "9", "--gamma", "1", "--out", "{dir}/g.bin"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_seed_exits_with_validation_code(tmp_path, argv):
+    # numpy's SeedSequence raises a bare ValueError on a negative seed
+    path = write_scenario(tmp_path / "scenario.json", SCENARIO)
+    argv = [a.format(scenario=path, dir=tmp_path) for a in argv]
+    code, err = _exit_and_stderr(*argv, "--seed", "-1")
+    assert code == cli.EXIT_VALIDATION
+    assert "seed -1 is negative" in err
+    # the pipeline rejects it before it writes its first artifact
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+@pytest.mark.parametrize(
+    "changes, key",
+    [
+        ({"metric": {"preset": "sphere", "radius": 1e200}}, "metric.radius"),
+        ({"evolve": {"steps": 5, "packet_width": 1e300}}, "evolve.packet_width"),
+        ({"grid": dict(SCENARIO["grid"], sigma1=[0.5, 1e200, 9])}, "grid.sigma1"),
+        ({"grid": dict(SCENARIO["grid"], sigma2=[0, 1e200, 9])}, "grid.sigma2"),
+    ],
+    ids=["radius", "packet-width", "sigma1", "sigma2"],
+)
+def test_value_whose_square_overflows_exits_with_validation_code(tmp_path, changes, key):
+    # each of these squared a Python float and raised OverflowError
+    path = write_scenario(tmp_path / "scenario.json", dict(SCENARIO, **changes))
+    for argv in (
+        ["pipeline", "--scenario", path, "--out-dir", tmp_path / "run"],
+        ["evolve", "--config", path, "--out", tmp_path / "psi.bin"],
+    ):
+        code, err = _exit_and_stderr(*argv)
+        assert code == cli.EXIT_VALIDATION
+        assert f"{key}: " in err and "square" in err and "overflows" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+def strict_json(text):
+    """Parse ``text`` as JSON proper, which has no NaN or infinity."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "changes, command, stage, artifact",
+    [
+        # the ensemble's final variance overflows
+        ({"sde": dict(SCENARIO["sde"], horizon=1e300)}, "simulate-sde", "sde", "sde_summary.json"),
+        # sqrt(det h) = 1e300 and the bracket is about 3: the action overflows
+        (
+            {
+                "metric": {"preset": "constant", "matrix": np.diag([1e200] * 3).tolist()},
+                "action": {"ghost": False, "fp_det": False},
+            },
+            "action",
+            "action",
+            "action.json",
+        ),
+    ],
+    ids=["sde-horizon", "action"],
+)
+def test_non_finite_json_output_is_a_numerical_error(tmp_path, changes, command, stage, artifact):
+    path = write_scenario(tmp_path / "scenario.json", dict(SCENARIO, **changes))
+    flag = "--scenario" if command == "simulate-sde" else "--config"
+    argv = [command, flag, path] + (["--out", tmp_path / "p.bin"] if stage == "sde" else [])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, printed = run_cli(*argv)
+    assert code == cli.EXIT_NUMERICAL
+    assert "the printed result would hold a non-finite number" in err.getvalue()
+    assert printed is None
+
+    run_dir = tmp_path / "run"
+    code, err = _exit_and_stderr("pipeline", "--scenario", path, "--out-dir", run_dir)
+    assert code == cli.EXIT_NUMERICAL
+    assert f"{artifact} would hold a non-finite number" in err
+    manifest = strict_json((run_dir / "manifest.json").read_text())
+    assert manifest["failed_stage"] == stage
+    assert artifact in manifest["failure"]
+    assert artifact not in manifest["artifacts"] and not (run_dir / artifact).exists()
+    for written in run_dir.glob("*.json"):
+        strict_json(written.read_text())

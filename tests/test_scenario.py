@@ -245,3 +245,9 @@ def test_side_radius_whose_square_overflows_is_a_validation_error(tmp_path, side
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert cli.main(["polygon-area", "--scenario", str(path)]) == cli.EXIT_VALIDATION
     assert f"polygon.sides[{side}].radius" in err.getvalue()
+
+
+def test_large_time_axis_is_accepted():
+    # only the strategy axes' spacings are squared; a long time axis runs
+    doc = replaced(("grid", "time"), [0, 1e300, 3])
+    assert parse_scenario(doc).build_grid().extents[0] == (0, 1e300)
