@@ -7,9 +7,13 @@ Cholesky factor of the inverse metric, so the reconstruction
 ``omega omega^T = h^{ab}`` holds at every node and share increments pick
 up the inverse-metric covariance.
 
-Simulation is Euler-Maruyama on chunks of 4096 paths, component-major:
-a chunk's states live in a ``(steps + 1, 3, n)`` buffer and its
-increments in ``(steps, 3, n)``, so every step works on contiguous rows.
+Simulation is Euler-Maruyama on chunks of 4096 paths, run in blocks of
+8 steps.  A block draws its increments, steps through them and copies
+its states into the chunk's path-major ``(n, steps + 1, 3)`` rows block;
+its increments ``(8, 3, n)`` and states ``(9, 3, n)`` are
+component-major, so every step works on contiguous rows, and they stay
+small enough to be transposed while still in cache.  The rows block is
+the only array of a chunk that grows with the step count.
 The coefficient tables are built on the metric's profile, the grid axes
 along which the metric and its connection vary.  Before the first step
 they are checked for finite values and each of the twelve coefficient
@@ -21,18 +25,18 @@ the others, so the gather equals a lookup on the whole grid), multiplies
 constant rows as numbers and leaves zero rows out; no state is ``-0.0``
 and every increment is finite, so the paths keep the bits of a step that
 uses all twelve.  On a sphere metric two rows vary (``mu^1`` and
-``omega^2_2``), two are constant and eight are zero.  Randomness
-flows from a master seed split into fixed per-chunk streams keyed by
-chunk index, so ensembles are bit-identical for a given seed no matter
-how many worker threads run the chunks or in which order they finish.
-A chunk's normals are drawn 64 paths at a time into a small slab and
-scaled into its increment buffer.
+``omega^2_2``), two are constant and eight are zero.
 
-A finished chunk transposes its states, 16 steps at a time, into a
-path-major ``(n, steps + 1, 3)`` rows block held in its increment
-buffer, and the calling thread hands the blocks, in path order, to a
-sink: an :class:`fieldio.EnsembleWriter`, which hashes each block and
-appends it to the ensemble file, or an in-memory array.  At most ``threads + 1``
+Randomness flows from a master seed split into fixed per-chunk streams
+keyed by chunk index, so ensembles are bit-identical for a given seed no
+matter how many worker threads run the chunks or in which order they
+finish.  A chunk's stream is one component-major ``(steps, 3, n)``
+normal draw, which its blocks take in turn, so the numbers do not depend
+on the block length; the chunk width is part of the stream.
+
+The calling thread hands the rows blocks, in path order, to a sink: an
+:class:`fieldio.EnsembleWriter`, which hashes each block and appends it
+to the ensemble file, or an in-memory array.  At most ``threads + 1``
 chunks are in flight, submitted and not yet handed over, so at most that
 many buffer sets ever exist and the memory of a run does not grow with
 the path count.
@@ -56,8 +60,7 @@ STATE_DIM = 3
 
 _SDE_STREAM_TAG = 0x5DE
 _CHUNK_SIZE = 4096
-_SLAB_PATHS = 64
-_TRANSPOSE_ROWS = 48  # 16 steps of 3 components
+_BLOCK_STEPS = 8
 
 
 @dataclass
@@ -225,27 +228,6 @@ class _ArraySink:
         self.final[lo:hi] = block[:, -1]
 
 
-def _draw_increments(seed, chunk_index, dw, slab, dt):
-    """Fill ``dw`` (steps, 3, n) with chunk ``chunk_index``'s Brownian
-    increments.
-
-    The chunk's stream is the path-major ``(n, steps, 3)`` normal draw,
-    taken ``len(slab)`` paths at a time into ``slab``; each slab is
-    scaled by ``sqrt(dt)`` and transposed into ``dw`` in one multiply.
-    Consecutive draws continue one stream, so the numbers are those of a
-    single ``(n, steps, 3)`` draw.
-    """
-    ss = SeedSequence(int(seed), spawn_key=(_SDE_STREAM_TAG, int(chunk_index)))
-    rng = default_rng(ss)
-    scale = math.sqrt(dt)
-    n = dw.shape[2]
-    for lo in range(0, n, len(slab)):
-        hi = min(lo + len(slab), n)
-        normals = slab[: hi - lo]
-        rng.standard_normal(out=normals)
-        np.multiply(normals.transpose(1, 2, 0), scale, out=dw[:, :, lo:hi])
-
-
 def _coefficient_block(coeffs):
     """Per-step coefficient lookup of :func:`simulate`.
 
@@ -372,52 +354,46 @@ def _euler_step(x, x_next, dwk, dt, terms, noise, product):
 
 class _ChunkBuffers:
     """One chunk's arrays, allocated once for chunks of up to ``width``
-    paths: one flat block viewed, for a chunk of ``n`` paths, as
-    contiguous increments, states, the gathered coefficient rows and two
-    rows for the noise sum and a product, plus the slab the normals are
-    drawn into.  The increments' region holds one step more than the
-    increments need: once a chunk's states are final, that region holds
-    them path-major as the chunk's rows block."""
+    paths: one flat block viewed, for a chunk of ``n`` paths, as the
+    chunk's rows block and, component-major with a last axis of ``n``, a
+    step block's increments and states, the gathered coefficient rows and
+    two rows for the noise sum and a product.  A step block holds up to
+    ``_BLOCK_STEPS`` increments and one state more, the one it starts
+    from, so only the rows block grows with the step count."""
 
     def __init__(self, steps, width, varying):
+        block = min(_BLOCK_STEPS, steps)
         self.shapes = [
-            (steps + 1, STATE_DIM),  # dw, then the rows block
-            (steps + 1, STATE_DIM),  # states
+            (steps + 1, STATE_DIM),  # the rows block, path-major
+            (block, STATE_DIM),  # increments
+            (block + 1, STATE_DIM),  # states
             (varying,),  # gathered coefficient rows
             (2,),  # noise sum, product
         ]
         self.flat = np.empty(sum(math.prod(s) for s in self.shapes) * width)
-        self.slab = np.empty((min(_SLAB_PATHS, width), steps, STATE_DIM))
 
     def views(self, n):
-        """``(dw, states, block, scratch)``, each with a last axis of
-        ``n`` paths; ``dw`` has one step more than a chunk draws."""
+        """``(rows, dw, states, block, scratch)``: the path-major rows
+        block ``(n, steps + 1, 3)``, then the rest with a last axis of
+        ``n`` paths."""
         views, at = [], 0
         for shape in self.shapes:
             size = math.prod(shape) * n
             views.append(self.flat[at : at + size].reshape(shape + (n,)))
             at += size
+        views[0] = views[0].reshape((n,) + self.shapes[0])
         return views
-
-
-def _transpose_into(states, region):
-    """Copy ``states`` (steps + 1, 3, n) path-major into ``region``, as
-    ``(n, steps + 1, 3)``, ``_TRANSPOSE_ROWS`` state rows at a time so
-    that each slice's reads and writes stay in cache; returns the rows
-    block."""
-    n = states.shape[2]
-    source = states.reshape(-1, n)
-    target = region.reshape(n, -1)
-    for lo in range(0, len(source), _TRANSPOSE_ROWS):
-        target[:, lo : lo + _TRANSPOSE_ROWS] = source[lo : lo + _TRANSPOSE_ROWS].T
-    return region.reshape(n, -1, STATE_DIM)
 
 
 def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, threads=1, sink=None):
     """Euler-Maruyama ensemble of share paths.
 
-    Paths run in chunks of 4096.  A chunk keeps its states and increments
-    component-major, ``(steps + 1, 3, n)`` and ``(steps, 3, n)``.  Each
+    Paths run in chunks of 4096, and a chunk runs in blocks of 8 steps.
+    A block takes its ``(b, 3, n)`` increments from the chunk's stream
+    (or copies them from ``increments``), steps through them with states
+    kept component-major, ``(b + 1, 3, n)``, and copies its ``b`` new
+    states into the chunk's path-major ``(n, steps + 1, 3)`` rows block
+    while they are in cache; its last state starts the next block.  Each
     step applies ``x + mu dt + omega dW`` component by component, with
     each component's products of ``omega dW`` summed in the order
     ``(w0 d0 + w2 d2) + w1 d1`` (the order numpy's ``einsum`` sums them
@@ -425,20 +401,18 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
     looked up at each step (one nearest-node gather from the tables, or
     one call of each callable, whose twelve rows all count as varying);
     a constant row enters as a number, and the terms of a zero row are
-    left out, which leaves every bit of the sum as it is.  The finished
-    chunk transposes its states, 16 steps at a time, into a path-major
-    ``(n, steps + 1, 3)`` rows block in its increment buffer, and the
-    calling thread passes the blocks to ``sink.rows(lo, block)`` in path
-    order, while the workers go on with later chunks.
+    left out, which leaves every bit of the sum as it is.  The calling
+    thread passes the finished rows blocks to ``sink.rows(lo, block)``
+    in path order, while the workers go on with later chunks.
 
     At most ``threads + 1`` chunks are in flight, submitted and not yet
     passed to the sink.  A chunk's buffer set returns to a shared pool
     once its block is passed on, and a chunk takes one from that pool
-    when it starts, so at most ``threads + 1`` sets ever exist; normals
-    are drawn in slabs of 64 paths.  So the memory a call allocates
-    besides its sink does not grow with the path count.  When a chunk or
-    the sink raises, no further chunk is submitted, and the chunks in
-    flight finish before the exception propagates.
+    when it starts, so at most ``threads + 1`` sets ever exist, and a
+    set holds one rows block and a step block's arrays.  So the memory a
+    call allocates besides its sink does not grow with the path count.
+    When a chunk or the sink raises, no further chunk is submitted, and
+    the chunks in flight finish before the exception propagates.
 
     Parameters
     ----------
@@ -452,8 +426,10 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
         Time steps, at least 2.
     paths : int
     seed : int
-        Master seed; increments for path chunk ``c`` come from the fixed
-        stream ``(seed, c)`` regardless of thread count.
+        Master seed; the increments of path chunk ``c``, ``n`` paths
+        wide, are ``sqrt(dt)`` times one ``(steps, 3, n)`` standard
+        normal draw from the fixed stream ``(seed, c)``, regardless of
+        thread count and block length.
     increments : ndarray (paths, steps, 3), optional
         Explicit Brownian increments, overriding the seeded streams
         (used for convergence studies against a common noise); checked
@@ -511,6 +487,7 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
         sink = _ArraySink((paths, steps + 1, STATE_DIM))
 
     dt = float(horizon) / steps
+    scale = math.sqrt(dt)
     times = np.linspace(0.0, float(horizon), steps + 1)
 
     fill, plan, checked = _coefficient_block(coeffs)
@@ -528,27 +505,38 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
             own = spare.pop()  # atomic, unlike a test for emptiness then a pop
         except IndexError:
             own = _ChunkBuffers(steps, width, varying)
-        region, states, block, (noise, product) = own.views(n)
-        dw = region[:steps]
-        if increments is not None:
-            dw[...] = increments[lo:hi].transpose(1, 2, 0)
-        else:
-            _draw_increments(seed, chunk_index, dw, own.slab, dt)
+        rows, dw, states, block, (noise, product) = own.views(n)
+        columns = rows.reshape(n, -1)
+        if increments is None:
+            stream = SeedSequence(int(seed), spawn_key=(_SDE_STREAM_TAG, int(chunk_index)))
+            rng = default_rng(stream)
         terms = _step_terms(plan, block)
         states[0] = x0[:, None]
-        for k in range(steps):
-            x = states[k]
-            if varying:
-                try:
-                    fill(times[k], x, block)
-                except Exception as exc:
-                    raise NumericalError(
-                        f"coefficient evaluation failed at step {k}: {exc}"
-                    ) from exc
-            if not checked and not np.isfinite(block).all():
-                raise NumericalError(f"non-finite coefficients at step {k}")
-            _euler_step(x if k else start, states[k + 1], dw[k], dt, terms, noise, product)
-        return own, _transpose_into(states, region)
+        rows[:, 0] = x0
+        for first in range(0, steps, len(dw)):
+            b = min(len(dw), steps - first)
+            if increments is None:
+                rng.standard_normal(out=dw[:b])
+                dw[:b] *= scale
+            else:
+                dw[:b] = increments[lo:hi, first : first + b].transpose(1, 2, 0)
+            for j in range(b):
+                k = first + j
+                x = states[j]
+                if varying:
+                    try:
+                        fill(times[k], x, block)
+                    except Exception as exc:
+                        raise NumericalError(
+                            f"coefficient evaluation failed at step {k}: {exc}"
+                        ) from exc
+                if not checked and not np.isfinite(block).all():
+                    raise NumericalError(f"non-finite coefficients at step {k}")
+                _euler_step(x if k else start, states[j + 1], dw[j], dt, terms, noise, product)
+            new = slice(STATE_DIM * (first + 1), STATE_DIM * (first + b + 1))
+            columns[:, new] = states[1 : b + 1].reshape(-1, n).T
+            states[0] = states[b]
+        return own, rows
 
     def deliver(lo, own, rows):
         """Pass a finished chunk's rows to the sink and free its buffers."""

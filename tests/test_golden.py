@@ -40,6 +40,8 @@ def json_change(old, new):
         old, new = golden._numbers(json.loads(old)), golden._numbers(json.loads(new))
     except ValueError:
         return "not JSON"
+    if old == new:
+        return f"its {len(old)} numbers are unchanged, a string moved"
     return change(old, new, f"{len(old)} values")
 
 

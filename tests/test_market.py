@@ -57,7 +57,8 @@ def nearest_node_coefficients(coeffs):
 
 def reference_simulate(coeffs, x0, horizon, steps, paths, seed, increments=None):
     """Path-major Euler-Maruyama, one einsum per step over (n, 3) states,
-    on the chunk-keyed streams of ``simulate``."""
+    on the chunk-keyed streams of ``simulate``: each chunk's increments
+    are one component-major ``(steps, 3, n)`` draw."""
     dt = horizon / steps
     times = np.linspace(0.0, horizon, steps + 1)
     out = np.empty((paths, steps + 1, 3))
@@ -67,8 +68,9 @@ def reference_simulate(coeffs, x0, horizon, steps, paths, seed, increments=None)
             dw = np.asarray(increments[lo:hi], dtype=float)
         else:
             ss = np.random.SeedSequence(seed, spawn_key=(0x5DE, c))
-            dw = np.random.default_rng(ss).standard_normal((hi - lo, steps, 3))
-            dw = dw * math.sqrt(dt)
+            dw = np.random.default_rng(ss).standard_normal((steps, 3, hi - lo))
+            # contiguous, so that einsum sums each row in the same order
+            dw = np.ascontiguousarray((dw * math.sqrt(dt)).transpose(2, 0, 1))
         x = np.broadcast_to(x0, (hi - lo, 3)).copy()
         out[lo:hi, 0] = x
         for k in range(steps):
@@ -523,6 +525,70 @@ class TestComponentMajorKernel:
         coeffs = SDECoefficients(drift=drift, diffusion=zero_diffusion)
         with pytest.raises(NumericalError, match="non-finite coefficients at step 3"):
             simulate(coeffs, self.x0, 1.0, 8, 10, 0)
+
+
+class TestStepBlocks:
+    """Chunks run in blocks of ``_BLOCK_STEPS`` steps, each drawing its
+    increments from the chunk's component-major stream: the bits of the
+    paths do not depend on the block length."""
+
+    grid = GridSpec.from_axes((0.0, 1.0, 5), (0.5, 2.5, 9), (0.0, 1.0, 9))
+    x0 = np.array([0.9, 2.3, 0.1])
+
+    @pytest.fixture(scope="class")
+    def coeffs(self):
+        metric = sheared_sphere_metric(self.grid)
+        return derive_coefficients(metric, geo.christoffel(metric))
+
+    @pytest.mark.parametrize("paths", [1, 4095, 4097])
+    @pytest.mark.parametrize("steps", [2, 7, 37, 128])
+    def test_bits_do_not_depend_on_block_length(self, coeffs, steps, paths, monkeypatch):
+        ref = reference_simulate(nearest_node_coefficients(coeffs), self.x0, 1.0, steps, paths, 6)
+        for block, threads in [(1, 2), (3, 4), (8, 1), (200, 2)]:
+            monkeypatch.setattr(market, "_BLOCK_STEPS", block)
+            ens = simulate(coeffs, self.x0, 1.0, steps, paths, 6, threads=threads)
+            assert_same_bits(ens.values, ref)
+            assert_same_bits(ens.final, np.ascontiguousarray(ref[:, -1]))
+
+    @pytest.mark.parametrize("block", [1, 3, 8, 200])
+    def test_explicit_increments_give_the_reference_bits(self, coeffs, block, monkeypatch):
+        monkeypatch.setattr(market, "_BLOCK_STEPS", block)
+        dw = np.random.default_rng(8).standard_normal((4097, 37, 3)) * 0.2
+        ens = simulate(coeffs, self.x0, 1.0, 37, 4097, 0, increments=dw, threads=2)
+        ref = reference_simulate(
+            nearest_node_coefficients(coeffs), self.x0, 1.0, 37, 4097, 0, increments=dw
+        )
+        assert_same_bits(ens.values, ref)
+
+    def test_stream_is_the_component_major_draw(self):
+        # a flat metric moves each path by its increments alone
+        coeffs = constant_coefficients(np.zeros(3), np.eye(3))
+        ens = simulate(coeffs, np.zeros(3), 4.0, 16, 5000, 3)
+        for c, (lo, hi) in enumerate([(0, 4096), (4096, 5000)]):
+            stream = np.random.SeedSequence(3, spawn_key=(0x5DE, c))
+            normals = np.random.default_rng(stream).standard_normal((16, 3, hi - lo))
+            steps = np.diff(ens.values[lo:hi], axis=1)
+            np.testing.assert_allclose(steps, 0.5 * normals.transpose(2, 0, 1), atol=1e-12)
+
+    def test_a_buffer_set_holds_one_rows_block_and_one_step_block(self):
+        # 128 steps: a (129, 3) rows block, (8, 3) increments, (9, 3)
+        # states, 2 gathered rows and 2 scratch rows per path
+        buffers = market._ChunkBuffers(128, 4096, 2)
+        assert buffers.flat.nbytes == (129 * 3 + 24 + 27 + 2 + 2) * 4096 * 8
+        assert buffers.flat.nbytes <= 14.5e6
+        # 16 steps, 2000 paths: no larger than a set that held the
+        # increments and the states of every step
+        assert market._ChunkBuffers(16, 2000, 2).flat.nbytes <= (2 * 17 * 3 + 4) * 2000 * 8
+        arrays = [v for v in vars(buffers).values() if isinstance(v, np.ndarray)]
+        assert [a is buffers.flat for a in arrays] == [True]
+
+    def test_rows_block_is_path_major_in_the_set(self):
+        buffers = market._ChunkBuffers(37, 4096, 2)
+        rows, dw, states, block, scratch = buffers.views(4095)
+        assert rows.shape == (4095, 38, 3) and rows.flags.c_contiguous
+        assert dw.shape == (8, 3, 4095) and states.shape == (9, 3, 4095)
+        assert block.shape == (2, 4095) and scratch.shape == (2, 4095)
+        assert np.shares_memory(rows, buffers.flat)
 
 
 def three_axis_gather(coeffs):
