@@ -187,7 +187,11 @@ class MetricField:
     ``support`` holds the grid axes along which the values vary.  The
     symmetrization, the LU determinant and the inverse run on the
     profile over those axes, and ``values``, ``determinant`` and
-    ``inverse`` are read-only views of it at every node.
+    ``inverse`` are read-only views of it at every node.  The first node,
+    in C order, whose symmetrized entries or determinant are not finite
+    (such as a determinant that overflows) is a
+    :class:`RangeOverflowError`; the first node with an LU pivot at or
+    below ``PIVOT_THRESHOLD`` is a :class:`SingularMetricError`.
     """
 
     values: np.ndarray
@@ -212,10 +216,20 @@ class MetricField:
             raise ValidationError(
                 f"metric is not symmetric: max |h - h^T| = {asym:.3e}"
             )
-        h = 0.5 * (h + np.swapaxes(h, -1, -2))
+        # entries or a determinant that overflow are reported below
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = 0.5 * (h + np.swapaxes(h, -1, -2))
+            det, min_pivot = lu_determinants(h)
         self.values = _broadcast(h, self.grid)
-
-        det, min_pivot = lu_determinants(h)
+        finite = np.isfinite(h).all(axis=(-2, -1))
+        bad = ~(finite & np.isfinite(det))
+        if np.any(bad):
+            node = _first_bad_node(_broadcast(bad, self.grid))
+            what = "determinant is" if _broadcast(finite, self.grid)[node] else "symmetrized entries are"
+            raise RangeOverflowError(
+                f"metric at grid node {node} leaves the floating-point range: its {what} not finite",
+                node=node,
+            )
         bad = ~(min_pivot > PIVOT_THRESHOLD)
         if np.any(bad):
             # the first singular node of the whole grid, in C order

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -558,6 +559,23 @@ class TestSupport:
         values[:, 2, :] = 2.0
         assert geo._support(values, 3) == (1,)
         assert geo._support(np.ones(grid.shape), 3) == ()
+
+    @pytest.mark.parametrize(
+        "entry, what",
+        [(1e110, "its determinant is not finite"), (1.7e308, "its symmetrized entries are not finite")],
+    )
+    def test_metric_out_of_range_names_first_node_in_c_order(self, entry, what):
+        # 1e110 on the diagonal: finite entries, a determinant of 1e330;
+        # 1.7e308: h + h^T overflows before the halving
+        grid = GridSpec.from_axes((0.0, 1.0, 4), (0.5, 2.5, 9), (0.0, 1.0, 5))
+        values = np.array(support_metric((1,), grid).values)
+        values[:, 6:, :, [0, 1, 2], [0, 1, 2]] = entry
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the overflow is reported, not warned about
+            with pytest.raises(RangeOverflowError, match=r"node \(0, 6, 0\)") as err:
+                geo.MetricField(values, grid)
+        assert err.value.node == (0, 6, 0)
+        assert what in str(err.value)
 
     def test_singular_row_names_first_node_in_c_order(self):
         grid = GridSpec.from_axes((0.0, 1.0, 4), (0.5, 2.5, 9), (0.0, 1.0, 5))

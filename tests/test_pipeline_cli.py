@@ -942,6 +942,26 @@ def test_value_whose_square_overflows_exits_with_validation_code(tmp_path, chang
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
 
 
+@pytest.mark.parametrize(
+    "radius, what",
+    [(1.3e154, "symmetrized entries are"), (1e100, "determinant is")],
+    ids=["entries", "determinant"],
+)
+def test_metric_that_leaves_the_float_range_fails_in_geometry(tmp_path, radius, what):
+    # r^2 is finite for both radii; at 1.3e154 h + h^T overflows, which
+    # the LU reported as a nan pivot, and at 1e100 the determinant, which
+    # was accepted as infinite until action.json could not hold the action
+    changes = {"metric": {"preset": "sphere", "radius": radius}}
+    path = write_scenario(tmp_path / "scenario.json", dict(SCENARIO, **changes))
+    run_dir = tmp_path / "run"
+    code, err = _exit_and_stderr("pipeline", "--scenario", path, "--out-dir", run_dir)
+    assert code == cli.EXIT_NUMERICAL
+    assert f"metric at grid node (0, 0, 0) leaves the floating-point range: its {what} not finite" in err
+    manifest = strict_json((run_dir / "manifest.json").read_text())
+    assert manifest["failed_stage"] == "geometry"
+    assert manifest["artifacts"] == {}
+
+
 def strict_json(text):
     """Parse ``text`` as JSON proper, which has no NaN or infinity."""
 
@@ -956,11 +976,13 @@ def strict_json(text):
     [
         # the ensemble's final variance overflows
         ({"sde": dict(SCENARIO["sde"], horizon=1e300)}, "simulate-sde", "sde", "sde_summary.json"),
-        # sqrt(det h) = 1e300 and the bracket is about 3: the action overflows
+        # sqrt(det h) = 1e150 on a time axis 1e200 long, and the bracket
+        # is about 3: the action overflows
         (
             {
-                "metric": {"preset": "constant", "matrix": np.diag([1e200] * 3).tolist()},
+                "metric": {"preset": "constant", "matrix": np.diag([1e100] * 3).tolist()},
                 "action": {"ghost": False, "fp_det": False},
+                "grid": dict(SCENARIO["grid"], time=[0, 1e200, 3]),
             },
             "action",
             "action",
