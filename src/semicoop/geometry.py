@@ -225,9 +225,12 @@ class MetricField:
         bad = ~(finite & np.isfinite(det))
         if np.any(bad):
             node = _first_bad_node(_broadcast(bad, self.grid))
-            what = "determinant is" if _broadcast(finite, self.grid)[node] else "symmetrized entries are"
+            what = "determinant is"
+            if not _broadcast(finite, self.grid)[node]:
+                what = "symmetrized entries are"
             raise RangeOverflowError(
-                f"metric at grid node {node} leaves the floating-point range: its {what} not finite",
+                f"metric at grid node {node} leaves the floating-point range: "
+                f"its {what} not finite",
                 node=node,
             )
         bad = ~(min_pivot > PIVOT_THRESHOLD)

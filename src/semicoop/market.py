@@ -14,6 +14,7 @@ its increments ``(8, 3, n)`` and states ``(9, 3, n)`` are
 component-major, so every step works on contiguous rows, and they stay
 small enough to be transposed while still in cache.  The rows block is
 the only array of a chunk that grows with the step count.
+
 The coefficient tables are built on the metric's profile, the grid axes
 along which the metric and its connection vary.  Before the first step
 they are checked for finite values and each of the twelve coefficient

@@ -60,8 +60,8 @@ PIPELINE = [
 ]
 
 # The workloads of perfbench/design.json, reduced.  path_ensemble keeps
-# two path chunks, the second one path wide, and a step count that is
-# not a multiple of a power of two.
+# two path chunks, the second one path wide, and a prime step count, so
+# the last step block is a short one.
 WORKLOADS = {
     "world_grid": {
         "grid": {"time": [0, 1, 5], "sigma1": [0.5, 2.5, 17], "sigma2": [0, 1, 17]},
@@ -88,7 +88,8 @@ WORKLOADS = {
         "metric_file": {"radius_range": [0.9, 1.1]},
         "scenario": {"sde": {"steps": 12, "paths": 300, "horizon": 1.0}, "evolve": {"steps": 50}},
         "commands": [
-            ["geometry", "--metric", "{metric}", "--op", "curvature", "--out", "{out}/curvature.bin"],
+            ["geometry", "--metric", "{metric}", "--op", "curvature",
+             "--out", "{out}/curvature.bin"],
             ["simulate-sde", "--scenario", "{scenario}", "--out", "{out}/sde_paths.bin",
              "--seed", "{seed}", "--threads", "{threads}"],
             ["action", "--config", "{scenario}", "--ghost", "--fp-det"],
@@ -145,19 +146,17 @@ def _numbers(payload):
     return [v for item in payload for v in _numbers(item)]
 
 
-def sample_positions(size):
-    return np.unique(np.linspace(0, size - 1, min(size, SAMPLES)).astype(np.intp))
-
-
 def fingerprint(path):
     """SHA-256, value count and sampled values of one output file."""
     from semicoop.fieldio import sha256_of
 
     values = _flat_values(path)
+    # distinct positions: their spacing is at least 1
+    positions = np.linspace(0, values.size - 1, min(values.size, SAMPLES)).astype(np.intp)
     return {
         "sha256": sha256_of(path),
         "size": int(values.size),
-        "samples": [float(v) for v in values[sample_positions(values.size)]],
+        "samples": [float(v) for v in values[positions]],
     }
 
 
@@ -214,14 +213,10 @@ def run_case(name, seed, threads, workdir):
     return {"manifest": manifest, "files": dict(sorted(files.items())), "stdout": stdout}
 
 
-def run_in_tempdir(name, seed, threads):
-    with tempfile.TemporaryDirectory(prefix="golden-") as workdir:
-        return run_case(name, seed, threads, workdir)
-
-
 def main():
     for name, seed in cases():
-        record = run_in_tempdir(name, seed, threads=1)
+        with tempfile.TemporaryDirectory(prefix="golden-") as workdir:
+            record = run_case(name, seed, 1, workdir)
         with open(golden_path(name, seed), "w") as fh:
             json.dump(record, fh, indent=1, sort_keys=True)
             fh.write("\n")

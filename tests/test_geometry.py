@@ -562,7 +562,10 @@ class TestSupport:
 
     @pytest.mark.parametrize(
         "entry, what",
-        [(1e110, "its determinant is not finite"), (1.7e308, "its symmetrized entries are not finite")],
+        [
+            (1e110, "its determinant is not finite"),
+            (1.7e308, "its symmetrized entries are not finite"),
+        ],
     )
     def test_metric_out_of_range_names_first_node_in_c_order(self, entry, what):
         # 1e110 on the diagonal: finite entries, a determinant of 1e330;

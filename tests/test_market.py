@@ -582,14 +582,6 @@ class TestStepBlocks:
         arrays = [v for v in vars(buffers).values() if isinstance(v, np.ndarray)]
         assert [a is buffers.flat for a in arrays] == [True]
 
-    def test_rows_block_is_path_major_in_the_set(self):
-        buffers = market._ChunkBuffers(37, 4096, 2)
-        rows, dw, states, block, scratch = buffers.views(4095)
-        assert rows.shape == (4095, 38, 3) and rows.flags.c_contiguous
-        assert dw.shape == (8, 3, 4095) and states.shape == (9, 3, 4095)
-        assert block.shape == (2, 4095) and scratch.shape == (2, 4095)
-        assert np.shares_memory(rows, buffers.flat)
-
 
 def three_axis_gather(coeffs):
     """Oracle: the lookup ``simulate`` made before tables were cut to
