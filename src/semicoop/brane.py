@@ -107,7 +107,8 @@ def evaluate_action(metric, bracket):
     axes = _joint_support(WORLD_DIM, bracket, metric.determinant)
     sqrt_h = np.sqrt(_on_support(metric.determinant, axes, WORLD_DIM))
     density = 0.5 * sqrt_h * _on_support(bracket, axes, WORLD_DIM)
-    return float(np.sum(metric.grid.trapezoid_weights() * density))
+    with np.errstate(over="ignore", invalid="ignore"):  # action.json reports a non-finite one
+        return float(np.sum(metric.grid.trapezoid_weights() * density))
 
 
 def ghost_action(metric, chris, epsilon_step):
@@ -129,7 +130,8 @@ def ghost_action(metric, chris, epsilon_step):
     sigma = np.ix_(*(grid.coordinates(k) for k in range(WORLD_DIM)))
     density = sum((pull[..., d] * x for d, x in enumerate(sigma)), np.einsum("...aa->...", hinv))
     sqrt_h = np.sqrt(_on_support(metric.determinant, axes, WORLD_DIM))
-    integral = float(np.sum(grid.trapezoid_weights() * sqrt_h * density))
+    with np.errstate(over="ignore", invalid="ignore"):  # action.json reports a non-finite one
+        integral = float(np.sum(grid.trapezoid_weights() * sqrt_h * density))
     return integral / (2.0 * np.pi * epsilon_step)
 
 

@@ -39,7 +39,7 @@ from .errors import NumericalError, ValidationError
 from .geometry import laplace_operator_matrix
 from .grids import GridSpec, dst1, require_same_grid
 
-#: Smallest cooperation degree the search scans.
+#: Smallest cooperation degree the search considers.
 RHO_MIN = 0.05
 
 
@@ -176,7 +176,8 @@ def effective_scalar_F(bracket):
     (flat, matrix, sphere) is such a metric.
     """
     values = np.asarray(bracket, dtype=float) / float(BACKGROUND_DIM)
-    flag = bool(np.any(np.diff(values, axis=0) <= 0.0))
+    with np.errstate(invalid="ignore"):  # the kernel stage reports a non-finite scale
+        flag = bool(np.any(np.diff(values, axis=0) <= 0.0))
     return EffectiveScale(values=values, not_strictly_increasing=flag)
 
 
@@ -310,80 +311,50 @@ def _propagate_modes(interior, metric, theta, steps):
 
 @dataclass(frozen=True)
 class RhoSearchResult:
-    """Outcome of the cooperation-degree scan: ``rho_star`` is the largest
-    of the interior maxima of ``|F0|`` (``stationary_points``) and the two
-    ends of the range (``boundary_flag`` set when an end wins), or None
-    when ``|F0|`` is flat (``degenerate_flag`` set)."""
+    """Outcome of the cooperation-degree search: ``rho_star`` is the
+    candidate with the largest ``|F0|``, among the interior maxima
+    (``stationary_points``) and the two ends of the range, or None when
+    no candidate is preferred.  ``reason`` says which: ``"vertex"`` (an
+    interior maximum wins), ``"end"`` (``RHO_MIN`` or 1 wins,
+    ``boundary_flag`` set) or ``"flat"`` (``degenerate_flag`` set)."""
 
     rho_star: float
     stationary_points: tuple
     boundary_flag: bool
     degenerate_flag: bool
+    reason: str
 
 
-def optimal_rho(rho_to_scale, grid=64):
-    """Stationary cooperation degree of the evolution rate.
+def optimal_rho(rho_to_scale, stationary):
+    """Cooperation degree of the largest evolution rate.
 
     The rate ``|F0(rho)| / (2M) * ||Lap psi||`` depends on ``rho`` only
     through ``F0 = rho_to_scale(rho)``, so ``rho*`` is a property of
     ``|F0|`` alone and depends on neither the metric, the field nor the
-    mass.  A negative ``F0`` is scanned by its magnitude, as the kernel
-    stage uses it; a non-finite one is a :class:`NumericalError` naming
-    ``rho``.  The scan covers ``[RHO_MIN, 1]`` with ``grid`` uniform
-    nodes; ``|F0|`` is flat when its range on them is within ``1e-12`` of
-    its maximum.  Each + to - sign change of its
-    ``np.gradient``, taken at the two end nodes by the difference below so
-    that the end intervals count, brackets a maximum, bisected to
-    ``1e-15`` on the signs of the centered difference (step ``1e-6``,
-    clipped to the interval), so rescaling ``F0`` moves ``rho*`` only where
-    rounding zeroes that difference, by under ``1e-9``.
+    mass.  ``stationary`` holds the interior maxima of ``|F0|`` on
+    ``(RHO_MIN, 1)``, which each profit preset knows in closed form
+    (:func:`semicoop.pipeline.cooperation`); with ``RHO_MIN`` and 1 they
+    are the only candidates.  ``|F0|`` is evaluated at each, in that
+    order, a non-finite ``F0`` being a :class:`NumericalError` naming
+    ``rho``.  When the values lie within ``1e-12`` of their maximum,
+    relative, none is preferred and the result is flat: ``F0`` is
+    constant to that tolerance, or its maxima tie.  Otherwise the largest
+    wins, ties going to the first.  Only comparisons of the values decide,
+    so a positive factor on ``F0`` that neither overflows nor underflows
+    leaves the result as it is.
     """
-    grid_n = int(grid)
-    if grid_n < 16:
-        raise ValidationError("cooperation-degree grid needs at least 16 points")
-
-    def objective(rho):
-        f0 = rho_to_scale(float(rho))
-        if np.ndim(f0) != 0:
-            raise ValidationError("cooperation scan needs a scalar effective scale")
-        if not np.isfinite(f0):
-            raise NumericalError(f"effective scale is {float(f0)} at rho = {float(rho)!r}")
-        return abs(float(f0))
-
-    def derivative(rho):
-        lo, hi = max(RHO_MIN, rho - 1e-6), min(1.0, rho + 1e-6)
-        return (objective(hi) - objective(lo)) / (hi - lo)
-
-    rhos = np.linspace(RHO_MIN, 1.0, grid_n)
-    j = np.array([objective(r) for r in rhos])
+    stationary = tuple(float(s) for s in stationary)
+    candidates = stationary + (RHO_MIN, 1.0)
+    values = []
+    for rho in candidates:
+        f0 = float(rho_to_scale(rho))
+        if not math.isfinite(f0):
+            raise NumericalError(f"effective scale is {f0} at rho = {rho!r}")
+        values.append(abs(f0))
+    top = max(values)
     # relative flatness test: the overall scale of F0 is arbitrary
-    if j.max() - j.min() <= 1e-12 * j.max():
-        return RhoSearchResult(None, (), False, True)
-
-    # signs, not products, so that no scale of F0 underflows a comparison
-    sign = np.sign(np.gradient(j, rhos))
-    sign[[0, -1]] = np.sign([derivative(rhos[0]), derivative(rhos[-1])])
-    maxima = []
-    for k in np.flatnonzero((sign[:-1] > 0.0) & (sign[1:] <= 0.0)):
-        dlo, dhi = derivative(rhos[k]), derivative(rhos[k + 1])
-        if np.sign(dlo) == np.sign(dhi) != 0.0:  # turns just outside: next interval
-            k += 1 if dlo > 0.0 else -1
-            dlo, dhi = derivative(rhos[k]), derivative(rhos[k + 1])
-        lo, hi = rhos[k], rhos[k + 1]
-        if np.sign(dlo) == np.sign(dhi) != 0.0:  # still one sign: nearer node
-            lo = hi = lo if abs(dlo) <= abs(dhi) else hi
-        while hi - lo > 1e-15:
-            mid = 0.5 * (lo + hi)
-            side = np.sign(derivative(mid))
-            if side == 0.0:  # flat to rounding: stop at the first such point
-                lo = hi = mid
-            elif side == np.sign(dhi):
-                hi = mid
-            else:
-                lo = mid
-        maxima.append(float(0.5 * (lo + hi)))
-
-    maxima = tuple(dict.fromkeys(round(s, 12) for s in maxima))
-    candidates = maxima + (float(rhos[0]), float(rhos[-1]))
-    best = int(np.argmax([objective(c) for c in candidates]))
-    return RhoSearchResult(candidates[best], maxima, best >= len(maxima), False)
+    if top - min(values) <= 1e-12 * top:
+        return RhoSearchResult(None, (), False, True, "flat")
+    best = values.index(top)
+    end = best >= len(stationary)
+    return RhoSearchResult(candidates[best], stationary, end, False, "end" if end else "vertex")

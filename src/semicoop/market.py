@@ -142,8 +142,9 @@ def _node_indexer(grid, axes):
     The returned function maps ``x`` of shape (components, n) to the
     C-order index, in the profile over ``axes``, of the node nearest each
     column: row ``k`` of ``x``, for ``k`` in ``axes``, is rounded to the
-    nearest node of grid axis ``k`` and clamped to the grid, then the
-    per-axis indices are flattened.  Rows off ``axes`` are not read.
+    nearest node of grid axis ``k`` and clamped to the grid, however far
+    off it lies, then the per-axis indices are flattened.  Rows off
+    ``axes`` are not read.
     """
     counts = [grid.counts[a] for a in axes]
     strides = np.cumprod([1] + counts[:0:-1])[::-1]
@@ -157,8 +158,11 @@ def _node_indexer(grid, axes):
         for a, low, spacing, top, stride in plan:
             t = x[a] - low
             t /= spacing
-            j = np.rint(t, out=t).astype(np.intp)
-            np.clip(j, 0, top, out=j)
+            np.rint(t, out=t)
+            # clamped before the cast, so that no value leaves the intp range
+            # and a NaN state, which fails the summary, goes to node 0
+            np.fmin(np.fmax(t, 0.0, out=t), top, out=t)
+            j = t.astype(np.intp)
             if stride > 1:
                 j *= stride
             flat = j if flat is None else np.add(flat, j, out=flat)
@@ -205,13 +209,16 @@ class PathEnsemble:
 
     def summary(self):
         """Counts, horizon, and the final mean and ``ddof=1`` variance,
-        from ``final`` alone, so ``values`` is never read."""
+        from ``final`` alone, so ``values`` is never read.  A moment that
+        overflows is left non-finite, for the JSON writers to report."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, variance = self.final.mean(axis=0), self.final.var(axis=0, ddof=1)
         return {
             "paths": len(self.final),
             "steps": int(len(self.times) - 1),
             "horizon": float(self.times[-1]),
-            "final_mean": [float(v) for v in self.final.mean(axis=0)],
-            "final_variance": [float(v) for v in self.final.var(axis=0, ddof=1)],
+            "final_mean": [float(v) for v in mean],
+            "final_variance": [float(v) for v in variance],
         }
 
 

@@ -196,27 +196,51 @@ def evolve(config, metric, spec):
 
 
 def cooperation(config):
-    """Cooperation stage: the ``rho.json`` payload of the ρ search.
+    """Cooperation stage: the ``rho.json`` payload of
+    :func:`evolution.optimal_rho`, the one place that knows each profit
+    preset's maximiser of ``|F0(rho)|``.
 
-    The effective scale at cooperation degree ``rho`` comes from the
-    profit preset's own map when it has one, and otherwise from the
-    bracket ``3 + 3 (p*b)^W`` of the firm at ``u_own = alpha_own**rho``
-    times its area, over the background dimension.  ρ* depends on that
-    map alone, not on the metric, the evolved field or the mass.
+    - ``rho_quadratic``: its own map ``F0 = peak - curvature (rho -
+      vertex)^2``.  ``|F0|`` has one interior maximum, the vertex, when
+      ``RHO_MIN < vertex < 1`` and ``peak * curvature > 0``, and none
+      otherwise.
+    - ``constant`` and ``region_power``: the bracket ``F0 = (3 + 3
+      w^W) / 11``, ``W`` the freedom exponent, of the firm at ``u_own =
+      alpha_own**rho`` times its area, ``w = (p*b)`` its profit times
+      its stubbornness.  ``u_own`` is monotone in ``rho``, and so are
+      the profit, ``w`` and, as ``w >= 0`` wherever ``w^W`` is finite and
+      ``0 < W < 1``, ``F0``: no interior maximum.
+
+    ρ* depends on that map alone, not on the metric, the evolved field or
+    the mass.  The payload's ``reason`` says whether the vertex or an end
+    won, or that no candidate was preferred (``"flat"``).
     """
-    rho_to_scale = config.rho_to_scale()
-    if rho_to_scale is None:
+    p = config.data["profit"]
+    if p["preset"] == "rho_quadratic":
+        peak = float(p.get("peak", 1.0))
+        curvature = float(p.get("curvature", 1.0))
+        vertex = float(p.get("vertex", 0.6))
+
+        def rho_to_scale(rho):
+            return peak - curvature * (rho - vertex) ** 2
+
+        inside = evolution.RHO_MIN < vertex < 1.0
+        # the signs, not the product, which underflows for tiny values
+        stationary = (vertex,) if inside and np.sign(peak) == np.sign(curvature) != 0 else ()
+    else:
         firm = config.build_firms()[0]
         area = firm.polygon_area if firm.polygon_area is not None else 1.0
         omega_exp = float(config.data["kernel"]["freedom_exponent"])
 
         def rho_to_scale(rho):
-            # a float64, not a float: a negative weight gives nan, not complex
-            pw = np.float64(config.profit(firm.alpha_own**rho * area)) * firm.stubbornness
-            return (3.0 + 3.0 * pw**omega_exp) / brane.BACKGROUND_DIM
+            # float64, not float: a negative weight gives nan, not complex;
+            # optimal_rho reports a non-finite scale
+            with np.errstate(over="ignore", invalid="ignore"):
+                pw = np.float64(config.profit(firm.alpha_own**rho * area)) * firm.stubbornness
+                return (3.0 + 3.0 * pw**omega_exp) / brane.BACKGROUND_DIM
 
-    search = evolution.optimal_rho(rho_to_scale, grid=int(config.data["rho_grid"]))
-    return dataclasses.asdict(search)
+        stationary = ()
+    return dataclasses.asdict(evolution.optimal_rho(rho_to_scale, stationary))
 
 
 def json_text(payload, name):

@@ -17,7 +17,8 @@ multiplies the share-dynamics residual, zero on simulated paths.
 kernel reports its mass leak and variance in closed form.
 ``firms[i].alpha_other`` and ``firms[i].coop_other``: no profit preset
 reads the other firm's region.  Every firm after the first: each stage
-reads the first firm only.
+reads the first firm only.  ``rho_grid``: the cooperation stage chooses
+ρ* in closed form, among at most three candidates, with no grid.
 """
 
 from __future__ import annotations
@@ -174,17 +175,6 @@ class ScenarioConfig:
         if isinstance(value, complex) or not math.isfinite(value):
             raise NumericalError(f"profit at u_own = {u_own:.6g} is {value}")
         return value
-
-    def rho_to_scale(self):
-        """The ``rho_quadratic`` preset's map from a cooperation degree
-        straight to an effective scale; None for the other presets."""
-        p = self.data["profit"]
-        if p["preset"] != "rho_quadratic":
-            return None
-        peak = float(p.get("peak", 1.0))
-        curvature = float(p.get("curvature", 1.0))
-        vertex = float(p.get("vertex", 0.6))
-        return lambda rho: peak - curvature * (rho - vertex) ** 2
 
     def build_polygon(self, time=0.0):
         """Per-side areas and the assembly for the polygon section."""

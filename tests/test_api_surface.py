@@ -274,8 +274,8 @@ RESTORED_PARAMETERS = {
     ),
     "evolution.optimal_rho.rho_min": (
         "evolution",
-        "def optimal_rho(rho_to_scale, grid=64):",
-        "def optimal_rho(rho_to_scale, grid=64, rho_min=0.05):",
+        "def optimal_rho(rho_to_scale, stationary):",
+        "def optimal_rho(rho_to_scale, stationary, rho_min=0.05):",
     ),
     "evolution.KernelSpec.mode": (
         "evolution",

@@ -1,18 +1,22 @@
 """Kernel mass check and Crank-Nicolson evolution against independent oracles."""
 
 import json
+import math
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from semicoop import NumericalError, ValidationError, evolution, fieldio, geometry, pipeline
 from semicoop.grids import GridSpec
-from semicoop.scenario import parse_scenario
+from semicoop.scenario import PROFIT_PRESETS, parse_scenario
 
 
 def panel_nodes(lo, hi, breaks, n):
@@ -407,75 +411,218 @@ def random_scale(rng, kind):
     )
 
 
+def scan_optimal_rho(rho_to_scale, grid=64):
+    """The general scan that found ``rho*`` before the closed form of
+    :func:`evolution.optimal_rho`, kept as its oracle.
+
+    ``|F0|`` is evaluated on ``grid`` uniform nodes of ``[RHO_MIN, 1]``; it
+    is flat when its range on them is within ``1e-12`` of its maximum.
+    Each + to - sign change of its ``np.gradient``, taken at the two end
+    nodes by the difference below so that the end intervals count,
+    brackets a maximum, bisected to ``1e-15`` on the signs of the centered
+    difference (step ``1e-6``, clipped to the interval) and rounded to 12
+    digits, so rescaling ``F0`` moves ``rho*`` only where rounding zeroes
+    that difference, by under ``1e-9``.  The largest ``|F0|`` among those
+    maxima and the ends wins, as in the closed form.
+    """
+    grid_n = int(grid)
+    if grid_n < 16:
+        raise ValidationError("cooperation-degree grid needs at least 16 points")
+
+    def objective(rho):
+        f0 = rho_to_scale(float(rho))
+        if not np.isfinite(f0):
+            raise NumericalError(f"effective scale is {float(f0)} at rho = {float(rho)!r}")
+        return abs(float(f0))
+
+    def derivative(rho):
+        lo, hi = max(evolution.RHO_MIN, rho - 1e-6), min(1.0, rho + 1e-6)
+        return (objective(hi) - objective(lo)) / (hi - lo)
+
+    rhos = np.linspace(evolution.RHO_MIN, 1.0, grid_n)
+    j = np.array([objective(r) for r in rhos])
+    if j.max() - j.min() <= 1e-12 * j.max():
+        return evolution.RhoSearchResult(None, (), False, True, "flat")
+
+    # signs, not products, so that no scale of F0 underflows a comparison
+    sign = np.sign(np.gradient(j, rhos))
+    sign[[0, -1]] = np.sign([derivative(rhos[0]), derivative(rhos[-1])])
+    maxima = []
+    for k in np.flatnonzero((sign[:-1] > 0.0) & (sign[1:] <= 0.0)):
+        dlo, dhi = derivative(rhos[k]), derivative(rhos[k + 1])
+        if np.sign(dlo) == np.sign(dhi) != 0.0:  # turns just outside: next interval
+            k += 1 if dlo > 0.0 else -1
+            dlo, dhi = derivative(rhos[k]), derivative(rhos[k + 1])
+        lo, hi = rhos[k], rhos[k + 1]
+        if np.sign(dlo) == np.sign(dhi) != 0.0:  # still one sign: nearer node
+            lo = hi = lo if abs(dlo) <= abs(dhi) else hi
+        while hi - lo > 1e-15:
+            mid = 0.5 * (lo + hi)
+            side = np.sign(derivative(mid))
+            if side == 0.0:  # flat to rounding: stop at the first such point
+                lo = hi = mid
+            elif side == np.sign(dhi):
+                hi = mid
+            else:
+                lo = mid
+        maxima.append(float(0.5 * (lo + hi)))
+
+    maxima = tuple(dict.fromkeys(round(s, 12) for s in maxima))
+    candidates = maxima + (float(rhos[0]), float(rhos[-1]))
+    best = int(np.argmax([objective(c) for c in candidates]))
+    end = best >= len(maxima)
+    return evolution.RhoSearchResult(
+        candidates[best], maxima, end, False, "end" if end else "vertex"
+    )
+
+
+RHO_SCENARIO = {
+    "grid": {"time": [0, 1, 3], "sigma1": [0.5, 2.5, 9], "sigma2": [0, 1, 9]},
+    "metric": {"preset": "flat"},
+    "firms": [
+        {"share": [0.3, 1.0, 0.5], "strategy": 0.0, "alpha_own": 0.5,
+         "alpha_other": 0.5, "coop_own": 0.5, "coop_other": 0.5}
+    ],
+}
+
+
+def rho_config(profit, firm=(), **changes):
+    """A parsed scenario with the profit section ``profit``, the first
+    firm updated by ``firm`` and the top-level ``changes``."""
+    doc = dict(RHO_SCENARIO, profit=profit, **changes)
+    doc["firms"] = [dict(RHO_SCENARIO["firms"][0], **dict(firm))]
+    return parse_scenario(doc)
+
+
+def cooperation_spied(config):
+    """``pipeline.cooperation(config)``, or the NumericalError it raises,
+    and the map ``F0(rho)`` and the interior maxima it hands to
+    :func:`evolution.optimal_rho`."""
+    seen = []
+    real = evolution.optimal_rho
+
+    def spy(rho_to_scale, stationary):
+        seen.append((rho_to_scale, stationary))
+        return real(rho_to_scale, stationary)
+
+    with mock.patch.object(evolution, "optimal_rho", spy):
+        try:
+            payload = pipeline.cooperation(config)
+        except NumericalError as exc:
+            payload = exc
+    return (payload,) + seen[0]
+
+
 class TestOptimalRho:
-    def search(self, effective_scale, factor=1.0, grid=32):
-        return evolution.optimal_rho(lambda rho: factor * effective_scale(rho), grid=grid)
+    def scan(self, effective_scale, factor=1.0, grid=32):
+        return scan_optimal_rho(lambda rho: factor * effective_scale(rho), grid=grid)
 
     def test_rho_star_does_not_depend_on_the_mass(self):
         # the evolution rate is |F0(rho)| / (2 mass) times ||Lap psi||: the
         # mass, psi and the metric only multiply F0 by a positive constant,
         # which must decide neither flatness nor rho*
         peaked = lambda rho: 1.0 - (rho - 0.6) ** 2  # noqa: E731
-        reference = self.search(peaked)
-        assert reference.rho_star == pytest.approx(0.6, abs=1e-10)
-        assert not reference.boundary_flag
         for factor in 10.0 ** np.arange(-6, 17):
-            result = self.search(peaked, float(factor))
-            assert not result.degenerate_flag
-            assert result.rho_star == reference.rho_star
-            assert result.stationary_points == reference.stationary_points
+            result = evolution.optimal_rho(lambda rho: factor * peaked(rho), (0.6,))
+            assert result == evolution.RhoSearchResult(0.6, (0.6,), False, False, "vertex")
+
+    @pytest.mark.parametrize(
+        "scale, stationary",
+        [
+            (lambda rho: 2.0 - 0.4 * (rho - 0.23) ** 2, (0.23,)),  # the vertex wins
+            (lambda rho: 0.1 - 10.0 * (rho - 0.6) ** 2, (0.6,)),  # an end beats the vertex
+            (lambda rho: rho - 2.0, ()),  # |F0| falls as F0 rises
+            (lambda rho: 3.0 + 3.0 * (0.8 + 0.5**rho) ** 0.5, ()),  # a region_power bracket
+            (lambda rho: 0.7, ()),  # flat
+        ],
+        ids=["vertex", "end-over-vertex", "negative", "bracket", "flat"],
+    )
+    def test_powers_of_ten_leave_the_result_unchanged(self, scale, stationary):
+        # only comparisons of |F0| decide, and 10^k keeps each of them
+        reference = evolution.optimal_rho(scale, stationary)
+        for k in range(-200, 201):
+            factor = 10.0**k
+            assert evolution.optimal_rho(lambda rho: factor * scale(rho), stationary) == reference
 
     @pytest.mark.parametrize("vertex, curvature", [(0.23, 0.4), (0.71, 3.7), (0.88, 0.15)])
     def test_rescaling_moves_rho_star_by_rounding_only(self, vertex, curvature):
-        # bisection reads signs only; a scale can widen the band around the
-        # vertex where the 1e-6 difference rounds to zero, and no more
+        # the oracle's bisection reads signs only; a scale can widen the band
+        # around the vertex where the 1e-6 difference rounds to zero, and no more
         peaked = lambda rho: 2.0 - curvature * (rho - vertex) ** 2  # noqa: E731
-        reference = self.search(peaked, grid=64)
+        reference = self.scan(peaked, grid=64)
         assert abs(reference.rho_star - vertex) <= 1e-9
         for factor in [1e-200, 1e-6, 3.7e-3, 0.9, 41.0, 1e9, 1e16, 1e200]:
-            result = self.search(peaked, factor, grid=64)
+            result = self.scan(peaked, factor, grid=64)
             assert abs(result.rho_star - reference.rho_star) <= 1e-9
             assert len(result.stationary_points) == 1
 
     @pytest.mark.parametrize("mass", [1e-6, 1.0, 1e16])
     def test_constant_scale_is_degenerate_at_any_mass(self, mass):
-        result = self.search(lambda rho: 0.7, 0.5 / mass)
-        assert result.degenerate_flag and result.rho_star is None
+        result = evolution.optimal_rho(lambda rho: 0.7 * 0.5 / mass, ())
+        assert result == evolution.RhoSearchResult(None, (), False, True, "flat")
 
     def test_negative_scale_is_scanned_by_its_magnitude(self):
         # F0 = rho^3 - rho < 0 on (0, 1]; |F0| peaks at 1/sqrt(3)
-        result = self.search(lambda rho: rho**3 - rho)
-        assert result.rho_star == pytest.approx(1.0 / np.sqrt(3.0), abs=1e-10)
-        assert result.stationary_points == (round(result.rho_star, 12),)
-        assert not (result.boundary_flag or result.degenerate_flag)
+        peak = 1.0 / np.sqrt(3.0)
+        result = evolution.optimal_rho(lambda rho: rho**3 - rho, (peak,))
+        assert result == evolution.RhoSearchResult(peak, (peak,), False, False, "vertex")
         # F0 = rho - 2 rises while |F0| falls: the magnitude puts rho* at RHO_MIN
-        result = self.search(lambda rho: rho - 2.0)
-        assert result.boundary_flag and result.rho_star == 0.05
-        assert result.stationary_points == ()
+        result = evolution.optimal_rho(lambda rho: rho - 2.0, ())
+        assert result == evolution.RhoSearchResult(0.05, (), True, False, "end")
 
     @pytest.mark.parametrize("vertex", [0.37, 0.6, 0.81])
     @pytest.mark.parametrize("rho_grid", [16, 64, 256])
     def test_quadratic_preset_finds_its_vertex(self, vertex, rho_grid):
-        config = parse_scenario(
-            {
-                "grid": {"time": [0, 1, 3], "sigma1": [0.5, 2.5, 9], "sigma2": [0, 1, 9]},
-                "metric": {"preset": "flat"},
-                "firms": [
-                    {"share": [0.3, 1.0, 0.5], "strategy": 0.2, "alpha_own": 0.5,
-                     "alpha_other": 0.5, "coop_own": 0.5, "coop_other": 0.5}
-                ],
-                "profit": {"preset": "rho_quadratic", "vertex": vertex, "peak": 2.0},
-                "rho_grid": rho_grid,
-            }
+        # rho_grid is accepted and unread: the vertex comes back exact
+        config = rho_config(
+            {"preset": "rho_quadratic", "vertex": vertex, "peak": 2.0}, rho_grid=rho_grid
         )
         payload = pipeline.cooperation(config)
-        assert abs(payload["rho_star"] - vertex) <= 1e-10
-        assert payload["stationary_points"] == (payload["rho_star"],)
+        assert payload["rho_star"] == vertex and payload["reason"] == "vertex"
+        assert payload["stationary_points"] == (vertex,)
+
+    def test_quadratic_vertex_is_exact_where_the_scan_stops_short(self):
+        # the oracle's 1e-6 difference rounds to zero in a band around this
+        # vertex; its bisection stops there, 1.3e-9 right of the vertex on
+        # 64 nodes, and rounds that to 12 digits
+        profit = {"preset": "rho_quadratic", "peak": 4.4187, "curvature": 0.031315,
+                  "vertex": 0.75838811}
+        payload, rho_to_scale, _ = cooperation_spied(rho_config(profit))
+        assert payload["rho_star"] == 0.75838811
+        scan = scan_optimal_rho(rho_to_scale)
+        assert scan.rho_star == round(scan.rho_star, 12) != 0.75838811
+        assert abs(scan.rho_star - 0.75838811) > 1e-9
+
+    @pytest.mark.parametrize(
+        "profit, calls",
+        [
+            ({"preset": "constant"}, 2),
+            ({"preset": "region_power", "base": 0.5, "exponent": 2.0}, 2),
+            ({"preset": "rho_quadratic", "vertex": 0.4}, 3),
+            ({"preset": "rho_quadratic", "vertex": 0.02}, 2),
+        ],
+        ids=["constant", "region_power", "vertex", "vertex-outside"],
+    )
+    def test_cooperation_evaluates_the_scale_at_most_three_times(self, profit, calls):
+        rhos = []
+        real = evolution.optimal_rho
+
+        def counted(rho_to_scale, *args, **kwargs):
+            return real(lambda rho: rhos.append(rho) or rho_to_scale(rho), *args, **kwargs)
+
+        with mock.patch.object(evolution, "optimal_rho", counted):
+            pipeline.cooperation(rho_config(profit, rho_grid=256))
+        assert len(rhos) == calls and rhos[-2:] == [0.05, 1.0]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_scale_names_rho(self, bad):
         with pytest.raises(NumericalError, match=r"at rho = 0\.7"):
-            self.search(lambda rho: bad if rho > 0.7 else 1.0)
+            self.scan(lambda rho: bad if rho > 0.7 else 1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_scale_non_finite_only_at_one_names_rho_one(self, bad):
+        with pytest.raises(NumericalError, match=rf"effective scale is {bad} at rho = 1\.0$"):
+            evolution.optimal_rho(lambda rho: bad if rho == 1.0 else rho, (0.5,))
 
     def test_bracket_whose_finer_difference_keeps_its_sign(self):
         # |F0| = 10 - (x - v)^2 - (x - v)^3 peaks a quarter squared grid
@@ -486,7 +633,7 @@ class TestOptimalRho:
         rhos = np.linspace(0.05, 1.0, 32)
         s, a = rhos[1] - rhos[0], rhos[12]
         v = a + s**2 / 4.0
-        result = self.search(lambda x: 10.0 - (x - v) ** 2 - (x - v) ** 3)
+        result = self.scan(lambda x: 10.0 - (x - v) ** 2 - (x - v) ** 3)
         # within the band where rounding zeroes the 1e-6 difference
         assert abs(result.rho_star - v) <= 1e-9
         assert result.stationary_points == (result.rho_star,)
@@ -499,45 +646,139 @@ class TestOptimalRho:
         rhos = np.linspace(0.05, 1.0, 32)
         s, a = rhos[1] - rhos[0], rhos[12]
         ripple = 2.0 * s**2 / np.pi
-        result = self.search(
+        result = self.scan(
             lambda x: 10.0 - (x - a - s / 2) ** 2 + ripple * np.sin(2 * np.pi * (x - a) / s)
         )
         assert result.stationary_points == (round(rhos[14], 12),)
         assert result.rho_star == result.stationary_points[0]
         assert not result.boundary_flag
 
+    def test_maxima_that_tie_around_a_dip_prefer_no_rho(self):
+        # |F0| = 1 + 1e-11 (rho - 0.5)^2 is largest at the ends, which agree
+        # within 1e-12: no candidate is preferred.  The oracle's range takes
+        # in the dip at 0.5 too, so it picks the end that rounds larger.
+        config = rho_config({"preset": "rho_quadratic", "peak": 1.0, "curvature": -1e-11,
+                             "vertex": 0.5})
+        payload, rho_to_scale, stationary = cooperation_spied(config)
+        assert stationary == () and payload["reason"] == "flat"
+        assert scan_optimal_rho(rho_to_scale).reason == "end"
+        assert_scan_agrees(config)
+
     def test_zero_of_f0_is_not_a_maximum(self):
         # |F0| = |rho - 0.5| vanishes at 0.5 and is largest at the end 1
-        result = self.search(lambda rho: rho - 0.5)
-        assert result.rho_star == 1.0 and result.boundary_flag
-        assert result.stationary_points == ()
+        result = evolution.optimal_rho(lambda rho: rho - 0.5, ())
+        assert result == evolution.RhoSearchResult(1.0, (), True, False, "end")
 
     def test_end_beats_a_lower_interior_maximum(self):
         # |0.1 - 10 (rho - 0.6)^2| has its interior maximum 0.1 at 0.6 and
         # minima at the zeros 0.5 and 0.7, but is 2.925 at RHO_MIN
-        result = self.search(lambda rho: 0.1 - 10.0 * (rho - 0.6) ** 2)
-        assert result.rho_star == 0.05 and result.boundary_flag
-        assert len(result.stationary_points) == 1
-        assert abs(result.stationary_points[0] - 0.6) <= 1e-10
+        result = evolution.optimal_rho(lambda rho: 0.1 - 10.0 * (rho - 0.6) ** 2, (0.6,))
+        assert result == evolution.RhoSearchResult(0.05, (0.6,), True, False, "end")
 
     @pytest.mark.parametrize("vertex", [0.108461, 0.947])
     def test_peak_in_an_end_interval_is_bisected(self, vertex):
         # at grid 16 the nodes nearest the ends are 0.1133 and 0.9367
-        result = self.search(lambda rho: 2.0 - (rho - vertex) ** 2, grid=16)
+        result = self.scan(lambda rho: 2.0 - (rho - vertex) ** 2, grid=16)
         assert abs(result.rho_star - vertex) <= 1e-9
         assert result.stationary_points == (result.rho_star,)
         assert not result.boundary_flag
 
     @pytest.mark.parametrize("kind", RANDOM_SCALE_KINDS)
     def test_rho_star_is_the_largest_value_of_abs_f0(self, kind):
-        # against a 10^6-point scan of |F0|, rho* may fall short by rounding only
+        # against a 10^6-point scan of |F0|, the oracle's rho* may fall
+        # short by rounding only
         rng = np.random.default_rng(RANDOM_SCALE_KINDS.index(kind))
         fine = np.linspace(0.05, 1.0, 10**6)
         for _ in range(25):
             scale = random_scale(rng, kind)
-            result = self.search(scale, grid=64)
+            result = self.scan(scale, grid=64)
             assert abs(scale(result.rho_star)) >= np.abs(scale(fine)).max() * (1.0 - 1e-14)
 
     def test_small_grid_is_rejected(self):
         with pytest.raises(ValidationError):
-            evolution.optimal_rho(lambda rho: rho, grid=15)
+            scan_optimal_rho(lambda rho: rho, grid=15)
+
+
+@st.composite
+def rho_scenarios(draw):
+    """A valid scenario of any profit preset, the parts the cooperation
+    stage reads drawn: negative stubbornness, ``alpha_own`` 0 and 1 and a
+    zero curvature included."""
+    number = st.floats(-1e6, 1e6)
+    preset = draw(st.sampled_from(PROFIT_PRESETS))
+    if preset == "constant":
+        profit = {"value": draw(number)}
+    elif preset == "region_power":
+        profit = {"base": draw(st.floats(-10, 10)), "exponent": draw(st.floats(-4, 4))}
+    else:
+        profit = {
+            "peak": draw(number),
+            "curvature": draw(st.just(0.0) | number),
+            "vertex": draw(st.floats(0, 1, exclude_min=True)),
+        }
+    firm = {
+        "alpha_own": draw(st.sampled_from([0.0, 1.0]) | st.floats(0, 1)),
+        "stubbornness": draw(st.floats(-100, 100)),
+        "area": draw(st.none() | st.floats(0, 1e3)),
+    }
+    exponent = draw(st.floats(0, 1, exclude_min=True, exclude_max=True))
+    return rho_config(
+        dict(profit, preset=preset),
+        firm,
+        kernel={"freedom_exponent": exponent},
+        rho_grid=draw(st.sampled_from([16, 64, 256])),
+    )
+
+
+def relative_spread(values):
+    values = np.abs(values)
+    return (values.max() - values.min()) / values.max()
+
+
+def assert_scan_agrees(config):
+    """The closed form of ``pipeline.cooperation`` against the oracle scan
+    on the same map ``F0(rho)``: both fail, or they give the same ``rho*``
+    and reason, or they differ in one of three explained ways."""
+    closed, rho_to_scale, stationary = cooperation_spied(config)
+    grid = config.data["rho_grid"]
+    if isinstance(closed, NumericalError):
+        with pytest.raises(NumericalError):
+            scan_optimal_rho(rho_to_scale, grid)
+        return
+    scan = scan_optimal_rho(rho_to_scale, grid)
+    if (closed["rho_star"], closed["reason"]) == (scan.rho_star, scan.reason):
+        return
+    candidates = [rho_to_scale(r) for r in stationary + (evolution.RHO_MIN, 1.0)]
+    if (closed["reason"] == "flat") != (scan.reason == "flat"):
+        nodes = [rho_to_scale(r) for r in np.linspace(evolution.RHO_MIN, 1.0, grid)]
+        flat, uneven = (candidates, nodes) if scan.reason != "flat" else (nodes, candidates)
+        assert relative_spread(flat) <= 1e-12
+        if relative_spread(uneven) <= 2e-12:
+            return  # (1) flatness decided within 1e-12 of the threshold
+        # (2) the candidates tie within 1e-12, and the scan's range is set
+        # by a lower interior node between them: |F0| dips there
+        assert closed["reason"] == "flat"
+        assert 0 < np.argmin(np.abs(nodes)) < grid - 1
+        assert abs(rho_to_scale(scan.rho_star)) <= np.abs(candidates).max() * (1.0 + 1e-12)
+        return
+    # (3) neither is flat: the scan stops where its 1e-6 difference cannot
+    # see the slope of F0, and rounds to 12 digits
+    best = abs(rho_to_scale(closed["rho_star"]))
+    found = abs(rho_to_scale(scan.rho_star))
+    profit = config.data["profit"]
+    if profit["preset"] == "rho_quadratic":
+        # the difference 4 c 1e-6 (rho - vertex) is lost in the rounding of
+        # F0 near the vertex, or anywhere at a small enough curvature
+        peak, curvature = abs(profit["peak"]), abs(profit["curvature"])
+        off = abs(scan.rho_star - profit["vertex"]) - 5e-13
+        assert curvature * 1e-6 * off <= 8.0 * math.ulp(peak + curvature)
+        assert best >= found
+    else:
+        # a stretch where the monotone |F0| is constant to rounding
+        assert abs(best - found) <= 4.0 * math.ulp(best)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rho_scenarios())
+def test_closed_form_agrees_with_the_scan(config):
+    assert_scan_agrees(config)

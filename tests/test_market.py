@@ -2,6 +2,7 @@ import math
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -664,6 +665,16 @@ class TestSupportLookup:
         low = np.array([e[0] for e in self.grid.extents])
         high = np.array([e[1] for e in self.grid.extents])
         assert np.any((ens.values < low) | (ens.values > high), axis=-1).mean() > 0.2
+
+    def test_states_far_off_the_grid_clamp_to_the_nearer_edge(self):
+        # a state beyond the intp range of node counts goes to the edge on
+        # its own side, and the lookup warns about no state
+        index = market._node_indexer(self.grid, (1,))
+        x = np.zeros((3, 7))
+        x[1] = [2.3, 1e18, 1e19, 1e300, np.inf, -1e19, np.nan]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert index(x).tolist() == [7, 8, 8, 8, 8, 0, 0]
 
     def test_full_copies_of_profile_tables_give_the_same_paths(self):
         _, coeffs = self.coeffs((1,))

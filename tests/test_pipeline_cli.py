@@ -212,13 +212,14 @@ def test_optimal_rho_reads_only_the_scenario(run, monkeypatch):
 def _exit_and_stderr(*argv):
     err = io.StringIO()
     with contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         code, _ = run_cli(*argv)
     return code, err.getvalue()
 
 
 def test_non_finite_scale_in_the_rho_scan_is_a_numerical_error(tmp_path):
-    # base + 0.5**rho < 0 near rho = 1, where (p*b)^W is NaN
+    # base + 0.5**rho < 0 near rho = 1, where (p*b)^W is NaN; the search
+    # evaluates RHO_MIN, then 1
     firm = dict(SCENARIO["firms"][0], strategy=0.9)
     scenario = dict(
         SCENARIO, firms=[firm], profit={"preset": "region_power", "base": -0.6, "exponent": 1}
@@ -226,14 +227,14 @@ def test_non_finite_scale_in_the_rho_scan_is_a_numerical_error(tmp_path):
     path = write_scenario(tmp_path / "scenario.json", scenario)
     code, err = _exit_and_stderr("optimal-rho", "--config", path)
     assert code == cli.EXIT_NUMERICAL
-    assert "effective scale is nan at rho = " in err
+    assert "effective scale is nan at rho = 1.0\n" in err
 
     out = tmp_path / "out"
     code, _ = _exit_and_stderr("pipeline", "--scenario", path, "--out-dir", out)
     assert code == cli.EXIT_NUMERICAL
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["failed_stage"] == "cooperation"
-    assert manifest["failure"].startswith("effective scale is nan at rho = ")
+    assert manifest["failure"] == "effective scale is nan at rho = 1.0"
     assert "rho.json" not in manifest["artifacts"]
 
 
@@ -998,7 +999,7 @@ def test_non_finite_json_output_is_a_numerical_error(tmp_path, changes, command,
     argv = [command, flag, path] + (["--out", tmp_path / "p.bin"] if stage == "sde" else [])
     err = io.StringIO()
     with contextlib.redirect_stderr(err), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         code, printed = run_cli(*argv)
     assert code == cli.EXIT_NUMERICAL
     assert "the printed result would hold a non-finite number" in err.getvalue()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semicoop import ValidationError, cli
+from semicoop import ValidationError, cli, pipeline
 from semicoop.scenario import parse_scenario
 
 SCENARIO = {
@@ -70,7 +70,8 @@ def test_base_scenario_is_valid():
     config.build_polygon()
     config.build_fields()
     assert config.profit(0.2) == 1.0
-    assert config.rho_to_scale()(0.5) == 1.0
+    rho = pipeline.cooperation(config)
+    assert (rho["rho_star"], rho["reason"]) == (0.5, "vertex")
 
 
 def replaced(path, value, doc=SCENARIO):
