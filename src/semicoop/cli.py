@@ -72,7 +72,10 @@ def build_parser():
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="threads that simulate and write path chunks, the main thread included",
+    )
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("cascade", help="resale cascade values")
@@ -99,7 +102,10 @@ def build_parser():
     p = sub.add_parser("pipeline", help="full run with manifest")
     p.add_argument("--scenario", required=True)
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="threads that simulate and write path chunks, the main thread included",
+    )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out-dir", default=".", help="artifact directory")
 

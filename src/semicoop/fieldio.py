@@ -254,7 +254,9 @@ class EnsembleWriter:
     The writer is a sink for :func:`market.simulate`: :meth:`rows` takes
     each block of whole paths, in path order, writes it after the rows
     before it and feeds it to a SHA-256 seeded with the header and
-    times, and keeps each path's last state in ``final``.  Once every row
+    times, and keeps each path's last state in ``final``.  It is called
+    one call at a time, but possibly from different threads, each
+    calling it after the call before has returned.  Once every row
     is in, ``values`` (None until then) is the payload as a read-only
     ``(paths, steps + 1, components)`` memory map of the file, which
     nothing reads unless asked to, such as a CSV export.  Use the writer

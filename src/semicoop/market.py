@@ -35,18 +35,22 @@ finish.  A chunk's stream is one component-major ``(steps, 3, n)``
 normal draw, which its blocks take in turn, so the numbers do not depend
 on the block length; the chunk width is part of the stream.
 
-The calling thread hands the rows blocks, in path order, to a sink: an
+``threads`` threads run the chunks, the calling thread and up to
+``threads - 1`` helpers.  Each takes the next chunk in path order, runs
+it in its own buffer set and, once every earlier chunk is handed over,
+hands its rows block to a sink itself: an
 :class:`fieldio.EnsembleWriter`, which hashes each block and appends it
-to the ensemble file, or an in-memory array.  At most ``threads + 1``
-chunks are in flight, submitted and not yet handed over, so at most that
-many buffer sets ever exist and the memory of a run does not grow with
-the path count.
+to the ensemble file, or an in-memory array.  So the sink gets the
+blocks one call at a time, in path order, possibly from different
+threads, and the write and hash of a block run on the thread that
+computed it.  At most ``threads`` buffer sets ever exist, and the memory
+of a run does not grow with the path count.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -409,18 +413,22 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
     looked up at each step (one nearest-node gather from the tables, or
     one call of each callable, whose twelve rows all count as varying);
     a constant row enters as a number, and the terms of a zero row are
-    left out, which leaves every bit of the sum as it is.  The calling
-    thread passes the finished rows blocks to ``sink.rows(lo, block)``
-    in path order, while the workers go on with later chunks.
+    left out, which leaves every bit of the sum as it is.
 
-    At most ``threads + 1`` chunks are in flight, submitted and not yet
-    passed to the sink.  A chunk's buffer set returns to a shared pool
-    once its block is passed on, and a chunk takes one from that pool
-    when it starts, so at most ``threads + 1`` sets ever exist, and a
-    set holds one rows block and a step block's arrays.  So the memory a
-    call allocates besides its sink does not grow with the path count.
-    When a chunk or the sink raises, no further chunk is submitted, and
-    the chunks in flight finish before the exception propagates.
+    The calling thread and ``min(threads, chunks) - 1`` helper threads
+    run the same loop: take the next chunk in path order, run it in this
+    thread's buffer set, allocated with its first chunk, wait until
+    every earlier chunk has been handed over, then pass the rows block
+    to ``sink.rows(lo, block)`` and take the next chunk.  So the sink is
+    called one call at a time, in path order, from whichever thread ran
+    the chunk, and at most ``threads`` buffer sets ever exist, each one
+    rows block and a step block's arrays: the memory a call allocates
+    besides its sink does not grow with the path count.  When a chunk
+    or a sink call raises, no thread takes a further chunk; a failing
+    chunk's exception is raised once every chunk before it has been
+    handed over, so the error is that of the first failure in path
+    order, and the chunks after it are dropped.  Every helper has ended
+    when the call returns or raises.
 
     Parameters
     ----------
@@ -443,8 +451,8 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
         (used for convergence studies against a common noise); checked
         for their shape and for finite values before any chunk runs.
     threads : int
-        Worker threads over path chunks, at least 1; affects speed only,
-        never the numbers.
+        Threads that run path chunks, the calling thread included, at
+        least 1; affects speed only, never the numbers.
     sink : object, optional
         Receives the ensemble: ``sink.rows(lo, block)`` takes rows
         ``[lo, lo + len(block))`` as a C-contiguous float64 block that is
@@ -504,15 +512,10 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
     # state after step 0 is -0.0, as with einsum's zero-started sums.
     start = x0[:, None] + 0.0
     width = min(paths, _CHUNK_SIZE)
-    spare = []  # buffer sets that no chunk in flight holds
 
-    def run_chunk(chunk_index, lo, hi):
-        """Run one chunk; returns its buffer set and rows block."""
+    def run_chunk(own, chunk_index, lo, hi):
+        """Run one chunk in the buffer set ``own``; returns its rows block."""
         n = hi - lo
-        try:
-            own = spare.pop()  # atomic, unlike a test for emptiness then a pop
-        except IndexError:
-            own = _ChunkBuffers(steps, width, varying)
         rows, dw, states, block, (noise, product) = own.views(n)
         columns = rows.reshape(n, -1)
         if increments is None:
@@ -544,32 +547,71 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
             new = slice(STATE_DIM * (first + 1), STATE_DIM * (first + b + 1))
             columns[:, new] = states[1 : b + 1].reshape(-1, n).T
             states[0] = states[b]
-        return own, rows
+        return rows
 
-    def deliver(lo, own, rows):
-        """Pass a finished chunk's rows to the sink and free its buffers."""
-        sink.rows(lo, rows)
-        spare.append(own)
+    chunks = -(-paths // _CHUNK_SIZE)
+    turn = threading.Condition()
+    # guarded by ``turn``: the next chunk to take, the next chunk to hand
+    # over, whether taking has stopped, and the exception that ends the run
+    taken = given = 0
+    stopped = False
+    failure = None
 
-    bounds = [
-        (c, lo, min(lo + _CHUNK_SIZE, paths))
-        for c, lo in enumerate(range(0, paths, _CHUNK_SIZE))
-    ]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    def work():
+        """Take chunks in path order, run each in this thread's buffer set
+        and hand it to the sink once every earlier chunk is handed over."""
+        nonlocal taken, given, stopped, failure
+        own = None
+        while True:
+            with turn:
+                if stopped or taken == chunks:
+                    return
+                c, taken = taken, taken + 1
+            lo = c * _CHUNK_SIZE
+            error = None
+            try:
+                if own is None:
+                    own = _ChunkBuffers(steps, width, varying)
+                rows = run_chunk(own, c, lo, min(lo + _CHUNK_SIZE, paths))
+            except BaseException as exc:
+                error = exc
+            with turn:
+                stopped = stopped or error is not None
+                while given != c and failure is None:
+                    turn.wait()
+                if failure is not None:
+                    return  # an earlier chunk failed: this one is dropped
+            if error is None:
+                try:
+                    sink.rows(lo, rows)
+                except BaseException as exc:
+                    error = exc
+            with turn:
+                if error is None:
+                    given += 1
+                else:
+                    stopped, failure = True, error
+                turn.notify_all()
+            if error is not None:
+                return
 
-        window = deque()  # (lo, future) of the chunks in flight, in path order
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            for c, lo, hi in bounds:
-                if len(window) > threads:
-                    first, future = window.popleft()
-                    deliver(first, *future.result())
-                window.append((lo, pool.submit(run_chunk, c, lo, hi)))
-            while window:
-                first, future = window.popleft()
-                deliver(first, *future.result())
-    else:
-        for c, lo, hi in bounds:
-            deliver(lo, *run_chunk(c, lo, hi))
+    helpers = [threading.Thread(target=work) for _ in range(min(int(threads), chunks) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    except BaseException as exc:
+        # interrupted while waiting: release the helpers waiting on this thread
+        with turn:
+            stopped = True
+            if failure is None:
+                failure = exc
+            turn.notify_all()
+        raise
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failure is not None:
+        raise failure
 
     return PathEnsemble(times=times, values=sink.values, final=sink.final)

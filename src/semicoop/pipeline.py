@@ -273,8 +273,8 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
     seed : int
         Master seed; all stage randomness derives from it.
     threads : int
-        Worker threads for path simulation; results are identical for
-        any value.
+        Threads that simulate and write path chunks, the calling thread
+        included; results are identical for any value.
     csv : bool
         Also export the path ensemble as CSV.
     """

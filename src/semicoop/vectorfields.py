@@ -144,15 +144,18 @@ def lie_bracket(field_v, field_u, point, spacing=None):
     jac_u = _jacobian(field_u.drift, point, h)
     jac_w = _jacobian(field_u.noise, point, h)
 
-    terms = {
-        "drift-drift": jac_u @ v - jac_v @ u,
-        "drift-noise": jac_w @ v - jac_v @ w,
-        "noise-drift": jac_u @ b - jac_b @ u,
-        "noise-noise": jac_w @ b - jac_b @ w,
-    }
-    total = np.zeros(DIM)
-    for name, term in terms.items():
-        if np.any(~np.isfinite(term)):
-            raise NumericalError(f"non-finite commutator term '{name}' at {point.tolist()}")
-        total = total + term
+    # a term that overflows is reported below, and a sum that does is
+    # left non-finite, so numpy need not warn of either
+    with np.errstate(invalid="ignore", over="ignore"):
+        terms = {
+            "drift-drift": jac_u @ v - jac_v @ u,
+            "drift-noise": jac_w @ v - jac_v @ w,
+            "noise-drift": jac_u @ b - jac_b @ u,
+            "noise-noise": jac_w @ b - jac_b @ w,
+        }
+        total = np.zeros(DIM)
+        for name, term in terms.items():
+            if np.any(~np.isfinite(term)):
+                raise NumericalError(f"non-finite commutator term '{name}' at {point.tolist()}")
+            total = total + term
     return total

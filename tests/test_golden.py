@@ -1,5 +1,6 @@
 """Every artifact, manifest and stage stdout of reduced copies of the four
-benchmark workloads, at seeds 1 and 4 and at one and two worker threads,
+benchmark workloads, at seeds 1 and 4 and at one, two and four worker
+threads (four is more than the two path chunks of ``path_ensemble``),
 against the golden records in ``tests/golden/`` (rewritten by
 ``tests/golden/regenerate.py``).  A mismatch names each file, manifest
 entry or stdout that moved, with the largest absolute and relative
@@ -88,7 +89,7 @@ def recorded_environment():
         return json.load(fh)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 4])
 @pytest.mark.parametrize("name, seed", golden.cases())
 def test_outputs_equal_the_golden_record(name, seed, threads, tmp_path, recorded_environment):
     with open(golden.golden_path(name, seed)) as fh:

@@ -1,6 +1,8 @@
+import contextlib
 import math
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -83,18 +85,49 @@ def reference_simulate(coeffs, x0, horizon, steps, paths, seed, increments=None)
 
 
 class RecordingSink(market._ArraySink):
-    """The in-memory sink, recording the rows blocks it is given and the
-    thread that gives them."""
+    """The in-memory sink, recording the rows blocks it is given; a call
+    that enters while another is still inside it fails."""
 
     def __init__(self, shape):
         super().__init__(shape)
         self.blocks = []
-        self.threads = set()
+        self._inside = threading.Lock()
 
     def rows(self, lo, block):
-        self.blocks.append((lo, lo + len(block)))
-        self.threads.add(threading.get_ident())
-        super().rows(lo, block)
+        if not self._inside.acquire(blocking=False):
+            raise AssertionError(f"rows {lo} entered the sink while another call was inside")
+        try:
+            self.blocks.append((lo, lo + len(block)))
+            time.sleep(1e-3)  # a call left waiting here would overlap the next
+            super().rows(lo, block)
+        finally:
+            self._inside.release()
+
+
+@contextlib.contextmanager
+def frequent_switches():
+    """Make the interpreter switch threads as often as it can."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def blowing_up(paths, steps, at):
+    """Callable coefficients and small explicit increments, except that a
+    large increment at step ``k`` of the first path of chunk ``c`` makes
+    the drift non-finite at step ``k + 1``, for each ``(c, k)`` in
+    ``at``."""
+    dw = np.full((paths, steps, 3), 0.01)
+    for c, k in at:
+        dw[c * 4096, k, 0] = 1e6
+
+    def drift(s, x):
+        return np.where(x > 1e5, np.inf, -0.5 * x)
+
+    return SDECoefficients(drift=drift, diffusion=lambda s, x: np.eye(3)), dw
 
 
 def assert_same_bits(a, b):
@@ -389,32 +422,28 @@ class TestComponentMajorKernel:
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_out_filled_and_rows_reported_in_order(self, coeffs, threads):
-        # the sink gets each rows block on the calling thread, in path
-        # order, final when it arrives
+        # the sink gets each rows block one call at a time, in path order,
+        # final when it arrives, whichever thread ran its chunk
         ref = self.reference(coeffs)
         sink = RecordingSink((self.paths, 17, 3))
-        ens = simulate(coeffs, self.x0, 1.0, 16, self.paths, 5, threads=threads, sink=sink)
+        with frequent_switches():
+            ens = simulate(coeffs, self.x0, 1.0, 16, self.paths, 5, threads=threads, sink=sink)
         assert sink.blocks == [(0, 4096), (4096, 8192), (8192, 9000)]
-        assert sink.threads == {threading.get_ident()}
         assert ens.values is sink.values and ens.final is sink.final
         assert_same_bits(sink.values, ref)
         assert_same_bits(ens.final, np.ascontiguousarray(ref[:, -1]))
 
     def test_buffer_reuse_across_threads(self, coeffs):
-        # many more chunks than workers, so buffer sets pass between
-        # threads, which are made to switch often
+        # many more chunks than workers, so each buffer set runs many
+        # chunks, and the threads are made to switch often
         paths = 12 * 4096 + 7
         serial = simulate(coeffs, self.x0, 1.0, 6, paths, 8, threads=1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
+        with frequent_switches():
             pooled = simulate(coeffs, self.x0, 1.0, 6, paths, 8, threads=4)
-        finally:
-            sys.setswitchinterval(interval)
         assert_same_bits(pooled.values, serial.values)
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_at_most_threads_plus_one_buffer_sets(self, coeffs, threads, monkeypatch):
+    def test_at_most_threads_buffer_sets(self, coeffs, threads, monkeypatch):
         created = []
 
         class Counted(market._ChunkBuffers):
@@ -423,15 +452,39 @@ class TestComponentMajorKernel:
                 created.append(self)
 
         monkeypatch.setattr(market, "_ChunkBuffers", Counted)
-        paths = 12 * 4096 + 7  # 13 chunks
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            ens = simulate(coeffs, self.x0, 1.0, 6, paths, 8, threads=threads)
-        finally:
-            sys.setswitchinterval(interval)
-        assert 1 <= len(created) <= threads + 1
-        assert ens.values.shape == (paths, 7, 3)
+        for chunks in (13, 2, 1):
+            created.clear()
+            paths = (chunks - 1) * 4096 + 7
+            with frequent_switches():
+                ens = simulate(coeffs, self.x0, 1.0, 6, paths, 8, threads=threads)
+            assert 1 <= len(created) <= min(threads, chunks)
+            assert ens.values.shape == (paths, 7, 3)
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_no_thread_outlives_the_call(self, coeffs, threads):
+        class FailingSink(RecordingSink):
+            def rows(self, lo, block):
+                if lo == 2 * 4096:
+                    raise OSError("disk full")
+                super().rows(lo, block)
+
+        before = set(threading.enumerate())
+        paths = 12 * 4096 + 7
+        with frequent_switches():
+            simulate(coeffs, self.x0, 1.0, 6, paths, 8, threads=threads)
+            assert set(threading.enumerate()) == before
+            sink = FailingSink((paths, 7, 3))
+            with pytest.raises(OSError, match="disk full"):
+                simulate(coeffs, self.x0, 1.0, 6, paths, 8, threads=threads, sink=sink)
+            assert set(threading.enumerate()) == before
+            assert sink.blocks == [(0, 4096), (4096, 8192)]
+            # a failing chunk, and fewer chunks than threads
+            blowing, dw = blowing_up(paths, 6, [(5, 0)])
+            with pytest.raises(NumericalError, match="at step 1"):
+                simulate(blowing, self.x0, 1.0, 6, paths, 0, increments=dw, threads=threads)
+            assert set(threading.enumerate()) == before
+            simulate(coeffs, self.x0, 1.0, 6, 4097, 8, threads=threads)
+            assert set(threading.enumerate()) == before
 
     def test_out_of_wrong_shape_rejected(self, coeffs, tmp_path):
         # a writer whose rows do not match the simulation's is rejected,
@@ -500,6 +553,17 @@ class TestComponentMajorKernel:
         assert writer._next == failing * 4096  # the chunks before it were written
         # chunks 0-5 and at most the threads chunks after it
         assert failing + 1 <= len(started) <= failing + 1 + threads
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_error_is_the_first_failing_chunk_in_path_order(self, threads):
+        # chunk 7 fails one step sooner than chunk 3, so it may fail first
+        paths, steps = 12 * 4096 + 7, 4
+        coeffs, dw = blowing_up(paths, steps, [(3, 1), (7, 0)])
+        sink = RecordingSink((paths, steps + 1, 3))
+        with frequent_switches(), pytest.raises(NumericalError, match="at step 2"):
+            simulate(coeffs, self.x0, 1.0, steps, paths, 0, increments=dw,
+                     threads=threads, sink=sink)
+        assert sink.blocks == [(c * 4096, (c + 1) * 4096) for c in range(3)]
 
     def test_non_finite_table_names_step(self):
         metric = geo.sphere_metric(self.grid)

@@ -515,6 +515,36 @@ def test_malformed_lie_bracket_input_exits_with_validation_code(tmp_path, flags)
 
 
 @pytest.mark.parametrize(
+    "fields, message",
+    [
+        # J_U v and J_V u are both 1e200 * 1e200: inf - inf in drift-drift
+        (
+            {
+                "v": {"drift": [[[1e200, [0, 1, 0]]], [], []]},
+                "u": {"drift": [[], [[1e200, [1, 0, 0]]], []]},
+            },
+            "non-finite commutator term 'drift-drift'",
+        ),
+        # drift-drift and noise-drift are each 1e308 in y0, their sum is not
+        (
+            {
+                "v": {"drift": [[[1e154, [0, 0, 0]]], [], []],
+                      "noise": [[[1e154, [0, 0, 0]]], [], []]},
+                "u": {"drift": [[[1e154, [1, 0, 0]]], [], []]},
+            },
+            "the printed result would hold a non-finite number",
+        ),
+    ],
+    ids=["term", "sum"],
+)
+def test_overflowing_lie_bracket_exits_with_numerical_code(tmp_path, fields, message):
+    path = write_scenario(tmp_path / "scenario.json", dict(SCENARIO, fields=fields))
+    code, err = _exit_and_stderr("lie-bracket", "--scenario", path, "--point", "1,1,1")
+    assert code == cli.EXIT_NUMERICAL, err
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["simulate-sde", "--scenario", "s.json", "--out", "p.bin", "--paths", "5"],
@@ -724,18 +754,23 @@ def test_benchmark_stage_commands_load_no_scipy(tmp_path):
     assert [m for m in modules["new"] if m.split(".")[0] == "numpy"] == []
 
 
-def test_cli_import_leaves_thread_pool_and_cascade_unloaded():
-    """Only a threaded ``simulate`` needs ``concurrent.futures`` (which
-    loads ``logging``, ``threading`` and ``queue``), only ``cascade``
-    needs ``profitops`` and only ``lie-bracket`` needs ``vectorfields``;
-    none loads with the CLI."""
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, "[]"],
-        capture_output=True, text=True, env=child_env(), timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)["loaded"]
-    assert "concurrent.futures" not in loaded
+def test_cli_import_leaves_thread_pool_and_cascade_unloaded(tmp_path):
+    """No command needs ``concurrent.futures`` (which loads ``logging``
+    and ``queue``), not even a threaded ``simulate-sde``; only
+    ``cascade`` needs ``profitops`` and only ``lie-bracket`` needs
+    ``vectorfields``; none loads with the CLI."""
+    scenario = dict(SCENARIO, sde=dict(SCENARIO["sde"], paths=4097))
+    scenario = write_scenario(tmp_path / "scenario.json", scenario)
+    simulate = ["simulate-sde", "--scenario", str(scenario), "--out", str(tmp_path / "p.bin"),
+                "--threads", "2"]
+    for argvs in ([], [simulate]):
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argvs)],
+            capture_output=True, text=True, env=child_env(), timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout)["loaded"]
+        assert "concurrent.futures" not in loaded
     assert "semicoop.profitops" not in loaded
     assert "semicoop.vectorfields" not in loaded
 
