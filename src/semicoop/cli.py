@@ -74,7 +74,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument(
         "--threads", type=int, default=1,
-        help="threads that simulate and write path chunks, the main thread included",
+        help="threads that step the path chunks and write the ensemble, the main thread included",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -104,7 +104,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument(
         "--threads", type=int, default=1,
-        help="threads that simulate and write path chunks, the main thread included",
+        help="threads that step the path chunks and write the ensemble, the main thread included",
     )
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out-dir", default=".", help="artifact directory")

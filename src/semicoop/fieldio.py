@@ -21,14 +21,31 @@ A JSON descriptor is written next to the binary file (same path with a
 known, and the package version.  Descriptors carry no timestamps so a
 rerun with identical inputs produces byte-identical files.
 
-Path ensembles use a similar header (magic ``b"SCPATH01"``) followed by
-``paths * (steps + 1) * components`` float64 values, one path after
-another.  :class:`EnsembleWriter` is the one writer of that layout: it
-writes the header and times, then takes the payload as blocks of whole
-paths, in path order, and writes each block once, sequentially, hashing
-it on the way, so no file is read back for its digest and no page of the
-file is mapped while it is written.  The file appears under its name
-only when every row is in.
+Path ensemble layout (little-endian throughout), time-major:
+
+========  ====================================================
+bytes     content
+========  ====================================================
+0:8       magic ``b"SCPATH02"``
+8:16      paths (uint64)
+16:24     time points, steps + 1 (uint64)
+24:28     components (uint32)
+28:32     reserved (uint32, zero)
+...       times, one float64 per time point
+...       payload: float64, ``(time points, components, paths)``
+          row-major: the states of every path at the first time,
+          component by component, then at the next time
+========  ====================================================
+
+:class:`EnsembleWriter` is the one writer of that layout: it writes the
+header and times, then takes the payload one time point's
+``(components, paths)`` row at a time, in time order, and writes each
+row once, sequentially, hashing it on the way, so no file is read back
+for its digest and no page of the file is mapped while it is written.
+The file appears under its name only when every row is in.  Readers
+see the payload as ``values[path, step, component]``, a transposed view.
+Files with the magic ``b"SCPATH01"`` hold the earlier path-major
+payload; :func:`read_ensemble` rejects them.
 
 The writers digest the bytes they write: :func:`write_grid` returns
 ``(sha256, nbytes)`` of its file, and an :class:`EnsembleWriter` holds
@@ -52,7 +69,8 @@ from .errors import ValidationError
 from .grids import GridSpec
 
 _GRID_MAGIC = b"SCGRID01"
-_PATH_MAGIC = b"SCPATH01"
+_PATH_MAGIC = b"SCPATH02"
+_PATH_MAJOR_MAGIC = b"SCPATH01"
 # numpy arrays have at most 64 axes; no field of this package has more than 5
 _MAX_AXES = 32
 
@@ -249,21 +267,23 @@ def read_grid(path):
 
 
 class EnsembleWriter:
-    """Write a path ensemble block by block and hash it on the way.
+    """Write a path ensemble one time step at a time and hash it on the
+    way.
 
-    The writer is a sink for :func:`market.simulate`: :meth:`rows` takes
-    each block of whole paths, in path order, writes it after the rows
-    before it and feeds it to a SHA-256 seeded with the header and
-    times, and keeps each path's last state in ``final``.  It is called
+    The writer is a sink for :func:`market.simulate`: :meth:`step`
+    takes each time point's ``(components, paths)`` state row, in time
+    order, writes it after the rows before it and feeds it to a SHA-256
+    seeded with the header and times, and copies the last row into
+    ``final``, a contiguous ``(paths, components)`` array.  It is called
     one call at a time, but possibly from different threads, each
-    calling it after the call before has returned.  Once every row
-    is in, ``values`` (None until then) is the payload as a read-only
-    ``(paths, steps + 1, components)`` memory map of the file, which
-    nothing reads unless asked to, such as a CSV export.  Use the writer
-    as a context manager::
+    calling it after the call before has returned.  Once every row is
+    in, ``values`` (None until then) is the payload as a read-only
+    ``(paths, steps + 1, components)`` view of a memory map of the file,
+    which nothing reads unless asked to, such as a CSV export.  Use the
+    writer as a context manager::
 
         with EnsembleWriter(path, times, paths, 3, seed=seed) as writer:
-            ...  # writer.rows(lo, block) for each block, in path order
+            ...  # writer.step(k, row) for each k in range(len(times))
         writer.sha256, writer.nbytes
 
     The file is built under ``path + ".partial"`` and moved to ``path``,
@@ -318,38 +338,42 @@ class EnsembleWriter:
         if exc is not None:
             raise ValidationError(f"cannot write ensemble {self._path}: {exc}") from exc
 
-    def rows(self, lo, block):
-        """Write and hash ``block``, rows ``[lo, lo + len(block))`` of the
-        ensemble, which must follow the rows written so far."""
-        hi = lo + len(block)
-        if lo != self._next or not lo < hi <= self._shape[0]:
+    def step(self, k, row):
+        """Write and hash ``row``, the ``(components, paths)`` states at
+        time point ``k``, which must follow the rows written so far."""
+        paths, points, components = self._shape
+        if k >= points:
+            raise ValidationError(f"ensemble step {k} is past the last step {points - 1}")
+        if k != self._next:
+            raise ValidationError(f"ensemble step {k} out of order: step {self._next} comes next")
+        if row.shape != (components, paths):
             raise ValidationError(
-                f"ensemble rows [{lo}, {hi}) out of order: row {self._next} comes next"
+                f"ensemble row of shape {row.shape} does not hold the states of shape "
+                f"{(components, paths)}"
             )
-        if block.shape[1:] != self._shape[1:]:
-            raise ValidationError(
-                f"ensemble block of shape {block.shape} does not hold rows of shape "
-                f"{self._shape[1:]}"
-            )
-        block = np.ascontiguousarray(block, dtype="<f8")
+        row = np.ascontiguousarray(row, dtype="<f8")
         try:
-            _write_array(self._fh, block)
-            if hi == self._shape[0]:
+            _write_array(self._fh, row)
+            if k == points - 1:
                 self._fh.flush()
                 # the map keeps its own descriptor of the file; the array keeps the map
                 view = mmap.mmap(self._fh.fileno(), self.nbytes, access=mmap.ACCESS_READ)
-                self.values = np.ndarray(self._shape, dtype="<f8", buffer=view, offset=self._offset)
+                rows = np.ndarray(
+                    (points, components, paths), dtype="<f8", buffer=view, offset=self._offset
+                )
+                self.values = rows.transpose(2, 0, 1)
         except OSError as exc:
             self._discard(exc)
-        self._hash.update(block)
-        self.final[lo:hi] = block[:, -1]
-        self._next = hi
+        self._hash.update(row)
+        if k == points - 1:
+            self.final[...] = row.T
+        self._next = k + 1
 
     def __enter__(self):
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is None and self._next == self._shape[0]:
+        if exc_type is None and self._next == self._shape[1]:
             try:
                 self._fh.close()
                 os.replace(self._partial, self._path)
@@ -361,7 +385,7 @@ class EnsembleWriter:
         self._discard()
         if exc_type is None:
             raise ValidationError(
-                f"ensemble rows from {self._next} of {self._shape[0]} were never finished"
+                f"ensemble steps from {self._next} of {self._shape[1]} were never finished"
             )
         return False
 
@@ -369,12 +393,20 @@ class EnsembleWriter:
 def read_ensemble(path):
     """Read a path ensemble written by :class:`EnsembleWriter`.
 
-    Returns ``(times, values)``; raises ValidationError when the file is
-    not a path ensemble, declares an empty axis, or is shorter or longer
+    Returns ``(times, values)``, ``values[path, step, component]`` a
+    transposed view of the time-major payload; raises ValidationError
+    when the file is not a path ensemble or is one in the earlier
+    path-major layout, declares an empty axis, or is shorter or longer
     than its header says.
     """
     with open(path, "rb") as fh:
         magic = fh.read(8)
+        if magic == _PATH_MAJOR_MAGIC:
+            raise ValidationError(
+                f"{path}: the ensemble is in the old path-major layout "
+                f"({_PATH_MAJOR_MAGIC.decode()}); simulate it again to write the "
+                f"time-major {_PATH_MAGIC.decode()} layout"
+            )
         if magic != _PATH_MAGIC:
             raise ValidationError(f"{path}: not a path ensemble file")
         paths, nsteps, comps, _ = struct.unpack("<QQI I", _read_exact(fh, 24, path))
@@ -385,7 +417,7 @@ def read_ensemble(path):
         times = _read_floats(fh, nsteps, path)
         values = _read_floats(fh, paths * nsteps * comps, path)
         _check_at_end(fh, path)
-    return times, values.reshape(paths, nsteps, comps)
+    return times, values.reshape(nsteps, comps, paths).transpose(2, 0, 1)
 
 
 def sha256_of(path):

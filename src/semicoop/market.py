@@ -7,13 +7,11 @@ Cholesky factor of the inverse metric, so the reconstruction
 ``omega omega^T = h^{ab}`` holds at every node and share increments pick
 up the inverse-metric covariance.
 
-Simulation is Euler-Maruyama on chunks of 4096 paths, run in blocks of
-8 steps.  A block draws its increments, steps through them and copies
-its states into the chunk's path-major ``(n, steps + 1, 3)`` rows block;
-its increments ``(8, 3, n)`` and states ``(9, 3, n)`` are
-component-major, so every step works on contiguous rows, and they stay
-small enough to be transposed while still in cache.  The rows block is
-the only array of a chunk that grows with the step count.
+Simulation is Euler-Maruyama on chunks of 4096 paths, run one time
+step at a time over every chunk.  The states live in two component-major
+rows ``(2, 3, paths)``: a step reads row ``k % 2`` and writes row
+``(k + 1) % 2``, so every step works on contiguous rows and no array of
+a run grows with the step count.
 
 The coefficient tables are built on the metric's profile, the grid axes
 along which the metric and its connection vary.  Before the first step
@@ -32,19 +30,20 @@ Randomness flows from a master seed split into fixed per-chunk streams
 keyed by chunk index, so ensembles are bit-identical for a given seed no
 matter how many worker threads run the chunks or in which order they
 finish.  A chunk's stream is one component-major ``(steps, 3, n)``
-normal draw, which its blocks take in turn, so the numbers do not depend
-on the block length; the chunk width is part of the stream.
+normal draw, which its steps take in turn, ``(3, n)`` each; the chunk
+width is part of the stream.
 
-``threads`` threads run the chunks, the calling thread and up to
-``threads - 1`` helpers.  Each takes the next chunk in path order, runs
-it in its own buffer set and, once every earlier chunk is handed over,
-hands its rows block to a sink itself: an
-:class:`fieldio.EnsembleWriter`, which hashes each block and appends it
-to the ensemble file, or an in-memory array.  So the sink gets the
-blocks one call at a time, in path order, possibly from different
-threads, and the write and hash of a block run on the thread that
-computed it.  At most ``threads`` buffer sets ever exist, and the memory
-of a run does not grow with the path count.
+``threads`` threads, the calling thread and up to ``threads - 1``
+helpers, run the steps in rounds that meet at a barrier.  Round ``k``
+has one task that hands state row ``k`` to a sink and one task per
+chunk that steps it to row ``k + 1``; the threads take the tasks in
+that order.  The sink is an :class:`fieldio.EnsembleWriter`, which
+writes and hashes each row as it arrives, or an in-memory array.  So
+the sink gets the rows ``0..steps`` one call at a time, in step order,
+possibly from different threads, and its write and hash overlap the
+next step's arithmetic.  Besides its sink a run holds the two state
+rows, 48 bytes a path, and one small scratch per thread, ``n <= 4096``
+paths wide.
 """
 
 from __future__ import annotations
@@ -65,7 +64,6 @@ STATE_DIM = 3
 
 _SDE_STREAM_TAG = 0x5DE
 _CHUNK_SIZE = 4096
-_BLOCK_STEPS = 8
 
 
 @dataclass
@@ -227,17 +225,20 @@ class PathEnsemble:
 
 
 class _ArraySink:
-    """In-memory sink of :func:`simulate`: the rows blocks are copied into
-    ``values`` and their last states into ``final``."""
+    """In-memory sink of :func:`simulate`: each state row is copied into
+    a time-major ``(steps + 1, 3, paths)`` array, ``values`` is its
+    ``(paths, steps + 1, 3)`` transpose and ``final`` a contiguous copy
+    of the last row."""
 
     def __init__(self, shape):
-        self.values = np.empty(shape)
+        self._rows = np.empty((shape[1], shape[2], shape[0]))
+        self.values = self._rows.transpose(2, 0, 1)
         self.final = np.empty((shape[0], shape[2]))
 
-    def rows(self, lo, block):
-        hi = lo + len(block)
-        self.values[lo:hi] = block
-        self.final[lo:hi] = block[:, -1]
+    def step(self, k, row):
+        self._rows[k] = row
+        if k == len(self._rows) - 1:
+            self.final[...] = row.T
 
 
 def _coefficient_block(coeffs):
@@ -364,50 +365,41 @@ def _euler_step(x, x_next, dwk, dt, terms, noise, product):
             out[...] = x[a]
 
 
-class _ChunkBuffers:
-    """One chunk's arrays, allocated once for chunks of up to ``width``
-    paths: one flat block viewed, for a chunk of ``n`` paths, as the
-    chunk's rows block and, component-major with a last axis of ``n``, a
-    step block's increments and states, the gathered coefficient rows and
-    two rows for the noise sum and a product.  A step block holds up to
-    ``_BLOCK_STEPS`` increments and one state more, the one it starts
-    from, so only the rows block grows with the step count."""
+class _StepScratch:
+    """One thread's arrays for stepping chunks of up to ``width`` paths:
+    one flat block viewed, for a chunk of ``n`` paths, as C-contiguous
+    rows with a last axis of ``n``: the step's increments ``(3, n)``, the
+    gathered coefficient rows and two rows for the noise sum and a
+    product.  Nothing in it grows with the step or the path count."""
 
-    def __init__(self, steps, width, varying):
-        block = min(_BLOCK_STEPS, steps)
-        self.shapes = [
-            (steps + 1, STATE_DIM),  # the rows block, path-major
-            (block, STATE_DIM),  # increments
-            (block + 1, STATE_DIM),  # states
-            (varying,),  # gathered coefficient rows
-            (2,),  # noise sum, product
-        ]
-        self.flat = np.empty(sum(math.prod(s) for s in self.shapes) * width)
+    def __init__(self, width, plan):
+        self.plan = plan
+        self.varying = sum(isinstance(r, int) for r in plan)
+        self.flat = np.empty((STATE_DIM + self.varying + 2) * width)
+        self._n = None
 
     def views(self, n):
-        """``(rows, dw, states, block, scratch)``: the path-major rows
-        block ``(n, steps + 1, 3)``, then the rest with a last axis of
-        ``n`` paths."""
-        views, at = [], 0
-        for shape in self.shapes:
-            size = math.prod(shape) * n
-            views.append(self.flat[at : at + size].reshape(shape + (n,)))
-            at += size
-        views[0] = views[0].reshape((n,) + self.shapes[0])
-        return views
+        """``(dw, block, noise, product, terms)`` for a chunk of ``n``
+        paths, ``terms`` being :func:`_step_terms` of ``block``."""
+        if n != self._n:
+            rows = self.flat[: (STATE_DIM + self.varying + 2) * n].reshape(-1, n)
+            block = rows[STATE_DIM : STATE_DIM + self.varying]
+            terms = _step_terms(self.plan, block)
+            self._views = (rows[:STATE_DIM], block, rows[-2], rows[-1], terms)
+            self._n = n
+        return self._views
 
 
 def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, threads=1, sink=None):
     """Euler-Maruyama ensemble of share paths.
 
-    Paths run in chunks of 4096, and a chunk runs in blocks of 8 steps.
-    A block takes its ``(b, 3, n)`` increments from the chunk's stream
-    (or copies them from ``increments``), steps through them with states
-    kept component-major, ``(b + 1, 3, n)``, and copies its ``b`` new
-    states into the chunk's path-major ``(n, steps + 1, 3)`` rows block
-    while they are in cache; its last state starts the next block.  Each
-    step applies ``x + mu dt + omega dW`` component by component, with
-    each component's products of ``omega dW`` summed in the order
+    Paths run in chunks of 4096, one time step at a time over every
+    chunk, on two component-major state rows ``(2, 3, paths)``.  Step
+    ``k`` of a chunk of ``n`` paths takes its ``(3, n)`` increments from
+    the chunk's stream (or copies them from ``increments``) and writes
+    the chunk's columns of state row ``k + 1`` from those of row ``k``.
+    Each step applies ``x + mu dt + omega dW`` component by component,
+    with each component's products of ``omega dW`` summed in the order
     ``(w0 d0 + w2 d2) + w1 d1`` (the order numpy's ``einsum`` sums them
     for C-ordered blocks).  Only the coefficient rows that vary are
     looked up at each step (one nearest-node gather from the tables, or
@@ -415,20 +407,22 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
     a constant row enters as a number, and the terms of a zero row are
     left out, which leaves every bit of the sum as it is.
 
-    The calling thread and ``min(threads, chunks) - 1`` helper threads
-    run the same loop: take the next chunk in path order, run it in this
-    thread's buffer set, allocated with its first chunk, wait until
-    every earlier chunk has been handed over, then pass the rows block
-    to ``sink.rows(lo, block)`` and take the next chunk.  So the sink is
-    called one call at a time, in path order, from whichever thread ran
-    the chunk, and at most ``threads`` buffer sets ever exist, each one
-    rows block and a step block's arrays: the memory a call allocates
-    besides its sink does not grow with the path count.  When a chunk
-    or a sink call raises, no thread takes a further chunk; a failing
-    chunk's exception is raised once every chunk before it has been
-    handed over, so the error is that of the first failure in path
-    order, and the chunks after it are dropped.  Every helper has ended
-    when the call returns or raises.
+    Each step is a round.  The calling thread and ``min(threads,
+    chunks) - 1`` helper threads take the round's tasks in order, first
+    the one that passes state row ``k`` to ``sink.step(k, row)``, then
+    each chunk's step to row ``k + 1`` in path order, and meet at a
+    barrier before the next round; the last round hands row ``steps``
+    alone.  So the sink is called once per row, in step order, one call
+    at a time, from whichever thread took the task, while the other
+    threads step the chunks.  Besides its sink a call holds the two
+    state rows, 48 bytes a path, and one scratch per thread that steps a
+    chunk, at most ``(5 + varying rows) * 4096`` floats: nothing grows
+    with the step count.  When a task raises, no thread takes a further
+    task of its round and no round starts after it; the error raised is
+    the round's first in task order, the sink's before any chunk's, so
+    it is that of the first failing chunk of the first failing step, and
+    every row before that step has been handed over.  Every helper has
+    ended when the call returns or raises.
 
     Parameters
     ----------
@@ -444,22 +438,23 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
     seed : int
         Master seed; the increments of path chunk ``c``, ``n`` paths
         wide, are ``sqrt(dt)`` times one ``(steps, 3, n)`` standard
-        normal draw from the fixed stream ``(seed, c)``, regardless of
-        thread count and block length.
+        normal draw from the fixed stream ``(seed, c)``, taken ``(3, n)``
+        a step, regardless of thread count.
     increments : ndarray (paths, steps, 3), optional
         Explicit Brownian increments, overriding the seeded streams
         (used for convergence studies against a common noise); checked
-        for their shape and for finite values before any chunk runs.
+        for their shape and for finite values before any step runs.
     threads : int
-        Threads that run path chunks, the calling thread included, at
+        Threads that run the steps, the calling thread included, at
         least 1; affects speed only, never the numbers.
     sink : object, optional
-        Receives the ensemble: ``sink.rows(lo, block)`` takes rows
-        ``[lo, lo + len(block))`` as a C-contiguous float64 block that is
-        reused once the call returns, and after the last block
-        ``sink.values`` (``(paths, steps + 1, 3)``) and ``sink.final``
-        (``(paths, 3)``, each path's last state) become the ensemble's.
-        An :class:`fieldio.EnsembleWriter` writes the ensemble file; the
+        Receives the ensemble: ``sink.step(k, row)`` takes state row
+        ``k``, the ``(3, paths)`` states at ``times[k]``, as a
+        C-contiguous float64 array that is overwritten once the next
+        round ends, and after row ``steps`` ``sink.values`` (``(paths,
+        steps + 1, 3)``) and ``sink.final`` (``(paths, 3)``, each path's
+        last state) become the ensemble's.  An
+        :class:`fieldio.EnsembleWriter` writes the ensemble file; the
         default keeps it in memory.
 
     Returns
@@ -507,111 +502,102 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
     times = np.linspace(0.0, float(horizon), steps + 1)
 
     fill, plan, checked = _coefficient_block(coeffs)
-    varying = sum(isinstance(r, int) for r in plan)
     # Step 0 adds to x0 + 0.0: a -0.0 start component becomes +0.0, so no
     # state after step 0 is -0.0, as with einsum's zero-started sums.
     start = x0[:, None] + 0.0
     width = min(paths, _CHUNK_SIZE)
-
-    def run_chunk(own, chunk_index, lo, hi):
-        """Run one chunk in the buffer set ``own``; returns its rows block."""
-        n = hi - lo
-        rows, dw, states, block, (noise, product) = own.views(n)
-        columns = rows.reshape(n, -1)
-        if increments is None:
-            stream = SeedSequence(int(seed), spawn_key=(_SDE_STREAM_TAG, int(chunk_index)))
-            rng = default_rng(stream)
-        terms = _step_terms(plan, block)
-        states[0] = x0[:, None]
-        rows[:, 0] = x0
-        for first in range(0, steps, len(dw)):
-            b = min(len(dw), steps - first)
-            if increments is None:
-                rng.standard_normal(out=dw[:b])
-                dw[:b] *= scale
-            else:
-                dw[:b] = increments[lo:hi, first : first + b].transpose(1, 2, 0)
-            for j in range(b):
-                k = first + j
-                x = states[j]
-                if varying:
-                    try:
-                        fill(times[k], x, block)
-                    except Exception as exc:
-                        raise NumericalError(
-                            f"coefficient evaluation failed at step {k}: {exc}"
-                        ) from exc
-                if not checked and not np.isfinite(block).all():
-                    raise NumericalError(f"non-finite coefficients at step {k}")
-                _euler_step(x if k else start, states[j + 1], dw[j], dt, terms, noise, product)
-            new = slice(STATE_DIM * (first + 1), STATE_DIM * (first + b + 1))
-            columns[:, new] = states[1 : b + 1].reshape(-1, n).T
-            states[0] = states[b]
-        return rows
-
     chunks = -(-paths // _CHUNK_SIZE)
-    turn = threading.Condition()
-    # guarded by ``turn``: the next chunk to take, the next chunk to hand
-    # over, whether taking has stopped, and the exception that ends the run
-    taken = given = 0
-    stopped = False
-    failure = None
+    if increments is None:
+        rngs = [
+            default_rng(SeedSequence(int(seed), spawn_key=(_SDE_STREAM_TAG, c)))
+            for c in range(chunks)
+        ]
+    states = np.empty((2, STATE_DIM, paths))
+    states[0] = x0[:, None]
+
+    def step_chunk(own, c, k):
+        """Step chunk ``c`` from state row ``k`` to row ``k + 1`` in the
+        scratch ``own``."""
+        lo = c * _CHUNK_SIZE
+        hi = min(lo + _CHUNK_SIZE, paths)
+        dw, block, noise, product, terms = own.views(hi - lo)
+        if increments is None:
+            rngs[c].standard_normal(out=dw)
+            dw *= scale
+        else:
+            dw[...] = increments[lo:hi, k].T
+        x = states[k % 2, :, lo:hi]
+        if own.varying:
+            try:
+                fill(times[k], x, block)
+            except Exception as exc:
+                raise NumericalError(f"coefficient evaluation failed at step {k}: {exc}") from exc
+        if not checked and not np.isfinite(block).all():
+            raise NumericalError(f"non-finite coefficients at step {k}")
+        _euler_step(x if k else start, states[(k + 1) % 2, :, lo:hi], dw, dt, terms, noise, product)
+
+    lock = threading.Lock()
+    # ``task`` and ``failures`` (exceptions by task) are guarded by
+    # ``lock``; the round ``k`` and ``done`` change only in the barrier's
+    # action, while every thread waits, so that no thread reads a failure
+    # of the round after the one it has just ended
+    k = task = 0
+    done = False
+    failures = {}
+
+    def next_round():
+        nonlocal k, task, done
+        k, task = k + 1, 0
+        done = bool(failures) or k > steps
+
+    workers = min(int(threads), chunks)
+    barrier = threading.Barrier(workers, action=next_round)
 
     def work():
-        """Take chunks in path order, run each in this thread's buffer set
-        and hand it to the sink once every earlier chunk is handed over."""
-        nonlocal taken, given, stopped, failure
+        """Take the tasks of each round in order, task 0 handing row ``k``
+        to the sink and task ``c + 1`` stepping chunk ``c``, then meet the
+        other threads at the barrier; return after the last round or a
+        failed one."""
+        nonlocal task
         own = None
         while True:
-            with turn:
-                if stopped or taken == chunks:
-                    return
-                c, taken = taken, taken + 1
-            lo = c * _CHUNK_SIZE
-            error = None
-            try:
-                if own is None:
-                    own = _ChunkBuffers(steps, width, varying)
-                rows = run_chunk(own, c, lo, min(lo + _CHUNK_SIZE, paths))
-            except BaseException as exc:
-                error = exc
-            with turn:
-                stopped = stopped or error is not None
-                while given != c and failure is None:
-                    turn.wait()
-                if failure is not None:
-                    return  # an earlier chunk failed: this one is dropped
-            if error is None:
+            tasks = 1 + chunks if k < steps else 1
+            while True:
+                with lock:
+                    t, task = task, task + 1
+                if t >= tasks:
+                    break
                 try:
-                    sink.rows(lo, rows)
+                    if t == 0:
+                        sink.step(k, states[k % 2])
+                    else:
+                        if own is None:
+                            own = _StepScratch(width, plan)
+                        step_chunk(own, t - 1, k)
                 except BaseException as exc:
-                    error = exc
-            with turn:
-                if error is None:
-                    given += 1
-                else:
-                    stopped, failure = True, error
-                turn.notify_all()
-            if error is not None:
+                    with lock:
+                        failures[t] = exc
+                        task = tasks  # the round's tasks not yet taken are dropped
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:
+                return
+            if done:
                 return
 
-    helpers = [threading.Thread(target=work) for _ in range(min(int(threads), chunks) - 1)]
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
     for helper in helpers:
         helper.start()
     try:
         work()
-    except BaseException as exc:
-        # interrupted while waiting: release the helpers waiting on this thread
-        with turn:
-            stopped = True
-            if failure is None:
-                failure = exc
-            turn.notify_all()
+    except BaseException:
+        # interrupted between tasks: release the helpers at the barrier
+        barrier.abort()
         raise
     finally:
         for helper in helpers:
             helper.join()
-    if failure is not None:
-        raise failure
+    if failures:
+        raise failures[min(failures)]
 
     return PathEnsemble(times=times, values=sink.values, final=sink.final)

@@ -29,6 +29,8 @@ from .fieldio import EnsembleWriter, open_output, sha256_of, write_grid
 from .grids import GridSpec, require_same_grid
 
 STAGE_LABELS = {"gff": 101, "sde": 202}
+# paths per block of the CSV export, 3 MiB of states at 128 steps
+_CSV_PATHS = 1024
 
 
 def stage_seed(master, stage):
@@ -92,8 +94,8 @@ def stubbornness_field(config, grid, curv, seed):
 
 def simulate_paths(config, metric, chris, seed, threads, path):
     """SDE stage: the share ensemble of the scenario's first firm,
-    streamed into the ensemble file at ``path`` block by block as the
-    simulation finishes them.
+    streamed into the ensemble file at ``path`` one time step at a time
+    as the simulation finishes them.
 
     Returns ``(ensemble, (sha256, nbytes))`` of that file; the
     ensemble's ``values`` is a read-only map of the file and its summary
@@ -362,16 +364,21 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
 
 
 def export_ensemble_csv(path, ensemble):
-    """Long-format CSV: one row per (path, step).  Returns ``(sha256,
-    nbytes)`` of the file."""
+    """Long-format CSV: one row per (path, step).  The ensemble is read
+    ``_CSV_PATHS`` paths at a time, each block gathered in one copy, so
+    no path is gathered across the whole file on its own.  Returns
+    ``(sha256, nbytes)`` of the file."""
 
     def blocks():
         yield "path,step,time,x0,x1,x2\n"
-        for p, rows in enumerate(ensemble.values):
-            yield "".join(
-                f"{p},{k},{s:.17g},{x[0]:.17g},{x[1]:.17g},{x[2]:.17g}\n"
-                for k, (s, x) in enumerate(zip(ensemble.times, rows))
-            )
+        values = ensemble.values
+        for lo in range(0, len(values), _CSV_PATHS):
+            block = np.ascontiguousarray(values[lo : lo + _CSV_PATHS])
+            for p, rows in enumerate(block, lo):
+                yield "".join(
+                    f"{p},{k},{s:.17g},{x[0]:.17g},{x[1]:.17g},{x[2]:.17g}\n"
+                    for k, (s, x) in enumerate(zip(ensemble.times, rows))
+                )
 
     digest = hashlib.sha256()
     nbytes = 0

@@ -61,13 +61,12 @@ def test_grid_shape_mismatch_rejected(tmp_path):
         write_grid(tmp_path / "x.bin", np.zeros((3, 5)), grid)
 
 
-def write_ensemble(path, times, values, seed=None, chunk=None):
-    """Write ``values`` through an EnsembleWriter, ``chunk`` paths at a
-    time."""
-    chunk = chunk or len(values)
+def write_ensemble(path, times, values, seed=None):
+    """Write ``values[path, step, component]`` through an EnsembleWriter,
+    one ``(components, paths)`` row a step."""
     with EnsembleWriter(path, times, len(values), 3, seed=seed) as writer:
-        for lo in range(0, len(values), chunk):
-            writer.rows(lo, values[lo : lo + chunk])
+        for k in range(values.shape[1]):
+            writer.step(k, values[:, k].T)
     return writer
 
 
@@ -123,10 +122,12 @@ def test_write_grid_streams_a_broadcast_view(tmp_path):
     assert (digest, nbytes) == (sha256_of(path), path.stat().st_size)
 
 
-def ensemble_file_bytes(times, values):
-    """The documented path-ensemble layout, built with ``tobytes``."""
-    header = b"SCPATH01" + struct.pack("<QQI I", *values.shape, 0)
-    return header + times.astype("<f8").tobytes() + values.astype("<f8").tobytes()
+def ensemble_file_bytes(times, values, magic=b"SCPATH02"):
+    """The documented time-major path-ensemble layout, built with
+    ``tobytes``; with ``magic=b"SCPATH01"``, the earlier path-major one."""
+    header = magic + struct.pack("<QQI I", *values.shape, 0)
+    payload = values.transpose(1, 2, 0) if magic == b"SCPATH02" else values
+    return header + times.astype("<f8").tobytes() + payload.astype("<f8").tobytes()
 
 
 @pytest.mark.parametrize("paths", [1, 4097, 9000])
@@ -134,7 +135,7 @@ def test_writer_bytes_and_digest(tmp_path, paths):
     times = np.linspace(0.0, 1.0, 6)
     values = np.random.default_rng(3).standard_normal((paths, 6, 3))
     path = tmp_path / "p.bin"
-    writer = write_ensemble(path, times, values, chunk=4096)
+    writer = write_ensemble(path, times, values)
     data = path.read_bytes()
     assert data == ensemble_file_bytes(times, values)
     assert writer.sha256 == hashlib.sha256(data).hexdigest() == sha256_of(path)
@@ -157,23 +158,23 @@ def test_write_grid_returns_digest_and_size(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "rows", [[(10, 20)], [(0, 10), (0, 10)], [(0, 10), (11, 20)], [(0, 21)], [(0, 10), (10, 10)]]
+    "rows", [[2], [0, 0], [0, 2], [5], [0, 1, 1]]
 )
 def test_writer_rejects_rows_out_of_order(tmp_path, rows):
     path = tmp_path / "p.bin"
-    with pytest.raises(ValidationError, match="out of order"):
+    with pytest.raises(ValidationError, match="out of order|step 5 is past the last step 4"):
         with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3) as writer:
-            for lo, hi in rows:
-                writer.rows(lo, np.zeros((hi - lo, 5, 3)))
+            for k in rows:
+                writer.step(k, np.zeros((3, 20)))
     assert writer.values is None
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("shape", [(10, 4, 3), (10, 5, 2), (10, 15)])
+@pytest.mark.parametrize("shape", [(3, 19), (2, 20), (60,)])
 def test_writer_rejects_a_block_of_other_rows(tmp_path, shape):
-    with pytest.raises(ValidationError, match="does not hold rows of shape"):
+    with pytest.raises(ValidationError, match=r"does not hold the states of shape \(3, 20\)"):
         with EnsembleWriter(tmp_path / "p.bin", np.linspace(0.0, 1.0, 5), 20, 3) as writer:
-            writer.rows(0, np.zeros(shape))
+            writer.step(0, np.zeros(shape))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -181,12 +182,13 @@ def test_writer_leaves_no_file_on_error_or_missing_rows(tmp_path):
     path = tmp_path / "p.bin"
     with pytest.raises(RuntimeError):
         with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3) as writer:
-            writer.rows(0, np.zeros((10, 5, 3)))
+            writer.step(0, np.zeros((3, 20)))
             raise RuntimeError("simulation failed")
     assert list(tmp_path.iterdir()) == []
-    with pytest.raises(ValidationError, match="never finished"):
+    with pytest.raises(ValidationError, match="steps from 2 of 5 were never finished"):
         with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3) as writer:
-            writer.rows(0, np.zeros((10, 5, 3)))
+            writer.step(0, np.zeros((3, 20)))
+            writer.step(1, np.zeros((3, 20)))
     assert writer.values is None
     assert list(tmp_path.iterdir()) == []
 
@@ -211,8 +213,17 @@ def test_ensemble_header_with_empty_axis_rejected(tmp_path, shape):
     # a header and its times, and no payload: the payload of an empty shape
     path = tmp_path / "p.bin"
     times = np.linspace(0.0, 1.0, shape[1])
-    path.write_bytes(b"SCPATH01" + struct.pack("<QQI I", *shape, 0) + times.tobytes())
+    path.write_bytes(b"SCPATH02" + struct.pack("<QQI I", *shape, 0) + times.tobytes())
     with pytest.raises(ValidationError, match="empty axis"):
+        read_ensemble(path)
+
+
+def test_path_major_ensemble_rejected(tmp_path):
+    # a whole, well-formed file in the earlier layout is named as such
+    path = tmp_path / "p.bin"
+    values = np.random.default_rng(4).standard_normal((7, 5, 3))
+    path.write_bytes(ensemble_file_bytes(np.linspace(0.0, 1.0, 5), values, magic=b"SCPATH01"))
+    with pytest.raises(ValidationError, match="old path-major layout .SCPATH01."):
         read_ensemble(path)
 
 

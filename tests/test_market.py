@@ -85,23 +85,33 @@ def reference_simulate(coeffs, x0, horizon, steps, paths, seed, increments=None)
 
 
 class RecordingSink(market._ArraySink):
-    """The in-memory sink, recording the rows blocks it is given; a call
-    that enters while another is still inside it fails."""
+    """The in-memory sink, recording the steps of the state rows it is
+    given; a call that enters while another is still inside it fails."""
 
     def __init__(self, shape):
         super().__init__(shape)
-        self.blocks = []
+        self.steps = []
         self._inside = threading.Lock()
 
-    def rows(self, lo, block):
+    def step(self, k, row):
         if not self._inside.acquire(blocking=False):
-            raise AssertionError(f"rows {lo} entered the sink while another call was inside")
+            raise AssertionError(f"step {k} entered the sink while another call was inside")
         try:
-            self.blocks.append((lo, lo + len(block)))
+            self.steps.append(k)
             time.sleep(1e-3)  # a call left waiting here would overlap the next
-            super().rows(lo, block)
+            super().step(k, row)
         finally:
             self._inside.release()
+
+
+class NullSink:
+    """A sink that keeps nothing, so that a run's own memory can be
+    measured."""
+
+    values = final = None
+
+    def step(self, k, row):
+        pass
 
 
 @contextlib.contextmanager
@@ -115,19 +125,53 @@ def frequent_switches():
         sys.setswitchinterval(interval)
 
 
-def blowing_up(paths, steps, at):
+def bounded(fn, *args, seconds=60, **kwargs):
+    """Run ``fn`` on a daemon thread and return its result or raise its
+    exception; fail if it has not returned within ``seconds``, so that a
+    scheduler that deadlocks fails a test instead of hanging the run."""
+    result = {}
+
+    def target():
+        try:
+            result["value"] = fn(*args, **kwargs)
+        except BaseException as exc:
+            result["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"{fn.__name__} did not return within {seconds} s"
+    if "error" in result:
+        raise result["error"]
+    return result["value"]
+
+
+class LeftTheDomain(Exception):
+    pass
+
+
+def raising_at(paths, steps, at, slow=None):
     """Callable coefficients and small explicit increments, except that a
     large increment at step ``k`` of the first path of chunk ``c`` makes
-    the drift non-finite at step ``k + 1``, for each ``(c, k)`` in
-    ``at``."""
+    the drift raise a :class:`LeftTheDomain` naming the chunk at step
+    ``k + 1``, for each ``(c, k)`` in ``at``, after a pause when the chunk
+    is ``slow``.  Each exception raised is kept in ``raised[c]``."""
     dw = np.full((paths, steps, 3), 0.01)
     for c, k in at:
-        dw[c * 4096, k, 0] = 1e6
+        dw[c * 4096, k, 0] = 1e6 * (c + 1)
+    raised = {}
 
     def drift(s, x):
-        return np.where(x > 1e5, np.inf, -0.5 * x)
+        big = x[:, 0] > 1e5
+        if big.any():
+            c = round(x[big][0, 0] / 1e6) - 1
+            if c == slow:
+                time.sleep(0.05)
+            raised[c] = LeftTheDomain(f"chunk {c}")
+            raise raised[c]
+        return -0.5 * x
 
-    return SDECoefficients(drift=drift, diffusion=lambda s, x: np.eye(3)), dw
+    return SDECoefficients(drift=drift, diffusion=lambda s, x: np.eye(3)), dw, raised
 
 
 def assert_same_bits(a, b):
@@ -252,7 +296,8 @@ class TestSimulate:
         # keep the numbers of the strided reads it replaced, bit for bit
         coeffs = constant_coefficients(np.full(3, 0.1), np.eye(3))
         ens = simulate(coeffs, np.zeros(3), horizon=1.0, steps=8, paths=9000, seed=3)
-        final = ens.values[:, -1, :]
+        # the final slice as strided reads of a path-major array saw it
+        final = np.ascontiguousarray(ens.values)[:, -1, :]
         summary = ens.summary()
         assert summary["final_mean"] == [float(v) for v in final.mean(axis=0)]
         assert summary["final_variance"] == [float(v) for v in final.var(axis=0, ddof=1)]
@@ -422,36 +467,36 @@ class TestComponentMajorKernel:
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_out_filled_and_rows_reported_in_order(self, coeffs, threads):
-        # the sink gets each rows block one call at a time, in path order,
-        # final when it arrives, whichever thread ran its chunk
+        # the sink gets each state row one call at a time, in step order,
+        # final when it arrives, whichever thread took its task
         ref = self.reference(coeffs)
         sink = RecordingSink((self.paths, 17, 3))
         with frequent_switches():
             ens = simulate(coeffs, self.x0, 1.0, 16, self.paths, 5, threads=threads, sink=sink)
-        assert sink.blocks == [(0, 4096), (4096, 8192), (8192, 9000)]
+        assert sink.steps == list(range(17))
         assert ens.values is sink.values and ens.final is sink.final
         assert_same_bits(sink.values, ref)
         assert_same_bits(ens.final, np.ascontiguousarray(ref[:, -1]))
 
     def test_buffer_reuse_across_threads(self, coeffs):
-        # many more chunks than workers, so each buffer set runs many
+        # many more chunks than workers, so each scratch steps many
         # chunks, and the threads are made to switch often
         paths = 12 * 4096 + 7
         serial = simulate(coeffs, self.x0, 1.0, 6, paths, 8, threads=1)
         with frequent_switches():
-            pooled = simulate(coeffs, self.x0, 1.0, 6, paths, 8, threads=4)
+            pooled = bounded(simulate, coeffs, self.x0, 1.0, 6, paths, 8, threads=4)
         assert_same_bits(pooled.values, serial.values)
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_at_most_threads_buffer_sets(self, coeffs, threads, monkeypatch):
         created = []
 
-        class Counted(market._ChunkBuffers):
+        class Counted(market._StepScratch):
             def __init__(self, *args):
                 super().__init__(*args)
                 created.append(self)
 
-        monkeypatch.setattr(market, "_ChunkBuffers", Counted)
+        monkeypatch.setattr(market, "_StepScratch", Counted)
         for chunks in (13, 2, 1):
             created.clear()
             paths = (chunks - 1) * 4096 + 7
@@ -463,10 +508,10 @@ class TestComponentMajorKernel:
     @pytest.mark.parametrize("threads", [2, 4])
     def test_no_thread_outlives_the_call(self, coeffs, threads):
         class FailingSink(RecordingSink):
-            def rows(self, lo, block):
-                if lo == 2 * 4096:
+            def step(self, k, row):
+                if k == 2:
                     raise OSError("disk full")
-                super().rows(lo, block)
+                super().step(k, row)
 
         before = set(threading.enumerate())
         paths = 12 * 4096 + 7
@@ -475,11 +520,11 @@ class TestComponentMajorKernel:
             assert set(threading.enumerate()) == before
             sink = FailingSink((paths, 7, 3))
             with pytest.raises(OSError, match="disk full"):
-                simulate(coeffs, self.x0, 1.0, 6, paths, 8, threads=threads, sink=sink)
+                bounded(simulate, coeffs, self.x0, 1.0, 6, paths, 8, threads=threads, sink=sink)
             assert set(threading.enumerate()) == before
-            assert sink.blocks == [(0, 4096), (4096, 8192)]
+            assert sink.steps == [0, 1]
             # a failing chunk, and fewer chunks than threads
-            blowing, dw = blowing_up(paths, 6, [(5, 0)])
+            blowing, dw, _ = raising_at(paths, 6, [(5, 0)])
             with pytest.raises(NumericalError, match="at step 1"):
                 simulate(blowing, self.x0, 1.0, 6, paths, 0, increments=dw, threads=threads)
             assert set(threading.enumerate()) == before
@@ -489,28 +534,40 @@ class TestComponentMajorKernel:
     def test_out_of_wrong_shape_rejected(self, coeffs, tmp_path):
         # a writer whose rows do not match the simulation's is rejected,
         # and leaves no file
-        times = np.linspace(0.0, 1.0, 17)
+        times = np.linspace(0.0, 1.0, 18)
         for paths, points, match in [
-            (self.paths, 16, "does not hold rows"),
-            (self.paths - 1, 17, "out of order"),
-            (self.paths + 1, 17, "never finished"),
+            (self.paths, 16, "step 16 is past the last step 15"),
+            (self.paths, 18, "never finished"),
+            (self.paths - 1, 17, "does not hold the states"),
+            (self.paths + 1, 17, "does not hold the states"),
         ]:
             with pytest.raises(ValidationError, match=match):
                 with EnsembleWriter(tmp_path / "p.bin", times[:points], paths, 3) as writer:
                     simulate(coeffs, self.x0, 1.0, 16, self.paths, 5, sink=writer)
             assert list(tmp_path.iterdir()) == []
 
-    def test_allocations_do_not_grow_with_paths(self, coeffs):
-        peaks = []
-        for paths in (9000, 40000):
-            sink = RecordingSink((paths, 17, 3))
-            tracemalloc.start()
-            try:
-                simulate(coeffs, self.x0, 1.0, 16, paths, 5, sink=sink)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+    def test_allocations_do_not_grow_with_steps(self, coeffs):
+        # besides its sink a run holds two state rows, 48 B a path, and
+        # per thread one scratch of (3 increments + the gathered rows + 2)
+        # rows of 4096 paths and the temporaries of a chunk's step
+        plan = market._coefficient_block(coeffs)[1]
+        scratch = (5 + sum(isinstance(r, int) for r in plan)) * 4096 * 8
+        for threads in (1, 2):
+            peaks = {}
+            for steps in (16, 128):
+                for paths in (9000, 40000):
+                    tracemalloc.start()
+                    try:
+                        simulate(coeffs, self.x0, 1.0, steps, paths, 5, threads=threads,
+                                 sink=NullSink())
+                        peaks[steps, paths] = tracemalloc.get_traced_memory()[1]
+                    finally:
+                        tracemalloc.stop()
+            for paths in (9000, 40000):
+                # a rows block of 128 steps would add 11 MB a thread
+                assert abs(peaks[128, paths] - peaks[16, paths]) <= 100_000, peaks
+                assert peaks[16, paths] <= 48 * paths + threads * (scratch + 100_000), peaks
+            assert peaks[16, 40000] - peaks[16, 9000] <= 48 * 31000 + 100_000, peaks
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_written_ensemble_equals_the_reference(self, coeffs, tmp_path, threads):
@@ -530,40 +587,48 @@ class TestComponentMajorKernel:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failure_mid_run_stops_submitting_and_leaves_no_file(self, tmp_path, threads):
-        # a large increment in chunk 5 makes its drift non-finite at step 1
-        paths, steps, failing = 12 * 4096 + 7, 4, 5
+        # a large increment in chunk 5 makes its drift non-finite at step 2
+        paths, steps, failing = 12 * 4096 + 7, 6, 5
         dw = np.full((paths, steps, 3), 0.01)
-        dw[failing * 4096 + 7, 0, 0] = 1e6
-        started = []
+        dw[failing * 4096 + 7, 1, 0] = 1e6
+        evaluated = []
         lock = threading.Lock()
 
         def drift(s, x):
-            if s == 0.0:
-                with lock:
-                    started.append(s)
+            with lock:
+                evaluated.append(s)
             return np.where(x > 1e5, np.inf, -0.5 * x)
 
         coeffs = SDECoefficients(drift=drift, diffusion=lambda s, x: np.eye(3))
         path = tmp_path / "p.bin"
-        with pytest.raises(NumericalError, match="non-finite coefficients at step 1"):
-            with EnsembleWriter(path, np.linspace(0.0, 1.0, steps + 1), paths, 3) as writer:
+        times = np.linspace(0.0, 1.0, steps + 1)
+        with pytest.raises(NumericalError, match="non-finite coefficients at step 2"):
+            with EnsembleWriter(path, times, paths, 3) as writer:
                 simulate(coeffs, self.x0, 1.0, steps, paths, 0, increments=dw,
                          threads=threads, sink=writer)
         assert list(tmp_path.iterdir()) == []
-        assert writer._next == failing * 4096  # the chunks before it were written
-        # chunks 0-5 and at most the threads chunks after it
-        assert failing + 1 <= len(started) <= failing + 1 + threads
+        assert writer._next == 3  # rows 0-2 were written, row 2 in the failing round
+        # no round started after the failing one: steps 0 and 1 of all 13
+        # chunks, and step 2 of chunks 0-5 and of no more than the rest
+        assert evaluated[: 2 * 13] == [times[0]] * 13 + [times[1]] * 13
+        assert set(evaluated[2 * 13 :]) == {times[2]}
+        assert failing + 1 <= len(evaluated[2 * 13 :]) <= (failing + 1 if threads == 1 else 13)
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_error_is_the_first_failing_chunk_in_path_order(self, threads):
-        # chunk 7 fails one step sooner than chunk 3, so it may fail first
+        # the first failing chunk of the first failing step: chunks 7 and 9
+        # fail at step 1, chunk 3 only at step 2; chunk 7 fails slowly, so
+        # that with more threads chunk 9 fails first
         paths, steps = 12 * 4096 + 7, 4
-        coeffs, dw = blowing_up(paths, steps, [(3, 1), (7, 0)])
+        coeffs, dw, raised = raising_at(paths, steps, [(3, 1), (9, 0), (7, 0)], slow=7)
         sink = RecordingSink((paths, steps + 1, 3))
-        with frequent_switches(), pytest.raises(NumericalError, match="at step 2"):
-            simulate(coeffs, self.x0, 1.0, steps, paths, 0, increments=dw,
-                     threads=threads, sink=sink)
-        assert sink.blocks == [(c * 4096, (c + 1) * 4096) for c in range(3)]
+        with frequent_switches(), pytest.raises(NumericalError, match="at step 1: chunk 7$") as err:
+            bounded(simulate, coeffs, self.x0, 1.0, steps, paths, 0, increments=dw,
+                    threads=threads, sink=sink)
+        # the exception object that chunk 7's step raised, and its cause
+        assert err.value.__cause__ is raised[7]
+        assert sorted(raised) == ([7] if threads == 1 else [7, 9])
+        assert sink.steps == [0, 1]
 
     def test_non_finite_table_names_step(self):
         metric = geo.sphere_metric(self.grid)
@@ -593,9 +658,10 @@ class TestComponentMajorKernel:
 
 
 class TestStepBlocks:
-    """Chunks run in blocks of ``_BLOCK_STEPS`` steps, each drawing its
-    increments from the chunk's component-major stream: the bits of the
-    paths do not depend on the block length."""
+    """Every chunk runs in blocks of one step, one block a round, each
+    drawing ``(3, n)`` increments from the chunk's component-major
+    stream: the bits of the paths depend neither on the thread count nor
+    on the order in which the chunks run."""
 
     grid = GridSpec.from_axes((0.0, 1.0, 5), (0.5, 2.5, 9), (0.0, 1.0, 9))
     x0 = np.array([0.9, 2.3, 0.1])
@@ -607,23 +673,22 @@ class TestStepBlocks:
 
     @pytest.mark.parametrize("paths", [1, 4095, 4097])
     @pytest.mark.parametrize("steps", [2, 7, 37, 128])
-    def test_bits_do_not_depend_on_block_length(self, coeffs, steps, paths, monkeypatch):
+    def test_bits_do_not_depend_on_thread_count(self, coeffs, steps, paths):
         ref = reference_simulate(nearest_node_coefficients(coeffs), self.x0, 1.0, steps, paths, 6)
-        for block, threads in [(1, 2), (3, 4), (8, 1), (200, 2)]:
-            monkeypatch.setattr(market, "_BLOCK_STEPS", block)
-            ens = simulate(coeffs, self.x0, 1.0, steps, paths, 6, threads=threads)
+        for threads in (1, 2, 4):
+            with frequent_switches():
+                ens = simulate(coeffs, self.x0, 1.0, steps, paths, 6, threads=threads)
             assert_same_bits(ens.values, ref)
             assert_same_bits(ens.final, np.ascontiguousarray(ref[:, -1]))
 
-    @pytest.mark.parametrize("block", [1, 3, 8, 200])
-    def test_explicit_increments_give_the_reference_bits(self, coeffs, block, monkeypatch):
-        monkeypatch.setattr(market, "_BLOCK_STEPS", block)
+    def test_explicit_increments_give_the_reference_bits(self, coeffs):
         dw = np.random.default_rng(8).standard_normal((4097, 37, 3)) * 0.2
-        ens = simulate(coeffs, self.x0, 1.0, 37, 4097, 0, increments=dw, threads=2)
         ref = reference_simulate(
             nearest_node_coefficients(coeffs), self.x0, 1.0, 37, 4097, 0, increments=dw
         )
-        assert_same_bits(ens.values, ref)
+        for threads in (1, 2, 4):
+            ens = simulate(coeffs, self.x0, 1.0, 37, 4097, 0, increments=dw, threads=threads)
+            assert_same_bits(ens.values, ref)
 
     def test_stream_is_the_component_major_draw(self):
         # a flat metric moves each path by its increments alone
@@ -635,17 +700,17 @@ class TestStepBlocks:
             steps = np.diff(ens.values[lo:hi], axis=1)
             np.testing.assert_allclose(steps, 0.5 * normals.transpose(2, 0, 1), atol=1e-12)
 
-    def test_a_buffer_set_holds_one_rows_block_and_one_step_block(self):
-        # 128 steps: a (129, 3) rows block, (8, 3) increments, (9, 3)
-        # states, 2 gathered rows and 2 scratch rows per path
-        buffers = market._ChunkBuffers(128, 4096, 2)
-        assert buffers.flat.nbytes == (129 * 3 + 24 + 27 + 2 + 2) * 4096 * 8
-        assert buffers.flat.nbytes <= 14.5e6
-        # 16 steps, 2000 paths: no larger than a set that held the
-        # increments and the states of every step
-        assert market._ChunkBuffers(16, 2000, 2).flat.nbytes <= (2 * 17 * 3 + 4) * 2000 * 8
-        arrays = [v for v in vars(buffers).values() if isinstance(v, np.ndarray)]
-        assert [a is buffers.flat for a in arrays] == [True]
+    def test_a_scratch_holds_one_step_of_one_chunk(self):
+        # on a sphere: (3, n) increments, the 2 gathered rows and 2 rows
+        # for the noise sum and a product, whatever the step count
+        metric = geo.sphere_metric(self.grid)
+        plan = market._coefficient_block(derive_coefficients(metric, geo.christoffel(metric)))[1]
+        scratch = market._StepScratch(4096, plan)
+        assert scratch.flat.nbytes == (3 + 2 + 2) * 4096 * 8
+        dw, block, noise, product, _ = scratch.views(1000)
+        shapes = [(3, 1000), (2, 1000), (1000,), (1000,)]
+        assert [a.shape for a in (dw, block, noise, product)] == shapes
+        assert all(a.flags.c_contiguous and a.base is not None for a in (dw, block, noise, product))
 
 
 def three_axis_gather(coeffs):
@@ -906,7 +971,7 @@ class TestSimulateValidation:
         dw = np.zeros((paths, 4, 3))
         with pytest.raises(ValidationError, match=r"increments must have shape \(5000, 4, 3\)"):
             simulate(self.coeffs, np.zeros(3), 1.0, 4, 5000, 0, increments=dw, sink=sink)
-        assert sink.blocks == []
+        assert sink.steps == []
 
     @pytest.mark.parametrize("shape", [(5000, 5, 3), (5000, 4, 2), (5000, 12)])
     def test_increments_with_other_steps_or_components_rejected(self, shape):
@@ -923,11 +988,11 @@ class TestSimulateValidation:
         with pytest.raises(ValidationError, match="increments must be finite"):
             simulate(self.coeffs, np.zeros(3), 1.0, 4, 9000, 0, increments=dw,
                      threads=threads, sink=sink)
-        assert sink.blocks == []
+        assert sink.steps == []
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_thread_count_below_one_rejected(self, threads):
         sink = RecordingSink((10, 5, 3))
         with pytest.raises(ValidationError, match="thread count must be at least 1"):
             simulate(self.coeffs, np.zeros(3), 1.0, 4, 10, 0, threads=threads, sink=sink)
-        assert sink.blocks == []
+        assert sink.steps == []
