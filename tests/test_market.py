@@ -681,8 +681,9 @@ class TestStepBlocks:
             assert_same_bits(ens.values, ref)
             assert_same_bits(ens.final, np.ascontiguousarray(ref[:, -1]))
 
-    def test_explicit_increments_give_the_reference_bits(self, coeffs):
-        dw = np.random.default_rng(8).standard_normal((4097, 37, 3)) * 0.2
+    @pytest.mark.parametrize("draw", [1, 3, 8, 200])
+    def test_explicit_increments_give_the_reference_bits(self, coeffs, draw):
+        dw = np.random.default_rng(draw).standard_normal((4097, 37, 3)) * 0.2
         ref = reference_simulate(
             nearest_node_coefficients(coeffs), self.x0, 1.0, 37, 4097, 0, increments=dw
         )
