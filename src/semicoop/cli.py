@@ -173,7 +173,7 @@ def _cmd_bracket(args):
 
 def _cmd_gff(args):
     seed = pipeline.stage_seed(args.seed, "gff")
-    field = stubbornness.sample_gff(args.size, seed)
+    field = stubbornness.GFFSampler(args.size, seed).sample()
     q = stubbornness.stubbornness_measure(args.gamma)
     write_grid(args.out, field, extra={"gamma": args.gamma, "seed": seed})
     _emit(

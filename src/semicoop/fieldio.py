@@ -12,8 +12,9 @@ bytes     content
 20:24     reserved (uint32, zero)
 ...       axis node counts, uint64 per grid axis
 ...       tensor dimensions, uint64 per tensor axis
-...       payload: float64 row-major; complex data interleaves
-          real and imaginary parts per element
+...       payload: float64 row-major; a complex payload is its
+          ``<c16`` bytes, real and imaginary parts interleaved
+          per element
 ========  ====================================================
 
 A JSON descriptor is written next to the binary file (same path with a
@@ -38,14 +39,16 @@ bytes     content
 ========  ====================================================
 
 :class:`EnsembleWriter` is the one writer of that layout: it writes the
-header and times, then takes the payload one time point's
-``(components, paths)`` row at a time, in time order, and writes each
-row once, sequentially, hashing it on the way, so no file is read back
-for its digest and no page of the file is mapped while it is written.
-The file appears under its name only when every row is in.  Readers
-see the payload as ``values[path, step, component]``, a transposed view.
-Files with the magic ``b"SCPATH01"`` hold the earlier path-major
-payload; :func:`read_ensemble` rejects them.
+header and times, then each time point's ``(components, paths)`` row
+once, in time order, hashing it on the way, so no file is read back for
+its digest and no page of the file is mapped while it is written.  The
+file is moved in by ``os.replace`` when every row is in, so a map of the
+file it replaces keeps its values.  The writer and the in-memory sink,
+the two sinks of :func:`market.simulate`, and :func:`read_ensemble`,
+which maps the file read-only, see the payload as ``values[path, step,
+component]``, one transposed view: this module alone turns payload
+bytes into arrays.  :func:`read_ensemble` rejects the earlier
+path-major layout, magic ``b"SCPATH01"``.
 
 The writers digest the bytes they write: :func:`write_grid` returns
 ``(sha256, nbytes)`` of its file, and an :class:`EnsembleWriter` holds
@@ -134,7 +137,7 @@ def write_grid(path, values, grid=None, extra=None):
         Output file; the descriptor goes to ``path + ".json"``.
     values : ndarray
         Leading axes are grid axes, trailing axes (if any) are tensor
-        components.  Complex data is stored interleaved.
+        components.  Complex data is stored as its ``<c16`` bytes.
     grid : GridSpec, optional
         When given, its extents are recorded in the descriptor so the
         field can be rebuilt with correct spacings.
@@ -167,12 +170,7 @@ def write_grid(path, values, grid=None, extra=None):
     if tensor_shape:
         header += struct.pack(f"<{len(tensor_shape)}Q", *tensor_shape)
 
-    if is_complex:
-        payload = np.empty(values.shape + (2,), dtype="<f8")
-        payload[..., 0] = values.real
-        payload[..., 1] = values.imag
-    else:
-        payload = np.asarray(values, dtype="<f8")
+    payload = np.asarray(values, dtype="<c16" if is_complex else "<f8")
     # a view that is not contiguous, such as a field broadcast from its
     # profile, is written one leading slab at a time, never copied whole
     if payload.ndim > 1 and not payload.flags.c_contiguous:
@@ -245,12 +243,8 @@ def read_grid(path):
         shape = grid_shape + tensor_shape
         if 0 in shape:
             raise ValidationError(f"{path}: header declares an empty axis in shape {shape}")
-        count = math.prod(shape)
-        if flags & 1:
-            raw = _read_floats(fh, 2 * count, path).reshape(shape + (2,))
-            values = raw[..., 0] + 1j * raw[..., 1]
-        else:
-            values = _read_floats(fh, count, path).reshape(shape)
+        values = _read_floats(fh, (1 + (flags & 1)) * math.prod(shape), path)
+        values = (values.view("<c16") if flags & 1 else values).reshape(shape)
         _check_at_end(fh, path)
 
     descriptor, grid = {}, None
@@ -266,21 +260,45 @@ def read_grid(path):
     return values, grid, descriptor
 
 
-class EnsembleWriter:
-    """Write a path ensemble one time step at a time and hash it on the
-    way.
+def _ensemble_view(buffer, offset, shape):
+    """``values[path, step, component]`` of ``shape``: the transposed view
+    of the time-major ``(points, components, paths)`` float64 payload at
+    byte ``offset`` of ``buffer``, read-only when ``buffer`` is."""
+    paths, points, components = shape
+    rows = np.ndarray((points, components, paths), dtype="<f8", buffer=buffer, offset=offset)
+    return rows.transpose(2, 0, 1)
 
-    The writer is a sink for :func:`market.simulate`: :meth:`step`
-    takes each time point's ``(components, paths)`` state row, in time
-    order, writes it after the rows before it and feeds it to a SHA-256
-    seeded with the header and times, and copies the last row into
-    ``final``, a contiguous ``(paths, components)`` array.  It is called
-    one call at a time, but possibly from different threads, each
-    calling it after the call before has returned.  Once every row is
-    in, ``values`` (None until then) is the payload as a read-only
-    ``(paths, steps + 1, components)`` view of a memory map of the file,
-    which nothing reads unless asked to, such as a CSV export.  Use the
-    writer as a context manager::
+
+class _ArraySink:
+    """In-memory sink of :func:`market.simulate`: state rows are copied
+    into a time-major array, ``values`` is its ensemble view and
+    ``final`` a contiguous copy of the last row."""
+
+    def __init__(self, shape):
+        paths, points, components = shape
+        self._rows = np.empty((points, components, paths))
+        self.values = _ensemble_view(self._rows, 0, shape)
+        self.final = np.empty((paths, components))
+
+    def step(self, k, row):
+        self._rows[k] = row
+        if k == len(self._rows) - 1:
+            self.final[...] = row.T
+
+
+class EnsembleWriter:
+    """Sink of :func:`market.simulate` that writes a path ensemble one
+    time step at a time and hashes it on the way.
+
+    :meth:`step` takes each time point's ``(components, paths)`` state
+    row, in time order, one call at a time (possibly from different
+    threads, each after the call before has returned), writes it after
+    the rows before it, feeds it to a SHA-256 seeded with the header and
+    times, and copies the last row into ``final``, a contiguous
+    ``(paths, components)`` array.  Once every row is in, ``values``
+    (None until then) is the ensemble view of a read-only map of the
+    file, which nothing reads unless asked to, such as a CSV export.
+    Use the writer as a context manager::
 
         with EnsembleWriter(path, times, paths, 3, seed=seed) as writer:
             ...  # writer.step(k, row) for each k in range(len(times))
@@ -352,21 +370,17 @@ class EnsembleWriter:
                 f"{(components, paths)}"
             )
         row = np.ascontiguousarray(row, dtype="<f8")
+        self._hash.update(row)
         try:
             _write_array(self._fh, row)
             if k == points - 1:
+                self.final[...] = row.T
                 self._fh.flush()
                 # the map keeps its own descriptor of the file; the array keeps the map
                 view = mmap.mmap(self._fh.fileno(), self.nbytes, access=mmap.ACCESS_READ)
-                rows = np.ndarray(
-                    (points, components, paths), dtype="<f8", buffer=view, offset=self._offset
-                )
-                self.values = rows.transpose(2, 0, 1)
+                self.values = _ensemble_view(view, self._offset, self._shape)
         except OSError as exc:
             self._discard(exc)
-        self._hash.update(row)
-        if k == points - 1:
-            self.final[...] = row.T
         self._next = k + 1
 
     def __enter__(self):
@@ -393,11 +407,11 @@ class EnsembleWriter:
 def read_ensemble(path):
     """Read a path ensemble written by :class:`EnsembleWriter`.
 
-    Returns ``(times, values)``, ``values[path, step, component]`` a
-    transposed view of the time-major payload; raises ValidationError
-    when the file is not a path ensemble or is one in the earlier
-    path-major layout, declares an empty axis, or is shorter or longer
-    than its header says.
+    Returns ``(times, values)``, ``values[path, step, component]`` the
+    ensemble view of a read-only map of the payload; raises
+    ValidationError, before mapping anything, when the file is not a
+    path ensemble or is one in the earlier path-major layout, declares
+    an empty axis, or is shorter or longer than its header says.
     """
     with open(path, "rb") as fh:
         magic = fh.read(8)
@@ -415,9 +429,13 @@ def read_ensemble(path):
                 f"{path}: header declares an empty axis in shape {(paths, nsteps, comps)}"
             )
         times = _read_floats(fh, nsteps, path)
-        values = _read_floats(fh, paths * nsteps * comps, path)
+        offset, nbytes = fh.tell(), 8 * paths * nsteps * comps
+        _check_remaining(fh, nbytes, path)
+        fh.seek(nbytes, os.SEEK_CUR)
         _check_at_end(fh, path)
-    return times, values.reshape(nsteps, comps, paths).transpose(2, 0, 1)
+        # the map keeps its own descriptor of the file; the array keeps the map
+        view = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    return times, _ensemble_view(view, offset, (paths, nsteps, comps))
 
 
 def sha256_of(path):

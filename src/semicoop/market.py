@@ -37,13 +37,13 @@ width is part of the stream.
 helpers, run the steps in rounds that meet at a barrier.  Round ``k``
 has one task that hands state row ``k`` to a sink and one task per
 chunk that steps it to row ``k + 1``; the threads take the tasks in
-that order.  The sink is an :class:`fieldio.EnsembleWriter`, which
-writes and hashes each row as it arrives, or an in-memory array.  So
-the sink gets the rows ``0..steps`` one call at a time, in step order,
-possibly from different threads, and its write and hash overlap the
-next step's arithmetic.  Besides its sink a run holds the two state
-rows, 48 bytes a path, and one small scratch per thread, ``n <= 4096``
-paths wide.
+that order.  So the sink gets the rows ``0..steps`` one call at a time,
+in step order, possibly from different threads, and its work overlaps
+the next step's arithmetic.  This module only hands over state rows;
+both sinks, the ensemble file's and the in-memory one, are in
+:mod:`fieldio`.  Besides its sink a run holds the two state rows, 48
+bytes a path, and one small scratch per thread, ``n <= 4096`` paths
+wide.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .errors import NumericalError, SingularMetricError, ValidationError
+from .fieldio import _ArraySink
 from .geometry import _broadcast, _joint_support, _on_support
 from .grids import GridSpec
 from .polygon import effective_region
@@ -222,23 +223,6 @@ class PathEnsemble:
             "final_mean": [float(v) for v in mean],
             "final_variance": [float(v) for v in variance],
         }
-
-
-class _ArraySink:
-    """In-memory sink of :func:`simulate`: each state row is copied into
-    a time-major ``(steps + 1, 3, paths)`` array, ``values`` is its
-    ``(paths, steps + 1, 3)`` transpose and ``final`` a contiguous copy
-    of the last row."""
-
-    def __init__(self, shape):
-        self._rows = np.empty((shape[1], shape[2], shape[0]))
-        self.values = self._rows.transpose(2, 0, 1)
-        self.final = np.empty((shape[0], shape[2]))
-
-    def step(self, k, row):
-        self._rows[k] = row
-        if k == len(self._rows) - 1:
-            self.final[...] = row.T
 
 
 def _coefficient_block(coeffs):
@@ -428,7 +412,7 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
     ----------
     coeffs : SDECoefficients
         Its tables when ``drift_table`` is set, its callables otherwise.
-    initial : FirmState or 3-vector
+    initial : 3-vector
         Starting share; applied exactly at time zero.
     horizon : float
         Final time.
@@ -453,9 +437,9 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
         C-contiguous float64 array that is overwritten once the next
         round ends, and after row ``steps`` ``sink.values`` (``(paths,
         steps + 1, 3)``) and ``sink.final`` (``(paths, 3)``, each path's
-        last state) become the ensemble's.  An
-        :class:`fieldio.EnsembleWriter` writes the ensemble file; the
-        default keeps it in memory.
+        last state) become the ensemble's.  :mod:`fieldio` holds both
+        sinks: an :class:`fieldio.EnsembleWriter` writes the ensemble
+        file, and the default keeps the rows in memory.
 
     Returns
     -------
@@ -481,7 +465,7 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
         raise ValidationError("thread count must be at least 1")
     if seed < 0:
         raise ValidationError(f"seed {seed} is negative; it must be a non-negative integer")
-    x0 = initial.share if isinstance(initial, FirmState) else np.asarray(initial, float)
+    x0 = np.asarray(initial, float)
     if x0.shape != (STATE_DIM,):
         raise ValidationError("initial share must be a 3-vector")
     if increments is not None:

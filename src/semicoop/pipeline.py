@@ -27,6 +27,7 @@ from . import __version__, brane, evolution, geometry, market, stubbornness
 from .errors import NumericalError, SemicoopError, ValidationError
 from .fieldio import EnsembleWriter, open_output, sha256_of, write_grid
 from .grids import GridSpec, require_same_grid
+from .polygon import effective_region
 
 STAGE_LABELS = {"gff": 101, "sde": 202}
 # paths per block of the CSV export, 3 MiB of states at 128 steps
@@ -112,7 +113,7 @@ def simulate_paths(config, metric, chris, seed, threads, path):
     with EnsembleWriter(path, times, paths, market.STATE_DIM, seed=sde_seed) as writer:
         ensemble = market.simulate(
             market.derive_coefficients(metric, chris),
-            config.build_firms()[0],
+            config.build_firms()[0].share,
             horizon=horizon,
             steps=steps,
             paths=paths,
@@ -238,7 +239,8 @@ def cooperation(config):
             # float64, not float: a negative weight gives nan, not complex;
             # optimal_rho reports a non-finite scale
             with np.errstate(over="ignore", invalid="ignore"):
-                pw = np.float64(config.profit(firm.alpha_own**rho * area)) * firm.stubbornness
+                region = effective_region(area, firm.alpha_own, rho)
+                pw = np.float64(config.profit(region)) * firm.stubbornness
                 return (3.0 + 3.0 * pw**omega_exp) / brane.BACKGROUND_DIM
 
         stationary = ()

@@ -76,11 +76,6 @@ class GFFSampler:
         return fields
 
 
-def sample_gff(grid_size, seed):
-    """Single seeded field draw; identical seeds give identical grids."""
-    return GFFSampler(grid_size, seed).sample()
-
-
 def stubbornness_measure(gamma):
     """Measure ``Q = 2/gamma + gamma/2`` for ``gamma`` in ``(0, 2]``.
 

@@ -127,6 +127,11 @@ RESTORED = {
         "    def curvature_at(self, theta, rho):\n"
         "        return np.full(np.shape(theta), self.curvature)\n\n\n",
     ),
+    "stubbornness.sample_gff": (
+        "stubbornness",
+        "def stubbornness_measure(",
+        "def sample_gff(grid_size, seed):\n    return GFFSampler(grid_size, seed).sample()\n\n\n",
+    ),
     "grids.GridSpec.subgrid": (
         "grids",
         "    @classmethod\n    def from_axes(",

@@ -2,12 +2,14 @@ import contextlib
 import hashlib
 import io
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.fft
 
-from semicoop import GridSpec, ValidationError, cli, geometry
+from semicoop import GridSpec, ValidationError, cli, geometry, market
 from semicoop.fieldio import EnsembleWriter, read_ensemble, read_grid, sha256_of, write_grid
 from semicoop.grids import dst1
 
@@ -55,6 +57,22 @@ def test_grid_roundtrip_complex(tmp_path):
     assert desc["dtype"] == "complex128"
 
 
+def test_complex_grid_roundtrip_keeps_every_bit(tmp_path):
+    # signed zeros and an infinite part are written and read back as they
+    # are, with no arithmetic that could warn or change a bit
+    values = np.array(
+        [[complex(-0.0, -0.0), complex(-0.0, 1.0)], [complex(2.0, -0.0), complex(1.0, np.inf)]]
+    )
+    path = tmp_path / "psi.bin"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_grid(path, values)
+        back = read_grid(path)[0]
+    assert path.read_bytes() == grid_file_bytes(values, 2)
+    assert back.dtype == np.complex128 and back.shape == values.shape
+    assert back.tobytes() == values.tobytes()
+
+
 def test_grid_shape_mismatch_rejected(tmp_path):
     grid = GridSpec.from_axes((0.0, 1.0, 4), (0.0, 2.0, 5))
     with pytest.raises(ValidationError):
@@ -78,6 +96,49 @@ def test_ensemble_roundtrip(tmp_path):
     t, v = read_ensemble(path)
     assert np.array_equal(t, times)
     assert np.array_equal(v, values)
+
+
+def test_read_ensemble_maps_the_payload_read_only(tmp_path):
+    # 10 000 paths x 67 points x 3 components: a 16.08 MB payload
+    paths, points = 10_000, 67
+    times = np.linspace(0.0, 1.0, points)
+    rng = np.random.default_rng(5)
+    path = tmp_path / "p.bin"
+    with EnsembleWriter(path, times, paths, 3) as writer:
+        for k in range(points):
+            writer.step(k, rng.standard_normal((3, paths)))
+    tracemalloc.start()
+    try:
+        t, values = read_ensemble(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    assert values.shape == (paths, points, 3)
+    with pytest.raises(ValueError, match="read-only"):
+        values[0, 0, 0] = 1.0
+    assert np.array_equal(t, times)
+    assert np.array_equal(values[:, -1], writer.final)
+    assert np.array_equal(values, writer.values)
+
+
+def test_read_view_keeps_its_values_when_simulate_writes_the_file_again(tmp_path):
+    # the writer swaps the new file in, so the old map still holds the old file
+    grid = GridSpec.from_axes((0.0, 1.0, 3), (0.5, 2.5, 5), (0.0, 1.0, 5))
+    metric = geometry.sphere_metric(grid)
+    coeffs = market.derive_coefficients(metric, geometry.christoffel(metric))
+    path = tmp_path / "paths.bin"
+
+    def simulate(seed):
+        with EnsembleWriter(path, np.linspace(0.0, 1.0, 9), 5000, 3, seed=seed) as writer:
+            market.simulate(coeffs, [0.5, 1.5, 0.5], 1.0, 8, 5000, seed, sink=writer)
+
+    simulate(1)
+    _, values = read_ensemble(path)
+    before = values.copy()
+    simulate(2)
+    assert np.array_equal(values, before)
+    assert not np.array_equal(read_ensemble(path)[1], before)
 
 
 def grid_file_bytes(values, n_axes):

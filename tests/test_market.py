@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from semicoop import GridSpec, NumericalError, SingularMetricError, ValidationError
 from semicoop import geometry as geo
-from semicoop import market
+from semicoop import fieldio, market
 from semicoop.fieldio import EnsembleWriter, read_ensemble, sha256_of
 from semicoop.market import FirmState, SDECoefficients, derive_coefficients, simulate
 
@@ -84,7 +84,7 @@ def reference_simulate(coeffs, x0, horizon, steps, paths, seed, increments=None)
     return out
 
 
-class RecordingSink(market._ArraySink):
+class RecordingSink(fieldio._ArraySink):
     """The in-memory sink, recording the steps of the state rows it is
     given; a call that enters while another is still inside it fails."""
 

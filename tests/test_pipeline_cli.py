@@ -884,7 +884,7 @@ def test_unwritable_output_path_exits_with_validation_code(tmp_path, monkeypatch
         raise AssertionError("the command computed before checking its output path")
 
     for module, name in [(market, "simulate"), (evolution, "evolve"),
-                         (stubbornness, "sample_gff"), (geometry, "christoffel")]:
+                         (stubbornness, "GFFSampler"), (geometry, "christoffel")]:
         monkeypatch.setattr(module, name, work)
     metric = write_sphere_metric(tmp_path / "metric.bin")
     scenario = write_scenario(tmp_path / "scenario.json", SCENARIO)

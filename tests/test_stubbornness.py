@@ -13,7 +13,6 @@ from semicoop.stubbornness import (
     GFF_ENERGY_SCALE,
     GFFSampler,
     regime_note,
-    sample_gff,
     stubbornness_measure,
 )
 
@@ -53,13 +52,13 @@ def covariance_between(grid_size, node_a, node_b, domain_length=1.0):
 
 class TestSampler:
     def test_seed_determinism(self):
-        assert np.array_equal(sample_gff(16, 7), sample_gff(16, 7))
+        assert np.array_equal(GFFSampler(16, 7).sample(), GFFSampler(16, 7).sample())
 
     def test_distinct_seeds_differ(self):
-        assert not np.array_equal(sample_gff(16, 7), sample_gff(16, 8))
+        assert not np.array_equal(GFFSampler(16, 7).sample(), GFFSampler(16, 8).sample())
 
     def test_dirichlet_boundary_exact(self):
-        field = sample_gff(12, 3)
+        field = GFFSampler(12, 3).sample()
         assert np.abs(field[0]).max() == 0.0
         assert np.abs(field[-1]).max() == 0.0
         assert np.abs(field[:, 0]).max() == 0.0
