@@ -100,7 +100,11 @@ class FirmState:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 problems.append(f"{name} must lie in (0,1]")
-        if not np.isfinite(self.strategy):
+        try:  # math, not numpy: an integer beyond int64 is still a number
+            finite = math.isfinite(self.strategy)
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             problems.append("strategy must be finite")
         if problems:
             raise ValidationError("invalid firm state", problems)

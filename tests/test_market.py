@@ -205,6 +205,15 @@ class TestFirmState:
         with pytest.raises(ValidationError):
             self.make(coop_other=0.0)
 
+    @pytest.mark.parametrize(
+        "strategy",
+        [-(2**63) - 1, 2**63, 10**400, math.inf],
+        ids=["below-int64", "above-int64", "beyond-float", "inf"],
+    )
+    def test_strategy_outside_int64_is_checked_as_a_number(self, strategy):
+        with pytest.raises(ValidationError):
+            self.make(polygon_area=1.0, strategy=strategy)
+
     def test_strategy_must_fit_committed_region(self):
         # region = 0.8**0.6 * 1.0 ~ 0.875
         self.make(polygon_area=1.0, strategy=0.8)

@@ -7,7 +7,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semicoop import ValidationError, cli, pipeline
@@ -205,6 +205,7 @@ def mutate(doc, mutation):
 
 @given(st.lists(mutations, min_size=1, max_size=3))
 @settings(max_examples=400, deadline=None)
+@example([(("firms", 0, "strategy"), "replace", -(2**63) - 1, "")])  # beyond int64
 def test_mutated_scenarios_raise_only_validation_errors(mutation_list):
     doc = copy.deepcopy(SCENARIO)
     for mutation in mutation_list:
