@@ -232,7 +232,7 @@ def _cmd_action(args):
 def _cmd_kernel_check(args):
     config = parse_scenario(args.config)
     _, metric, _, curv = pipeline.world(config)
-    _, spec = pipeline.kernel(config, pipeline.action_terms(config, metric, curv))
+    _, spec, _ = pipeline.kernel(config, pipeline.action_terms(config, metric, curv))
     deviation = evolution.kernel_normalization_check(spec)
     _emit({"normalization_deviation": deviation, "variance": spec.variance})
 
@@ -240,7 +240,7 @@ def _cmd_kernel_check(args):
 def _cmd_evolve(args):
     config = parse_scenario(args.config)
     _, metric, _, curv = pipeline.world(config)
-    _, spec = pipeline.kernel(config, pipeline.action_terms(config, metric, curv))
+    _, spec, _ = pipeline.kernel(config, pipeline.action_terms(config, metric, curv))
     slice_metric, _, psi = pipeline.evolve(config, metric, spec)
     write_grid(args.out, psi.values, slice_metric.grid, extra={"time": psi.time})
     norm = psi.norm(slice_metric.volume_density)
@@ -248,7 +248,9 @@ def _cmd_evolve(args):
 
 
 def _cmd_optimal_rho(args):
-    _emit(pipeline.cooperation(parse_scenario(args.config)))
+    config = parse_scenario(args.config)
+    _, metric, _, curv = pipeline.world(config)
+    _emit(pipeline.cooperation(config, metric, curv))
 
 
 def _cmd_pipeline(args):

@@ -20,10 +20,8 @@ per mode, ``O(m1^3)`` for each of the ``m2`` modes of an ``m1 x m2``
 interior.  Any other metric takes one sparse LU solve per step; that
 fallback is the only place this module imports scipy.
 
-The effective scale ``F0`` is extracted from the per-node action bracket,
-potential ``Q * R * xbar`` already subtracted, by contracting both sides
-of the defining relation with the background inverse metric, which
-divides the scalar by the background dimension.
+``F0`` is the initial time plane's mean of the action bracket, potential
+``Q * R * xbar`` included, over the background dimension.
 """
 
 from __future__ import annotations
@@ -330,26 +328,29 @@ def optimal_rho(rho_to_scale, stationary):
 
     The rate ``|F0(rho)| / (2M) * ||Lap psi||`` depends on ``rho`` only
     through ``F0 = rho_to_scale(rho)``, so ``rho*`` is a property of
-    ``|F0|`` alone and depends on neither the metric, the field nor the
-    mass.  ``stationary`` holds the interior maxima of ``|F0|`` on
-    ``(RHO_MIN, 1)``, which each profit preset knows in closed form
-    (:func:`semicoop.pipeline.cooperation`); with ``RHO_MIN`` and 1 they
-    are the only candidates.  ``|F0|`` is evaluated at each, in that
-    order, a non-finite ``F0`` being a :class:`NumericalError` naming
-    ``rho``.  When the values lie within ``1e-12`` of their maximum,
-    relative, none is preferred and the result is flat: ``F0`` is
-    constant to that tolerance, or its maxima tie.  Otherwise the largest
-    wins, ties going to the first.  Only comparisons of the values decide,
-    so a positive factor on ``F0`` that neither overflows nor underflows
-    leaves the result as it is.
+    ``|F0|`` alone, which the metric and curvature enter, and depends on
+    neither the field nor the mass.  ``stationary`` holds the interior
+    maxima of ``|F0|`` on ``(RHO_MIN, 1)``, which each profit preset knows
+    in closed form (:func:`semicoop.pipeline.cooperation`); they,
+    ``RHO_MIN`` and 1 are the candidates, evaluated in that order.  A
+    failure of ``rho_to_scale`` or a non-finite ``F0`` is a
+    :class:`NumericalError` naming ``rho``.  When the values lie within
+    ``1e-12`` of their maximum, relative, none is preferred and the result
+    is flat: ``F0`` is constant to that tolerance, or its maxima tie.
+    Otherwise the largest wins, ties going to the first.  Only comparisons
+    of the values decide, so a positive factor on ``F0`` that neither
+    overflows nor underflows leaves the result as it is.
     """
     stationary = tuple(float(s) for s in stationary)
     candidates = stationary + (RHO_MIN, 1.0)
     values = []
     for rho in candidates:
-        f0 = float(rho_to_scale(rho))
-        if not math.isfinite(f0):
-            raise NumericalError(f"effective scale is {f0} at rho = {rho!r}")
+        try:
+            f0 = float(rho_to_scale(rho))
+            if not math.isfinite(f0):
+                raise NumericalError(f"effective scale is {f0}")
+        except NumericalError as exc:
+            raise NumericalError(f"{exc} at rho = {rho!r}") from exc
         values.append(abs(f0))
     top = max(values)
     # relative flatness test: the overall scale of F0 is arbitrary

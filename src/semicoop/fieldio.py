@@ -207,6 +207,14 @@ def _write_descriptor(path, descriptor):
         fh.write((json.dumps(descriptor, indent=2, sort_keys=True) + "\n").encode())
 
 
+def _open_input(path, kind):
+    """``path`` opened to read bytes; an OSError is a ValidationError."""
+    try:
+        return open(path, "rb")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {kind} file {path}: {exc}") from exc
+
+
 def read_grid(path):
     """Read a grid field written by :func:`write_grid`.
 
@@ -224,11 +232,7 @@ def read_grid(path):
         malformed grid, or the file is not a grid field, or is shorter or
         longer than its header says.
     """
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise ValidationError(f"cannot read grid file {path}: {exc}") from exc
-    with fh:
+    with _open_input(path, "grid") as fh:
         magic = fh.read(8)
         if magic != _GRID_MAGIC:
             raise ValidationError(f"{path}: not a grid field file")
@@ -409,11 +413,11 @@ def read_ensemble(path):
 
     Returns ``(times, values)``, ``values[path, step, component]`` the
     ensemble view of a read-only map of the payload; raises
-    ValidationError, before mapping anything, when the file is not a
-    path ensemble or is one in the earlier path-major layout, declares
-    an empty axis, or is shorter or longer than its header says.
+    ValidationError, before mapping anything, when the file cannot be
+    opened, is not a path ensemble or is in the earlier path-major
+    layout, declares an empty axis, or is shorter or longer than said.
     """
-    with open(path, "rb") as fh:
+    with _open_input(path, "ensemble") as fh:
         magic = fh.read(8)
         if magic == _PATH_MAJOR_MAGIC:
             raise ValidationError(

@@ -275,10 +275,6 @@ class ChristoffelField:
             raise ValidationError("connection field shape does not match grid")
         self.values = v
 
-    @property
-    def dim(self):
-        return self.values.shape[-1]
-
 
 @dataclass
 class CurvatureBundle:

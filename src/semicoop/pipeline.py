@@ -124,9 +124,9 @@ def simulate_paths(config, metric, chris, seed, threads, path):
     return ensemble, (writer.sha256, writer.nbytes)
 
 
-def action_terms(config, metric, curv):
+def action_terms(config, metric, curv, u_own=None):
     """Per-node action bracket of the world volume, curvature potential
-    included.
+    included, with the profit at ``u_own`` (the firm's strategy if None).
 
     The brane is in static gauge: its embedding is the world coordinates
     on the first three transverse slots, so the bracket is the closed
@@ -138,7 +138,7 @@ def action_terms(config, metric, curv):
     mean_share = float(kernel_cfg["mean_share"])
     measure = stubbornness.stubbornness_measure(config.data["gff"]["gamma"])
     firm = config.build_firms()[0]
-    weight = config.profit(firm.strategy) * firm.stubbornness
+    weight = config.profit(firm.strategy if u_own is None else u_own) * firm.stubbornness
     return brane.scalar_action_terms(metric, curv.scalar, weight, exponent, measure, mean_share)
 
 
@@ -158,14 +158,18 @@ def action(config, metric, chris, bracket, ghost, fp_det):
     return payload
 
 
-def kernel(config, bracket):
-    """Kernel stage: the effective scale field and the kernel spec, whose
-    ``F0`` is ``|mean|`` of the scale on the initial time plane (one when
-    zero); a non-finite mean is a :class:`NumericalError`."""
-    scale = evolution.effective_scalar_F(bracket)
-    f0 = float(scale.values[0].mean())
+def _initial_scale(bracket):
+    """``F0``, the mean effective scale on the initial time plane of ``bracket``."""
+    f0 = float(evolution.effective_scalar_F(bracket[:1]).values[0].mean())
     if not np.isfinite(f0):
         raise NumericalError(f"effective scale on the initial time plane is {f0}")
+    return f0
+
+
+def kernel(config, bracket):
+    """Kernel stage: the effective scale field, the kernel spec and ``F0``."""
+    scale = evolution.effective_scalar_F(bracket)
+    f0 = _initial_scale(bracket)
     kernel_cfg = config.data["kernel"]
     spec = evolution.KernelSpec(
         mass=float(kernel_cfg["mass"]),
@@ -173,7 +177,7 @@ def kernel(config, bracket):
         effective_scale=abs(f0) if f0 != 0 else 1.0,
         domain_halfwidth=float(kernel_cfg["domain_halfwidth"]),
     )
-    return scale, spec
+    return scale, spec, f0
 
 
 def evolve(config, metric, spec):
@@ -198,7 +202,7 @@ def evolve(config, metric, spec):
     return slice_metric, psi0, psi
 
 
-def cooperation(config):
+def cooperation(config, metric, curv):
     """Cooperation stage: the ``rho.json`` payload of
     :func:`evolution.optimal_rho`, the one place that knows each profit
     preset's maximiser of ``|F0(rho)|``.
@@ -207,16 +211,14 @@ def cooperation(config):
       vertex)^2``.  ``|F0|`` has one interior maximum, the vertex, when
       ``RHO_MIN < vertex < 1`` and ``peak * curvature > 0``, and none
       otherwise.
-    - ``constant`` and ``region_power``: the bracket ``F0 = (3 + 3
-      w^W) / 11``, ``W`` the freedom exponent, of the firm at ``u_own =
-      alpha_own**rho`` times its area, ``w = (p*b)`` its profit times
-      its stubbornness.  ``u_own`` is monotone in ``rho``, and so are
-      the profit, ``w`` and, as ``w >= 0`` wherever ``w^W`` is finite and
-      ``0 < W < 1``, ``F0``: no interior maximum.
+    - ``constant`` and ``region_power``: the kernel stage's ``F0`` of the
+      bracket on ``metric`` and ``curv`` at the region ``alpha_own**rho``
+      times the firm's area.  The bracket is affine in ``w^W`` and
+      ``w^(1-W)`` with positive plane-mean coefficients, and ``w = p*b``
+      is monotone in ``rho``, so ``F0`` is too: no interior maximum.
 
-    ρ* depends on that map alone, not on the metric, the evolved field or
-    the mass.  The payload's ``reason`` says whether the vertex or an end
-    won, or that no candidate was preferred (``"flat"``).
+    The payload's ``reason`` says whether the vertex or an end won, or
+    that no candidate was preferred (``"flat"``).
     """
     p = config.data["profit"]
     if p["preset"] == "rho_quadratic":
@@ -233,15 +235,10 @@ def cooperation(config):
     else:
         firm = config.build_firms()[0]
         area = firm.polygon_area if firm.polygon_area is not None else 1.0
-        omega_exp = float(config.data["kernel"]["freedom_exponent"])
 
         def rho_to_scale(rho):
-            # float64, not float: a negative weight gives nan, not complex;
-            # optimal_rho reports a non-finite scale
-            with np.errstate(over="ignore", invalid="ignore"):
-                region = effective_region(area, firm.alpha_own, rho)
-                pw = np.float64(config.profit(region)) * firm.stubbornness
-                return (3.0 + 3.0 * pw**omega_exp) / brane.BACKGROUND_DIM
+            region = effective_region(area, firm.alpha_own, rho)
+            return _initial_scale(action_terms(config, metric, curv, region))
 
         stationary = ()
     return dataclasses.asdict(evolution.optimal_rho(rho_to_scale, stationary))
@@ -336,11 +333,11 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
         artifact("action.json", _write_json, payload)
 
         stage = "kernel"
-        scale, spec = kernel(config, bracket)
+        scale, spec, f0 = kernel(config, bracket)
         artifact("effective_scale.bin", write_grid, scale.values, grid)
         results["kernel_normalization_deviation"] = evolution.kernel_normalization_check(spec)
         results["kernel_variance"] = spec.variance
-        results["effective_scale_initial"] = float(scale.values[0].mean())
+        results["effective_scale_initial"] = f0
         results["scale_not_strictly_increasing"] = bool(scale.not_strictly_increasing)
 
         stage = "evolve"
@@ -350,7 +347,7 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
         results["norm_drift"] = abs(psi.norm(weight) - psi0.norm(weight))
 
         stage = "cooperation"
-        payload = cooperation(config)
+        payload = cooperation(config, metric, curv)
         artifact("rho.json", _write_json, payload)
         results["rho_star"] = payload["rho_star"]
         results["rho_boundary_flag"] = payload["boundary_flag"]

@@ -1,7 +1,9 @@
 """The verdict of ``tools/bench_pairs.py`` on fixed pairs."""
 
 import importlib.util
+import json
 import os
+import types
 
 import pytest
 
@@ -54,3 +56,55 @@ def test_ties_are_not_wins():
 def test_unequal_pairs_rejected():
     with pytest.raises(ValueError):
         verdict(BEFORE, BEFORE[:-1])
+
+
+def fake_tool(monkeypatch, tmp_path):
+    """``bench_pairs`` with ``prepare``, ``run_once`` and its two probes
+    (``git rev-parse`` and the child's numpy version) stubbed; returns the
+    list of ``(side, workload, seed)`` runs it makes."""
+    calls = []
+
+    def run_once(directory, workload, seed, seconds, trace=0):
+        side = os.path.basename(directory)
+        calls.append((side, workload, seed))
+        value = 1.0 if side == "parent" else 0.9
+        row = {"correct": True, "attempted": 5, "failed": 0}
+        return dict(row, wall_s=value, setup_s=value, cpu_s=value, peak_rss_mb=40.0)
+
+    def run(argv, **kwargs):
+        return types.SimpleNamespace(stdout="abc1234\n" if argv[0] == "git" else "2.0.0\n")
+
+    dirs = {side: str(tmp_path / side) for side in bench_pairs.SIDES}
+    monkeypatch.setattr(bench_pairs, "prepare", lambda work, parent: dirs)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    return calls
+
+
+def test_without_a_claim_only_the_checks_run(monkeypatch, tmp_path):
+    calls = fake_tool(monkeypatch, tmp_path)
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--parent", "HEAD", "--change", "c", "--out", str(out),
+                      "--check", "world_grid:1:3", "--work", str(tmp_path)])
+    record = json.loads(out.read_text())
+    assert record["claim"] is None and "rule" not in record
+    assert not any(key.startswith("same_pairs_") for key in record)
+    assert "PYTHONDONTWRITEBYTECODE 1" in record["machine"]
+    (check,) = record["no_regression_checks"]
+    assert (check["workload"], check["seed"], check["pairs"]) == ("world_grid", 1, 3)
+    assert check["wall_s"]["within_bound"] and check["wall_s"]["change_over_parent"] == 0.9
+    # alternating pairs: the parent runs first in odd pairs, the change in even ones
+    assert [side for side, _, _ in calls] == ["parent", "change", "change", "parent",
+                                              "parent", "change"]
+    assert [(r["pair"], r["first"]) for r in record["runs"][::2]] == [
+        (1, "parent"), (2, "change"), (3, "parent")
+    ]
+
+
+def test_without_a_claim_a_check_is_required(monkeypatch, tmp_path):
+    calls = fake_tool(monkeypatch, tmp_path)
+    with pytest.raises(SystemExit, match="at least one --check"):
+        bench_pairs.main(["--parent", "HEAD", "--change", "c", "--out",
+                          str(tmp_path / "bench.json"), "--work", str(tmp_path)])
+    assert calls == [] and not (tmp_path / "bench.json").exists()

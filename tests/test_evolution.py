@@ -16,6 +16,7 @@ from scipy import special
 
 from semicoop import NumericalError, ValidationError, evolution, fieldio, geometry, pipeline
 from semicoop.grids import GridSpec
+from semicoop.polygon import effective_region
 from semicoop.scenario import PROFIT_PRESETS, parse_scenario
 
 
@@ -494,9 +495,15 @@ def rho_config(profit, firm=(), **changes):
     return parse_scenario(doc)
 
 
+def cooperation(config):
+    """``pipeline.cooperation`` on the scenario's own world volume."""
+    _, metric, _, curv = pipeline.world(config)
+    return pipeline.cooperation(config, metric, curv)
+
+
 def cooperation_spied(config):
-    """``pipeline.cooperation(config)``, or the NumericalError it raises,
-    and the map ``F0(rho)`` and the interior maxima it hands to
+    """``cooperation(config)``, or the NumericalError it raises, and the
+    map ``F0(rho)`` and the interior maxima it hands to
     :func:`evolution.optimal_rho`."""
     seen = []
     real = evolution.optimal_rho
@@ -507,7 +514,7 @@ def cooperation_spied(config):
 
     with mock.patch.object(evolution, "optimal_rho", spy):
         try:
-            payload = pipeline.cooperation(config)
+            payload = cooperation(config)
         except NumericalError as exc:
             payload = exc
     return (payload,) + seen[0]
@@ -577,7 +584,7 @@ class TestOptimalRho:
         config = rho_config(
             {"preset": "rho_quadratic", "vertex": vertex, "peak": 2.0}, rho_grid=rho_grid
         )
-        payload = pipeline.cooperation(config)
+        payload = cooperation(config)
         assert payload["rho_star"] == vertex and payload["reason"] == "vertex"
         assert payload["stationary_points"] == (vertex,)
 
@@ -611,8 +618,47 @@ class TestOptimalRho:
             return real(lambda rho: rhos.append(rho) or rho_to_scale(rho), *args, **kwargs)
 
         with mock.patch.object(evolution, "optimal_rho", counted):
-            pipeline.cooperation(rho_config(profit, rho_grid=256))
+            cooperation(rho_config(profit, rho_grid=256))
         assert len(rhos) == calls and rhos[-2:] == [0.05, 1.0]
+
+    @pytest.mark.parametrize(
+        "metric", [{"preset": "flat"}, {"preset": "sphere", "radius": 1.3}], ids=["flat", "sphere"]
+    )
+    @pytest.mark.parametrize("rho", [evolution.RHO_MIN, 0.37, 1.0])
+    def test_cooperation_f0_is_the_kernel_f0(self, metric, rho):
+        # a firm whose strategy is the region it commits at rho (its coop_own)
+        # has the same weight w in the kernel stage as the rho search gives it
+        profit = {"preset": "region_power", "base": 0.3, "exponent": 1.7}
+        firm = {"alpha_own": 0.4, "area": 2.5, "stubbornness": 1.3}
+        config = rho_config(profit, firm, metric=metric)
+        _, rho_to_scale, _ = cooperation_spied(config)
+        region = effective_region(2.5, 0.4, rho)
+        kernel_config = rho_config(profit, dict(firm, strategy=region, coop_own=rho), metric=metric)
+        _, field, _, curv = pipeline.world(kernel_config)
+        bracket = pipeline.action_terms(kernel_config, field, curv)
+        _, spec, f0 = pipeline.kernel(kernel_config, bracket)
+        assert rho_to_scale(rho) == f0 == float((bracket[0] / 11.0).mean())
+        assert spec.effective_scale == abs(f0)
+
+    @pytest.mark.parametrize(
+        "mean_share, rho_star, ends",
+        [(1.5, 0.05, (0.2539, 0.1464)), (2.0, 1.0, (-0.0355, -0.1430))],
+    )
+    def test_curvature_potential_flips_rho_star(self, mean_share, rho_star, ends):
+        # on the unit sphere the potential Q R xbar lowers F0 by the same
+        # amount at every rho; at xbar = 2 it turns F0 negative, where |F0|
+        # grows as F0 falls, so the other end wins
+        config = rho_config(
+            {"preset": "region_power"},
+            metric={"preset": "sphere", "radius": 1.0},
+            kernel={"mean_share": mean_share},
+        )
+        payload, rho_to_scale, stationary = cooperation_spied(config)
+        assert stationary == ()
+        assert (payload["rho_star"], payload["reason"]) == (rho_star, "end")
+        assert [rho_to_scale(r) for r in (0.05, 1.0)] == pytest.approx(ends, abs=1e-4)
+        scan = scan_optimal_rho(rho_to_scale)
+        assert (scan.rho_star, scan.reason) == (rho_star, "end")
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_scale_names_rho(self, bad):

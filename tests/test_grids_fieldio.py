@@ -288,6 +288,15 @@ def test_path_major_ensemble_rejected(tmp_path):
         read_ensemble(path)
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_unreadable_ensemble_rejected(tmp_path, where):
+    # an OSError on opening is a ValidationError that names the path
+    path = tmp_path if where == "directory" else tmp_path / "p.bin"
+    with pytest.raises(ValidationError, match="cannot read ensemble file") as info:
+        read_ensemble(path)
+    assert str(path) in str(info.value)
+
+
 def truncate(path, keep):
     """Keep the first ``keep`` bytes, or drop the last ``-keep``."""
     path.write_bytes(path.read_bytes()[:keep])

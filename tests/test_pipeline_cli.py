@@ -189,14 +189,13 @@ def test_optimal_rho_matches_rho_json(run):
 
 
 def test_optimal_rho_reads_only_the_scenario(run, monkeypatch):
-    # rho* is a property of F0(rho) alone: the world volume, the kernel,
-    # the evolution and the Laplacian must stay out of the search
+    # rho* is a property of F0(rho) alone: the search builds the world
+    # volume and the bracket that F0 reads, and the kernel stage, the
+    # evolution and the Laplacian stay out of it
     def refuse(*args, **kwargs):
         raise AssertionError("the rho search built a stage it does not need")
 
     for owner, name in [
-        (pipeline, "world"),
-        (pipeline, "action_terms"),
         (pipeline, "kernel"),
         (pipeline, "evolve"),
         (geometry, "laplace_operator_matrix"),
@@ -218,8 +217,8 @@ def _exit_and_stderr(*argv):
 
 
 def test_non_finite_scale_in_the_rho_scan_is_a_numerical_error(tmp_path):
-    # base + 0.5**rho < 0 near rho = 1, where (p*b)^W is NaN; the search
-    # evaluates RHO_MIN, then 1
+    # base + 0.5**rho < 0 near rho = 1, where the weight p*b = -0.1 has no
+    # fractional power; the search evaluates RHO_MIN, then 1
     firm = dict(SCENARIO["firms"][0], strategy=0.9)
     scenario = dict(
         SCENARIO, firms=[firm], profit={"preset": "region_power", "base": -0.6, "exponent": 1}
@@ -227,14 +226,15 @@ def test_non_finite_scale_in_the_rho_scan_is_a_numerical_error(tmp_path):
     path = write_scenario(tmp_path / "scenario.json", scenario)
     code, err = _exit_and_stderr("optimal-rho", "--config", path)
     assert code == cli.EXIT_NUMERICAL
-    assert "effective scale is nan at rho = 1.0\n" in err
+    message = "profit weight must be positive for fractional exponents; value -0.1 at rho = 1.0"
+    assert message + "\n" in err
 
     out = tmp_path / "out"
     code, _ = _exit_and_stderr("pipeline", "--scenario", path, "--out-dir", out)
     assert code == cli.EXIT_NUMERICAL
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["failed_stage"] == "cooperation"
-    assert manifest["failure"] == "effective scale is nan at rho = 1.0"
+    assert manifest["failure"] == message
     assert "rho.json" not in manifest["artifacts"]
 
 

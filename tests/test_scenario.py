@@ -70,7 +70,8 @@ def test_base_scenario_is_valid():
     config.build_polygon()
     config.build_fields()
     assert config.profit(0.2) == 1.0
-    rho = pipeline.cooperation(config)
+    _, metric, _, curv = pipeline.world(config)
+    rho = pipeline.cooperation(config, metric, curv)
     assert (rho["rho_star"], rho["reason"]) == (0.5, "vertex")
 
 

@@ -3,7 +3,7 @@
 Usage (from the repository root):
 
     python3 tools/bench_pairs.py --parent REF --change TEXT --out BENCH_<n>.json \\
-        --claim WORKLOAD:SEED:METRIC:PAIRS [--check WORKLOAD:SEED:PAIRS ...] \\
+        [--claim WORKLOAD:SEED:METRIC:PAIRS] [--check WORKLOAD:SEED:PAIRS ...] \\
         [--traced WORKLOAD:SEED ...] [--seconds S] [--work DIR]
 
 The parent side is ``git archive REF``; the change side is a copy of the
@@ -19,9 +19,11 @@ wins at least 9 of every 10 pairs and its median beats the parent's by
 more than the parent's interquartile range.  Every end-to-end metric of
 ``BENCHMARK.json`` is taken from the same pairs, and each ``--check``
 adds pairs on another workload or seed, reported against the metric's
-bound.  ``--traced`` adds one ``--trace 1`` run per side whose
-``trace.overhead_s`` is reported only.  The output uses the keys of
-``BENCH_21.json``.  Standard library only.
+bound.  A change that claims no gain omits ``--claim``: only its
+``--check`` pairs run, at least one is required, and the output's
+``claim`` is null.  ``--traced`` adds one ``--trace 1`` run per side
+whose ``trace.overhead_s`` is reported only.  The output uses the keys
+of ``BENCH_21.json``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -180,9 +182,12 @@ def machine(directory):
         [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
         cwd=directory, capture_output=True, text=True,
     ).stdout.strip()
+    # compiling the source in each fresh process moves setup_s
+    bytecode = os.environ.get("PYTHONDONTWRITEBYTECODE") or "unset"
     return (
         f"nproc {os.cpu_count()}, Python {platform.python_version()}, numpy {numpy}, "
-        "BLAS threads 1; parent and change run alternately in one session"
+        f"BLAS threads 1, PYTHONDONTWRITEBYTECODE {bytecode}; "
+        "parent and change run alternately in one session"
     )
 
 
@@ -198,7 +203,7 @@ def main(argv=None):
     parser.add_argument("--parent", required=True, help="git ref of the parent side")
     parser.add_argument("--change", required=True, help="one-paragraph summary of the change")
     parser.add_argument("--out", required=True)
-    parser.add_argument("--claim", required=True, help="WORKLOAD:SEED:METRIC:PAIRS")
+    parser.add_argument("--claim", help="WORKLOAD:SEED:METRIC:PAIRS; omit it to claim no gain")
     parser.add_argument("--check", action="append", default=[], help="WORKLOAD:SEED:PAIRS")
     parser.add_argument("--traced", action="append", default=[], help="WORKLOAD:SEED")
     parser.add_argument("--seconds", type=float, default=25.0)
@@ -207,9 +212,11 @@ def main(argv=None):
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         end_to_end = json.load(fh)["end_to_end"]
-    workload, seed, metric, pairs = split(args.claim, (str, int, str, int))
+    claim = args.claim and split(args.claim, (str, int, str, int))
     checks = [split(c, (str, int, int)) for c in args.check]
     traced = [split(t, (str, int)) for t in args.traced]
+    if not claim and not checks:
+        raise SystemExit("with no --claim, give at least one --check")
 
     work = args.work or tempfile.mkdtemp(prefix="bench_pairs-")
     try:
@@ -219,25 +226,31 @@ def main(argv=None):
             text=True, check=True,
         ).stdout.strip()
         runs = []
-        sides = run_pairs(dirs, workload, seed, pairs, args.seconds, runs)
         out = {
             "change": args.change,
             "before": f"{commit} (parent commit, a git archive)",
             "after": "this change (a copy of the working tree's src/, perfbench/ and BENCHMARK.json)",
             "machine": machine(dirs["change"]),
-            "rule": RULE,
-            "claim": claim_record(workload, seed, metric, sides, args.seconds),
         }
-        for spec in end_to_end:
-            if spec["name"] != metric:
-                out[f"same_pairs_{spec['name']}"] = claim_record(
-                    workload, seed, spec["name"], sides, args.seconds
-                )
-        out["no_regression_checks"] = [regression_check(workload, seed, sides, end_to_end)]
+        checked = []
+        if claim:
+            workload, seed, metric, pairs = claim
+            sides = run_pairs(dirs, workload, seed, pairs, args.seconds, runs)
+            out["rule"] = RULE
+            out["claim"] = claim_record(workload, seed, metric, sides, args.seconds)
+            for spec in end_to_end:
+                if spec["name"] != metric:
+                    out[f"same_pairs_{spec['name']}"] = claim_record(
+                        workload, seed, spec["name"], sides, args.seconds
+                    )
+            checked.append(regression_check(workload, seed, sides, end_to_end))
+        else:
+            out["claim"] = None
         for w, s, n in checks:
-            out["no_regression_checks"].append(
+            checked.append(
                 regression_check(w, s, run_pairs(dirs, w, s, n, args.seconds, runs), end_to_end)
             )
+        out["no_regression_checks"] = checked
         out["traced_runs"] = [
             {"workload": w, "seed": s, "side": side, "command": " ".join(command(w, s, args.seconds, 1)),
              **{k: v for k, v in run_once(dirs[side], w, s, args.seconds, trace=1).items()
@@ -252,7 +265,12 @@ def main(argv=None):
     with open(args.out, "w") as fh:
         json.dump(out, fh, indent=1)
         fh.write("\n")
-    print(json.dumps({k: out["claim"][k] for k in ("wins", "before", "after", "met")}))
+    if claim:
+        print(json.dumps({k: out["claim"][k] for k in ("wins", "before", "after", "met")}))
+    for check in out["no_regression_checks"]:
+        within = {spec["name"]: check[spec["name"]]["within_bound"] for spec in end_to_end}
+        print(json.dumps({"workload": check["workload"], "seed": check["seed"],
+                          "within_bound": within}))
 
 
 if __name__ == "__main__":
