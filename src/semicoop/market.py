@@ -1,7 +1,7 @@
 """Market-share dynamics with geometry-derived drift and diffusion.
 
-A firm's share moves as an Ito process whose coefficients may be derived
-from a metric field: the drift is the contraction
+A firm's share moves as an Ito process whose coefficients are per-node
+tables derived from a metric field: the drift is the contraction
 ``mu^a = -1/2 h^{bc} gamma^a_{bc}`` and the diffusion matrix is the
 Cholesky factor of the inverse metric, so the reconstruction
 ``omega omega^T = h^{ab}`` holds at every node and share increments pick
@@ -119,27 +119,21 @@ class FirmState:
 
 @dataclass
 class SDECoefficients:
-    """Drift and diffusion of the share SDE: per-node tables or callables.
+    """Drift and diffusion of the share SDE as per-node tables.
 
-    Geometry-derived instances (:func:`derive_coefficients`) carry the
-    tables ``drift_table`` (``grid.shape + (3,)``) and
-    ``diffusion_table`` (``grid.shape + (3, 3)``) with their grid, as
-    read-only views of their profile.  :func:`simulate` reads them at the
-    nearest node, clamped to the grid, in one gather per step of the
-    entries that vary from node to node; the index runs over the axes
-    along which the tables vary (any table works, and one that varies
-    along every axis is looked up on all of them).  Instances without
-    tables give callables instead: ``drift(s, x)`` maps a float
-    time and an ``(n, 3)`` state block to an ``(n, 3)`` array,
-    ``diffusion(s, x)`` to ``(n, 3, 3)``.  They let the integrator be
-    checked on smooth coefficients (strong order one half, linear decay).
+    ``drift_table`` (``grid.shape + (3,)``) and ``diffusion_table``
+    (``grid.shape + (3, 3)``) hold the coefficients at every node of
+    ``grid``; :func:`derive_coefficients` makes them read-only views of
+    their profile.  :func:`simulate` reads them at the nearest node,
+    clamped to the grid, in one gather per step of the entries that vary
+    from node to node; the index runs over the axes along which the
+    tables vary (any table works, and one that varies along every axis
+    is looked up on all of them).
     """
 
-    drift: object = None
-    diffusion: object = None
-    grid: GridSpec = None
-    drift_table: np.ndarray = field(default=None, repr=False)
-    diffusion_table: np.ndarray = field(default=None, repr=False)
+    grid: GridSpec
+    drift_table: np.ndarray = field(repr=False)
+    diffusion_table: np.ndarray = field(repr=False)
 
 
 def _node_indexer(grid, axes):
@@ -232,21 +226,19 @@ class PathEnsemble:
 def _coefficient_block(coeffs):
     """Per-step coefficient lookup of :func:`simulate`.
 
-    Returns ``(fill, plan, checked)``.  The twelve coefficient rows are
-    the drift ``mu^a`` (rows 0-2) and the diffusion entries
-    ``omega^a_b`` (row ``3 + 3b + a``); ``plan[r]`` is ``None`` when row
-    ``r`` is zero, its value when it is one number everywhere, and
-    otherwise its index in the block that ``fill(s, x, block)`` writes
-    at the component-major states ``x`` (3, n).  Table-backed
-    coefficients are checked for finite values and classified here,
-    once: every entry ``0.0`` or ``-0.0`` makes a zero row, one value
-    everywhere a constant row, and the rows that vary are gathered in
-    one ``take`` from a (varying rows, profile nodes) table, over the
-    axes along which the tables vary, through one nearest-node index on
-    those axes; ``checked`` is true.  Callables see an ``(n, 3)`` state
-    block, as their contract says, and fill all twelve rows, every row
-    counting as varying; their values are left to the caller to check
-    at every step.
+    Returns ``(fill, plan)``.  The twelve coefficient rows are the drift
+    ``mu^a`` (rows 0-2) and the diffusion entries ``omega^a_b`` (row
+    ``3 + 3b + a``); ``plan[r]`` is ``None`` when row ``r`` is zero, its
+    value when it is one number everywhere, and otherwise its index in
+    the block that ``fill(s, x, block)`` writes for the component-major
+    states ``x`` (3, n) at time ``s``, which the tables do not depend
+    on.  The tables are checked for
+    finite values and classified here, once: every entry ``0.0`` or
+    ``-0.0`` makes a zero row, one value everywhere a constant row, and
+    the rows that vary are gathered in one ``take`` from a (varying
+    rows, profile nodes) table, over the axes along which the tables
+    vary, through one nearest-node index on those axes.  Every index is
+    clamped to the grid, so ``fill`` cannot fail and gives finite rows.
 
     Raises
     ------
@@ -254,53 +246,40 @@ def _coefficient_block(coeffs):
         When a table entry is not finite; the message names the first
         such grid node in C order.
     """
-    if coeffs.drift_table is not None:
-        grid = coeffs.grid
-        axes = _joint_support(grid.n_axes, coeffs.drift_table, coeffs.diffusion_table)
-        drift = _on_support(coeffs.drift_table, axes, grid.n_axes)
-        diffusion = _on_support(coeffs.diffusion_table, axes, grid.n_axes)
-        profile = drift.shape[: grid.n_axes]
-        nodes = math.prod(profile)
-        table = np.empty((1 + STATE_DIM, STATE_DIM, nodes))
-        table[0] = drift.reshape(nodes, STATE_DIM).T
-        table[1:] = diffusion.reshape(nodes, STATE_DIM, STATE_DIM).transpose(2, 1, 0)
-        table = table.reshape(-1, nodes)
-        finite = np.isfinite(table).all(axis=0)
-        if not finite.all():
-            # the profile has length 1 along the other axes, so its first
-            # bad node is the grid's first, with index 0 along them
-            first = np.unravel_index(np.argmin(finite), profile)
-            node = tuple(int(i) for i in first)
-            raise NumericalError(f"non-finite coefficients at node {node}")
-        plan, varying = [], []
-        for row in table:
-            if not row.any():
-                plan.append(None)
-            elif (row == row[0]).all():
-                plan.append(float(row[0]))
-            else:
-                plan.append(len(varying))
-                varying.append(row)
-        gathered = np.array(varying).reshape(len(varying), nodes)
-        index = _node_indexer(grid, axes)
-
-        def fill(s, x, block):
-            # indices are clamped to the grid, so "clip" never clips
-            np.take(gathered, index(x), axis=1, out=block, mode="clip")
-
-        return fill, plan, True
+    grid = coeffs.grid
+    axes = _joint_support(grid.n_axes, coeffs.drift_table, coeffs.diffusion_table)
+    drift = _on_support(coeffs.drift_table, axes, grid.n_axes)
+    diffusion = _on_support(coeffs.diffusion_table, axes, grid.n_axes)
+    profile = drift.shape[: grid.n_axes]
+    nodes = math.prod(profile)
+    table = np.empty((1 + STATE_DIM, STATE_DIM, nodes))
+    table[0] = drift.reshape(nodes, STATE_DIM).T
+    table[1:] = diffusion.reshape(nodes, STATE_DIM, STATE_DIM).transpose(2, 1, 0)
+    table = table.reshape(-1, nodes)
+    finite = np.isfinite(table).all(axis=0)
+    if not finite.all():
+        # the profile has length 1 along the other axes, so its first
+        # bad node is the grid's first, with index 0 along them
+        first = np.unravel_index(np.argmin(finite), profile)
+        node = tuple(int(i) for i in first)
+        raise NumericalError(f"non-finite coefficients at node {node}")
+    plan, varying = [], []
+    for row in table:
+        if not row.any():
+            plan.append(None)
+        elif (row == row[0]).all():
+            plan.append(float(row[0]))
+        else:
+            plan.append(len(varying))
+            varying.append(row)
+    gathered = np.array(varying).reshape(len(varying), nodes)
+    index = _node_indexer(grid, axes)
 
     def fill(s, x, block):
-        n = x.shape[1]
-        xs = np.ascontiguousarray(x.T)
-        mu = np.asarray(coeffs.drift(s, xs), dtype=float)
-        om = np.asarray(coeffs.diffusion(s, xs), dtype=float)
-        block[:STATE_DIM] = np.broadcast_to(mu, (n, STATE_DIM)).T
-        block[STATE_DIM:].reshape(STATE_DIM, STATE_DIM, n)[...] = np.broadcast_to(
-            om, (n, STATE_DIM, STATE_DIM)
-        ).transpose(2, 1, 0)
+        # indices are clamped to the grid, so "clip" never clips
+        np.take(gathered, index(x), axis=1, out=block, mode="clip")
 
-    return fill, list(range(4 * STATE_DIM)), False
+    return fill, plan
 
 
 def _step_terms(plan, block):
@@ -390,8 +369,7 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
     with each component's products of ``omega dW`` summed in the order
     ``(w0 d0 + w2 d2) + w1 d1`` (the order numpy's ``einsum`` sums them
     for C-ordered blocks).  Only the coefficient rows that vary are
-    looked up at each step (one nearest-node gather from the tables, or
-    one call of each callable, whose twelve rows all count as varying);
+    looked up at each step, in one nearest-node gather from the tables;
     a constant row enters as a number, and the terms of a zero row are
     left out, which leaves every bit of the sum as it is.
 
@@ -415,7 +393,8 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
     Parameters
     ----------
     coeffs : SDECoefficients
-        Its tables when ``drift_table`` is set, its callables otherwise.
+        The drift and diffusion tables, checked for finite values once,
+        before any step runs.
     initial : 3-vector
         Starting share; applied exactly at time zero.
     horizon : float
@@ -455,9 +434,8 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
         When a count is out of range, the seed is negative, or
         ``increments`` has another shape or a non-finite value.
     NumericalError
-        When a coefficient table holds a non-finite value (the message
-        names the node), or when coefficient evaluation fails or a
-        callable gives non-finite values (the message names the step).
+        When a coefficient table holds a non-finite value; the message
+        names the node.
     """
     if steps < 2:
         raise ValidationError("step count must be at least 2")
@@ -489,7 +467,7 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
     scale = math.sqrt(dt)
     times = np.linspace(0.0, float(horizon), steps + 1)
 
-    fill, plan, checked = _coefficient_block(coeffs)
+    fill, plan = _coefficient_block(coeffs)
     # Step 0 adds to x0 + 0.0: a -0.0 start component becomes +0.0, so no
     # state after step 0 is -0.0, as with einsum's zero-started sums.
     start = x0[:, None] + 0.0
@@ -516,12 +494,7 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
             dw[...] = increments[lo:hi, k].T
         x = states[k % 2, :, lo:hi]
         if own.varying:
-            try:
-                fill(times[k], x, block)
-            except Exception as exc:
-                raise NumericalError(f"coefficient evaluation failed at step {k}: {exc}") from exc
-        if not checked and not np.isfinite(block).all():
-            raise NumericalError(f"non-finite coefficients at step {k}")
+            fill(times[k], x, block)
         _euler_step(x if k else start, states[(k + 1) % 2, :, lo:hi], dw, dt, terms, noise, product)
 
     lock = threading.Lock()

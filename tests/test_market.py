@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -19,21 +20,37 @@ from semicoop.market import FirmState, SDECoefficients, derive_coefficients, sim
 
 
 def constant_coefficients(mu, omega):
-    """Fixed drift vector and diffusion matrix as batched callables."""
-    mu = np.asarray(mu, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-
-    def drift(s, x):
-        return np.broadcast_to(mu, np.atleast_2d(x).shape).copy()
-
-    def diffusion(s, x):
-        return np.broadcast_to(omega, (np.atleast_2d(x).shape[0],) + omega.shape).copy()
-
-    return SDECoefficients(drift=drift, diffusion=diffusion)
+    """Fixed drift vector and diffusion matrix as tables broadcast over a
+    small three-axis grid."""
+    grid = GridSpec.from_axes((0.0, 1.0, 3), (0.0, 1.0, 3), (0.0, 1.0, 3))
+    return SDECoefficients(
+        grid=grid,
+        drift_table=np.broadcast_to(np.asarray(mu, dtype=float), grid.shape + (3,)),
+        diffusion_table=np.broadcast_to(np.asarray(omega, dtype=float), grid.shape + (3, 3)),
+    )
 
 
-def zero_diffusion(s, x):
-    return np.zeros((np.atleast_2d(x).shape[0], 3, 3))
+def axis0_coefficients(extent, drift, diffusion):
+    """Tables on an ``extent = (start, stop, count)`` grid axis 0 (and
+    three nodes along the flat axes 1 and 2): ``mu^0 = drift(x0)`` and
+    ``omega^0_0 = diffusion(x0)`` at the node ``x0``, every other entry
+    zero."""
+    grid = GridSpec.from_axes(extent, (0.0, 1.0, 3), (0.0, 1.0, 3))
+    x0 = grid.coordinates(0)[:, None, None]
+    drift_table = np.zeros((grid.counts[0], 1, 1, 3))
+    drift_table[..., 0] = drift(x0)
+    diffusion_table = np.zeros((grid.counts[0], 1, 1, 3, 3))
+    diffusion_table[..., 0, 0] = diffusion(x0)
+    return SDECoefficients(
+        grid=grid,
+        drift_table=np.broadcast_to(drift_table, grid.shape + (3,)),
+        diffusion_table=np.broadcast_to(diffusion_table, grid.shape + (3, 3)),
+    )
+
+
+# drift and diffusion as functions of a time and an (n, 3) state block,
+# the form the path-major reference loop reads
+Callables = namedtuple("Callables", "drift diffusion")
 
 
 def nearest_node_coefficients(coeffs):
@@ -55,7 +72,7 @@ def nearest_node_coefficients(coeffs):
     def diffusion(s, x):
         return coeffs.diffusion_table[nodes(np.atleast_2d(x))]
 
-    return SDECoefficients(drift=drift, diffusion=diffusion)
+    return Callables(drift, diffusion)
 
 
 def reference_simulate(coeffs, x0, horizon, steps, paths, seed, increments=None):
@@ -150,28 +167,44 @@ class LeftTheDomain(Exception):
     pass
 
 
-def raising_at(paths, steps, at, slow=None):
-    """Callable coefficients and small explicit increments, except that a
-    large increment at step ``k`` of the first path of chunk ``c`` makes
-    the drift raise a :class:`LeftTheDomain` naming the chunk at step
-    ``k + 1``, for each ``(c, k)`` in ``at``, after a pause when the chunk
-    is ``slow``.  Each exception raised is kept in ``raised[c]``."""
+def raising_at(monkeypatch, paths, steps, at, slow=None):
+    """Small explicit increments, except that a large increment at step
+    ``k`` of the first path of chunk ``c``, for each ``(c, k)`` in ``at``,
+    makes the coefficient lookup of chunk ``c`` raise a
+    :class:`LeftTheDomain` naming the chunk at step ``k + 1``, after a
+    pause when the chunk is ``slow``.
+
+    The lookup is the ``fill`` of :func:`market._coefficient_block`,
+    wrapped through ``monkeypatch``, so it fails only on tables with a
+    varying row.  Returns ``(dw, raised, evaluated)``: the increments,
+    each exception raised by chunk (``raised[c]``) and the time of every
+    lookup, in the order they were made."""
     dw = np.full((paths, steps, 3), 0.01)
     for c, k in at:
         dw[c * 4096, k, 0] = 1e6 * (c + 1)
-    raised = {}
+    raised, evaluated = {}, []
+    lock = threading.Lock()
+    classify = market._coefficient_block
 
-    def drift(s, x):
-        big = x[:, 0] > 1e5
-        if big.any():
-            c = round(x[big][0, 0] / 1e6) - 1
-            if c == slow:
-                time.sleep(0.05)
-            raised[c] = LeftTheDomain(f"chunk {c}")
-            raise raised[c]
-        return -0.5 * x
+    def failing(coeffs):
+        fill, plan = classify(coeffs)
 
-    return SDECoefficients(drift=drift, diffusion=lambda s, x: np.eye(3)), dw, raised
+        def lookup(s, x, block):
+            with lock:
+                evaluated.append(s)
+            big = x[0] > 1e5
+            if big.any():
+                c = round(x[0, big][0] / 1e6) - 1
+                if c == slow:
+                    time.sleep(0.05)
+                raised[c] = LeftTheDomain(f"chunk {c}")
+                raise raised[c]
+            fill(s, x, block)
+
+        return lookup, plan
+
+    monkeypatch.setattr(market, "_coefficient_block", failing)
+    return dw, raised, evaluated
 
 
 def assert_same_bits(a, b):
@@ -313,12 +346,10 @@ class TestSimulate:
         assert (summary["paths"], summary["steps"], summary["horizon"]) == (9000, 8, 1.0)
 
     def test_linear_drift_decay(self):
-        def drift(s, x):
-            return -np.atleast_2d(x)
-
-        coeffs = SDECoefficients(drift=drift, diffusion=zero_diffusion)
+        # dx = -x ds, from a table of 20 001 nodes over [0, 2]
+        coeffs = axis0_coefficients((0.0, 2.0, 20001), lambda x: -x, lambda x: 0.0 * x)
         ens = simulate(coeffs, np.ones(3), horizon=1.0, steps=2000, paths=1, seed=0)
-        assert np.abs(ens.values[0, -1] - np.exp(-1.0)).max() < 1e-3
+        assert abs(ens.values[0, -1, 0] - np.exp(-1.0)) < 1e-3
 
     def test_seed_determinism_across_threads(self):
         coeffs = constant_coefficients(np.zeros(3), np.eye(3))
@@ -333,21 +364,13 @@ class TestSimulate:
         assert not np.array_equal(a.values, b.values)
 
     def test_strong_order_half(self):
+        # Euler-Maruyama converges with strong order 1/2 (Kloeden & Platen
+        # 1992) on dx = -x/2 ds + 0.4 x dW, from a table of 40 001 nodes
+        # over [-2, 10] that holds every path
         rng = np.random.default_rng(42)
         paths, fine = 2000, 512
         dw = rng.standard_normal((paths, fine, 3)) * np.sqrt(1.0 / fine)
-
-        def drift(s, x):
-            return -0.5 * np.atleast_2d(x)
-
-        def diffusion(s, x):
-            x = np.atleast_2d(x)
-            out = np.zeros((x.shape[0], 3, 3))
-            for i in range(3):
-                out[:, i, i] = 0.4 * x[:, i]
-            return out
-
-        coeffs = SDECoefficients(drift=drift, diffusion=diffusion)
+        coeffs = axis0_coefficients((-2.0, 10.0, 40001), lambda x: -0.5 * x, lambda x: 0.4 * x)
 
         def coarsen(factor):
             return dw.reshape(paths, -1, factor, 3).sum(axis=2)
@@ -377,18 +400,6 @@ class TestSimulate:
         with pytest.raises(ValidationError, match="seed -1 is negative"):
             simulate(coeffs, np.zeros(3), 1.0, 8, 4, seed=-1, increments=dw)
 
-    def test_coefficient_failure_names_step(self):
-        calls = {"n": 0}
-
-        def drift(s, x):
-            calls["n"] += 1
-            if calls["n"] > 3:
-                raise RuntimeError("boom")
-            return np.zeros_like(np.atleast_2d(x))
-
-        coeffs = SDECoefficients(drift=drift, diffusion=zero_diffusion)
-        with pytest.raises(NumericalError, match="step 3"):
-            simulate(coeffs, np.zeros(3), 1.0, 8, 2, seed=0)
 
 
 def sheared_sphere_metric(grid):
@@ -419,6 +430,10 @@ class TestComponentMajorKernel:
             nearest_node_coefficients(coeffs), self.x0, 1.0, 16, self.paths, 5, **kw
         )
 
+    def sphere(self):
+        metric = geo.sphere_metric(self.grid)
+        return derive_coefficients(metric, geo.christoffel(metric))
+
     def test_sheared_diffusion_is_full(self):
         metric = sheared_sphere_metric(self.grid)
         omega = derive_coefficients(metric, geo.christoffel(metric)).diffusion_table
@@ -439,37 +454,12 @@ class TestComponentMajorKernel:
         ens = simulate(coeffs, self.x0, 1.0, 16, self.paths, 0, increments=dw)
         assert_same_bits(ens.values, self.reference(coeffs, increments=dw))
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_callables_match_reference(self, threads):
-        def drift(s, x):
-            return -0.5 * x + s
-
-        def diffusion(s, x):
-            out = np.empty((x.shape[0], 3, 3))
-            for a in range(3):
-                for b in range(3):
-                    out[:, a, b] = np.sin(x[:, a] + 0.3 * b) * (0.2 + 0.1 * a * b)
-            return out
-
-        coeffs = SDECoefficients(drift=drift, diffusion=diffusion)
-        ens = simulate(coeffs, self.x0, 1.0, 16, self.paths, 9, threads=threads)
-        ref = reference_simulate(coeffs, self.x0, 1.0, 16, self.paths, 9)
-        assert_same_bits(ens.values, ref)
-
-    def test_broadcast_callables_match_reference(self):
-        coeffs = SDECoefficients(
-            drift=lambda s, x: np.array([0.1, -0.2, 0.3]),
-            diffusion=lambda s, x: np.array([[[0.5, 0.1, 0.0], [0.2, 0.4, 0.1], [0.0, 0.3, 0.6]]]),
-        )
-        ens = simulate(coeffs, self.x0, 1.0, 8, 50, 2)
-        assert_same_bits(ens.values, reference_simulate(coeffs, self.x0, 1.0, 8, 50, 2))
-
     def test_negative_zero_start(self):
         x0 = np.array([-0.0, 0.5, -0.0])
         coeffs = constant_coefficients(np.full(3, -0.0), np.zeros((3, 3)))
         dw = -np.ones((3, 4, 3))
         ens = simulate(coeffs, x0, 1.0, 4, 3, 0, increments=dw)
-        ref = reference_simulate(coeffs, x0, 1.0, 4, 3, 0, increments=dw)
+        ref = reference_simulate(nearest_node_coefficients(coeffs), x0, 1.0, 4, 3, 0, increments=dw)
         assert_same_bits(ens.values, ref)
         assert np.signbit(ens.values[:, 0, 0]).all()
         assert not np.signbit(ens.values[:, 1:, 0]).any()
@@ -515,7 +505,7 @@ class TestComponentMajorKernel:
             assert ens.values.shape == (paths, 7, 3)
 
     @pytest.mark.parametrize("threads", [2, 4])
-    def test_no_thread_outlives_the_call(self, coeffs, threads):
+    def test_no_thread_outlives_the_call(self, coeffs, threads, monkeypatch):
         class FailingSink(RecordingSink):
             def step(self, k, row):
                 if k == 2:
@@ -533,9 +523,10 @@ class TestComponentMajorKernel:
             assert set(threading.enumerate()) == before
             assert sink.steps == [0, 1]
             # a failing chunk, and fewer chunks than threads
-            blowing, dw, _ = raising_at(paths, 6, [(5, 0)])
-            with pytest.raises(NumericalError, match="at step 1"):
-                simulate(blowing, self.x0, 1.0, 6, paths, 0, increments=dw, threads=threads)
+            with monkeypatch.context() as patch:
+                dw, _, _ = raising_at(patch, paths, 6, [(5, 0)])
+                with pytest.raises(LeftTheDomain, match="chunk 5"):
+                    simulate(coeffs, self.x0, 1.0, 6, paths, 0, increments=dw, threads=threads)
             assert set(threading.enumerate()) == before
             simulate(coeffs, self.x0, 1.0, 6, 4097, 8, threads=threads)
             assert set(threading.enumerate()) == before
@@ -594,26 +585,18 @@ class TestComponentMajorKernel:
             ens.values[0, 0, 0] = 1.0
         assert not ens.values.flags.writeable
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_failure_mid_run_stops_submitting_and_leaves_no_file(self, tmp_path, threads):
-        # a large increment in chunk 5 makes its drift non-finite at step 2
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    def test_failure_mid_run_stops_submitting_and_leaves_no_file(
+        self, tmp_path, threads, monkeypatch
+    ):
+        # a large increment in chunk 5 makes its lookup fail at step 2
         paths, steps, failing = 12 * 4096 + 7, 6, 5
-        dw = np.full((paths, steps, 3), 0.01)
-        dw[failing * 4096 + 7, 1, 0] = 1e6
-        evaluated = []
-        lock = threading.Lock()
-
-        def drift(s, x):
-            with lock:
-                evaluated.append(s)
-            return np.where(x > 1e5, np.inf, -0.5 * x)
-
-        coeffs = SDECoefficients(drift=drift, diffusion=lambda s, x: np.eye(3))
+        dw, _, evaluated = raising_at(monkeypatch, paths, steps, [(failing, 1)])
         path = tmp_path / "p.bin"
         times = np.linspace(0.0, 1.0, steps + 1)
-        with pytest.raises(NumericalError, match="non-finite coefficients at step 2"):
+        with pytest.raises(LeftTheDomain, match=f"^chunk {failing}$"):
             with EnsembleWriter(path, times, paths, 3) as writer:
-                simulate(coeffs, self.x0, 1.0, steps, paths, 0, increments=dw,
+                simulate(self.sphere(), self.x0, 1.0, steps, paths, 0, increments=dw,
                          threads=threads, sink=writer)
         assert list(tmp_path.iterdir()) == []
         assert writer._next == 3  # rows 0-2 were written, row 2 in the failing round
@@ -624,18 +607,18 @@ class TestComponentMajorKernel:
         assert failing + 1 <= len(evaluated[2 * 13 :]) <= (failing + 1 if threads == 1 else 13)
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
-    def test_error_is_the_first_failing_chunk_in_path_order(self, threads):
+    def test_error_is_the_first_failing_chunk_in_path_order(self, threads, monkeypatch):
         # the first failing chunk of the first failing step: chunks 7 and 9
         # fail at step 1, chunk 3 only at step 2; chunk 7 fails slowly, so
         # that with more threads chunk 9 fails first
         paths, steps = 12 * 4096 + 7, 4
-        coeffs, dw, raised = raising_at(paths, steps, [(3, 1), (9, 0), (7, 0)], slow=7)
+        dw, raised, _ = raising_at(monkeypatch, paths, steps, [(3, 1), (9, 0), (7, 0)], slow=7)
         sink = RecordingSink((paths, steps + 1, 3))
-        with frequent_switches(), pytest.raises(NumericalError, match="at step 1: chunk 7$") as err:
-            bounded(simulate, coeffs, self.x0, 1.0, steps, paths, 0, increments=dw,
+        with frequent_switches(), pytest.raises(LeftTheDomain, match="^chunk 7$") as err:
+            bounded(simulate, self.sphere(), self.x0, 1.0, steps, paths, 0, increments=dw,
                     threads=threads, sink=sink)
-        # the exception object that chunk 7's step raised, and its cause
-        assert err.value.__cause__ is raised[7]
+        # the exception object that chunk 7's step raised
+        assert err.value is raised[7]
         assert sorted(raised) == ([7] if threads == 1 else [7, 9])
         assert sink.steps == [0, 1]
 
@@ -656,14 +639,6 @@ class TestComponentMajorKernel:
         coeffs.diffusion_table = np.broadcast_to(table, coeffs.diffusion_table.shape)
         with pytest.raises(NumericalError, match=r"non-finite coefficients at node \(0, 6, 0\)"):
             simulate(coeffs, self.x0, 1.0, 4, 10, 0)
-
-    def test_non_finite_callable_names_step(self):
-        def drift(s, x):
-            return np.full(x.shape, np.inf if s > 0.3 else 0.0)
-
-        coeffs = SDECoefficients(drift=drift, diffusion=zero_diffusion)
-        with pytest.raises(NumericalError, match="non-finite coefficients at step 3"):
-            simulate(coeffs, self.x0, 1.0, 8, 10, 0)
 
 
 class TestStepBlocks:
@@ -726,7 +701,8 @@ class TestStepBlocks:
 def three_axis_gather(coeffs):
     """Oracle: the lookup ``simulate`` made before tables were cut to
     their support, one (12, grid nodes) table and a nearest-node index
-    over all three grid axes, served as callables."""
+    over all three grid axes, served as callables of the reference
+    loop."""
     grid = coeffs.grid
     nodes = math.prod(grid.counts)
     table = np.empty((4, 3, nodes))
@@ -750,9 +726,10 @@ def three_axis_gather(coeffs):
         return gather(x)[:3].T
 
     def diffusion(s, x):
-        return gather(x)[3:].reshape(3, 3, -1).transpose(2, 1, 0)
+        # C-ordered, so that einsum sums each row in simulate's order
+        return np.ascontiguousarray(gather(x)[3:].reshape(3, 3, -1).transpose(2, 1, 0))
 
-    return SDECoefficients(drift=drift, diffusion=diffusion)
+    return Callables(drift, diffusion)
 
 
 def support_metric(axes, grid):
@@ -798,8 +775,8 @@ class TestSupportLookup:
     def test_lookup_matches_three_axis_gather(self, axes, threads):
         _, coeffs = self.coeffs(axes)
         ens = simulate(coeffs, self.x0, 1.0, 16, 9000, 5, threads=threads)
-        ref = simulate(three_axis_gather(coeffs), self.x0, 1.0, 16, 9000, 5, threads=threads)
-        assert_same_bits(ens.values, ref.values)
+        ref = reference_simulate(three_axis_gather(coeffs), self.x0, 1.0, 16, 9000, 5)
+        assert_same_bits(ens.values, ref)
         # states outside the grid are clamped to its edge nodes
         low = np.array([e[0] for e in self.grid.extents])
         high = np.array([e[1] for e in self.grid.extents])
@@ -859,13 +836,13 @@ def gathered_rows(monkeypatch):
     classify = market._coefficient_block
 
     def recording(coeffs):
-        fill, plan, checked = classify(coeffs)
+        fill, plan = classify(coeffs)
 
         def spy(s, x, block):
             shapes.append(block.shape[0])
             fill(s, x, block)
 
-        return spy, plan, checked
+        return spy, plan
 
     monkeypatch.setattr(market, "_coefficient_block", recording)
     return shapes
@@ -888,7 +865,7 @@ class TestVaryingRowKernel:
     @pytest.mark.parametrize("axes", [(), (1,), (1, 2), (0, 1, 2)], ids=str)
     def test_mixed_rows_match_reference(self, axes, threads, monkeypatch):
         coeffs = mixed_tables(axes, self.grid)
-        _, plan, _ = market._coefficient_block(coeffs)
+        _, plan = market._coefficient_block(coeffs)
         # row 3 + 3b + a is omega^a_b
         assert [r for r in range(12) if plan[r] is None] == [0, 2, 4, 6, 10]
         assert (plan[3], plan[7], plan[8]) == (1.0, 0.7, -0.35)
@@ -902,13 +879,13 @@ class TestVaryingRowKernel:
         assert shapes == ([4] * 16 * 3 if axes else [])
 
     def test_negative_zero_start(self):
-        # the table-backed twin of the callable test: -0.0 start
-        # components stay -0.0 at time zero and become +0.0 after
+        # with varying rows beside the zero ones: -0.0 start components
+        # stay -0.0 at time zero and become +0.0 after
         x0 = np.array([-0.0, 0.5, -0.0])
         coeffs = mixed_tables((1,), self.grid)
         coeffs.diffusion_table[..., 0, :] = 0.0
         coeffs.diffusion_table[..., 2, :] = -0.0
-        _, plan, _ = market._coefficient_block(coeffs)
+        _, plan = market._coefficient_block(coeffs)
         assert plan[0] is plan[2] is None
         assert [plan[3 + 3 * b] for b in range(3)] == [None] * 3
         assert [plan[5 + 3 * b] for b in range(3)] == [None] * 3
@@ -939,10 +916,9 @@ class TestVaryingRowKernel:
     def test_sphere_tables_gather_two_rows(self, radius):
         metric = geo.sphere_metric(self.grid, radius=radius)
         coeffs = derive_coefficients(metric, geo.christoffel(metric))
-        fill, plan, checked = market._coefficient_block(coeffs)
+        fill, plan = market._coefficient_block(coeffs)
         # mu^1 and omega^2_2 vary along axis 1; omega^0_0 = 1 and
         # omega^1_1 = 1/r are constant; every other row is zero
-        assert checked
         assert plan[1] == 0 and plan[3 + 3 * 2 + 2] == 1
         assert plan[3] == 1.0
         assert plan[3 + 3 * 1 + 1] == coeffs.diffusion_table[0, 0, 0, 1, 1]
@@ -962,12 +938,6 @@ class TestVaryingRowKernel:
         ens = simulate(coeffs, self.x0, 1.0, 8, 5000, 3)
         assert shapes == [2] * 8 * 2
         assert_same_bits(ens.values, self.reference(coeffs, self.x0, 8, 5000, 3))
-
-    def test_callables_fill_all_twelve_rows(self, monkeypatch):
-        coeffs = constant_coefficients(np.zeros(3), np.eye(3))
-        shapes = gathered_rows(monkeypatch)
-        simulate(coeffs, self.x0, 1.0, 4, 10, 0)
-        assert shapes == [12] * 4
 
 
 class TestSimulateValidation:
