@@ -11,10 +11,8 @@ depends on them; they enter only the manifest's config digest.
 ``background.preset`` (``identity`` or ``combined``): the action
 contracts only the transverse block of the background, the identity
 either way, and ``combined_metric.bin`` is written whenever the
-stubbornness draw fits the strategy plane.  ``kernel.multiplier``: it
-multiplies the share-dynamics residual, zero on simulated paths.
-``kernel.normalization_samples`` and ``kernel.correlation_samples``: the
-kernel reports its mass leak and variance in closed form.
+stubbornness draw fits the strategy plane.  ``kernel.normalization_samples``:
+the kernel reports its mass leak and variance in closed form.
 ``firms[i].alpha_other`` and ``firms[i].coop_other``: no profit preset
 reads the other firm's region.  Every firm after the first: each stage
 reads the first firm only.  ``rho_grid``: the cooperation stage chooses
@@ -62,10 +60,8 @@ _DEFAULTS = {
         "step": 0.005,
         "freedom_exponent": 0.5,
         "mean_share": 0.5,
-        "multiplier": 0.0,
         "domain_halfwidth": 1.0,
         "normalization_samples": 48,
-        "correlation_samples": 200000,
     },
     "profit": {"preset": "constant", "value": 1.0},
     "evolve": {"packet_width": None, "steps": 50},
@@ -280,10 +276,8 @@ _NUMBER_FIELDS = {
         "step": _POSITIVE,
         "freedom_exponent": dict(lo=0, hi=1, lo_open=True, hi_open=True),
         "mean_share": {},
-        "multiplier": {},
         "domain_halfwidth": _POSITIVE,
         "normalization_samples": dict(lo=1, integer=True),
-        "correlation_samples": dict(lo=2, integer=True),
     },
     "profit": {
         "value": {},

@@ -29,7 +29,7 @@ SCENARIO = {
     "action": {"ghost": True, "fp_det": True},
     "sde": {"steps": 4, "paths": 64, "horizon": 1.0},
     "evolve": {"steps": 5},
-    "kernel": {"normalization_samples": 12, "correlation_samples": 2000},
+    "kernel": {"normalization_samples": 12},
     "firms": [
         {
             "share": [0.3, 1.0, 0.5],
@@ -614,6 +614,9 @@ def test_shared_flags_reach_their_subcommand(command, flag, value, expected):
     ],
 )
 def test_kernel_sample_counts_are_validated(tmp_path, key, value):
+    """``normalization_samples`` is range-checked; ``correlation_samples``
+    is read by nothing and is no longer a key, so every value of it is an
+    unknown key.  Either way the problem names the key."""
     bad = dict(SCENARIO, kernel=dict(SCENARIO["kernel"], **{key: value}))
     with pytest.raises(ValidationError) as exc:
         parse_scenario(bad)
@@ -622,6 +625,19 @@ def test_kernel_sample_counts_are_validated(tmp_path, key, value):
     with contextlib.redirect_stderr(io.StringIO()):
         code, _ = run_cli("kernel-check", "--config", path)
     assert code == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("key, value", [("multiplier", 0.0), ("correlation_samples", 200000)])
+def test_unread_kernel_keys_are_unknown_keys(tmp_path, key, value):
+    # the keys' old defaults, which parsed before the keys were dropped
+    bad = dict(SCENARIO, kernel=dict(SCENARIO["kernel"], **{key: value}))
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(bad)
+    assert exc.value.problems == [f"kernel: unknown keys ['{key}']"]
+    path = write_scenario(tmp_path / "bad.json", bad)
+    code, err = _exit_and_stderr("kernel-check", "--config", path)
+    assert code == cli.EXIT_VALIDATION
+    assert f"kernel: unknown keys ['{key}']" in err
 
 
 def test_benchmark_commands_parse():

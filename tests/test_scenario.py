@@ -19,7 +19,7 @@ SCENARIO = {
     "background": {"preset": "combined"},
     "gff": {"gamma": 1.0, "grid_size": 9},
     "sde": {"steps": 4, "paths": 64, "horizon": 1.0},
-    "kernel": {"mass": 100.0, "normalization_samples": 12, "correlation_samples": 2000},
+    "kernel": {"mass": 100.0, "normalization_samples": 12},
     "profit": {"preset": "rho_quadratic", "peak": 1.0, "curvature": 2.0, "vertex": 0.5},
     "evolve": {"packet_width": 0.2, "steps": 5},
     "action": {"ghost": True, "fp_det": False},
