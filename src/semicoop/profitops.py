@@ -11,7 +11,7 @@ that leaves the floating-point range is a :class:`RangeOverflowError`.
 from __future__ import annotations
 
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,24 +26,25 @@ _FACTORIALS = [float(math.factorial(k)) for k in range(2, 20)]
 
 @dataclass(frozen=True)
 class CascadeParams:
-    """Resale cascade inputs: consumer count, sale counts (one int shared
-    by every consumer, or one per consumer) and asymmetry ``kappa``; the
-    effects are per unit reduction effect."""
+    """Resale cascade inputs: consumer count, the sale count every
+    consumer sees and asymmetry ``kappa``; the effects are per unit
+    reduction effect."""
 
     consumers: int
-    sales: object
+    sales: int
     kappa: float
 
     def __post_init__(self):
         problems = []
         if self.consumers < 1:
             problems.append("consumer count must be at least 1")
-        scalar = np.isscalar(self.sales)
-        sales = int(self.sales) if scalar else tuple(int(t) for t in self.sales)
-        if not scalar and len(sales) != self.consumers:
-            problems.append("need one sale count per consumer")
-        if (sales if scalar else min(sales, default=1)) < 1:
-            problems.append("sale counts must be at least 1")
+        try:
+            sales = operator.index(self.sales)
+        except TypeError:
+            sales = None
+            problems.append(f"sale count must be an integer, not {self.sales!r}")
+        if sales is not None and sales < 1:
+            problems.append("sale count must be at least 1")
         if not self.kappa > 0:
             problems.append("kappa must be positive")
         if problems:
@@ -80,15 +81,12 @@ def _resale_sum(n, kappa):
 
 
 def cascade_sum(params):
-    """``sum_j sum_{r=1..theta_j} r exp(-r kappa)`` per unit effect: the
-    closed form :func:`_resale_sum` once per distinct sale count, times
-    its consumer count, so the work grows with neither the sale counts
-    nor, for a shared count, the consumer count."""
+    """``m sum_{r=1..theta} r exp(-r kappa)`` per unit effect, for ``m``
+    consumers and ``theta`` sales: the closed form :func:`_resale_sum`
+    times the consumer count, so the work grows with neither count."""
     kappa = float(params.kappa)
-    sales = params.sales
-    counts = {sales: params.consumers} if isinstance(sales, int) else Counter(sales)
     try:
-        total = sum(c * _resale_sum(float(t), kappa) for t, c in counts.items())
+        total = params.consumers * _resale_sum(float(params.sales), kappa)
     except OverflowError:  # a count beyond the float range
         total = math.inf
     return _finite(total, "cascade sum", kappa)
