@@ -60,13 +60,18 @@ def test_unequal_pairs_rejected():
 
 def fake_tool(monkeypatch, tmp_path):
     """``bench_pairs`` with ``prepare``, ``run_once`` and its two probes
-    (``git rev-parse`` and the child's numpy version) stubbed; returns the
-    list of ``(side, workload, seed)`` runs it makes."""
+    (``git rev-parse`` and the child's numpy version) stubbed.  Each
+    side's copy is a directory that holds the side's name in a file
+    ``side``.  Returns the list of ``(side, workload, seed)`` runs it makes
+    and the list of the directories they ran in."""
     calls = []
+    directories = []
 
     def run_once(directory, workload, seed, seconds, trace=0):
-        side = os.path.basename(directory)
+        with open(os.path.join(directory, "side")) as fh:
+            side = fh.read()
         calls.append((side, workload, seed))
+        directories.append(directory)
         value = 1.0 if side == "parent" else 0.9
         row = {"correct": True, "attempted": 5, "failed": 0}
         return dict(row, wall_s=value, setup_s=value, cpu_s=value, peak_rss_mb=40.0)
@@ -75,15 +80,19 @@ def fake_tool(monkeypatch, tmp_path):
         return types.SimpleNamespace(stdout="abc1234\n" if argv[0] == "git" else "2.0.0\n")
 
     dirs = {side: str(tmp_path / side) for side in bench_pairs.SIDES}
+    for side, directory in dirs.items():
+        os.makedirs(directory)
+        with open(os.path.join(directory, "side"), "w") as fh:
+            fh.write(side)
     monkeypatch.setattr(bench_pairs, "prepare", lambda work, parent: dirs)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.setattr(bench_pairs.subprocess, "run", run)
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
-    return calls
+    return calls, directories
 
 
 def test_without_a_claim_only_the_checks_run(monkeypatch, tmp_path):
-    calls = fake_tool(monkeypatch, tmp_path)
+    calls, _ = fake_tool(monkeypatch, tmp_path)
     out = tmp_path / "bench.json"
     bench_pairs.main(["--parent", "HEAD", "--change", "c", "--out", str(out),
                       "--check", "world_grid:1:3", "--work", str(tmp_path)])
@@ -103,8 +112,36 @@ def test_without_a_claim_only_the_checks_run(monkeypatch, tmp_path):
 
 
 def test_without_a_claim_a_check_is_required(monkeypatch, tmp_path):
-    calls = fake_tool(monkeypatch, tmp_path)
+    calls, _ = fake_tool(monkeypatch, tmp_path)
     with pytest.raises(SystemExit, match="at least one --check"):
         bench_pairs.main(["--parent", "HEAD", "--change", "c", "--out",
                           str(tmp_path / "bench.json"), "--work", str(tmp_path)])
     assert calls == [] and not (tmp_path / "bench.json").exists()
+
+
+def test_both_sides_run_from_one_directory(monkeypatch, tmp_path):
+    # peak_rss_mb depends on the length of the path a side runs from
+    calls, directories = fake_tool(monkeypatch, tmp_path)
+    bench_pairs.main(["--parent", "HEAD", "--change", "c", "--out", str(tmp_path / "bench.json"),
+                      "--check", "world_grid:1:2", "--traced", "world_grid:1",
+                      "--work", str(tmp_path)])
+    assert [side for side, _, _ in calls] == ["parent", "change", "change", "parent",
+                                              "parent", "change"]
+    assert directories == [str(tmp_path / "run")] * 6
+    # each copy is back under its own name, and nothing is left at the run path
+    for side in bench_pairs.SIDES:
+        assert (tmp_path / side / "side").read_text() == side
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_failed_run_puts_its_side_back(monkeypatch, tmp_path):
+    fake_tool(monkeypatch, tmp_path)
+
+    def failing(directory, workload, seed, seconds, trace=0):
+        raise SystemExit(f"perfbench failed in {directory}")
+
+    monkeypatch.setattr(bench_pairs, "run_once", failing)
+    with pytest.raises(SystemExit, match="failed in .*run$"):
+        bench_pairs.run_side(str(tmp_path / "change"), "world_grid", 1, 25.0)
+    assert (tmp_path / "change" / "side").read_text() == "change"
+    assert not (tmp_path / "run").exists()

@@ -9,10 +9,13 @@ Usage (from the repository root):
 The parent side is ``git archive REF``; the change side is a copy of the
 working tree's ``src/``, ``perfbench/`` and ``BENCHMARK.json``.  Both
 live under ``--work`` (a new temporary directory by default, removed at
-the end).  Each pair runs the unchanged ``perfbench/run.py --trace 0``
-once on each side, the parent first in odd pairs and the change first
-in even ones, so that a drift of the machine's speed falls on both
-sides alike.
+the end), as ``parent`` and ``change``.  Each run, paired or traced,
+first renames its side to ``run`` in the same directory and renames it
+back afterwards, so that both sides run from one path: the path's
+length moves ``peak_rss_mb``.  Each pair runs the unchanged
+``perfbench/run.py --trace 0`` once on each side, the parent first in
+odd pairs and the change first in even ones, so that a drift of the
+machine's speed falls on both sides alike.
 
 The claim's pairs decide the verdict of :func:`verdict`: the change
 wins at least 9 of every 10 pairs and its median beats the parent's by
@@ -114,6 +117,17 @@ def run_once(directory, workload, seed, seconds, trace=0):
     return row
 
 
+def run_side(directory, workload, seed, seconds, trace=0):
+    """:func:`run_once` on the side copy ``directory``, renamed for the
+    run to ``run`` beside it, so that every side runs from one path."""
+    run = os.path.join(os.path.dirname(directory), "run")
+    os.rename(directory, run)
+    try:
+        return run_once(run, workload, seed, seconds, trace)
+    finally:
+        os.rename(run, directory)
+
+
 def run_pairs(dirs, workload, seed, pairs, seconds, runs):
     """Alternating pairs; appends one row per run to ``runs`` and returns
     the rows of this workload and seed, by side, in pair order."""
@@ -121,7 +135,7 @@ def run_pairs(dirs, workload, seed, pairs, seconds, runs):
     for pair in range(1, pairs + 1):
         order = SIDES if pair % 2 else SIDES[::-1]
         for side in order:
-            row = run_once(dirs[side], workload, seed, seconds)
+            row = run_side(dirs[side], workload, seed, seconds)
             sides[side].append(row)
             runs.append(dict(workload=workload, seed=seed, pair=pair, first=order[0],
                              side=side, **row))
@@ -253,7 +267,7 @@ def main(argv=None):
         out["no_regression_checks"] = checked
         out["traced_runs"] = [
             {"workload": w, "seed": s, "side": side, "command": " ".join(command(w, s, args.seconds, 1)),
-             **{k: v for k, v in run_once(dirs[side], w, s, args.seconds, trace=1).items()
+             **{k: v for k, v in run_side(dirs[side], w, s, args.seconds, trace=1).items()
                 if k in ("correct", "attempted", "failed", "trace.overhead_s", "trace.wall_s")}}
             for w, s in traced
             for side in SIDES
