@@ -231,14 +231,14 @@ def _coefficient_block(coeffs):
     ``3 + 3b + a``); ``plan[r]`` is ``None`` when row ``r`` is zero, its
     value when it is one number everywhere, and otherwise its index in
     the block that ``fill(s, x, block)`` writes for the component-major
-    states ``x`` (3, n) at time ``s``, which the tables do not depend
-    on.  The tables are checked for
-    finite values and classified here, once: every entry ``0.0`` or
-    ``-0.0`` makes a zero row, one value everywhere a constant row, and
-    the rows that vary are gathered in one ``take`` from a (varying
-    rows, profile nodes) table, over the axes along which the tables
-    vary, through one nearest-node index on those axes.  Every index is
-    clamped to the grid, so ``fill`` cannot fail and gives finite rows.
+    states ``x`` (3, n) at time ``s``, on which the tables do not
+    depend.  The tables are checked for finite values and classified
+    here, once: every entry ``0.0`` or ``-0.0`` makes a zero row, one
+    value everywhere a constant row, and the rows that vary are gathered
+    in one ``take`` from a (varying rows, profile nodes) table, over the
+    axes along which the tables vary, through one nearest-node index on
+    those axes.  Every index is clamped to the grid, so ``fill`` cannot
+    fail and writes finite rows.
 
     Raises
     ------
