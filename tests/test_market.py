@@ -31,10 +31,10 @@ def constant_coefficients(mu, omega):
 
 
 def axis0_coefficients(extent, drift, diffusion):
-    """Tables on an ``extent = (start, stop, count)`` grid axis 0 (and
-    three nodes along the flat axes 1 and 2): ``mu^0 = drift(x0)`` and
-    ``omega^0_0 = diffusion(x0)`` at the node ``x0``, every other entry
-    zero."""
+    """Tables that vary along grid axis 0 alone, whose ``(start, stop,
+    count)`` is ``extent`` (axes 1 and 2 have three nodes each):
+    ``mu^0 = drift(x0)`` and ``omega^0_0 = diffusion(x0)`` at a node of
+    axis-0 coordinate ``x0``, every other entry zero."""
     grid = GridSpec.from_axes(extent, (0.0, 1.0, 3), (0.0, 1.0, 3))
     x0 = grid.coordinates(0)[:, None, None]
     drift_table = np.zeros((grid.counts[0], 1, 1, 3))
