@@ -59,62 +59,11 @@ from .errors import NumericalError, SingularMetricError, ValidationError
 from .fieldio import _ArraySink
 from .geometry import _broadcast, _joint_support, _on_support
 from .grids import GridSpec
-from .polygon import effective_region
 
 STATE_DIM = 3
 
 _SDE_STREAM_TAG = 0x5DE
 _CHUNK_SIZE = 4096
-
-
-@dataclass
-class FirmState:
-    """One firm's state: share vector, strategy and cooperation data.
-
-    ``share`` is the firm's position in strategy coordinates; the scalar
-    market share everyone quotes is its first component.  When
-    ``polygon_area`` is known the strategy value must sit inside the
-    committed region ``alpha_own**coop_own * polygon_area``.
-    """
-
-    share: np.ndarray
-    strategy: float
-    alpha_own: float
-    alpha_other: float
-    coop_own: float
-    coop_other: float
-    stubbornness: float = 1.0
-    polygon_area: float = None
-
-    def __post_init__(self):
-        share = np.asarray(self.share, dtype=float).reshape(-1)
-        if share.shape != (STATE_DIM,):
-            raise ValidationError("share must be a 3-vector")
-        self.share = share
-        problems = []
-        for name in ("alpha_own", "alpha_other"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                problems.append(f"{name} must lie in [0,1]")
-        for name in ("coop_own", "coop_other"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                problems.append(f"{name} must lie in (0,1]")
-        try:  # math, not numpy: an integer beyond int64 is still a number
-            finite = math.isfinite(self.strategy)
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
-            problems.append("strategy must be finite")
-        if problems:
-            raise ValidationError("invalid firm state", problems)
-        if self.polygon_area is not None:
-            region = effective_region(self.polygon_area, self.alpha_own, self.coop_own)
-            if not 0.0 <= self.strategy <= region:
-                raise ValidationError(
-                    f"strategy {self.strategy} lies outside the committed "
-                    f"region [0, {region:.6g}]"
-                )
 
 
 @dataclass

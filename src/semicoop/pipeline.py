@@ -94,7 +94,7 @@ def stubbornness_field(config, grid, curv, seed):
 
 
 def simulate_paths(config, metric, chris, seed, threads, path):
-    """SDE stage: the share ensemble of the scenario's first firm,
+    """SDE stage: the share ensemble of the scenario's firm,
     streamed into the ensemble file at ``path`` one time step at a time
     as the simulation finishes them.
 
@@ -113,7 +113,7 @@ def simulate_paths(config, metric, chris, seed, threads, path):
     with EnsembleWriter(path, times, paths, market.STATE_DIM, seed=sde_seed) as writer:
         ensemble = market.simulate(
             market.derive_coefficients(metric, chris),
-            config.build_firms()[0].share,
+            config.firm["share"],
             horizon=horizon,
             steps=steps,
             paths=paths,
@@ -137,8 +137,9 @@ def action_terms(config, metric, curv, u_own=None):
     exponent = float(kernel_cfg["freedom_exponent"])
     mean_share = float(kernel_cfg["mean_share"])
     measure = stubbornness.stubbornness_measure(config.data["gff"]["gamma"])
-    firm = config.build_firms()[0]
-    weight = config.profit(firm.strategy if u_own is None else u_own) * firm.stubbornness
+    firm = config.firm
+    profit = config.profit(firm["strategy"] if u_own is None else u_own)
+    weight = profit * firm.get("stubbornness", 1.0)
     return brane.scalar_action_terms(metric, curv.scalar, weight, exponent, measure, mean_share)
 
 
@@ -233,11 +234,11 @@ def cooperation(config, metric, curv):
         # the signs, not the product, which underflows for tiny values
         stationary = (vertex,) if inside and np.sign(peak) == np.sign(curvature) != 0 else ()
     else:
-        firm = config.build_firms()[0]
-        area = firm.polygon_area if firm.polygon_area is not None else 1.0
+        firm = config.firm
+        area = 1.0 if firm.get("area") is None else firm["area"]
 
         def rho_to_scale(rho):
-            region = effective_region(area, firm.alpha_own, rho)
+            region = effective_region(area, firm["alpha_own"], rho)
             return _initial_scale(action_terms(config, metric, curv, region))
 
         stationary = ()

@@ -13,10 +13,14 @@ contracts only the transverse block of the background, the identity
 either way, and ``combined_metric.bin`` is written whenever the
 stubbornness draw fits the strategy plane.  ``kernel.normalization_samples``:
 the kernel reports its mass leak and variance in closed form.
-``firms[i].alpha_other`` and ``firms[i].coop_other``: no profit preset
-reads the other firm's region.  Every firm after the first: each stage
-reads the first firm only.  ``rho_grid``: the cooperation stage chooses
-ρ* in closed form, among at most three candidates, with no grid.
+``firms[0].alpha_other`` and ``firms[0].coop_other``: no profit preset
+reads the other firm's region; they stay required keys until a benchmark
+change drops them from ``perfbench/design.json``, whose firm sets them.
+``rho_grid``: the cooperation stage chooses ρ* in closed form, among at
+most three candidates, with no grid.
+
+``firms`` holds exactly one firm, the small firm the package models;
+every stage reads it through :attr:`ScenarioConfig.firm`.
 """
 
 from __future__ import annotations
@@ -32,8 +36,7 @@ from . import geometry
 from .errors import NumericalError, ValidationError
 from .fieldio import read_grid
 from .grids import GridSpec
-from .market import FirmState
-from .polygon import EllipsoidPatch, PolygonAssembly
+from .polygon import EllipsoidPatch, PolygonAssembly, effective_region
 
 _TOP_KEYS = {
     "grid",
@@ -136,22 +139,12 @@ class ScenarioConfig:
             return geometry.sphere_metric(grid, radius=m.get("radius", 1.0))
         return geometry.constant_metric(grid, np.asarray(m["matrix"], dtype=float))
 
-    def build_firms(self):
-        firms = []
-        for f in self.data["firms"]:
-            firms.append(
-                FirmState(
-                    share=np.asarray(f["share"], dtype=float),
-                    strategy=f["strategy"],
-                    alpha_own=f["alpha_own"],
-                    alpha_other=f["alpha_other"],
-                    coop_own=f["coop_own"],
-                    coop_other=f["coop_other"],
-                    stubbornness=f.get("stubbornness", 1.0),
-                    polygon_area=f.get("area"),
-                )
-            )
-        return firms
+    @property
+    def firm(self):
+        """The one firm's section, ``firms[0]``.  It holds no defaults: an
+        absent ``stubbornness`` reads as 1.0, and the cooperation stage
+        reads an absent or null ``area`` as 1.0."""
+        return self.data["firms"][0]
 
     def profit(self, u_own):
         """Profit of the firm whose committed region is ``u_own``: the
@@ -503,12 +496,10 @@ def parse_scenario(path_or_dict):
         if not isinstance(data[key], dict):
             problems.append(f"{key}: expected an object")
     firms = data["firms"]
-    if not isinstance(firms, list) or not firms:
-        problems.append("firms: need at least one firm")
-    else:
-        for i, firm in enumerate(firms):
-            if not isinstance(firm, dict):
-                problems.append(f"firms[{i}]: expected an object")
+    if not isinstance(firms, list) or len(firms) != 1:
+        problems.append("firms: expected a list of one firm; only one firm is modelled")
+    elif not isinstance(firms[0], dict):
+        problems.append("firms[0]: expected an object")
     if problems:
         raise ValidationError("invalid scenario", problems)
 
@@ -545,15 +536,14 @@ def parse_scenario(path_or_dict):
     if data["background"].get("preset") not in BACKGROUND_PRESETS:
         problems.append(f"background: unknown preset '{data['background'].get('preset')}'")
 
-    for i, firm in enumerate(firms):
-        name = f"firms[{i}]"
-        _check_keys("firm", firm, name, problems)
-        for key in ("share", "strategy", "alpha_own", "alpha_other", "coop_own", "coop_other"):
-            if key not in firm:
-                problems.append(f"{name}: missing '{key}'")
-        if "share" in firm:
-            _validate_list(firm["share"], f"{name}.share", problems, 3)
-        _validate_numbers("firm", firm, name, problems)
+    firm = firms[0]
+    _check_keys("firm", firm, "firms[0]", problems)
+    for key in ("share", "strategy", "alpha_own", "alpha_other", "coop_own", "coop_other"):
+        if key not in firm:
+            problems.append(f"firms[0]: missing '{key}'")
+    if "share" in firm:
+        _validate_list(firm["share"], "firms[0].share", problems, 3)
+    _validate_numbers("firm", firm, "firms[0]", problems)
 
     if data["profit"].get("preset") not in PROFIT_PRESETS:
         problems.append(f"profit: unknown preset '{data['profit'].get('preset')}'")
@@ -585,11 +575,18 @@ def parse_scenario(path_or_dict):
         raise ValidationError("invalid scenario", problems)
 
     config = ScenarioConfig(data)
-    # exercising the builders catches cross-field violations (for example
-    # a strategy outside the committed region) with aggregated reporting
+    # cross-field checks, on fields already in range
     try:
         config.build_grid()
-        config.build_firms()
     except ValidationError as exc:
-        raise ValidationError("invalid scenario", exc.problems)
+        problems += exc.problems
+    if firm.get("area") is not None:
+        region = effective_region(firm["area"], firm["alpha_own"], firm["coop_own"])
+        if not 0 <= firm["strategy"] <= region:
+            problems.append(
+                f"firms[0].strategy {firm['strategy']} lies outside the committed "
+                f"region [0, {region:.6g}]"
+            )
+    if problems:
+        raise ValidationError("invalid scenario", problems)
     return config

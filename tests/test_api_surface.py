@@ -110,6 +110,11 @@ RESTORED = {
         None,
         "def path_payoffs(ensemble):\n    return ensemble.values[:, -1].sum(axis=-1)\n",
     ),
+    "market.FirmState": (
+        "market",
+        None,
+        "@dataclass\nclass FirmState:\n    share: np.ndarray\n    strategy: float\n",
+    ),
     "profitops.commutator": (
         "profitops",
         None,
@@ -126,6 +131,12 @@ RESTORED = {
         "def patch_area(",
         "    def curvature_at(self, theta, rho):\n"
         "        return np.full(np.shape(theta), self.curvature)\n\n\n",
+    ),
+    "scenario.ScenarioConfig.build_firms": (
+        "scenario",
+        "    def profit(self, u_own):",
+        "    def build_firms(self):\n"
+        "        return [FirmState(**firm) for firm in self.data[\"firms\"]]\n\n",
     ),
     "stubbornness.sample_gff": (
         "stubbornness",

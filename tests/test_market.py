@@ -16,7 +16,7 @@ from semicoop import GridSpec, NumericalError, SingularMetricError, ValidationEr
 from semicoop import geometry as geo
 from semicoop import fieldio, market
 from semicoop.fieldio import EnsembleWriter, read_ensemble, sha256_of
-from semicoop.market import FirmState, SDECoefficients, derive_coefficients, simulate
+from semicoop.market import SDECoefficients, derive_coefficients, simulate
 
 
 def constant_coefficients(mu, omega):
@@ -211,47 +211,6 @@ def assert_same_bits(a, b):
     assert a.shape == b.shape
     assert np.array_equal(a, b)
     assert a.tobytes() == b.tobytes()  # signed zeros too
-
-
-class TestFirmState:
-    def make(self, **kw):
-        base = dict(
-            share=np.array([0.4, 0.1, 0.2]),
-            strategy=0.2,
-            alpha_own=0.8,
-            alpha_other=0.5,
-            coop_own=0.6,
-            coop_other=0.5,
-        )
-        base.update(kw)
-        return FirmState(**base)
-
-    def test_valid_state(self):
-        firm = self.make()
-        assert np.array_equal(firm.share, [0.4, 0.1, 0.2])
-
-    def test_alpha_range(self):
-        with pytest.raises(ValidationError):
-            self.make(alpha_own=1.2)
-
-    def test_coop_range(self):
-        with pytest.raises(ValidationError):
-            self.make(coop_other=0.0)
-
-    @pytest.mark.parametrize(
-        "strategy",
-        [-(2**63) - 1, 2**63, 10**400, math.inf],
-        ids=["below-int64", "above-int64", "beyond-float", "inf"],
-    )
-    def test_strategy_outside_int64_is_checked_as_a_number(self, strategy):
-        with pytest.raises(ValidationError):
-            self.make(polygon_area=1.0, strategy=strategy)
-
-    def test_strategy_must_fit_committed_region(self):
-        # region = 0.8**0.6 * 1.0 ~ 0.875
-        self.make(polygon_area=1.0, strategy=0.8)
-        with pytest.raises(ValidationError):
-            self.make(polygon_area=1.0, strategy=0.9)
 
 
 def axis0_sphere(grid):

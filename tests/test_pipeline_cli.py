@@ -415,6 +415,37 @@ def test_malformed_scenario_exits_with_validation_code(tmp_path, argv):
 
 
 @pytest.mark.parametrize(
+    "firms, problem",
+    [
+        ([SCENARIO["firms"][0]] * 2, "only one firm is modelled"),
+        ([], "only one firm is modelled"),
+        (
+            [dict(SCENARIO["firms"][0], area=1.0, strategy=0.9)],
+            "firms[0].strategy 0.9 lies outside the committed region [0, 0.707107]",
+        ),
+    ],
+    ids=["two-firms", "no-firm", "outside-region"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pipeline", "--scenario", "{scenario}", "--out-dir", "{dir}/run"],
+        ["optimal-rho", "--config", "{scenario}"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_firm_the_model_cannot_take_exits_with_validation_code(tmp_path, firms, problem, argv):
+    """The package models one firm, whose strategy lies in its committed
+    region ``alpha_own**coop_own * area``; anything else exits 2 before a
+    stage runs, so the pipeline writes no manifest."""
+    path = write_scenario(tmp_path / "scenario.json", dict(SCENARIO, firms=firms))
+    code, err = _exit_and_stderr(*[a.format(scenario=path, dir=tmp_path) for a in argv])
+    assert code == cli.EXIT_VALIDATION
+    assert problem in err and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["simulate-sde", "--scenario", "{scenario}", "--out", "{dir}/p.bin", "--threads", "0"],

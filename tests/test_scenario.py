@@ -109,6 +109,62 @@ def test_wrong_types_are_validation_errors(path, value, field):
     assert any(field in problem for problem in exc.value.problems), exc.value.problems
 
 
+# with area 1.0 this firm's committed region is [0, 0.8**0.6] = [0, 0.87469]
+FIRM = {
+    "share": [0.4, 0.1, 0.2],
+    "strategy": 0.2,
+    "alpha_own": 0.8,
+    "alpha_other": 0.5,
+    "coop_own": 0.6,
+    "coop_other": 0.5,
+}
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [{}, {"area": 1.0, "strategy": 0.8}, {"area": None, "strategy": 5.0}],
+    ids=["no-area", "inside-region", "null-area"],
+)
+def test_valid_firm_is_read_as_given(changes):
+    """Only a given ``area`` bounds the strategy, and the firm's section
+    comes back as written: no default is filled in."""
+    firm = dict(FIRM, **changes)
+    config = parse_scenario(replaced(("firms",), [firm]))
+    assert config.firm == firm
+    assert config.to_dict()["firms"] == [firm]
+
+
+OUTSIDE = "firms[0].strategy {} lies outside the committed region [0, 0.87469]"
+
+
+@pytest.mark.parametrize(
+    "changes, problem",
+    [
+        ({"alpha_own": 1.2}, "firms[0].alpha_own must lie in [0,1]"),
+        ({"coop_other": 0.0}, "firms[0].coop_other must lie in (0,1]"),
+        ({"strategy": -(2**63) - 1}, OUTSIDE.format(-(2**63) - 1)),
+        ({"strategy": 2**63}, OUTSIDE.format(2**63)),
+        ({"strategy": 10**400}, "firms[0].strategy: expected a finite number"),
+        ({"strategy": math.inf}, "firms[0].strategy: expected a finite number"),
+        ({"strategy": 0.9}, OUTSIDE.format(0.9)),
+    ],
+    ids=["alpha-own", "coop-other", "below-int64", "above-int64", "beyond-float", "inf",
+         "outside-region"],
+)
+def test_invalid_firm_is_a_validation_error(changes, problem):
+    firm = dict(FIRM, area=1.0, **changes)
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(replaced(("firms",), [firm]))
+    assert exc.value.problems == [problem]
+
+
+@pytest.mark.parametrize("firms", [[], [FIRM, FIRM], FIRM], ids=["none", "two", "not-a-list"])
+def test_firm_count_other_than_one_is_a_validation_error(firms):
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(replaced(("firms",), firms))
+    assert exc.value.problems == ["firms: expected a list of one firm; only one firm is modelled"]
+
+
 def test_single_path_ensemble_rejected(tmp_path):
     """One path has no sample variance (ddof=1), so sde_summary.json
     would hold NaN; the scenario floor is two paths."""
