@@ -11,6 +11,7 @@ that leaves the floating-point range is a :class:`RangeOverflowError`.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -36,20 +37,24 @@ class CascadeParams:
 
     def __post_init__(self):
         problems = []
-        if self.consumers < 1:
-            problems.append("consumer count must be at least 1")
-        try:
-            sales = operator.index(self.sales)
-        except TypeError:
-            sales = None
-            problems.append(f"sale count must be an integer, not {self.sales!r}")
-        if sales is not None and sales < 1:
-            problems.append("sale count must be at least 1")
-        if not self.kappa > 0:
+        counts = {}
+        for name, what in (("consumers", "consumer count"), ("sales", "sale count")):
+            value = getattr(self, name)
+            try:
+                counts[name] = operator.index(value)
+            except TypeError:
+                problems.append(f"{what} must be an integer, not {value!r}")
+                continue
+            if counts[name] < 1:
+                problems.append(f"{what} must be at least 1")
+        if not isinstance(self.kappa, numbers.Real):
+            problems.append(f"kappa must be a real number, not {self.kappa!r}")
+        elif not self.kappa > 0:
             problems.append("kappa must be positive")
         if problems:
             raise ValidationError("invalid cascade parameters", problems)
-        object.__setattr__(self, "sales", sales)
+        for name, value in counts.items():
+            object.__setattr__(self, name, value)
 
 
 def _finite(value, what, kappa):

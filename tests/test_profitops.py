@@ -174,12 +174,20 @@ class TestCascade:
             assert increment > 0.0
 
     def test_parameter_validation(self):
-        with pytest.raises(ValidationError):
-            CascadeParams(0, 1, 0.5)
-        with pytest.raises(ValidationError):
-            CascadeParams(1, 0, 0.5)
-        with pytest.raises(ValidationError):
-            CascadeParams(1, 1, -0.5)
+        for args, problem in [
+            ((0, 1, 0.5), "consumer count must be at least 1"),
+            ((1, 0, 0.5), "sale count must be at least 1"),
+            ((1, 1, -0.5), "kappa must be positive"),
+            (("x", 3, 0.5), "consumer count must be an integer, not 'x'"),
+            ((2.5, 3, 0.5), "consumer count must be an integer, not 2.5"),
+            ((1, 3, "x"), "kappa must be a real number, not 'x'"),
+            ((1, 3, None), "kappa must be a real number, not None"),
+            ((1, 3, 1j), "kappa must be a real number, not 1j"),
+        ]:
+            with pytest.raises(ValidationError) as exc:
+                CascadeParams(*args)
+            assert exc.value.problems == [problem], args
+        assert type(CascadeParams(np.int64(2), 3, 0.5).consumers) is int
 
     @pytest.mark.parametrize("sales", [2.5, "3", None, (3, 3)], ids=repr)
     def test_non_integer_sale_count_is_a_validation_error(self, sales):
