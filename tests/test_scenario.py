@@ -91,6 +91,7 @@ def replaced(path, value, doc=SCENARIO):
         (("sde", "steps"), "16", "sde.steps"),
         (("sde", "paths"), 2.5, "sde.paths"),
         (("firms",), [3], "firms[0]"),
+        (("firms",), SCENARIO["firms"][0], "firms: expected a list of one firm"),
         (("firms", 0, "strategy"), "0.2", "firms[0].strategy"),
         (("firms", 0, "share", 1), math.nan, "firms[0].share[1]"),
         (("kernel", "mass"), None, "kernel.mass"),
@@ -156,13 +157,6 @@ def test_invalid_firm_is_a_validation_error(changes, problem):
     with pytest.raises(ValidationError) as exc:
         parse_scenario(replaced(("firms",), [firm]))
     assert exc.value.problems == [problem]
-
-
-@pytest.mark.parametrize("firms", [[], [FIRM, FIRM], FIRM], ids=["none", "two", "not-a-list"])
-def test_firm_count_other_than_one_is_a_validation_error(firms):
-    with pytest.raises(ValidationError) as exc:
-        parse_scenario(replaced(("firms",), firms))
-    assert exc.value.problems == ["firms: expected a list of one firm; only one firm is modelled"]
 
 
 def test_single_path_ensemble_rejected(tmp_path):
