@@ -91,7 +91,6 @@ def replaced(path, value, doc=SCENARIO):
         (("sde", "steps"), "16", "sde.steps"),
         (("sde", "paths"), 2.5, "sde.paths"),
         (("firms",), [3], "firms[0]"),
-        (("firms",), SCENARIO["firms"][0], "firms: expected a list of one firm"),
         (("firms", 0, "strategy"), "0.2", "firms[0].strategy"),
         (("firms", 0, "share", 1), math.nan, "firms[0].share[1]"),
         (("kernel", "mass"), None, "kernel.mass"),
@@ -102,6 +101,7 @@ def replaced(path, value, doc=SCENARIO):
         (("action", "ghost"), 1, "action.ghost"),
         (("polygon", "sides", 1, "theta"), 0.1, "polygon.sides[1].theta"),
         (("fields", "v", "drift", 0, 0), [1.0, "x"], "fields.v.drift[0][0]"),
+        (("firms",), SCENARIO["firms"][0], "firms: expected a list of one firm"),
     ],
 )
 def test_wrong_types_are_validation_errors(path, value, field):
