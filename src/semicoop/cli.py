@@ -10,8 +10,10 @@ scenario and ``--seed`` they give the numbers ``pipeline`` records;
 ``gff.bin``.  A subcommand accepts only the flags its handler reads,
 except ``kernel-check --seed``: the kernel's mass leak and variance are
 closed forms, and the flag stays so that benchmark commands still parse.
-Exit codes: 0 on success, 2 on validation failures, 3 on numerical
-failures.
+``simulate-sde`` and ``pipeline`` step the share SDE on every CPU the
+process may run on unless ``--threads`` says otherwise; the thread count
+changes the speed only, never an output byte.  Exit codes: 0 on
+success, 2 on validation failures, 3 on numerical failures.
 """
 
 from __future__ import annotations
@@ -33,6 +35,21 @@ from .polygon import assemble_polygon
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+
+
+def _add_threads(p):
+    """``--threads`` of the subcommands that simulate the share SDE; it
+    defaults to the CPUs this process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    p.add_argument(
+        "--threads", type=int, default=cpus,
+        help="threads that step the path chunks and write the ensemble, the main "
+        "thread included (default: the CPUs this process may run on, %(default)s "
+        "here); no output depends on it",
+    )
 
 
 @functools.cache
@@ -72,10 +89,7 @@ def build_parser():
     p.add_argument("--scenario", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument(
-        "--threads", type=int, default=1,
-        help="threads that step the path chunks and write the ensemble, the main thread included",
-    )
+    _add_threads(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("cascade", help="resale cascade values")
@@ -102,10 +116,7 @@ def build_parser():
     p = sub.add_parser("pipeline", help="full run with manifest")
     p.add_argument("--scenario", required=True)
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument(
-        "--threads", type=int, default=1,
-        help="threads that step the path chunks and write the ensemble, the main thread included",
-    )
+    _add_threads(p)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out-dir", default=".", help="artifact directory")
 

@@ -21,10 +21,13 @@ or varying.  Each step gathers only the varying rows of every path, in
 one ``take`` from a ``(varying rows, profile nodes)`` table through the
 nearest-node index on those axes alone (the tables are constant along
 the others, so the gather equals a lookup on the whole grid), multiplies
-constant rows as numbers and leaves zero rows out; no state is ``-0.0``
-and every increment is finite, so the paths keep the bits of a step that
-uses all twelve.  On a sphere metric two rows vary (``mu^1`` and
-``omega^2_2``), two are constant and eight are zero.
+constant rows as numbers, adds the increment itself for a component whose
+one diffusion term is a constant ``1.0`` and leaves zero rows out; no
+state is ``-0.0`` and every increment is finite, so the paths keep the
+bits of a step that uses all twelve.  On a sphere metric two rows vary
+(``mu^1`` and ``omega^2_2``), two are constant and eight are zero; on
+the unit sphere both constant rows (``omega^0_0`` and ``omega^1_1``) are
+``1.0``.
 
 Randomness flows from a master seed split into fixed per-chunk streams
 keyed by chunk index, so ensembles are bit-identical for a given seed no
@@ -34,15 +37,16 @@ normal draw, which its steps take in turn, ``(3, n)`` each; the chunk
 width is part of the stream.
 
 ``threads`` threads, the calling thread and up to ``threads - 1``
-helpers, run the steps in rounds that meet at a barrier.  Round ``k``
-has one task that hands state row ``k`` to a sink and one task per
-chunk that steps it to row ``k + 1``; the threads take the tasks in
-that order.  So the sink gets the rows ``0..steps`` one call at a time,
-in step order, possibly from different threads, and its work overlaps
-the next step's arithmetic.  This module only hands over state rows;
-both sinks, the ensemble file's and the in-memory one, are in
-:mod:`fieldio`.  Besides its sink a run holds the two state rows, 48
-bytes a path, and one small scratch per thread, ``n <= 4096`` paths
+helpers, run the steps in rounds that meet at a barrier; the command
+line's default is every CPU the process may run on, and no number
+depends on it.  Round ``k`` has one task that hands state row ``k`` to a
+sink and one task per chunk that steps it to row ``k + 1``; the threads
+take the tasks in that order.  So the sink gets the rows ``0..steps``
+one call at a time, in step order, possibly from different threads, and
+its work overlaps the next step's arithmetic.  This module only hands
+over state rows; both sinks, the ensemble file's and the in-memory one,
+are in :mod:`fieldio`.  Besides its sink a run holds the two state rows,
+48 bytes a path, and one small scratch per thread, ``n <= 4096`` paths
 wide.
 """
 
@@ -232,51 +236,55 @@ def _coefficient_block(coeffs):
 
 
 def _step_terms(plan, block):
-    """Each component's operands of an Euler-Maruyama step: its drift
-    and the diffusion entries ``(omega^a_b, b)`` for ``b`` in the order
-    0, 2, 1 of the sum, each a row of ``block`` or a number, with zero
-    rows left out (a zero drift is ``None``)."""
+    """Each component's operands of an Euler-Maruyama step: its drift,
+    the ``b`` of its increment ``dW_b`` when its one diffusion term is a
+    constant ``1.0`` row, and otherwise its diffusion entries
+    ``(omega^a_b, b)`` for ``b`` in the order 0, 2, 1 of the sum, each a
+    row of ``block`` or a number, with zero rows left out (a zero drift
+    and a missing unit term are ``None``)."""
 
     def operand(r):
         return block[r] if isinstance(r, int) else r
 
-    return [
-        (
-            operand(plan[a]),
-            [
-                (operand(plan[3 + 3 * b + a]), b)
-                for b in (0, 2, 1)
-                if plan[3 + 3 * b + a] is not None
-            ],
-        )
-        for a in range(STATE_DIM)
-    ]
+    terms = []
+    for a in range(STATE_DIM):
+        diffusion = [
+            (operand(plan[3 + 3 * b + a]), b) for b in (0, 2, 1) if plan[3 + 3 * b + a] is not None
+        ]
+        unit = None
+        if len(diffusion) == 1 and isinstance(diffusion[0][0], float) and diffusion[0][0] == 1.0:
+            (_, unit), diffusion = diffusion[0], []
+        terms.append((operand(plan[a]), unit, diffusion))
+    return terms
 
 
 def _euler_step(x, x_next, dwk, dt, terms, noise, product):
     """``x_next = (x + mu dt) + ((w0 d0 + w2 d2) + w1 d1)``, component by
-    component, with the terms of zero rows left out.
+    component, with the terms of zero rows left out and a lone unit term
+    ``1.0 d_b`` taken as ``d_b`` itself.
 
     No state is ``-0.0`` and every increment is finite, so a left-out
     term, a product with ``+-0``, would leave the bits of the sum as
-    they are.
+    they are; ``1.0 d == d`` exactly, and the sum's last addition is
+    commutative, so the unit term leaves them too.
     """
-    for a, (mu, diffusion) in enumerate(terms):
+    for a, (mu, unit, diffusion) in enumerate(terms):
         out = x_next[a]
-        total = noise if mu is not None else out
+        sigma = None if unit is None else dwk[unit]
         for i, (w, b) in enumerate(diffusion):
             if i == 0:
-                np.multiply(w, dwk[b], out=total)
+                sigma = noise if mu is not None else out
+                np.multiply(w, dwk[b], out=sigma)
             else:
                 np.multiply(w, dwk[b], out=product)
-                total += product
+                sigma += product
         if mu is not None:
             np.multiply(mu, dt, out=out)
             np.add(x[a], out, out=out)
-            if diffusion:
-                out += noise
-        elif diffusion:
-            out += x[a]
+            if sigma is not None:
+                out += sigma
+        elif sigma is not None:
+            np.add(x[a], sigma, out=out)
         else:
             out[...] = x[a]
 
@@ -319,8 +327,10 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
     ``(w0 d0 + w2 d2) + w1 d1`` (the order numpy's ``einsum`` sums them
     for C-ordered blocks).  Only the coefficient rows that vary are
     looked up at each step, in one nearest-node gather from the tables;
-    a constant row enters as a number, and the terms of a zero row are
-    left out, which leaves every bit of the sum as it is.
+    a constant row enters as a number, a component whose one diffusion
+    term is a constant ``1.0`` adds its increment itself, and the terms
+    of a zero row are left out, which leaves every bit of the sum as it
+    is.
 
     Each step is a round.  The calling thread and ``min(threads,
     chunks) - 1`` helper threads take the round's tasks in order, first
@@ -362,7 +372,10 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
         for their shape and for finite values before any step runs.
     threads : int
         Threads that run the steps, the calling thread included, at
-        least 1; affects speed only, never the numbers.
+        least 1; affects speed only, never the numbers.  The
+        ``simulate-sde`` and ``pipeline`` commands pass the count of CPUs
+        the process may run on unless ``--threads`` is given, so their
+        default changes no output byte.
     sink : object, optional
         Receives the ensemble: ``sink.step(k, row)`` takes state row
         ``k``, the ``(3, paths)`` states at ``times[k]``, as a

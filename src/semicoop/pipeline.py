@@ -276,7 +276,9 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
         Master seed; all stage randomness derives from it.
     threads : int
         Threads that simulate and write path chunks, the calling thread
-        included; results are identical for any value.
+        included; results are identical for any value.  The ``pipeline``
+        command passes the count of CPUs the process may run on unless
+        ``--threads`` is given, so its default changes no output byte.
     csv : bool
         Also export the path ensemble as CSV.
     """

@@ -60,7 +60,8 @@ def test_unequal_pairs_rejected():
 
 def fake_tool(monkeypatch, tmp_path):
     """``bench_pairs`` with ``prepare``, ``run_once`` and its two probes
-    (``git rev-parse`` and the child's numpy version) stubbed.  Each
+    (``git rev-parse`` and the child's numpy version) stubbed, and three
+    CPUs in the process's affinity mask.  Each
     side's copy is a directory that holds the side's name in a file
     ``side``.  Returns the list of ``(side, workload, seed)`` runs it makes
     and the list of the directories they ran in."""
@@ -88,6 +89,7 @@ def fake_tool(monkeypatch, tmp_path):
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.setattr(bench_pairs.subprocess, "run", run)
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    monkeypatch.setattr(bench_pairs.os, "sched_getaffinity", lambda pid: {0, 2, 5})
     return calls, directories
 
 
@@ -100,6 +102,8 @@ def test_without_a_claim_only_the_checks_run(monkeypatch, tmp_path):
     assert record["claim"] is None and "rule" not in record
     assert not any(key.startswith("same_pairs_") for key in record)
     assert "PYTHONDONTWRITEBYTECODE 1" in record["machine"]
+    # the CPUs the runs may use, not every CPU of the machine
+    assert record["machine"].startswith("nproc 3, ")
     (check,) = record["no_regression_checks"]
     assert (check["workload"], check["seed"], check["pairs"]) == ("world_grid", 1, 3)
     assert check["wall_s"]["within_bound"] and check["wall_s"]["change_over_parent"] == 0.9

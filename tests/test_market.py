@@ -870,6 +870,29 @@ class TestVaryingRowKernel:
         assert_same_bits(ens.values[:, 1:], expected[:, 1:])
         assert_same_bits(ens.values[:, 0], np.broadcast_to(x0, (9000, 3)))
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("value", [1.0, 2.0])
+    def test_lone_constant_diffusion_rows_match_reference(self, value, threads):
+        # components 0 and 1 each have one diffusion term, a constant row
+        # equal to ``value``, component 1 beside a varying drift: a 1.0
+        # adds the increment itself, a 2.0 is multiplied
+        x = self.grid.meshgrid()
+        drift = np.zeros(self.grid.shape + (3,))
+        drift[..., 1] = 0.3 * np.sin(x[1])
+        diffusion = np.zeros(self.grid.shape + (3, 3))
+        diffusion[..., 0, 0] = diffusion[..., 1, 1] = value
+        diffusion[..., 2, 2] = 1.0 + 0.5 * np.cos(x[1])
+        coeffs = SDECoefficients(grid=self.grid, drift_table=drift, diffusion_table=diffusion)
+        _, plan = market._coefficient_block(coeffs)
+        assert (plan[3], plan[7]) == (value, value) and (plan[1], plan[11]) == (0, 1)
+        units = [unit for _, unit, _ in market._step_terms(plan, np.empty((2, 1)))]
+        assert units == ([0, 1, None] if value == 1.0 else [None] * 3)
+        ens = simulate(coeffs, self.x0, 1.0, 16, 9000, 5, threads=threads)
+        assert_same_bits(ens.values, self.reference(coeffs, self.x0, 16, 9000, 5))
+        dw = np.random.default_rng(6).standard_normal((9000, 16, 3)) * 0.25
+        ens = simulate(coeffs, self.x0, 1.0, 16, 9000, 0, increments=dw, threads=threads)
+        assert_same_bits(ens.values, self.reference(coeffs, self.x0, 16, 9000, 0, increments=dw))
+
     @settings(max_examples=20, deadline=None)
     @given(radius=st.floats(0.05, 50.0))
     def test_sphere_tables_gather_two_rows(self, radius):

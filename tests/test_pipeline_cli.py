@@ -313,18 +313,35 @@ def test_gff_sample_draws_the_pipeline_field(run):
 
 
 def test_manifest_independent_of_threads(tmp_path):
+    # two path chunks, so that the default (every usable CPU) may run both
     scenario = dict(SCENARIO, sde={"steps": 3, "paths": market._CHUNK_SIZE + 500, "horizon": 1.0})
     path = write_scenario(tmp_path / "scenario.json", scenario)
     manifests = []
-    for threads in (1, 2):
-        out = tmp_path / f"threads{threads}"
+    for i, threads in enumerate(([], ["--threads", 1], ["--threads", 2])):
+        out = tmp_path / f"run{i}"
         code, _ = run_cli(
-            "pipeline", "--scenario", path, "--out-dir", out, "--seed", SEED,
-            "--threads", threads,
+            "pipeline", "--scenario", path, "--out-dir", out, "--seed", SEED, *threads
         )
         assert code == cli.EXIT_OK
         manifests.append((out / "manifest.json").read_bytes())
-    assert manifests[0] == manifests[1]
+    assert manifests[1] == manifests[0] == manifests[2]
+
+
+def test_simulate_sde_default_threads_match_one_thread(tmp_path):
+    scenario = dict(SCENARIO, sde={"steps": 3, "paths": market._CHUNK_SIZE + 500, "horizon": 1.0})
+    path = write_scenario(tmp_path / "scenario.json", scenario)
+    out = tmp_path / "sde_paths.bin"
+    results = []
+    for threads in ([], ["--threads", 1]):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(
+                [str(a) for a in ("simulate-sde", "--scenario", path, "--out", out,
+                                  "--seed", SEED, *threads)]
+            )
+        assert code == cli.EXIT_OK
+        results.append((sha256_of(out), stdout.getvalue()))
+    assert results[0] == results[1]
 
 
 def test_manifest_digests_are_the_files_digests(tmp_path):
@@ -626,6 +643,20 @@ def test_shared_flags_reach_their_subcommand(command, flag, value, expected):
     }[command]
     args = cli.build_parser().parse_args([command, *required, flag, value])
     assert getattr(args, flag[2:].replace("-", "_")) == expected
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate-sde", "--scenario", "s.json", "--out", "p.bin"],
+        ["pipeline", "--scenario", "s.json"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_threads_default_to_the_usable_cpus(argv):
+    """With no ``--threads``, the subcommands that simulate the share SDE
+    run it on every CPU this process may run on."""
+    assert cli.build_parser().parse_args(argv).threads == len(os.sched_getaffinity(0))
 
 
 @pytest.mark.parametrize(

@@ -198,9 +198,10 @@ def machine(directory):
     ).stdout.strip()
     # compiling the source in each fresh process moves setup_s
     bytecode = os.environ.get("PYTHONDONTWRITEBYTECODE") or "unset"
+    # the CPUs this process may run on, which the CLI's --threads defaults to
     return (
-        f"nproc {os.cpu_count()}, Python {platform.python_version()}, numpy {numpy}, "
-        f"BLAS threads 1, PYTHONDONTWRITEBYTECODE {bytecode}; "
+        f"nproc {len(os.sched_getaffinity(0))}, Python {platform.python_version()}, "
+        f"numpy {numpy}, BLAS threads 1, PYTHONDONTWRITEBYTECODE {bytecode}; "
         "parent and change run alternately in one session"
     )
 
