@@ -77,7 +77,6 @@ def build_parser():
     p = sub.add_parser("lie-bracket", help="field commutator at a point")
     p.add_argument("--scenario", required=True)
     p.add_argument("--point", required=True, help="comma-separated 3 coordinates")
-    p.add_argument("--spacing", type=float)
 
     p = sub.add_parser("gff-sample", help="stubbornness field draw")
     p.add_argument("--size", type=int, required=True)
@@ -169,16 +168,14 @@ def _cmd_bracket(args):
     from .vectorfields import lie_bracket
 
     config = parse_scenario(args.scenario)
-    field_v, field_u, spacing = config.build_fields()
+    field_v, field_u = config.build_fields()
     try:
         point = [float(v) for v in args.point.split(",")]
     except ValueError:
         point = []
     if len(point) != 3:
         raise ValidationError("--point needs 3 comma-separated coordinates")
-    if args.spacing is not None:
-        spacing = args.spacing
-    bracket = lie_bracket(field_v, field_u, point, spacing)
+    bracket = lie_bracket(field_v, field_u, point)
     _emit({"bracket": [float(v) for v in bracket], "norm": float(np.linalg.norm(bracket))})
 
 

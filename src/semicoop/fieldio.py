@@ -275,19 +275,15 @@ def _ensemble_view(buffer, offset, shape):
 
 class _ArraySink:
     """In-memory sink of :func:`market.simulate`: state rows are copied
-    into a time-major array, ``values`` is its ensemble view and
-    ``final`` a contiguous copy of the last row."""
+    into a time-major array, and ``values`` is its ensemble view."""
 
     def __init__(self, shape):
         paths, points, components = shape
         self._rows = np.empty((points, components, paths))
         self.values = _ensemble_view(self._rows, 0, shape)
-        self.final = np.empty((paths, components))
 
     def step(self, k, row):
         self._rows[k] = row
-        if k == len(self._rows) - 1:
-            self.final[...] = row.T
 
 
 class EnsembleWriter:
@@ -297,11 +293,10 @@ class EnsembleWriter:
     :meth:`step` takes each time point's ``(components, paths)`` state
     row, in time order, one call at a time (possibly from different
     threads, each after the call before has returned), writes it after
-    the rows before it, feeds it to a SHA-256 seeded with the header and
-    times, and copies the last row into ``final``, a contiguous
-    ``(paths, components)`` array.  Once every row is in, ``values``
-    (None until then) is the ensemble view of a read-only map of the
-    file, which nothing reads unless asked to, such as a CSV export.
+    the rows before it and feeds it to a SHA-256 seeded with the header
+    and times.  Once every row is in, ``values`` (None until then) is the
+    ensemble view of a read-only map of the file, which nothing reads
+    unless asked to, such as a CSV export.
     Use the writer as a context manager::
 
         with EnsembleWriter(path, times, paths, 3, seed=seed) as writer:
@@ -336,7 +331,6 @@ class EnsembleWriter:
         self._offset = len(head)
         self.nbytes = len(head) + 8 * math.prod(shape)
         self.sha256 = None
-        self.final = np.empty((shape[0], shape[2]))
         self.values = None
         self._hash = hashlib.sha256(head)
         self._next = 0
@@ -378,7 +372,6 @@ class EnsembleWriter:
         try:
             _write_array(self._fh, row)
             if k == points - 1:
-                self.final[...] = row.T
                 self._fh.flush()
                 # the map keeps its own descriptor of the file; the array keeps the map
                 view = mmap.mmap(self._fh.fileno(), self.nbytes, access=mmap.ACCESS_READ)

@@ -9,9 +9,10 @@ up the inverse-metric covariance.
 
 Simulation is Euler-Maruyama on chunks of 4096 paths, run one time
 step at a time over every chunk.  The states live in two component-major
-rows ``(2, 3, paths)``: a step reads row ``k % 2`` and writes row
+``(3, paths)`` rows: a step reads row ``k % 2`` and writes row
 ``(k + 1) % 2``, so every step works on contiguous rows and no array of
-a run grows with the step count.
+a run grows with the step count.  The run copies its last row into the
+ensemble's ``final`` itself, once the other row is let go.
 
 The coefficient tables are built on the metric's profile, the grid axes
 along which the metric and its connection vary.  Before the first step
@@ -318,7 +319,7 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
     """Euler-Maruyama ensemble of share paths.
 
     Paths run in chunks of 4096, one time step at a time over every
-    chunk, on two component-major state rows ``(2, 3, paths)``.  Step
+    chunk, on two component-major ``(3, paths)`` state rows.  Step
     ``k`` of a chunk of ``n`` paths takes its ``(3, n)`` increments from
     the chunk's stream (or copies them from ``increments``) and writes
     the chunk's columns of state row ``k + 1`` from those of row ``k``.
@@ -342,11 +343,13 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
     threads step the chunks.  Besides its sink a call holds the two
     state rows, 48 bytes a path, and one scratch per thread that steps a
     chunk, at most ``(5 + varying rows) * 4096`` floats: nothing grows
-    with the step count.  When a task raises, no thread takes a further
-    task of its round and no round starts after it; the error raised is
-    the round's first in task order, the sink's before any chunk's, so
-    it is that of the first failing chunk of the first failing step, and
-    every row before that step has been handed over.  Every helper has
+    with the step count.  The contiguous copy of the last row, the
+    ensemble's ``final``, is made after the other row is let go.  When a
+    task raises, no thread takes a further task of its round and no
+    round starts after it; the error raised is the round's first in task
+    order, the sink's before any chunk's, so it is that of the first
+    failing chunk of the first failing step, and every row before that
+    step has been handed over.  Every helper has
     ended when the call returns or raises.
 
     Parameters
@@ -381,14 +384,15 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
         ``k``, the ``(3, paths)`` states at ``times[k]``, as a
         C-contiguous float64 array that is overwritten once the next
         round ends, and after row ``steps`` ``sink.values`` (``(paths,
-        steps + 1, 3)``) and ``sink.final`` (``(paths, 3)``, each path's
-        last state) become the ensemble's.  :mod:`fieldio` holds both
-        sinks: an :class:`fieldio.EnsembleWriter` writes the ensemble
-        file, and the default keeps the rows in memory.
+        steps + 1, 3)``) becomes the ensemble's.  :mod:`fieldio` holds
+        both sinks: an :class:`fieldio.EnsembleWriter` writes the
+        ensemble file, and the default keeps the rows in memory.
 
     Returns
     -------
     PathEnsemble
+        ``values`` from the sink, and ``final`` a contiguous copy of the
+        last state row, which the run forms itself.
 
     Raises
     ------
@@ -440,8 +444,8 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
             default_rng(SeedSequence(int(seed), spawn_key=(_SDE_STREAM_TAG, c)))
             for c in range(chunks)
         ]
-    states = np.empty((2, STATE_DIM, paths))
-    states[0] = x0[:, None]
+    states = [np.empty((STATE_DIM, paths)) for _ in range(2)]
+    states[0][...] = x0[:, None]
 
     def step_chunk(own, c, k):
         """Step chunk ``c`` from state row ``k`` to row ``k + 1`` in the
@@ -454,10 +458,10 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
             dw *= scale
         else:
             dw[...] = increments[lo:hi, k].T
-        x = states[k % 2, :, lo:hi]
+        x = states[k % 2][:, lo:hi]
         if own.varying:
             fill(times[k], x, block)
-        _euler_step(x if k else start, states[(k + 1) % 2, :, lo:hi], dw, dt, terms, noise, product)
+        _euler_step(x if k else start, states[(k + 1) % 2][:, lo:hi], dw, dt, terms, noise, product)
 
     lock = threading.Lock()
     # ``task`` and ``failures`` (exceptions by task) are guarded by
@@ -523,4 +527,8 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
     if failures:
         raise failures[min(failures)]
 
-    return PathEnsemble(times=times, values=sink.values, final=sink.final)
+    # the spare row is let go first, so the copy adds nothing to the peak
+    last = states[steps % 2]
+    states.clear()
+    final = last.T.copy()
+    return PathEnsemble(times=times, values=sink.values, final=final)

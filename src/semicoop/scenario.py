@@ -20,7 +20,11 @@ change drops them from ``perfbench/design.json``, whose firm sets them.
 most three candidates, with no grid.
 
 ``firms`` holds exactly one firm, the small firm the package models;
-every stage reads it through :attr:`ScenarioConfig.firm`.
+every stage reads it through :attr:`ScenarioConfig.firm`.  ``fields``
+holds the two fields ``v`` and ``u`` of ``lie-bracket`` and nothing
+else: their commutator takes exact derivatives, with no step to set.  A
+polygon side's ``curvature`` is a number, a timed ``{"base", "rate"}``,
+exactly ``{"kind": "sphere"}`` or exactly ``{"value": ...}``.
 """
 
 from __future__ import annotations
@@ -94,7 +98,7 @@ _SECTION_KEYS = {
     },
     "polygon": {"indicator", "positive_count", "sides"},
     "side": {"area", "radius", "curvature", "theta", "rho", "tau"},
-    "fields": {"v", "u", "spacing"},
+    "fields": {"v", "u"},
     "field": {"drift", "noise"},
     "noise": {"fourier_seed", "modes"},
     "timed": {"base", "rate"},
@@ -190,11 +194,7 @@ class ScenarioConfig:
         section = self.data.get("fields")
         if section is None:
             raise ValidationError("scenario has no fields section")
-        return (
-            _build_field(section["v"]),
-            _build_field(section["u"]),
-            section.get("spacing"),
-        )
+        return _build_field(section["v"]), _build_field(section["u"])
 
 
 def _timed(value, s):
@@ -215,13 +215,10 @@ def _build_patch(side, s, where):
             f"{where}.radius is {radius:g} at time {s:g}; its square overflows"
         ) from None
     curv = side["curvature"]
-    if isinstance(curv, dict):
-        if curv.get("kind") == "sphere":
-            curvature = 1.0 / square
-        else:
-            curvature = _timed(curv.get("value", curv), s)
+    if curv == {"kind": "sphere"}:
+        curvature = 1.0 / square
     else:
-        curvature = float(curv)
+        curvature = _timed(curv.get("value", curv) if isinstance(curv, dict) else curv, s)
     return EllipsoidPatch(
         radius=radius,
         curvature=curvature,
@@ -297,7 +294,6 @@ _NUMBER_FIELDS = {
         "indicator": dict(lo=0, hi=1, integer=True),
         "positive_count": dict(lo=1, integer=True, optional=True),
     },
-    "fields": {"spacing": dict(_POSITIVE, optional=True)},
     "noise": {"fourier_seed": dict(lo=0, integer=True), "modes": dict(lo=1, integer=True)},
 }
 
@@ -407,10 +403,15 @@ def _validate_side(side, name, problems):
     if "radius" in side:
         _validate_timed(side["radius"], f"{name}.radius", problems)
     curv = side.get("curvature")
-    if isinstance(curv, dict) and curv.get("kind") == "sphere":
+    if curv == {"kind": "sphere"}:
         pass
-    elif isinstance(curv, dict) and "value" in curv:
+    elif isinstance(curv, dict) and set(curv) == {"value"}:
         _validate_timed(curv["value"], f"{name}.curvature.value", problems)
+    elif isinstance(curv, dict) and not (curv and set(curv) <= _SECTION_KEYS["timed"]):
+        problems.append(
+            f'{name}.curvature: expected a number or one of {{"kind": "sphere"}}, '
+            f'{{"value": v}}, {{"base": b, "rate": r}}; got {json.dumps(curv, sort_keys=True)}'
+        )
     elif "curvature" in side:
         _validate_timed(curv, f"{name}.curvature", problems)
     for key in ("theta", "rho", "tau"):

@@ -1,14 +1,15 @@
 """Commutators of drift-plus-noise vector fields over 3-D coordinates.
 
 The noise parts are frozen smooth realizations (polynomials or truncated
-random Fourier series), not live randomness, so their derivatives exist
-and the four-term expansion of the commutator
+random Fourier series), not live randomness.  Both kinds of component
+have closed-form derivatives, so the four-term expansion of the
+commutator
 
     [V, U] = [v, u] + [v, w] + [b, u] + [b, w]
 
-is evaluated with central differences term by term.  A nonzero
-commutator at a point is the operational test for curvature induced by
-a firm's strategy there.
+is evaluated term by term from exact Jacobians.  A nonzero commutator at
+a point is the operational test for curvature induced by a firm's
+strategy there.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ from numpy.random import SeedSequence, default_rng
 from .errors import NumericalError, ValidationError
 
 DIM = 3
-DEFAULT_RELATIVE_SPACING = 1e-4
 
 
 class PolynomialComponent:
     """Trivariate polynomial ``sum_i c_i * y0^e0 y1^e1 y2^e2``.
 
-    ``terms`` is a sequence of ``(coefficient, (e0, e1, e2))`` pairs.
+    ``terms`` is a sequence of ``(coefficient, (e0, e1, e2))`` pairs; no
+    terms is the zero polynomial.
     """
 
     def __init__(self, terms):
@@ -44,6 +45,18 @@ class PolynomialComponent:
         for c, (e0, e1, e2) in self.terms:
             total = total + c * y[0] ** e0 * y[1] ** e1 * y[2] ** e2
         return total
+
+    def gradient(self, y):
+        """``d p / d y_mu`` for the three ``mu``, term by term:
+        ``c e_mu y_mu^(e_mu - 1)`` times the other two powers."""
+        y = np.asarray(y, dtype=float)
+        grad = np.zeros(DIM)
+        for c, exps in self.terms:
+            for mu, e in enumerate(exps):
+                if e:
+                    f0, f1, f2 = exps[:mu] + (e - 1,) + exps[mu + 1 :]
+                    grad[mu] += c * e * y[0] ** f0 * y[1] ** f1 * y[2] ** f2
+        return grad
 
 
 class FourierComponent:
@@ -65,12 +78,21 @@ class FourierComponent:
         y = np.asarray(y, dtype=float)
         return float(np.sum(self.amplitudes * np.sin(self.wavevectors @ y + self.phases)))
 
+    def gradient(self, y):
+        """``sum_m a_m cos(k_m . y + phi_m) k_m``."""
+        y = np.asarray(y, dtype=float)
+        return (self.amplitudes * np.cos(self.wavevectors @ y + self.phases)) @ self.wavevectors
+
 
 @dataclass(frozen=True)
 class VectorField:
     """Drift and frozen-noise components of one gradient field.
 
-    Each entry of ``drift`` and ``noise`` is a callable of a 3-vector.
+    Each entry of ``drift`` and ``noise`` is a component: a
+    :class:`PolynomialComponent` or a :class:`FourierComponent`, or any
+    object that maps a 3-vector ``y`` to a number when called and whose
+    ``gradient(y)`` gives the 3 exact first derivatives there.  No noise
+    is the zero polynomial in each component.
     """
 
     drift: tuple
@@ -82,7 +104,7 @@ class VectorField:
             raise ValidationError("drift must have exactly 3 components")
         noise = self.noise
         if noise is None:
-            noise = tuple(lambda y: 0.0 for _ in range(DIM))
+            noise = (PolynomialComponent(()),) * DIM
         else:
             noise = tuple(noise)
             if len(noise) != DIM:
@@ -109,44 +131,35 @@ class VectorField:
         return np.array([float(f(y)) for f in self.noise])
 
 
-def _jacobian(component_fns, point, spacing):
-    """Central-difference Jacobian ``J[nu, mu] = d f_nu / d y_mu``."""
-    jac = np.empty((DIM, DIM))
-    for mu in range(DIM):
-        forward = np.array(point, dtype=float)
-        backward = np.array(point, dtype=float)
-        forward[mu] += spacing
-        backward[mu] -= spacing
-        for nu, fn in enumerate(component_fns):
-            jac[nu, mu] = (float(fn(forward)) - float(fn(backward))) / (2.0 * spacing)
-    return jac
+def _jacobian(components, point):
+    """Exact Jacobian ``J[nu, mu] = d f_nu / d y_mu``, one component's
+    gradient a row."""
+    return np.array([c.gradient(point) for c in components], dtype=float)
 
 
-def lie_bracket(field_v, field_u, point, spacing=None):
+def lie_bracket(field_v, field_u, point):
     """Commutator of two drift-plus-noise fields at one point.
 
-    Returns the 3 components of the four-term expansion, derivatives by
-    central differences with the given ``spacing`` (default ``1e-4``
-    times the coordinate scale).
+    Returns the 3 components of the four-term expansion, each term from
+    the values and exact Jacobians of the fields' components, so every
+    component must provide ``gradient`` as :class:`VectorField`
+    describes.  A term that is not finite, because a value, a derivative
+    or a product overflows, is a :class:`NumericalError` naming it.
     """
     point = np.asarray(point, dtype=float)
     if point.shape != (DIM,) or not np.all(np.isfinite(point)):
         raise ValidationError("point must be a finite 3-vector")
-    scale = max(1.0, float(np.max(np.abs(point))))
-    h = DEFAULT_RELATIVE_SPACING * scale if spacing is None else float(spacing)
-    if not 0.0 < h < np.inf:
-        raise ValidationError("spacing must be positive and finite")
 
-    v, b = field_v.drift_at(point), field_v.noise_at(point)
-    u, w = field_u.drift_at(point), field_u.noise_at(point)
-    jac_v = _jacobian(field_v.drift, point, h)
-    jac_b = _jacobian(field_v.noise, point, h)
-    jac_u = _jacobian(field_u.drift, point, h)
-    jac_w = _jacobian(field_u.noise, point, h)
-
-    # a term that overflows is reported below, and a sum that does is
-    # left non-finite, so numpy need not warn of either
+    # a value, derivative or term that overflows makes its term non-finite,
+    # which is reported below, and a sum that does is left non-finite, so
+    # numpy need not warn of any of them
     with np.errstate(invalid="ignore", over="ignore"):
+        v, b = field_v.drift_at(point), field_v.noise_at(point)
+        u, w = field_u.drift_at(point), field_u.noise_at(point)
+        jac_v = _jacobian(field_v.drift, point)
+        jac_b = _jacobian(field_v.noise, point)
+        jac_u = _jacobian(field_u.drift, point)
+        jac_w = _jacobian(field_u.noise, point)
         terms = {
             "drift-drift": jac_u @ v - jac_v @ u,
             "drift-noise": jac_w @ v - jac_v @ w,

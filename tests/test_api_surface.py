@@ -310,6 +310,11 @@ RESTORED_PARAMETERS = {
         "def __init__(self, grid_size, seed):",
         "def __init__(self, grid_size, seed, domain_length=1.0):",
     ),
+    "vectorfields.lie_bracket.spacing": (
+        "vectorfields",
+        "def lie_bracket(field_v, field_u, point):",
+        "def lie_bracket(field_v, field_u, point, spacing=None):",
+    ),
 }
 
 

@@ -292,6 +292,36 @@ class TestEvolve:
         expected = two_matrix_steps(psi0, UNIT_SPEC, metric, 50)
         assert np.abs(psi.values - expected).max() <= 1e-12
 
+    @pytest.mark.parametrize("path", ["modes", "lu"])
+    def test_sine_mode_evolves_by_its_exact_phase(self, path, mode_calls):
+        """On the flat unit box with zero ends, sin(2 pi x) sin(pi y) is an
+        eigenmode of the Laplacian, so it evolves as itself times
+        exp(-i F0 (k^2 + l^2) pi^2 t / (2M)), k = 2, l = 1.  With the step
+        proportional to the spacing the error is second order.  The LU
+        path is steered to as in the test above, by one entry off the
+        mode criterion."""
+        duration, errors = 0.05, []
+        for n in (17, 33, 65):
+            grid = GridSpec.from_axes((0.0, 1.0, n), (0.0, 1.0, n))
+            metric = geometry.flat_metric(grid)
+            if path == "lu":
+                values = metric.values.copy()
+                values[n // 2, n // 2, 0, 1] = values[n // 2, n // 2, 1, 0] = 1e-9
+                metric = geometry.MetricField(values, grid)
+            x, y = grid.meshgrid()
+            mode = np.sin(2 * np.pi * x) * np.sin(np.pi * y)
+            steps = 4 * (n - 1)  # step * F0 / (M h^2) stays at most 0.8
+            spec = evolution.KernelSpec(mass=1.0, step=duration / steps, effective_scale=1.0)
+            psi0 = evolution.WaveFunction(mode.astype(complex), grid)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", evolution.AccuracyWarning)
+                psi = evolution.evolve(psi0, spec, metric, steps)
+            exact = mode * np.exp(-1j * 5 * np.pi**2 * duration / 2)
+            errors.append(np.abs(psi.values - exact).max())
+        assert len(mode_calls) == (3 if path == "modes" else 0)
+        orders = np.log2(np.array(errors[:-1]) / errors[1:])
+        assert orders.min() >= 1.9, (errors, orders)
+
     def test_norm_conserved_on_flat_metric(self):
         grid, metric = strategy_slice(geometry.flat_metric, 33)
         psi0 = moving_packet(grid, (3.0, -2.0))

@@ -106,7 +106,8 @@ def test_read_ensemble_maps_the_payload_read_only(tmp_path):
     path = tmp_path / "p.bin"
     with EnsembleWriter(path, times, paths, 3) as writer:
         for k in range(points):
-            writer.step(k, rng.standard_normal((3, paths)))
+            row = rng.standard_normal((3, paths))
+            writer.step(k, row)
     tracemalloc.start()
     try:
         t, values = read_ensemble(path)
@@ -118,7 +119,7 @@ def test_read_ensemble_maps_the_payload_read_only(tmp_path):
     with pytest.raises(ValueError, match="read-only"):
         values[0, 0, 0] = 1.0
     assert np.array_equal(t, times)
-    assert np.array_equal(values[:, -1], writer.final)
+    assert np.array_equal(values[:, -1], row.T)
     assert np.array_equal(values, writer.values)
 
 
@@ -131,10 +132,13 @@ def test_read_view_keeps_its_values_when_simulate_writes_the_file_again(tmp_path
 
     def simulate(seed):
         with EnsembleWriter(path, np.linspace(0.0, 1.0, 9), 5000, 3, seed=seed) as writer:
-            market.simulate(coeffs, [0.5, 1.5, 0.5], 1.0, 8, 5000, seed, sink=writer)
+            return market.simulate(coeffs, [0.5, 1.5, 0.5], 1.0, 8, 5000, seed, sink=writer)
 
-    simulate(1)
+    ensemble = simulate(1)
     _, values = read_ensemble(path)
+    # the run's own final states are the written file's last step
+    assert ensemble.final.flags.c_contiguous
+    assert np.array_equal(ensemble.final, values[:, -1])
     before = values.copy()
     simulate(2)
     assert np.array_equal(values, before)
@@ -202,12 +206,10 @@ def test_writer_bytes_and_digest(tmp_path, paths):
     assert writer.sha256 == hashlib.sha256(data).hexdigest() == sha256_of(path)
     assert writer.nbytes == len(data)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.bin", "p.bin.json"]
-    # values maps the file read-only; final holds the last states
+    # values maps the file read-only
     assert np.array_equal(writer.values, values)
     with pytest.raises(ValueError, match="read-only"):
         writer.values[0, 0, 0] = 1.0
-    assert writer.final.flags.c_contiguous
-    assert np.array_equal(writer.final, values[:, -1])
 
 
 def test_write_grid_returns_digest_and_size(tmp_path):

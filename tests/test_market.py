@@ -125,7 +125,7 @@ class NullSink:
     """A sink that keeps nothing, so that a run's own memory can be
     measured."""
 
-    values = final = None
+    values = None
 
     def step(self, k, row):
         pass
@@ -360,6 +360,55 @@ class TestSimulate:
             simulate(coeffs, np.zeros(3), 1.0, 8, 4, seed=-1, increments=dw)
 
 
+class RowsAt:
+    """A sink that keeps copies of the state rows at the steps ``keep``
+    only: an ensemble of every row would not fit a test's memory."""
+
+    values = None
+
+    def __init__(self, keep):
+        self.keep, self.rows = set(keep), {}
+
+    def step(self, k, row):
+        if k in self.keep:
+            self.rows[k] = row.copy()
+
+
+def test_sphere_brownian_motion_laws():
+    """On the unit sphere the share SDE is Brownian motion on S^2, whose
+    generator is half the Laplacian, with eigenvalues -l(l+1)/2 on the
+    degree-l harmonics.  So E[cos theta_t], E[sin theta_t cos phi_t] and
+    E[P2(cos theta_t)] decay from their start as exp(-t), exp(-t) and
+    exp(-3t).  Component 1 is theta and component 2 is phi, on a grid
+    that covers the chart, so that no clamp to the grid biases the law."""
+    grid = GridSpec.from_axes((0.0, 1.0, 3), (0.02, np.pi - 0.02, 257), (-np.pi, np.pi, 5))
+    metric = geo.sphere_metric(grid)
+    coeffs = derive_coefficients(metric, geo.christoffel(metric))
+    theta0, phi0 = 1.0, 0.5
+    times = {64: 0.25, 128: 0.5, 256: 1.0}
+    sink = RowsAt(times)
+    simulate(coeffs, [0.0, theta0, phi0], 1.0, 256, 20_000, 1, sink=sink)
+
+    def legendre2(c):
+        return 1.5 * c**2 - 0.5
+
+    for k, t in times.items():
+        _, theta, phi = sink.rows[k]
+        laws = {
+            "cos theta": (np.cos(theta), math.cos(theta0) * math.exp(-t)),
+            "sin theta cos phi": (
+                np.sin(theta) * np.cos(phi),
+                math.sin(theta0) * math.cos(phi0) * math.exp(-t),
+            ),
+            "P2(cos theta)": (
+                legendre2(np.cos(theta)),
+                legendre2(math.cos(theta0)) * math.exp(-3 * t),
+            ),
+        }
+        for name, (observed, exact) in laws.items():
+            error = observed.std(ddof=1) / math.sqrt(observed.size)
+            assert abs(observed.mean() - exact) <= 4 * error, (name, t, observed.mean(), exact)
+
 
 def sheared_sphere_metric(grid):
     """Sphere metric plus constant off-diagonal terms, so every entry of
@@ -426,13 +475,13 @@ class TestComponentMajorKernel:
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_out_filled_and_rows_reported_in_order(self, coeffs, threads):
         # the sink gets each state row one call at a time, in step order,
-        # final when it arrives, whichever thread took its task
+        # whichever thread took its task; the run forms final itself
         ref = self.reference(coeffs)
         sink = RecordingSink((self.paths, 17, 3))
         with frequent_switches():
             ens = simulate(coeffs, self.x0, 1.0, 16, self.paths, 5, threads=threads, sink=sink)
         assert sink.steps == list(range(17))
-        assert ens.values is sink.values and ens.final is sink.final
+        assert ens.values is sink.values and ens.final.flags.c_contiguous
         assert_same_bits(sink.values, ref)
         assert_same_bits(ens.final, np.ascontiguousarray(ref[:, -1]))
 

@@ -1,12 +1,16 @@
 """The stage subcommands and ``semicoop pipeline`` share one implementation
 per stage, so for one scenario and seed they must give the same numbers."""
 
+import argparse
+import ast
 import contextlib
+import inspect
 import io
 import json
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -545,12 +549,8 @@ LIE_FIELDS = {
         ["--point", "a,b,c"],
         ["--point", "0.1,0.2"],
         ["--point", "nan,0.2,0.3"],
-        ["--point", "0.1,0.2,0.3", "--spacing", "nan"],
-        ["--point", "0.1,0.2,0.3", "--spacing", "inf"],
-        ["--point", "0.1,0.2,0.3", "--spacing", "0"],
     ],
-    ids=["not-numbers", "two-coordinates", "nan-point", "nan-spacing", "inf-spacing",
-         "zero-spacing"],
+    ids=["not-numbers", "two-coordinates", "nan-point"],
 )
 def test_malformed_lie_bracket_input_exits_with_validation_code(tmp_path, flags):
     path = write_scenario(tmp_path / "scenario.json", dict(SCENARIO, fields=LIE_FIELDS))
@@ -558,8 +558,9 @@ def test_malformed_lie_bracket_input_exits_with_validation_code(tmp_path, flags)
     assert code == cli.EXIT_VALIDATION, err
     code, payload = run_cli("lie-bracket", "--scenario", path, "--point", "0.1,0.2,0.3")
     assert code == cli.EXIT_OK
-    # [V, U] = J_U v - J_V u = (0, y1, 0) - (y0, 0, 0) for V = (y1, 0, 0), U = (0, y0, 0)
-    assert payload["bracket"] == pytest.approx([-0.1, 0.2, 0.0], abs=1e-9)
+    # [V, U] = J_U v - J_V u = (0, y1, 0) - (y0, 0, 0) for V = (y1, 0, 0), U = (0, y0, 0);
+    # the Jacobians are exact, so the bracket is too
+    assert payload["bracket"] == [-0.1, 0.2, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -605,11 +606,12 @@ def test_overflowing_lie_bracket_exits_with_numerical_code(tmp_path, fields, mes
         ["evolve", "--config", "s.json", "--out", "psi.bin", "--seed", "5"],
         ["action", "--config", "s.json", "--out-dir", "out"],
         ["kernel-check", "--config", "s.json", "--format", "csv"],
+        ["lie-bracket", "--scenario", "s.json", "--point", "0.1,0.2,0.3", "--spacing", "1e-4"],
     ],
     ids=[
         "sde-paths", "sde-steps", "sde-csv", "evolve-steps", "rho-grid",
         "top-level-seed", "cascade-threads", "evolve-seed", "action-out-dir",
-        "kernel-format",
+        "kernel-format", "lie-bracket-spacing",
     ],
 )
 def test_removed_flags_are_rejected(argv):
@@ -643,6 +645,44 @@ def test_shared_flags_reach_their_subcommand(command, flag, value, expected):
     }[command]
     args = cli.build_parser().parse_args([command, *required, flag, value])
     assert getattr(args, flag[2:].replace("-", "_")) == expected
+
+
+# flags that no handler reads, each with the reason it stays
+UNREAD_FLAGS = {
+    ("kernel-check", "seed"): "the benchmark's kernel-check commands pass it; the "
+    "kernel's checks are closed forms and draw nothing",
+}
+
+
+def args_read(function):
+    """The names ``<name>`` that ``function`` reads as ``args.<name>``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+
+
+def test_every_flag_is_read_by_its_handler():
+    """Each flag of each subcommand is read as ``args.<dest>`` by the
+    subcommand's handler or by ``main``, so no flag is accepted and then
+    ignored; ``UNREAD_FLAGS`` holds the only exceptions."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(cli._COMMANDS)
+    in_main = args_read(cli.main)
+    unread = set()
+    for command, sub in commands.choices.items():
+        read = in_main | args_read(cli._COMMANDS[command])
+        unread |= {
+            (command, action.dest)
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction) and action.dest not in read
+        }
+    assert unread == set(UNREAD_FLAGS)
 
 
 @pytest.mark.parametrize(

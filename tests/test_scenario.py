@@ -60,7 +60,6 @@ SCENARIO = {
     "fields": {
         "v": {"drift": [[[1.0, [0, 1, 0]]], [], []], "noise": {"fourier_seed": 3, "modes": 4}},
         "u": {"drift": [[], [[1.0, [1, 0, 0]]], []], "noise": [[[0.5, [2, 0, 0]]], [], []]},
-        "spacing": 1e-4,
     },
 }
 
@@ -157,6 +156,71 @@ def test_invalid_firm_is_a_validation_error(changes, problem):
     with pytest.raises(ValidationError) as exc:
         parse_scenario(replaced(("firms",), [firm]))
     assert exc.value.problems == [problem]
+
+
+CURVATURE = "polygon.sides[1].curvature"
+CURVATURE_SHAPES = (
+    'expected a number or one of {"kind": "sphere"}, {"value": v}, {"base": b, "rate": r}'
+)
+
+
+@pytest.mark.parametrize(
+    "path, value, problem, command",
+    [
+        (("fields", "spacing"), 1e-4, "fields: unknown keys ['spacing']", "lie-bracket"),
+        (
+            ("polygon", "sides", 1, "curvature"),
+            {"kind": "sphere", "junk": 5},
+            f'{CURVATURE}: {CURVATURE_SHAPES}; got {{"junk": 5, "kind": "sphere"}}',
+            "polygon-area",
+        ),
+        (
+            ("polygon", "sides", 1, "curvature"),
+            {"value": 0.5, "junk": 1},
+            f'{CURVATURE}: {CURVATURE_SHAPES}; got {{"junk": 1, "value": 0.5}}',
+            "polygon-area",
+        ),
+        (
+            ("polygon", "sides", 1, "curvature"),
+            {"value": 0.5, "kind": "sphere"},
+            f'{CURVATURE}: {CURVATURE_SHAPES}; got {{"kind": "sphere", "value": 0.5}}',
+            "polygon-area",
+        ),
+        (
+            ("polygon", "sides", 1, "curvature"),
+            {"kind": "ellipsoid"},
+            f'{CURVATURE}: {CURVATURE_SHAPES}; got {{"kind": "ellipsoid"}}',
+            "polygon-area",
+        ),
+    ],
+    ids=["fields-spacing", "sphere-junk", "value-junk", "value-and-sphere", "ellipsoid"],
+)
+def test_invalid_section_is_one_problem(tmp_path, path, value, problem, command):
+    """A key no reader takes, or a curvature object of no known shape, is
+    exactly one problem, and its subcommand exits 2 with no traceback."""
+    doc = replaced(path, value)
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(doc)
+    assert exc.value.problems == [problem]
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))
+    argv = [command, "--scenario", str(scenario)]
+    if command == "lie-bracket":
+        argv += ["--point", "0.1,0.2,0.3"]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert err.getvalue() == f"validation error: invalid scenario\n  - {problem}\n"
+
+
+@pytest.mark.parametrize(
+    "curvature",
+    [{"kind": "sphere"}, {"value": 0.9}, {"value": {"base": 0.9, "rate": 0.1}},
+     {"base": 0.9, "rate": 0.1}, 0.9],
+    ids=["sphere", "value", "timed-value", "timed", "number"],
+)
+def test_curvature_shapes_are_accepted(curvature):
+    parse_scenario(replaced(("polygon", "sides", 1, "curvature"), curvature)).build_polygon()
 
 
 def test_single_path_ensemble_rejected(tmp_path):
