@@ -14,10 +14,14 @@ stepped with Crank-Nicolson on the two real strategy axes.  ``Lap_h`` is
 the divergence-form Laplace-Beltrami operator, self-adjoint in the
 ``sqrt|det h|``-weighted inner product, so the evolution is unitary in
 that weighted norm on every metric.  A metric that is diagonal and
-equal along axis 1 is propagated in closed form, one sine mode at a
-time, with numpy alone: a DST-I and one dense symmetric eigenproblem
-per mode, ``O(m1^3)`` for each of the ``m2`` modes of an ``m1 x m2``
-interior.  Any other metric takes one sparse LU solve per step; that
+equal along axis 1 is propagated in closed form with numpy alone: a
+DST-I turns the ``m1 x m2`` interior into ``m2`` sine modes, each a
+tridiagonal problem along axis 0, and the ``steps``-th power of the
+Crank-Nicolson factor is applied to all modes at once by a Chebyshev
+series of about ``2a + 10`` tridiagonal products, ``a`` the largest
+phase rate over the spectrum's interval, when ``a <= m1``; stiffer
+steps take one dense symmetric eigenproblem per mode, ``O(m1^3)``
+each.  Any other metric takes one sparse LU solve per step; that
 fallback is the only place this module imports scipy.
 
 ``F0`` is the initial time plane's mean of the action bracket, potential
@@ -209,7 +213,11 @@ def evolve(psi, spec, metric, steps):
     ``psi.norm(metric.volume_density)`` to rounding.  The metric values
     alone choose between two paths that agree to rounding: if ``h_01`` is
     zero everywhere and ``h[i, j] == h[i, 0]`` for every ``j``,
-    :func:`_propagate_modes` takes all steps at once.  Otherwise
+    :func:`_propagate_modes` takes all steps at once, by a Chebyshev
+    recurrence of about ``2a + 10`` products over all sine modes when
+    the largest phase rate ``a`` on the spectrum's interval is at most
+    ``m1``, the interior's node count along axis 0, and by one ``eigh``
+    per mode otherwise.  Otherwise
     ``B = I - (h/2) G`` is factorized once, under a minimum-degree
     ordering of ``B^T + B`` (about half the LU fill of the column
     ordering), and every step is one solve, ``x' = 2 B^-1 x - x``, as
@@ -271,18 +279,33 @@ def _propagate_modes(interior, metric, theta, steps):
     The orthonormal DST-I along axis 1 diagonalizes the Dirichlet second
     difference there, with eigenvalues ``-4 sin^2(pi k / (2 (m2 + 1)))``
     over ``h1^2``.  Under the similarity ``diag(sqrt s)`` each sine mode is
-    then a symmetric tridiagonal matrix along axis 0, ``V diag(lam) V^T``,
-    and ``steps`` Crank-Nicolson steps with ``G = (i theta / step) Lap``
-    are ``V diag(R^steps) V^T``, ``R = (1 + i theta lam / 2) /
-    (1 - i theta lam / 2) = exp(2i arctan(theta lam / 2))``: unimodular
-    by construction.  The DST-I is :func:`semicoop.grids.dst1` and each
-    mode's tridiagonal goes to the dense ``numpy.linalg.eigh``: numpy
-    alone, at ``O(m1^3)`` time and ``O(m1^2)`` memory per mode for an
-    ``m1 x m2`` interior.  scipy is imported only by the LU fallback of
-    :func:`evolve`.
+    then a symmetric tridiagonal matrix ``T_k`` along axis 0, and
+    ``steps`` Crank-Nicolson steps with ``G = (i theta / step) Lap`` are
+    ``R(T_k)^steps``, ``R(lam) = (1 + i theta lam / 2) / (1 - i theta
+    lam / 2)``, so ``R^steps = exp(2i steps arctan(theta lam / 2))``:
+    unimodular by construction.  The DST-I is
+    :func:`semicoop.grids.dst1`.
+
+    One Gershgorin interval ``[lo, hi]`` holds the spectrum of every
+    ``T_k``.  Over it the phase turns at most ``steps |theta|`` per unit
+    of ``lam``, so ``a = steps |theta| (hi - lo) / 2`` is its largest rate
+    on the interval mapped to ``[-1, 1]``.  When ``0 < a <= m1``,
+    :func:`_chebyshev_phase` applies ``R^steps`` to all modes at once
+    with a Chebyshev series of about ``2a + 10`` terms, one tridiagonal
+    product over the whole ``m1 x m2`` array a term, within about
+    ``1e-14`` of the eigendecomposition.  Otherwise each mode goes to
+    the dense ``numpy.linalg.eigh``, ``V diag(R(lam)^steps) V^T``, at
+    ``O(m1^3)`` time per mode.  That branch is kept for stiff steps (a
+    quality factor above one, many steps): there the series would need
+    a degree that grows with the total phase, far beyond the ``m1``
+    where ``eigh`` becomes the cheaper of the two, and the rounding of
+    so long a recurrence grows with it.  ``a`` is not finite for a
+    non-finite ``theta``, which therefore takes the ``eigh`` branch and
+    ends in non-finite values.  Both branches use numpy alone; scipy is
+    imported only by the LU fallback of :func:`evolve`.
     """
     h0, h1 = metric.grid.spacings
-    m2 = interior.shape[1]
+    m1, m2 = interior.shape
     s = metric.volume_density[:, 0]
     hinv = metric.inverse[:, 0]
     flux0 = s * hinv[:, 0, 0]
@@ -291,16 +314,91 @@ def _propagate_modes(interior, metric, theta, steps):
     root = np.sqrt(s[1:-1])
     sine = -4.0 * np.sin(0.5 * np.pi * np.arange(1, m2 + 1) / (m2 + 1)) ** 2
     off = face[1:-1] / (root[:-1] * root[1:])
+    diag = (sine * row1[:, None] - face[1:, None] - face[:-1, None]) / s[1:-1, None]
+
+    radius = np.zeros(m1)
+    radius[1:] += np.abs(off)
+    radius[:-1] += np.abs(off)
+    lo = float(np.min(diag - radius[:, None]))
+    hi = float(np.max(diag + radius[:, None]))
+    rate = steps * abs(theta) * 0.5 * (hi - lo)
 
     ortho = np.sqrt(0.5 / (m2 + 1))  # rounds as scipy's norm="ortho" factor does
-    tri = np.diag(off, -1)  # eigh reads the lower triangle
     modes = dst1(interior, 1) * ortho * root[:, None]
-    for k in range(m2):
-        np.fill_diagonal(tri, (sine[k] * row1 - face[1:] - face[:-1]) / s[1:-1])
-        lam, vecs = np.linalg.eigh(tri)
-        phase = np.exp((2j * steps) * np.arctan(0.5 * theta * lam))
-        modes[:, k] = vecs @ (phase * (vecs.T @ modes[:, k]))
+    if 0.0 < rate <= m1:
+        modes = _chebyshev_phase(modes, diag, off, lo, hi, theta, steps, rate)
+    else:
+        tri = np.diag(off, -1)  # eigh reads the lower triangle
+        for k in range(m2):
+            np.fill_diagonal(tri, diag[:, k])
+            lam, vecs = np.linalg.eigh(tri)
+            phase = np.exp((2j * steps) * np.arctan(0.5 * theta * lam))
+            modes[:, k] = vecs @ (phase * (vecs.T @ modes[:, k]))
     return dst1(modes / root[:, None], 1) * ortho
+
+
+#: Chebyshev coefficients of the phase no larger than this times the sum
+#: of all their magnitudes are dropped: below it they hold the rounding
+#: of the sampled phase rather than the phase.
+CHEBYSHEV_CUT = 4e-15
+
+
+def _chebyshev_phase(modes, diag, off, lo, hi, theta, steps, rate):
+    """``exp(2i steps arctan(theta T_k / 2))`` applied to column ``k`` of
+    ``modes`` for every ``k`` at once, ``T_k`` the symmetric tridiagonal
+    with diagonal ``diag[:, k]`` and off-diagonal ``off``, its spectrum
+    inside ``[lo, hi]``.
+
+    With ``lam = c + w t``, ``c`` and ``w`` the interval's centre and
+    half-width, the phase is sampled at the ``N + 1`` Chebyshev-Lobatto
+    points ``t = cos(pi i / N)``, ``N`` the smallest power of two at
+    least ``4 rate + 64``, and one DCT-I of the samples, an FFT of their
+    even extension, gives its Chebyshev coefficients (Trefethen,
+    *Approximation Theory and Approximation Practice*, ch. 3).  ``rate``
+    bounds the phase's slope in ``t``, so the coefficients fall off
+    super-exponentially beyond about ``rate`` and reach
+    :data:`CHEBYSHEV_CUT` near ``2 rate + 10``, where the series stops.
+    ``sum_j c_j T_j(M) x``, ``M = (T_k - c) / w`` with its spectrum in
+    ``[-1, 1]``, then runs the three-term recurrence ``T_j+1 = 2 M T_j -
+    T_j-1`` on the real and imaginary parts side by side: a handful of
+    array operations over all modes a term.
+    """
+    centre, width = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    count = 1 << (math.ceil(4.0 * rate + 64.0) - 1).bit_length()
+    samples = np.exp((2j * steps) * np.arctan(
+        0.5 * theta * (centre + width * np.cos(np.pi * np.arange(count + 1) / count))
+    ))
+    coef = np.fft.fft(np.concatenate([samples, samples[-2:0:-1]]))[: count + 1] / count
+    coef[0] *= 0.5
+    coef[count] *= 0.5
+    size = np.abs(coef)
+    degree = int(np.flatnonzero(size > CHEBYSHEV_CUT * size.sum())[-1])
+
+    # 2 M on the real and imaginary parts of the modes, interleaved along axis 1
+    # (full arrays: a broadcast operand makes numpy's inner loop slower)
+    twice_diag = np.repeat((2.0 / width) * (diag - centre), 2, axis=1)
+    twice_off = np.repeat((2.0 / width) * off, twice_diag.shape[1]).reshape(-1, twice_diag.shape[1])
+    scratch = np.empty_like(twice_off)
+
+    def doubled(x, y):
+        np.multiply(twice_diag, x, out=y)
+        y[1:] += np.multiply(twice_off, x[:-1], out=scratch)
+        y[:-1] += np.multiply(twice_off, x[1:], out=scratch)
+        return y
+
+    out = coef[0] * modes
+    prev = modes.view(float)  # free to overwrite once out holds coef[0] * modes
+    cur = doubled(prev, np.empty_like(prev))
+    cur *= 0.5
+    nxt = np.empty_like(cur)
+    for c in coef[1:degree]:
+        out += c * cur.view(complex)
+        doubled(cur, nxt)
+        nxt -= prev
+        prev, cur, nxt = cur, nxt, prev
+    if degree:
+        out += coef[degree] * cur.view(complex)
+    return out
 
 
 # ---------------------------------------------------------------------------

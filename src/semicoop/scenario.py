@@ -394,10 +394,14 @@ def _validate_side(side, name, problems):
         problems.append(f"{name}: expected an object")
         return
     _check_keys("side", side, name, problems)
+    shape = ("radius", "curvature", "theta", "rho", "tau")
     if "area" in side:
         _validate_range(side["area"], f"{name}.area", problems)
+        extra = [key for key in shape if key in side]
+        if extra:
+            problems.append(f"{name}: a precomputed area excludes {extra}")
         return
-    for key in ("radius", "curvature", "theta", "rho", "tau"):
+    for key in shape:
         if key not in side:
             problems.append(f"{name}: missing '{key}' (or give a precomputed area)")
     if "radius" in side:

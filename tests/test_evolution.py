@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from semicoop import NumericalError, ValidationError, evolution, fieldio, geometry, pipeline
-from semicoop.grids import GridSpec
+from semicoop.grids import GridSpec, dst1
 from semicoop.polygon import effective_region
 from semicoop.scenario import PROFIT_PRESETS, parse_scenario
 
@@ -220,6 +220,60 @@ def mode_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def recurrence_rates(monkeypatch):
+    """The rate ``a`` of every call of the Chebyshev recurrence."""
+    rates = []
+    original = evolution._chebyshev_phase
+
+    def spy(*args):
+        rates.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(evolution, "_chebyshev_phase", spy)
+    return rates
+
+
+def eigh_modes(interior, metric, theta, steps):
+    """The mode propagator with one dense ``eigh`` per sine mode, operation
+    for operation as the module's ``eigh`` branch runs it, so that branch
+    must equal it bit for bit."""
+    h0, h1 = metric.grid.spacings
+    m2 = interior.shape[1]
+    s = metric.volume_density[:, 0]
+    hinv = metric.inverse[:, 0]
+    flux0 = s * hinv[:, 0, 0]
+    face = 0.5 * (flux0[1:] + flux0[:-1]) / h0**2
+    row1 = (s * hinv[:, 1, 1])[1:-1] / h1**2
+    root = np.sqrt(s[1:-1])
+    sine = -4.0 * np.sin(0.5 * np.pi * np.arange(1, m2 + 1) / (m2 + 1)) ** 2
+    off = face[1:-1] / (root[:-1] * root[1:])
+    ortho = np.sqrt(0.5 / (m2 + 1))
+    tri = np.diag(off, -1)
+    modes = dst1(interior, 1) * ortho * root[:, None]
+    for k in range(m2):
+        np.fill_diagonal(tri, (sine[k] * row1 - face[1:] - face[:-1]) / s[1:-1])
+        lam, vecs = np.linalg.eigh(tri)
+        phase = np.exp((2j * steps) * np.arctan(0.5 * theta * lam))
+        modes[:, k] = vecs @ (phase * (vecs.T @ modes[:, k]))
+    return dst1(modes / root[:, None], 1) * ortho
+
+
+@pytest.fixture
+def mode_cases(monkeypatch):
+    """The arguments and result of every call of the mode propagator."""
+    cases = []
+    original = evolution._propagate_modes
+
+    def spy(interior, metric, theta, steps):
+        result = original(interior, metric, theta, steps)
+        cases.append(((interior.copy(), metric, theta, steps), result))
+        return result
+
+    monkeypatch.setattr(evolution, "_propagate_modes", spy)
+    return cases
+
+
 SPEC = evolution.KernelSpec(mass=1e4, step=0.005, effective_scale=0.6)
 UNIT_SPEC = evolution.KernelSpec(mass=1.0, step=5e-4, effective_scale=1.0)
 
@@ -375,6 +429,59 @@ class TestEvolve:
             evolution.evolve(psi0, SPEC, metric, -1)
 
 
+class TestChebyshevRecurrence:
+    """The mode propagator's recurrence against the per-mode ``eigh``."""
+
+    @pytest.mark.parametrize("n", [17, 33, 65, 129])
+    def test_matches_the_eigh_oracle_on_sphere_slices(self, n, mode_cases, recurrence_rates):
+        grid, metric = strategy_slice(geometry.sphere_metric, n)
+        psi0 = moving_packet(grid, (3.0, -2.0))
+        psi = evolution.evolve(psi0, SPEC, metric, 2000)
+        (args, result), = mode_cases
+        assert len(recurrence_rates) == 1 and 0.0 < recurrence_rates[0] <= n - 2
+        assert np.abs(result - eigh_modes(*args)).max() <= 1e-12
+        weight = metric.volume_density
+        assert abs(psi.norm(weight) - psi0.norm(weight)) <= 1e-13
+
+    def test_threshold_on_the_rate(self, mode_cases, recurrence_rates):
+        # the largest step count whose rate a is at most m1 takes the
+        # recurrence, the next one the per-mode eigh, bit for bit
+        grid, metric = strategy_slice(geometry.sphere_metric, 65)
+        psi0 = moving_packet(grid, (3.0, -2.0))
+        evolution.evolve(psi0, SPEC, metric, 1)
+        steps = int(63 / recurrence_rates.pop())
+        evolution.evolve(psi0, SPEC, metric, steps)
+        (rate,) = recurrence_rates
+        assert 62.0 < rate <= 63.0
+        args, result = mode_cases[-1]
+        assert np.abs(result - eigh_modes(*args)).max() <= 1e-12
+        evolution.evolve(psi0, SPEC, metric, steps + 1)
+        assert len(recurrence_rates) == 1
+        args, result = mode_cases[-1]
+        assert np.array_equal(result, eigh_modes(*args))
+
+    @pytest.mark.parametrize("counts", [(3, 3), (3, 9), (9, 3)])
+    def test_degenerate_interiors_match_two_matrix_form(self, counts, mode_calls):
+        grid = GridSpec.from_axes((0.5, 2.5, counts[0]), (0.0, 1.0, counts[1]))
+        metric = geometry.sphere_metric(grid)
+        psi0 = moving_packet(grid, (3.0, -2.0))
+        psi = evolution.evolve(psi0, SPEC, metric, 200)
+        assert mode_calls == [1]
+        assert np.abs(psi.values - two_matrix_steps(psi0, SPEC, metric, 200)).max() <= 1e-12
+
+    def test_stiff_steps_keep_the_per_mode_eigh(self, mode_cases, recurrence_rates):
+        grid, metric = strategy_slice(geometry.sphere_metric, 65)
+        psi0 = moving_packet(grid, (3.0, -2.0))
+        spec = evolution.KernelSpec(mass=1.0, step=1e-3, effective_scale=1.0)
+        with pytest.warns(evolution.AccuracyWarning):
+            psi = evolution.evolve(psi0, spec, metric, 4000)
+        assert not recurrence_rates
+        (args, result), = mode_cases
+        assert np.array_equal(result, eigh_modes(*args))
+        weight = metric.volume_density
+        assert abs(psi.norm(weight) - psi0.norm(weight)) <= 1e-12
+
+
 DESIGN = Path(__file__).resolve().parents[1] / "perfbench" / "design.json"
 
 
@@ -398,13 +505,18 @@ def benchmark_configs(tmp_path):
 
 
 def test_every_benchmark_slice_takes_the_mode_path(tmp_path, mode_calls, monkeypatch):
-    # the benchmark's evolve cost rests on the closed form; a change that
-    # breaks the exact test on the metric values (say, rounding in a file
-    # round trip) must fail here rather than slow the benchmark silently
+    # the benchmark's evolve cost rests on the closed form and its
+    # Chebyshev recurrence; a change that breaks the exact test on the
+    # metric values (say, rounding in a file round trip) or sends a slice
+    # to the per-mode eigh must fail here rather than slow the benchmark
     def no_lu(*args, **kwargs):
         raise AssertionError("the LU path was taken")
 
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("the per-mode eigh was taken")
+
     monkeypatch.setattr(evolution, "laplace_operator_matrix", no_lu)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
     names = []
     for name, config in benchmark_configs(tmp_path):
         kernel = config.data["kernel"]
@@ -418,6 +530,19 @@ def test_every_benchmark_slice_takes_the_mode_path(tmp_path, mode_calls, monkeyp
     assert {n.split("-")[0] for n in names} == {
         "world_grid", "path_ensemble", "strategy_plane", "stage_commands"
     }
+
+
+def test_every_benchmark_slice_matches_the_eigh_oracle(tmp_path, mode_cases, recurrence_rates):
+    # at the pipeline's own F0, as the benchmark runs it
+    for name, config in benchmark_configs(tmp_path):
+        _, metric, _, curv = pipeline.world(config)
+        _, spec, _ = pipeline.kernel(config, pipeline.action_terms(config, metric, curv))
+        slice_metric, psi0, psi = pipeline.evolve(config, metric, spec)
+        args, result = mode_cases[-1]
+        assert np.abs(result - eigh_modes(*args)).max() <= 1e-12, name
+        weight = slice_metric.volume_density
+        assert abs(psi.norm(weight) - psi0.norm(weight)) <= 1e-13, name
+    assert len(recurrence_rates) == len(mode_cases) == 5
 
 
 RANDOM_SCALE_KINDS = ["quadratic", "cubic", "sign_change", "gaussians"]

@@ -192,12 +192,19 @@ CURVATURE_SHAPES = (
             f'{CURVATURE}: {CURVATURE_SHAPES}; got {{"kind": "ellipsoid"}}',
             "polygon-area",
         ),
+        (
+            ("polygon", "sides", 1),
+            {"area": 1.5, "radius": "x", "curvature": {"junk": 1}},
+            "polygon.sides[1]: a precomputed area excludes ['radius', 'curvature']",
+            "polygon-area",
+        ),
     ],
-    ids=["fields-spacing", "sphere-junk", "value-junk", "value-and-sphere", "ellipsoid"],
+    ids=["fields-spacing", "sphere-junk", "value-junk", "value-and-sphere", "ellipsoid",
+         "area-and-geometry"],
 )
 def test_invalid_section_is_one_problem(tmp_path, path, value, problem, command):
-    """A key no reader takes, or a curvature object of no known shape, is
-    exactly one problem, and its subcommand exits 2 with no traceback."""
+    """A key no reader takes, a curvature object of no known shape, or a
+    side's geometry beside its precomputed area, is exactly one problem, and its subcommand exits 2 with no traceback."""
     doc = replaced(path, value)
     with pytest.raises(ValidationError) as exc:
         parse_scenario(doc)
