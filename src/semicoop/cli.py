@@ -28,6 +28,7 @@ import numpy as np
 from . import __version__, evolution, geometry, pipeline, stubbornness
 from .errors import NumericalError, ValidationError
 from .fieldio import read_grid, write_grid
+from .geometry import _unbroadcast
 from .grids import require_same_grid
 from .scenario import parse_scenario
 from .polygon import assemble_polygon
@@ -127,32 +128,25 @@ def _emit(payload):
 
 
 def _cmd_geometry(args):
-    values, grid, _ = read_grid(args.metric)
-    if grid is None:
-        raise ValidationError(
-            "metric file has no grid descriptor; extents are required"
-        )
-    metric = geometry.MetricField(values, grid)
+    metric = geometry.MetricField(*read_grid(args.metric))
+    grid = metric.grid
     chris = geometry.christoffel(metric)
     if args.op == "christoffel":
         write_grid(args.out, chris.values, grid)
-        _emit({"out": args.out, "max_abs": float(np.abs(chris.values).max())})
+        # the profile's range is the field's, read without a pass over the grid
+        profile = _unbroadcast(chris.values, grid.n_axes)
+        _emit({"out": args.out, "max_abs": float(np.abs(profile).max())})
         return
     if args.op == "curvature":
         bundle = geometry.curvature(metric, chris)
         write_grid(args.out, bundle.scalar, grid)
-        _emit(
-            {
-                "out": args.out,
-                "scalar_range": [float(bundle.scalar.min()), float(bundle.scalar.max())],
-            }
-        )
+        scalar = _unbroadcast(bundle.scalar, grid.n_axes)
+        _emit({"out": args.out, "scalar_range": [float(scalar.min()), float(scalar.max())]})
         return
     if not args.field:
         raise ValidationError("laplacian needs --field")
-    field, fgrid, _ = read_grid(args.field)
-    if fgrid is not None:
-        require_same_grid(grid, fgrid)
+    field, fgrid = read_grid(args.field)
+    require_same_grid(grid, fgrid)
     lap = geometry.covariant_laplacian(metric, chris, field)
     write_grid(args.out, lap, grid)
     _emit({"out": args.out})
@@ -180,10 +174,9 @@ def _cmd_bracket(args):
 
 
 def _cmd_gff(args):
-    seed = pipeline.stage_seed(args.seed, "gff")
-    field = stubbornness.GFFSampler(args.size, seed).sample()
+    sampler = stubbornness.GFFSampler(args.size, pipeline.stage_seed(args.seed, "gff"))
     q = stubbornness.stubbornness_measure(args.gamma)
-    write_grid(args.out, field, extra={"gamma": args.gamma, "seed": seed})
+    write_grid(args.out, sampler.sample(), sampler.grid)
     _emit(
         {
             "out": args.out,
@@ -250,7 +243,7 @@ def _cmd_evolve(args):
     _, metric, _, curv = pipeline.world(config)
     _, spec, _ = pipeline.kernel(config, pipeline.action_terms(config, metric, curv))
     slice_metric, _, psi = pipeline.evolve(config, metric, spec)
-    write_grid(args.out, psi.values, slice_metric.grid, extra={"time": psi.time})
+    write_grid(args.out, psi.values, slice_metric.grid)
     norm = psi.norm(slice_metric.volume_density)
     _emit({"out": args.out, "norm": norm, "time": psi.time})
 

@@ -1,26 +1,33 @@
 """Binary I/O for grid fields and path ensembles.
 
-Grid field layout (little-endian throughout):
+Grid field layout (little-endian throughout), one self-describing file
+per field:
 
 ========  ====================================================
 bytes     content
 ========  ====================================================
-0:8       magic ``b"SCGRID01"``
+0:8       magic ``b"SCGRID02"``
 8:12      flags (uint32); bit 0 set for complex payload
 12:16     number of grid axes (uint32)
 16:20     tensor rank, i.e. trailing non-grid axes (uint32)
-20:24     reserved (uint32, zero)
+20:24     support mask (uint32); bit k set when the values vary
+          along grid axis k
 ...       axis node counts, uint64 per grid axis
 ...       tensor dimensions, uint64 per tensor axis
-...       payload: float64 row-major; a complex payload is its
-          ``<c16`` bytes, real and imaginary parts interleaved
-          per element
+...       extents: float64 start and stop per grid axis
+...       payload: the profile, the field with length 1 on every
+          grid axis outside the support, float64 row-major; a
+          complex payload is its ``<c16`` bytes, real and
+          imaginary parts interleaved per element
 ========  ====================================================
 
-A JSON descriptor is written next to the binary file (same path with a
-``.json`` suffix appended) recording shapes, dtype, grid extents when
-known, and the package version.  Descriptors carry no timestamps so a
-rerun with identical inputs produces byte-identical files.
+An axis is outside the support only when its slices are bit-identical,
+so every value, ``-0.0`` and NaN included, reads back as written.
+:func:`read_grid` rebuilds the grid from the header and returns the
+field as a read-only broadcast view of its profile, so a reader such as
+:class:`geometry.MetricField` finds the support from the strides, with
+no pass over the values.  It rejects the earlier full-grid layout, magic
+``b"SCGRID01"``, whose extents were kept in a JSON file beside it.
 
 Path ensemble layout (little-endian throughout), time-major:
 
@@ -59,7 +66,6 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
-import json
 import math
 import mmap
 import os
@@ -67,19 +73,20 @@ import struct
 
 import numpy as np
 
-from . import __version__
 from .errors import ValidationError
+from .geometry import _joint_support, _on_support
 from .grids import GridSpec
 
-_GRID_MAGIC = b"SCGRID01"
+_GRID_MAGIC = b"SCGRID02"
+_FULL_GRID_MAGIC = b"SCGRID01"
 _PATH_MAGIC = b"SCPATH02"
 _PATH_MAJOR_MAGIC = b"SCPATH01"
 # numpy arrays have at most 64 axes; no field of this package has more than 5
 _MAX_AXES = 32
-
-
-def _descriptor_path(path):
-    return str(path) + ".json"
+# a file holds only the profile, so its size no longer bounds the grid it
+# declares; at most 2**40 nodes keeps every per-node tensor of up to
+# _MAX_AXES**3 float64 values the package forms within numpy's 2**63 bytes
+_MAX_NODES = 2**40
 
 
 def _write_array(fh, array):
@@ -128,83 +135,53 @@ def open_output(path):
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
-def write_grid(path, values, grid=None, extra=None):
-    """Write a grid field and its JSON descriptor.
+def write_grid(path, values, grid):
+    """Write a grid field on its support.
 
     Parameters
     ----------
     path : str
-        Output file; the descriptor goes to ``path + ".json"``.
     values : ndarray
-        Leading axes are grid axes, trailing axes (if any) are tensor
-        components.  Complex data is stored as its ``<c16`` bytes.
-    grid : GridSpec, optional
-        When given, its extents are recorded in the descriptor so the
-        field can be rebuilt with correct spacings.
-    extra : dict, optional
-        Additional descriptor entries (must be JSON serializable).
+        Leading axes are the axes of ``grid``, trailing axes (if any) are
+        tensor components.  Complex data is stored as its ``<c16`` bytes.
+    grid : GridSpec
+        The field's grid; its node counts and extents go in the header.
+
+    The payload is the profile: every grid axis along which the slices
+    are bit-identical is cut to length 1, a stride-0 axis of a broadcast
+    view without a comparison.
 
     Returns
     -------
     (sha256, nbytes)
-        Hex digest and size of the binary file.
+        Hex digest and size of the file.
     """
     values = np.asarray(values)
-    if grid is not None:
-        n_axes = grid.n_axes
-        if values.shape[:n_axes] != grid.shape:
-            raise ValidationError(
-                "field shape does not match grid",
-                [f"grid shape {grid.shape}, field shape {values.shape}"],
-            )
-    else:
-        n_axes = values.ndim
-    grid_shape = values.shape[:n_axes]
-    tensor_shape = values.shape[n_axes:]
+    n_axes = grid.n_axes
+    if values.shape[:n_axes] != grid.shape:
+        raise ValidationError(
+            "field shape does not match grid",
+            [f"grid shape {grid.shape}, field shape {values.shape}"],
+        )
     is_complex = np.iscomplexobj(values)
-
-    header = bytearray()
-    header += _GRID_MAGIC
-    header += struct.pack("<IIII", 1 if is_complex else 0, n_axes, len(tensor_shape), 0)
-    header += struct.pack(f"<{n_axes}Q", *grid_shape)
-    if tensor_shape:
-        header += struct.pack(f"<{len(tensor_shape)}Q", *tensor_shape)
-
-    payload = np.asarray(values, dtype="<c16" if is_complex else "<f8")
-    # a view that is not contiguous, such as a field broadcast from its
-    # profile, is written one leading slab at a time, never copied whole
-    if payload.ndim > 1 and not payload.flags.c_contiguous:
-        slabs = payload
-    else:
-        slabs = (np.ascontiguousarray(payload),)
-
-    header = bytes(header)
-    digest = hashlib.sha256(header)
+    values = np.asarray(values, dtype="<c16" if is_complex else "<f8")
+    # compared as bit patterns, so -0.0 differs from 0.0 and NaN equals itself
+    parts = (values.real, values.imag) if is_complex else (values,)
+    support = _joint_support(n_axes, *(part.view("<u8") for part in parts))
+    profile = np.ascontiguousarray(_on_support(values, support, n_axes))
+    rank = values.ndim - n_axes
+    header = (
+        _GRID_MAGIC
+        + struct.pack("<IIII", int(is_complex), n_axes, rank, sum(1 << k for k in support))
+        + struct.pack(f"<{values.ndim}Q", *values.shape)
+        + struct.pack(f"<{2 * n_axes}d", *(x for extent in grid.extents for x in extent))
+    )
     with open_output(path) as fh:
         fh.write(header)
-        for slab in slabs:
-            slab = np.ascontiguousarray(slab)
-            digest.update(slab)
-            _write_array(fh, slab)
-
-    descriptor = {
-        "format": "semicoop-grid",
-        "version": __version__,
-        "dtype": "complex128" if is_complex else "float64",
-        "grid_shape": list(grid_shape),
-        "tensor_shape": list(tensor_shape),
-    }
-    if grid is not None:
-        descriptor["grid"] = grid.to_dict()
-    if extra:
-        descriptor.update(extra)
-    _write_descriptor(path, descriptor)
-    return digest.hexdigest(), len(header) + payload.nbytes
-
-
-def _write_descriptor(path, descriptor):
-    with open_output(_descriptor_path(path)) as fh:
-        fh.write((json.dumps(descriptor, indent=2, sort_keys=True) + "\n").encode())
+        _write_array(fh, profile)
+    digest = hashlib.sha256(header)
+    digest.update(profile)
+    return digest.hexdigest(), len(header) + profile.nbytes
 
 
 def _open_input(path, kind):
@@ -220,48 +197,63 @@ def read_grid(path):
 
     Returns
     -------
-    (values, grid, descriptor)
-        ``grid`` is a :class:`GridSpec` when the descriptor recorded
-        extents, otherwise ``None``.
+    (values, grid)
+        ``grid`` is the :class:`GridSpec` of the header, and ``values``
+        a read-only view of the stored profile at every node of it.
 
     Raises
     ------
     ValidationError
-        When the file or its descriptor cannot be opened (a missing
-        descriptor is allowed), the descriptor is not JSON or holds a
-        malformed grid, or the file is not a grid field, or is shorter or
-        longer than its header says.
+        When the file cannot be opened, is not a grid field or is in the
+        earlier ``SCGRID01`` layout, when its header declares more axes
+        than an array holds, a support bit beyond its grid axes, an empty
+        axis, more than 2**40 nodes, an invalid grid or a shape numpy
+        cannot hold, or when the file is shorter or longer than its
+        header says.
     """
     with _open_input(path, "grid") as fh:
         magic = fh.read(8)
+        if magic == _FULL_GRID_MAGIC:
+            raise ValidationError(
+                f"{path}: the grid field is in the old full-grid layout "
+                f"({_FULL_GRID_MAGIC.decode()}) with a JSON descriptor; write it again "
+                f"to get the self-describing {_GRID_MAGIC.decode()} layout"
+            )
         if magic != _GRID_MAGIC:
             raise ValidationError(f"{path}: not a grid field file")
-        flags, n_axes, rank, _ = struct.unpack("<IIII", _read_exact(fh, 16, path))
+        flags, n_axes, rank, mask = struct.unpack("<IIII", _read_exact(fh, 16, path))
         if n_axes + rank > _MAX_AXES:
             raise ValidationError(
                 f"{path}: header declares {n_axes} grid axes and tensor rank {rank}; "
                 f"at most {_MAX_AXES} axes in all"
             )
-        grid_shape = struct.unpack(f"<{n_axes}Q", _read_exact(fh, 8 * n_axes, path))
-        tensor_shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, path))
-        shape = grid_shape + tensor_shape
+        if mask >> n_axes:
+            raise ValidationError(
+                f"{path}: support mask {mask:#x} sets a bit beyond its {n_axes} grid axes"
+            )
+        shape = struct.unpack(f"<{n_axes + rank}Q", _read_exact(fh, 8 * (n_axes + rank), path))
         if 0 in shape:
             raise ValidationError(f"{path}: header declares an empty axis in shape {shape}")
-        values = _read_floats(fh, (1 + (flags & 1)) * math.prod(shape), path)
-        values = (values.view("<c16") if flags & 1 else values).reshape(shape)
+        if math.prod(shape[:n_axes]) > _MAX_NODES:
+            raise ValidationError(
+                f"{path}: header declares grid counts {shape[:n_axes]}; "
+                f"at most 2**40 nodes in all"
+            )
+        ends = _read_floats(fh, 2 * n_axes, path)
+        try:
+            grid = GridSpec(tuple(zip(ends[::2], ends[1::2])), shape[:n_axes])
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: header declares an invalid grid", exc.problems) from exc
+        profile_shape = tuple(
+            n if mask >> k & 1 else 1 for k, n in enumerate(shape[:n_axes])
+        ) + shape[n_axes:]
+        profile = _read_floats(fh, (1 + (flags & 1)) * math.prod(profile_shape), path)
         _check_at_end(fh, path)
-
-    descriptor, grid = {}, None
+    profile = (profile.view("<c16") if flags & 1 else profile).reshape(profile_shape)
     try:
-        with open(_descriptor_path(path), "rb") as fh:
-            descriptor = json.load(fh)
-        if "grid" in descriptor:
-            grid = GridSpec.from_dict(descriptor["grid"])
-    except FileNotFoundError:
-        pass
-    except (OSError, ValueError, TypeError, KeyError, OverflowError) as exc:
-        raise ValidationError(f"cannot read grid descriptor of {path}: {exc!r}") from exc
-    return values, grid, descriptor
+        return np.broadcast_to(profile, shape), grid
+    except ValueError as exc:  # such as a field of more than 2**63 bytes
+        raise ValidationError(f"{path}: header declares shape {shape}: {exc}") from exc
 
 
 def _ensemble_view(buffer, offset, shape):
@@ -299,34 +291,25 @@ class EnsembleWriter:
     unless asked to, such as a CSV export.
     Use the writer as a context manager::
 
-        with EnsembleWriter(path, times, paths, 3, seed=seed) as writer:
+        with EnsembleWriter(path, times, paths, 3) as writer:
             ...  # writer.step(k, row) for each k in range(len(times))
         writer.sha256, writer.nbytes
 
-    The file is built under ``path + ".partial"`` and moved to ``path``,
-    next to its descriptor, when the block ends without an exception and
-    every row is in; otherwise it is removed, so a failed simulation
-    leaves no ensemble behind.  An OSError while writing or moving it is
-    a ValidationError naming ``path``.  Nothing is synced to disk, as
-    with ``write``.
+    The file, the only one the writer leaves, is built under ``path +
+    ".partial"`` and moved to ``path`` when the block ends without an
+    exception and every row is in; otherwise it is removed, so a failed
+    simulation leaves no ensemble behind.  An OSError while writing or
+    moving it is a ValidationError naming ``path``.  Nothing is synced to
+    disk, as with ``write``.
     """
 
-    def __init__(self, path, times, paths, components, seed=None):
+    def __init__(self, path, times, paths, components):
         times = np.ascontiguousarray(times, dtype="<f8")
         shape = (int(paths), times.size, int(components))
         if times.ndim != 1 or 0 in shape:
             raise ValidationError(f"ensemble shape {shape} has an empty axis")
         self._path = str(path)
         self._shape = shape
-        self._descriptor = {
-            "format": "semicoop-paths",
-            "version": __version__,
-            "paths": shape[0],
-            "steps": shape[1] - 1,
-            "components": shape[2],
-        }
-        if seed is not None:
-            self._descriptor["seed"] = int(seed)
         head = _PATH_MAGIC + struct.pack("<QQI I", *shape, 0) + times.tobytes()
         self._offset = len(head)
         self.nbytes = len(head) + 8 * math.prod(shape)
@@ -390,7 +373,6 @@ class EnsembleWriter:
                 os.replace(self._partial, self._path)
             except OSError as err:
                 self._discard(err)
-            _write_descriptor(self._path, self._descriptor)
             self.sha256 = self._hash.hexdigest()
             return False
         self._discard()

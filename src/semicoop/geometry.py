@@ -127,24 +127,29 @@ def _first_bad_node(mask):
 # support of a field
 
 
+def _unbroadcast(values, n_axes):
+    """View of ``values`` with each stride-0 axis among the leading
+    ``n_axes``, such as a broadcast one, cut to its one slice."""
+    return values[tuple(slice(0, 1) if s == 0 else slice(None) for s in values.strides[:n_axes])]
+
+
 def _support(values, n_axes):
     """Axes among the leading ``n_axes`` of ``values`` along which it varies.
 
     An axis is constant when every slice along it equals the first one
     under ``==`` (so an axis holding a NaN varies, and ``-0.0`` equals
     ``0.0``); a stride-0 axis, such as a broadcast one, repeats one slice
-    and needs no comparison.  The second slice is compared first, so a
-    varying axis is usually found without a full pass, and each constant
-    axis is cut away before the next axis is tested.
+    and is cut to it before any comparison, so no comparison spans it.
+    The second slice is compared first, so a varying axis is usually
+    found without a full pass, and each constant axis is cut away before
+    the next axis is tested.
     """
-    cut = np.asarray(values)
+    cut = _unbroadcast(np.asarray(values), n_axes)
     axes = []
     for k in range(n_axes):
         first = cut[(slice(None),) * k + (slice(0, 1),)]
         second = cut[(slice(None),) * k + (slice(1, 2),)]
-        if cut.shape[k] == 1 or cut.strides[k] == 0 or (
-            np.array_equal(second, first) and np.all(cut == first)
-        ):
+        if cut.shape[k] == 1 or (np.array_equal(second, first) and np.all(cut == first)):
             cut = first
         else:
             axes.append(k)
@@ -221,12 +226,14 @@ class MetricField:
             h = 0.5 * (h + np.swapaxes(h, -1, -2))
             det, min_pivot = lu_determinants(h)
         self.values = _broadcast(h, self.grid)
+        # the first bad node of the profile is the grid's first, in C order:
+        # it has index 0 on every axis outside the support
         finite = np.isfinite(h).all(axis=(-2, -1))
         bad = ~(finite & np.isfinite(det))
         if np.any(bad):
-            node = _first_bad_node(_broadcast(bad, self.grid))
+            node = _first_bad_node(bad)
             what = "determinant is"
-            if not _broadcast(finite, self.grid)[node]:
+            if not finite[node]:
                 what = "symmetrized entries are"
             raise RangeOverflowError(
                 f"metric at grid node {node} leaves the floating-point range: "
@@ -235,9 +242,8 @@ class MetricField:
             )
         bad = ~(min_pivot > PIVOT_THRESHOLD)
         if np.any(bad):
-            # the first singular node of the whole grid, in C order
-            node = _first_bad_node(_broadcast(bad, self.grid))
-            pivot = _broadcast(min_pivot, self.grid)[node]
+            node = _first_bad_node(bad)
+            pivot = min_pivot[node]
             raise SingularMetricError(
                 node, f"smallest LU pivot {pivot:.3e} <= {PIVOT_THRESHOLD}"
             )

@@ -107,13 +107,6 @@ class GridSpec:
     def to_dict(self):
         return {"extents": [list(e) for e in self.extents], "counts": list(self.counts)}
 
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            extents=tuple(tuple(e) for e in data["extents"]),
-            counts=tuple(data["counts"]),
-        )
-
 
 def dst1(x, axis):
     """Unnormalized DST-I along ``axis``, ``y_k = 2 sum_n x_n sin(pi (k+1)

@@ -46,17 +46,14 @@ def stage_seed(master, stage):
 
 def _config_digest(config, seed):
     """SHA-256 of the scenario, seed and package version; a metric file
-    enters by the SHA-256 of its contents and of its ``.json`` descriptor
-    (None without one), not by its path."""
+    enters by the SHA-256 of its contents, its grid included, not by its
+    path."""
     scenario = config.to_dict()
     metric = scenario["metric"]
     if "file" in metric:
-        path, descriptor = metric["file"], metric["file"] + ".json"
+        path = metric["file"]
         try:
-            metric["file"] = [
-                sha256_of(path),
-                sha256_of(descriptor) if os.path.exists(descriptor) else None,
-            ]
+            metric["file"] = sha256_of(path)
         except OSError as exc:
             raise ValidationError(f"cannot read metric file {path}: {exc}") from exc
     payload = json.dumps(
@@ -80,17 +77,18 @@ def world(config):
 
 
 def stubbornness_field(config, grid, curv, seed):
-    """Stubbornness stage: one GFF draw on the strategy plane and, when
-    it matches the grid's strategy axes, the combined metric it induces
-    (None otherwise)."""
+    """Stubbornness stage: ``(gff_grid, field2d, combined)``, one GFF
+    draw on the sampler's unit square and, when it matches the grid's
+    strategy axes, the combined metric it induces (None otherwise)."""
     gff_cfg = config.data["gff"]
     size = gff_cfg.get("grid_size") or grid.counts[1]
-    field2d = stubbornness.GFFSampler(size, seed=stage_seed(seed, "gff")).sample()
+    sampler = stubbornness.GFFSampler(size, seed=stage_seed(seed, "gff"))
+    field2d = sampler.sample()
     if field2d.shape != (grid.counts[1], grid.counts[2]):
-        return field2d, None
+        return sampler.grid, field2d, None
     field3d = np.broadcast_to(field2d, grid.shape)
     combined = geometry.combined_metric(curv, field3d, float(gff_cfg["gamma"]))
-    return field2d, combined
+    return sampler.grid, field2d, combined
 
 
 def simulate_paths(config, metric, chris, seed, threads, path):
@@ -110,7 +108,7 @@ def simulate_paths(config, metric, chris, seed, threads, path):
     sde_seed = stage_seed(seed, "sde")
     # simulate's time grid, which the file header holds ahead of the first row
     times = np.linspace(0.0, horizon, steps + 1)
-    with EnsembleWriter(path, times, paths, market.STATE_DIM, seed=sde_seed) as writer:
+    with EnsembleWriter(path, times, paths, market.STATE_DIM) as writer:
         ensemble = market.simulate(
             market.derive_coefficients(metric, chris),
             config.firm["share"],
@@ -296,8 +294,8 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
         "results": results,
     }
 
-    def artifact(name, write, *args, **kwargs):
-        digest, _ = write(os.path.join(out_dir, name), *args, **kwargs)
+    def artifact(name, write, *args):
+        digest, _ = write(os.path.join(out_dir, name), *args)
         manifest["artifacts"][name] = digest
 
     stage = "geometry"
@@ -311,8 +309,8 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
 
         stage = "stubbornness"
         gamma = float(config.data["gff"]["gamma"])
-        field2d, combined = stubbornness_field(config, grid, curv, seed)
-        artifact("gff.bin", write_grid, field2d, extra={"gamma": gamma})
+        gff_grid, field2d, combined = stubbornness_field(config, grid, curv, seed)
+        artifact("gff.bin", write_grid, field2d, gff_grid)
         results["stubbornness_measure"] = stubbornness.stubbornness_measure(gamma)
         results["stubbornness_regime"] = stubbornness.regime_note(gamma)
         if combined is not None:

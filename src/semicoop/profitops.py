@@ -49,6 +49,8 @@ class CascadeParams:
                 problems.append(f"{what} must be at least 1")
         if not isinstance(self.kappa, numbers.Real):
             problems.append(f"kappa must be a real number, not {self.kappa!r}")
+        elif not -math.inf < self.kappa < math.inf:
+            problems.append("kappa must be finite")
         elif not self.kappa > 0:
             problems.append("kappa must be positive")
         if problems:

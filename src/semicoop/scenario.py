@@ -134,8 +134,7 @@ class ScenarioConfig:
         grid = grid or self.build_grid()
         m = self.data["metric"]
         if "file" in m:
-            values, file_grid, _ = read_grid(m["file"])
-            return geometry.MetricField(values, file_grid or grid)
+            return geometry.MetricField(*read_grid(m["file"]))
         preset = m["preset"]
         if preset == "flat":
             return geometry.flat_metric(grid)

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .errors import ValidationError
-from .grids import dst1
+from .grids import GridSpec, dst1
 
 GFF_ENERGY_SCALE = 2.0 * np.pi
 
@@ -40,6 +40,9 @@ class GFFSampler:
         Nodes per side including the boundary ring, at least 4, on the
         unit square.
     seed : int
+
+    ``grid`` is that unit square, the :class:`GridSpec` a draw is
+    written on.
     """
 
     def __init__(self, grid_size, seed):
@@ -47,7 +50,8 @@ class GFFSampler:
         if n < 4:
             raise ValidationError("grid size must be at least 4")
         self.grid_size = n
-        spacing = 1.0 / (n - 1)
+        self.grid = GridSpec.from_axes((0.0, 1.0, n), (0.0, 1.0, n))
+        spacing = self.grid.spacing(0)
         m = n - 2
         j = np.arange(1, m + 1)
         lam_1d = (4.0 / spacing**2) * np.sin(j * np.pi / (2.0 * (m + 1))) ** 2

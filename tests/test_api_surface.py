@@ -143,6 +143,13 @@ RESTORED = {
         "def stubbornness_measure(",
         "def sample_gff(grid_size, seed):\n    return GFFSampler(grid_size, seed).sample()\n\n\n",
     ),
+    "grids.GridSpec.from_dict": (
+        "grids",
+        "    @property\n    def n_axes(",
+        "    @classmethod\n    def from_dict(cls, data):\n"
+        "        extents = tuple(tuple(e) for e in data[\"extents\"])\n"
+        "        return cls(extents, tuple(data[\"counts\"]))\n\n",
+    ),
     "grids.GridSpec.subgrid": (
         "grids",
         "    @classmethod\n    def from_axes(",
@@ -294,6 +301,16 @@ RESTORED_PARAMETERS = {
         "evolution",
         "    domain_halfwidth: float = 1.0\n",
         "    domain_halfwidth: float = 1.0\n    mode: str = \"wick\"\n",
+    ),
+    "fieldio.EnsembleWriter.seed": (
+        "fieldio",
+        "def __init__(self, path, times, paths, components):",
+        "def __init__(self, path, times, paths, components, seed=None):",
+    ),
+    "fieldio.write_grid.extra": (
+        "fieldio",
+        "def write_grid(path, values, grid):",
+        "def write_grid(path, values, grid, extra=None):",
     ),
     "market.SDECoefficients.drift": (
         "market",

@@ -8,7 +8,9 @@ change of its values."""
 
 import importlib.util
 import json
+import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -126,3 +128,46 @@ def test_mismatch_names_the_file_and_its_change():
         "relative 2.500e-01",
     ]
     assert mismatches(expected, expected) == []
+
+
+# the grid axes each grid artifact of the reduced world_grid is stored on:
+# every geometric field varies along sigma1 only, the combined metric also
+# along sigma2, and the GFF draw and psi span their own 2-D grids
+WORLD_GRID_SUPPORT = {
+    "metric.bin": (1,),
+    "christoffel.bin": (1,),
+    "ricci_scalar.bin": (1,),
+    "effective_scale.bin": (1,),
+    "combined_metric.bin": (1, 2),
+    "gff.bin": (0, 1),
+    "psi.bin": (0, 1),
+}
+
+
+def test_world_grid_artifacts_are_stored_on_their_support(tmp_path):
+    from semicoop.fieldio import read_grid
+
+    golden.run_case("world_grid", 1, 1, str(tmp_path))
+    pipeline_dir = tmp_path / "out" / "pipeline"
+    for name, support in WORLD_GRID_SUPPORT.items():
+        data = (pipeline_dir / name).read_bytes()
+        flags, n_axes, _, mask = struct.unpack_from("<IIII", data, 8)
+        assert [k for k in range(n_axes) if mask >> k & 1] == list(support), name
+        values, grid = read_grid(pipeline_dir / name)
+        profile = math.prod(grid.counts[k] for k in support) * math.prod(values.shape[n_axes:])
+        header = 24 + 8 * values.ndim + 16 * n_axes
+        assert len(data) == header + 8 * (1 + (flags & 1)) * profile, name
+
+
+def test_stage_commands_write_one_file_per_artifact(tmp_path):
+    # no .json lies next to a binary file a stage command or pipeline writes
+    golden.run_case("stage_commands", 1, 1, str(tmp_path))
+    out = tmp_path / "out"
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*"))
+    assert [p for p in written if p.endswith(".bin.json")] == []
+    assert [p for p in written if p.endswith(".bin")] == [
+        "curvature.bin", "pipeline/christoffel.bin", "pipeline/combined_metric.bin",
+        "pipeline/effective_scale.bin", "pipeline/gff.bin", "pipeline/metric.bin",
+        "pipeline/paths.bin", "pipeline/psi.bin", "pipeline/ricci_scalar.bin", "psi.bin",
+        "sde_paths.bin",
+    ]

@@ -581,7 +581,7 @@ class TestComponentMajorKernel:
     def test_written_ensemble_equals_the_reference(self, coeffs, tmp_path, threads):
         path = tmp_path / "p.bin"
         times = np.linspace(0.0, 1.0, 17)
-        with EnsembleWriter(path, times, self.paths, 3, seed=5) as writer:
+        with EnsembleWriter(path, times, self.paths, 3) as writer:
             ens = simulate(coeffs, self.x0, 1.0, 16, self.paths, 5, threads=threads, sink=writer)
         ref = self.reference(coeffs)
         assert_same_bits(ens.values, ref)

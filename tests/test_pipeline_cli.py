@@ -8,6 +8,7 @@ import inspect
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -88,7 +89,8 @@ def test_simulate_sde_writes_the_pipeline_ensemble(run):
     code, _ = run_cli("simulate-sde", "--scenario", scenario, "--out", out, "--seed", SEED)
     assert code == cli.EXIT_OK
     assert out.read_bytes() == (pipeline_dir / "paths.bin").read_bytes()
-    assert (root / "sde.bin.json").read_bytes() == (pipeline_dir / "paths.bin.json").read_bytes()
+    # the ensemble file is the only one either writes for it
+    assert not list(root.glob("sde.bin?*")) and not list(pipeline_dir.glob("paths.bin?*"))
 
 
 def test_action_honours_scenario_section(run):
@@ -154,8 +156,8 @@ def test_evolve_matches_psi_bin(run):
     out = root / "psi.bin"
     code, _ = run_cli("evolve", "--config", scenario, "--out", out)
     assert code == cli.EXIT_OK
-    values, grid, _ = read_grid(out)
-    expected, expected_grid, _ = read_grid(pipeline_dir / "psi.bin")
+    values, grid = read_grid(out)
+    expected, expected_grid = read_grid(pipeline_dir / "psi.bin")
     assert grid == expected_grid
     np.testing.assert_array_equal(values, expected)
 
@@ -166,7 +168,7 @@ def test_norms_are_the_weighted_norm_evolve_keeps(run):
     root, scenario, pipeline_dir, manifest = run
     code, payload = run_cli("evolve", "--config", scenario, "--out", root / "psi_norm.bin")
     assert code == cli.EXIT_OK
-    values, grid, _ = read_grid(pipeline_dir / "psi.bin")
+    values, grid = read_grid(pipeline_dir / "psi.bin")
     weight = geometry.sphere_metric(grid).volume_density
     assert payload["norm"] == evolution.WaveFunction(values, grid).norm(weight)
     assert abs(payload["norm"] - 1.0) <= 1e-13
@@ -310,10 +312,11 @@ def test_gff_sample_draws_the_pipeline_field(run):
     out = root / "gff.bin"
     code, _ = run_cli("gff-sample", "--size", 9, "--gamma", 1, "--out", out, "--seed", SEED)
     assert code == cli.EXIT_OK
-    values, _, descriptor = read_grid(out)
-    expected, _, _ = read_grid(pipeline_dir / "gff.bin")
+    values, grid = read_grid(out)
+    expected, expected_grid = read_grid(pipeline_dir / "gff.bin")
     assert np.array_equal(values, expected)
-    assert descriptor["seed"] == pipeline.stage_seed(SEED, "gff")
+    # the sampler's own unit square, not the scenario's strategy plane
+    assert grid == expected_grid == GridSpec.from_axes((0.0, 1.0, 9), (0.0, 1.0, 9))
 
 
 def test_manifest_independent_of_threads(tmp_path):
@@ -530,11 +533,12 @@ def test_config_digest_follows_the_metric_file_contents(tmp_path):
     assert digest(paths[1]) == reference
     write_grid(paths[1], geometry.sphere_metric(grid, radius=1.1).values, grid)
     assert digest(paths[1]) != reference
-    # the descriptor counts too: without one the grid comes from the scenario
+    # the grid in the header counts too: the same values on other extents
+    other = GridSpec(((0.0, 2.0),) + grid.extents[1:], grid.counts)
+    write_grid(paths[1], geometry.sphere_metric(grid).values, other)
+    assert digest(paths[1]) != reference
     write_grid(paths[1], geometry.sphere_metric(grid).values, grid)
     assert digest(paths[1]) == reference
-    Path(str(paths[1]) + ".json").unlink()
-    assert digest(paths[1]) != reference
 
 
 LIE_FIELDS = {
@@ -892,6 +896,14 @@ def test_cascade_overflow_at_tiny_kappa_is_a_numerical_error(kappa):
     assert f"kappa = {kappa}" in err
 
 
+@pytest.mark.parametrize("kappa", ["inf", "-inf", "nan"])
+def test_non_finite_kappa_exits_with_validation_code(kappa):
+    # inf once reached the cascade sum as inf * 0 and exited 3
+    code, err = _exit_and_stderr("cascade", f"--kappa={kappa}", "--theta", "3")
+    assert code == cli.EXIT_VALIDATION
+    assert "kappa must be finite" in err and "positive" not in err
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(-323.0, 308.0),
@@ -923,8 +935,9 @@ def _corrupt(data, mutation):
     return bytes(flipped)
 
 
-# header bytes (magic, flags, counts, shape) are 0:64 of a 3-axis rank-2 file
-_positions = st.one_of(st.integers(0, 63), st.integers(0, 2**20))
+# header bytes (magic, flags, support, counts, shape, extents) are 0:112 of
+# a 3-axis rank-2 file
+_positions = st.one_of(st.integers(0, 111), st.integers(0, 2**20))
 _mutations = st.tuples(
     st.sampled_from(["truncate", "extend", "flip", "flip"]),
     _positions,
@@ -1009,17 +1022,33 @@ def test_unwritable_output_path_exits_with_validation_code(tmp_path, monkeypatch
     assert list((tmp_path / "out").iterdir()) == []
 
 
-@pytest.mark.parametrize(
-    "descriptor", ["{not json", '{"grid": {"extents": 5}}', '{"grid": 5}', "5"]
-)
-def test_malformed_grid_descriptor_exits_with_validation_code(tmp_path, descriptor):
+# a sphere metric file on the scenario's grid, support {1}: counts at
+# 24:64, extents at 64:112, payload from 112; (corrupt(data), message)
+BAD_METRIC_FILES = {
+    "old-layout": (lambda d: b"SCGRID01" + d[8:], "old full-grid layout (SCGRID01)"),
+    "mask-bit": (lambda d: d[:20] + (0b1010).to_bytes(4, "little") + d[24:], "beyond its 3"),
+    "nan-extent": (lambda d: d[:64] + struct.pack("<d", np.nan) + d[72:], "must be finite"),
+    "reversed-extent": (
+        lambda d: d[:80] + struct.pack("<dd", 2.5, 0.5) + d[96:], "start < stop"
+    ),
+    "too-many-nodes": (
+        lambda d: d[:24] + struct.pack("<Q", 2**63) + d[32:], "at most 2**40 nodes"
+    ),
+    "truncated-extents": (lambda d: d[:90], "truncated"),
+    "trailing-bytes": (lambda d: d + bytes(8), "8 bytes follow the payload"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_METRIC_FILES))
+def test_malformed_grid_header_exits_with_validation_code(tmp_path, case):
+    corrupt, message = BAD_METRIC_FILES[case]
     metric = write_sphere_metric(tmp_path / "metric.bin")
-    Path(str(metric) + ".json").write_text(descriptor)
+    metric.write_bytes(corrupt(metric.read_bytes()))
     code, err = _exit_and_stderr(
         "geometry", "--metric", metric, "--op", "curvature", "--out", tmp_path / "c.bin"
     )
     assert code == cli.EXIT_VALIDATION
-    assert "cannot read grid descriptor" in err
+    assert message in err and str(metric) in err
     scenario = write_scenario(
         tmp_path / "scenario.json", dict(SCENARIO, metric={"file": str(metric)})
     )
@@ -1027,6 +1056,30 @@ def test_malformed_grid_descriptor_exits_with_validation_code(tmp_path, descript
     code, err = _exit_and_stderr("pipeline", "--scenario", scenario, "--out-dir", out)
     assert code == cli.EXIT_VALIDATION
     assert json.loads((out / "manifest.json").read_text())["failed_stage"] == "geometry"
+
+
+@pytest.mark.parametrize("axis", [0, 2])
+def test_metric_file_declaring_a_huge_constant_axis_runs_on_its_profile(tmp_path, axis):
+    # the payload holds the profile only, so a short file can declare 2**32
+    # nodes on an axis outside the support {1}; geometry then reads, compares
+    # and writes no node beyond the profile
+    metric = write_sphere_metric(tmp_path / "metric.bin")
+    data = metric.read_bytes()
+    offset = 24 + 8 * axis
+    metric.write_bytes(data[:offset] + struct.pack("<Q", 2**32) + data[offset + 8 :])
+    out = tmp_path / "c.bin"
+    code, payload = run_cli("geometry", "--metric", metric, "--op", "curvature", "--out", out)
+    assert code == cli.EXIT_OK
+    scalar, grid = read_grid(out)
+    assert grid.counts[axis] == 2**32 and out.stat().st_size < 1000
+    profile = scalar[0, :, 0]
+    assert payload["scalar_range"] == [float(profile.min()), float(profile.max())]
+    # the scenario's grid has 3 time nodes
+    scenario = write_scenario(
+        tmp_path / "scenario.json", dict(SCENARIO, metric={"file": str(metric)})
+    )
+    code, err = _exit_and_stderr("action", "--config", scenario)
+    assert code == cli.EXIT_VALIDATION and "different grids" in err
 
 
 def test_laplacian_field_off_the_metric_grid_is_rejected(tmp_path):

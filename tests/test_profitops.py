@@ -178,6 +178,9 @@ class TestCascade:
             ((0, 1, 0.5), "consumer count must be at least 1"),
             ((1, 0, 0.5), "sale count must be at least 1"),
             ((1, 1, -0.5), "kappa must be positive"),
+            ((1, 3, float("inf")), "kappa must be finite"),
+            ((1, 3, float("-inf")), "kappa must be finite"),
+            ((1, 3, float("nan")), "kappa must be finite"),
             (("x", 3, 0.5), "consumer count must be an integer, not 'x'"),
             ((2.5, 3, 0.5), "consumer count must be an integer, not 2.5"),
             ((1, 3, "x"), "kappa must be a real number, not 'x'"),
