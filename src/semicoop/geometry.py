@@ -402,29 +402,29 @@ def combined_metric(einstein_bundle, stubbornness_field, gamma):
     return MetricField(_broadcast(factor * g + np.eye(g.shape[-1]), grid), grid)
 
 
-def contracted_christoffel(metric, chris):
-    """``h^{ab} gamma^c_{ab}`` per node, one value per coordinate ``c``."""
-    require_same_grid(metric, chris)
-    return np.einsum("...ab,...cab->...c", metric.inverse, chris.values)
-
-
 def covariant_laplacian(metric, chris, values):
     """Laplace operator of a scalar field in curved coordinates.
 
     Returns ``h^{ab} d_a d_b f - (h^{ab} gamma^c_{ab}) d_c f`` using the
-    module stencils.  On a flat metric this reduces exactly to the plain
-    discrete Laplacian: the inverse metric is the identity, so mixed
-    terms carry zero coefficients and the first-order terms vanish.
+    module stencils, on the joint support of the metric, the connection
+    and the field: derivatives along the other axes are exact zeros, and
+    the result is a read-only view of its profile at every node.  On a
+    flat metric this reduces exactly to the plain discrete Laplacian: the
+    inverse metric is the identity, so mixed terms carry zero
+    coefficients and the first-order terms vanish.
     """
     grid = require_same_grid(metric, chris)
-    d = metric.dim
     f = np.asarray(values)
     if f.shape != grid.shape:
         raise ValidationError("field shape does not match grid")
-    hinv = metric.inverse
-    out = np.zeros(grid.shape, dtype=np.result_type(f.dtype, np.float64))
-    for a in range(d):
-        for b in range(d):
+    n_axes = grid.n_axes
+    axes = _joint_support(n_axes, metric.values, chris.values, f)
+    f = _on_support(f, axes, n_axes)
+    hinv = _on_support(metric.inverse, axes, n_axes)
+    contr = np.einsum("...ab,...cab->...c", hinv, _on_support(chris.values, axes, n_axes))
+    out = np.zeros(f.shape, dtype=np.result_type(f.dtype, np.float64))
+    for a in axes:
+        for b in axes:
             coeff = hinv[..., a, b]
             if a == b:
                 out += coeff * second_derivative(f, grid.spacing(a), a)
@@ -432,10 +432,9 @@ def covariant_laplacian(metric, chris, values):
                 out += coeff * mixed_derivative(
                     f, grid.spacing(a), a, grid.spacing(b), b
                 )
-    contr = contracted_christoffel(metric, chris)
-    for c in range(d):
+    for c in axes:
         out -= contr[..., c] * first_derivative(f, grid.spacing(c), c)
-    return out
+    return _broadcast(out, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ step at a time over every chunk.  The states live in two component-major
 a run grows with the step count.  The run copies its last row into the
 ensemble's ``final`` itself, once the other row is let go.
 
+State component ``k`` is looked up along grid axis ``k``: a state takes
+the coefficients of its nearest grid node, each component rounded on its
+own axis and clamped to the grid.  The step's time indexes no axis (axis
+0 is read at component 0), so the lookup is the same at every step.
+
 The coefficient tables are built on the metric's profile, the grid axes
 along which the metric and its connection vary.  Before the first step
 they are checked for finite values and each of the twelve coefficient
@@ -184,15 +189,14 @@ def _coefficient_block(coeffs):
     ``mu^a`` (rows 0-2) and the diffusion entries ``omega^a_b`` (row
     ``3 + 3b + a``); ``plan[r]`` is ``None`` when row ``r`` is zero, its
     value when it is one number everywhere, and otherwise its index in
-    the block that ``fill(s, x, block)`` writes for the component-major
-    states ``x`` (3, n) at time ``s``, on which the tables do not
-    depend.  The tables are checked for finite values and classified
-    here, once: every entry ``0.0`` or ``-0.0`` makes a zero row, one
-    value everywhere a constant row, and the rows that vary are gathered
-    in one ``take`` from a (varying rows, profile nodes) table, over the
-    axes along which the tables vary, through one nearest-node index on
-    those axes.  Every index is clamped to the grid, so ``fill`` cannot
-    fail and writes finite rows.
+    the block that ``fill(x, block)`` writes for the component-major
+    states ``x`` (3, n).  The tables are checked for finite values and
+    classified here, once: every entry ``0.0`` or ``-0.0`` makes a zero
+    row, one value everywhere a constant row, and the rows that vary are
+    gathered in one ``take`` from a (varying rows, profile nodes) table,
+    over the axes along which the tables vary, through one nearest-node
+    index on those axes.  Every index is clamped to the grid, so ``fill``
+    cannot fail and writes finite rows.
 
     Raises
     ------
@@ -229,7 +233,7 @@ def _coefficient_block(coeffs):
     gathered = np.array(varying).reshape(len(varying), nodes)
     index = _node_indexer(grid, axes)
 
-    def fill(s, x, block):
+    def fill(x, block):
         # indices are clamped to the grid, so "clip" never clips
         np.take(gathered, index(x), axis=1, out=block, mode="clip")
 
@@ -460,7 +464,7 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
             dw[...] = increments[lo:hi, k].T
         x = states[k % 2][:, lo:hi]
         if own.varying:
-            fill(times[k], x, block)
+            fill(x, block)
         _euler_step(x if k else start, states[(k + 1) % 2][:, lo:hi], dw, dt, terms, noise, product)
 
     lock = threading.Lock()

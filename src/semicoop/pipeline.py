@@ -78,16 +78,15 @@ def world(config):
 
 def stubbornness_field(config, grid, curv, seed):
     """Stubbornness stage: ``(gff_grid, field2d, combined)``, one GFF
-    draw on the sampler's unit square and, when it matches the grid's
-    strategy axes, the combined metric it induces (None otherwise)."""
-    gff_cfg = config.data["gff"]
-    size = gff_cfg.get("grid_size") or grid.counts[1]
-    sampler = stubbornness.GFFSampler(size, seed=stage_seed(seed, "gff"))
+    draw on the sampler's unit square with the grid's ``sigma1`` node
+    count per side and, when ``sigma2`` has as many nodes, the combined
+    metric it induces (None otherwise)."""
+    sampler = stubbornness.GFFSampler(grid.counts[1], seed=stage_seed(seed, "gff"))
     field2d = sampler.sample()
     if field2d.shape != (grid.counts[1], grid.counts[2]):
         return sampler.grid, field2d, None
     field3d = np.broadcast_to(field2d, grid.shape)
-    combined = geometry.combined_metric(curv, field3d, float(gff_cfg["gamma"]))
+    combined = geometry.combined_metric(curv, field3d, float(config.data["gff"]["gamma"]))
     return sampler.grid, field2d, combined
 
 

@@ -6,6 +6,12 @@ every range violation found is reported, not just the first.  A parsed
 configuration normalizes to a plain dictionary that round-trips through
 ``to_dict`` unchanged.
 
+A section with defaults takes exactly the keys of its defaults, and
+``profit`` also the numbers its presets read; ``grid``, ``metric`` and
+``firms`` are required, ``polygon`` and ``fields`` optional.  ``gff``
+holds only ``gamma``: the field is drawn on the strategy grid's
+``sigma1`` node count per side.
+
 Some keys are still accepted and validated, but no computed artifact
 depends on them; they enter only the manifest's config digest.
 ``background.preset`` (``identity`` or ``combined``): the action
@@ -42,25 +48,9 @@ from .fieldio import read_grid
 from .grids import GridSpec
 from .polygon import EllipsoidPatch, PolygonAssembly, effective_region
 
-_TOP_KEYS = {
-    "grid",
-    "metric",
-    "background",
-    "gff",
-    "firms",
-    "polygon",
-    "fields",
-    "sde",
-    "kernel",
-    "profit",
-    "evolve",
-    "rho_grid",
-    "action",
-}
-
 _DEFAULTS = {
     "background": {"preset": "identity"},
-    "gff": {"gamma": 1.0, "grid_size": None},
+    "gff": {"gamma": 1.0},
     "sde": {"steps": 16, "paths": 256, "horizon": 1.0},
     "kernel": {
         "mass": 10000.0,
@@ -76,43 +66,14 @@ _DEFAULTS = {
     "rho_grid": 64,
 }
 
-_SECTION_KEYS = {
-    "grid": {"time", "sigma1", "sigma2"},
-    "metric": {"preset", "file", "matrix", "radius"},
-    "background": {"preset"},
-    "gff": {"gamma", "grid_size"},
-    "sde": {"steps", "paths", "horizon"},
-    "kernel": set(_DEFAULTS["kernel"]),
-    "profit": {"preset", "value", "base", "exponent", "peak", "curvature", "vertex"},
-    "evolve": {"packet_width", "steps"},
-    "action": {"ghost", "fp_det"},
-    "firm": {
-        "share",
-        "strategy",
-        "alpha_own",
-        "alpha_other",
-        "coop_own",
-        "coop_other",
-        "stubbornness",
-        "area",
-    },
-    "polygon": {"indicator", "positive_count", "sides"},
-    "side": {"area", "radius", "curvature", "theta", "rho", "tau"},
-    "fields": {"v", "u"},
-    "field": {"drift", "noise"},
-    "noise": {"fourier_seed", "modes"},
-    "timed": {"base", "rate"},
-}
+# sections without defaults: required, and optional (absent or null)
+_REQUIRED = ("grid", "metric", "firms")
+_OPTIONAL = ("polygon", "fields")
+_TOP_KEYS = {*_DEFAULTS, *_REQUIRED, *_OPTIONAL}
 
 METRIC_PRESETS = ("flat", "sphere", "constant")
 BACKGROUND_PRESETS = ("identity", "combined")
 PROFIT_PRESETS = ("constant", "region_power", "rho_quadratic")
-
-
-def _check_keys(section, data, name, problems):
-    unknown = set(data) - _SECTION_KEYS[section]
-    if unknown:
-        problems.append(f"{name}: unknown keys {sorted(unknown)}")
 
 
 @dataclass
@@ -251,10 +212,7 @@ _POSITIVE = dict(lo=0, lo_open=True)
 # (the defaults make the required ones present), ``optional`` lets it be null
 _NUMBER_FIELDS = {
     "metric": {"radius": dict(_POSITIVE, square=True)},
-    "gff": {
-        "gamma": dict(lo=0, hi=2, lo_open=True),
-        "grid_size": dict(lo=4, integer=True, optional=True),
-    },
+    "gff": {"gamma": dict(lo=0, hi=2, lo_open=True)},
     "sde": {
         "steps": dict(lo=2, integer=True),
         "paths": dict(lo=2, integer=True),  # final_variance uses ddof=1
@@ -295,6 +253,37 @@ _NUMBER_FIELDS = {
     },
     "noise": {"fourier_seed": dict(lo=0, integer=True), "modes": dict(lo=1, integer=True)},
 }
+
+# the keys each object may hold: a defaulted section exactly its defaults',
+# and profit also the numbers its presets read
+_SECTION_KEYS = {
+    **{key: set(value) for key, value in _DEFAULTS.items() if isinstance(value, dict)},
+    "profit": {*_DEFAULTS["profit"], *_NUMBER_FIELDS["profit"]},
+    "grid": {"time", "sigma1", "sigma2"},
+    "metric": {"preset", "file", "matrix", "radius"},
+    "firm": {
+        "share",
+        "strategy",
+        "alpha_own",
+        "alpha_other",
+        "coop_own",
+        "coop_other",
+        "stubbornness",
+        "area",
+    },
+    "polygon": {"indicator", "positive_count", "sides"},
+    "side": {"area", "radius", "curvature", "theta", "rho", "tau"},
+    "fields": {"v", "u"},
+    "field": {"drift", "noise"},
+    "noise": {"fourier_seed", "modes"},
+    "timed": {"base", "rate"},
+}
+
+
+def _check_keys(section, data, name, problems):
+    unknown = set(data) - _SECTION_KEYS[section]
+    if unknown:
+        problems.append(f"{name}: unknown keys {sorted(unknown)}")
 
 
 def _square_overflows(value):
@@ -361,7 +350,8 @@ def _validate_axis(axis, name, problems, square_spacing):
     start, stop, count = axis
     ends = _validate_range(start, f"{name}.start", problems)
     ends &= _validate_range(stop, f"{name}.stop", problems)
-    if ends and stop <= start:
+    # compared as the floats the grid holds: 2**53 and 2**53 + 1 are one float
+    if ends and float(stop) <= float(start):
         problems.append(f"{name}: start must be below stop")
     counted = _validate_range(count, f"{name}.count", problems, lo=3, integer=True)
     if square_spacing and ends and counted and _square_overflows((stop - start) / (count - 1)):
@@ -478,7 +468,7 @@ def parse_scenario(path_or_dict):
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         problems.append(f"unknown top-level keys {sorted(map(str, unknown))}")
-    for key in ("grid", "metric", "firms"):
+    for key in _REQUIRED:
         if key not in raw:
             problems.append(f"missing required section '{key}'")
     data = {}
@@ -487,15 +477,16 @@ def parse_scenario(path_or_dict):
         if isinstance(default, dict) and isinstance(value, dict):
             value = {**default, **value}
         data[key] = json.loads(json.dumps(value)) if isinstance(value, dict) else value
-    for key in ("grid", "metric", "firms", "polygon", "fields"):
+    for key in (*_REQUIRED, *_OPTIONAL):
         if key in raw:
             data[key] = json.loads(json.dumps(raw[key]))
 
     if problems:
         raise ValidationError("invalid scenario", problems)
 
-    sections = ["grid", "metric", *(k for k, v in _DEFAULTS.items() if isinstance(v, dict))]
-    sections += [k for k in ("polygon", "fields") if data.get(k) is not None]
+    # a section with a key table is an object (firms is a list of them)
+    sections = [k for k in (*_REQUIRED, *_DEFAULTS) if k in _SECTION_KEYS]
+    sections += [k for k in _OPTIONAL if data.get(k) is not None]
     for key in sections:
         if not isinstance(data[key], dict):
             problems.append(f"{key}: expected an object")

@@ -105,6 +105,12 @@ RESTORED = {
         "def pullbacks(config):\n    jac = config.embedding_jacobian()\n"
         "    return jac @ np.swapaxes(jac, -1, -2)\n",
     ),
+    "geometry.contracted_christoffel": (
+        "geometry",
+        "def covariant_laplacian(",
+        "def contracted_christoffel(metric, chris):\n"
+        "    return np.einsum(\"...ab,...cab->...c\", metric.inverse, chris.values)\n\n\n",
+    ),
     "market.path_payoffs": (
         "market",
         None,

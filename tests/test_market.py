@@ -167,7 +167,11 @@ class LeftTheDomain(Exception):
     pass
 
 
-def raising_at(monkeypatch, paths, steps, at, slow=None):
+# the increment of every step and component of ``raising_at``'s paths
+SMALL_INCREMENT = 0.01
+
+
+def raising_at(monkeypatch, x0, paths, steps, at, slow=None):
     """Small explicit increments, except that a large increment at step
     ``k`` of the first path of chunk ``c``, for each ``(c, k)`` in ``at``,
     makes the coefficient lookup of chunk ``c`` raise a
@@ -177,9 +181,13 @@ def raising_at(monkeypatch, paths, steps, at, slow=None):
     The lookup is the ``fill`` of :func:`market._coefficient_block`,
     wrapped through ``monkeypatch``, so it fails only on tables with a
     varying row.  Returns ``(dw, raised, evaluated)``: the increments,
-    each exception raised by chunk (``raised[c]``) and the time of every
-    lookup, in the order they were made."""
-    dw = np.full((paths, steps, 3), 0.01)
+    each exception raised by chunk (``raised[c]``) and the step of every
+    lookup, in the order they were made.  The lookup sees only states,
+    so the step is read from them: on the sphere tables component 0 has
+    zero drift and unit diffusion, so a chunk's last path, which never
+    takes a large increment, sits at ``x0[0] + k * SMALL_INCREMENT`` at
+    step ``k``."""
+    dw = np.full((paths, steps, 3), SMALL_INCREMENT)
     for c, k in at:
         dw[c * 4096, k, 0] = 1e6 * (c + 1)
     raised, evaluated = {}, []
@@ -189,9 +197,9 @@ def raising_at(monkeypatch, paths, steps, at, slow=None):
     def failing(coeffs):
         fill, plan = classify(coeffs)
 
-        def lookup(s, x, block):
+        def lookup(x, block):
             with lock:
-                evaluated.append(s)
+                evaluated.append(round((x[0, -1] - x0[0]) / SMALL_INCREMENT))
             big = x[0] > 1e5
             if big.any():
                 c = round(x[0, big][0] / 1e6) - 1
@@ -199,7 +207,7 @@ def raising_at(monkeypatch, paths, steps, at, slow=None):
                     time.sleep(0.05)
                 raised[c] = LeftTheDomain(f"chunk {c}")
                 raise raised[c]
-            fill(s, x, block)
+            fill(x, block)
 
         return lookup, plan
 
@@ -532,7 +540,7 @@ class TestComponentMajorKernel:
             assert sink.steps == [0, 1]
             # a failing chunk, and fewer chunks than threads
             with monkeypatch.context() as patch:
-                dw, _, _ = raising_at(patch, paths, 6, [(5, 0)])
+                dw, _, _ = raising_at(patch, self.x0, paths, 6, [(5, 0)])
                 with pytest.raises(LeftTheDomain, match="chunk 5"):
                     simulate(coeffs, self.x0, 1.0, 6, paths, 0, increments=dw, threads=threads)
             assert set(threading.enumerate()) == before
@@ -599,7 +607,7 @@ class TestComponentMajorKernel:
     ):
         # a large increment in chunk 5 makes its lookup fail at step 2
         paths, steps, failing = 12 * 4096 + 7, 6, 5
-        dw, _, evaluated = raising_at(monkeypatch, paths, steps, [(failing, 1)])
+        dw, _, evaluated = raising_at(monkeypatch, self.x0, paths, steps, [(failing, 1)])
         path = tmp_path / "p.bin"
         times = np.linspace(0.0, 1.0, steps + 1)
         with pytest.raises(LeftTheDomain, match=f"^chunk {failing}$"):
@@ -610,8 +618,8 @@ class TestComponentMajorKernel:
         assert writer._next == 3  # rows 0-2 were written, row 2 in the failing round
         # no round started after the failing one: steps 0 and 1 of all 13
         # chunks, and step 2 of chunks 0-5 and of no more than the rest
-        assert evaluated[: 2 * 13] == [times[0]] * 13 + [times[1]] * 13
-        assert set(evaluated[2 * 13 :]) == {times[2]}
+        assert evaluated[: 2 * 13] == [0] * 13 + [1] * 13
+        assert set(evaluated[2 * 13 :]) == {2}
         assert failing + 1 <= len(evaluated[2 * 13 :]) <= (failing + 1 if threads == 1 else 13)
 
     @pytest.mark.parametrize("threads", [1, 2, 4])
@@ -620,7 +628,9 @@ class TestComponentMajorKernel:
         # fail at step 1, chunk 3 only at step 2; chunk 7 fails slowly, so
         # that with more threads chunk 9 fails first
         paths, steps = 12 * 4096 + 7, 4
-        dw, raised, _ = raising_at(monkeypatch, paths, steps, [(3, 1), (9, 0), (7, 0)], slow=7)
+        dw, raised, _ = raising_at(
+            monkeypatch, self.x0, paths, steps, [(3, 1), (9, 0), (7, 0)], slow=7
+        )
         sink = RecordingSink((paths, steps + 1, 3))
         with frequent_switches(), pytest.raises(LeftTheDomain, match="^chunk 7$") as err:
             bounded(simulate, self.sphere(), self.x0, 1.0, steps, paths, 0, increments=dw,
@@ -846,9 +856,9 @@ def gathered_rows(monkeypatch):
     def recording(coeffs):
         fill, plan = classify(coeffs)
 
-        def spy(s, x, block):
+        def spy(x, block):
             shapes.append(block.shape[0])
-            fill(s, x, block)
+            fill(x, block)
 
         return spy, plan
 
@@ -957,7 +967,7 @@ class TestVaryingRowKernel:
         assert sum(r is None for r in plan) == 8
         x = np.array([[0.2, 3.0], [0.7, 2.0], [0.5, -1.0]])
         block = np.empty((2, 2))
-        fill(0.0, x, block)
+        fill(x, block)
         nodes = nearest_node_coefficients(coeffs)
         assert_same_bits(block[0], nodes.drift(0.0, x.T)[:, 1])
         assert_same_bits(block[1], nodes.diffusion(0.0, x.T)[:, 2, 2])

@@ -1082,6 +1082,38 @@ def test_metric_file_declaring_a_huge_constant_axis_runs_on_its_profile(tmp_path
     assert code == cli.EXIT_VALIDATION and "different grids" in err
 
 
+def test_geometry_ops_on_files_declaring_a_huge_time_axis_run_in_3_gib(tmp_path):
+    """A sphere metric file and a field file that each declare 2**32 time
+    nodes on a 9 x 9 strategy grid run every geometry op in a process
+    limited to 3 GiB of address space: each op works on the joint support
+    and writes its profile, and the Laplacian's equals the one on 3 time
+    nodes."""
+    resource = pytest.importorskip("resource")
+    grids = [GridSpec.from_axes((0.0, 1.0, n), (0.5, 2.5, 9), (0.0, 1.0, 9)) for n in (2**32, 3)]
+    theta, phi = grids[0].coordinates(1)[:, None], grids[0].coordinates(2)[None, :]
+    plane = np.cos(theta) * np.sin(3 * phi)
+    metric, field = tmp_path / "metric.bin", tmp_path / "field.bin"
+    write_grid(metric, geometry.sphere_metric(grids[0]).values, grids[0])
+    write_grid(field, np.broadcast_to(plane, grids[0].shape), grids[0])
+    assert (metric.stat().st_size, field.stat().st_size) == (760, 744)
+    limit = 3 * 2**30
+    for op in ("christoffel", "curvature", "laplacian"):
+        out = tmp_path / f"{op}.bin"
+        proc = subprocess.run(
+            [sys.executable, "-m", "semicoop.cli", "geometry", "--metric", str(metric),
+             "--field", str(field), "--op", op, "--out", str(out)],
+            capture_output=True, text=True, env=dict(child_env(), OPENBLAS_NUM_THREADS="1"),
+            timeout=300, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        assert read_grid(out)[1] == grids[0] and out.stat().st_size < 4096
+    small = geometry.sphere_metric(grids[1])
+    expected = geometry.covariant_laplacian(
+        small, geometry.christoffel(small), np.broadcast_to(plane, grids[1].shape)
+    )
+    assert np.array_equal(read_grid(tmp_path / "laplacian.bin")[0][0], expected[0])
+
+
 def test_laplacian_field_off_the_metric_grid_is_rejected(tmp_path):
     metric = write_sphere_metric(tmp_path / "metric.bin")
     grid = read_grid(metric)[1]

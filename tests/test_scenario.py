@@ -17,7 +17,7 @@ SCENARIO = {
     "grid": {"time": [0, 1, 3], "sigma1": [0.5, 2.5, 9], "sigma2": [0, 1, 9]},
     "metric": {"preset": "constant", "matrix": [[1, 0, 0], [0, 2, 0], [0, 0, 1]]},
     "background": {"preset": "combined"},
-    "gff": {"gamma": 1.0, "grid_size": 9},
+    "gff": {"gamma": 1.0},
     "sde": {"steps": 4, "paths": 64, "horizon": 1.0},
     "kernel": {"mass": 100.0, "normalization_samples": 12},
     "profit": {"preset": "rho_quadratic", "peak": 1.0, "curvature": 2.0, "vertex": 0.5},
@@ -95,7 +95,8 @@ def replaced(path, value, doc=SCENARIO):
         (("kernel", "mass"), None, "kernel.mass"),
         (("evolve", "steps"), None, "evolve.steps"),
         (("grid", "time", 2), math.inf, "grid.time.count"),
-        (("gff", "grid_size"), "9", "gff.grid_size"),
+        # two ends that are one float
+        (("grid", "time"), [2**53, 2**53 + 1, 3], "grid.time: start must be below stop"),
         (("metric", "matrix", 1), [0, 2], "metric.matrix[1]"),
         (("action", "ghost"), 1, "action.ghost"),
         (("polygon", "sides", 1, "theta"), 0.1, "polygon.sides[1].theta"),
@@ -168,6 +169,7 @@ CURVATURE_SHAPES = (
     "path, value, problem, command",
     [
         (("fields", "spacing"), 1e-4, "fields: unknown keys ['spacing']", "lie-bracket"),
+        (("gff", "grid_size"), 9, "gff: unknown keys ['grid_size']", "pipeline"),
         (
             ("polygon", "sides", 1, "curvature"),
             {"kind": "sphere", "junk": 5},
@@ -199,12 +201,13 @@ CURVATURE_SHAPES = (
             "polygon-area",
         ),
     ],
-    ids=["fields-spacing", "sphere-junk", "value-junk", "value-and-sphere", "ellipsoid",
-         "area-and-geometry"],
+    ids=["fields-spacing", "gff-grid-size", "sphere-junk", "value-junk", "value-and-sphere",
+         "ellipsoid", "area-and-geometry"],
 )
 def test_invalid_section_is_one_problem(tmp_path, path, value, problem, command):
     """A key no reader takes, a curvature object of no known shape, or a
-    side's geometry beside its precomputed area, is exactly one problem, and its subcommand exits 2 with no traceback."""
+    side's geometry beside its precomputed area, is exactly one problem, and its subcommand exits 2
+    with no traceback and writes nothing."""
     doc = replaced(path, value)
     with pytest.raises(ValidationError) as exc:
         parse_scenario(doc)
@@ -214,10 +217,13 @@ def test_invalid_section_is_one_problem(tmp_path, path, value, problem, command)
     argv = [command, "--scenario", str(scenario)]
     if command == "lie-bracket":
         argv += ["--point", "0.1,0.2,0.3"]
+    if command == "pipeline":
+        argv += ["--out-dir", str(tmp_path / "out")]
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert cli.main(argv) == cli.EXIT_VALIDATION
     assert err.getvalue() == f"validation error: invalid scenario\n  - {problem}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scenario.json"]  # no manifest
 
 
 @pytest.mark.parametrize(
