@@ -55,7 +55,6 @@ from .geometry import (
     _on_support,
     lu_determinants,
 )
-from .grids import require_same_grid
 
 WORLD_DIM = 3
 BACKGROUND_DIM = 11
@@ -111,25 +110,24 @@ def evaluate_action(metric, bracket):
         return float(np.sum(metric.grid.trapezoid_weights() * density))
 
 
-def ghost_action(metric, chris, epsilon_step):
+def ghost_action(metric, epsilon_step):
     """Gauge-fixing action ``(1/(2*pi*eps)) int sqrt(h) e : grad(c)``.
 
     With ``e = I`` and ``c = sigma`` the density ``h^{ac} (d_c c^a +
     gamma^a_{cd} c^d)`` is ``tr h^{-1} + A_d sigma^d`` with ``A_d =
-    h^{ac} gamma^a_{cd}``.  The trace, ``A`` and ``sqrt(h)`` are taken on
-    the joint support of the metric and the connection; only the sum
-    with the coordinates runs over the whole grid.
+    h^{ac} gamma^a_{cd}``, from the metric's connection.  The trace, ``A``
+    and ``sqrt(h)`` are taken on the metric's support; only the sum with
+    the coordinates runs over the whole grid.
     """
     if not epsilon_step > 0:
         raise ValidationError("epsilon step must be positive")
-    grid = require_same_grid(metric, chris)
-    axes = _joint_support(WORLD_DIM, metric.values, chris.values)
-    hinv = _on_support(metric.inverse, axes, WORLD_DIM)
-    pull = np.einsum("...at,...atd->...d", hinv, _on_support(chris.values, axes, WORLD_DIM))
+    grid = metric.grid
+    hinv = metric._profile(metric.inverse)
+    pull = np.einsum("...at,...atd->...d", hinv, metric._profile(metric.connection))
     # sigma^d as an open mesh: axis d of the grid holds coordinate d
     sigma = np.ix_(*(grid.coordinates(k) for k in range(WORLD_DIM)))
     density = sum((pull[..., d] * x for d, x in enumerate(sigma)), np.einsum("...aa->...", hinv))
-    sqrt_h = np.sqrt(_on_support(metric.determinant, axes, WORLD_DIM))
+    sqrt_h = np.sqrt(metric._profile(metric.determinant))
     with np.errstate(over="ignore", invalid="ignore"):  # action.json reports a non-finite one
         integral = float(np.sum(grid.trapezoid_weights() * sqrt_h * density))
     return integral / (2.0 * np.pi * epsilon_step)
@@ -159,12 +157,13 @@ class FPDeterminant:
         return self.singular_node is not None
 
 
-def fp_determinant(metric, chris):
+def fp_determinant(metric):
     """Determinant of the gauge-fixing operator on interior nodes.
 
     The ghost bilinear, restricted to the identity antighost pattern, is
     the square operator ``(F c)^b = sqrt(h) h^{bc} (d_c c^b +
-    gamma^b_{cd} c^d)`` on the ghost vector, with zero boundary values.
+    gamma^b_{cd} c^d)`` on the ghost vector, with zero boundary values and
+    the metric's connection ``gamma``.
     ``d_c`` is the first-order forward difference, so in node-major order
     F couples node ``n`` only to itself and to the later nodes
     ``n + e_c``: F is block upper triangular with the diagonal blocks
@@ -180,11 +179,11 @@ def fp_determinant(metric, chris):
     result singular and names that node, and a non-finite one is a
     :class:`NumericalError`.
     """
-    grid = require_same_grid(metric, chris)
+    grid = metric.grid
     inner = (slice(1, -1),) * WORLD_DIM
     hinv = metric.inverse[inner]
     sqrt_h = np.sqrt(metric.determinant[inner])
-    blocks = np.einsum("...bc,...bcd->...bd", hinv, chris.values[inner])
+    blocks = np.einsum("...bc,...bcd->...bd", hinv, metric.connection[inner])
     diagonal = np.einsum("...bc,c->...b", hinv, 1.0 / np.array(grid.spacings))
     blocks = sqrt_h[..., None, None] * (blocks - diagonal[..., None] * np.eye(WORLD_DIM))
     with np.errstate(over="ignore", invalid="ignore"):

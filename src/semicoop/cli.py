@@ -4,12 +4,14 @@ Subcommands map one-to-one onto the library layers; every command reads
 JSON scenarios, writes binary grids or ensembles plus JSON summaries,
 and prints a JSON result to stdout.  The stage subcommands
 (``simulate-sde``, ``action``, ``kernel-check``, ``evolve``,
-``optimal-rho``) call the pipeline's stage functions, so for the same
-scenario and ``--seed`` they give the numbers ``pipeline`` records;
-``gff-sample`` draws from the same per-stage seed as the pipeline's
-``gff.bin``.  A subcommand accepts only the flags its handler reads,
-except ``kernel-check --seed``: the kernel's mass leak and variance are
-closed forms, and the flag stays so that benchmark commands still parse.
+``optimal-rho``) call the pipeline's stage functions on the scenario's
+metric, which forms its connection and curvature only if a stage reads
+them, so for the same scenario and ``--seed`` they give the numbers
+``pipeline`` records; ``gff-sample`` draws from the same per-stage seed
+as the pipeline's ``gff.bin``.  A subcommand accepts only the flags its
+handler reads, except ``kernel-check --seed``: the kernel's mass leak
+and variance are closed forms, and the flag stays so that benchmark
+commands still parse.
 ``simulate-sde`` and ``pipeline`` step the share SDE on every CPU the
 process may run on unless ``--threads`` says otherwise; the thread count
 changes the speed only, never an output byte.  Exit codes: 0 on
@@ -130,15 +132,14 @@ def _emit(payload):
 def _cmd_geometry(args):
     metric = geometry.MetricField(*read_grid(args.metric))
     grid = metric.grid
-    chris = geometry.christoffel(metric)
     if args.op == "christoffel":
-        write_grid(args.out, chris.values, grid)
+        write_grid(args.out, metric.connection, grid)
         # the profile's range is the field's, read without a pass over the grid
-        profile = _unbroadcast(chris.values, grid.n_axes)
+        profile = _unbroadcast(metric.connection, grid.n_axes)
         _emit({"out": args.out, "max_abs": float(np.abs(profile).max())})
         return
     if args.op == "curvature":
-        bundle = geometry.curvature(metric, chris)
+        bundle = metric.curvature
         write_grid(args.out, bundle.scalar, grid)
         scalar = _unbroadcast(bundle.scalar, grid.n_axes)
         _emit({"out": args.out, "scalar_range": [float(scalar.min()), float(scalar.max())]})
@@ -147,7 +148,7 @@ def _cmd_geometry(args):
         raise ValidationError("laplacian needs --field")
     field, fgrid = read_grid(args.field)
     require_same_grid(grid, fgrid)
-    lap = geometry.covariant_laplacian(metric, chris, field)
+    lap = geometry.covariant_laplacian(metric, field)
     write_grid(args.out, lap, grid)
     _emit({"out": args.out})
 
@@ -188,9 +189,8 @@ def _cmd_gff(args):
 
 def _cmd_sde(args):
     config = parse_scenario(args.scenario)
-    _, metric, chris, _ = pipeline.world(config)
     ensemble, _ = pipeline.simulate_paths(
-        config, metric, chris, args.seed, args.threads, args.out
+        config, config.build_metric(), args.seed, args.threads, args.out
     )
     if args.format == "csv":
         pipeline.export_ensemble_csv(args.out + ".csv", ensemble)
@@ -215,14 +215,13 @@ def _cmd_cascade(args):
 
 def _cmd_action(args):
     config = parse_scenario(args.config)
-    _, metric, chris, curv = pipeline.world(config)
-    bracket = pipeline.action_terms(config, metric, curv)
+    metric = config.build_metric()
+    bracket = pipeline.action_terms(config, metric)
     action_cfg = config.data["action"]
     _emit(
         pipeline.action(
             config,
             metric,
-            chris,
             bracket,
             ghost=args.ghost or action_cfg["ghost"],
             fp_det=args.fp_det or action_cfg["fp_det"],
@@ -232,16 +231,15 @@ def _cmd_action(args):
 
 def _cmd_kernel_check(args):
     config = parse_scenario(args.config)
-    _, metric, _, curv = pipeline.world(config)
-    _, spec, _ = pipeline.kernel(config, pipeline.action_terms(config, metric, curv))
+    _, spec, _ = pipeline.kernel(config, pipeline.action_terms(config, config.build_metric()))
     deviation = evolution.kernel_normalization_check(spec)
     _emit({"normalization_deviation": deviation, "variance": spec.variance})
 
 
 def _cmd_evolve(args):
     config = parse_scenario(args.config)
-    _, metric, _, curv = pipeline.world(config)
-    _, spec, _ = pipeline.kernel(config, pipeline.action_terms(config, metric, curv))
+    metric = config.build_metric()
+    _, spec, _ = pipeline.kernel(config, pipeline.action_terms(config, metric))
     slice_metric, _, psi = pipeline.evolve(config, metric, spec)
     write_grid(args.out, psi.values, slice_metric.grid)
     norm = psi.norm(slice_metric.volume_density)
@@ -250,8 +248,7 @@ def _cmd_evolve(args):
 
 def _cmd_optimal_rho(args):
     config = parse_scenario(args.config)
-    _, metric, _, curv = pipeline.world(config)
-    _emit(pipeline.cooperation(config, metric, curv))
+    _emit(pipeline.cooperation(config, config.build_metric()))
 
 
 def _cmd_pipeline(args):

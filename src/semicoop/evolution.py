@@ -38,7 +38,7 @@ import numpy as np
 
 from .brane import BACKGROUND_DIM
 from .errors import NumericalError, ValidationError
-from .geometry import laplace_operator_matrix
+from .geometry import _unbroadcast, laplace_operator_matrix
 from .grids import GridSpec, dst1, require_same_grid
 
 #: Smallest cooperation degree the search considers.
@@ -175,12 +175,13 @@ def effective_scalar_F(bracket):
     anywhere, since the derivation assumes a strictly increasing scale.
     A metric that does not depend on time gives a bracket that does not
     either, so it sets the flag by construction; every metric preset
-    (flat, matrix, sphere) is such a metric.
+    (flat, matrix, sphere) is such a metric.  ``F`` is formed on the
+    bracket's profile, its broadcast axes cut, and broadcast back.
     """
-    values = np.asarray(bracket, dtype=float) / float(BACKGROUND_DIM)
+    profile = _unbroadcast(np.asarray(bracket, dtype=float), np.ndim(bracket)) / BACKGROUND_DIM
     with np.errstate(invalid="ignore"):  # the kernel stage reports a non-finite scale
-        flag = bool(np.any(np.diff(values, axis=0) <= 0.0))
-    return EffectiveScale(values=values, not_strictly_increasing=flag)
+        flag = len(profile) < len(bracket) or bool(np.any(np.diff(profile, axis=0) <= 0.0))
+    return EffectiveScale(np.broadcast_to(profile, np.shape(bracket)), flag)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ the same order.  The curvature differentiates the connection once more,
 and at the edges that second difference is only first order: on the unit
 sphere the Ricci scalar's error at the colatitude edge row halves with
 the spacing (about 1.14, 0.61, 0.32 and 0.17 at 17, 33, 65 and 129
-nodes), while interior rows converge at second order.
+nodes), while interior rows converge at second order.  A
+:class:`MetricField` forms its connection and curvature on first read,
+so consumers take the metric alone and a run forms only what it reads.
 
 Every node-local quantity is computed on the metric's *support*: the grid
 axes along which its values vary, found by exact comparison of the
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RangeOverflowError, SingularMetricError, ValidationError
-from .grids import GridSpec, require_same_grid
+from .grids import GridSpec
 
 PIVOT_THRESHOLD = 1e-12
 
@@ -178,7 +180,7 @@ def _broadcast(profile, grid):
 
 @dataclass
 class MetricField:
-    """Symmetric matrix field with its determinant, and its inverse on first use.
+    """Symmetric matrix field and its determinant; derived fields form on first use.
 
     Parameters
     ----------
@@ -258,6 +260,16 @@ class MetricField:
         as the combined metric never need it."""
         return _broadcast(np.linalg.inv(self._profile(self.values)), self.grid)
 
+    @functools.cached_property
+    def connection(self):
+        """:func:`christoffel` of this metric, computed when first read."""
+        return christoffel(self)
+
+    @functools.cached_property
+    def curvature(self):
+        """:func:`curvature` of this metric, computed when first read."""
+        return curvature(self)
+
     @property
     def dim(self):
         return self.values.shape[-1]
@@ -266,20 +278,6 @@ class MetricField:
     def volume_density(self):
         """Per-node volume density ``sqrt|det h|``."""
         return _broadcast(np.sqrt(np.abs(self._profile(self.determinant))), self.grid)
-
-
-@dataclass
-class ChristoffelField:
-    """Connection coefficients ``gamma[..., a, b, c]`` symmetric in (b, c)."""
-
-    values: np.ndarray
-    grid: GridSpec
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape[: self.grid.n_axes] != self.grid.shape or v.ndim != self.grid.n_axes + 3:
-            raise ValidationError("connection field shape does not match grid")
-        self.values = v
 
 
 @dataclass
@@ -306,7 +304,8 @@ def christoffel(metric):
     metric's profile: derivatives along axes outside ``metric.support``
     are exact zeros.  The lower-index symmetry is exact because the two
     symmetric derivative terms are accumulated commutatively and the
-    metric is stored exactly symmetric.
+    metric is stored exactly symmetric.  ``gamma[..., a, b, c]`` is
+    returned as a read-only view of its profile at every node.
 
     Parameters
     ----------
@@ -327,11 +326,11 @@ def christoffel(metric):
     t = (np.swapaxes(dh, -3, -2) + np.moveaxis(dh, -3, -1)) - dh
     hinv = metric._profile(metric.inverse)
     gamma = 0.5 * np.einsum("...ad,...dbc->...abc", hinv, t, optimize=True)
-    return ChristoffelField(_broadcast(gamma, grid), grid)
+    return _broadcast(gamma, grid)
 
 
-def curvature(metric, chris):
-    """Ricci, scalar and Einstein tensors from the connection.
+def curvature(metric):
+    """Ricci, scalar and Einstein tensors from the metric's connection.
 
     Ricci ``R_{bd} = d_a gamma^a_{db} - d_d gamma^a_{ab} + gamma^a_{ae}
     gamma^e_{db} - gamma^a_{de} gamma^e_{ab}`` is Riemann ``R^a_{bcd}``
@@ -339,12 +338,12 @@ def curvature(metric, chris):
     ``d**4`` components per node cost most of the layer's time and memory,
     and no caller reads them.  The scalar is the inverse-metric contraction
     of Ricci, and the Einstein combination is assembled from those.  All
-    of it runs on the joint support of the metric and the connection.
+    of it runs on the metric's support, where alone its connection varies.
     """
-    grid = require_same_grid(metric, chris)
+    grid = metric.grid
     d = metric.dim
-    axes = _joint_support(grid.n_axes, metric.values, chris.values)
-    g = _on_support(chris.values, axes, grid.n_axes)
+    axes = metric.support
+    g = metric._profile(metric.connection)
     trace = np.einsum("...aab->...b", g)
     # d_a gamma^a_{db} comes out indexed [d, b]; gamma is symmetric in (d, b)
     ricci = np.zeros(g.shape[:-1])
@@ -355,9 +354,9 @@ def curvature(metric, chris):
     ricci -= dtrace
     ricci += np.einsum("...e,...edb->...bd", trace, g, optimize=True)
     ricci -= np.einsum("...ade,...eab->...bd", g, g, optimize=True)
-    hinv = _on_support(metric.inverse, axes, grid.n_axes)
+    hinv = metric._profile(metric.inverse)
     scalar = np.einsum("...bd,...bd->...", hinv, ricci)
-    h = _on_support(metric.values, axes, grid.n_axes)
+    h = metric._profile(metric.values)
     einstein = ricci - 0.5 * scalar[..., None, None] * h
     return CurvatureBundle(
         _broadcast(ricci, grid), _broadcast(scalar, grid), _broadcast(einstein, grid), grid
@@ -402,26 +401,26 @@ def combined_metric(einstein_bundle, stubbornness_field, gamma):
     return MetricField(_broadcast(factor * g + np.eye(g.shape[-1]), grid), grid)
 
 
-def covariant_laplacian(metric, chris, values):
+def covariant_laplacian(metric, values):
     """Laplace operator of a scalar field in curved coordinates.
 
     Returns ``h^{ab} d_a d_b f - (h^{ab} gamma^c_{ab}) d_c f`` using the
-    module stencils, on the joint support of the metric, the connection
-    and the field: derivatives along the other axes are exact zeros, and
-    the result is a read-only view of its profile at every node.  On a
+    module stencils and the metric's connection, on the joint support of
+    the metric and the field: derivatives along the other axes are exact
+    zeros, and the result is a read-only view of its profile at every node.  On a
     flat metric this reduces exactly to the plain discrete Laplacian: the
     inverse metric is the identity, so mixed terms carry zero
     coefficients and the first-order terms vanish.
     """
-    grid = require_same_grid(metric, chris)
+    grid = metric.grid
     f = np.asarray(values)
     if f.shape != grid.shape:
         raise ValidationError("field shape does not match grid")
     n_axes = grid.n_axes
-    axes = _joint_support(n_axes, metric.values, chris.values, f)
+    axes = _joint_support(n_axes, metric.values, f)
     f = _on_support(f, axes, n_axes)
     hinv = _on_support(metric.inverse, axes, n_axes)
-    contr = np.einsum("...ab,...cab->...c", hinv, _on_support(chris.values, axes, n_axes))
+    contr = np.einsum("...ab,...cab->...c", hinv, _on_support(metric.connection, axes, n_axes))
     out = np.zeros(f.shape, dtype=np.result_type(f.dtype, np.float64))
     for a in axes:
         for b in axes:

@@ -131,19 +131,18 @@ def _node_indexer(grid, axes):
     return index
 
 
-def derive_coefficients(metric, chris):
+def derive_coefficients(metric):
     """Geometry-consistent drift and diffusion tables.
 
-    They are computed on the joint support of the metric and the
-    connection and broadcast to the grid.  The metric must be positive
+    They are computed from the metric and its connection on the metric's
+    support and broadcast to the grid.  The metric must be positive
     definite on its grid (the simulation slice is Riemannian); the first
     node, in C order, where the Cholesky factorization fails is reported
     by index.
     """
     grid = metric.grid
-    axes = _joint_support(grid.n_axes, metric.values, chris.values)
-    hinv = _on_support(metric.inverse, axes, grid.n_axes)
-    mu = -0.5 * np.einsum("...bc,...abc->...a", hinv, _on_support(chris.values, axes, grid.n_axes))
+    hinv = metric._profile(metric.inverse)
+    mu = -0.5 * np.einsum("...bc,...abc->...a", hinv, metric._profile(metric.connection))
     try:
         omega = np.linalg.cholesky(hinv)
     except np.linalg.LinAlgError:

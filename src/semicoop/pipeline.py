@@ -1,16 +1,20 @@
 """End-to-end pipeline: geometry, stubbornness, dynamics, action, kernel,
 evolution, cooperation search.
 
-Each stage is a public function that takes the scenario plus the outputs
-of earlier stages and returns its numbers without writing files; the
-per-stage CLI subcommands call the same functions.  ``run_pipeline``
-chains them, writes every stage's artifacts into the output directory
-and closes the run with a manifest of content hashes.  The manifest is a
-pure function of (scenario, seed, package version): the GFF draw and the
-share paths, the only random stages, seed from the master seed split by
-fixed labels (:func:`stage_seed`), the kernel stage reports closed forms,
-worker threads only change scheduling, and no output embeds a timestamp.
-A stage failure produces a partial manifest naming the failed stage.
+Each stage is a public function that takes the scenario and its metric,
+from :meth:`ScenarioConfig.build_metric`, plus the outputs of earlier
+stages, and returns its numbers without writing files; the per-stage CLI
+subcommands call the same functions.  A stage reads the grid, the
+connection and the curvature from the metric, which forms the latter two
+on first read, so a command forms only what its stages read.
+``run_pipeline`` chains the stages, writes every stage's artifacts into
+the output directory and closes the run with a manifest of content
+hashes.  The manifest is a pure function of (scenario, seed, package
+version): the GFF draw and the share paths, the only random stages, seed
+from the master seed split by fixed labels (:func:`stage_seed`), the
+kernel stage reports closed forms, worker threads only change
+scheduling, and no output embeds a timestamp.  A stage failure produces
+a partial manifest naming the failed stage.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from numpy.random import SeedSequence
 from . import __version__, brane, evolution, geometry, market, stubbornness
 from .errors import NumericalError, SemicoopError, ValidationError
 from .fieldio import EnsembleWriter, open_output, sha256_of, write_grid
-from .grids import GridSpec, require_same_grid
+from .grids import GridSpec
 from .polygon import effective_region
 
 STAGE_LABELS = {"gff": 101, "sde": 202}
@@ -62,35 +66,28 @@ def _config_digest(config, seed):
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def world(config):
-    """Geometry stage: ``(grid, metric, christoffel, curvature)``.
-
-    A metric read from a file must live on the scenario's grid, which
-    every later stage takes from the metric.
-    """
-    grid = config.build_grid()
-    metric = config.build_metric(grid)
-    require_same_grid(grid, metric)
-    chris = geometry.christoffel(metric)
-    curv = geometry.curvature(metric, chris)
-    return grid, metric, chris, curv
-
-
-def stubbornness_field(config, grid, curv, seed):
+def stubbornness_field(config, metric, seed):
     """Stubbornness stage: ``(gff_grid, field2d, combined)``, one GFF
     draw on the sampler's unit square with the grid's ``sigma1`` node
     count per side and, when ``sigma2`` has as many nodes, the combined
-    metric it induces (None otherwise)."""
-    sampler = stubbornness.GFFSampler(grid.counts[1], seed=stage_seed(seed, "gff"))
+    metric it induces from the metric's curvature (None otherwise); a
+    count the sampler rejects names ``grid.sigma1``."""
+    grid = metric.grid
+    gff_seed = stage_seed(seed, "gff")
+    try:
+        sampler = stubbornness.GFFSampler(grid.counts[1], seed=gff_seed)
+    except ValidationError as exc:
+        raise ValidationError(f"grid.sigma1 has {grid.counts[1]} nodes: {exc}") from exc
     field2d = sampler.sample()
     if field2d.shape != (grid.counts[1], grid.counts[2]):
         return sampler.grid, field2d, None
     field3d = np.broadcast_to(field2d, grid.shape)
-    combined = geometry.combined_metric(curv, field3d, float(config.data["gff"]["gamma"]))
+    gamma = float(config.data["gff"]["gamma"])
+    combined = geometry.combined_metric(metric.curvature, field3d, gamma)
     return sampler.grid, field2d, combined
 
 
-def simulate_paths(config, metric, chris, seed, threads, path):
+def simulate_paths(config, metric, seed, threads, path):
     """SDE stage: the share ensemble of the scenario's firm,
     streamed into the ensemble file at ``path`` one time step at a time
     as the simulation finishes them.
@@ -109,7 +106,7 @@ def simulate_paths(config, metric, chris, seed, threads, path):
     times = np.linspace(0.0, horizon, steps + 1)
     with EnsembleWriter(path, times, paths, market.STATE_DIM) as writer:
         ensemble = market.simulate(
-            market.derive_coefficients(metric, chris),
+            market.derive_coefficients(metric),
             config.firm["share"],
             horizon=horizon,
             steps=steps,
@@ -121,9 +118,10 @@ def simulate_paths(config, metric, chris, seed, threads, path):
     return ensemble, (writer.sha256, writer.nbytes)
 
 
-def action_terms(config, metric, curv, u_own=None):
-    """Per-node action bracket of the world volume, curvature potential
-    included, with the profit at ``u_own`` (the firm's strategy if None).
+def action_terms(config, metric, u_own=None):
+    """Per-node action bracket of the world volume, the metric's curvature
+    potential included, with the profit at ``u_own`` (the firm's strategy
+    if None).
 
     The brane is in static gauge: its embedding is the world coordinates
     on the first three transverse slots, so the bracket is the closed
@@ -137,19 +135,21 @@ def action_terms(config, metric, curv, u_own=None):
     firm = config.firm
     profit = config.profit(firm["strategy"] if u_own is None else u_own)
     weight = profit * firm.get("stubbornness", 1.0)
-    return brane.scalar_action_terms(metric, curv.scalar, weight, exponent, measure, mean_share)
+    return brane.scalar_action_terms(
+        metric, metric.curvature.scalar, weight, exponent, measure, mean_share
+    )
 
 
-def action(config, metric, chris, bracket, ghost, fp_det):
+def action(config, metric, bracket, ghost, fp_det):
     """Action stage: the ``action.json`` payload, with the ghost action
     and the FP log-determinant when asked for (None otherwise); with the
     latter, ``fp_singular_node`` is the node whose block makes the
     operator singular, or None."""
     payload = {"action": brane.evaluate_action(metric, bracket), "ghost": None, "logdet_fp": None}
     if ghost:
-        payload["ghost"] = brane.ghost_action(metric, chris, float(config.data["kernel"]["step"]))
+        payload["ghost"] = brane.ghost_action(metric, float(config.data["kernel"]["step"]))
     if fp_det:
-        fp = brane.fp_determinant(metric, chris)
+        fp = brane.fp_determinant(metric)
         payload["logdet_fp"] = None if fp.singular else fp.log_abs_det
         payload["fp_singular"] = fp.singular
         payload["fp_singular_node"] = fp.singular_node
@@ -158,7 +158,8 @@ def action(config, metric, chris, bracket, ghost, fp_det):
 
 def _initial_scale(bracket):
     """``F0``, the mean effective scale on the initial time plane of ``bracket``."""
-    f0 = float(evolution.effective_scalar_F(bracket[:1]).values[0].mean())
+    # summed as a contiguous plane: a broadcast view sums in another order
+    f0 = float(np.ascontiguousarray(evolution.effective_scalar_F(bracket[:1]).values[0]).mean())
     if not np.isfinite(f0):
         raise NumericalError(f"effective scale on the initial time plane is {f0}")
     return f0
@@ -200,7 +201,7 @@ def evolve(config, metric, spec):
     return slice_metric, psi0, psi
 
 
-def cooperation(config, metric, curv):
+def cooperation(config, metric):
     """Cooperation stage: the ``rho.json`` payload of
     :func:`evolution.optimal_rho`, the one place that knows each profit
     preset's maximiser of ``|F0(rho)|``.
@@ -210,7 +211,7 @@ def cooperation(config, metric, curv):
       ``RHO_MIN < vertex < 1`` and ``peak * curvature > 0``, and none
       otherwise.
     - ``constant`` and ``region_power``: the kernel stage's ``F0`` of the
-      bracket on ``metric`` and ``curv`` at the region ``alpha_own**rho``
+      bracket on ``metric`` and its curvature at the region ``alpha_own**rho``
       times the firm's area.  The bracket is affine in ``w^W`` and
       ``w^(1-W)`` with positive plane-mean coefficients, and ``w = p*b``
       is monotone in ``rho``, so ``F0`` is too: no interior maximum.
@@ -236,7 +237,7 @@ def cooperation(config, metric, curv):
 
         def rho_to_scale(rho):
             region = effective_region(area, firm["alpha_own"], rho)
-            return _initial_scale(action_terms(config, metric, curv, region))
+            return _initial_scale(action_terms(config, metric, region))
 
         stationary = ()
     return dataclasses.asdict(evolution.optimal_rho(rho_to_scale, stationary))
@@ -301,14 +302,16 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
     try:
         # reads the metric file, if any, so a failure is the geometry stage's
         manifest["config_digest"] = _config_digest(config, seed)
-        grid, metric, chris, curv = world(config)
+        metric = config.build_metric()
+        grid = metric.grid
+        scalar = metric.curvature.scalar  # first: a failing connection writes nothing
         artifact("metric.bin", write_grid, metric.values, grid)
-        artifact("christoffel.bin", write_grid, chris.values, grid)
-        artifact("ricci_scalar.bin", write_grid, curv.scalar, grid)
+        artifact("christoffel.bin", write_grid, metric.connection, grid)
+        artifact("ricci_scalar.bin", write_grid, scalar, grid)
 
         stage = "stubbornness"
         gamma = float(config.data["gff"]["gamma"])
-        gff_grid, field2d, combined = stubbornness_field(config, grid, curv, seed)
+        gff_grid, field2d, combined = stubbornness_field(config, metric, seed)
         artifact("gff.bin", write_grid, field2d, gff_grid)
         results["stubbornness_measure"] = stubbornness.stubbornness_measure(gamma)
         results["stubbornness_regime"] = stubbornness.regime_note(gamma)
@@ -317,7 +320,7 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
 
         stage = "sde"
         ensemble, (digest, _) = simulate_paths(
-            config, metric, chris, seed, threads, os.path.join(out_dir, "paths.bin")
+            config, metric, seed, threads, os.path.join(out_dir, "paths.bin")
         )
         manifest["artifacts"]["paths.bin"] = digest
         artifact("sde_summary.json", _write_json, ensemble.summary())
@@ -325,11 +328,9 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
             artifact("paths.csv", export_ensemble_csv, ensemble)
 
         stage = "action"
-        bracket = action_terms(config, metric, curv)
+        bracket = action_terms(config, metric)
         action_cfg = config.data["action"]
-        payload = action(
-            config, metric, chris, bracket, action_cfg["ghost"], action_cfg["fp_det"]
-        )
+        payload = action(config, metric, bracket, action_cfg["ghost"], action_cfg["fp_det"])
         artifact("action.json", _write_json, payload)
 
         stage = "kernel"
@@ -347,7 +348,7 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
         results["norm_drift"] = abs(psi.norm(weight) - psi0.norm(weight))
 
         stage = "cooperation"
-        payload = cooperation(config, metric, curv)
+        payload = cooperation(config, metric)
         artifact("rho.json", _write_json, payload)
         results["rho_star"] = payload["rho_star"]
         results["rho_boundary_flag"] = payload["boundary_flag"]

@@ -45,7 +45,7 @@ import numpy as np
 from . import geometry
 from .errors import NumericalError, ValidationError
 from .fieldio import read_grid
-from .grids import GridSpec
+from .grids import GridSpec, require_same_grid
 from .polygon import EllipsoidPatch, PolygonAssembly, effective_region
 
 _DEFAULTS = {
@@ -91,11 +91,14 @@ class ScenarioConfig:
         g = self.data["grid"]
         return GridSpec.from_axes(tuple(g["time"]), tuple(g["sigma1"]), tuple(g["sigma2"]))
 
-    def build_metric(self, grid=None):
-        grid = grid or self.build_grid()
+    def build_metric(self):
+        """The metric every stage reads; a metric file must lie on :meth:`build_grid`."""
+        grid = self.build_grid()
         m = self.data["metric"]
         if "file" in m:
-            return geometry.MetricField(*read_grid(m["file"]))
+            metric = geometry.MetricField(*read_grid(m["file"]))
+            require_same_grid(grid, metric)
+            return metric
         preset = m["preset"]
         if preset == "flat":
             return geometry.flat_metric(grid)

@@ -108,8 +108,9 @@ RESTORED = {
     "geometry.contracted_christoffel": (
         "geometry",
         "def covariant_laplacian(",
-        "def contracted_christoffel(metric, chris):\n"
-        "    return np.einsum(\"...ab,...cab->...c\", metric.inverse, chris.values)\n\n\n",
+        "def contracted_christoffel(metric):\n"
+        "    gamma = metric.connection\n"
+        "    return np.einsum(\"...ab,...cab->...c\", metric.inverse, gamma)\n\n\n",
     ),
     "market.path_payoffs": (
         "market",
@@ -295,8 +296,8 @@ def test_every_optional_parameter_is_passed_or_allowed():
 RESTORED_PARAMETERS = {
     "brane.ghost_action.ghost_c": (
         "brane",
-        "def ghost_action(metric, chris, epsilon_step):",
-        "def ghost_action(metric, chris, epsilon_step, ghost_c=None):",
+        "def ghost_action(metric, epsilon_step):",
+        "def ghost_action(metric, epsilon_step, ghost_c=None):",
     ),
     "evolution.optimal_rho.rho_min": (
         "evolution",
@@ -322,6 +323,11 @@ RESTORED_PARAMETERS = {
         "market",
         "    diffusion_table: np.ndarray = field(repr=False)\n",
         "    diffusion_table: np.ndarray = field(repr=False)\n    drift: object = None\n",
+    ),
+    "scenario.ScenarioConfig.build_metric.grid": (
+        "scenario",
+        "def build_metric(self):",
+        "def build_metric(self, grid=None):",
     ),
     "scenario.ScenarioConfig.build_polygon.quadrature_nodes": (
         "scenario",

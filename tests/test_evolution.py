@@ -136,8 +136,7 @@ class TestEffectiveScale:
 
     def scale(self, metric):
         config = parse_scenario(self.SCENARIO)
-        curv = geometry.curvature(metric, geometry.christoffel(metric))
-        return pipeline.kernel(config, pipeline.action_terms(config, metric, curv))[0]
+        return pipeline.kernel(config, pipeline.action_terms(config, metric))[0]
 
     def test_static_metric_sets_the_flag(self):
         config = parse_scenario(self.SCENARIO)
@@ -535,8 +534,8 @@ def test_every_benchmark_slice_takes_the_mode_path(tmp_path, mode_calls, monkeyp
 def test_every_benchmark_slice_matches_the_eigh_oracle(tmp_path, mode_cases, recurrence_rates):
     # at the pipeline's own F0, as the benchmark runs it
     for name, config in benchmark_configs(tmp_path):
-        _, metric, _, curv = pipeline.world(config)
-        _, spec, _ = pipeline.kernel(config, pipeline.action_terms(config, metric, curv))
+        metric = config.build_metric()
+        _, spec, _ = pipeline.kernel(config, pipeline.action_terms(config, metric))
         slice_metric, psi0, psi = pipeline.evolve(config, metric, spec)
         args, result = mode_cases[-1]
         assert np.abs(result - eigh_modes(*args)).max() <= 1e-12, name
@@ -652,8 +651,7 @@ def rho_config(profit, firm=(), **changes):
 
 def cooperation(config):
     """``pipeline.cooperation`` on the scenario's own world volume."""
-    _, metric, _, curv = pipeline.world(config)
-    return pipeline.cooperation(config, metric, curv)
+    return pipeline.cooperation(config, config.build_metric())
 
 
 def cooperation_spied(config):
@@ -789,8 +787,7 @@ class TestOptimalRho:
         _, rho_to_scale, _ = cooperation_spied(config)
         region = effective_region(2.5, 0.4, rho)
         kernel_config = rho_config(profit, dict(firm, strategy=region, coop_own=rho), metric=metric)
-        _, field, _, curv = pipeline.world(kernel_config)
-        bracket = pipeline.action_terms(kernel_config, field, curv)
+        bracket = pipeline.action_terms(kernel_config, kernel_config.build_metric())
         _, spec, f0 = pipeline.kernel(kernel_config, bracket)
         assert rho_to_scale(rho) == f0 == float((bracket[0] / 11.0).mean())
         assert spec.effective_scale == abs(f0)

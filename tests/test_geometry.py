@@ -12,6 +12,7 @@ from semicoop import (
     SingularMetricError,
     ValidationError,
 )
+from semicoop import evolution
 from semicoop import geometry as geo
 
 
@@ -61,7 +62,7 @@ def rank4_curvature(metric, chris):
     from it."""
     grid = metric.grid
     d = metric.dim
-    g = chris.values
+    g = chris
     dg = [geo.first_derivative(g, grid.spacing(k), axis=k) for k in range(d)]
     riemann = np.empty(grid.shape + (d, d, d, d))
     gg = np.einsum("...ace,...edb->...abcd", g, g)
@@ -135,12 +136,12 @@ class TestChristoffel:
     def test_flat_metric_zero(self):
         grid = GridSpec.from_axes((0, 1, 6), (0, 1, 6), (0, 1, 6))
         chris = geo.christoffel(geo.flat_metric(grid))
-        assert np.abs(chris.values).max() == 0.0
+        assert np.abs(chris).max() == 0.0
 
     def test_sphere_oracle(self):
         grid, metric = sphere_setup(81)
         chris = geo.christoffel(metric)
-        err = np.abs(chris.values - sphere_exact_gamma(grid))
+        err = np.abs(chris - sphere_exact_gamma(grid))
         assert err[2:-2, 2:-2].max() < 1e-3
 
     def test_second_order_convergence(self):
@@ -150,7 +151,7 @@ class TestChristoffel:
             chris = geo.christoffel(metric)
             theta = grid.meshgrid()[0]
             window = (theta >= 0.75) & (theta <= np.pi - 0.75)
-            errors.append(np.abs(chris.values - sphere_exact_gamma(grid))[window].max())
+            errors.append(np.abs(chris - sphere_exact_gamma(grid))[window].max())
         assert 3.5 < errors[0] / errors[1] < 4.5
 
     def test_scale_invariance_exact(self):
@@ -158,17 +159,17 @@ class TestChristoffel:
         grid, metric = sphere_setup(21)
         base = geo.christoffel(metric)
         scaled = geo.christoffel(geo.MetricField(metric.values * 4.0, grid))
-        assert np.array_equal(base.values, scaled.values)
+        assert np.array_equal(base, scaled)
 
     def test_lower_index_symmetry_exact(self):
         grid, metric = sphere_setup(21)
-        gamma = geo.christoffel(metric).values
+        gamma = geo.christoffel(metric)
         assert np.array_equal(gamma, np.swapaxes(gamma, -1, -2))
 
     @pytest.mark.parametrize("name", sorted(CURVED_METRICS))
     def test_matches_component_loop(self, name):
         metric = CURVED_METRICS[name]()
-        got = geo.christoffel(metric).values
+        got = geo.christoffel(metric)
         expected = loop_christoffel(metric)
         if name == "sphere":
             # a diagonal inverse adds exact zeros in any order
@@ -195,9 +196,10 @@ class TestChristoffel:
     def test_grid_mismatch_rejected(self):
         grid_a = GridSpec.from_axes((0, 1, 4), (0, 1, 4))
         grid_b = GridSpec.from_axes((0, 2, 4), (0, 1, 4))
-        chris_b = geo.christoffel(geo.flat_metric(grid_b))
+        psi_b = evolution.gaussian_packet(grid_b, 0.2)
+        spec = evolution.KernelSpec(mass=60.0, step=0.05, effective_scale=1.3)
         with pytest.raises(GridMismatchError):
-            geo.curvature(geo.flat_metric(grid_a), chris_b)
+            evolution.evolve(psi_b, spec, geo.flat_metric(grid_a), 1)
 
 
 class TestCurvature:
@@ -205,7 +207,7 @@ class TestCurvature:
         grid = GridSpec.from_axes((0, 1, 6), (0, 1, 6), (0, 1, 6))
         metric = geo.flat_metric(grid)
         chris = geo.christoffel(metric)
-        bundle = geo.curvature(metric, chris)
+        bundle = geo.curvature(metric)
         assert np.abs(rank4_curvature(metric, chris)[0]).max() < 1e-12
         assert np.abs(bundle.ricci).max() < 1e-12
         assert np.abs(bundle.scalar).max() < 1e-12
@@ -214,7 +216,7 @@ class TestCurvature:
     def test_direct_ricci_matches_rank4_contraction(self, name):
         metric = CURVED_METRICS[name]()
         chris = geo.christoffel(metric)
-        bundle = geo.curvature(metric, chris)
+        bundle = geo.curvature(metric)
         _, ricci, scalar, einstein = rank4_curvature(metric, chris)
         for got, expected in ((bundle.ricci, ricci), (bundle.scalar, scalar), (bundle.einstein, einstein)):
             assert got.shape == expected.shape
@@ -227,31 +229,31 @@ class TestCurvature:
 
     def test_sphere_scalar(self):
         grid, metric = sphere_setup(81)
-        bundle = geo.curvature(metric, geo.christoffel(metric))
+        bundle = geo.curvature(metric)
         assert np.abs(bundle.scalar - 2.0)[2:-2, 2:-2].max() < 1e-2
 
     def test_two_dimensional_einstein_vanishes(self):
         grid, metric = sphere_setup(81)
-        bundle = geo.curvature(metric, geo.christoffel(metric))
+        bundle = geo.curvature(metric)
         assert np.abs(bundle.einstein)[2:-2, 2:-2].max() < 5e-3
 
     def test_einstein_identity_exact(self):
         grid, metric = sphere_setup(31)
-        bundle = geo.curvature(metric, geo.christoffel(metric))
+        bundle = geo.curvature(metric)
         rebuilt = bundle.ricci - 0.5 * bundle.scalar[..., None, None] * metric.values
         assert np.array_equal(bundle.einstein, rebuilt)
 
     def test_ricci_symmetry(self):
         grid, metric = sphere_setup(41)
-        bundle = geo.curvature(metric, geo.christoffel(metric))
+        bundle = geo.curvature(metric)
         asym = np.abs(bundle.ricci - np.swapaxes(bundle.ricci, -1, -2))
         assert asym.max() < 1e-8
 
     def test_mismatched_inputs_rejected(self):
         grid, metric = sphere_setup(21)
         other_grid, other_metric = sphere_setup(31)
-        with pytest.raises(GridMismatchError):
-            geo.curvature(metric, geo.christoffel(other_metric))
+        with pytest.raises(ValidationError, match="field shape does not match grid"):
+            geo.covariant_laplacian(metric, np.cos(other_grid.meshgrid()[0]))
 
 
 class TestCombinedMetric:
@@ -261,7 +263,7 @@ class TestCombinedMetric:
 
     def test_zero_curvature_gives_flat(self):
         grid, flat = self.grid_and_flat()
-        bundle = geo.curvature(flat, geo.christoffel(flat))
+        bundle = geo.curvature(flat)
         field = np.random.default_rng(0).standard_normal(grid.shape)
         combined = geo.combined_metric(bundle, field, gamma=1.3)
         assert np.array_equal(combined.values, flat.values)
@@ -269,7 +271,7 @@ class TestCombinedMetric:
     def test_zero_field_adds_plainly(self):
         grid, flat = self.grid_and_flat()
         curved = geo.constant_metric(grid, np.diag([2.0, 1.0, 1.0]))
-        bundle = geo.curvature(curved, geo.christoffel(curved))
+        bundle = geo.curvature(curved)
         # constant metric: einstein tensor is exactly zero, so force a
         # synthetic bundle to exercise the blend (its arrays are read-only)
         bundle = dataclasses.replace(
@@ -282,7 +284,7 @@ class TestCombinedMetric:
     def test_single_node_exponential_weight(self):
         grid, flat = self.grid_and_flat()
         curved = geo.flat_metric(grid)
-        bundle = geo.curvature(curved, geo.christoffel(curved))
+        bundle = geo.curvature(curved)
         bundle = dataclasses.replace(
             bundle, einstein=np.broadcast_to(np.diag([0.25, 0.25, 0.25]), bundle.einstein.shape)
         )
@@ -293,14 +295,14 @@ class TestCombinedMetric:
 
     def test_gamma_range_enforced(self):
         grid, flat = self.grid_and_flat()
-        bundle = geo.curvature(flat, geo.christoffel(flat))
+        bundle = geo.curvature(flat)
         for gamma in (0.0, -1.0, 2.5):
             with pytest.raises(ValidationError):
                 geo.combined_metric(bundle, np.zeros(grid.shape), gamma)
 
     def test_overflow_reports_node(self):
         grid, flat = self.grid_and_flat()
-        bundle = geo.curvature(flat, geo.christoffel(flat))
+        bundle = geo.curvature(flat)
         field = np.zeros(grid.shape)
         field[2, 1, 3] = 800.0
         with pytest.raises(RangeOverflowError, match=r"node \(2, 1, 3\)") as err:
@@ -312,27 +314,24 @@ class TestCovariantLaplacian:
     def test_quadratic_gives_constant(self):
         grid = GridSpec.from_axes((0, 1, 11), (0, 1, 11))
         metric = geo.flat_metric(grid)
-        chris = geo.christoffel(metric)
         xs, _ = grid.meshgrid()
-        lap = geo.covariant_laplacian(metric, chris, 0.5 * xs**2)
+        lap = geo.covariant_laplacian(metric, 0.5 * xs**2)
         assert np.abs(lap - 1.0).max() < 1e-10
 
     def test_plane_wave_eigenfunction(self):
         grid = GridSpec.from_axes((0, 1, 81), (0, 1, 9))
         metric = geo.flat_metric(grid)
-        chris = geo.christoffel(metric)
         xs, _ = grid.meshgrid()
         kappa = 3.0
         wave = np.exp(1j * kappa * xs)
-        lap = geo.covariant_laplacian(metric, chris, wave)
+        lap = geo.covariant_laplacian(metric, wave)
         err = np.abs(lap + kappa**2 * wave)[2:-2, 2:-2].max()
         assert err < 5e-3
 
     def test_sphere_harmonic_eigenfunction(self):
         grid, metric = sphere_setup(121, theta_lo=0.4)
-        chris = geo.christoffel(metric)
         theta = grid.meshgrid()[0]
-        lap = geo.covariant_laplacian(metric, chris, np.cos(theta))
+        lap = geo.covariant_laplacian(metric, np.cos(theta))
         err = np.abs(lap + 2.0 * np.cos(theta))[2:-2, 2:-2].max()
         assert err < 1e-3
 
@@ -389,9 +388,8 @@ class TestCovariantLaplacian:
     def test_flat_equals_plain_laplacian(self):
         grid = GridSpec.from_axes((0, 1, 13), (0, 1, 9))
         metric = geo.flat_metric(grid)
-        chris = geo.christoffel(metric)
         field = np.sin(grid.meshgrid()[0] * 3.0) + np.cos(grid.meshgrid()[1])
-        curved = geo.covariant_laplacian(metric, chris, field)
+        curved = geo.covariant_laplacian(metric, field)
         plain = sum(geo.second_derivative(field, grid.spacing(a), a) for a in range(2))
         assert np.array_equal(curved, plain)
 
@@ -508,29 +506,29 @@ class TestSupport:
     def test_profile_matches_full_grid(self, axes):
         metric = support_metric(axes)
         chris = geo.christoffel(metric)
-        bundle = geo.curvature(metric, chris)
+        bundle = geo.curvature(metric)
         varying, det, hinv, g, ricci, scalar = full_grid_geometry(metric)
         assert metric.support == axes == tuple(varying)
         # the per-node LU and inverse give the same bits on the profile
         assert np.array_equal(metric.determinant, det)
         assert np.array_equal(metric.inverse, hinv)
-        for got, expected in ((chris.values, g), (bundle.ricci, ricci), (bundle.scalar, scalar)):
+        for got, expected in ((chris, g), (bundle.ricci, ricci), (bundle.scalar, scalar)):
             assert got.shape == expected.shape
             assert np.abs(got - expected).max() <= 1e-15 * np.abs(expected).max()
         off = [k for k in range(3) if k not in axes]
-        for got in (metric.inverse, chris.values, bundle.ricci, bundle.scalar, bundle.einstein):
+        for got in (metric.inverse, chris, bundle.ricci, bundle.scalar, bundle.einstein):
             assert constant_along(got, off)
 
     @pytest.mark.parametrize("axes", [(1,), (1, 2)], ids=str)
     def test_all_axes_derivatives_differ_only_by_rounding(self, axes):
         metric = support_metric(axes)
         chris = geo.christoffel(metric)
-        bundle = geo.curvature(metric, chris)
+        bundle = geo.curvature(metric)
         g, ricci, scalar = all_axes_geometry(metric)
         # the one-sided edge stencil along a constant axis leaves rounding
         # noise, which the profile replaces by exact zeros
         assert not constant_along(g, [k for k in range(3) if k not in axes])
-        assert np.abs(chris.values - g).max() <= 1e-14 * np.abs(g).max()
+        assert np.abs(chris - g).max() <= 1e-14 * np.abs(g).max()
         assert np.abs(bundle.ricci - ricci).max() <= 1e-12 * np.abs(ricci).max()
         assert np.abs(bundle.scalar - scalar).max() <= 1e-12 * np.abs(scalar).max()
 
@@ -539,14 +537,14 @@ class TestSupport:
         metric = geo.sphere_metric(grid)
         assert metric.support == (1,)
         chris = geo.christoffel(metric)
-        bundle = geo.curvature(metric, chris)
+        bundle = geo.curvature(metric)
         # nothing varies along the time axis: every entry with a time index is 0
-        assert not np.any(chris.values[..., 0, :, :])
-        assert not np.any(chris.values[..., :, 0, :])
+        assert not np.any(chris[..., 0, :, :])
+        assert not np.any(chris[..., :, 0, :])
         assert not np.any(bundle.ricci[..., 0, :])
         # the profile is one theta column, broadcast as a read-only view
-        assert chris.values.strides[0] == chris.values.strides[2] == 0
-        assert not chris.values.flags.writeable
+        assert chris.strides[0] == chris.strides[2] == 0
+        assert not chris.flags.writeable
 
     def test_support_of_broadcast_and_nan_fields(self):
         grid = GridSpec.from_axes((0, 1, 4), (0, 1, 5), (0, 1, 6))

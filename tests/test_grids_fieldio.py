@@ -185,7 +185,7 @@ def test_read_view_keeps_its_values_when_simulate_writes_the_file_again(tmp_path
     # the writer swaps the new file in, so the old map still holds the old file
     grid = GridSpec.from_axes((0.0, 1.0, 3), (0.5, 2.5, 5), (0.0, 1.0, 5))
     metric = geometry.sphere_metric(grid)
-    coeffs = market.derive_coefficients(metric, geometry.christoffel(metric))
+    coeffs = market.derive_coefficients(metric)
     path = tmp_path / "paths.bin"
 
     def simulate(seed):

@@ -234,7 +234,7 @@ class TestDeriveCoefficients:
     def test_flat_metric(self):
         grid = GridSpec.from_axes((0, 1, 5), (0, 1, 5), (0, 1, 5))
         metric = geo.flat_metric(grid)
-        coeffs = derive_coefficients(metric, geo.christoffel(metric))
+        coeffs = derive_coefficients(metric)
         assert np.abs(coeffs.drift_table).max() == 0.0
         assert np.allclose(coeffs.diffusion_table, np.eye(3))
 
@@ -242,14 +242,14 @@ class TestDeriveCoefficients:
         # inverse metric diag(1/4,1,1) has Cholesky factor diag(1/2,1,1)
         grid = GridSpec.from_axes((0, 1, 5), (0, 1, 5), (0, 1, 5))
         metric = geo.constant_metric(grid, np.diag([4.0, 1.0, 1.0]))
-        coeffs = derive_coefficients(metric, geo.christoffel(metric))
+        coeffs = derive_coefficients(metric)
         assert np.allclose(coeffs.diffusion_table[2, 2, 2], np.diag([0.5, 1.0, 1.0]))
         assert np.abs(coeffs.drift_table).max() == 0.0
 
     def test_sphere_drift_oracle(self):
         grid = GridSpec.from_axes((0.4, np.pi - 0.4, 81), (0.0, 1.0, 9))
         metric = geo.sphere_metric(grid)
-        coeffs = derive_coefficients(metric, geo.christoffel(metric))
+        coeffs = derive_coefficients(metric)
         theta = grid.meshgrid()[0]
         expected = 0.5 / np.tan(theta)
         err = np.abs(coeffs.drift_table[..., 0] - expected)[2:-2].max()
@@ -258,7 +258,7 @@ class TestDeriveCoefficients:
     def test_diffusion_identity_random_nodes(self):
         grid = GridSpec.from_axes((0.5, np.pi - 0.5, 17), (0.0, 1.0, 9), (0.0, 1.0, 5))
         metric = axis0_sphere(grid)
-        coeffs = derive_coefficients(metric, geo.christoffel(metric))
+        coeffs = derive_coefficients(metric)
         rng = np.random.default_rng(0)
         for _ in range(50):
             node = tuple(rng.integers(0, n) for n in grid.shape)
@@ -269,15 +269,15 @@ class TestDeriveCoefficients:
         grid = GridSpec.from_axes((0.5, np.pi - 0.5, 17), (0.0, 1.0, 9), (0.0, 1.0, 5))
         metric = axis0_sphere(grid)
         chris = geo.christoffel(metric)
-        coeffs = derive_coefficients(metric, chris)
-        contraction = 0.5 * np.einsum("...bc,...abc->...a", metric.inverse, chris.values)
+        coeffs = derive_coefficients(metric)
+        contraction = 0.5 * np.einsum("...bc,...abc->...a", metric.inverse, chris)
         assert np.abs(coeffs.drift_table + contraction).max() < 1e-12
 
     def test_indefinite_metric_rejected(self):
         grid = GridSpec.from_axes((0, 1, 4), (0, 1, 4), (0, 1, 4))
         metric = geo.constant_metric(grid, np.diag([-1.0, 1.0, 1.0]))
         with pytest.raises(SingularMetricError):
-            derive_coefficients(metric, geo.christoffel(metric))
+            derive_coefficients(metric)
 
 
 class TestSimulate:
@@ -391,7 +391,7 @@ def test_sphere_brownian_motion_laws():
     that covers the chart, so that no clamp to the grid biases the law."""
     grid = GridSpec.from_axes((0.0, 1.0, 3), (0.02, np.pi - 0.02, 257), (-np.pi, np.pi, 5))
     metric = geo.sphere_metric(grid)
-    coeffs = derive_coefficients(metric, geo.christoffel(metric))
+    coeffs = derive_coefficients(metric)
     theta0, phi0 = 1.0, 0.5
     times = {64: 0.25, 128: 0.5, 256: 1.0}
     sink = RowsAt(times)
@@ -439,7 +439,7 @@ class TestComponentMajorKernel:
             metric = geo.sphere_metric(self.grid)
         else:
             metric = sheared_sphere_metric(self.grid)
-        return derive_coefficients(metric, geo.christoffel(metric))
+        return derive_coefficients(metric)
 
     def reference(self, coeffs, **kw):
         return reference_simulate(
@@ -448,11 +448,11 @@ class TestComponentMajorKernel:
 
     def sphere(self):
         metric = geo.sphere_metric(self.grid)
-        return derive_coefficients(metric, geo.christoffel(metric))
+        return derive_coefficients(metric)
 
     def test_sheared_diffusion_is_full(self):
         metric = sheared_sphere_metric(self.grid)
-        omega = derive_coefficients(metric, geo.christoffel(metric)).diffusion_table
+        omega = derive_coefficients(metric).diffusion_table
         assert np.all(np.abs(np.tril(omega[2, 4, 4])[np.tril_indices(3)]) > 1e-3)
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -642,7 +642,7 @@ class TestComponentMajorKernel:
 
     def test_non_finite_table_names_step(self):
         metric = geo.sphere_metric(self.grid)
-        coeffs = derive_coefficients(metric, geo.christoffel(metric))
+        coeffs = derive_coefficients(metric)
         coeffs.drift_table = coeffs.drift_table.copy()
         coeffs.drift_table[4, 7, 1, 2] = np.nan
         coeffs.drift_table[4, 8, 0, 1] = np.inf
@@ -651,7 +651,7 @@ class TestComponentMajorKernel:
         with pytest.raises(NumericalError, match=r"non-finite coefficients at node \(4, 7, 1\)"):
             simulate(coeffs, self.x0, 1.0, 4, 10, 0)
         # a node along the constant axes is named with index 0 there
-        coeffs = derive_coefficients(metric, geo.christoffel(metric))
+        coeffs = derive_coefficients(metric)
         table = coeffs.diffusion_table[:1, :, :1].copy()
         table[0, 6, 0, 2, 1] = np.nan
         coeffs.diffusion_table = np.broadcast_to(table, coeffs.diffusion_table.shape)
@@ -671,7 +671,7 @@ class TestStepBlocks:
     @pytest.fixture(scope="class")
     def coeffs(self):
         metric = sheared_sphere_metric(self.grid)
-        return derive_coefficients(metric, geo.christoffel(metric))
+        return derive_coefficients(metric)
 
     @pytest.mark.parametrize("paths", [1, 4095, 4097])
     @pytest.mark.parametrize("steps", [2, 7, 37, 128])
@@ -707,7 +707,7 @@ class TestStepBlocks:
         # on a sphere: (3, n) increments, the 2 gathered rows and 2 rows
         # for the noise sum and a product, whatever the step count
         metric = geo.sphere_metric(self.grid)
-        plan = market._coefficient_block(derive_coefficients(metric, geo.christoffel(metric)))[1]
+        plan = market._coefficient_block(derive_coefficients(metric))[1]
         scratch = market._StepScratch(4096, plan)
         assert scratch.flat.nbytes == (3 + 2 + 2) * 4096 * 8
         dw, block, noise, product, _ = scratch.views(1000)
@@ -775,13 +775,13 @@ class TestSupportLookup:
 
     def coeffs(self, axes):
         metric = support_metric(axes, self.grid)
-        return metric, derive_coefficients(metric, geo.christoffel(metric))
+        return metric, derive_coefficients(metric)
 
     @pytest.mark.parametrize("axes", [(1,), (1, 2), (0, 1, 2)], ids=str)
     def test_tables_match_full_grid(self, axes):
         metric, coeffs = self.coeffs(axes)
         hinv = np.linalg.inv(np.array(metric.values))
-        gamma = np.array(geo.christoffel(metric).values)
+        gamma = np.array(geo.christoffel(metric))
         mu = -0.5 * np.einsum("...bc,...abc->...a", hinv, gamma)
         assert np.abs(coeffs.drift_table - mu).max() <= 1e-15 * np.abs(mu).max()
         assert np.array_equal(coeffs.diffusion_table, np.linalg.cholesky(hinv))
@@ -918,7 +918,7 @@ class TestVaryingRowKernel:
         # oracle: zero drift and unit diffusion, so each state is the
         # running sum of the start and the increments before it
         metric = geo.flat_metric(self.grid)
-        coeffs = derive_coefficients(metric, geo.christoffel(metric))
+        coeffs = derive_coefficients(metric)
         assert not coeffs.drift_table.any()
         assert np.array_equal(coeffs.diffusion_table, np.broadcast_to(np.eye(3), (5, 9, 9, 3, 3)))
         x0 = np.array([-0.0, 2.3, 0.1])
@@ -956,7 +956,7 @@ class TestVaryingRowKernel:
     @given(radius=st.floats(0.05, 50.0))
     def test_sphere_tables_gather_two_rows(self, radius):
         metric = geo.sphere_metric(self.grid, radius=radius)
-        coeffs = derive_coefficients(metric, geo.christoffel(metric))
+        coeffs = derive_coefficients(metric)
         fill, plan = market._coefficient_block(coeffs)
         # mu^1 and omega^2_2 vary along axis 1; omega^0_0 = 1 and
         # omega^1_1 = 1/r are constant; every other row is zero
@@ -974,7 +974,7 @@ class TestVaryingRowKernel:
 
     def test_sphere_step_gathers_only_the_varying_rows(self, monkeypatch):
         metric = geo.sphere_metric(self.grid, radius=1.7)
-        coeffs = derive_coefficients(metric, geo.christoffel(metric))
+        coeffs = derive_coefficients(metric)
         shapes = gathered_rows(monkeypatch)
         ens = simulate(coeffs, self.x0, 1.0, 8, 5000, 3)
         assert shapes == [2] * 8 * 2

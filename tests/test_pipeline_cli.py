@@ -378,8 +378,8 @@ def poisoned_drift(monkeypatch):
     after the ensemble file was created."""
     derive = market.derive_coefficients
 
-    def poisoned(metric, chris):
-        coeffs = derive(metric, chris)
+    def poisoned(metric):
+        coeffs = derive(metric)
         grid = coeffs.grid
         share = SCENARIO["firms"][0]["share"]
         start = tuple(
@@ -392,6 +392,52 @@ def poisoned_drift(monkeypatch):
         return coeffs
 
     monkeypatch.setattr(market, "derive_coefficients", poisoned)
+
+
+@pytest.fixture
+def geometry_calls(monkeypatch):
+    """The metrics that ``geometry.christoffel`` and ``geometry.curvature``
+    are called on, by function name."""
+    calls = {"christoffel": [], "curvature": []}
+    for name, metrics in calls.items():
+
+        def counted(metric, original=getattr(geometry, name), metrics=metrics):
+            metrics.append(metric)
+            return original(metric)
+
+        monkeypatch.setattr(geometry, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, counts",
+    [(["pipeline", "--out-dir", "out"], (1, 1)), (["simulate-sde", "--out", "paths.bin"], (1, 0))],
+    ids=["pipeline", "simulate-sde"],
+)
+def test_a_command_forms_the_connection_and_curvature_at_most_once(
+    tmp_path, geometry_calls, command, counts
+):
+    # each only on the world metric: neither the evolution slice nor the
+    # combined metric forms a connection, and the share SDE reads no curvature
+    name, flag, out = command
+    path = write_scenario(tmp_path / "scenario.json", SCENARIO)
+    code, _ = run_cli(name, "--scenario", path, flag, tmp_path / out, "--seed", SEED)
+    assert code == cli.EXIT_OK
+    assert tuple(len(metrics) for metrics in geometry_calls.values()) == counts
+    world = parse_scenario(SCENARIO).build_metric()
+    for metric in geometry_calls["christoffel"] + geometry_calls["curvature"]:
+        assert metric is geometry_calls["christoffel"][0]
+        assert metric.grid == world.grid and np.array_equal(metric.values, world.values)
+
+
+def test_a_sigma1_count_too_small_for_the_stubbornness_field_names_its_key(tmp_path):
+    grid = dict(SCENARIO["grid"], sigma1=[0.5, 2.5, 3])
+    path = write_scenario(tmp_path / "scenario.json", dict(SCENARIO, grid=grid))
+    out = tmp_path / "out"
+    code, err = _exit_and_stderr("pipeline", "--scenario", path, "--out-dir", out)
+    assert code == cli.EXIT_VALIDATION
+    assert "grid.sigma1 has 3 nodes" in err
+    assert json.loads((out / "manifest.json").read_text())["failed_stage"] == "stubbornness"
 
 
 def test_failed_simulation_leaves_no_ensemble(tmp_path, poisoned_drift):
@@ -1108,10 +1154,38 @@ def test_geometry_ops_on_files_declaring_a_huge_time_axis_run_in_3_gib(tmp_path)
         assert proc.returncode == cli.EXIT_OK, proc.stderr
         assert read_grid(out)[1] == grids[0] and out.stat().st_size < 4096
     small = geometry.sphere_metric(grids[1])
-    expected = geometry.covariant_laplacian(
-        small, geometry.christoffel(small), np.broadcast_to(plane, grids[1].shape)
-    )
+    expected = geometry.covariant_laplacian(small, np.broadcast_to(plane, grids[1].shape))
     assert np.array_equal(read_grid(tmp_path / "laplacian.bin")[0][0], expected[0])
+
+
+def test_kernel_and_evolve_on_a_huge_time_axis_run_in_3_gib(tmp_path):
+    """On a sphere scenario whose grid declares 2**32 time nodes on a 9 x 9
+    strategy grid, ``kernel-check`` and ``evolve`` run in a process
+    limited to 3 GiB of address space: the effective scale is formed on
+    the bracket's profile, and both print what they print on 3 time
+    nodes."""
+    resource = pytest.importorskip("resource")
+    huge = write_scenario(
+        tmp_path / "huge.json", dict(SCENARIO, grid=dict(SCENARIO["grid"], time=[0, 1, 2**32]))
+    )
+    small = write_scenario(tmp_path / "small.json", SCENARIO)
+    limit = 3 * 2**30
+
+    def run_capped(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "semicoop.cli", *map(str, argv)],
+            capture_output=True, text=True, env=dict(child_env(), OPENBLAS_NUM_THREADS="1"),
+            timeout=300, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        return json.loads(proc.stdout)
+
+    got = run_capped("kernel-check", "--config", huge)
+    assert got == run_cli("kernel-check", "--config", small)[1]
+    got = run_capped("evolve", "--config", huge, "--out", tmp_path / "huge.bin")
+    expected = run_cli("evolve", "--config", small, "--out", tmp_path / "small.bin")[1]
+    assert (got["norm"], got["time"]) == (expected["norm"], expected["time"])
+    assert np.array_equal(read_grid(tmp_path / "huge.bin")[0], read_grid(tmp_path / "small.bin")[0])
 
 
 def test_laplacian_field_off_the_metric_grid_is_rejected(tmp_path):

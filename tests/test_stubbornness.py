@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from semicoop import RangeOverflowError, ValidationError
-from semicoop.geometry import christoffel, combined_metric, curvature, flat_metric
+from semicoop.geometry import combined_metric, curvature, flat_metric
 from semicoop.grids import GridSpec
 from semicoop.stubbornness import (
     BROWNIAN_SURFACE_GAMMA,
@@ -101,7 +101,7 @@ def conformal_factor(field, gamma):
     field = np.asarray(field, dtype=float)
     grid = GridSpec.from_axes(*[(0.0, 1.0, n) for n in field.shape])
     flat = flat_metric(grid)
-    bundle = curvature(flat, christoffel(flat))
+    bundle = curvature(flat)
     bundle = dataclasses.replace(bundle, einstein=np.ones(bundle.einstein.shape))
     return combined_metric(bundle, field, gamma).values[..., 0, 1]
 
