@@ -1,8 +1,11 @@
-"""Golden outputs of reduced copies of the four benchmark workloads.
+"""Golden outputs of reduced copies of the four benchmark workloads, and
+of one scenario on a general metric.
 
 Each case is one workload of ``perfbench/design.json`` on a smaller grid,
-with fewer share paths and steps, run through ``semicoop.cli.main`` in
-this process at a given master seed and thread count.  Its record holds:
+with fewer share paths and steps, or the ``general_metric`` pipeline,
+whose metric file varies along all three axes and couples the two
+strategy axes, run through ``semicoop.cli.main`` in this process at a
+given master seed and thread count.  Its record holds:
 
 - ``manifest``: the text of the pipeline's ``manifest.json``, which
   carries the SHA-256 of every artifact and the scalar results;
@@ -85,7 +88,7 @@ WORKLOADS = {
     },
     "stage_commands": {
         "grid": {"time": [0, 1, 3], "sigma1": [0.5, 2.5, 9], "sigma2": [0, 1, 9]},
-        "metric_file": {"radius_range": [0.9, 1.1]},
+        "metric_file": {"preset": "sphere", "radius_range": [0.9, 1.1]},
         "scenario": {"sde": {"steps": 12, "paths": 300, "horizon": 1.0}, "evolve": {"steps": 50}},
         "commands": [
             ["geometry", "--metric", "{metric}", "--op", "curvature",
@@ -98,6 +101,18 @@ WORKLOADS = {
             ["optimal-rho", "--config", "{scenario}"],
             PIPELINE,
         ],
+    },
+    # no workload runs a metric that varies along every axis: this case pins
+    # geometry on full support, the SDE on such a metric and evolve's LU path
+    "general_metric": {
+        "grid": {"time": [0, 1, 5], "sigma1": [0.5, 2.5, 9], "sigma2": [0, 1, 9]},
+        "metric_file": {"preset": "general"},
+        "scenario": {
+            "action": {"ghost": True, "fp_det": True},
+            "sde": {"steps": 16, "paths": 300, "horizon": 1.0},
+            "evolve": {"steps": 20},
+        },
+        "commands": [PIPELINE],
     },
 }
 
@@ -160,11 +175,30 @@ def fingerprint(path):
     }
 
 
+def general_metric_values(grid):
+    """A metric that varies along every axis, with ``r = 1 + 0.2 t``:
+    ``h_00 = 1``, ``h_11 = r^2``, ``h_22 = r^2 sin^2(theta) (1 + 0.1 cos
+    2 pi phi)`` and ``h_12 = 0.05 r^2 sin(theta) sin(2 pi phi)``, on
+    ``(t, theta, phi)``."""
+    t, theta, phi = grid.meshgrid()
+    r2 = (1.0 + 0.2 * t) ** 2
+    values = np.zeros(grid.shape + (3, 3))
+    values[...] = np.eye(3)
+    values[..., 1, 1] = r2
+    values[..., 2, 2] = r2 * np.sin(theta) ** 2 * (1.0 + 0.1 * np.cos(2 * np.pi * phi))
+    values[..., 1, 2] = values[..., 2, 1] = 0.05 * r2 * np.sin(theta) * np.sin(2 * np.pi * phi)
+    return values
+
+
 def _write_metric_file(spec, grid, seed, path):
-    """The stage_commands metric file: a sphere metric whose radius is
-    drawn from the seed, as the benchmark draws it."""
+    """A case's metric file: a sphere metric whose radius is drawn from
+    the seed, as the benchmark draws it for stage_commands, or the
+    general metric."""
     from semicoop import fieldio, geometry
 
+    if spec["preset"] == "general":
+        fieldio.write_grid(path, general_metric_values(grid), grid)
+        return
     lo, hi = spec["radius_range"]
     radius = lo + (hi - lo) * float(np.random.default_rng(seed).random())
     fieldio.write_grid(path, geometry.sphere_metric(grid, radius=radius).values, grid)

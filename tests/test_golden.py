@@ -1,5 +1,6 @@
 """Every artifact, manifest and stage stdout of reduced copies of the four
-benchmark workloads, at seeds 1 and 4 and at one, two and four worker
+benchmark workloads and of a pipeline on a general metric, at seeds 1 and
+4 and at one, two and four worker
 threads (four is more than the two path chunks of ``path_ensemble``),
 against the golden records in ``tests/golden/`` (rewritten by
 ``tests/golden/regenerate.py``).  A mismatch names each file, manifest
@@ -128,6 +129,14 @@ def test_mismatch_names_the_file_and_its_change():
         "relative 2.500e-01",
     ]
     assert mismatches(expected, expected) == []
+
+
+def test_general_metric_case_takes_the_lu_path(tmp_path, monkeypatch):
+    from semicoop import evolution
+
+    # the mode path would fail: the case's strategy slice is not separable
+    monkeypatch.setattr(evolution, "_propagate_modes", None)
+    golden.run_case("general_metric", 1, 1, str(tmp_path))
 
 
 # the grid axes each grid artifact of the reduced world_grid is stored on:
