@@ -36,13 +36,20 @@ it separately as ``action.json["ghost"]``.  :func:`fp_determinant`
 discretizes the ghost operator with first-order forward differences,
 which makes it block upper triangular: its determinant is local by
 construction, a product of one 3x3 determinant per interior node, and a
-singular result names the node whose block is singular.  Integration is
-by tensor-product trapezoid weights, which makes the action exactly
-additive across a partition of the time axis at a grid plane.
+singular result names the node whose block is singular.
+
+Every integrand is a profile over the axes it varies along, and is
+integrated there (:func:`_trapezoid`): by per-axis trapezoid weights
+along those axes, and along every other axis by the rule's exact sums
+``sum w = b - a`` and ``sum w x = (b^2 - a^2)/2``, so no array spans
+the grid.  The rule is the tensor-product trapezoid rule, which makes
+the action additive across a partition of the time axis at a grid
+plane.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,10 +102,36 @@ def scalar_action_terms(metric, ricci_scalar, weight, exponent, measure, mean_sh
     return _broadcast(terms - potential, grid)
 
 
+def _trapezoid(grid, axes, profile, moment=None):
+    """Trapezoid integral over ``grid`` of ``profile``, a field's values
+    on ``axes`` (length 1 along every other axis), times the coordinate
+    along axis ``moment`` if one is given.
+
+    Along each axis of ``axes`` the weights are the rule's, times the
+    coordinates on axis ``moment``; along any other axis they are its
+    sums, ``b - a``, or ``(b^2 - a^2)/2`` on axis ``moment``.  Their
+    product is taken in axis order.
+    """
+    weights = 1.0
+    for k, (a, b) in enumerate(grid.extents):
+        if k in axes:
+            w = np.full(grid.counts[k], grid.spacing(k))
+            w[0] *= 0.5
+            w[-1] *= 0.5
+            if k == moment:
+                w = w * grid.coordinates(k)
+        else:
+            w = np.array([0.5 * (b * b - a * a) if k == moment else b - a])
+        weights = weights * w.reshape([-1 if j == k else 1 for j in range(grid.n_axes)])
+    # elementwise, no tensordot: a run's first BLAS call costs more than this small sum
+    with np.errstate(over="ignore", invalid="ignore"):  # action.json reports a non-finite one
+        return float(np.sum(weights * profile))
+
+
 def evaluate_action(metric, bracket):
     """Trapezoid value of the action ``(1/2) sqrt(h) * bracket`` over the
     world volume, from the bracket that :func:`scalar_action_terms`
-    returns for ``metric``.
+    returns for ``metric``, integrated on the joint support of the two.
 
     Returns the real action value; phase conventions are applied by the
     transition-kernel layer, not here.
@@ -106,8 +139,7 @@ def evaluate_action(metric, bracket):
     axes = _joint_support(WORLD_DIM, bracket, metric.determinant)
     sqrt_h = np.sqrt(_on_support(metric.determinant, axes, WORLD_DIM))
     density = 0.5 * sqrt_h * _on_support(bracket, axes, WORLD_DIM)
-    with np.errstate(over="ignore", invalid="ignore"):  # action.json reports a non-finite one
-        return float(np.sum(metric.grid.trapezoid_weights() * density))
+    return _trapezoid(metric.grid, axes, density)
 
 
 def ghost_action(metric, epsilon_step):
@@ -116,20 +148,19 @@ def ghost_action(metric, epsilon_step):
     With ``e = I`` and ``c = sigma`` the density ``h^{ac} (d_c c^a +
     gamma^a_{cd} c^d)`` is ``tr h^{-1} + A_d sigma^d`` with ``A_d =
     h^{ac} gamma^a_{cd}``, from the metric's connection.  The trace, ``A``
-    and ``sqrt(h)`` are taken on the metric's support; only the sum with
-    the coordinates runs over the whole grid.
+    and ``sqrt(h)`` are taken on the metric's support, and each term
+    ``sqrt(h) A_d sigma^d`` is integrated as ``sqrt(h) A_d`` against the
+    first moment of axis ``d``.
     """
     if not epsilon_step > 0:
         raise ValidationError("epsilon step must be positive")
     grid = metric.grid
     hinv = metric._profile(metric.inverse)
     pull = np.einsum("...at,...atd->...d", hinv, metric._profile(metric.connection))
-    # sigma^d as an open mesh: axis d of the grid holds coordinate d
-    sigma = np.ix_(*(grid.coordinates(k) for k in range(WORLD_DIM)))
-    density = sum((pull[..., d] * x for d, x in enumerate(sigma)), np.einsum("...aa->...", hinv))
     sqrt_h = np.sqrt(metric._profile(metric.determinant))
-    with np.errstate(over="ignore", invalid="ignore"):  # action.json reports a non-finite one
-        integral = float(np.sum(grid.trapezoid_weights() * sqrt_h * density))
+    integral = _trapezoid(grid, metric.support, sqrt_h * np.einsum("...aa->...", hinv))
+    for d in range(WORLD_DIM):
+        integral += _trapezoid(grid, metric.support, sqrt_h * pull[..., d], moment=d)
     return integral / (2.0 * np.pi * epsilon_step)
 
 
@@ -173,24 +204,33 @@ def fp_determinant(metric):
 
     and ``det F`` is the product of the ``det D_n``, local by
     construction.  (Central differences would leave an odd-even null
-    mode on every axis with an odd interior count.)  Returns the
-    determinant of the operator itself (the anticommuting Gaussian
-    convention) as sign and log magnitude; a zero ``det D_n`` makes the
-    result singular and names that node, and a non-finite one is a
-    :class:`NumericalError`.
+    mode on every axis with an odd interior count.)  The blocks are
+    formed on the interior of the metric's profile; each repeats at the
+    ``prod (n_k - 2)`` interior nodes along the axes outside the support,
+    which multiply the log magnitude and raise the sign to that power.
+    Returns the determinant of the operator itself (the anticommuting
+    Gaussian convention) as sign and log magnitude; a zero ``det D_n``
+    makes the result singular and names the first such node in C order,
+    at index 1 on every axis outside the support, and a non-finite one is
+    a :class:`NumericalError`.
     """
     grid = metric.grid
-    inner = (slice(1, -1),) * WORLD_DIM
-    hinv = metric.inverse[inner]
-    sqrt_h = np.sqrt(metric.determinant[inner])
-    blocks = np.einsum("...bc,...bcd->...bd", hinv, metric.connection[inner])
+    # the profile's interior: the one slice along an axis outside the support
+    inner = tuple(slice(1, -1) if k in metric.support else slice(None) for k in range(WORLD_DIM))
+    hinv = metric._profile(metric.inverse)[inner]
+    sqrt_h = np.sqrt(metric._profile(metric.determinant)[inner])
+    blocks = np.einsum("...bc,...bcd->...bd", hinv, metric._profile(metric.connection)[inner])
     diagonal = np.einsum("...bc,c->...b", hinv, 1.0 / np.array(grid.spacings))
     blocks = sqrt_h[..., None, None] * (blocks - diagonal[..., None] * np.eye(WORLD_DIM))
     with np.errstate(over="ignore", invalid="ignore"):
         det, _ = lu_determinants(blocks)
+    # index 0 of the profile's interior is node 1 along every axis
     if not np.all(np.isfinite(det)):
         node = tuple(i + 1 for i in _first_bad_node(~np.isfinite(det)))
         raise NumericalError(f"gauge-fixing block determinant is not finite at node {node}")
     if np.any(det == 0.0):
         return FPDeterminant(0.0, -np.inf, tuple(i + 1 for i in _first_bad_node(det == 0.0)))
-    return FPDeterminant(float(np.prod(np.sign(det))), float(np.sum(np.log(np.abs(det)))))
+    # each block repeats at the interior nodes of every axis outside the support
+    repeats = math.prod(n - 2 for k, n in enumerate(grid.counts) if k not in metric.support)
+    sign = float(np.prod(np.sign(det))) ** (repeats % 2)
+    return FPDeterminant(sign, repeats * float(np.sum(np.log(np.abs(det)))))

@@ -189,8 +189,9 @@ def _cmd_gff(args):
 
 def _cmd_sde(args):
     config = parse_scenario(args.scenario)
+    # the pipeline records the ensemble's digest; this command prints none
     ensemble, _ = pipeline.simulate_paths(
-        config, config.build_metric(), args.seed, args.threads, args.out
+        config, config.build_metric(), args.seed, args.threads, args.out, digest=False
     )
     if args.format == "csv":
         pipeline.export_ensemble_csv(args.out + ".csv", ensemble)

@@ -47,19 +47,19 @@ bytes     content
 
 :class:`EnsembleWriter` is the one writer of that layout: it writes the
 header and times, then each time point's ``(components, paths)`` row
-once, in time order, hashing it on the way, so no file is read back for
-its digest and no page of the file is mapped while it is written.  The
-file is moved in by ``os.replace`` when every row is in, so a map of the
-file it replaces keeps its values.  The writer and the in-memory sink,
-the two sinks of :func:`market.simulate`, and :func:`read_ensemble`,
-which maps the file read-only, see the payload as ``values[path, step,
-component]``, one transposed view: this module alone turns payload
-bytes into arrays.  :func:`read_ensemble` rejects the earlier
+once, in time order, hashing it on the way when asked for a digest, so
+no file is read back for its digest and no page of the file is mapped
+while it is written.  The file is moved in by ``os.replace`` when every
+row is in, so a map of the file it replaces keeps its values.  The
+writer and the in-memory sink, the two sinks of
+:func:`market.simulate`, and :func:`read_ensemble`, which maps the file
+read-only, see the payload as ``values[path, step, component]``, one
+transposed view: this module alone turns payload bytes into arrays.  :func:`read_ensemble` rejects the earlier
 path-major layout, magic ``b"SCPATH01"``.
 
 The writers digest the bytes they write: :func:`write_grid` returns
 ``(sha256, nbytes)`` of its file, and an :class:`EnsembleWriter` holds
-both once its file is in place.
+both once its file is in place, the digest only if asked for one.
 """
 
 from __future__ import annotations
@@ -280,20 +280,20 @@ class _ArraySink:
 
 class EnsembleWriter:
     """Sink of :func:`market.simulate` that writes a path ensemble one
-    time step at a time and hashes it on the way.
+    time step at a time and, with ``digest``, hashes it on the way.
 
     :meth:`step` takes each time point's ``(components, paths)`` state
     row, in time order, one call at a time (possibly from different
     threads, each after the call before has returned), writes it after
-    the rows before it and feeds it to a SHA-256 seeded with the header
-    and times.  Once every row is in, ``values`` (None until then) is the
-    ensemble view of a read-only map of the file, which nothing reads
-    unless asked to, such as a CSV export.
+    the rows before it and, with ``digest``, feeds it to a SHA-256 seeded
+    with the header and times.  Once every row is in, ``values`` (None
+    until then) is the ensemble view of a read-only map of the file,
+    which nothing reads unless asked to, such as a CSV export.
     Use the writer as a context manager::
 
-        with EnsembleWriter(path, times, paths, 3) as writer:
+        with EnsembleWriter(path, times, paths, 3, digest=True) as writer:
             ...  # writer.step(k, row) for each k in range(len(times))
-        writer.sha256, writer.nbytes
+        writer.sha256, writer.nbytes  # sha256 stays None without digest
 
     The file, the only one the writer leaves, is built under ``path +
     ".partial"`` and moved to ``path`` when the block ends without an
@@ -303,7 +303,7 @@ class EnsembleWriter:
     disk, as with ``write``.
     """
 
-    def __init__(self, path, times, paths, components):
+    def __init__(self, path, times, paths, components, digest):
         times = np.ascontiguousarray(times, dtype="<f8")
         shape = (int(paths), times.size, int(components))
         if times.ndim != 1 or 0 in shape:
@@ -315,7 +315,7 @@ class EnsembleWriter:
         self.nbytes = len(head) + 8 * math.prod(shape)
         self.sha256 = None
         self.values = None
-        self._hash = hashlib.sha256(head)
+        self._hash = hashlib.sha256(head) if digest else None
         self._next = 0
         self._partial = self._path + ".partial"
         self._fh = None
@@ -338,8 +338,9 @@ class EnsembleWriter:
             raise ValidationError(f"cannot write ensemble {self._path}: {exc}") from exc
 
     def step(self, k, row):
-        """Write and hash ``row``, the ``(components, paths)`` states at
-        time point ``k``, which must follow the rows written so far."""
+        """Write ``row``, the ``(components, paths)`` states at time point
+        ``k``, which must follow the rows written so far, and hash it with
+        ``digest``."""
         paths, points, components = self._shape
         if k >= points:
             raise ValidationError(f"ensemble step {k} is past the last step {points - 1}")
@@ -351,7 +352,8 @@ class EnsembleWriter:
                 f"{(components, paths)}"
             )
         row = np.ascontiguousarray(row, dtype="<f8")
-        self._hash.update(row)
+        if self._hash is not None:
+            self._hash.update(row)
         try:
             _write_array(self._fh, row)
             if k == points - 1:
@@ -373,7 +375,8 @@ class EnsembleWriter:
                 os.replace(self._partial, self._path)
             except OSError as err:
                 self._discard(err)
-            self.sha256 = self._hash.hexdigest()
+            if self._hash is not None:
+                self.sha256 = self._hash.hexdigest()
             return False
         self._discard()
         if exc_type is None:

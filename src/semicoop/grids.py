@@ -88,18 +88,6 @@ class GridSpec:
             *(self.coordinates(k) for k in range(self.n_axes)), indexing="ij"
         )
 
-    def trapezoid_weights(self):
-        """Tensor-product trapezoid quadrature weights over the box."""
-        w = np.ones(self.shape)
-        for k in range(self.n_axes):
-            wk = np.full(self.counts[k], self.spacing(k))
-            wk[0] *= 0.5
-            wk[-1] *= 0.5
-            shape = [1] * self.n_axes
-            shape[k] = self.counts[k]
-            w = w * wk.reshape(shape)
-        return w
-
     @property
     def cell_volume(self):
         return float(np.prod(self.spacings))

@@ -87,15 +87,16 @@ def stubbornness_field(config, metric, seed):
     return sampler.grid, field2d, combined
 
 
-def simulate_paths(config, metric, seed, threads, path):
+def simulate_paths(config, metric, seed, threads, path, digest):
     """SDE stage: the share ensemble of the scenario's firm,
     streamed into the ensemble file at ``path`` one time step at a time
     as the simulation finishes them.
 
-    Returns ``(ensemble, (sha256, nbytes))`` of that file; the
-    ensemble's ``values`` is a read-only map of the file and its summary
-    reads none of it.  When the simulation fails no file is left at
-    ``path``.
+    Returns ``(ensemble, (sha256, nbytes))`` of that file, the SHA-256
+    None unless ``digest`` asks for it, as a caller that records no
+    digest needs none; the ensemble's ``values`` is a read-only map of
+    the file and its summary reads none of it.  When the simulation
+    fails no file is left at ``path``.
     """
     sde_cfg = config.data["sde"]
     horizon = float(sde_cfg["horizon"])
@@ -104,7 +105,7 @@ def simulate_paths(config, metric, seed, threads, path):
     sde_seed = stage_seed(seed, "sde")
     # simulate's time grid, which the file header holds ahead of the first row
     times = np.linspace(0.0, horizon, steps + 1)
-    with EnsembleWriter(path, times, paths, market.STATE_DIM) as writer:
+    with EnsembleWriter(path, times, paths, market.STATE_DIM, digest=digest) as writer:
         ensemble = market.simulate(
             market.derive_coefficients(metric),
             config.firm["share"],
@@ -320,7 +321,7 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
 
         stage = "sde"
         ensemble, (digest, _) = simulate_paths(
-            config, metric, seed, threads, os.path.join(out_dir, "paths.bin")
+            config, metric, seed, threads, os.path.join(out_dir, "paths.bin"), digest=True
         )
         manifest["artifacts"]["paths.bin"] = digest
         artifact("sde_summary.json", _write_json, ensemble.summary())

@@ -157,6 +157,15 @@ RESTORED = {
         "        extents = tuple(tuple(e) for e in data[\"extents\"])\n"
         "        return cls(extents, tuple(data[\"counts\"]))\n\n",
     ),
+    "grids.GridSpec.trapezoid_weights": (
+        "grids",
+        "    @property\n    def cell_volume(",
+        "    def trapezoid_weights(self):\n"
+        "        w = np.ones(self.shape)\n"
+        "        for k in range(self.n_axes):\n"
+        "            w = w * self.spacing(k)\n"
+        "        return w\n\n",
+    ),
     "grids.GridSpec.subgrid": (
         "grids",
         "    @classmethod\n    def from_axes(",
@@ -311,8 +320,8 @@ RESTORED_PARAMETERS = {
     ),
     "fieldio.EnsembleWriter.seed": (
         "fieldio",
-        "def __init__(self, path, times, paths, components):",
-        "def __init__(self, path, times, paths, components, seed=None):",
+        "def __init__(self, path, times, paths, components, digest):",
+        "def __init__(self, path, times, paths, components, digest, seed=None):",
     ),
     "fieldio.write_grid.extra": (
         "fieldio",

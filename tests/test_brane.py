@@ -62,15 +62,95 @@ def oracle_bracket(metric, weight, exponent):
     return 3.0 + world_term * pw_w - trans_term * pw_1mw
 
 
-def oracle_ghost_action(metric, chris, step):
-    """The ghost action of the general pair ``e = I``, ``c = sigma``."""
+def full_grid_weights(grid):
+    """Tensor-product trapezoid weights at every node of ``grid``: the
+    reference the profile integrals are held to within
+    :func:`summation_bound`."""
+    w = np.ones(grid.shape)
+    for k, n in enumerate(grid.counts):
+        wk = np.full(n, grid.spacing(k))
+        wk[0] *= 0.5
+        wk[-1] *= 0.5
+        w = w * wk.reshape([n if j == k else 1 for j in range(grid.n_axes)])
+    return w
+
+
+def summation_bound(terms):
+    """Higham's bound ``gamma_N sum |x|`` on the rounding error of any
+    order of summing the ``N`` terms: two orders differ by at most twice
+    that."""
+    n = terms.size
+    eps = np.finfo(float).eps / 2
+    return 2 * n * eps / (1 - n * eps) * float(np.sum(np.abs(terms)))
+
+
+def profile_trapezoid(grid, axes, profile, moment=None):
+    """The trapezoid rule on ``profile``, a full-grid integrand cut to
+    ``axes``, in the package's order: per-axis weights, times the
+    coordinates on axis ``moment``, multiplied in axis order; along each
+    other axis the rule's exact sums ``b - a`` and ``(b^2 - a^2)/2``."""
+    weights = 1.0
+    for k, (a, b) in enumerate(grid.extents):
+        shape = [-1 if j == k else 1 for j in range(grid.n_axes)]
+        if k in axes:
+            w = np.full(grid.counts[k], grid.spacing(k))
+            w[[0, -1]] *= 0.5
+            if k == moment:
+                w = w * grid.coordinates(k)
+        else:
+            w = np.array([0.5 * (b * b - a * a) if k == moment else b - a])
+        weights = weights * w.reshape(shape)
+    return float(np.sum(weights * profile))
+
+
+def cut(values, axes):
+    """``values`` on ``axes``, after checking that it is constant along
+    every other axis."""
+    for k in range(3):
+        if k not in axes:
+            assert np.all(values == np.take(values, [0], axis=k)), k
+    return values[tuple(slice(None) if k in axes else slice(0, 1) for k in range(3))]
+
+
+def ghost_parts(metric, chris):
+    """``sqrt(h)`` times the density of the general pair ``e = I``, ``c =
+    sigma``, split as it is affine in ``c``: the part ``e : h^{-1} grad c``
+    of ``c = sigma``, then for each ``d`` the part of the constant ghost
+    ``c = e_d``, which multiplies ``sigma^d``."""
     grid = metric.grid
     ghost_e = np.broadcast_to(np.eye(3), grid.shape + (3, 3))
-    raised = ghost_covariant_derivative(static_embedding(grid)[..., :3], metric, chris)
-    density = np.einsum("...ab,...ab->...", ghost_e, raised)
     sqrt_h = np.sqrt(metric.determinant)
-    integral = float(np.sum(grid.trapezoid_weights() * sqrt_h * density))
+    sigma = static_embedding(grid)[..., :3]
+    raised = ghost_covariant_derivative(sigma, metric, np.zeros(grid.shape + (3, 3, 3)))
+    parts = [sqrt_h * np.einsum("...ab,...ab->...", ghost_e, raised)]
+    for d in range(3):
+        unit = np.broadcast_to(np.eye(3)[d], grid.shape + (3,))
+        raised = ghost_covariant_derivative(unit, metric, chris)
+        parts.append(sqrt_h * np.einsum("...ab,...ab->...", ghost_e, raised))
+    return parts
+
+
+def oracle_ghost_action(metric, chris, step):
+    """The ghost action of the general pair ``e = I``, ``c = sigma``, each
+    part of its density integrated on the metric's profile, the part of
+    ``c = e_d`` against the first moment of axis ``d``."""
+    grid = metric.grid
+    axes = metric.support
+    parts = ghost_parts(metric, chris)
+    integral = profile_trapezoid(grid, axes, cut(parts[0], axes))
+    for d, part in enumerate(parts[1:]):
+        integral += profile_trapezoid(grid, axes, cut(part, axes), moment=d)
     return integral / (2.0 * np.pi * step)
+
+
+def full_grid_ghost_terms(metric, chris, step):
+    """The ghost integrand times the full-grid weights, node by node:
+    their sum is the full-grid trapezoid ghost action."""
+    grid = metric.grid
+    parts = ghost_parts(metric, chris)
+    sigma = grid.meshgrid()
+    density = parts[0] + sum(part * x for part, x in zip(parts[1:], sigma))
+    return full_grid_weights(grid) * density / (2.0 * np.pi * step)
 
 
 def einsum_component(embedding, metric):
@@ -186,16 +266,18 @@ class TestEvaluateAction:
         assert abs(whole - split) <= 1e-12 * abs(whole)
 
     def test_precomputed_terms_give_same_value(self):
-        # the action of the precomputed bracket is the trapezoid action of
-        # the oracle bracket, to the bit on a grid of dyadic spacings
+        # the action of the precomputed bracket is the profile trapezoid
+        # action of the oracle bracket, to the bit on a grid of dyadic
+        # spacings, and the full-grid sum within its rounding bound
         grid = GridSpec.from_axes((0.0, 1.0, 5), (0.5, 2.5, 9), (0.0, 1.0, 5))
         metric = geo.sphere_metric(grid)
         potential = MEASURE * np.full(grid.shape, RICCI) * MEAN_SHARE
         bracket = oracle_bracket(metric, WEIGHT, 0.5) - potential
         density = 0.5 * np.sqrt(metric.determinant) * bracket
-        assert brane.evaluate_action(metric, self.bracket(metric)) == float(
-            np.sum(grid.trapezoid_weights() * density)
-        )
+        action = brane.evaluate_action(metric, self.bracket(metric))
+        assert action == profile_trapezoid(grid, (1,), cut(density, (1,)))
+        terms = full_grid_weights(grid) * density
+        assert abs(action - float(np.sum(terms))) <= summation_bound(terms)
 
     @pytest.mark.parametrize("ricci_axes", [(), (0,), (1,), (0, 2), (0, 1, 2)])
     def test_potential_is_subtracted_node_by_node(self, ricci_axes):
@@ -220,6 +302,26 @@ class TestEvaluateAction:
             bracket_without_potential(plane, WEIGHT, 0.5)
 
 
+def test_profile_trapezoid_is_exact_on_one_and_each_coordinate():
+    # the rule integrates 1 and each sigma^d exactly, up to rounding: on the
+    # profile over one support axis and two cut axes, over all three axes
+    # and over none; sigma^d is the integrand or, as for the ghost, a moment
+    grid = GridSpec.from_axes((0.0, 2.0, 9), (0.5, 3.0, 7), (-1.0, 0.5, 5))
+    volume = 2.0 * 2.5 * 1.5
+    for axes in [(1,), (0, 1, 2), ()]:
+        shape = [n if k in axes else 1 for k, n in enumerate(grid.counts)]
+        one = np.ones(shape)
+        assert brane._trapezoid(grid, axes, one) == pytest.approx(volume, rel=1e-15)
+        for d, (a, b) in enumerate(grid.extents):
+            expected = volume * 0.5 * (a + b)
+            got = brane._trapezoid(grid, axes, one, moment=d)
+            assert got == pytest.approx(expected, rel=1e-15, abs=1e-15), (axes, d)
+            if d in axes:
+                sigma = grid.coordinates(d).reshape([-1 if k == d else 1 for k in range(3)])
+                got = brane._trapezoid(grid, axes, np.broadcast_to(sigma, shape))
+                assert got == pytest.approx(expected, rel=1e-15, abs=1e-15), (axes, d)
+
+
 def stage_grid(counts):
     """The benchmark's world-volume axes at the given node counts."""
     return GridSpec.from_axes((0, 1, counts[0]), (0.5, 2.5, counts[1]), (0, 1, counts[2]))
@@ -233,12 +335,16 @@ DYADIC_COUNTS = [(17, 65, 65), (5, 17, 17), (3, 65, 65)]
 class TestStaticGauge:
     @pytest.mark.parametrize("counts", DYADIC_COUNTS)
     def test_bracket_and_ghost_equal_the_oracle_bitwise(self, counts):
-        # on dyadic spacings the difference stencils give J = I exactly
+        # on dyadic spacings the difference stencils give J = I exactly; the
+        # full-grid trapezoid sum differs from the profile's by rounding only
         metric = geo.sphere_metric(stage_grid(counts))
         terms = bracket_without_potential(metric, WEIGHT, 0.5)
         assert np.array_equal(terms, oracle_bracket(metric, WEIGHT, 0.5))
         chris = geo.christoffel(metric)
-        assert brane.ghost_action(metric, 0.01) == oracle_ghost_action(metric, chris, 0.01)
+        ghost = brane.ghost_action(metric, 0.01)
+        assert ghost == oracle_ghost_action(metric, chris, 0.01)
+        terms = full_grid_ghost_terms(metric, chris, 0.01)
+        assert abs(ghost - float(np.sum(terms))) <= summation_bound(terms)
 
     def test_weight_powers_equal_the_per_node_powers_bitwise(self):
         # the 0-d weight takes numpy's array power, as a per-node weight did
@@ -261,8 +367,9 @@ class TestStaticGauge:
         terms = bracket_without_potential(metric, WEIGHT, 0.5)
         expected = oracle_bracket(metric, WEIGHT, 0.5)
         assert np.abs(terms - expected).max() <= 1e-14 * np.abs(expected).max()
-        chris = geo.christoffel(metric)
-        expected = oracle_ghost_action(metric, chris, 0.01)
+        # and the general pair's density varies along the cut axes by rounding,
+        # so the reference is the full-grid sum
+        expected = float(np.sum(full_grid_ghost_terms(metric, geo.christoffel(metric), 0.01)))
         assert abs(brane.ghost_action(metric, 0.01) - expected) <= 1e-14 * abs(expected)
 
 

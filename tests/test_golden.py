@@ -1,8 +1,7 @@
 """Every artifact, manifest and stage stdout of reduced copies of the four
 benchmark workloads and of a pipeline on a general metric, at seeds 1 and
-4 and at one, two and four worker
-threads (four is more than the two path chunks of ``path_ensemble``),
-against the golden records in ``tests/golden/`` (rewritten by
+4 and at one, two and four worker threads (four is more than the two
+path chunks of ``path_ensemble``), against the golden records in ``tests/golden/`` (rewritten by
 ``tests/golden/regenerate.py``).  A mismatch names each file, manifest
 entry or stdout that moved, with the largest absolute and relative
 change of its values."""

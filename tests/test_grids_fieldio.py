@@ -32,11 +32,6 @@ def test_gridspec_rejects_tiny_axes():
         GridSpec.from_axes((1.0, 0.0, 5), (0.0, 1.0, 5))
 
 
-def test_trapezoid_weights_integrate_volume():
-    grid = GridSpec.from_axes((0.0, 2.0, 9), (0.0, 3.0, 7), (0.0, 0.5, 5))
-    assert np.isclose(grid.trapezoid_weights().sum(), 2.0 * 3.0 * 0.5)
-
-
 # the 2-D grid of the fields below that need no grid of their own
 PLANE = GridSpec.from_axes((0.0, 1.0, 4), (0.0, 2.0, 5))
 
@@ -137,10 +132,10 @@ def test_grid_shape_mismatch_rejected(tmp_path):
         write_grid(tmp_path / "x.bin", np.zeros((3, 5)), PLANE)
 
 
-def write_ensemble(path, times, values):
+def write_ensemble(path, times, values, digest=True):
     """Write ``values[path, step, component]`` through an EnsembleWriter,
     one ``(components, paths)`` row a step."""
-    with EnsembleWriter(path, times, len(values), 3) as writer:
+    with EnsembleWriter(path, times, len(values), 3, digest=digest) as writer:
         for k in range(values.shape[1]):
             writer.step(k, values[:, k].T)
     return writer
@@ -162,7 +157,7 @@ def test_read_ensemble_maps_the_payload_read_only(tmp_path):
     times = np.linspace(0.0, 1.0, points)
     rng = np.random.default_rng(5)
     path = tmp_path / "p.bin"
-    with EnsembleWriter(path, times, paths, 3) as writer:
+    with EnsembleWriter(path, times, paths, 3, digest=True) as writer:
         for k in range(points):
             row = rng.standard_normal((3, paths))
             writer.step(k, row)
@@ -189,7 +184,7 @@ def test_read_view_keeps_its_values_when_simulate_writes_the_file_again(tmp_path
     path = tmp_path / "paths.bin"
 
     def simulate(seed):
-        with EnsembleWriter(path, np.linspace(0.0, 1.0, 9), 5000, 3) as writer:
+        with EnsembleWriter(path, np.linspace(0.0, 1.0, 9), 5000, 3, digest=True) as writer:
             return market.simulate(coeffs, [0.5, 1.5, 0.5], 1.0, 8, 5000, seed, sink=writer)
 
     ensemble = simulate(1)
@@ -274,6 +269,10 @@ def test_writer_bytes_and_digest(tmp_path, paths):
     assert np.array_equal(writer.values, values)
     with pytest.raises(ValueError, match="read-only"):
         writer.values[0, 0, 0] = 1.0
+    # without a digest the writer hashes nothing and writes the same bytes
+    unhashed = write_ensemble(tmp_path / "q.bin", times, values, digest=False)
+    assert (tmp_path / "q.bin").read_bytes() == data
+    assert (unhashed.sha256, unhashed.nbytes) == (None, len(data))
 
 
 def test_write_grid_returns_digest_and_size(tmp_path):
@@ -290,7 +289,7 @@ def test_write_grid_returns_digest_and_size(tmp_path):
 def test_writer_rejects_rows_out_of_order(tmp_path, rows):
     path = tmp_path / "p.bin"
     with pytest.raises(ValidationError, match="out of order|step 5 is past the last step 4"):
-        with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3) as writer:
+        with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3, digest=True) as writer:
             for k in rows:
                 writer.step(k, np.zeros((3, 20)))
     assert writer.values is None
@@ -300,7 +299,8 @@ def test_writer_rejects_rows_out_of_order(tmp_path, rows):
 @pytest.mark.parametrize("shape", [(3, 19), (2, 20), (60,)])
 def test_writer_rejects_a_block_of_other_rows(tmp_path, shape):
     with pytest.raises(ValidationError, match=r"does not hold the states of shape \(3, 20\)"):
-        with EnsembleWriter(tmp_path / "p.bin", np.linspace(0.0, 1.0, 5), 20, 3) as writer:
+        path = tmp_path / "p.bin"
+        with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3, digest=True) as writer:
             writer.step(0, np.zeros(shape))
     assert list(tmp_path.iterdir()) == []
 
@@ -308,12 +308,12 @@ def test_writer_rejects_a_block_of_other_rows(tmp_path, shape):
 def test_writer_leaves_no_file_on_error_or_missing_rows(tmp_path):
     path = tmp_path / "p.bin"
     with pytest.raises(RuntimeError):
-        with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3) as writer:
+        with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3, digest=True) as writer:
             writer.step(0, np.zeros((3, 20)))
             raise RuntimeError("simulation failed")
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(ValidationError, match="steps from 2 of 5 were never finished"):
-        with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3) as writer:
+        with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3, digest=True) as writer:
             writer.step(0, np.zeros((3, 20)))
             writer.step(1, np.zeros((3, 20)))
     assert writer.values is None
@@ -327,7 +327,7 @@ def test_writer_rejects_empty_axis(tmp_path):
         (np.linspace(0.0, 1.0, 5), 4, 0),
     ):
         with pytest.raises(ValidationError, match="empty axis"):
-            EnsembleWriter(tmp_path / "p.bin", times, paths, components)
+            EnsembleWriter(tmp_path / "p.bin", times, paths, components, digest=True)
     assert list(tmp_path.iterdir()) == []
 
 

@@ -550,7 +550,7 @@ class TestComponentMajorKernel:
     def test_out_of_wrong_shape_rejected(self, coeffs, tmp_path):
         # a writer whose rows do not match the simulation's is rejected,
         # and leaves no file
-        times = np.linspace(0.0, 1.0, 18)
+        times, path = np.linspace(0.0, 1.0, 18), tmp_path / "p.bin"
         for paths, points, match in [
             (self.paths, 16, "step 16 is past the last step 15"),
             (self.paths, 18, "never finished"),
@@ -558,7 +558,7 @@ class TestComponentMajorKernel:
             (self.paths + 1, 17, "does not hold the states"),
         ]:
             with pytest.raises(ValidationError, match=match):
-                with EnsembleWriter(tmp_path / "p.bin", times[:points], paths, 3) as writer:
+                with EnsembleWriter(path, times[:points], paths, 3, digest=True) as writer:
                     simulate(coeffs, self.x0, 1.0, 16, self.paths, 5, sink=writer)
             assert list(tmp_path.iterdir()) == []
 
@@ -589,7 +589,7 @@ class TestComponentMajorKernel:
     def test_written_ensemble_equals_the_reference(self, coeffs, tmp_path, threads):
         path = tmp_path / "p.bin"
         times = np.linspace(0.0, 1.0, 17)
-        with EnsembleWriter(path, times, self.paths, 3) as writer:
+        with EnsembleWriter(path, times, self.paths, 3, digest=True) as writer:
             ens = simulate(coeffs, self.x0, 1.0, 16, self.paths, 5, threads=threads, sink=writer)
         ref = self.reference(coeffs)
         assert_same_bits(ens.values, ref)
@@ -611,7 +611,7 @@ class TestComponentMajorKernel:
         path = tmp_path / "p.bin"
         times = np.linspace(0.0, 1.0, steps + 1)
         with pytest.raises(LeftTheDomain, match=f"^chunk {failing}$"):
-            with EnsembleWriter(path, times, paths, 3) as writer:
+            with EnsembleWriter(path, times, paths, 3, digest=True) as writer:
                 simulate(self.sphere(), self.x0, 1.0, steps, paths, 0, increments=dw,
                          threads=threads, sink=writer)
         assert list(tmp_path.iterdir()) == []

@@ -4,6 +4,7 @@ per stage, so for one scenario and seed they must give the same numbers."""
 import argparse
 import ast
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -91,6 +92,40 @@ def test_simulate_sde_writes_the_pipeline_ensemble(run):
     assert out.read_bytes() == (pipeline_dir / "paths.bin").read_bytes()
     # the ensemble file is the only one either writes for it
     assert not list(root.glob("sde.bin?*")) and not list(pipeline_dir.glob("paths.bin?*"))
+
+
+def test_only_the_pipeline_hashes_the_ensemble_it_records(run, tmp_path, monkeypatch):
+    """``simulate-sde`` records no digest, so it feeds no ensemble row to
+    a hash and still writes the pipeline's bytes; ``pipeline`` hashes
+    every row, and its ``paths.bin`` digest is the file's."""
+    root, scenario, pipeline_dir, _ = run
+    real, fed = hashlib.sha256, []
+
+    class RecordingHash:
+        def __init__(self, data=b""):
+            self._hash = real(data)
+
+        def update(self, data):
+            fed.append(memoryview(data).nbytes)
+            self._hash.update(data)
+
+        def hexdigest(self):
+            return self._hash.hexdigest()
+
+    monkeypatch.setattr(hashlib, "sha256", RecordingHash)
+    row = 8 * market.STATE_DIM * SCENARIO["sde"]["paths"]
+    out = root / "unhashed.bin"
+    code, _ = run_cli("simulate-sde", "--scenario", scenario, "--out", out, "--seed", SEED)
+    assert code == cli.EXIT_OK
+    assert row not in fed
+    assert out.read_bytes() == (pipeline_dir / "paths.bin").read_bytes()
+    code, manifest = run_cli(
+        "pipeline", "--scenario", scenario, "--out-dir", tmp_path, "--seed", SEED
+    )
+    assert code == cli.EXIT_OK
+    assert fed.count(row) == SCENARIO["sde"]["steps"] + 1
+    monkeypatch.undo()
+    assert manifest["artifacts"]["paths.bin"] == sha256_of(tmp_path / "paths.bin")
 
 
 def test_action_honours_scenario_section(run):
@@ -1158,17 +1193,23 @@ def test_geometry_ops_on_files_declaring_a_huge_time_axis_run_in_3_gib(tmp_path)
     assert np.array_equal(read_grid(tmp_path / "laplacian.bin")[0][0], expected[0])
 
 
-def test_kernel_and_evolve_on_a_huge_time_axis_run_in_3_gib(tmp_path):
+def test_stages_and_pipeline_on_a_huge_time_axis_run_in_3_gib(tmp_path):
     """On a sphere scenario whose grid declares 2**32 time nodes on a 9 x 9
-    strategy grid, ``kernel-check`` and ``evolve`` run in a process
-    limited to 3 GiB of address space: the effective scale is formed on
-    the bracket's profile, and both print what they print on 3 time
-    nodes."""
+    strategy grid, ``kernel-check``, ``evolve``, ``action --ghost
+    --fp-det`` and ``pipeline`` run in a process limited to 3 GiB of
+    address space: the effective scale is formed and the action
+    integrated on the profile, and the FP blocks are one plane's.
+    ``kernel-check`` and ``evolve`` print what they print on 3 time
+    nodes; so do ``action`` and ``ghost``, as both grids span [0, 1], and
+    ``logdet_fp`` is 2**32 - 2 times that of one plane at the same time
+    spacing.  ``pipeline`` writes its manifest and that action payload."""
     resource = pytest.importorskip("resource")
-    huge = write_scenario(
-        tmp_path / "huge.json", dict(SCENARIO, grid=dict(SCENARIO["grid"], time=[0, 1, 2**32]))
-    )
+    grid = dict(SCENARIO["grid"], time=[0, 1, 2**32])
+    huge = write_scenario(tmp_path / "huge.json", dict(SCENARIO, grid=grid))
     small = write_scenario(tmp_path / "small.json", SCENARIO)
+    # 3 time nodes at the huge grid's time spacing, 1 / (2**32 - 1)
+    plane = dict(grid, time=[0, 2 / (2**32 - 1), 3])
+    plane = write_scenario(tmp_path / "plane.json", dict(SCENARIO, grid=plane))
     limit = 3 * 2**30
 
     def run_capped(*argv):
@@ -1186,6 +1227,20 @@ def test_kernel_and_evolve_on_a_huge_time_axis_run_in_3_gib(tmp_path):
     expected = run_cli("evolve", "--config", small, "--out", tmp_path / "small.bin")[1]
     assert (got["norm"], got["time"]) == (expected["norm"], expected["time"])
     assert np.array_equal(read_grid(tmp_path / "huge.bin")[0], read_grid(tmp_path / "small.bin")[0])
+
+    got = run_capped("action", "--config", huge, "--ghost", "--fp-det")
+    expected = run_cli("action", "--config", small, "--ghost", "--fp-det")[1]
+    for key in ("action", "ghost"):
+        assert got[key] == pytest.approx(expected[key], rel=1e-12, abs=0), key
+    one_plane = run_cli("action", "--config", plane, "--fp-det")[1]["logdet_fp"]
+    assert got["logdet_fp"] == pytest.approx((2**32 - 2) * one_plane, rel=1e-12, abs=0)
+    assert (got["fp_singular"], got["fp_singular_node"]) == (False, None)
+
+    out = tmp_path / "pipeline"
+    manifest = run_capped("pipeline", "--scenario", huge, "--out-dir", out)
+    assert "failed_stage" not in manifest
+    assert json.loads((out / "manifest.json").read_text()) == manifest
+    assert json.loads((out / "action.json").read_text()) == got
 
 
 def test_laplacian_field_off_the_metric_grid_is_rejected(tmp_path):
