@@ -194,7 +194,7 @@ def _cmd_sde(args):
         config, config.build_metric(), args.seed, args.threads, args.out, digest=False
     )
     if args.format == "csv":
-        pipeline.export_ensemble_csv(args.out + ".csv", ensemble)
+        pipeline.export_ensemble_csv(args.out + ".csv", args.out)
     _emit({"out": args.out, "summary": ensemble.summary()})
 
 

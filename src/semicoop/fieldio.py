@@ -48,14 +48,13 @@ bytes     content
 :class:`EnsembleWriter` is the one writer of that layout: it writes the
 header and times, then each time point's ``(components, paths)`` row
 once, in time order, hashing it on the way when asked for a digest, so
-no file is read back for its digest and no page of the file is mapped
-while it is written.  The file is moved in by ``os.replace`` when every
-row is in, so a map of the file it replaces keeps its values.  The
-writer and the in-memory sink, the two sinks of
-:func:`market.simulate`, and :func:`read_ensemble`, which maps the file
-read-only, see the payload as ``values[path, step, component]``, one
-transposed view: this module alone turns payload bytes into arrays.  :func:`read_ensemble` rejects the earlier
-path-major layout, magic ``b"SCPATH01"``.
+no file is read back for its digest.  The file is moved in by
+``os.replace`` when every row is in, so a map of the file it replaces
+keeps its values.  :func:`read_ensemble` is the one reader: it maps the
+payload read-only as ``values[path, step, component]``, a transposed
+view, which the in-memory sink of :func:`market.simulate` shares, so
+this module alone turns payload bytes into arrays.  It rejects the
+earlier path-major layout, magic ``b"SCPATH01"``.
 
 The writers digest the bytes they write: :func:`write_grid` returns
 ``(sha256, nbytes)`` of its file, and an :class:`EnsembleWriter` holds
@@ -286,10 +285,11 @@ class EnsembleWriter:
     row, in time order, one call at a time (possibly from different
     threads, each after the call before has returned), writes it after
     the rows before it and, with ``digest``, feeds it to a SHA-256 seeded
-    with the header and times.  Once every row is in, ``values`` (None
-    until then) is the ensemble view of a read-only map of the file,
-    which nothing reads unless asked to, such as a CSV export.
-    Use the writer as a context manager::
+    with the header and times.  The writer opens the file write-only
+    and maps none of it: once every row is in, ``values`` (None until
+    then) is the file read back through :func:`read_ensemble`; no stage
+    reads it, and the benchmark's tracer reads its shape.  Use the writer
+    as a context manager::
 
         with EnsembleWriter(path, times, paths, 3, digest=True) as writer:
             ...  # writer.step(k, row) for each k in range(len(times))
@@ -311,7 +311,6 @@ class EnsembleWriter:
         self._path = str(path)
         self._shape = shape
         head = _PATH_MAGIC + struct.pack("<QQI I", *shape, 0) + times.tobytes()
-        self._offset = len(head)
         self.nbytes = len(head) + 8 * math.prod(shape)
         self.sha256 = None
         self.values = None
@@ -320,8 +319,7 @@ class EnsembleWriter:
         self._partial = self._path + ".partial"
         self._fh = None
         try:
-            # read as well as write, so the finished file can be mapped
-            self._fh = open(self._partial, "wb+")
+            self._fh = open(self._partial, "wb")
             self._fh.write(head)
         except OSError as exc:
             self._discard(exc)
@@ -358,9 +356,7 @@ class EnsembleWriter:
             _write_array(self._fh, row)
             if k == points - 1:
                 self._fh.flush()
-                # the map keeps its own descriptor of the file; the array keeps the map
-                view = mmap.mmap(self._fh.fileno(), self.nbytes, access=mmap.ACCESS_READ)
-                self.values = _ensemble_view(view, self._offset, self._shape)
+                self.values = read_ensemble(self._partial)[1]
         except OSError as exc:
             self._discard(exc)
         self._next = k + 1

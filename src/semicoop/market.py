@@ -318,6 +318,11 @@ class _StepScratch:
         return self._views
 
 
+def _time_grid(horizon, steps):
+    """A run's ``steps + 1`` times: the ensemble's and its file header's."""
+    return np.linspace(0.0, float(horizon), steps + 1)
+
+
 def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, threads=1, sink=None):
     """Euler-Maruyama ensemble of share paths.
 
@@ -388,8 +393,8 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
         C-contiguous float64 array that is overwritten once the next
         round ends, and after row ``steps`` ``sink.values`` (``(paths,
         steps + 1, 3)``) becomes the ensemble's.  :mod:`fieldio` holds
-        both sinks: an :class:`fieldio.EnsembleWriter` writes the
-        ensemble file, and the default keeps the rows in memory.
+        both sinks: an :class:`fieldio.EnsembleWriter` keeps no rows and
+        reads its finished file back, and the default keeps the rows.
 
     Returns
     -------
@@ -434,7 +439,7 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
 
     dt = float(horizon) / steps
     scale = math.sqrt(dt)
-    times = np.linspace(0.0, float(horizon), steps + 1)
+    times = _time_grid(horizon, steps)
 
     fill, plan = _coefficient_block(coeffs)
     # Step 0 adds to x0 + 0.0: a -0.0 start component becomes +0.0, so no

@@ -29,7 +29,7 @@ from numpy.random import SeedSequence
 
 from . import __version__, brane, evolution, geometry, market, stubbornness
 from .errors import NumericalError, SemicoopError, ValidationError
-from .fieldio import EnsembleWriter, open_output, sha256_of, write_grid
+from .fieldio import EnsembleWriter, open_output, read_ensemble, sha256_of, write_grid
 from .grids import GridSpec
 from .polygon import effective_region
 
@@ -94,17 +94,16 @@ def simulate_paths(config, metric, seed, threads, path, digest):
 
     Returns ``(ensemble, (sha256, nbytes))`` of that file, the SHA-256
     None unless ``digest`` asks for it, as a caller that records no
-    digest needs none; the ensemble's ``values`` is a read-only map of
-    the file and its summary reads none of it.  When the simulation
-    fails no file is left at ``path``.
+    digest needs none; the ensemble's ``values`` is the file read back
+    through :func:`fieldio.read_ensemble`, and its summary reads none of
+    it.  When the simulation fails no file is left at ``path``.
     """
     sde_cfg = config.data["sde"]
     horizon = float(sde_cfg["horizon"])
     steps = int(sde_cfg["steps"])
     paths = int(sde_cfg["paths"])
     sde_seed = stage_seed(seed, "sde")
-    # simulate's time grid, which the file header holds ahead of the first row
-    times = np.linspace(0.0, horizon, steps + 1)
+    times = market._time_grid(horizon, steps)
     with EnsembleWriter(path, times, paths, market.STATE_DIM, digest=digest) as writer:
         ensemble = market.simulate(
             market.derive_coefficients(metric),
@@ -320,13 +319,14 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
             artifact("combined_metric.bin", write_grid, combined.values, grid)
 
         stage = "sde"
+        ensemble_path = os.path.join(out_dir, "paths.bin")
         ensemble, (digest, _) = simulate_paths(
-            config, metric, seed, threads, os.path.join(out_dir, "paths.bin"), digest=True
+            config, metric, seed, threads, ensemble_path, digest=True
         )
         manifest["artifacts"]["paths.bin"] = digest
         artifact("sde_summary.json", _write_json, ensemble.summary())
         if csv:
-            artifact("paths.csv", export_ensemble_csv, ensemble)
+            artifact("paths.csv", export_ensemble_csv, ensemble_path)
 
         stage = "action"
         bracket = action_terms(config, metric)
@@ -364,29 +364,28 @@ def run_pipeline(config, out_dir, seed=0, threads=1, csv=False):
     return manifest
 
 
-def export_ensemble_csv(path, ensemble):
-    """Long-format CSV: one row per (path, step).  The ensemble is read
-    ``_CSV_PATHS`` paths at a time, each block gathered in one copy, so
-    no path is gathered across the whole file on its own.  Returns
-    ``(sha256, nbytes)`` of the file."""
+def export_ensemble_csv(path, ensemble_path):
+    """Long-format CSV, one row per (path, step), of the ensemble file at
+    ``ensemble_path``, read through :func:`fieldio.read_ensemble`
+    ``_CSV_PATHS`` paths at a time, each block gathered in one copy.
+    Every number is formatted once, a path's states in one ``%`` call.
+    Returns ``(sha256, nbytes)`` of the file."""
+    times, values = read_ensemble(ensemble_path)
+    steps = [f"{k},{t:.17g},%.17g,%.17g,%.17g\n" for k, t in enumerate(times.tolist())]
 
     def blocks():
         yield "path,step,time,x0,x1,x2\n"
-        values = ensemble.values
         for lo in range(0, len(values), _CSV_PATHS):
             block = np.ascontiguousarray(values[lo : lo + _CSV_PATHS])
-            for p, rows in enumerate(block, lo):
-                yield "".join(
-                    f"{p},{k},{s:.17g},{x[0]:.17g},{x[1]:.17g},{x[2]:.17g}\n"
-                    for k, (s, x) in enumerate(zip(ensemble.times, rows))
-                )
+            for p, states in enumerate(block.reshape(len(block), -1).tolist(), lo):
+                head = f"{p},"
+                yield (head + head.join(steps)) % tuple(states)
 
     digest = hashlib.sha256()
-    nbytes = 0
     with open_output(path) as fh:
         for text in blocks():
             data = text.encode()
             fh.write(data)
             digest.update(data)
-            nbytes += len(data)
+        nbytes = fh.tell()
     return digest.hexdigest(), nbytes

@@ -31,10 +31,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "semicoop"
 
 # unreached public callables that stay, each with the reason
-ALLOWED_UNREACHED = {
-    "fieldio.read_ensemble": "the reader of the paths.bin format; the benchmark "
-    "reads ensembles back with it",
-}
+ALLOWED_UNREACHED = {}
 
 
 def definitions(package=PACKAGE):

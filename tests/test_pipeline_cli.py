@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semicoop import ValidationError, cli, evolution, geometry, market, pipeline, stubbornness
-from semicoop.fieldio import read_ensemble, read_grid, sha256_of, write_grid
+from semicoop.fieldio import EnsembleWriter, read_ensemble, read_grid, sha256_of, write_grid
 from semicoop.grids import GridSpec
 from semicoop.scenario import parse_scenario
 
@@ -404,6 +404,84 @@ def test_manifest_digests_are_the_files_digests(tmp_path):
     assert np.array_equal(rows[:, 1], np.tile(np.arange(points), paths))
     assert np.array_equal(rows[:, 2], np.tile(times, paths))
     assert np.array_equal(rows[:, 3:], values.reshape(-1, 3))
+
+
+def test_simulate_paths_maps_the_file_only_through_read_ensemble(tmp_path, monkeypatch):
+    # a map made anywhere but in read_ensemble raises
+    import semicoop.fieldio as fieldio
+
+    reading, mapped = [], []
+    read, mmap = fieldio.read_ensemble, fieldio.mmap.mmap
+
+    def reader(path):
+        reading.append(path)
+        try:
+            return read(path)
+        finally:
+            reading.pop()
+
+    def guarded(*args, **kwargs):
+        if not reading:
+            raise AssertionError("the ensemble file was mapped outside read_ensemble")
+        mapped.append(reading[-1])
+        return mmap(*args, **kwargs)
+
+    for module in (fieldio, pipeline):
+        monkeypatch.setattr(module, "read_ensemble", reader)
+    monkeypatch.setattr(fieldio.mmap, "mmap", guarded)
+    config = parse_scenario(write_scenario(tmp_path / "scenario.json", SCENARIO))
+    out = tmp_path / "paths.bin"
+    ensemble, _ = pipeline.simulate_paths(config, config.build_metric(), SEED, 2, out, False)
+    pipeline.export_ensemble_csv(tmp_path / "paths.csv", out)
+    assert len(mapped) == 2 and mapped[1] == out
+    monkeypatch.undo()
+    assert np.array_equal(ensemble.values, read_ensemble(out)[1])
+
+
+def csv_oracle(times, values):
+    """The CSV text of an ensemble, formatting every number of every row
+    on its own, as the export did before it formatted each number once."""
+    rows = ["path,step,time,x0,x1,x2\n"]
+    for lo in range(0, len(values), pipeline._CSV_PATHS):
+        block = np.ascontiguousarray(values[lo : lo + pipeline._CSV_PATHS])
+        for p, path_rows in enumerate(block, lo):
+            rows.append("".join(
+                f"{p},{k},{s:.17g},{x[0]:.17g},{x[1]:.17g},{x[2]:.17g}\n"
+                for k, (s, x) in enumerate(zip(times, path_rows))
+            ))
+    return "".join(rows).encode()
+
+
+def test_csv_export_matches_the_per_row_formatter(tmp_path):
+    # more paths than two blocks, and values whose shortest text differs
+    # from their 17-digit one, with a sign bit, a subnormal and +-1e300
+    paths, points = 2 * pipeline._CSV_PATHS + 3, 4
+    times = np.array([0.0, 1 / 3, 2 / 3, 1.0])
+    values = np.random.default_rng(9).standard_normal((paths, points, 3))
+    values[0, 0] = [-0.0, 5e-324, 1e300]
+    values[-1, -1] = [-1e300, 2.2250738585072014e-308 / 3, 0.1]
+    ensemble_path = tmp_path / "paths.bin"
+    with EnsembleWriter(ensemble_path, times, paths, 3, digest=False) as writer:
+        for k in range(points):
+            writer.step(k, values[:, k].T)
+    expected = csv_oracle(times, values)
+    digest, nbytes = pipeline.export_ensemble_csv(tmp_path / "paths.csv", ensemble_path)
+    assert (tmp_path / "paths.csv").read_bytes() == expected
+    assert (digest, nbytes) == (hashlib.sha256(expected).hexdigest(), len(expected))
+
+
+def test_simulate_sde_csv_is_the_pipeline_csv(tmp_path):
+    path = write_scenario(tmp_path / "scenario.json", SCENARIO)
+    code, _ = run_cli("pipeline", "--scenario", path, "--out-dir", tmp_path / "out",
+                      "--seed", SEED, "--format", "csv")
+    assert code == cli.EXIT_OK
+    out = tmp_path / "sde_paths.bin"
+    code, summary = run_cli("simulate-sde", "--scenario", path, "--out", out,
+                            "--seed", SEED, "--format", "csv")
+    assert code == cli.EXIT_OK
+    csv = (tmp_path / "sde_paths.bin.csv").read_bytes()
+    assert csv == (tmp_path / "out" / "paths.csv").read_bytes()
+    assert csv == csv_oracle(*read_ensemble(out))
 
 
 @pytest.fixture
