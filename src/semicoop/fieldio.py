@@ -1,7 +1,7 @@
-"""Binary I/O for grid fields and path ensembles.
+"""Binary I/O for grid fields, path ensembles included.
 
-Grid field layout (little-endian throughout), one self-describing file
-per field:
+Every binary artifact is one self-describing grid field file
+(little-endian throughout):
 
 ========  ====================================================
 bytes     content
@@ -21,44 +21,25 @@ bytes     content
           imaginary parts interleaved per element
 ========  ====================================================
 
-An axis is outside the support only when its slices are bit-identical,
-so every value, ``-0.0`` and NaN included, reads back as written.
-:func:`read_grid` rebuilds the grid from the header and returns the
-field as a read-only broadcast view of its profile, so a reader such as
-:class:`geometry.MetricField` finds the support from the strides, with
-no pass over the values.  It rejects the earlier full-grid layout, magic
-``b"SCGRID01"``, whose extents were kept in a JSON file beside it.
+:func:`_header` forms every header and :func:`_read_header` parses
+every one, rejecting the earlier full-grid layout (magic
+``b"SCGRID01"``, extents in a JSON file beside it) and both earlier
+path-ensemble layouts (magic ``b"SCPATH..."``).  An axis is outside the
+support only when its slices are bit-identical, so every value, ``-0.0``
+and NaN included, reads back as written.  :func:`read_grid` returns a
+read-only broadcast view of the profile, so a reader such as
+:class:`geometry.MetricField` finds the support from the strides.
 
-Path ensemble layout (little-endian throughout), time-major:
-
-========  ====================================================
-bytes     content
-========  ====================================================
-0:8       magic ``b"SCPATH02"``
-8:16      paths (uint64)
-16:24     time points, steps + 1 (uint64)
-24:28     components (uint32)
-28:32     reserved (uint32, zero)
-...       times, one float64 per time point
-...       payload: float64, ``(time points, components, paths)``
-          row-major: the states of every path at the first time,
-          component by component, then at the next time
-========  ====================================================
-
-:class:`EnsembleWriter` is the one writer of that layout: it writes the
-header and times, then each time point's ``(components, paths)`` row
-once, in time order, hashing it on the way when asked for a digest, so
-no file is read back for its digest.  The file is moved in by
-``os.replace`` when every row is in, so a map of the file it replaces
-keeps its values.  :func:`read_ensemble` is the one reader: it maps the
-payload read-only as ``values[path, step, component]``, a transposed
-view, which the in-memory sink of :func:`market.simulate` shares, so
-this module alone turns payload bytes into arrays.  It rejects the
-earlier path-major layout, magic ``b"SCPATH01"``.
-
-The writers digest the bytes they write: :func:`write_grid` returns
-``(sha256, nbytes)`` of its file, and an :class:`EnsembleWriter` holds
-both once its file is in place, the digest only if asked for one.
+A path ensemble is the real field of ``(components, paths)`` states on
+the one-axis time grid of ``steps + 1`` nodes on ``(0, horizon)``,
+support mask 1: its payload is the states of every path at the first
+time, component by component, then at the next time.
+:class:`EnsembleWriter` writes it a time step at a time, and
+:func:`read_ensemble` maps it read-only as ``values[path, step,
+component]``, a transposed view that the in-memory sink of
+:func:`market.simulate` shares, so this module alone turns payload
+bytes into arrays.  The writers digest the bytes they write, so no file
+is read back for its digest.
 """
 
 from __future__ import annotations
@@ -78,8 +59,6 @@ from .grids import GridSpec
 
 _GRID_MAGIC = b"SCGRID02"
 _FULL_GRID_MAGIC = b"SCGRID01"
-_PATH_MAGIC = b"SCPATH02"
-_PATH_MAJOR_MAGIC = b"SCPATH01"
 # numpy arrays have at most 64 axes; no field of this package has more than 5
 _MAX_AXES = 32
 # a file holds only the profile, so its size no longer bounds the grid it
@@ -94,22 +73,16 @@ def _write_array(fh, array):
 
 
 def _check_remaining(fh, nbytes, path):
-    """Raise ValidationError unless ``nbytes`` remain after the position
-    of ``fh``, before anything that large is read or allocated."""
+    """The bytes after the position of ``fh``; raise ValidationError when
+    fewer than ``nbytes``, before anything that large is read or
+    allocated."""
     remaining = os.fstat(fh.fileno()).st_size - fh.tell()
     if remaining < nbytes:
         raise ValidationError(
             f"{path}: file is truncated: {nbytes} more bytes expected, "
             f"{max(remaining, 0)} remain"
         )
-
-
-def _check_at_end(fh, path):
-    """Raise ValidationError when bytes follow the payload the header
-    describes."""
-    extra = os.fstat(fh.fileno()).st_size - fh.tell()
-    if extra:
-        raise ValidationError(f"{path}: {extra} bytes follow the payload its header describes")
+    return remaining
 
 
 def _read_exact(fh, nbytes, path):
@@ -117,10 +90,69 @@ def _read_exact(fh, nbytes, path):
     return fh.read(nbytes)
 
 
-def _read_floats(fh, count, path):
-    """Read ``count`` little-endian float64 values in one pass."""
-    _check_remaining(fh, 8 * count, path)
-    return np.fromfile(fh, dtype="<f8", count=count)
+def _header(grid, shape, is_complex, mask):
+    """The header of a field of ``shape`` on ``grid``, its leading axes
+    the grid's, with support mask ``mask``."""
+    return (
+        _GRID_MAGIC
+        + struct.pack("<IIII", int(is_complex), grid.n_axes, len(shape) - grid.n_axes, mask)
+        + struct.pack(f"<{len(shape)}Q", *shape)
+        + struct.pack(f"<{2 * grid.n_axes}d", *(x for extent in grid.extents for x in extent))
+    )
+
+
+def _read_header(fh, path):
+    """``(grid, shape, profile_shape, is_complex)`` of the file open as
+    ``fh``, left at its payload.  Raises ValidationError when the file
+    is not a grid field or is in an earlier layout, its header declares
+    more axes than an array holds, a support bit beyond its grid axes,
+    an empty axis, more than 2**40 nodes or an invalid grid, or its
+    length is not the header's."""
+    magic = fh.read(8)
+    if magic == _FULL_GRID_MAGIC:
+        raise ValidationError(
+            f"{path}: the grid field is in the old full-grid layout "
+            f"({_FULL_GRID_MAGIC.decode()}) with a JSON descriptor; write it again "
+            f"to get the self-describing {_GRID_MAGIC.decode()} layout"
+        )
+    if magic.startswith(b"SCPATH"):
+        raise ValidationError(
+            f"{path}: the ensemble is in the old path-ensemble layout "
+            f"({magic.decode(errors='backslashreplace')}); simulate it again to write "
+            f"the {_GRID_MAGIC.decode()} layout"
+        )
+    if magic != _GRID_MAGIC:
+        raise ValidationError(f"{path}: not a grid field file")
+    flags, n_axes, rank, mask = struct.unpack("<IIII", _read_exact(fh, 16, path))
+    if n_axes + rank > _MAX_AXES:
+        raise ValidationError(
+            f"{path}: header declares {n_axes} grid axes and tensor rank {rank}; "
+            f"at most {_MAX_AXES} axes in all"
+        )
+    if mask >> n_axes:
+        raise ValidationError(
+            f"{path}: support mask {mask:#x} sets a bit beyond its {n_axes} grid axes"
+        )
+    shape = struct.unpack(f"<{n_axes + rank}Q", _read_exact(fh, 8 * (n_axes + rank), path))
+    if 0 in shape:
+        raise ValidationError(f"{path}: header declares an empty axis in shape {shape}")
+    if math.prod(shape[:n_axes]) > _MAX_NODES:
+        raise ValidationError(
+            f"{path}: header declares grid counts {shape[:n_axes]}; at most 2**40 nodes in all"
+        )
+    ends = np.frombuffer(_read_exact(fh, 16 * n_axes, path), dtype="<f8")
+    try:
+        grid = GridSpec(tuple(zip(ends[::2], ends[1::2])), shape[:n_axes])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: header declares an invalid grid", exc.problems) from exc
+    profile_shape = tuple(
+        n if mask >> k & 1 else 1 for k, n in enumerate(shape[:n_axes])
+    ) + shape[n_axes:]
+    nbytes = 8 * (1 + (flags & 1)) * math.prod(profile_shape)
+    extra = _check_remaining(fh, nbytes, path) - nbytes
+    if extra:
+        raise ValidationError(f"{path}: {extra} bytes follow the payload its header describes")
+    return grid, shape, profile_shape, bool(flags & 1)
 
 
 @contextlib.contextmanager
@@ -168,13 +200,7 @@ def write_grid(path, values, grid):
     parts = (values.real, values.imag) if is_complex else (values,)
     support = _joint_support(n_axes, *(part.view("<u8") for part in parts))
     profile = np.ascontiguousarray(_on_support(values, support, n_axes))
-    rank = values.ndim - n_axes
-    header = (
-        _GRID_MAGIC
-        + struct.pack("<IIII", int(is_complex), n_axes, rank, sum(1 << k for k in support))
-        + struct.pack(f"<{values.ndim}Q", *values.shape)
-        + struct.pack(f"<{2 * n_axes}d", *(x for extent in grid.extents for x in extent))
-    )
+    header = _header(grid, values.shape, is_complex, sum(1 << k for k in support))
     with open_output(path) as fh:
         fh.write(header)
         _write_array(fh, profile)
@@ -192,7 +218,8 @@ def _open_input(path, kind):
 
 
 def read_grid(path):
-    """Read a grid field written by :func:`write_grid`.
+    """Read a grid field, such as one written by :func:`write_grid` or
+    :class:`EnsembleWriter`.
 
     Returns
     -------
@@ -203,65 +230,25 @@ def read_grid(path):
     Raises
     ------
     ValidationError
-        When the file cannot be opened, is not a grid field or is in the
-        earlier ``SCGRID01`` layout, when its header declares more axes
-        than an array holds, a support bit beyond its grid axes, an empty
-        axis, more than 2**40 nodes, an invalid grid or a shape numpy
-        cannot hold, or when the file is shorter or longer than its
-        header says.
+        When the file cannot be opened, when :func:`_read_header`
+        rejects it, or when numpy cannot hold its shape.
     """
     with _open_input(path, "grid") as fh:
-        magic = fh.read(8)
-        if magic == _FULL_GRID_MAGIC:
-            raise ValidationError(
-                f"{path}: the grid field is in the old full-grid layout "
-                f"({_FULL_GRID_MAGIC.decode()}) with a JSON descriptor; write it again "
-                f"to get the self-describing {_GRID_MAGIC.decode()} layout"
-            )
-        if magic != _GRID_MAGIC:
-            raise ValidationError(f"{path}: not a grid field file")
-        flags, n_axes, rank, mask = struct.unpack("<IIII", _read_exact(fh, 16, path))
-        if n_axes + rank > _MAX_AXES:
-            raise ValidationError(
-                f"{path}: header declares {n_axes} grid axes and tensor rank {rank}; "
-                f"at most {_MAX_AXES} axes in all"
-            )
-        if mask >> n_axes:
-            raise ValidationError(
-                f"{path}: support mask {mask:#x} sets a bit beyond its {n_axes} grid axes"
-            )
-        shape = struct.unpack(f"<{n_axes + rank}Q", _read_exact(fh, 8 * (n_axes + rank), path))
-        if 0 in shape:
-            raise ValidationError(f"{path}: header declares an empty axis in shape {shape}")
-        if math.prod(shape[:n_axes]) > _MAX_NODES:
-            raise ValidationError(
-                f"{path}: header declares grid counts {shape[:n_axes]}; "
-                f"at most 2**40 nodes in all"
-            )
-        ends = _read_floats(fh, 2 * n_axes, path)
-        try:
-            grid = GridSpec(tuple(zip(ends[::2], ends[1::2])), shape[:n_axes])
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: header declares an invalid grid", exc.problems) from exc
-        profile_shape = tuple(
-            n if mask >> k & 1 else 1 for k, n in enumerate(shape[:n_axes])
-        ) + shape[n_axes:]
-        profile = _read_floats(fh, (1 + (flags & 1)) * math.prod(profile_shape), path)
-        _check_at_end(fh, path)
-    profile = (profile.view("<c16") if flags & 1 else profile).reshape(profile_shape)
+        grid, shape, profile_shape, is_complex = _read_header(fh, path)
+        profile = np.fromfile(fh, dtype="<f8", count=(1 + is_complex) * math.prod(profile_shape))
+    profile = (profile.view("<c16") if is_complex else profile).reshape(profile_shape)
     try:
         return np.broadcast_to(profile, shape), grid
     except ValueError as exc:  # such as a field of more than 2**63 bytes
         raise ValidationError(f"{path}: header declares shape {shape}: {exc}") from exc
 
 
-def _ensemble_view(buffer, offset, shape):
-    """``values[path, step, component]`` of ``shape``: the transposed view
-    of the time-major ``(points, components, paths)`` float64 payload at
-    byte ``offset`` of ``buffer``, read-only when ``buffer`` is."""
-    paths, points, components = shape
-    rows = np.ndarray((points, components, paths), dtype="<f8", buffer=buffer, offset=offset)
-    return rows.transpose(2, 0, 1)
+def _ensemble_view(buffer, offset, rows):
+    """``values[path, step, component]``: the transposed view of the
+    time-major float64 payload of shape ``rows``, ``(points, components,
+    paths)``, at byte ``offset`` of ``buffer``, read-only when ``buffer``
+    is."""
+    return np.ndarray(rows, dtype="<f8", buffer=buffer, offset=offset).transpose(2, 0, 1)
 
 
 class _ArraySink:
@@ -271,46 +258,47 @@ class _ArraySink:
     def __init__(self, shape):
         paths, points, components = shape
         self._rows = np.empty((points, components, paths))
-        self.values = _ensemble_view(self._rows, 0, shape)
+        self.values = _ensemble_view(self._rows, 0, self._rows.shape)
 
     def step(self, k, row):
         self._rows[k] = row
 
 
 class EnsembleWriter:
-    """Sink of :func:`market.simulate` that writes a path ensemble one
-    time step at a time and, with ``digest``, hashes it on the way.
+    """Sink of :func:`market.simulate` that writes the path ensemble on
+    the time grid ``grid`` one time step at a time and, with ``digest``,
+    hashes it on the way.
 
     :meth:`step` takes each time point's ``(components, paths)`` state
     row, in time order, one call at a time (possibly from different
     threads, each after the call before has returned), writes it after
     the rows before it and, with ``digest``, feeds it to a SHA-256 seeded
-    with the header and times.  The writer opens the file write-only
-    and maps none of it: once every row is in, ``values`` (None until
-    then) is the file read back through :func:`read_ensemble`; no stage
-    reads it, and the benchmark's tracer reads its shape.  Use the writer
-    as a context manager::
+    with the header.  The writer opens the file write-only and maps none
+    of it: once every row is in, ``values`` (None until then) is the
+    file read back through :func:`read_ensemble`; no stage reads it, and
+    the benchmark's tracer reads its shape.  Use the writer as a context
+    manager::
 
-        with EnsembleWriter(path, times, paths, 3, digest=True) as writer:
-            ...  # writer.step(k, row) for each k in range(len(times))
+        with EnsembleWriter(path, grid, paths, 3, digest=True) as writer:
+            ...  # writer.step(k, row) for each k in range(grid.counts[0])
         writer.sha256, writer.nbytes  # sha256 stays None without digest
 
     The file, the only one the writer leaves, is built under ``path +
-    ".partial"`` and moved to ``path`` when the block ends without an
+    ".partial"`` and moved to ``path`` by ``os.replace``, so a map of the
+    file it replaces keeps its values, when the block ends without an
     exception and every row is in; otherwise it is removed, so a failed
     simulation leaves no ensemble behind.  An OSError while writing or
     moving it is a ValidationError naming ``path``.  Nothing is synced to
     disk, as with ``write``.
     """
 
-    def __init__(self, path, times, paths, components, digest):
-        times = np.ascontiguousarray(times, dtype="<f8")
-        shape = (int(paths), times.size, int(components))
-        if times.ndim != 1 or 0 in shape:
+    def __init__(self, path, grid, paths, components, digest):
+        shape = (grid.counts[0], int(components), int(paths))
+        if 0 in shape:
             raise ValidationError(f"ensemble shape {shape} has an empty axis")
         self._path = str(path)
         self._shape = shape
-        head = _PATH_MAGIC + struct.pack("<QQI I", *shape, 0) + times.tobytes()
+        head = _header(grid, shape, False, 1)
         self.nbytes = len(head) + 8 * math.prod(shape)
         self.sha256 = None
         self.values = None
@@ -339,15 +327,14 @@ class EnsembleWriter:
         """Write ``row``, the ``(components, paths)`` states at time point
         ``k``, which must follow the rows written so far, and hash it with
         ``digest``."""
-        paths, points, components = self._shape
+        points, states = self._shape[0], self._shape[1:]
         if k >= points:
             raise ValidationError(f"ensemble step {k} is past the last step {points - 1}")
         if k != self._next:
             raise ValidationError(f"ensemble step {k} out of order: step {self._next} comes next")
-        if row.shape != (components, paths):
+        if row.shape != states:
             raise ValidationError(
-                f"ensemble row of shape {row.shape} does not hold the states of shape "
-                f"{(components, paths)}"
+                f"ensemble row of shape {row.shape} does not hold the states of shape {states}"
             )
         row = np.ascontiguousarray(row, dtype="<f8")
         if self._hash is not None:
@@ -365,7 +352,7 @@ class EnsembleWriter:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is None and self._next == self._shape[1]:
+        if exc_type is None and self._next == self._shape[0]:
             try:
                 self._fh.close()
                 os.replace(self._partial, self._path)
@@ -377,43 +364,29 @@ class EnsembleWriter:
         self._discard()
         if exc_type is None:
             raise ValidationError(
-                f"ensemble steps from {self._next} of {self._shape[1]} were never finished"
+                f"ensemble steps from {self._next} of {self._shape[0]} were never finished"
             )
         return False
 
 
 def read_ensemble(path):
-    """Read a path ensemble written by :class:`EnsembleWriter`.
-
-    Returns ``(times, values)``, ``values[path, step, component]`` the
-    ensemble view of a read-only map of the payload; raises
-    ValidationError, before mapping anything, when the file cannot be
-    opened, is not a path ensemble or is in the earlier path-major
-    layout, declares an empty axis, or is shorter or longer than said.
-    """
+    """``(times, values)`` of a path ensemble written by
+    :class:`EnsembleWriter`: the nodes of its time grid, and
+    ``values[path, step, component]``, a view of a read-only map of the
+    payload.  Raises ValidationError, before mapping anything, when the
+    file cannot be opened, :func:`_read_header` rejects it or it holds
+    any other field."""
     with _open_input(path, "ensemble") as fh:
-        magic = fh.read(8)
-        if magic == _PATH_MAJOR_MAGIC:
+        grid, shape, profile_shape, is_complex = _read_header(fh, path)
+        if is_complex or grid.n_axes != 1 or len(shape) != 3 or profile_shape != shape:
             raise ValidationError(
-                f"{path}: the ensemble is in the old path-major layout "
-                f"({_PATH_MAJOR_MAGIC.decode()}); simulate it again to write the "
-                f"time-major {_PATH_MAGIC.decode()} layout"
+                f"{path}: not a path ensemble: a {'complex' if is_complex else 'real'} field "
+                f"of shape {shape} on {grid.n_axes} grid axes, stored as {profile_shape}"
             )
-        if magic != _PATH_MAGIC:
-            raise ValidationError(f"{path}: not a path ensemble file")
-        paths, nsteps, comps, _ = struct.unpack("<QQI I", _read_exact(fh, 24, path))
-        if 0 in (paths, nsteps, comps):
-            raise ValidationError(
-                f"{path}: header declares an empty axis in shape {(paths, nsteps, comps)}"
-            )
-        times = _read_floats(fh, nsteps, path)
-        offset, nbytes = fh.tell(), 8 * paths * nsteps * comps
-        _check_remaining(fh, nbytes, path)
-        fh.seek(nbytes, os.SEEK_CUR)
-        _check_at_end(fh, path)
+        offset = fh.tell()
         # the map keeps its own descriptor of the file; the array keeps the map
         view = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    return times, _ensemble_view(view, offset, (paths, nsteps, comps))
+    return grid.coordinates(0), _ensemble_view(view, offset, shape)
 
 
 def sha256_of(path):

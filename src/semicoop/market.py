@@ -44,12 +44,13 @@ width is part of the stream.
 
 ``threads`` threads, the calling thread and up to ``threads - 1``
 helpers, run the steps in rounds that meet at a barrier; the command
-line's default is every CPU the process may run on, and no number
-depends on it.  Round ``k`` has one task that hands state row ``k`` to a
-sink and one task per chunk that steps it to row ``k + 1``; the threads
-take the tasks in that order.  So the sink gets the rows ``0..steps``
-one call at a time, in step order, possibly from different threads, and
-its work overlaps the next step's arithmetic.  This module only hands
+line's default is every CPU the process may run on, each thread pinned
+to one of them, and no number depends on it.  Round ``k`` has one task
+that hands state row ``k`` to a sink and one task per chunk that steps
+it to row ``k + 1``; the threads take the tasks in that order.  So the
+sink gets the rows ``0..steps`` one call at a time, in step order,
+possibly from different threads, and its work overlaps the next step's
+arithmetic.  This module only hands
 over state rows; both sinks, the ensemble file's and the in-memory one,
 are in :mod:`fieldio`.  Besides its sink a run holds the two state rows,
 48 bytes a path, and one small scratch per thread, ``n <= 4096`` paths
@@ -58,7 +59,9 @@ wide.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 
@@ -158,9 +161,9 @@ def derive_coefficients(metric):
 
 @dataclass
 class PathEnsemble:
-    """Simulated share paths: ``values[path, step, component]``, and
-    ``final``, the contiguous ``(paths, 3)`` array of each path's last
-    state."""
+    """Simulated share paths: ``times``, the nodes of the run's time
+    grid, ``values[path, step, component]``, and ``final``, the
+    contiguous ``(paths, 3)`` array of each path's last state."""
 
     times: np.ndarray
     values: np.ndarray
@@ -319,8 +322,9 @@ class _StepScratch:
 
 
 def _time_grid(horizon, steps):
-    """A run's ``steps + 1`` times: the ensemble's and its file header's."""
-    return np.linspace(0.0, float(horizon), steps + 1)
+    """A run's time grid, ``steps + 1`` nodes on ``(0, horizon)``: the
+    ensemble file's grid, whose nodes are the ensemble's ``times``."""
+    return GridSpec(((0.0, horizon),), (steps + 1,))
 
 
 def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, threads=1, sink=None):
@@ -359,6 +363,11 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
     failing chunk of the first failing step, and every row before that
     step has been handed over.  Every helper has
     ended when the call returns or raises.
+
+    With more than one thread, where ``os.sched_setaffinity`` exists,
+    thread ``i`` (the caller is 0) runs on CPU ``i`` of the caller's
+    affinity set, round-robin, until the call ends: in a cpuset whose
+    ``sched_load_balance`` is 0 a helper stays on its starter's CPU.
 
     Parameters
     ----------
@@ -439,7 +448,7 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
 
     dt = float(horizon) / steps
     scale = math.sqrt(dt)
-    times = _time_grid(horizon, steps)
+    times = _time_grid(horizon, steps).coordinates(0)
 
     fill, plan = _coefficient_block(coeffs)
     # Step 0 adds to x0 + 0.0: a -0.0 start component becomes +0.0, so no
@@ -487,13 +496,18 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
 
     workers = min(int(threads), chunks)
     barrier = threading.Barrier(workers, action=next_round)
+    pin = workers > 1 and hasattr(os, "sched_setaffinity")
+    cpus = sorted(os.sched_getaffinity(0)) if pin else []
 
-    def work():
-        """Take the tasks of each round in order, task 0 handing row ``k``
-        to the sink and task ``c + 1`` stepping chunk ``c``, then meet the
-        other threads at the barrier; return after the last round or a
-        failed one."""
+    def work(slot):
+        """Take CPU ``slot`` of ``cpus``, then the tasks of each round in
+        order, task 0 handing row ``k`` to the sink and task ``c + 1``
+        stepping chunk ``c``, then meet the other threads at the barrier;
+        return after the last round or a failed one."""
         nonlocal task
+        if cpus:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, {cpus[slot % len(cpus)]})
         own = None
         while True:
             tasks = 1 + chunks if k < steps else 1
@@ -520,11 +534,11 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
             if done:
                 return
 
-    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    helpers = [threading.Thread(target=work, args=(slot,)) for slot in range(1, workers)]
     for helper in helpers:
         helper.start()
     try:
-        work()
+        work(0)
     except BaseException:
         # interrupted between tasks: release the helpers at the barrier
         barrier.abort()
@@ -532,6 +546,9 @@ def simulate(coeffs, initial, horizon, steps, paths, seed, increments=None, thre
     finally:
         for helper in helpers:
             helper.join()
+        if cpus:
+            with contextlib.suppress(OSError):
+                os.sched_setaffinity(0, cpus)
     if failures:
         raise failures[min(failures)]
 

@@ -103,8 +103,8 @@ def simulate_paths(config, metric, seed, threads, path, digest):
     steps = int(sde_cfg["steps"])
     paths = int(sde_cfg["paths"])
     sde_seed = stage_seed(seed, "sde")
-    times = market._time_grid(horizon, steps)
-    with EnsembleWriter(path, times, paths, market.STATE_DIM, digest=digest) as writer:
+    grid = market._time_grid(horizon, steps)
+    with EnsembleWriter(path, grid, paths, market.STATE_DIM, digest=digest) as writer:
         ensemble = market.simulate(
             market.derive_coefficients(metric),
             config.firm["share"],

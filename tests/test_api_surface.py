@@ -317,8 +317,8 @@ RESTORED_PARAMETERS = {
     ),
     "fieldio.EnsembleWriter.seed": (
         "fieldio",
-        "def __init__(self, path, times, paths, components, digest):",
-        "def __init__(self, path, times, paths, components, digest, seed=None):",
+        "def __init__(self, path, grid, paths, components, digest):",
+        "def __init__(self, path, grid, paths, components, digest, seed=None):",
     ),
     "fieldio.write_grid.extra": (
         "fieldio",

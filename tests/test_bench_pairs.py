@@ -149,3 +149,39 @@ def test_a_failed_run_puts_its_side_back(monkeypatch, tmp_path):
         bench_pairs.run_side(str(tmp_path / "change"), "world_grid", 1, 25.0)
     assert (tmp_path / "change" / "side").read_text() == "change"
     assert not (tmp_path / "run").exists()
+
+
+def test_thread_overlap_and_load_balancing_are_reported(monkeypatch, tmp_path):
+    fake_tool(monkeypatch, tmp_path)
+    # (cpu_s - setup_s) / wall_s: 1.0, 0.5 and 0.9 for the parent's runs,
+    # 2.0, 1.5 and 1.8 for the change's
+    rows = {"parent": [(0.2, 0.3), (0.4, 0.3), (0.2, 0.28)],
+            "change": [(0.1, 0.3), (0.2, 0.4), (0.1, 0.28)]}
+
+    def run_once(directory, workload, seed, seconds, trace=0):
+        with open(os.path.join(directory, "side")) as fh:
+            side = fh.read()
+        wall, cpu = rows[side].pop(0)
+        return dict(correct=True, attempted=5, failed=0, wall_s=wall, setup_s=0.1, cpu_s=cpu,
+                    peak_rss_mb=40.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    (tmp_path / "cpuset").write_text("/batch\n")
+    (tmp_path / "hierarchy" / "batch").mkdir(parents=True)
+    (tmp_path / "hierarchy" / "batch" / "cpuset.sched_load_balance").write_text("0\n")
+    monkeypatch.setattr(bench_pairs, "CPUSET", str(tmp_path / "cpuset"))
+    monkeypatch.setattr(bench_pairs, "CPUSET_ROOT", str(tmp_path / "hierarchy"))
+    out = tmp_path / "bench.json"
+    bench_pairs.main(["--parent", "HEAD", "--change", "c", "--out", str(out),
+                      "--claim", "world_grid:1:wall_s:3", "--work", str(tmp_path)])
+    record = json.loads(out.read_text())
+    assert "cpuset sched_load_balance 0; " in record["machine"]
+    (check,) = record["no_regression_checks"]
+    for entry in (record["claim"], check):
+        assert entry["thread_overlap"] == {"parent": 0.9, "change": 1.8}
+    # the root cpuset's file sits at the top of the hierarchy; no file, no value
+    (tmp_path / "cpuset").write_text("/\n")
+    (tmp_path / "hierarchy" / "cpuset.sched_load_balance").write_text("1\n")
+    assert bench_pairs.sched_load_balance() == "1"
+    monkeypatch.setattr(bench_pairs, "CPUSET_ROOT", str(tmp_path / "absent"))
+    assert bench_pairs.sched_load_balance() == "unknown"

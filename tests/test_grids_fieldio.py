@@ -132,32 +132,47 @@ def test_grid_shape_mismatch_rejected(tmp_path):
         write_grid(tmp_path / "x.bin", np.zeros((3, 5)), PLANE)
 
 
-def write_ensemble(path, times, values, digest=True):
-    """Write ``values[path, step, component]`` through an EnsembleWriter,
-    one ``(components, paths)`` row a step."""
-    with EnsembleWriter(path, times, len(values), 3, digest=digest) as writer:
+def time_grid(points, horizon=1.0):
+    """The time grid of an ensemble of ``points`` time points."""
+    return market._time_grid(horizon, points - 1)
+
+
+def write_ensemble(path, values, digest=True, horizon=1.0):
+    """Write ``values[path, step, component]`` through an EnsembleWriter
+    on the time grid ``(0, horizon)``, one ``(components, paths)`` row a
+    step."""
+    grid = time_grid(values.shape[1], horizon)
+    with EnsembleWriter(path, grid, len(values), 3, digest=digest) as writer:
         for k in range(values.shape[1]):
             writer.step(k, values[:, k].T)
     return writer
 
 
 def test_ensemble_roundtrip(tmp_path):
-    times = np.linspace(0.0, 1.0, 5)
     values = np.random.default_rng(0).standard_normal((7, 5, 3))
     path = tmp_path / "paths.bin"
-    write_ensemble(path, times, values)
+    write_ensemble(path, values, horizon=2.5)
     t, v = read_ensemble(path)
-    assert np.array_equal(t, times)
+    assert t.tobytes() == np.linspace(0.0, 2.5, 5).tobytes()
     assert np.array_equal(v, values)
+
+
+def test_read_grid_reads_an_ensemble_as_a_time_major_field(tmp_path):
+    values = np.random.default_rng(0).standard_normal((7, 5, 3))
+    path = tmp_path / "paths.bin"
+    write_ensemble(path, values, horizon=2.5)
+    field, grid = read_grid(path)
+    assert grid == GridSpec(((0.0, 2.5),), (5,))
+    assert field.shape == (5, 3, 7)
+    assert np.array_equal(field, values.transpose(1, 2, 0))
 
 
 def test_read_ensemble_maps_the_payload_read_only(tmp_path):
     # 10 000 paths x 67 points x 3 components: a 16.08 MB payload
     paths, points = 10_000, 67
-    times = np.linspace(0.0, 1.0, points)
     rng = np.random.default_rng(5)
     path = tmp_path / "p.bin"
-    with EnsembleWriter(path, times, paths, 3, digest=True) as writer:
+    with EnsembleWriter(path, time_grid(points), paths, 3, digest=True) as writer:
         for k in range(points):
             row = rng.standard_normal((3, paths))
             writer.step(k, row)
@@ -171,7 +186,7 @@ def test_read_ensemble_maps_the_payload_read_only(tmp_path):
     assert values.shape == (paths, points, 3)
     with pytest.raises(ValueError, match="read-only"):
         values[0, 0, 0] = 1.0
-    assert np.array_equal(t, times)
+    assert np.array_equal(t, np.linspace(0.0, 1.0, points))
     assert np.array_equal(values[:, -1], row.T)
 
 
@@ -183,7 +198,7 @@ def test_read_view_keeps_its_values_when_simulate_writes_the_file_again(tmp_path
     path = tmp_path / "paths.bin"
 
     def simulate(seed):
-        with EnsembleWriter(path, np.linspace(0.0, 1.0, 9), 5000, 3, digest=True) as writer:
+        with EnsembleWriter(path, time_grid(9), 5000, 3, digest=True) as writer:
             return market.simulate(coeffs, [0.5, 1.5, 0.5], 1.0, 8, 5000, seed, sink=writer)
 
     ensemble = simulate(1)
@@ -245,9 +260,15 @@ def test_write_grid_streams_a_broadcast_view(tmp_path):
     assert (digest, nbytes) == (sha256_of(path), path.stat().st_size)
 
 
-def ensemble_file_bytes(times, values, magic=b"SCPATH02"):
-    """The documented time-major path-ensemble layout, built with
-    ``tobytes``; with ``magic=b"SCPATH01"``, the earlier path-major one."""
+def ensemble_file_bytes(values):
+    """The documented layout of ``values[path, step, component]``: the
+    time-major field on its time grid, stored whole."""
+    return grid_file_bytes(values.transpose(1, 2, 0), time_grid(values.shape[1]), (0,))
+
+
+def old_ensemble_file_bytes(times, values, magic):
+    """An ensemble in an earlier layout, built with ``tobytes``:
+    time-major for ``b"SCPATH02"``, path-major for ``b"SCPATH01"``."""
     header = magic + struct.pack("<QQI I", *values.shape, 0)
     payload = values.transpose(1, 2, 0) if magic == b"SCPATH02" else values
     return header + times.astype("<f8").tobytes() + payload.astype("<f8").tobytes()
@@ -258,9 +279,9 @@ def test_writer_bytes_and_digest(tmp_path, paths):
     times = np.linspace(0.0, 1.0, 6)
     values = np.random.default_rng(3).standard_normal((paths, 6, 3))
     path = tmp_path / "p.bin"
-    writer = write_ensemble(path, times, values)
+    writer = write_ensemble(path, values)
     data = path.read_bytes()
-    assert data == ensemble_file_bytes(times, values)
+    assert data == ensemble_file_bytes(values)
     assert writer.sha256 == hashlib.sha256(data).hexdigest() == sha256_of(path)
     assert writer.nbytes == len(data)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["p.bin"]
@@ -270,7 +291,7 @@ def test_writer_bytes_and_digest(tmp_path, paths):
     with pytest.raises(ValueError, match="read-only"):
         v[0, 0, 0] = 1.0
     # without a digest the writer hashes nothing and writes the same bytes
-    unhashed = write_ensemble(tmp_path / "q.bin", times, values, digest=False)
+    unhashed = write_ensemble(tmp_path / "q.bin", values, digest=False)
     assert (tmp_path / "q.bin").read_bytes() == data
     assert (unhashed.sha256, unhashed.nbytes) == (None, len(data))
 
@@ -289,7 +310,7 @@ def test_write_grid_returns_digest_and_size(tmp_path):
 def test_writer_rejects_rows_out_of_order(tmp_path, rows):
     path = tmp_path / "p.bin"
     with pytest.raises(ValidationError, match="out of order|step 5 is past the last step 4"):
-        with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3, digest=True) as writer:
+        with EnsembleWriter(path, time_grid(5), 20, 3, digest=True) as writer:
             for k in rows:
                 writer.step(k, np.zeros((3, 20)))
     assert writer.values is None
@@ -300,7 +321,7 @@ def test_writer_rejects_rows_out_of_order(tmp_path, rows):
 def test_writer_rejects_a_block_of_other_rows(tmp_path, shape):
     with pytest.raises(ValidationError, match=r"does not hold the states of shape \(3, 20\)"):
         path = tmp_path / "p.bin"
-        with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3, digest=True) as writer:
+        with EnsembleWriter(path, time_grid(5), 20, 3, digest=True) as writer:
             writer.step(0, np.zeros(shape))
     assert list(tmp_path.iterdir()) == []
 
@@ -308,12 +329,12 @@ def test_writer_rejects_a_block_of_other_rows(tmp_path, shape):
 def test_writer_leaves_no_file_on_error_or_missing_rows(tmp_path):
     path = tmp_path / "p.bin"
     with pytest.raises(RuntimeError):
-        with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3, digest=True) as writer:
+        with EnsembleWriter(path, time_grid(5), 20, 3, digest=True) as writer:
             writer.step(0, np.zeros((3, 20)))
             raise RuntimeError("simulation failed")
     assert list(tmp_path.iterdir()) == []
     with pytest.raises(ValidationError, match="steps from 2 of 5 were never finished"):
-        with EnsembleWriter(path, np.linspace(0.0, 1.0, 5), 20, 3, digest=True) as writer:
+        with EnsembleWriter(path, time_grid(5), 20, 3, digest=True) as writer:
             writer.step(0, np.zeros((3, 20)))
             writer.step(1, np.zeros((3, 20)))
     assert writer.values is None
@@ -321,13 +342,9 @@ def test_writer_leaves_no_file_on_error_or_missing_rows(tmp_path):
 
 
 def test_writer_rejects_empty_axis(tmp_path):
-    for times, paths, components in (
-        (np.linspace(0.0, 1.0, 5), 0, 3),
-        (np.empty(0), 4, 3),
-        (np.linspace(0.0, 1.0, 5), 4, 0),
-    ):
+    for paths, components in ((0, 3), (4, 0)):
         with pytest.raises(ValidationError, match="empty axis"):
-            EnsembleWriter(tmp_path / "p.bin", times, paths, components, digest=True)
+            EnsembleWriter(tmp_path / "p.bin", time_grid(5), paths, components, digest=True)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -337,10 +354,13 @@ def test_writer_rejects_empty_axis(tmp_path):
     ids=["huge-paths-no-components", "no-paths", "no-steps"],
 )
 def test_ensemble_header_with_empty_axis_rejected(tmp_path, shape):
-    # a header and its times, and no payload: the payload of an empty shape
+    # a header of (paths, points, components), and no payload: the
+    # payload of an empty shape
+    paths, points, components = shape
     path = tmp_path / "p.bin"
-    times = np.linspace(0.0, 1.0, shape[1])
-    path.write_bytes(b"SCPATH02" + struct.pack("<QQI I", *shape, 0) + times.tobytes())
+    path.write_bytes(
+        b"SCGRID02" + struct.pack("<IIII3Qdd", 0, 1, 2, 1, points, components, paths, 0.0, 1.0)
+    )
     with pytest.raises(ValidationError, match="empty axis"):
         read_ensemble(path)
 
@@ -349,9 +369,57 @@ def test_path_major_ensemble_rejected(tmp_path):
     # a whole, well-formed file in the earlier layout is named as such
     path = tmp_path / "p.bin"
     values = np.random.default_rng(4).standard_normal((7, 5, 3))
-    path.write_bytes(ensemble_file_bytes(np.linspace(0.0, 1.0, 5), values, magic=b"SCPATH01"))
-    with pytest.raises(ValidationError, match="old path-major layout .SCPATH01."):
+    path.write_bytes(old_ensemble_file_bytes(np.linspace(0.0, 1.0, 5), values, b"SCPATH01"))
+    with pytest.raises(ValidationError, match="old path-ensemble layout .SCPATH01."):
         read_ensemble(path)
+
+
+@pytest.mark.parametrize("reader", [read_ensemble, read_grid], ids=["ensemble", "grid"])
+@pytest.mark.parametrize("magic", [b"SCPATH01", b"SCPATH02"])
+def test_earlier_ensemble_layouts_rejected_by_name(tmp_path, magic, reader):
+    path = tmp_path / "p.bin"
+    values = np.random.default_rng(4).standard_normal((7, 5, 3))
+    path.write_bytes(old_ensemble_file_bytes(np.linspace(0.0, 1.0, 5), values, magic))
+    message = f"old path-ensemble layout .{magic.decode()}.; simulate it again"
+    with pytest.raises(ValidationError, match=message) as info:
+        reader(path)
+    assert str(path) in str(info.value)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(
+            ["geometry", "--metric", str(path), "--op", "curvature",
+             "--out", str(tmp_path / "c.bin")]
+        )
+    assert code == 2
+    assert f"({magic.decode()})" in err.getvalue()
+
+
+# grid fields that are no ensemble: (field and grid, message)
+WORLD = GridSpec.from_axes((0.0, 1.0, 3), (0.5, 2.5, 5), (0.0, 1.0, 5))
+NOT_ENSEMBLES = {
+    "metric": (
+        lambda: (geometry.sphere_metric(WORLD).values, WORLD),
+        r"a real field of shape \(3, 5, 5, 3, 3\) on 3 grid axes",
+    ),
+    "complex": (
+        lambda: (np.full((5, 3, 7), 1j) * np.arange(5.0)[:, None, None], time_grid(5)),
+        r"a complex field of shape \(5, 3, 7\) on 1 grid axes",
+    ),
+    "constant-in-time": (
+        lambda: (np.ones((5, 3, 7)), time_grid(5)),
+        r"a real field of shape \(5, 3, 7\) on 1 grid axes, stored as \(1, 3, 7\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_ENSEMBLES))
+def test_read_ensemble_rejects_other_fields(tmp_path, case):
+    make, match = NOT_ENSEMBLES[case]
+    path = tmp_path / "f.bin"
+    write_grid(path, *make())
+    with pytest.raises(ValidationError, match="not a path ensemble: " + match) as info:
+        read_ensemble(path)
+    assert str(path) in str(info.value)
 
 
 @pytest.mark.parametrize("where", ["missing", "directory"])
@@ -389,10 +457,13 @@ def test_truncated_grid_rejected(tmp_path, keep, dtype):
         read_grid(path)
 
 
-@pytest.mark.parametrize("keep", [10, 31, 40, -8, -1])
+# bytes kept of an ensemble, whose 64-byte header holds its counts at
+# 24:48 and its extents at 48:64: inside the fixed header, inside the
+# counts, inside the extents, and short payloads
+@pytest.mark.parametrize("keep", [10, 31, 40, 56, -8, -1])
 def test_truncated_ensemble_rejected(tmp_path, keep):
     path = tmp_path / "p.bin"
-    write_ensemble(path, np.linspace(0.0, 1.0, 5), np.ones((7, 5, 3)))
+    write_ensemble(path, np.ones((7, 5, 3)))
     truncate(path, keep)
     with pytest.raises(ValidationError, match="truncated"):
         read_ensemble(path)
@@ -519,7 +590,7 @@ def test_trailing_bytes_after_grid_rejected(tmp_path, extra, dtype):
 @pytest.mark.parametrize("extra", [b"\0", b"\0" * 40])
 def test_trailing_bytes_after_ensemble_rejected(tmp_path, extra):
     path = tmp_path / "p.bin"
-    write_ensemble(path, np.linspace(0.0, 1.0, 5), np.ones((7, 5, 3)))
+    write_ensemble(path, np.ones((7, 5, 3)))
     append(path, extra)
     with pytest.raises(ValidationError, match=f"{len(extra)} bytes follow the payload"):
         read_ensemble(path)

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import os
 import sys
 import threading
 import time
@@ -547,18 +548,62 @@ class TestComponentMajorKernel:
             simulate(coeffs, self.x0, 1.0, 6, 4097, 8, threads=threads)
             assert set(threading.enumerate()) == before
 
+    def test_threads_are_pinned_round_robin_and_the_caller_gets_its_cpus_back(
+        self, coeffs, monkeypatch
+    ):
+        class FailingSink(fieldio._ArraySink):
+            def step(self, k, row):
+                if k == 2:
+                    raise OSError("disk full")
+                super().step(k, row)
+
+        before = os.sched_getaffinity(0)
+        simulate(coeffs, self.x0, 1.0, 6, 12 * 4096 + 7, 8, threads=2)
+        assert os.sched_getaffinity(0) == before
+        # three CPUs: four threads take CPUs 0, 2, 5 and 0 again
+        calls = []
+
+        def record(pid, cpus):
+            calls.append((threading.get_ident(), pid, set(cpus)))
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5, 0, 2})
+        monkeypatch.setattr(os, "sched_setaffinity", record)
+        caller, paths = threading.get_ident(), 12 * 4096 + 7
+        for threads, helpers, sink in [
+            (2, [{2}], None),
+            (4, [{0}, {2}, {5}], None),
+            (4, [{0}, {2}, {5}], FailingSink((paths, 7, 3))),
+        ]:
+            calls.clear()
+            with pytest.raises(OSError, match="disk full") if sink else contextlib.nullcontext():
+                simulate(coeffs, self.x0, 1.0, 6, paths, 8, threads=threads, sink=sink)
+            # one pin a thread, then the caller's own CPUs restored
+            pins = {ident: cpus for ident, _, cpus in calls[:-1]}
+            assert len(pins) == len(calls) - 1 == threads
+            assert calls[-1] == (caller, 0, {0, 2, 5})
+            assert {pid for _, pid, _ in calls} == {0}
+            assert pins.pop(caller) == {0}
+            assert sorted(pins.values(), key=min) == helpers
+        # one thread, or no sched_setaffinity, pins nothing
+        calls.clear()
+        simulate(coeffs, self.x0, 1.0, 6, paths, 8, threads=1)
+        monkeypatch.delattr(os, "sched_setaffinity")
+        simulate(coeffs, self.x0, 1.0, 6, paths, 8, threads=2)
+        assert calls == []
+
     def test_out_of_wrong_shape_rejected(self, coeffs, tmp_path):
         # a writer whose rows do not match the simulation's is rejected,
         # and leaves no file
-        times, path = np.linspace(0.0, 1.0, 18), tmp_path / "p.bin"
+        path = tmp_path / "p.bin"
         for paths, points, match in [
             (self.paths, 16, "step 16 is past the last step 15"),
             (self.paths, 18, "never finished"),
             (self.paths - 1, 17, "does not hold the states"),
             (self.paths + 1, 17, "does not hold the states"),
         ]:
+            grid = market._time_grid(1.0, points - 1)
             with pytest.raises(ValidationError, match=match):
-                with EnsembleWriter(path, times[:points], paths, 3, digest=True) as writer:
+                with EnsembleWriter(path, grid, paths, 3, digest=True) as writer:
                     simulate(coeffs, self.x0, 1.0, 16, self.paths, 5, sink=writer)
             assert list(tmp_path.iterdir()) == []
 
@@ -588,8 +633,8 @@ class TestComponentMajorKernel:
     @pytest.mark.parametrize("threads", [1, 2, 4])
     def test_written_ensemble_equals_the_reference(self, coeffs, tmp_path, threads):
         path = tmp_path / "p.bin"
-        times = np.linspace(0.0, 1.0, 17)
-        with EnsembleWriter(path, times, self.paths, 3, digest=True) as writer:
+        grid = market._time_grid(1.0, 16)
+        with EnsembleWriter(path, grid, self.paths, 3, digest=True) as writer:
             ens = simulate(coeffs, self.x0, 1.0, 16, self.paths, 5, threads=threads, sink=writer)
         ref = self.reference(coeffs)
         assert_same_bits(ens.values, ref)
@@ -609,9 +654,9 @@ class TestComponentMajorKernel:
         paths, steps, failing = 12 * 4096 + 7, 6, 5
         dw, _, evaluated = raising_at(monkeypatch, self.x0, paths, steps, [(failing, 1)])
         path = tmp_path / "p.bin"
-        times = np.linspace(0.0, 1.0, steps + 1)
         with pytest.raises(LeftTheDomain, match=f"^chunk {failing}$"):
-            with EnsembleWriter(path, times, paths, 3, digest=True) as writer:
+            with EnsembleWriter(path, market._time_grid(1.0, steps), paths, 3,
+                                digest=True) as writer:
                 simulate(self.sphere(), self.x0, 1.0, steps, paths, 0, increments=dw,
                          threads=threads, sink=writer)
         assert list(tmp_path.iterdir()) == []

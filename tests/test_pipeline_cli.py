@@ -456,12 +456,13 @@ def test_csv_export_matches_the_per_row_formatter(tmp_path):
     # more paths than two blocks, and values whose shortest text differs
     # from their 17-digit one, with a sign bit, a subnormal and +-1e300
     paths, points = 2 * pipeline._CSV_PATHS + 3, 4
-    times = np.array([0.0, 1 / 3, 2 / 3, 1.0])
+    grid = GridSpec(((0.0, 1.0),), (points,))
+    times = grid.coordinates(0)  # 0, 1/3, 2/3 and 1
     values = np.random.default_rng(9).standard_normal((paths, points, 3))
     values[0, 0] = [-0.0, 5e-324, 1e300]
     values[-1, -1] = [-1e300, 2.2250738585072014e-308 / 3, 0.1]
     ensemble_path = tmp_path / "paths.bin"
-    with EnsembleWriter(ensemble_path, times, paths, 3, digest=False) as writer:
+    with EnsembleWriter(ensemble_path, grid, paths, 3, digest=False) as writer:
         for k in range(points):
             writer.step(k, values[:, k].T)
     expected = csv_oracle(times, values)

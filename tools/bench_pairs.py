@@ -25,8 +25,11 @@ adds pairs on another workload or seed, reported against the metric's
 bound.  A change that claims no gain omits ``--claim``: only its
 ``--check`` pairs run, at least one is required, and the output's
 ``claim`` is null.  ``--traced`` adds one ``--trace 1`` run per side
-whose ``trace.overhead_s`` is reported only.  The output uses the keys
-of ``BENCH_21.json``.  Standard library only.
+whose ``trace.overhead_s`` is reported only.  Each claim and check also
+reports each side's ``thread_overlap``, the median over its runs of
+``(cpu_s - setup_s) / wall_s``: about how many CPUs were busy at once
+after start-up, 1 or less when the threads take turns on one CPU.  The
+output uses the keys of ``BENCH_21.json``.  Standard library only.
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# the process's cpuset, and the cgroup-v1 hierarchy that holds its settings
+CPUSET = "/proc/self/cpuset"
+CPUSET_ROOT = "/sys/fs/cgroup/cpuset"
 SIDES = ("parent", "change")
 RULE = (
     "the change wins at least 9 of 10 alternating pairs and the median gap "
@@ -148,6 +154,12 @@ def sample_counts(sides):
     return {
         "failed_samples": [sum(r["failed"] for r in sides[s]) for s in SIDES],
         "attempted_samples": [sum(r["attempted"] for r in sides[s]) for s in SIDES],
+        "thread_overlap": {
+            s: round(statistics.median(
+                (r["cpu_s"] - r["setup_s"]) / r["wall_s"] for r in sides[s]
+            ), 4)
+            for s in SIDES
+        },
     }
 
 
@@ -191,6 +203,19 @@ def claim_record(workload, seed, metric, sides, seconds):
     return record
 
 
+def sched_load_balance():
+    """``sched_load_balance`` of this process's cpuset: ``0`` when the
+    kernel leaves each thread on the CPU it started on; ``unknown`` where
+    there is no such file, as under cgroup v2."""
+    try:
+        with open(CPUSET) as fh:
+            cpuset = fh.read().strip().rstrip("/")
+        with open(f"{CPUSET_ROOT}{cpuset}/cpuset.sched_load_balance") as fh:
+            return fh.read().strip()
+    except OSError:
+        return "unknown"
+
+
 def machine(directory):
     numpy = subprocess.run(
         [sys.executable, "-c", "import numpy; print(numpy.__version__)"],
@@ -201,7 +226,8 @@ def machine(directory):
     # the CPUs this process may run on, which the CLI's --threads defaults to
     return (
         f"nproc {len(os.sched_getaffinity(0))}, Python {platform.python_version()}, "
-        f"numpy {numpy}, BLAS threads 1, PYTHONDONTWRITEBYTECODE {bytecode}; "
+        f"numpy {numpy}, BLAS threads 1, PYTHONDONTWRITEBYTECODE {bytecode}, "
+        f"cpuset sched_load_balance {sched_load_balance()}; "
         "parent and change run alternately in one session"
     )
 
